@@ -14,12 +14,6 @@
 //	               most recent comparable record in -baseline and fail
 //	               when wall time regressed by more than -max-regress
 //
-//	-mode speedup  compare the most recent record in -file against the
-//	               most recent comparable record in -baseline (a frozen
-//	               reference trajectory, e.g. the pre-arena snapshot in
-//	               internal/bench/testdata) and fail unless wall time
-//	               improved by at least -min-speedup x
-//
 // Speedup gates only fire when the recording machine actually had the
 // cores to deliver the parallelism, so trajectories recorded on small
 // machines stay honest without failing the gate. Records contaminated by
@@ -87,13 +81,8 @@ func main() {
 			fatal("-mode regress needs -baseline")
 		}
 		checkRegression(load(*file), load(*baseline), *maxReg)
-	case "speedup":
-		if *baseline == "" {
-			fatal("-mode speedup needs -baseline")
-		}
-		checkImprovement(load(*file), load(*baseline), *min)
 	default:
-		fatal("unknown -mode %q (modes: jobs, mark, regress, speedup)", *mode)
+		fatal("unknown -mode %q (modes: jobs, mark, regress)", *mode)
 	}
 }
 
@@ -136,48 +125,6 @@ func checkSpeedup(recs []record, min float64, degree func(*record) int, axis str
 	if par.Cores < 2 || par.Cores < degree(par) {
 		fmt.Printf("benchcheck: machine had %d cores for %s %d; speedup gate skipped\n",
 			par.Cores, axis, degree(par))
-		return
-	}
-	if speedup < min {
-		fmt.Fprintf(os.Stderr, "benchcheck: speedup %.2fx below required %.2fx\n", speedup, min)
-		os.Exit(1)
-	}
-}
-
-// checkImprovement compares the most recent candidate record against the
-// most recent baseline record with the same (run, scale, seed, jobs,
-// mark_workers) and fails unless the candidate is at least min times
-// faster. The baseline is a frozen snapshot recorded before an
-// optimization landed, so this gate asserts the optimization's win is
-// still being delivered. Cache-contaminated candidates are rejected (a
-// warm cache would fake any speedup); both records must come from
-// machines with the same core count, else the ratio measures hardware.
-func checkImprovement(cand, base []record, min float64) {
-	c := &cand[len(cand)-1]
-	if c.DiskHits > 0 {
-		fatal("candidate record was served %d jobs from a warm cache; rerun with the cache disabled", c.DiskHits)
-	}
-	var b *record
-	for i := range base {
-		r := &base[i]
-		if r.Run == c.Run && r.Scale == c.Scale && r.Seed == c.Seed &&
-			r.Jobs == c.Jobs && r.MarkWorkers == c.MarkWorkers {
-			b = r
-		}
-	}
-	if b == nil {
-		fatal("baseline has no record matching run=%s scale=%g seed=%d jobs=%d mark-workers=%d",
-			c.Run, c.Scale, c.Seed, c.Jobs, c.MarkWorkers)
-	}
-	if c.TotalSecs <= 0 {
-		fatal("candidate record has no wall time")
-	}
-	speedup := b.TotalSecs / c.TotalSecs
-	fmt.Printf("benchcheck: %s scale=%g jobs=%d mark-workers=%d: baseline %.1fs -> %.1fs: %.2fx\n",
-		c.Run, c.Scale, c.Jobs, c.MarkWorkers, b.TotalSecs, c.TotalSecs, speedup)
-	if b.Cores != c.Cores {
-		fmt.Printf("benchcheck: baseline ran on %d cores, candidate on %d; speedup gate skipped\n",
-			b.Cores, c.Cores)
 		return
 	}
 	if speedup < min {

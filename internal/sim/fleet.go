@@ -195,26 +195,6 @@ type FleetResult struct {
 	ErrTenant int
 }
 
-// tenant is one fleet member's runtime state.
-type tenant struct {
-	id   int
-	spec TenantSpec
-	name string
-
-	env *gc.Env
-	col gc.Collector
-	run mutator.Workload
-	inj *fault.Injector
-	tel *telemetry.Collector
-
-	admitAt      time.Duration
-	penaltySkips int
-	lastMajor    uint64 // detector snapshot for noisiest-tenant attribution
-
-	done   bool
-	failed error
-}
-
 // fleetArbiter maps vmm.Arbiter onto the current policy. Escalation
 // swaps the mode, not the arbiter, so mid-run policy changes are a
 // single field write on the simulated thread.
@@ -249,36 +229,29 @@ const uncoopSlackFloor = 32
 
 // fleetRun is the live fleet engine state.
 type fleetRun struct {
-	cfg     FleetConfig
-	clock   *vmm.Clock
-	v       *vmm.VMM
+	cfg FleetConfig
+	machine
 	tenants []*tenant
 	byProc  map[*vmm.Proc]*tenant
 	arbiter *fleetArbiter
+	policy  ArbitrationPolicy // the starting policy, "" resolved
 	quota   *telemetry.DumpQuota
 
 	quantum     int
 	totalWeight int
 
-	// Cascade detector state.
-	hotWindows int
-	windowLast uint64
+	ladder     ladder
 	cascades   int
 	escalated  bool
 	fleetDumps []string
 	dumpSeq    int
 
-	// Fleet MemBalancer state.
 	balancerRounds int
 }
 
 // shareFrames is tenant t's weighted share of the machine's frames.
 func (f *fleetRun) shareFrames(t *tenant) int {
-	w := t.spec.Weight
-	if w <= 0 {
-		w = 1
-	}
-	return f.v.TotalFrames() * w / f.totalWeight
+	return f.v.TotalFrames() * t.weight / f.totalWeight
 }
 
 // uncoopHasSlack reports whether any non-cooperating tenant still holds
@@ -292,25 +265,6 @@ func (f *fleetRun) uncoopHasSlack() bool {
 	return false
 }
 
-// resolveSource picks tenant i's workload source per the documented
-// precedence: config override, recorded trace, synthesized trace,
-// generated program.
-func (f *fleetRun) resolveSource(i int, spec TenantSpec) (mutator.Source, error) {
-	if f.cfg.Workloads != nil && i < len(f.cfg.Workloads) && f.cfg.Workloads[i] != nil {
-		return f.cfg.Workloads[i], nil
-	}
-	if spec.TracePath != "" {
-		return workload.Open(spec.TracePath)
-	}
-	if spec.Synth != nil {
-		return workload.NewSynthSource(*spec.Synth)
-	}
-	if spec.Program.Name == "" {
-		return nil, fmt.Errorf("sim: tenant has no workload (no program, synth, or trace)")
-	}
-	return spec.Program, nil
-}
-
 // RunFleet runs N heterogeneous tenants sharing one machine through a
 // single discrete-event queue: round-robin quanta on one simulated CPU,
 // cross-tenant eviction arbitration, per-tenant chaos, and the
@@ -318,61 +272,46 @@ func (f *fleetRun) resolveSource(i int, spec TenantSpec) (mutator.Source, error)
 // the FleetSpec alone — reports are byte-identical for any -jobs or
 // -mark-workers setting.
 func RunFleet(cfg FleetConfig) FleetResult {
+	if len(cfg.Spec.Tenants) == 0 {
+		return FleetResult{Err: fmt.Errorf("sim: fleet has no tenants"), ErrTenant: -1}
+	}
+	f := newFleetRun(cfg)
+	defer f.release()
+	if i, err := f.assemble(); err != nil {
+		return FleetResult{Err: err, ErrTenant: i, InitialPolicy: f.policy, Policy: f.policy}
+	}
+	f.armLadder()
+	f.armBalancer()
+	f.schedule()
+	return f.report()
+}
+
+// newFleetRun builds the shared machine and the fleet-wide parts that
+// exist before any tenant does: arbiter and dump quota.
+func newFleetRun(cfg FleetConfig) *fleetRun {
 	spec := cfg.Spec
-	res := FleetResult{ErrTenant: -1}
-	if len(spec.Tenants) == 0 {
-		res.Err = fmt.Errorf("sim: fleet has no tenants")
-		return res
-	}
-	clock := vmm.NewClock()
-	costs := vmm.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
-	quantum := spec.Quantum
-	if quantum <= 0 {
-		quantum = 512
-	}
-	v := vmm.New(clock, spec.PhysBytes, costs)
-	if cfg.Trace != nil {
-		cfg.Trace.SetClock(clock)
-	}
-
-	policy := spec.Policy
-	if policy == "" {
-		policy = PolicyGlobalLRU
-	}
-	res.InitialPolicy = policy
-	res.Policy = policy
-
 	f := &fleetRun{
 		cfg:     cfg,
-		clock:   clock,
-		v:       v,
+		machine: newMachine(spec.PhysBytes, cfg.Costs, cfg.Trace),
 		byProc:  make(map[*vmm.Proc]*tenant, len(spec.Tenants)),
-		quantum: quantum,
+		policy:  spec.Policy,
+		quantum: spec.Quantum,
 	}
-	// Every tenant space dies with this fleet; recycle the slabs — and
-	// each Env's worklist and root scratch — for the next run in the sweep.
-	defer func() {
-		for _, t := range f.tenants {
-			t.env.ReleaseScratch(t.col.Roots())
-			t.env.Proc.Space().Release()
-		}
-	}()
-	for _, t := range spec.Tenants {
-		w := t.Weight
-		if w <= 0 {
-			w = 1
-		}
-		f.totalWeight += w
+	if f.policy == "" {
+		f.policy = PolicyGlobalLRU
+	}
+	if f.quantum <= 0 {
+		f.quantum = 512
+	}
+	for _, ts := range spec.Tenants {
+		f.totalWeight += max(ts.Weight, 1)
 	}
 	// The arbiter is installed only when the spec engages arbitration
 	// (a policy, or a ladder that can escalate into one): a bare fleet —
-	// RunMulti's configuration — leaves the VMM exactly as it was.
+	// RunMulti's configuration — runs on an unarbitrated VMM.
+	f.arbiter = &fleetArbiter{f: f, mode: f.policy}
 	if spec.Policy != "" || spec.EscalateTo != "" {
-		f.arbiter = &fleetArbiter{f: f, mode: policy}
-		v.SetArbiter(f.arbiter)
+		f.v.SetArbiter(f.arbiter)
 	}
 	if cfg.FlightDir != "" {
 		per := cfg.MaxDumpsPerTenant
@@ -381,247 +320,249 @@ func RunFleet(cfg FleetConfig) FleetResult {
 		}
 		f.quota = telemetry.NewDumpQuota(per, 4+2*len(spec.Tenants), 4)
 	}
+	return f
+}
 
-	// Assemble tenants in spec order — the same creation sequence
-	// RunMulti used, so the port is byte-identical.
-	for i, ts := range spec.Tenants {
+// assemble admits every tenant in spec order. A configuration error
+// (unknown collector, bad regime, unreadable trace) stops it, reported
+// with the index of the tenant it arose on.
+func (f *fleetRun) assemble() (int, error) {
+	for i, ts := range f.cfg.Spec.Tenants {
+		cfg, err := f.tenantConfig(i, ts)
+		if err != nil {
+			return i, err
+		}
 		name := ts.Name
 		if name == "" {
 			name = fmt.Sprintf("%s-%d", ts.Collector, i)
 		}
 		var tr trace.Tracer
-		if cfg.Trace != nil {
-			tr = cfg.Trace.Thread(name)
+		if f.cfg.Trace != nil {
+			tr = f.cfg.Trace.Thread(name)
 		}
-		var tel *telemetry.Collector
-		if cfg.FlightDir != "" {
-			tel = telemetry.New(telemetry.Config{
-				FlightDir: cfg.FlightDir,
+		if f.cfg.FlightDir != "" {
+			cfg.Telemetry = telemetry.New(telemetry.Config{
+				FlightDir: f.cfg.FlightDir,
 				Tenant:    name,
 				Quota:     f.quota,
 			})
-			tr = tel.Tracer(tr)
 		}
-		src, err := f.resolveSource(i, ts)
+		t, err := f.admit(name, cfg, tr)
 		if err != nil {
-			res.Err = err
-			res.ErrTenant = i
-			return res
+			return i, err
 		}
-		polName := ts.HeapPolicy
-		if polName == "" {
-			polName = spec.HeapPolicy
-		}
-		pol, err := resolvePolicy(polName, ts.Collector)
-		if err != nil {
-			res.Err = err
-			res.ErrTenant = i
-			return res
-		}
-		env, col, run, err := newInstance(v, name, ts.Collector,
-			ts.HeapBytes, src, spec.Seed+ts.Seed+int64(i), tr, cfg.Counters, cfg.MarkWorkers, pol)
-		if err != nil {
-			res.Err = err
-			res.ErrTenant = i
-			return res
-		}
-		t := &tenant{
-			id: i, spec: ts, name: name,
-			env: env, col: col, run: run, tel: tel,
-			admitAt: time.Duration(ts.AdmitAtNS),
-		}
-		if tel != nil {
-			tel.Attach(v, env, col, cfg.Counters)
-		}
-		if ts.Chaos != "" {
-			fc, ok := fault.ByName(ts.Chaos, fault.TenantSeed(spec.ChaosSeed, i))
-			if !ok {
-				res.Err = fmt.Errorf("sim: unknown chaos regime %q", ts.Chaos)
-				res.ErrTenant = i
-				return res
-			}
-			t.inj = fault.Interpose(env.Proc, fc, cfg.Counters)
-			t.inj.StartSpikes(v)
-		}
-		if cfg.AfterCollection != nil {
-			if hooked, ok := col.(interface{ OnCollectionEnd(func()) }); ok {
-				id, c := i, col
-				hooked.OnCollectionEnd(func() { cfg.AfterCollection(id, c, v) })
+		t.admitAt = time.Duration(ts.AdmitAtNS)
+		t.weight = max(ts.Weight, 1)
+		if f.cfg.AfterCollection != nil {
+			if hooked, ok := t.col.(interface{ OnCollectionEnd(func()) }); ok {
+				hooked.OnCollectionEnd(func() { f.cfg.AfterCollection(i, t.col, f.v) })
 			}
 		}
-		f.byProc[env.Proc] = t
+		f.byProc[t.env.Proc] = t
 		f.tenants = append(f.tenants, t)
-		col.Stats().Timeline.Start = clock.Now()
 	}
-	res.Names = make([]string, len(f.tenants))
+	return -1, nil
+}
+
+// tenantConfig is tenant i's effective RunConfig: the spec's fields
+// with the fleet-wide defaults, seed offsets and chaos seed derivation
+// applied, so Result.Config says what the tenant actually ran with.
+// The workload follows the documented precedence: config override,
+// recorded trace, synthesized trace, else (nil) the generated program.
+func (f *fleetRun) tenantConfig(i int, ts TenantSpec) (RunConfig, error) {
+	spec := f.cfg.Spec
+	cfg := RunConfig{
+		Collector:   ts.Collector,
+		Program:     ts.Program,
+		HeapBytes:   ts.HeapBytes,
+		PhysBytes:   spec.PhysBytes,
+		Seed:        spec.Seed + ts.Seed + int64(i),
+		Counters:    f.cfg.Counters,
+		MarkWorkers: f.cfg.MarkWorkers,
+		HeapPolicy:  ts.HeapPolicy,
+	}
+	if cfg.HeapPolicy == "" {
+		cfg.HeapPolicy = spec.HeapPolicy
+	}
+	var err error
+	switch {
+	case i < len(f.cfg.Workloads) && f.cfg.Workloads[i] != nil:
+		cfg.Workload = f.cfg.Workloads[i]
+	case ts.TracePath != "":
+		cfg.Workload, err = workload.Open(ts.TracePath)
+	case ts.Synth != nil:
+		cfg.Workload, err = workload.NewSynthSource(*ts.Synth)
+	case ts.Program.Name == "":
+		err = fmt.Errorf("sim: tenant has no workload (no program, synth, or trace)")
+	}
+	if err != nil {
+		return cfg, err
+	}
+	if ts.Chaos != "" {
+		fc, ok := fault.ByName(ts.Chaos, fault.TenantSeed(spec.ChaosSeed, i))
+		if !ok {
+			return cfg, fmt.Errorf("sim: unknown chaos regime %q", ts.Chaos)
+		}
+		cfg.Chaos = &fc
+	}
+	return cfg, nil
+}
+
+// release tears down every admitted tenant; the spaces die with the fleet.
+func (f *fleetRun) release() {
+	for _, t := range f.tenants {
+		t.release()
+	}
+}
+
+// ladder is the cascade detector's state: a hot window is one whose
+// fleet-wide major-fault count met the threshold, and sustain hot
+// windows in a row are a cascade.
+type ladder struct {
+	threshold uint64
+	window    time.Duration
+	sustain   int
+
+	hot  int    // consecutive hot windows so far
+	last uint64 // fleet major faults at the previous tick
+}
+
+// observe closes one window at fleet-wide major-fault count cur and
+// reports the window's own count and whether the fleet has now
+// cascaded. A cool window, like a cascade, restarts the count.
+func (l *ladder) observe(cur uint64) (delta uint64, cascaded bool) {
+	delta = cur - l.last
+	l.last = cur
+	if delta < l.threshold {
+		l.hot = 0
+		return delta, false
+	}
+	l.hot++
+	if l.hot < l.sustain {
+		return delta, false
+	}
+	l.hot = 0
+	return delta, true
+}
+
+// armLadder arms the cascade detector on the simulated clock, when the
+// spec sets a threshold.
+func (f *fleetRun) armLadder() {
+	spec := f.cfg.Spec
+	if spec.CascadeMajorFaults == 0 {
+		return
+	}
+	f.ladder = ladder{
+		threshold: spec.CascadeMajorFaults,
+		window:    time.Duration(spec.CascadeWindowNS),
+		sustain:   spec.CascadeSustain,
+		last:      f.v.Stats().MajorFaults,
+	}
+	if f.ladder.window <= 0 {
+		f.ladder.window = 50 * time.Millisecond
+	}
+	if f.ladder.sustain <= 0 {
+		f.ladder.sustain = 2
+	}
+	f.snapshotMajors()
+	f.every(f.ladder.window, func() {
+		if delta, cascaded := f.ladder.observe(f.v.Stats().MajorFaults); cascaded {
+			f.cascade(delta)
+		} else {
+			f.snapshotMajors()
+		}
+	})
+}
+
+// snapshotMajors restarts every tenant's per-window major-fault count,
+// the basis of noisiest-tenant attribution.
+func (f *fleetRun) snapshotMajors() {
+	for _, t := range f.tenants {
+		t.lastMajor = t.env.Proc.Stats().MajorFaults
+	}
+}
+
+// armBalancer arms the fleet MemBalancer on the simulated clock, so
+// redistribution is a pure function of simulated time and
+// byte-identical for any host parallelism.
+func (f *fleetRun) armBalancer() {
+	if every := f.cfg.Spec.BalanceEveryNS; every > 0 {
+		f.every(time.Duration(every), f.rebalance)
+	}
+}
+
+// schedule runs the fleet to completion, one scheduling turn at a time.
+func (f *fleetRun) schedule() {
+	for f.turn() {
+	}
+}
+
+// turn gives every admitted live tenant one quantum, round-robin in
+// spec order, honouring admission times and backpressure, and reports
+// whether any tenant is still live. When every live tenant is waiting
+// on admission, the clock skips idle time to the earliest admit point —
+// a discrete-event jump, not a busy spin.
+func (f *fleetRun) turn() bool {
+	live, stepped := 0, 0
+	var nextAdmit time.Duration = -1
+	for _, t := range f.tenants {
+		if t.done {
+			continue
+		}
+		live++
+		if f.clock.Now() < t.admitAt {
+			if nextAdmit < 0 || t.admitAt < nextAdmit {
+				nextAdmit = t.admitAt
+			}
+			continue
+		}
+		if t.penaltySkips > 0 {
+			t.penaltySkips--
+			continue
+		}
+		if t.step(f.quantum) {
+			stepped++
+		} else {
+			t.retire()
+		}
+	}
+	if stepped == 0 && nextAdmit > f.clock.Now() {
+		f.clock.Advance(nextAdmit - f.clock.Now())
+	}
+	return live > 0
+}
+
+// report assembles the FleetResult: per-tenant Results (End stamped when
+// the tenant retired, elapsed measured to the fleet's end) and the
+// fleet-wide aggregates.
+func (f *fleetRun) report() FleetResult {
+	n := len(f.tenants)
+	res := FleetResult{
+		Tenants:        make([]Result, n),
+		Names:          make([]string, n),
+		PauseP99NS:     make([]int64, n),
+		InitialPolicy:  f.policy,
+		Policy:         f.arbiter.mode,
+		Cascades:       f.cascades,
+		Escalated:      f.escalated,
+		BalancerRounds: f.balancerRounds,
+		FleetDumps:     f.fleetDumps,
+		ElapsedSecs:    f.clock.Now().Seconds(),
+		VMM:            f.v.Stats(),
+		Fairness:       f.fairnessNow(),
+		ErrTenant:      -1,
+	}
+	res.ArbiterVetoes = res.VMM.ArbiterVetoes
 	for i, t := range f.tenants {
-		res.Names[i] = t.name
-	}
-
-	// Arm the cascade detector on the simulated clock.
-	if spec.CascadeMajorFaults > 0 {
-		window := time.Duration(spec.CascadeWindowNS)
-		if window <= 0 {
-			window = 50 * time.Millisecond
-		}
-		sustain := spec.CascadeSustain
-		if sustain <= 0 {
-			sustain = 2
-		}
-		for _, t := range f.tenants {
-			t.lastMajor = t.env.Proc.Stats().MajorFaults
-		}
-		f.windowLast = v.Stats().MajorFaults
-		var tick func()
-		tick = func() {
-			cur := v.Stats().MajorFaults
-			delta := cur - f.windowLast
-			f.windowLast = cur
-			if delta >= spec.CascadeMajorFaults {
-				f.hotWindows++
-			} else {
-				f.hotWindows = 0
-			}
-			if f.hotWindows >= sustain {
-				f.hotWindows = 0
-				f.cascade(delta, window, sustain)
-			} else {
-				for _, t := range f.tenants {
-					t.lastMajor = t.env.Proc.Stats().MajorFaults
-				}
-			}
-			clock.Schedule(clock.Now()+window, tick)
-		}
-		clock.Schedule(clock.Now()+window, tick)
-	}
-
-	// Arm the fleet MemBalancer on the simulated clock: same cadence
-	// pattern as the cascade detector, so redistribution is a pure
-	// function of simulated time and byte-identical for any host
-	// parallelism.
-	if spec.BalanceEveryNS > 0 {
-		every := time.Duration(spec.BalanceEveryNS)
-		var tick func()
-		tick = func() {
-			f.rebalance()
-			clock.Schedule(clock.Now()+every, tick)
-		}
-		clock.Schedule(clock.Now()+every, tick)
-	}
-
-	// step advances one tenant by a quantum, converting an out-of-memory
-	// panic into a per-tenant failure so co-tenants keep running —
-	// exactly what happens on a real machine when one process dies.
-	step := func(t *tenant) (alive bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				oom, ok := r.(gc.ErrOutOfMemory)
-				if !ok {
-					panic(r)
-				}
-				t.failed = oom
-				alive = false
-			}
-		}()
-		alive = t.run.Step(f.quantum)
-		if t.inj != nil {
-			t.inj.Safepoint()
-		}
-		return alive
-	}
-
-	retire := func(t *tenant) {
-		t.done = true
-		if err := t.run.Err(); err != nil && t.failed == nil {
-			t.failed = err
-		}
-		t.col.Stats().Timeline.End = clock.Now()
-		if t.tel != nil {
-			t.tel.RunEnded(t.failed)
-		}
-	}
-
-	// The scheduler: round-robin quanta over admitted tenants, RunMulti's
-	// loop extended with admission and backpressure. When every live
-	// tenant is waiting on admission, the clock skips idle time to the
-	// earliest admit point — a discrete-event jump, not a busy spin.
-	for {
-		live, stepped := 0, 0
-		var nextAdmit time.Duration = -1
-		for _, t := range f.tenants {
-			if t.done || t.failed != nil {
-				continue
-			}
-			live++
-			if clock.Now() < t.admitAt {
-				if nextAdmit < 0 || t.admitAt < nextAdmit {
-					nextAdmit = t.admitAt
-				}
-				continue
-			}
-			if t.penaltySkips > 0 {
-				t.penaltySkips--
-				continue
-			}
-			if step(t) {
-				stepped++
-			} else {
-				retire(t)
-			}
-		}
-		if live == 0 {
-			break
-		}
-		if stepped == 0 && nextAdmit > clock.Now() {
-			clock.Advance(nextAdmit - clock.Now())
-		}
-	}
-
-	// Assemble per-tenant results exactly as RunMulti did: End stamped
-	// when the tenant retired, elapsed measured to the fleet's end.
-	res.Tenants = make([]Result, len(f.tenants))
-	evictions := make([]float64, len(f.tenants))
-	res.PauseP99NS = make([]int64, len(f.tenants))
-	for i, t := range f.tenants {
-		if t.col.Stats().Timeline.End == 0 {
-			t.col.Stats().Timeline.End = clock.Now()
-		}
-		r := Result{
-			Config: RunConfig{
-				Collector: t.spec.Collector, Program: t.spec.Program,
-				HeapBytes: t.spec.HeapBytes, PhysBytes: spec.PhysBytes,
-			},
-			Timeline:    t.col.Stats().Timeline,
-			Mutator:     t.run.Finish(),
-			GCStats:     *t.col.Stats(),
-			ProcStats:   t.env.Proc.Stats(),
-			ElapsedSecs: (clock.Now() - t.col.Stats().Timeline.Start).Seconds(),
-			Counters:    cfg.Counters,
-			Err:         t.failed,
-		}
-		if t.inj != nil {
-			s := t.inj.Stats()
-			r.Faults = &s
-		}
+		r := t.result()
 		res.Tenants[i] = r
+		res.Names[i] = t.env.Proc.Name()
 		res.AggMinorFaults += r.ProcStats.MinorFaults
 		res.AggMajorFaults += r.ProcStats.MajorFaults
 		res.AggEvictions += r.ProcStats.Evictions
 		res.AggPeakResident += r.ProcStats.PeakResident
-		evictions[i] = float64(r.ProcStats.Evictions)
 		res.PauseP99NS[i] = int64(telemetry.FromTimeline(&r.Timeline).Quantile(0.99))
 	}
-	res.Fairness = telemetry.FairnessIndex(evictions)
-	res.ElapsedSecs = clock.Now().Seconds()
-	res.VMM = v.Stats()
-	res.ArbiterVetoes = v.Stats().ArbiterVetoes
-	if f.arbiter != nil {
-		res.Policy = f.arbiter.mode
-	}
-	res.Cascades = f.cascades
-	res.Escalated = f.escalated
-	res.BalancerRounds = f.balancerRounds
-	res.FleetDumps = f.fleetDumps
 	return res
 }
 
@@ -630,12 +571,12 @@ func RunFleet(cfg FleetConfig) FleetResult {
 // tenant, push back unadmitted tenants, and write the fleet bundle
 // through the reserved dump slots. Runs on the simulated clock, so every
 // action is deterministic.
-func (f *fleetRun) cascade(windowFaults uint64, window time.Duration, sustain int) {
+func (f *fleetRun) cascade(windowFaults uint64) {
 	spec := f.cfg.Spec
 	f.cascades++
 
 	// Escalate the arbitration policy (once per run).
-	if spec.EscalateTo != "" && f.arbiter != nil && f.arbiter.mode != spec.EscalateTo {
+	if spec.EscalateTo != "" && f.arbiter.mode != spec.EscalateTo {
 		f.arbiter.mode = spec.EscalateTo
 		f.escalated = true
 	}
@@ -644,12 +585,12 @@ func (f *fleetRun) cascade(windowFaults uint64, window time.Duration, sustain in
 	// loses its next turns at the scheduler.
 	noisiest := -1
 	var worst uint64
-	for _, t := range f.tenants {
+	for i, t := range f.tenants {
 		cur := t.env.Proc.Stats().MajorFaults
 		d := cur - t.lastMajor
 		t.lastMajor = cur
 		if noisiest < 0 || d > worst {
-			noisiest = t.id
+			noisiest = i
 			worst = d
 		}
 	}
@@ -661,8 +602,8 @@ func (f *fleetRun) cascade(windowFaults uint64, window time.Duration, sustain in
 	if spec.AdmissionThrottle {
 		now := f.clock.Now()
 		for _, t := range f.tenants {
-			if !t.done && t.failed == nil && now < t.admitAt {
-				t.admitAt += 4 * window
+			if !t.done && now < t.admitAt {
+				t.admitAt += 4 * f.ladder.window
 			}
 		}
 	}
@@ -673,10 +614,10 @@ func (f *fleetRun) cascade(windowFaults uint64, window time.Duration, sustain in
 	b := &telemetry.FleetBundle{
 		Reason:        "cascade-thrash",
 		SimTimeNS:     int64(f.clock.Now()),
-		WindowNS:      int64(window),
+		WindowNS:      int64(f.ladder.window),
 		WindowFaults:  windowFaults,
 		Threshold:     spec.CascadeMajorFaults,
-		SustainedFor:  sustain,
+		SustainedFor:  f.ladder.sustain,
 		Policy:        string(f.cfg.Spec.Policy),
 		Fairness:      f.fairnessNow(),
 		AggMajor:      f.v.Stats().MajorFaults,
@@ -686,17 +627,17 @@ func (f *fleetRun) cascade(windowFaults uint64, window time.Duration, sustain in
 	if f.escalated {
 		b.EscalatedTo = string(f.arbiter.mode)
 	}
-	for _, t := range f.tenants {
+	for i, t := range f.tenants {
 		tl := t.col.Stats().Timeline
 		snap := telemetry.TenantFlightSnap{
-			Tenant:        t.name,
+			Tenant:        t.env.Proc.Name(),
 			Collector:     t.col.Name(),
 			Cooperative:   t.env.Proc.Handler() != nil,
 			ResidentPages: t.env.Proc.ResidentPages(),
 			MajorFaults:   t.env.Proc.Stats().MajorFaults,
 			Evictions:     t.env.Proc.Stats().Evictions,
 			PauseP99NS:    int64(telemetry.FromTimeline(&tl).Quantile(0.99)),
-			Penalized:     t.id == noisiest && spec.Backpressure,
+			Penalized:     i == noisiest && spec.Backpressure,
 		}
 		if t.failed != nil {
 			snap.Failed = t.failed.Error()
@@ -733,7 +674,7 @@ func (f *fleetRun) rebalance() {
 	var sumLive, sumW float64
 	for _, t := range f.tenants {
 		b, ok := t.env.HeapPolicy.(heappolicy.Balancable)
-		if ok && !t.done && t.failed == nil {
+		if ok && !t.done {
 			live, w := b.BalanceStats()
 			if w > 0 {
 				parts = append(parts, participant{pol: b, live: live, w: w})

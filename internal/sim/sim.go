@@ -13,7 +13,6 @@ import (
 	"bookmarkgc/internal/core"
 	"bookmarkgc/internal/fault"
 	"bookmarkgc/internal/gc"
-	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/mutator"
@@ -222,68 +221,6 @@ func (s *SignalMem) grow() {
 	s.v.Clock.Schedule(s.v.Clock.Now()+s.p.GrowEvery, s.grow)
 }
 
-// resolvePolicy builds the named heap policy ("" = none: the fixed
-// configured budget, and BC's built-in default). BC's Regrow variant
-// carries its regrow flag into an explicit bc-shrink policy so
-// "-heap-policy bc-shrink" on BC-Regrow keeps the §7 extension.
-func resolvePolicy(name string, kind CollectorKind) (heappolicy.Policy, error) {
-	if name == "" {
-		return nil, nil
-	}
-	return heappolicy.New(name, heappolicy.Options{Regrow: kind == BCRegrow})
-}
-
-// policyRelay forwards the VMM's eviction notices to a
-// pressure-sensitive heap policy for collectors that have no
-// vmm.Handler of their own (everything but BC). Registering a handler
-// also marks the process cooperative for the fleet arbiter —
-// intentionally: the pressure-sensitive policy IS this process's
-// cooperation mechanism.
-type policyRelay struct{ col gc.Collector }
-
-func (r *policyRelay) EvictionScheduled(mem.PageID) {
-	gc.ObserveHeapPolicy(r.col, heappolicy.EvPressure, -1)
-}
-
-func (r *policyRelay) PageReloaded(mem.PageID, bool) {}
-
-// newInstance assembles one JVM on machine v: its environment (named
-// name), trace and counter wiring, declared types, heap policy,
-// collector, and stepable workload. Run and RunMulti both build
-// instances through it so their setup paths cannot drift apart. A nil
-// tr keeps the environment's default no-op tracer. src is the workload
-// factory — a mutator.Spec for the generated programs, or a trace
-// source (internal/workload) for replayed ones. markWorkers overrides
-// the parallel mark engine's worker count when positive (0 keeps the
-// process-wide default); any value produces bit-identical output. pol
-// is the heap-limit policy (nil = collector default).
-func newInstance(v *vmm.VMM, name string, kind CollectorKind, heapBytes uint64,
-	src mutator.Source, seed int64, tr trace.Tracer, ctrs *trace.Counters,
-	markWorkers int, pol heappolicy.Policy) (*gc.Env, gc.Collector, mutator.Workload, error) {
-	env := gc.NewEnv(v, name, heapBytes)
-	if tr != nil {
-		env.Trace = tr
-	}
-	env.Counters = ctrs
-	if markWorkers > 0 {
-		env.MarkWorkers = markWorkers
-	}
-	env.HeapPolicy = pol
-	types := mutator.DeclareTypes(env)
-	col, err := NewCollector(kind, env)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if pol != nil && pol.PressureSensitive() && env.Proc.Handler() == nil {
-		env.Proc.Register(&policyRelay{col: col})
-	}
-	wl, err := src.NewWorkload(col, types, seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return env, col, wl, nil
-}
-
 // RunConfig describes one JVM-on-one-machine experiment.
 type RunConfig struct {
 	Collector CollectorKind
@@ -365,108 +302,35 @@ type Result struct {
 	Faults *fault.Stats
 }
 
-// Run executes one configuration to completion.
-func Run(cfg RunConfig) (res Result) {
-	clock := vmm.NewClock()
-	costs := vmm.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
-	v := vmm.New(clock, cfg.PhysBytes, costs)
-	tr := trace.Tracer(trace.Nop{})
+// Run executes one configuration to completion: one tenant on its own
+// machine, stepped until its workload ends or fails.
+func Run(cfg RunConfig) Result {
+	m := newMachine(cfg.PhysBytes, cfg.Costs, cfg.Trace)
+	var tr trace.Tracer
 	if cfg.Trace != nil {
-		cfg.Trace.SetClock(clock)
 		tr = cfg.Trace
 	}
-	if cfg.Telemetry != nil {
-		// Wrap before instance assembly so every span the collector emits
-		// flows through the attribution tracer.
-		tr = cfg.Telemetry.Tracer(tr)
-	}
-	src := mutator.Source(cfg.Program)
-	if cfg.Workload != nil {
-		src = cfg.Workload
-	}
-	pol, err := resolvePolicy(cfg.HeapPolicy, cfg.Collector)
+	t, err := m.admit(string(cfg.Collector), cfg, tr)
 	if err != nil {
 		return Result{Config: cfg, Err: err}
 	}
-	env, col, run, err := newInstance(v, string(cfg.Collector), cfg.Collector,
-		cfg.HeapBytes, src, cfg.Seed, tr, cfg.Counters, cfg.MarkWorkers, pol)
-	if err != nil {
-		return Result{Config: cfg, Err: err}
-	}
-	// The space dies with this run; recycle its slabs — and the Env's
-	// worklist and root scratch — for the next run in the sweep (this
-	// defer is registered first, so it fires after the OOM-recovery defer
-	// below has assembled the Result).
-	defer func() {
-		env.ReleaseScratch(col.Roots())
-		env.Proc.Space().Release()
-	}()
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.Attach(v, env, col, cfg.Counters)
-	}
+	defer t.release()
 	if cfg.Sink != nil {
-		if sw, ok := run.(interface{ SetSink(mutator.Sink) }); ok {
+		if sw, ok := t.run.(interface{ SetSink(mutator.Sink) }); ok {
 			sw.SetSink(cfg.Sink)
 		}
 	}
-	var inj *fault.Injector
-	if cfg.Chaos != nil {
-		inj = fault.Interpose(env.Proc, *cfg.Chaos, cfg.Counters)
-		inj.StartSpikes(v)
-	}
 	if cfg.Pressure != nil {
-		StartSignalMem(v, *cfg.Pressure, tr)
+		StartSignalMem(m.v, *cfg.Pressure, t.env.Trace)
 	}
-
-	start := clock.Now()
-	col.Stats().Timeline.Start = start
-	finish := func(mres mutator.Result, failure error) Result {
-		col.Stats().Timeline.End = clock.Now()
-		if cfg.Telemetry != nil {
-			cfg.Telemetry.RunEnded(failure)
-		}
-		r := Result{
-			Config:      cfg,
-			Timeline:    col.Stats().Timeline,
-			Mutator:     mres,
-			GCStats:     *col.Stats(),
-			ProcStats:   env.Proc.Stats(),
-			ElapsedSecs: (clock.Now() - start).Seconds(),
-			Counters:    cfg.Counters,
-			Err:         failure,
-		}
-		if inj != nil {
-			s := inj.Stats()
-			r.Faults = &s
-		}
-		return r
+	quantum := runQuantum
+	if t.inj != nil {
+		quantum = chaosQuantum
 	}
-	// A live heap that outgrows the budget surfaces as an ErrOutOfMemory
-	// panic deep in an allocation; report it as a failed Result so sweeps
-	// over many configurations survive the ones that cannot fit.
-	defer func() {
-		if r := recover(); r != nil {
-			oom, ok := r.(gc.ErrOutOfMemory)
-			if !ok {
-				panic(r)
-			}
-			res = finish(run.Finish(), oom)
-		}
-	}()
-	if inj != nil {
-		for run.Step(chaosQuantum) {
-			inj.Safepoint()
-		}
-	} else {
-		for run.Step(runQuantum) {
-		}
+	for t.step(quantum) {
 	}
-	// A workload can end by failing internally (a corrupt or truncated
-	// trace); that is a run failure, same as out-of-memory.
-	return finish(run.Finish(), run.Err())
+	t.retire()
+	return t.result()
 }
 
 // MultiConfig describes n identical JVMs sharing one machine (§5.3.3).
@@ -500,29 +364,22 @@ type MultiConfig struct {
 
 // RunMulti round-robins the JVMs on one simulated CPU until all complete,
 // returning one Result per JVM. Total elapsed time is shared; per-JVM
-// pause statistics are their own. It is a thin wrapper over the fleet
-// engine — n identical tenants, no arbitration, no chaos, no ladder —
-// and produces output byte-identical to the pre-fleet implementation.
+// pause statistics are their own: a fleet of n identical tenants with
+// no arbitration, no chaos and no ladder.
 func RunMulti(cfg MultiConfig) []Result {
 	tenants := make([]TenantSpec, cfg.JVMs)
-	var workloads []mutator.Source
-	if cfg.Workload != nil {
-		workloads = make([]mutator.Source, cfg.JVMs)
-	}
+	workloads := make([]mutator.Source, cfg.JVMs) // nil entries: Program
 	for i := range tenants {
 		tenants[i] = TenantSpec{
 			Name:      fmt.Sprintf("%s-%d", cfg.Collector, i),
 			Collector: cfg.Collector,
 			Program:   cfg.Program,
 			HeapBytes: cfg.HeapBytes,
-			// The fleet engine seeds tenant i with Spec.Seed+Seed+i;
-			// carrying cfg.Seed here reproduces RunMulti's Seed+i.
+			// Tenant i runs with this plus i: RunMulti's Seed+i.
 			Seed:       cfg.Seed,
 			HeapPolicy: cfg.HeapPolicy,
 		}
-		if workloads != nil {
-			workloads[i] = cfg.Workload
-		}
+		workloads[i] = cfg.Workload
 	}
 	fr := RunFleet(FleetConfig{
 		Spec: FleetSpec{
