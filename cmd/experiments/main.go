@@ -7,8 +7,7 @@
 //
 //	experiments [-run id[,id...]] [-scale f] [-seed n] [-list] [-counters]
 //	            [-jobs n] [-mark-workers n] [-cache-dir dir] [-resume]
-//	            [-timeout d] [-format text|json] [-bench-out file]
-//	            [-expect-cached]
+//	            [-timeout d] [-format text|json] [-expect-cached]
 //
 // Experiment ids: table1, fig2, fig2x, fig3, fig3x, fig4, fig5, fig6,
 // fig7, ablate; "all" runs everything. Scale 1.0 is paper scale (1 GB
@@ -24,7 +23,6 @@
 // -resume       serve results cached by a previous (or interrupted) run
 // -timeout d    abandon any single job after d wall time (0 = none)
 // -format json  emit reports as one JSON document instead of text tables
-// -bench-out f  append this invocation's wall-time record to f (JSON)
 // -expect-cached exit 3 unless every job was served from cache
 //
 // Reports go to stdout; progress, timing, and runner telemetry go to
@@ -63,7 +61,6 @@ func main() {
 		resume   = flag.Bool("resume", false, "reuse results persisted by a previous run in -cache-dir")
 		timeout  = flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
 		format   = flag.String("format", "text", "report output format: text or json")
-		benchOut = flag.String("bench-out", "", "append a wall-time record for this invocation to this JSON file")
 		expect   = flag.Bool("expect-cached", false, "exit 3 unless every job was served from cache (resume smoke test)")
 		httpAddr = flag.String("http", "", "serve live sweep progress (/api/progress) and /debug/pprof on this address")
 	)
@@ -148,17 +145,12 @@ func main() {
 		fmt.Printf("bookmarking collection experiments (scale %.2f, seed %d)\n\n", *scale, *seed)
 	}
 
-	var (
-		records    []expRecord
-		allReports []bench.Report
-		totalStart = time.Now()
-	)
+	var allReports []bench.Report
 	for _, e := range selected {
 		tracker.setExperiment(e.ID)
 		start := time.Now()
 		reports := e.Run(opts, rn)
 		wall := time.Since(start)
-		records = append(records, expRecord{ID: e.ID, WallSecs: wall.Seconds()})
 		if *format == "text" {
 			for i := range reports {
 				reports[i].Print(os.Stdout)
@@ -168,7 +160,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs wall time]\n", e.ID, wall.Seconds())
 	}
-	totalWall := time.Since(totalStart)
 
 	if *format == "json" {
 		doc := struct {
@@ -188,82 +179,10 @@ func main() {
 		"runner: %d jobs submitted, %d executed, %d cache hits (%d memo, %d store), %d errors, %d timeouts\n",
 		st.Submitted, st.Executed, st.Hits(), st.MemHits, st.DiskHits, st.Errors, st.Timeouts)
 
-	if *benchOut != "" {
-		if err := appendBenchRecord(*benchOut, benchRecord{
-			Schema:      "bench-experiments/v1",
-			UTC:         time.Now().UTC().Format(time.RFC3339),
-			Scale:       *scale,
-			Seed:        *seed,
-			Jobs:        *jobs,
-			MarkWorkers: *markWkrs,
-			Cores:       runtime.NumCPU(),
-			Run:         *run,
-			TotalSecs:   totalWall.Seconds(),
-			Executed:    st.Executed,
-			CacheHits:   st.Hits(),
-			DiskHits:    st.DiskHits,
-			Experiments: records,
-		}); err != nil {
-			fail("writing -bench-out: %v", err)
-		}
-	}
-
 	if *expect && st.Executed > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: -expect-cached: %d jobs were executed rather than served from cache\n", st.Executed)
 		os.Exit(3)
 	}
-}
-
-// benchRecord is one invocation's wall-time entry in the -bench-out
-// file, which holds a JSON array of them — the repo's machine-readable
-// perf trajectory (sequential vs parallel, over time).
-type benchRecord struct {
-	Schema string  `json:"schema"`
-	UTC    string  `json:"utc"`
-	Scale  float64 `json:"scale"`
-	Seed   int64   `json:"seed"`
-	Jobs   int     `json:"jobs"`
-	// MarkWorkers is the -mark-workers value (0 in records written before
-	// the parallel mark engine existed).
-	MarkWorkers int     `json:"mark_workers,omitempty"`
-	Cores       int     `json:"cores"`
-	Run         string  `json:"run"`
-	TotalSecs   float64 `json:"total_wall_secs"`
-	Executed    int     `json:"jobs_executed"`
-	// CacheHits counts all result reuse; DiskHits only the hits served
-	// from a warm persistent store. Memo hits (duplicate jobs within one
-	// sweep) are deterministic and leave wall time comparable; disk hits
-	// make it meaningless, so benchcheck's gates key on DiskHits.
-	CacheHits   int         `json:"cache_hits"`
-	DiskHits    int         `json:"disk_hits"`
-	Experiments []expRecord `json:"experiments"`
-}
-
-// expRecord is one experiment's wall time within a benchRecord.
-type expRecord struct {
-	ID       string  `json:"id"`
-	WallSecs float64 `json:"wall_secs"`
-}
-
-// appendBenchRecord reads path (a JSON array, possibly absent), appends
-// rec, and writes it back.
-func appendBenchRecord(path string, rec benchRecord) error {
-	var arr []json.RawMessage
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &arr); err != nil {
-			return fmt.Errorf("%s exists but is not a JSON array: %w", path, err)
-		}
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	arr = append(arr, b)
-	out, err := json.MarshalIndent(arr, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // progressTracker fans runner progress out to the stderr printer and

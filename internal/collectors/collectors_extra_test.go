@@ -6,33 +6,45 @@ import (
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
+	"bookmarkgc/internal/trace"
 	"bookmarkgc/internal/vmm"
 )
 
 func TestFixedNurseryBoundsNurserySize(t *testing.T) {
-	env := newEnv(t, 32)
-	node, _, _ := declareTypes(env)
-	c := NewGenMS(env)
-	c.FixedNurseryPages = 128 // 512 KB
-	c.resizeNursery()
-	if got := c.nursery.Budget(); got > 128*mem.PageSize {
-		t.Fatalf("nursery budget %d exceeds fixed size", got)
+	// The shared Nursery's Appel sizing: the free share, clamped to the
+	// fixed size from above and to the minimum useful nursery from below.
+	for _, tc := range []struct {
+		name              string
+		fixed, free, want int
+	}{
+		{"variable takes the free share", 0, 500, 500},
+		{"fixed clamps a larger share", 128, 500, 128},
+		{"fixed leaves a smaller share", 128, 100, 100},
+		{"minimum wins over a starved share", 0, 10, gc.MinNurseryPages},
+		{"minimum wins over a smaller fixed size", 16, 500, gc.MinNurseryPages},
+	} {
+		n := NewGenMS(newEnv(t, 32)).Nursery
+		n.FixedPages = tc.fixed
+		n.Resize(tc.free)
+		if got := n.Budget(); got != uint64(tc.want)*mem.PageSize {
+			t.Errorf("%s: budget %d pages, want %d", tc.name, got/mem.PageSize, tc.want)
+		}
 	}
-	// More frequent nursery GCs than the variable-nursery collector.
-	for i := 0; i < 200000; i++ {
-		c.Alloc(node, 0)
-	}
-	fixedGCs := c.Stats().Nursery
 
-	env2 := newEnv(t, 32)
-	node2, _, _ := declareTypes(env2)
-	v := NewGenMS(env2)
-	for i := 0; i < 200000; i++ {
-		v.Alloc(node2, 0)
+	// More frequent nursery GCs than the variable-nursery collector.
+	nurseryGCs := func(fixed int) uint64 {
+		env := newEnv(t, 32)
+		node, _, _ := declareTypes(env)
+		c := NewGenMS(env)
+		c.Nursery.FixedPages = fixed
+		c.resizeNursery()
+		for i := 0; i < 200000; i++ {
+			c.Alloc(node, 0)
+		}
+		return c.Stats().Nursery
 	}
-	if fixedGCs <= v.Stats().Nursery {
-		t.Fatalf("fixed nursery (%d GCs) not more frequent than variable (%d)",
-			fixedGCs, v.Stats().Nursery)
+	if fixed, variable := nurseryGCs(128), nurseryGCs(0); fixed <= variable {
+		t.Fatalf("fixed nursery (%d GCs) not more frequent than variable (%d)", fixed, variable)
 	}
 }
 
@@ -79,26 +91,44 @@ func TestGenMSSurvivesLiveDataSemiSpaceCannot(t *testing.T) {
 
 func TestWriteBarrierOnlyRecordsOldToYoung(t *testing.T) {
 	env := newEnv(t, 16)
+	env.Counters = trace.NewCounters()
 	node, _, _ := declareTypes(env)
 	c := NewGenMS(env)
 	old := c.Roots().Add(c.Alloc(node, 0))
 	c.Collect(true) // promote
 	young := c.Roots().Add(c.Alloc(node, 0))
 
-	// young -> old: no record needed.
-	c.WriteRef(c.Roots().Get(young), 0, c.Roots().Get(old))
-	if got := c.remset.Size(); got != 0 {
-		t.Fatalf("young->old store recorded (%d entries)", got)
+	for _, tc := range []struct {
+		name     string
+		src      int // root index of the object stored into
+		slot     int
+		v        func() mem.Addr
+		wantSize int // remembered slots after the store
+	}{
+		{"young->old needs no record", young, 0, func() mem.Addr { return c.Roots().Get(old) }, 0},
+		{"old->young is recorded", old, 0, func() mem.Addr { return c.Roots().Get(young) }, 1},
+		{"old->nil is not", old, 1, func() mem.Addr { return mem.Nil }, 1},
+		{"a second old->young slot is recorded too", old, 1, func() mem.Addr { return c.Roots().Get(young) }, 2},
+	} {
+		c.WriteRef(c.Roots().Get(tc.src), tc.slot, tc.v())
+		if got := c.Nursery.Rem.Size(); got != tc.wantSize {
+			t.Fatalf("%s: %d remembered slots, want %d", tc.name, got, tc.wantSize)
+		}
 	}
-	// old -> young: recorded.
-	c.WriteRef(c.Roots().Get(old), 0, c.Roots().Get(young))
-	if got := c.remset.Size(); got != 1 {
-		t.Fatalf("old->young store not recorded (%d entries)", got)
+
+	// Forward-once promotion: the young object is reached through two
+	// remembered slots and a root, and is copied exactly once.
+	promoted := env.Counters.Get(trace.CPromotedBytes)
+	c.Collect(false)
+	o := c.Roots().Get(old)
+	if a, b := c.ReadRef(o, 0), c.ReadRef(o, 1); a != b || a != c.Roots().Get(young) || c.Nursery.Contains(a) {
+		t.Fatalf("slots %#x %#x and root %#x should name one mature copy", a, b, c.Roots().Get(young))
 	}
-	// old -> nil: not recorded.
-	c.WriteRef(c.Roots().Get(old), 1, mem.Nil)
-	if got := c.remset.Size(); got != 1 {
-		t.Fatalf("nil store recorded (%d entries)", got)
+	if got := env.Counters.Get(trace.CPromotedBytes) - promoted; got != uint64(node.TotalBytes(0)) {
+		t.Fatalf("promoted %d bytes, want one %d-byte object", got, node.TotalBytes(0))
+	}
+	if got := c.Nursery.Rem.Size(); got != 0 {
+		t.Fatalf("%d remembered slots survive the nursery collection", got)
 	}
 }
 

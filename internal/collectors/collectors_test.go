@@ -28,12 +28,12 @@ var makers = map[string]func(*gc.Env) gc.Collector{
 	"CopyMS":    func(e *gc.Env) gc.Collector { return NewCopyMS(e) },
 	"GenMSFixed": func(e *gc.Env) gc.Collector {
 		c := NewGenMS(e)
-		c.FixedNurseryPages = 128
+		c.Nursery.FixedPages = 128
 		return c
 	},
 	"GenCopyFixed": func(e *gc.Env) gc.Collector {
 		c := NewGenCopy(e)
-		c.FixedNurseryPages = 128
+		c.Nursery.FixedPages = 128
 		return c
 	},
 }

@@ -1,15 +1,10 @@
 package collectors
 
 import (
-	"math"
-
 	"bookmarkgc/internal/gc"
-	"bookmarkgc/internal/heap"
 	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
-	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
-	"bookmarkgc/internal/trace"
 )
 
 // CopyMS allocates with a bump pointer and performs only whole-heap
@@ -21,18 +16,19 @@ import (
 type CopyMS struct {
 	gc.Base
 	gc.Mature
-	eden *heap.BumpSpace
+	eden *gc.Nursery
 }
 
 var _ gc.Collector = (*CopyMS)(nil)
 
 // NewCopyMS creates a CopyMS collector on env.
 func NewCopyMS(env *gc.Env) *CopyMS {
-	c := &CopyMS{
-		Base: gc.Base{E: env},
-		eden: heap.NewBumpSpace(env.Space, env.Layout.Bump0Base, env.Layout.Bump0End),
-	}
-	c.Mature = gc.NewMature(env)
+	c := &CopyMS{eden: gc.NewEden(env)}
+	c.Init(env, c)
+	c.Mature = gc.NewMature(&c.Base)
+	// Every promotion happens in a full collection; the fresh copy is
+	// stamped once, so Promote itself returns eden survivors marked.
+	c.OnPromote = func(dst objmodel.Ref, _ int) { objmodel.SetMark(env.Space, dst, c.Epoch()) }
 	c.resizeEden()
 	return c
 }
@@ -43,27 +39,7 @@ func (c *CopyMS) Name() string { return "CopyMS" }
 // UsedPages implements gc.Collector.
 func (c *CopyMS) UsedPages() int { return c.MatureUsedPages() + c.eden.UsedPages() }
 
-// heapBudget is the policy-effective page budget; with no policy it is
-// exactly the configured heap.
-func (c *CopyMS) heapBudget() int {
-	return c.E.HeapBudget(c.MatureUsedPages() + gc.MinNurseryPages)
-}
-
-// policyTick gives the heap policy its mutator observation; a raised
-// target takes effect immediately via an eden resize.
-func (c *CopyMS) policyTick() {
-	if from, to := gc.ObserveHeapPolicy(c, heappolicy.EvMutator, -1); to > from {
-		c.resizeEden()
-	}
-}
-
-func (c *CopyMS) resizeEden() {
-	free := c.heapBudget() - c.MatureUsedPages()
-	if free < gc.MinNurseryPages {
-		free = gc.MinNurseryPages
-	}
-	c.eden.SetBudget(uint64(free) * mem.PageSize)
-}
+func (c *CopyMS) resizeEden() { c.eden.Resize(c.Budget() - c.MatureUsedPages()) }
 
 // Alloc implements gc.Collector.
 func (c *CopyMS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
@@ -74,22 +50,21 @@ func (c *CopyMS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 		if small {
 			o = c.eden.Alloc(t, arrayLen)
 		} else {
-			o = c.AllocMature(c.E, t, arrayLen, c.heapBudget(), c.eden.UsedPages())
+			o = c.AllocMature(t, arrayLen, c.Budget(), c.eden.UsedPages())
 		}
 		if o != mem.Nil {
 			c.CountAlloc(t, arrayLen)
-			c.policyTick()
+			if c.PolicyTick() {
+				c.resizeEden()
+			}
 			return o
 		}
 		if attempt == 2 {
-			panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
+			panic(c.OOM(c.E.HeapPages))
 		}
 		c.Collect(true)
 	}
 }
-
-// ReadRef implements gc.Collector.
-func (c *CopyMS) ReadRef(o objmodel.Ref, i int) objmodel.Ref { return c.ReadRefRaw(o, i) }
 
 // WriteRef implements gc.Collector (no barrier: every GC is full-heap).
 func (c *CopyMS) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw(o, i, v) }
@@ -97,71 +72,11 @@ func (c *CopyMS) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw
 // Collect implements gc.Collector: a whole-heap collection that copies
 // eden survivors into the mature space and mark-sweeps the rest.
 func (c *CopyMS) Collect(bool) {
-	c.collect()
+	c.FullCollect(c.eden, c.Promote)
+	if c.MatureUsedPages() > c.E.HeapPages {
+		panic(c.OOM(c.E.HeapPages))
+	}
 	// Outside the pause so the policy sees the collection's own cost.
 	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
 	c.resizeEden()
-}
-
-func (c *CopyMS) collect() {
-	done := c.Stats().BeginPause(c.E, metrics.PauseFull)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Full++
-
-	epoch := c.NextEpoch()
-	work := c.E.GetWorkList()
-	defer c.E.PutWorkList(work)
-	forward := func(o objmodel.Ref) objmodel.Ref {
-		if !c.eden.Contains(o) {
-			gc.MarkStep(c.E, work, o, epoch)
-			return o
-		}
-		if objmodel.Forwarded(c.E.Space, o) {
-			return objmodel.ForwardAddr(c.E.Space, o)
-		}
-		t, n := c.E.Types.TypeOf(c.E.Space, o)
-		dst := c.AllocMature(c.E, t, n, math.MaxInt, 0)
-		if dst == mem.Nil {
-			panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
-		}
-		size := int(mem.RoundUpWord(uint64(t.TotalBytes(n))))
-		gc.CopyObject(c.E.Space, o, dst, size)
-		objmodel.Forward(c.E.Space, o, dst)
-		objmodel.SetMark(c.E.Space, dst, epoch)
-		work.Push(dst)
-		return dst
-	}
-	c.E.Trace.Begin(trace.PhaseRootScan)
-	c.Roots().ForEach(func(slot *mem.Addr) {
-		*slot = forward(*slot)
-	})
-	c.E.Trace.End(trace.PhaseRootScan)
-	// Parallel work-stealing trace (DESIGN.md §11): workers mark mature
-	// objects in place and defer eden edges, which forward evacuates
-	// sequentially between rounds.
-	cfg := &gc.ParMarkConfig{
-		Epoch: epoch,
-		Classify: func(tgt objmodel.Ref) gc.EdgeAction {
-			if c.eden.Contains(tgt) {
-				return gc.EdgeDefer
-			}
-			return gc.EdgeMark
-		},
-	}
-	c.E.Trace.Begin(trace.PhaseMark)
-	c.E.Marker().Mark(cfg, work, func(e gc.DeferredEdge, _ *gc.WorkList) {
-		if nw := forward(e.Target); nw != e.Target {
-			c.E.Space.WriteAddr(e.Slot, nw)
-		}
-	})
-	c.E.Trace.End(trace.PhaseMark)
-	c.E.Trace.Begin(trace.PhaseSweep)
-	c.SS.Sweep(epoch)
-	c.LOS.Sweep(epoch, nil)
-	c.E.Trace.End(trace.PhaseSweep)
-	c.eden.Reset()
-	if c.MatureUsedPages() > c.E.HeapPages {
-		panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
-	}
 }

@@ -15,7 +15,7 @@ import (
 // copied into the active mature semispace; full collections flip the
 // mature semispaces. Half the mature space is copy reserve, so GenCopy
 // runs out of room sooner than GenMS in small heaps (§5.2). With
-// FixedNurseryPages set it becomes the fixed-nursery variant of
+// Nursery.FixedPages set it becomes the fixed-nursery variant of
 // Figure 5(b).
 //
 // Both of GenCopy's collections are pure copying passes (nursery
@@ -26,14 +26,10 @@ import (
 // parallelizes only in-place marking).
 type GenCopy struct {
 	gc.Base
-	nursery *heap.BumpSpace
+	Nursery *gc.Nursery
 	matFrom *heap.BumpSpace
 	matTo   *heap.BumpSpace
 	los     *heap.LOS
-	remset  *gc.RemSet
-
-	// FixedNurseryPages, when non-zero, pins the nursery size.
-	FixedNurseryPages int
 }
 
 var _ gc.Collector = (*GenCopy)(nil)
@@ -43,20 +39,19 @@ var _ gc.Collector = (*GenCopy)(nil)
 func NewGenCopy(env *gc.Env) *GenCopy {
 	mid := (env.Layout.Bump1Base + (env.Layout.Bump1End-env.Layout.Bump1Base)/2) &^ (mem.SuperSize - 1)
 	c := &GenCopy{
-		Base:    gc.Base{E: env},
-		nursery: heap.NewBumpSpace(env.Space, env.Layout.Bump0Base, env.Layout.Bump0End),
-		matFrom: heap.NewBumpSpace(env.Space, env.Layout.Bump1Base, mid),
-		matTo:   heap.NewBumpSpace(env.Space, mid, env.Layout.Bump1End),
-		los:     heap.NewLOS(env.Space, env.Layout.LOSBase, env.Layout.LOSEnd),
+		Nursery: gc.NewNursery(env, 0),
+		matFrom: gc.NewBump(env, env.Layout.Bump1Base, mid),
+		matTo:   gc.NewBump(env, mid, env.Layout.Bump1End),
+		los:     gc.NewLOS(env),
 	}
-	c.remset = gc.NewRemSet(env.Layout.Bump1Base, env.Layout.LOSEnd, 0)
+	c.Init(env, c)
 	c.resizeNursery()
 	return c
 }
 
 // Name implements gc.Collector.
 func (c *GenCopy) Name() string {
-	if c.FixedNurseryPages > 0 {
+	if c.Nursery.FixedPages > 0 {
 		return "GenCopyFixed"
 	}
 	return "GenCopy"
@@ -66,7 +61,7 @@ func (c *GenCopy) Name() string {
 // dead weight but not charged: like MMTk, only live spaces count against
 // the budget, while the copy reserve is charged by halving availability.
 func (c *GenCopy) UsedPages() int {
-	return c.matFrom.UsedPages() + c.los.UsedPages() + c.nursery.UsedPages()
+	return c.matFrom.UsedPages() + c.los.UsedPages() + c.Nursery.UsedPages()
 }
 
 // heapBudget is the policy-effective page budget; with no policy it is
@@ -77,27 +72,14 @@ func (c *GenCopy) heapBudget() int {
 	return c.E.HeapBudget(2*c.matFrom.UsedPages() + c.los.UsedPages() + 2*gc.MinNurseryPages)
 }
 
-// policyTick gives the heap policy its mutator observation; a raised
-// target takes effect immediately via a nursery resize.
-func (c *GenCopy) policyTick() {
-	if from, to := gc.ObserveHeapPolicy(c, heappolicy.EvMutator, -1); to > from {
-		c.resizeNursery()
-	}
+// nurseryRoom is the Appel share with a copy reserve: mature usage is
+// charged twice (space plus reserve), and the nursery gets half of what
+// remains (its own copy reserve).
+func (c *GenCopy) nurseryRoom() int {
+	return (c.heapBudget() - 2*c.matFrom.UsedPages() - c.los.UsedPages()) / 2
 }
 
-// resizeNursery applies the Appel policy with a copy reserve: mature
-// usage is charged twice (space plus reserve), and the nursery gets half
-// of what remains (its own copy reserve).
-func (c *GenCopy) resizeNursery() {
-	free := (c.heapBudget() - 2*c.matFrom.UsedPages() - c.los.UsedPages()) / 2
-	if c.FixedNurseryPages > 0 && free > c.FixedNurseryPages {
-		free = c.FixedNurseryPages
-	}
-	if free < gc.MinNurseryPages {
-		free = gc.MinNurseryPages
-	}
-	c.nursery.SetBudget(uint64(free) * mem.PageSize)
-}
+func (c *GenCopy) resizeNursery() { c.Nursery.Resize(c.nurseryRoom()) }
 
 // Alloc implements gc.Collector.
 func (c *GenCopy) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
@@ -106,7 +88,7 @@ func (c *GenCopy) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	for attempt := 0; ; attempt++ {
 		var o objmodel.Ref
 		if small {
-			o = c.nursery.Alloc(t, arrayLen)
+			o = c.Nursery.Alloc(t, arrayLen)
 		} else {
 			pages := int(mem.RoundUpPage(uint64(total)) / mem.PageSize)
 			if c.UsedPages()+pages <= c.heapBudget() {
@@ -115,7 +97,9 @@ func (c *GenCopy) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 		}
 		if o != mem.Nil {
 			c.CountAlloc(t, arrayLen)
-			c.policyTick()
+			if c.PolicyTick() {
+				c.resizeNursery()
+			}
 			return o
 		}
 		switch attempt {
@@ -124,20 +108,14 @@ func (c *GenCopy) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 		case 1:
 			c.Collect(true)
 		default:
-			panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
+			panic(c.OOM(c.E.HeapPages))
 		}
 	}
 }
 
-// ReadRef implements gc.Collector.
-func (c *GenCopy) ReadRef(o objmodel.Ref, i int) objmodel.Ref { return c.ReadRefRaw(o, i) }
-
 // WriteRef implements gc.Collector with the generational write barrier.
 func (c *GenCopy) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) {
-	slot := c.WriteRefRaw(o, i, v)
-	if v != mem.Nil && c.nursery.Contains(v) && !c.nursery.Contains(o) {
-		c.remset.Record(slot)
-	}
+	c.Nursery.Barrier(o, c.WriteRefRaw(o, i, v), v)
 }
 
 // Collect implements gc.Collector.
@@ -146,80 +124,35 @@ func (c *GenCopy) Collect(full bool) {
 		c.fullGC()
 	} else {
 		c.nurseryGC()
-		if (c.heapBudget()-2*c.matFrom.UsedPages()-c.los.UsedPages())/2 <= gc.MinNurseryPages {
+		if c.nurseryRoom() <= gc.MinNurseryPages {
 			c.fullGC()
 		}
 	}
 	if c.matFrom.UsedPages()+c.los.UsedPages() > c.E.HeapPages {
-		panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
+		panic(c.OOM(c.E.HeapPages))
 	}
 	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
 	c.resizeNursery()
 }
 
-// copyTo evacuates o into dst space, leaving a forwarding pointer.
-func (c *GenCopy) copyTo(o objmodel.Ref, dst *heap.BumpSpace, work *gc.WorkList) objmodel.Ref {
-	if objmodel.Forwarded(c.E.Space, o) {
-		return objmodel.ForwardAddr(c.E.Space, o)
-	}
-	size := gc.ObjectBytes(c.E.Space, c.E.Types, o)
-	nw := dst.AllocRaw(size)
-	if nw == mem.Nil {
-		panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
-	}
-	gc.CopyObject(c.E.Space, o, nw, size)
-	objmodel.Forward(c.E.Space, o, nw)
-	work.Push(nw)
+// promote copies a nursery object into the active mature semispace.
+func (c *GenCopy) promote(o objmodel.Ref, work *gc.WorkList) objmodel.Ref {
+	before := c.matFrom.UsedBytes()
+	nw := c.CopyTo(c.matFrom, o, work)
+	c.E.Counters.Add(trace.CPromotedBytes, c.matFrom.UsedBytes()-before)
 	return nw
 }
 
 // nurseryGC copies nursery survivors into the active mature semispace.
 func (c *GenCopy) nurseryGC() {
-	done := c.Stats().BeginPause(c.E, metrics.PauseNursery)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Nursery++
-
-	work := c.E.GetWorkList()
-	defer c.E.PutWorkList(work)
-	fwd := func(slot mem.Addr, tgt objmodel.Ref) {
-		if c.nursery.Contains(tgt) {
-			c.E.Space.WriteAddr(slot, c.copyTo(tgt, c.matFrom, work))
-		}
-	}
-	c.E.Trace.Begin(trace.PhaseRootScan)
-	c.remset.ForEachSlot(func(slot mem.Addr) {
-		if tgt := c.E.Space.ReadAddr(slot); tgt != mem.Nil {
-			fwd(slot, tgt)
-		}
-	})
-	c.Roots().ForEach(func(slot *mem.Addr) {
-		if c.nursery.Contains(*slot) {
-			*slot = c.copyTo(*slot, c.matFrom, work)
-		}
-	})
-	c.E.Trace.End(trace.PhaseRootScan)
-	c.E.Trace.Begin(trace.PhaseCheneyForward)
-	for {
-		o, ok := work.Pop()
-		if !ok {
-			break
-		}
-		gc.ScanObject(c.E.Space, c.E.Types, o, fwd)
-	}
-	c.E.Trace.End(trace.PhaseCheneyForward)
-	c.nursery.Reset()
-	c.remset.Clear()
+	defer c.Pause(metrics.PauseNursery)()
+	c.Nursery.Evacuate(&c.Base, c.promote)
 }
 
 // fullGC flips the mature semispaces, copying all live data (nursery and
 // mature) into the new active space; LOS objects are marked and swept.
 func (c *GenCopy) fullGC() {
-	done := c.Stats().BeginPause(c.E, metrics.PauseFull)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Full++
-
+	defer c.Pause(metrics.PauseFull)()
 	c.matFrom, c.matTo = c.matTo, c.matFrom
 	c.matFrom.Reset()
 	epoch := c.NextEpoch()
@@ -228,14 +161,12 @@ func (c *GenCopy) fullGC() {
 	defer c.E.PutWorkList(work)
 	forward := func(o objmodel.Ref) objmodel.Ref {
 		switch {
-		case c.nursery.Contains(o), c.matTo.Contains(o):
-			return c.copyTo(o, c.matFrom, work)
+		case c.Nursery.Contains(o):
+			return c.promote(o, work)
+		case c.matTo.Contains(o):
+			return c.CopyTo(c.matFrom, o, work)
 		case c.los.Contains(o):
-			if !objmodel.Marked(c.E.Space, o, epoch) {
-				objmodel.SetMark(c.E.Space, o, epoch)
-				work.Push(o)
-			}
-			return o
+			gc.MarkStep(c.E, work, o, epoch)
 		}
 		return o
 	}
@@ -245,21 +176,14 @@ func (c *GenCopy) fullGC() {
 	})
 	c.E.Trace.End(trace.PhaseRootScan)
 	c.E.Trace.Begin(trace.PhaseCheneyForward)
-	for {
-		o, ok := work.Pop()
-		if !ok {
-			break
+	gc.Drain(c.E, work, func(slot mem.Addr, tgt objmodel.Ref) {
+		if nw := forward(tgt); nw != tgt {
+			c.E.Space.WriteAddr(slot, nw)
 		}
-		gc.ScanObject(c.E.Space, c.E.Types, o, func(slot mem.Addr, tgt objmodel.Ref) {
-			if nw := forward(tgt); nw != tgt {
-				c.E.Space.WriteAddr(slot, nw)
-			}
-		})
-	}
+	})
 	c.E.Trace.End(trace.PhaseCheneyForward)
 	c.E.Trace.Begin(trace.PhaseSweep)
 	c.los.Sweep(epoch, nil)
 	c.E.Trace.End(trace.PhaseSweep)
-	c.nursery.Reset()
-	c.remset.Clear()
+	c.Nursery.Reset()
 }

@@ -1,87 +1,51 @@
 package collectors
 
 import (
-	"math"
-
 	"bookmarkgc/internal/gc"
-	"bookmarkgc/internal/heap"
 	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
-	"bookmarkgc/internal/trace"
 )
 
 // GenMS is the Appel-style generational collector with a bump-pointer
 // nursery and a mark-sweep mature space — the paper's consistently
 // highest-throughput baseline (§5.2) and the collector BC is closest to.
 // Nursery collections copy survivors into the segregated-fit superpage
-// space; full collections mark-sweep everything. With FixedNurseryPages
-// set it becomes the fixed-size-nursery variant of Figure 5(b).
+// space; full collections mark-sweep everything. With
+// Nursery.FixedPages set it becomes the fixed-size-nursery variant of
+// Figure 5(b).
 type GenMS struct {
 	gc.Base
 	gc.Mature
-	nursery *heap.BumpSpace
-	remset  *gc.RemSet
-
-	// FixedNurseryPages, when non-zero, pins the nursery size instead of
-	// Appel-style variable sizing.
-	FixedNurseryPages int
+	Nursery *gc.Nursery
 }
 
 var _ gc.Collector = (*GenMS)(nil)
 
 // NewGenMS creates a GenMS collector on env.
 func NewGenMS(env *gc.Env) *GenMS {
-	c := &GenMS{
-		Base:    gc.Base{E: env},
-		nursery: heap.NewBumpSpace(env.Space, env.Layout.Bump0Base, env.Layout.Bump0End),
-	}
-	c.Mature = gc.NewMature(env)
-	// MMTk-style unbounded write buffer (bufCap 0).
-	c.remset = gc.NewRemSet(env.Layout.MatureBase, env.Layout.LOSEnd, 0)
+	c := &GenMS{Nursery: gc.NewNursery(env, 0)} // MMTk-style unbounded write buffer
+	c.Init(env, c)
+	c.Mature = gc.NewMature(&c.Base)
 	c.resizeNursery()
 	return c
 }
 
 // Name implements gc.Collector.
 func (c *GenMS) Name() string {
-	if c.FixedNurseryPages > 0 {
+	if c.Nursery.FixedPages > 0 {
 		return "GenMSFixed"
 	}
 	return "GenMS"
 }
 
 // UsedPages implements gc.Collector.
-func (c *GenMS) UsedPages() int { return c.MatureUsedPages() + c.nursery.UsedPages() }
-
-// heapBudget is the policy-effective page budget; with no policy it is
-// exactly the configured heap. The floor keeps a squeezed budget
-// workable: live mature data plus a minimal nursery.
-func (c *GenMS) heapBudget() int {
-	return c.E.HeapBudget(c.MatureUsedPages() + gc.MinNurseryPages)
-}
-
-// policyTick gives the heap policy its mutator observation; a raised
-// target takes effect immediately via a nursery resize.
-func (c *GenMS) policyTick() {
-	if from, to := gc.ObserveHeapPolicy(c, heappolicy.EvMutator, -1); to > from {
-		c.resizeNursery()
-	}
-}
+func (c *GenMS) UsedPages() int { return c.MatureUsedPages() + c.Nursery.UsedPages() }
 
 // resizeNursery applies the Appel policy: the nursery gets all the space
 // the mature heap is not using.
-func (c *GenMS) resizeNursery() {
-	free := c.heapBudget() - c.MatureUsedPages()
-	if c.FixedNurseryPages > 0 && free > c.FixedNurseryPages {
-		free = c.FixedNurseryPages
-	}
-	if free < gc.MinNurseryPages {
-		free = gc.MinNurseryPages
-	}
-	c.nursery.SetBudget(uint64(free) * mem.PageSize)
-}
+func (c *GenMS) resizeNursery() { c.Nursery.Resize(c.Budget() - c.MatureUsedPages()) }
 
 // Alloc implements gc.Collector.
 func (c *GenMS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
@@ -90,13 +54,15 @@ func (c *GenMS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	for attempt := 0; ; attempt++ {
 		var o objmodel.Ref
 		if small {
-			o = c.nursery.Alloc(t, arrayLen)
+			o = c.Nursery.Alloc(t, arrayLen)
 		} else {
-			o = c.AllocMature(c.E, t, arrayLen, c.heapBudget(), c.nursery.UsedPages())
+			o = c.AllocMature(t, arrayLen, c.Budget(), c.Nursery.UsedPages())
 		}
 		if o != mem.Nil {
 			c.CountAlloc(t, arrayLen)
-			c.policyTick()
+			if c.PolicyTick() {
+				c.resizeNursery()
+			}
 			return o
 		}
 		switch attempt {
@@ -105,154 +71,36 @@ func (c *GenMS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 		case 1:
 			c.Collect(true)
 		default:
-			panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
+			panic(c.OOM(c.E.HeapPages))
 		}
 	}
 }
 
-// ReadRef implements gc.Collector.
-func (c *GenMS) ReadRef(o objmodel.Ref, i int) objmodel.Ref { return c.ReadRefRaw(o, i) }
-
-// WriteRef implements gc.Collector with the generational write barrier:
-// stores of nursery pointers into non-nursery objects are remembered.
+// WriteRef implements gc.Collector with the generational write barrier.
 func (c *GenMS) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) {
-	slot := c.WriteRefRaw(o, i, v)
-	if v != mem.Nil && c.nursery.Contains(v) && !c.nursery.Contains(o) {
-		c.remset.Record(slot)
-	}
+	c.Nursery.Barrier(o, c.WriteRefRaw(o, i, v), v)
 }
 
 // Collect implements gc.Collector.
 func (c *GenMS) Collect(full bool) {
-	if full {
-		c.fullGC()
-	} else {
+	if !full {
 		c.nurseryGC()
 		// Appel trigger: a nursery too small to be useful means the
 		// mature space owns the heap — do the full collection now.
-		if c.heapBudget()-c.MatureUsedPages() <= gc.MinNurseryPages {
-			c.fullGC()
-		}
+		full = c.Budget()-c.MatureUsedPages() <= gc.MinNurseryPages
+	}
+	if full {
+		c.FullCollect(c.Nursery, c.PromoteMarked)
 	}
 	if c.MatureUsedPages() > c.E.HeapPages {
-		panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
+		panic(c.OOM(c.E.HeapPages))
 	}
 	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
 	c.resizeNursery()
 }
 
-// copyToMature evacuates a nursery object, leaving a forwarding pointer.
-func (c *GenMS) copyToMature(o objmodel.Ref, work *gc.WorkList) objmodel.Ref {
-	if objmodel.Forwarded(c.E.Space, o) {
-		return objmodel.ForwardAddr(c.E.Space, o)
-	}
-	t, n := c.E.Types.TypeOf(c.E.Space, o)
-	// Collection-time copies may not fail mid-GC; the budget is enforced
-	// after the collection completes.
-	dst := c.AllocMature(c.E, t, n, math.MaxInt, 0)
-	if dst == mem.Nil {
-		panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
-	}
-	size := int(mem.RoundUpWord(uint64(t.TotalBytes(n))))
-	gc.CopyObject(c.E.Space, o, dst, size)
-	objmodel.Forward(c.E.Space, o, dst)
-	work.Push(dst)
-	return dst
-}
-
 // nurseryGC copies nursery survivors to the mature space.
 func (c *GenMS) nurseryGC() {
-	done := c.Stats().BeginPause(c.E, metrics.PauseNursery)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Nursery++
-
-	work := c.E.GetWorkList()
-	defer c.E.PutWorkList(work)
-	fwd := func(slot mem.Addr, tgt objmodel.Ref) {
-		if c.nursery.Contains(tgt) {
-			c.E.Space.WriteAddr(slot, c.copyToMature(tgt, work))
-		}
-	}
-	// Remembered slots first (old-to-young pointers), then roots.
-	c.E.Trace.Begin(trace.PhaseRootScan)
-	c.remset.ForEachSlot(func(slot mem.Addr) {
-		if tgt := c.E.Space.ReadAddr(slot); tgt != mem.Nil {
-			fwd(slot, tgt)
-		}
-	})
-	c.Roots().ForEach(func(slot *mem.Addr) {
-		if c.nursery.Contains(*slot) {
-			*slot = c.copyToMature(*slot, work)
-		}
-	})
-	c.E.Trace.End(trace.PhaseRootScan)
-	c.E.Trace.Begin(trace.PhaseCheneyForward)
-	for {
-		o, ok := work.Pop()
-		if !ok {
-			break
-		}
-		gc.ScanObject(c.E.Space, c.E.Types, o, fwd)
-	}
-	c.E.Trace.End(trace.PhaseCheneyForward)
-	c.nursery.Reset()
-	c.remset.Clear()
-}
-
-// fullForward handles one edge during a full collection: nursery objects
-// are evacuated, everything else is marked in place.
-func (c *GenMS) fullForward(o objmodel.Ref, work *gc.WorkList, epoch uint32) objmodel.Ref {
-	if c.nursery.Contains(o) {
-		dst := c.copyToMature(o, work)
-		objmodel.SetMark(c.E.Space, dst, epoch)
-		return dst
-	}
-	gc.MarkStep(c.E, work, o, epoch)
-	return o
-}
-
-// fullGC marks and sweeps the whole heap, evacuating the nursery.
-func (c *GenMS) fullGC() {
-	done := c.Stats().BeginPause(c.E, metrics.PauseFull)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Full++
-
-	epoch := c.NextEpoch()
-	work := c.E.GetWorkList()
-	defer c.E.PutWorkList(work)
-	c.E.Trace.Begin(trace.PhaseRootScan)
-	c.Roots().ForEach(func(slot *mem.Addr) {
-		*slot = c.fullForward(*slot, work, epoch)
-	})
-	c.E.Trace.End(trace.PhaseRootScan)
-	// Parallel work-stealing trace (DESIGN.md §11): mature objects are
-	// marked in place by the workers; edges into the nursery are deferred
-	// and evacuated sequentially between rounds, exactly as fullForward
-	// would have handled them.
-	cfg := &gc.ParMarkConfig{
-		Epoch: epoch,
-		Classify: func(tgt objmodel.Ref) gc.EdgeAction {
-			if c.nursery.Contains(tgt) {
-				return gc.EdgeDefer
-			}
-			return gc.EdgeMark
-		},
-	}
-	c.E.Trace.Begin(trace.PhaseMark)
-	c.E.Marker().Mark(cfg, work, func(e gc.DeferredEdge, w *gc.WorkList) {
-		dst := c.copyToMature(e.Target, w)
-		objmodel.SetMark(c.E.Space, dst, epoch)
-		if dst != e.Target {
-			c.E.Space.WriteAddr(e.Slot, dst)
-		}
-	})
-	c.E.Trace.End(trace.PhaseMark)
-	c.E.Trace.Begin(trace.PhaseSweep)
-	c.SS.Sweep(epoch)
-	c.LOS.Sweep(epoch, nil)
-	c.E.Trace.End(trace.PhaseSweep)
-	c.nursery.Reset()
-	c.remset.Clear()
+	defer c.Pause(metrics.PauseNursery)()
+	c.Nursery.Evacuate(&c.Base, c.Promote)
 }

@@ -4,9 +4,7 @@ import (
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
-	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
-	"bookmarkgc/internal/trace"
 )
 
 // MarkSweep is the whole-heap, non-moving collector: segregated-fit
@@ -23,8 +21,9 @@ var _ gc.Collector = (*MarkSweep)(nil)
 
 // NewMarkSweep creates a MarkSweep collector on env.
 func NewMarkSweep(env *gc.Env) *MarkSweep {
-	c := &MarkSweep{Base: gc.Base{E: env}}
-	c.Mature = gc.NewMature(env)
+	c := &MarkSweep{}
+	c.Init(env, c)
+	c.Mature = gc.NewMature(&c.Base)
 	return c
 }
 
@@ -34,62 +33,28 @@ func (c *MarkSweep) Name() string { return "MarkSweep" }
 // UsedPages implements gc.Collector.
 func (c *MarkSweep) UsedPages() int { return c.MatureUsedPages() }
 
-// heapBudget is the policy-effective page budget; with no policy it is
-// exactly the configured heap. The floor leaves a minimal allocation
-// headroom above live data so a squeezed budget cannot wedge Alloc.
-func (c *MarkSweep) heapBudget() int {
-	return c.E.HeapBudget(c.MatureUsedPages() + gc.MinNurseryPages)
-}
-
 // Alloc implements gc.Collector.
 func (c *MarkSweep) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	for attempt := 0; ; attempt++ {
-		if o := c.AllocMature(c.E, t, arrayLen, c.heapBudget(), 0); o != mem.Nil {
+		if o := c.AllocMature(t, arrayLen, c.Budget(), 0); o != mem.Nil {
 			c.CountAlloc(t, arrayLen)
-			gc.ObserveHeapPolicy(c, heappolicy.EvMutator, -1)
+			c.PolicyTick()
 			return o
 		}
 		if attempt == 2 {
-			panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
+			panic(c.OOM(c.E.HeapPages))
 		}
 		c.Collect(true)
 	}
 }
 
-// ReadRef implements gc.Collector.
-func (c *MarkSweep) ReadRef(o objmodel.Ref, i int) objmodel.Ref { return c.ReadRefRaw(o, i) }
-
 // WriteRef implements gc.Collector (no barrier needed).
 func (c *MarkSweep) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw(o, i, v) }
 
-// Collect implements gc.Collector: a full mark-sweep collection.
+// Collect implements gc.Collector: a full mark-sweep collection — the
+// shared trace with an empty young space, so nothing is ever promoted.
 func (c *MarkSweep) Collect(bool) {
-	c.collect()
+	c.FullCollect(&gc.Nursery{}, nil)
 	// Outside the pause so the policy sees the collection's own cost.
 	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
-}
-
-func (c *MarkSweep) collect() {
-	done := c.Stats().BeginPause(c.E, metrics.PauseFull)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Full++
-
-	epoch := c.NextEpoch()
-	work := c.E.GetWorkList()
-	defer c.E.PutWorkList(work)
-	c.E.Trace.Begin(trace.PhaseRootScan)
-	c.Roots().ForEach(func(slot *mem.Addr) {
-		gc.MarkStep(c.E, work, *slot, epoch)
-	})
-	c.E.Trace.End(trace.PhaseRootScan)
-	// Parallel work-stealing trace; in-place marking only, no deferred
-	// edges (DESIGN.md §11).
-	c.E.Trace.Begin(trace.PhaseMark)
-	c.E.Marker().Mark(&gc.ParMarkConfig{Epoch: epoch}, work, nil)
-	c.E.Trace.End(trace.PhaseMark)
-	c.E.Trace.Begin(trace.PhaseSweep)
-	c.SS.Sweep(epoch)
-	c.LOS.Sweep(epoch, nil)
-	c.E.Trace.End(trace.PhaseSweep)
 }

@@ -34,15 +34,15 @@ var _ gc.Collector = (*SemiSpace)(nil)
 // NewSemiSpace creates a SemiSpace collector on env.
 func NewSemiSpace(env *gc.Env) *SemiSpace {
 	half := uint64(env.HeapPages) / 2 * mem.PageSize
-	s := &SemiSpace{
-		Base: gc.Base{E: env},
-		from: heap.NewBumpSpace(env.Space, env.Layout.Bump0Base, env.Layout.Bump0End),
-		to:   heap.NewBumpSpace(env.Space, env.Layout.Bump1Base, env.Layout.Bump1End),
-		los:  heap.NewLOS(env.Space, env.Layout.LOSBase, env.Layout.LOSEnd),
+	c := &SemiSpace{
+		from: gc.NewBump(env, env.Layout.Bump0Base, env.Layout.Bump0End),
+		to:   gc.NewBump(env, env.Layout.Bump1Base, env.Layout.Bump1End),
+		los:  gc.NewLOS(env),
 	}
-	s.from.SetBudget(half)
-	s.to.SetBudget(half)
-	return s
+	c.Init(env, c)
+	c.from.SetBudget(half)
+	c.to.SetBudget(half)
+	return c
 }
 
 // Name implements gc.Collector.
@@ -78,18 +78,15 @@ func (c *SemiSpace) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 		}
 		if o != mem.Nil {
 			c.CountAlloc(t, arrayLen)
-			gc.ObserveHeapPolicy(c, heappolicy.EvMutator, -1)
+			c.PolicyTick()
 			return o
 		}
 		if attempt == 2 {
-			panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
+			panic(c.OOM(c.E.HeapPages))
 		}
 		c.Collect(true)
 	}
 }
-
-// ReadRef implements gc.Collector.
-func (c *SemiSpace) ReadRef(o objmodel.Ref, i int) objmodel.Ref { return c.ReadRefRaw(o, i) }
 
 // WriteRef implements gc.Collector (no barrier).
 func (c *SemiSpace) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw(o, i, v) }
@@ -102,11 +99,7 @@ func (c *SemiSpace) Collect(bool) {
 }
 
 func (c *SemiSpace) collect() {
-	done := c.Stats().BeginPause(c.E, metrics.PauseFull)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Full++
-
+	defer c.Pause(metrics.PauseFull)()
 	c.from, c.to = c.to, c.from
 	c.to.Reset()
 	c.to.SetBudget(uint64(c.heapBudget()/2-c.los.UsedPages()) * mem.PageSize)
@@ -114,50 +107,28 @@ func (c *SemiSpace) collect() {
 
 	work := c.E.GetWorkList()
 	defer c.E.PutWorkList(work)
+	// forward copies o into to-space if it lives in from-space, returning
+	// its new address; LOS objects are marked in place.
+	forward := func(o objmodel.Ref) objmodel.Ref {
+		switch {
+		case c.los.Contains(o):
+			gc.MarkStep(c.E, work, o, epoch)
+		case c.from.Contains(o):
+			return c.CopyTo(c.to, o, work)
+		}
+		return o
+	}
 	c.E.Trace.Begin(trace.PhaseRootScan)
 	c.Roots().ForEach(func(slot *mem.Addr) {
-		*slot = c.forward(*slot, work, epoch)
+		*slot = forward(*slot)
 	})
 	c.E.Trace.End(trace.PhaseRootScan)
 	c.E.Trace.Begin(trace.PhaseCheneyForward)
-	for {
-		o, ok := work.Pop()
-		if !ok {
-			break
-		}
-		gc.ScanObject(c.E.Space, c.E.Types, o, func(slot mem.Addr, tgt objmodel.Ref) {
-			c.E.Space.WriteAddr(slot, c.forward(tgt, work, epoch))
-		})
-	}
+	gc.Drain(c.E, work, func(slot mem.Addr, tgt objmodel.Ref) {
+		c.E.Space.WriteAddr(slot, forward(tgt))
+	})
 	c.E.Trace.End(trace.PhaseCheneyForward)
 	c.E.Trace.Begin(trace.PhaseSweep)
 	c.los.Sweep(epoch, nil)
 	c.E.Trace.End(trace.PhaseSweep)
-}
-
-// forward copies o into to-space if it lives in from-space, returning its
-// new address; LOS objects are marked in place.
-func (c *SemiSpace) forward(o objmodel.Ref, work *gc.WorkList, epoch uint32) objmodel.Ref {
-	if c.los.Contains(o) {
-		if !objmodel.Marked(c.E.Space, o, epoch) {
-			objmodel.SetMark(c.E.Space, o, epoch)
-			work.Push(o)
-		}
-		return o
-	}
-	if !c.from.Contains(o) {
-		return o
-	}
-	if objmodel.Forwarded(c.E.Space, o) {
-		return objmodel.ForwardAddr(c.E.Space, o)
-	}
-	size := gc.ObjectBytes(c.E.Space, c.E.Types, o)
-	dst := c.to.AllocRaw(size)
-	if dst == mem.Nil {
-		panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.E.HeapPages})
-	}
-	gc.CopyObject(c.E.Space, o, dst, size)
-	objmodel.Forward(c.E.Space, o, dst)
-	work.Push(dst)
-	return dst
 }

@@ -25,11 +25,13 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"bookmarkgc/internal/gc"
-	"bookmarkgc/internal/heap"
+	// For its inlinable method bodies only: the compiler inlines the
+	// spaces' methods into the eviction handler's inner loops only from
+	// a direct import (DESIGN.md §16).
+	_ "bookmarkgc/internal/heap"
 	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
@@ -79,8 +81,7 @@ type Config struct {
 type BC struct {
 	gc.Base
 	gc.Mature
-	nursery *heap.BumpSpace
-	remset  *gc.RemSet
+	nursery *gc.Nursery
 	cfg     Config
 
 	// Page state as BC tracks it (§3.3.1). resident approximates "backed
@@ -167,8 +168,8 @@ var _ gc.Collector = (*BC)(nil)
 // notifications.
 func New(env *gc.Env, cfg Config) *BC {
 	c := &BC{
-		Base:            gc.Base{E: env},
-		nursery:         heap.NewBumpSpace(env.Space, env.Layout.Bump0Base, env.Layout.Bump0End),
+		// The paper's page-sized write buffer, filtered into cards (§3.1).
+		nursery:         gc.NewNursery(env, gc.EntriesPerPage),
 		cfg:             cfg,
 		resident:        mem.NewBitmap(env.Space.Pages()),
 		evicted:         mem.NewBitmap(env.Space.Pages()),
@@ -181,14 +182,10 @@ func New(env *gc.Env, cfg Config) *BC {
 		nurseryPtrCache: make(map[mem.PageID]bool),
 		booksValid:      true,
 	}
-	c.Mature = gc.NewMature(env)
+	c.Init(env, c)
+	c.Mature = gc.NewMature(&c.Base)
 	c.SS.SetResidencyFilter(c.pageOK)
-	c.nursery.SetCounters(env.Counters)
-	c.remset = gc.NewRemSet(env.Layout.MatureBase, env.Layout.LOSEnd, gc.EntriesPerPage)
-	c.remset.SetCounters(env.Counters)
-	c.remset.SetFilter(func(slot mem.Addr) bool {
-		return c.nursery.Contains(c.E.Space.ReadAddr(slot))
-	})
+	c.OnPromote = c.copied
 	// The paper's shrink-to-footprint/regrow rule is BC's native heap
 	// policy; install it unless the harness chose another.
 	if env.HeapPolicy == nil {
@@ -218,21 +215,11 @@ func (c *BC) pageOK(p mem.PageID) bool {
 	return c.cfg.ResizeOnly || !c.booksValid || !c.evicted.Test(int(p))
 }
 
-// budget returns the effective heap budget in pages: the configured
-// size, squeezed by the heap policy (for BC's default bc-shrink, by
-// memory pressure, §3.3.3), but never below what live mature data plus
-// a minimal nursery requires — BC grows at the cost of paging only
-// when needed for completion.
-func (c *BC) budget() int {
-	return c.E.HeapBudget(c.MatureUsedPages() + gc.MinNurseryPages)
-}
-
-// resetNursery empties the nursery after a collection and drops the
-// structures keyed to its contents: the remembered set and the
+// resetNursery empties the nursery (and its remembered set) after a
+// collection and drops the other structure keyed to its contents: the
 // nursery-pointer page cache.
 func (c *BC) resetNursery() {
 	c.nursery.Reset()
-	c.remset.Clear()
 	clear(c.nurseryPtrCache)
 }
 
@@ -243,14 +230,12 @@ func (c *BC) resetNursery() {
 // surrendering occupied pages mid-collection.
 const reservePages = 128
 
-// resizeNursery applies the Appel policy within the effective budget and
-// replenishes the empty-page reserve.
+// resizeNursery applies the Appel policy within the effective budget
+// (the configured size squeezed by the heap policy — for BC's default
+// bc-shrink, by memory pressure, §3.3.3) and replenishes the empty-page
+// reserve.
 func (c *BC) resizeNursery() {
-	free := c.budget() - c.MatureUsedPages()
-	if free < gc.MinNurseryPages {
-		free = gc.MinNurseryPages
-	}
-	c.nursery.SetBudget(uint64(free) * mem.PageSize)
+	c.nursery.Resize(c.Budget() - c.MatureUsedPages())
 
 	// Replenish the reserve: touch pages just beyond the nursery budget
 	// so they are resident and empty — pageDiscardable recognizes any
@@ -314,13 +299,17 @@ func (c *BC) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 		if small {
 			o = c.nursery.Alloc(t, arrayLen)
 		} else {
-			o = c.AllocMature(c.E, t, arrayLen, c.budget(), c.nursery.UsedPages())
+			o = c.AllocMature(t, arrayLen, c.Budget(), c.nursery.UsedPages())
 		}
 		if o != mem.Nil {
 			c.markRangeResident(o, total)
 			c.CountAlloc(t, arrayLen)
 			c.allocsSinceGC++
-			c.maybeRegrow()
+			// With Config.Regrow, bc-shrink raises the target again once
+			// the VMM has had free memory for a while (§7 extension).
+			if c.PolicyTick() {
+				c.resizeNursery()
+			}
 			return o
 		}
 		switch attempt {
@@ -340,26 +329,20 @@ func (c *BC) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 			// everything, one more compaction can finally densify.
 			c.compact()
 		default:
-			panic(gc.ErrOutOfMemory{
-				Collector: c.Name(),
-				HeapPages: c.budget(),
-				Detail: fmt.Sprintf("mature=%dp los=%dp nursery=%dp supers=%d evicted=%dp need=%dB",
-					c.SS.UsedPages(), c.LOS.UsedPages(), c.nursery.UsedPages(),
-					c.SS.InUseSupers(), c.evictedHeapPg, total),
-			})
+			oom := c.OOM(c.Budget())
+			oom.Detail = fmt.Sprintf("mature=%dp los=%dp nursery=%dp supers=%d evicted=%dp need=%dB",
+				c.SS.UsedPages(), c.LOS.UsedPages(), c.nursery.UsedPages(),
+				c.SS.InUseSupers(), c.evictedHeapPg, total)
+			panic(oom)
 		}
 	}
 }
-
-// ReadRef implements gc.Collector.
-func (c *BC) ReadRef(o objmodel.Ref, i int) objmodel.Ref { return c.ReadRefRaw(o, i) }
 
 // WriteRef implements gc.Collector with the generational write barrier
 // feeding the page-sized write buffer (§3.1).
 func (c *BC) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) {
 	slot := c.WriteRefRaw(o, i, v)
-	if v != mem.Nil && c.nursery.Contains(v) && !c.nursery.Contains(o) {
-		c.remset.Record(slot)
+	if c.nursery.Barrier(o, slot, v) {
 		delete(c.nurseryPtrCache, slot.Page()) // a cached "no nursery pointer" verdict just became false
 	}
 }
@@ -397,7 +380,7 @@ func (c *BC) Collect(full bool) {
 		c.fullGC()
 	} else {
 		c.nurseryGC()
-		if c.budget()-c.MatureUsedPages() <= gc.MinNurseryPages {
+		if c.Budget()-c.MatureUsedPages() <= gc.MinNurseryPages {
 			c.fullGC()
 		}
 	}
@@ -425,35 +408,17 @@ func (c *BC) scanLive(o objmodel.Ref, fn func(slot mem.Addr, tgt objmodel.Ref)) 
 	}
 }
 
-// copyToMature evacuates a nursery survivor into the mature space,
-// allocating only on resident pages (the residency filter is installed on
-// the superpage space).
-func (c *BC) copyToMature(o objmodel.Ref, work *gc.WorkList) objmodel.Ref {
-	if objmodel.Forwarded(c.E.Space, o) {
-		return objmodel.ForwardAddr(c.E.Space, o)
-	}
-	t, n := c.E.Types.TypeOf(c.E.Space, o)
-	dst := c.AllocMature(c.E, t, n, math.MaxInt, 0)
-	if dst == mem.Nil {
-		panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.budget()})
-	}
-	size := int(mem.RoundUpWord(uint64(t.TotalBytes(n))))
-	gc.CopyObject(c.E.Space, o, dst, size)
-	objmodel.Forward(c.E.Space, o, dst)
-	c.markRangeResident(dst, size)
-	c.invalidateNurseryPtrCache(dst, size)
-	c.E.Counters.Add(trace.CPromotedBytes, uint64(size))
-	work.Push(dst)
-	return dst
-}
-
-// invalidateNurseryPtrCache drops the memoized "no nursery pointer"
-// verdicts for every page a GC copy landed on. The copied fields may
+// copied keeps the books for a GC copy that landed on [dst, dst+size): a
+// promotion (gc.Mature.OnPromote; it allocates only on resident pages,
+// through the residency filter installed on the superpage space) or a
+// compaction move. It also drops the memoized "no nursery pointer"
+// verdict of every page the copy landed on: the copied fields may
 // include not-yet-forwarded nursery references, which the mutator-side
 // invalidation in WriteRef never sees; a stale false verdict here would
 // let a mid-collection eviction process the page and silently drop those
 // edges (bookmarks cannot point into the nursery).
-func (c *BC) invalidateNurseryPtrCache(dst objmodel.Ref, size int) {
+func (c *BC) copied(dst objmodel.Ref, size int) {
+	c.markRangeResident(dst, size)
 	for p := dst.Page(); p <= (dst + mem.Addr(size) - 1).Page(); p++ {
 		delete(c.nurseryPtrCache, p)
 	}
@@ -465,10 +430,7 @@ func (c *BC) invalidateNurseryPtrCache(dst objmodel.Ref, size int) {
 func (c *BC) nurseryGC() {
 	c.inGC = true
 	defer func() { c.inGC = false }()
-	done := c.Stats().BeginPause(c.E, metrics.PauseNursery)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Nursery++
+	defer c.Pause(metrics.PauseNursery)()
 	c.E.Trace.Begin(trace.PhaseNurseryScan)
 	defer c.E.Trace.End(trace.PhaseNurseryScan)
 
@@ -476,10 +438,10 @@ func (c *BC) nurseryGC() {
 	defer c.E.PutWorkList(work)
 	fwd := func(slot mem.Addr, tgt objmodel.Ref) {
 		if c.nursery.Contains(tgt) {
-			c.E.Space.WriteAddr(slot, c.copyToMature(tgt, work))
+			c.E.Space.WriteAddr(slot, c.Promote(tgt, work))
 		}
 	}
-	c.remset.ForEachSlot(func(slot mem.Addr) {
+	c.nursery.Rem.ForEachSlot(func(slot mem.Addr) {
 		if !c.pageOK(slot.Page()) {
 			return // the slot's page was evicted; it held no nursery pointer
 		}
@@ -487,25 +449,19 @@ func (c *BC) nurseryGC() {
 			fwd(slot, tgt)
 		}
 	})
-	c.remset.ForEachCard(func(start, end mem.Addr) {
+	c.nursery.Rem.ForEachCard(func(start, end mem.Addr) {
 		c.scanCard(start, end, fwd)
 	})
 	c.E.Trace.Begin(trace.PhaseRootScan)
 	c.Roots().ForEach(func(slot *mem.Addr) {
 		if c.nursery.Contains(*slot) {
-			*slot = c.copyToMature(*slot, work)
+			*slot = c.Promote(*slot, work)
 		}
 	})
 	c.E.Trace.End(trace.PhaseRootScan)
-	for {
-		o, ok := work.Pop()
-		if !ok {
-			break
-		}
-		// Fresh copies live on resident pages, but their slots may point
-		// anywhere; only nursery targets matter here.
-		gc.ScanObject(c.E.Space, c.E.Types, o, fwd)
-	}
+	// Fresh copies live on resident pages, but their slots may point
+	// anywhere; only nursery targets matter here.
+	gc.Drain(c.E, work, fwd)
 	c.resetNursery()
 	c.collectionDone()
 }
@@ -595,71 +551,23 @@ func (c *BC) fullGC() {
 	}
 	c.inGC = true
 	defer func() { c.inGC = false }()
-	done := c.Stats().BeginPause(c.E, metrics.PauseFull)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Full++
+	defer c.Pause(metrics.PauseFull)()
 
-	epoch := c.NextEpoch()
-	work := c.E.GetWorkList()
-	defer c.E.PutWorkList(work)
-	c.curWork, c.curEpoch = work, epoch
+	// The shared trace with scanLive's edge policy: pageOK keeps it off
+	// evicted pages. What BC adds sits between the steps — the handler's
+	// view of the collection in progress, and the bookmark roots, which
+	// are scanned inside the mark span, before the mutator's roots.
+	t := c.BeginTrace(c.nursery, c.pageOK, c.PromoteMarked)
+	c.curWork, c.curEpoch = t.Work, t.Epoch
 	defer func() { c.curWork = nil }()
 	c.E.Trace.Begin(trace.PhaseMark)
 	if c.evictedHeapPg > 0 && !c.cfg.ResizeOnly && c.booksValid {
-		c.bookmarkRoots(work, epoch)
+		c.bookmarkRoots(t.Work, t.Epoch)
 	}
-	forward := func(o objmodel.Ref) objmodel.Ref {
-		if c.nursery.Contains(o) {
-			dst := c.copyToMature(o, work)
-			objmodel.SetMark(c.E.Space, dst, epoch)
-			return dst
-		}
-		if !c.pageOK(o.Page()) {
-			return o // never touch evicted pages
-		}
-		gc.MarkStep(c.E, work, o, epoch)
-		return o
-	}
-	c.E.Trace.Begin(trace.PhaseRootScan)
-	c.Roots().ForEach(func(slot *mem.Addr) {
-		*slot = forward(*slot)
-	})
-	c.E.Trace.End(trace.PhaseRootScan)
-	// Parallel work-stealing trace (DESIGN.md §11) with scanLive's edge
-	// policy: slots and targets on evicted pages are skipped, nursery
-	// targets are deferred for sequential evacuation between rounds. The
-	// residency books only change during the sequential replay/evacuation
-	// steps (eviction handlers fire there, injecting into curWork — this
-	// same worklist — as next-round seeds), so pageOK is stable while the
-	// workers run. SkipObj re-applies the evicted-while-queued check each
-	// round, like the sequential pop loop did.
-	cfg := &gc.ParMarkConfig{
-		Epoch:  epoch,
-		SlotOK: func(slot mem.Addr) bool { return c.pageOK(slot.Page()) },
-		Classify: func(tgt objmodel.Ref) gc.EdgeAction {
-			if !c.pageOK(tgt.Page()) {
-				return gc.EdgeSkip // never touch evicted pages
-			}
-			if c.nursery.Contains(tgt) {
-				return gc.EdgeDefer
-			}
-			return gc.EdgeMark
-		},
-		SkipObj: func(o objmodel.Ref) bool { return !c.pageOK(o.Page()) },
-	}
-	c.E.Marker().Mark(cfg, work, func(e gc.DeferredEdge, w *gc.WorkList) {
-		dst := c.copyToMature(e.Target, w)
-		objmodel.SetMark(c.E.Space, dst, epoch)
-		if dst != e.Target {
-			c.E.Space.WriteAddr(e.Slot, dst)
-		}
-	})
+	t.ScanRoots()
+	t.Mark()
 	c.E.Trace.End(trace.PhaseMark)
-	c.E.Trace.Begin(trace.PhaseSweep)
-	c.SS.Sweep(epoch)
-	c.LOS.Sweep(epoch, c.pageOK)
-	c.E.Trace.End(trace.PhaseSweep)
+	t.Sweep()
 	c.resetNursery()
 	c.maybeRevalidate()
 	c.collectionDone()

@@ -275,7 +275,7 @@ func TestBCShrinksFootprintUnderPressure(t *testing.T) {
 	if got := c.E.HeapPolicy.Target(); got >= target0 {
 		t.Fatalf("footprint target did not shrink: %d -> %d", target0, got)
 	}
-	if c.budget() > c.E.HeapPages {
+	if c.Budget() > c.E.HeapPages {
 		t.Fatal("budget exceeds configured heap")
 	}
 }
@@ -375,10 +375,10 @@ func TestBCRemsetStaysSmall(t *testing.T) {
 		y := c.Alloc(node, 0)
 		c.WriteRef(c.Roots().Get(old), 0, y)
 	}
-	if got := c.remset.MaxBufferPages(); got > 1 {
+	if got := c.nursery.Rem.MaxBufferPages(); got > 1 {
 		t.Fatalf("write buffer grew to %d pages", got)
 	}
-	if c.remset.Flushes() == 0 {
+	if c.nursery.Rem.Flushes() == 0 {
 		t.Fatal("buffer never filtered")
 	}
 	// The card-table path must still keep old->young edges alive.

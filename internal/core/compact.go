@@ -26,10 +26,7 @@ func (c *BC) compact() {
 	c.auditResidency()
 	c.inGC = true
 	defer func() { c.inGC = false }()
-	done := c.Stats().BeginPause(c.E, metrics.PauseCompact)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
-	c.Stats().Compactions++
+	defer c.Pause(metrics.PauseCompact)()
 
 	// Pass 1: mark.
 	epoch := c.NextEpoch()
@@ -236,11 +233,9 @@ func (c *BC) compactCopy(o objmodel.Ref, targets *targetSet, work *gc.WorkList, 
 	t, n := c.E.Types.TypeOf(c.E.Space, o)
 	dst := c.allocForCompaction(t, n, targets)
 	size := int(mem.RoundUpWord(uint64(t.TotalBytes(n))))
-	gc.CopyObject(c.E.Space, o, dst, size)
-	objmodel.Forward(c.E.Space, o, dst)
+	gc.MoveObject(c.E.Space, o, dst, size)
 	objmodel.SetMark(c.E.Space, dst, epoch2)
-	c.markRangeResident(dst, size)
-	c.invalidateNurseryPtrCache(dst, size)
+	c.copied(dst, size)
 	c.E.Counters.Inc(trace.CForwardedObjects)
 	c.E.Counters.Add(trace.CForwardedBytes, uint64(size))
 	work.Push(dst)
@@ -259,7 +254,7 @@ func (c *BC) allocForCompaction(t *objmodel.Type, arrayLen int, targets *targetS
 	if !small {
 		o := c.LOS.Alloc(t, arrayLen)
 		if o == mem.Nil {
-			panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.budget()})
+			panic(c.OOM(c.Budget()))
 		}
 		return o
 	}
@@ -275,12 +270,12 @@ func (c *BC) allocForCompaction(t *objmodel.Type, arrayLen int, targets *targetS
 	}
 	idx := c.SS.AcquireSuper(cl, t.Kind)
 	if idx < 0 {
-		panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.budget()})
+		panic(c.OOM(c.Budget()))
 	}
 	targets.add(k, idx)
 	o := c.SS.AllocInSuper(idx, t, arrayLen)
 	if o == mem.Nil {
-		panic(gc.ErrOutOfMemory{Collector: c.Name(), HeapPages: c.budget()})
+		panic(c.OOM(c.Budget()))
 	}
 	c.markRangeResident(c.SS.SuperBase(idx), mem.SuperSize)
 	return o

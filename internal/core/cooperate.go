@@ -149,17 +149,6 @@ func (c *BC) shrinkTarget() {
 	gc.ObserveHeapPolicy(c, heappolicy.EvPressure, c.resident.Count()+c.discardCredit)
 }
 
-// maybeRegrow gives the heap policy its mutator tick; under the
-// default bc-shrink policy with Config.Regrow this raises the
-// footprint target again once the VMM has had free memory for a while
-// (§7 extension). A raised target takes effect immediately via a
-// nursery resize.
-func (c *BC) maybeRegrow() {
-	if from, to := gc.ObserveHeapPolicy(c, heappolicy.EvMutator, -1); to > from {
-		c.resizeNursery()
-	}
-}
-
 // mustKeep reports whether p must not be evicted: nursery pages the
 // allocator is about to reuse, in-use superpage headers (whose metadata
 // must stay resident for constant-time access, §3.4), and — a soundness

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
@@ -17,11 +16,8 @@ func (c *BC) failSafe() {
 	c.auditResidency()
 	c.inGC = true
 	defer func() { c.inGC = false }()
-	done := c.Stats().BeginPause(c.E, metrics.PauseFull)
-	defer done()
-	gc.PauseClock(c.E, gc.PauseOverhead)
+	defer c.Pause(metrics.PauseFull)()
 	c.Stats().FailSafe++
-	c.Stats().Full++
 	c.booksValid = false
 	c.E.Trace.Begin(trace.PhaseFailSafe)
 	defer c.E.Trace.End(trace.PhaseFailSafe)
@@ -48,58 +44,21 @@ func (c *BC) failSafe() {
 		})
 	})
 
-	// An ordinary full-heap mark-sweep, following every reference. The
-	// residency filter is bypassed by lifting the evicted view: reloads
-	// driven by the trace update the bitmaps through the handler.
-	epoch := c.NextEpoch()
+	// An ordinary full-heap mark-sweep: the shared trace with no page
+	// filter, so it follows every reference. Workers read the heap's
+	// backing words raw (eviction preserves page content), and the
+	// canonical touch replay is what pays the reload faults, which update
+	// the bitmaps through the handler. curWork stays nil: the handler
+	// does not inject mark work during this collection.
+	t := c.BeginTrace(c.nursery, nil, c.PromoteMarked)
 	c.E.Trace.Begin(trace.PhaseMark)
-	work := c.E.GetWorkList()
-	defer c.E.PutWorkList(work)
-	forward := func(o objmodel.Ref) objmodel.Ref {
-		if c.nursery.Contains(o) {
-			dst := c.copyToMature(o, work)
-			objmodel.SetMark(c.E.Space, dst, epoch)
-			return dst
-		}
-		gc.MarkStep(c.E, work, o, epoch)
-		return o
-	}
-	c.E.Trace.Begin(trace.PhaseRootScan)
-	c.Roots().ForEach(func(slot *mem.Addr) {
-		*slot = forward(*slot)
-	})
-	c.E.Trace.End(trace.PhaseRootScan)
-	// Parallel work-stealing trace (DESIGN.md §11) with no residency
-	// filtering — the fail-safe follows every reference. Workers read the
-	// heap's backing words raw (eviction preserves page content), and the
-	// canonical touch replay is what pays the reload faults; nursery edges
-	// are deferred and evacuated sequentially between rounds. curWork
-	// stays nil here, matching the sequential fail-safe: the handler does
-	// not inject mark work during this collection.
-	cfg := &gc.ParMarkConfig{
-		Epoch: epoch,
-		Classify: func(tgt objmodel.Ref) gc.EdgeAction {
-			if c.nursery.Contains(tgt) {
-				return gc.EdgeDefer
-			}
-			return gc.EdgeMark
-		},
-	}
-	c.E.Marker().Mark(cfg, work, func(e gc.DeferredEdge, w *gc.WorkList) {
-		dst := c.copyToMature(e.Target, w)
-		objmodel.SetMark(c.E.Space, dst, epoch)
-		if dst != e.Target {
-			c.E.Space.WriteAddr(e.Slot, dst)
-		}
-	})
+	t.ScanRoots()
+	t.Mark()
 	c.E.Trace.End(trace.PhaseMark)
 	// Sweep everything, residency regardless.
-	c.E.Trace.Begin(trace.PhaseSweep)
 	c.SS.SetResidencyFilter(nil)
-	c.SS.Sweep(epoch)
+	t.Sweep()
 	c.SS.SetResidencyFilter(c.pageOK)
-	c.LOS.Sweep(epoch, nil)
-	c.E.Trace.End(trace.PhaseSweep)
 	c.resetNursery()
 	c.resizeNursery()
 	c.maybeRevalidate()

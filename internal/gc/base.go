@@ -4,8 +4,11 @@ import (
 	"time"
 
 	"bookmarkgc/internal/heap"
+	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
+	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
+	"bookmarkgc/internal/trace"
 )
 
 // PauseOverhead is the fixed per-collection cost (thread stopping, root
@@ -17,13 +20,20 @@ const PauseOverhead = 100 * time.Microsecond
 const MinNurseryPages = 64 // 256 KB
 
 // Base carries the plumbing every collector shares: environment, roots,
-// statistics, the mark epoch, and barrier-free object access.
+// statistics, the mark epoch, barrier-free object access, the pause
+// bracket, the out-of-memory error and the heap policy's mutator tick.
 type Base struct {
 	E     *Env
+	self  Collector
 	roots Roots
 	stats Stats
 	epoch uint32
 }
+
+// Init binds the Base to its environment and to the collector embedding
+// it: self is who an out-of-memory error names and whom the heap policy
+// observes.
+func (b *Base) Init(env *Env, self Collector) { b.E, b.self = env, self }
 
 // Direct exposes the embedded Base. Data-word access carries no barrier
 // in any collector (barriers interpose on reference stores only), so
@@ -47,8 +57,9 @@ func (b *Base) CountAlloc(t *objmodel.Type, arrayLen int) {
 	b.stats.ObjectsAlloc++
 }
 
-// ReadRefRaw loads reference slot i of o with no barrier.
-func (b *Base) ReadRefRaw(o objmodel.Ref, i int) objmodel.Ref {
+// ReadRef implements the corresponding Collector method: no collector
+// here has a read barrier.
+func (b *Base) ReadRef(o objmodel.Ref, i int) objmodel.Ref {
 	t, _ := b.E.Types.TypeOf(b.E.Space, o)
 	return b.E.Space.ReadAddr(t.RefSlotAddr(o, i))
 }
@@ -90,52 +101,79 @@ func (b *Base) NextEpoch() uint32 {
 // Epoch returns the current mark epoch.
 func (b *Base) Epoch() uint32 { return b.epoch }
 
-// Mature bundles the mark-sweep superpage space and the LOS shared by
-// MarkSweep, CopyMS, GenMS, and the bookmarking collector.
-type Mature struct {
-	SS  *heap.SuperSpace
-	LOS *heap.LOS
+// Pause opens a stop-the-world collection of the given kind and returns
+// the func that closes it (defer it: an out-of-memory unwind must still
+// close the pause). The interval becomes a timeline entry, with the major
+// faults taken inside it, and a trace span enclosing whatever phase spans
+// the collector opens; the fixed per-collection overhead is charged to
+// the simulated clock and the collection is counted.
+func (b *Base) Pause(kind metrics.PauseKind) func() {
+	env := b.E
+	phase, count := trace.PhasePauseFull, &b.stats.Full
+	switch kind {
+	case metrics.PauseNursery:
+		phase, count = trace.PhasePauseNursery, &b.stats.Nursery
+	case metrics.PauseCompact:
+		phase, count = trace.PhasePauseCompact, &b.stats.Compactions
+	}
+	start := env.Clock.Now()
+	faults := env.Proc.Stats().MajorFaults
+	env.Trace.Begin(phase)
+	env.Clock.Advance(PauseOverhead)
+	*count++
+	return func() {
+		env.Trace.End(phase)
+		b.stats.Timeline.Record(metrics.Pause{
+			Start:       start,
+			Dur:         env.Clock.Now() - start,
+			Kind:        kind,
+			MajorFaults: env.Proc.Stats().MajorFaults - faults,
+		})
+	}
 }
 
-// NewMature builds the mature spaces over env's layout, wiring the
-// environment's counter registry into them.
-func NewMature(env *Env) Mature {
-	m := Mature{
-		SS:  heap.NewSuperSpace(env.Space, env.Classes, env.Layout.MatureBase, env.Layout.MatureEnd),
-		LOS: heap.NewLOS(env.Space, env.Layout.LOSBase, env.Layout.LOSEnd),
-	}
-	m.SS.SetCounters(env.Counters)
-	m.LOS.SetCounters(env.Counters)
-	return m
+// OOM builds the panic value for live data that does not fit: heapPages
+// is the budget the collector was held to.
+func (b *Base) OOM(heapPages int) ErrOutOfMemory {
+	return ErrOutOfMemory{Collector: b.self.Name(), HeapPages: heapPages}
 }
 
-// MatureUsedPages is the page footprint of the mature spaces.
-func (m *Mature) MatureUsedPages() int { return m.SS.UsedPages() + m.LOS.UsedPages() }
+// PolicyTick gives the heap policy its mutator observation and reports
+// whether it raised the target, which a collector with a nursery applies
+// at once by resizing it. The policy's Wants gate keeps the tick nearly
+// free for policies that ignore the mutator.
+func (b *Base) PolicyTick() bool {
+	from, to := ObserveHeapPolicy(b.self, heappolicy.EvMutator, -1)
+	return to > from
+}
 
-// AllocMature places an object into the segregated-fit space or the LOS,
-// acquiring superpages as needed, keeping the total footprint (mature +
-// extraUsed) within budget pages. Returns mem.Nil when that would exceed
-// the budget or space is exhausted.
-func (m *Mature) AllocMature(env *Env, t *objmodel.Type, arrayLen int, budget int, extraUsed int) objmodel.Ref {
-	total := t.TotalBytes(arrayLen)
-	cl, small := env.Classes.ForSize(total)
-	if !small {
-		pages := int(mem.RoundUpPage(uint64(total)) / mem.PageSize)
-		if m.MatureUsedPages()+extraUsed+pages > budget {
-			return mem.Nil
-		}
-		return m.LOS.Alloc(t, arrayLen)
+// MoveObject is the only copy-and-forward: o's size bytes are copied to
+// dst through the space (both pages touched and charged exactly like the
+// word-by-word loop) and o is left forwarding to dst. The caller queues
+// dst for scanning once it has finished with it: BC's eviction handler
+// can fire inside any heap access and inject mark work, so where the
+// push falls among the accesses is part of the simulated order.
+func MoveObject(s *mem.Space, o, dst objmodel.Ref, size int) {
+	CopyObject(s, o, dst, size)
+	objmodel.Forward(s, o, dst)
+}
+
+// CopyTo evacuates o into the bump space dst, once: an object already
+// forwarded answers with its new address. The copying collectors'
+// semispaces and GenCopy's promotion go through it.
+func (b *Base) CopyTo(dst *heap.BumpSpace, o objmodel.Ref, work *WorkList) objmodel.Ref {
+	s := b.E.Space
+	if objmodel.Forwarded(s, o) {
+		return objmodel.ForwardAddr(s, o)
 	}
-	if o := m.SS.Alloc(t, arrayLen, cl); o != mem.Nil {
-		return o
+	size := ObjectBytes(s, b.E.Types, o)
+	nw := dst.AllocRaw(size)
+	if nw == mem.Nil {
+		panic(b.OOM(b.E.HeapPages))
 	}
-	if m.MatureUsedPages()+extraUsed+mem.SuperPages > budget {
-		return mem.Nil
-	}
-	if m.SS.AcquireSuper(cl, t.Kind) < 0 {
-		return mem.Nil
-	}
-	return m.SS.Alloc(t, arrayLen, cl)
+	MoveObject(s, o, nw, size)
+	work.Push(nw)
+	return nw
 }
 
 // MarkStep marks target in epoch if unmarked and pushes it for scanning.
@@ -145,19 +183,26 @@ func MarkStep(env *Env, work *WorkList, target objmodel.Ref, epoch uint32) {
 	}
 }
 
-// MarkTrace drains the worklist, scanning each object and marking its
-// targets. follow filters which targets to pursue (nil = all).
-func MarkTrace(env *Env, work *WorkList, epoch uint32, follow func(objmodel.Ref) bool) {
+// Drain scans gray objects until none remain, handing every non-nil
+// reference to visit — the loop of a Cheney pass, where visit forwards
+// the target and may push what it copied.
+func Drain(env *Env, work *WorkList, visit func(slot mem.Addr, target objmodel.Ref)) {
 	for {
 		o, ok := work.Pop()
 		if !ok {
 			return
 		}
-		ScanObject(env.Space, env.Types, o, func(_ mem.Addr, tgt objmodel.Ref) {
-			if follow != nil && !follow(tgt) {
-				return
-			}
-			MarkStep(env, work, tgt, epoch)
-		})
+		ScanObject(env.Space, env.Types, o, visit)
 	}
+}
+
+// MarkTrace drains the worklist, scanning each object and marking its
+// targets. follow filters which targets to pursue (nil = all).
+func MarkTrace(env *Env, work *WorkList, epoch uint32, follow func(objmodel.Ref) bool) {
+	Drain(env, work, func(_ mem.Addr, tgt objmodel.Ref) {
+		if follow != nil && !follow(tgt) {
+			return
+		}
+		MarkStep(env, work, tgt, epoch)
+	})
 }

@@ -1,14 +1,15 @@
 // Package gc provides the runtime glue every collector is built on: the
 // collector interface the mutator programs against, the root registry,
 // object scanning, generational remembered sets (write buffers filtered
-// into a card table, §3.1 of the paper), pause accounting, and the shared
-// environment (address space, VMM process, type table, size classes).
+// into a card table, §3.1 of the paper), pause accounting, the shared
+// environment (address space, VMM process, type table, size classes),
+// and the parts the collectors are composed from — Base, Nursery and
+// Mature (DESIGN.md §16).
 package gc
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"bookmarkgc/internal/heap"
 	"bookmarkgc/internal/heappolicy"
@@ -142,37 +143,6 @@ type Stats struct {
 	Bookmarked   uint64 // objects bookmarked (BC)
 	PagesEvicted uint64 // heap pages processed for eviction (BC)
 	FailSafe     uint64 // completeness fail-safe collections (BC)
-}
-
-// pausePhase maps a pause kind to its trace span kind.
-func pausePhase(kind metrics.PauseKind) trace.Phase {
-	switch kind {
-	case metrics.PauseNursery:
-		return trace.PhasePauseNursery
-	case metrics.PauseCompact:
-		return trace.PhasePauseCompact
-	default:
-		return trace.PhasePauseFull
-	}
-}
-
-// BeginPause starts a stop-the-world interval; call the returned func at
-// the end of the collection. Major faults taken during the pause are
-// attributed to it, and the interval is emitted as a trace span enclosing
-// whatever phase spans the collector opens inside it.
-func (st *Stats) BeginPause(env *Env, kind metrics.PauseKind) func() {
-	start := env.Clock.Now()
-	faults := env.Proc.Stats().MajorFaults
-	env.Trace.Begin(pausePhase(kind))
-	return func() {
-		env.Trace.End(pausePhase(kind))
-		st.Timeline.Record(metrics.Pause{
-			Start:       start,
-			Dur:         env.Clock.Now() - start,
-			Kind:        kind,
-			MajorFaults: env.Proc.Stats().MajorFaults - faults,
-		})
-	}
 }
 
 // Roots is the registry of mutator-visible reference slots (locals,
@@ -351,7 +321,3 @@ func (e *Env) ReleaseScratch(roots *Roots) {
 		roots.release()
 	}
 }
-
-// PauseClock charges fixed per-collection overhead (root scanning, signal
-// handling, bookkeeping) to the simulated clock.
-func PauseClock(env *Env, d time.Duration) { env.Clock.Advance(d) }

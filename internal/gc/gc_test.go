@@ -126,8 +126,8 @@ func TestBaseAccessors(t *testing.T) {
 	objmodel.SetTypeWord(env.Space, o, node.ID, 0)
 
 	b.WriteRefRaw(o, 0, 0x7000)
-	if got := b.ReadRefRaw(o, 0); got != 0x7000 {
-		t.Fatalf("ReadRefRaw = %#x", got)
+	if got := b.ReadRef(o, 0); got != 0x7000 {
+		t.Fatalf("ReadRef = %#x", got)
 	}
 	b.WriteData(o, 1, 42)
 	if got := b.ReadData(o, 1); got != 42 {
@@ -155,10 +155,10 @@ func TestMatureAllocBudget(t *testing.T) {
 	env := testEnv(t)
 	node := env.Types.Scalar("node", 4, 0)
 	big := env.Types.Array("big", false)
-	m := NewMature(env)
+	m := NewMature(&Base{E: env})
 
 	// Small alloc within budget acquires a superpage.
-	o := m.AllocMature(env, node, 0, env.HeapPages, 0)
+	o := m.AllocMature(node, 0, env.HeapPages, 0)
 	if o == mem.Nil {
 		t.Fatal("alloc failed")
 	}
@@ -166,11 +166,11 @@ func TestMatureAllocBudget(t *testing.T) {
 		t.Fatalf("used pages = %d", m.MatureUsedPages())
 	}
 	// Budget exactly consumed: next superpage acquisition must fail.
-	if got := m.AllocMature(env, big, 4000, mem.SuperPages, 0); got != mem.Nil {
+	if got := m.AllocMature(big, 4000, mem.SuperPages, 0); got != mem.Nil {
 		t.Fatal("LOS alloc ignored budget")
 	}
 	// Large object within budget goes to the LOS.
-	l := m.AllocMature(env, big, 4000, env.HeapPages, 0)
+	l := m.AllocMature(big, 4000, env.HeapPages, 0)
 	if l == mem.Nil || !m.LOS.Contains(l) {
 		t.Fatal("large object not in LOS")
 	}
@@ -179,10 +179,10 @@ func TestMatureAllocBudget(t *testing.T) {
 func TestMarkStepAndTrace(t *testing.T) {
 	env := testEnv(t)
 	node := env.Types.Scalar("node", 4, 0, 1)
-	m := NewMature(env)
-	a := m.AllocMature(env, node, 0, env.HeapPages, 0)
-	b := m.AllocMature(env, node, 0, env.HeapPages, 0)
-	c := m.AllocMature(env, node, 0, env.HeapPages, 0)
+	m := NewMature(&Base{E: env})
+	a := m.AllocMature(node, 0, env.HeapPages, 0)
+	b := m.AllocMature(node, 0, env.HeapPages, 0)
+	c := m.AllocMature(node, 0, env.HeapPages, 0)
 	env.Space.WriteAddr(node.RefSlotAddr(a, 0), b)
 	env.Space.WriteAddr(node.RefSlotAddr(b, 1), c)
 

@@ -11,12 +11,12 @@ import (
 // benchGraph builds a connected random object graph for mark benchmarks.
 func benchGraph(b *testing.B, env *Env, n int) (root objmodel.Ref) {
 	b.Helper()
-	m := NewMature(env)
+	m := NewMature(&Base{E: env})
 	node := env.Types.Scalar("bnode", 8, 0, 1)
 	rng := rand.New(rand.NewSource(42))
 	objs := make([]objmodel.Ref, 0, n)
 	for i := 0; i < n; i++ {
-		o := m.AllocMature(env, node, 0, env.HeapPages, 0)
+		o := m.AllocMature(node, 0, env.HeapPages, 0)
 		if o == mem.Nil {
 			b.Fatal("benchGraph: out of space")
 		}

@@ -148,7 +148,7 @@ func buildRandomGraph(t *testing.T, env *Env, m *Mature, n int, seed int64) (all
 	node := env.Types.Scalar("pnode", 8, 0, 1)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		o := m.AllocMature(env, node, 0, env.HeapPages, 0)
+		o := m.AllocMature(node, 0, env.HeapPages, 0)
 		if o == mem.Nil {
 			t.Fatal("alloc failed")
 		}
@@ -178,7 +178,7 @@ func TestParMarkMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		env := testEnv(t)
 		env.Counters = trace.NewCounters()
-		m := NewMature(env)
+		m := NewMature(&Base{E: env})
 		all, root := buildRandomGraph(t, env, &m, 600, 42)
 
 		// Sequential reference marking at epoch 5. Snapshot the marked
@@ -223,7 +223,7 @@ func TestParMarkDeterminism(t *testing.T) {
 	run := func(workers int) result {
 		env := testEnv(t)
 		env.Counters = trace.NewCounters()
-		m := NewMature(env)
+		m := NewMature(&Base{E: env})
 		all, root := buildRandomGraph(t, env, &m, 800, 7)
 		var work WorkList
 		MarkStep(env, &work, root, 3)
@@ -271,11 +271,11 @@ func TestParMarkDeterminism(t *testing.T) {
 func TestParMarkDeferredEdges(t *testing.T) {
 	env := testEnv(t)
 	env.Counters = trace.NewCounters()
-	m := NewMature(env)
+	m := NewMature(&Base{E: env})
 	node := env.Types.Scalar("dnode", 8, 0, 1)
 	var objs []objmodel.Ref
 	for i := 0; i < 6; i++ {
-		o := m.AllocMature(env, node, 0, env.HeapPages, 0)
+		o := m.AllocMature(node, 0, env.HeapPages, 0)
 		if o == mem.Nil {
 			t.Fatal("alloc failed")
 		}
@@ -339,7 +339,7 @@ func TestParMarkStress(t *testing.T) {
 	}
 	env := testEnv(t)
 	env.Counters = trace.NewCounters()
-	m := NewMature(env)
+	m := NewMature(&Base{E: env})
 	all, root := buildRandomGraph(t, env, &m, n, 1234)
 
 	var work WorkList

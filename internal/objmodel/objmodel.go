@@ -140,6 +140,13 @@ func PeekTypeID(s *mem.Space, o Ref) int32 {
 	return int32(uint32(s.PeekWord(o + mem.WordSize)))
 }
 
+// PeekHeader decodes both header words without touching the page, for
+// heap verifiers that must not perturb the run they check.
+func PeekHeader(s *mem.Space, o Ref) (forwarded bool, typeID int32, arrayLen int) {
+	w := s.PeekWord(o + mem.WordSize)
+	return s.PeekWord(o)&forwardedBit != 0, int32(uint32(w)), int(uint32(w >> 32))
+}
+
 // Payload returns the address of the object's first payload word.
 func Payload(o Ref) mem.Addr { return o + HeaderBytes }
 

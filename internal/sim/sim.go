@@ -90,13 +90,13 @@ func NewCollector(kind CollectorKind, env *gc.Env) (gc.Collector, error) {
 		return collectors.NewAdvisedGenMS(env), nil
 	case GenMSFixed:
 		c := collectors.NewGenMS(env)
-		c.FixedNurseryPages = fixedNursery(env)
+		c.Nursery.FixedPages = fixedNursery(env)
 		return c, nil
 	case GenCopy:
 		return collectors.NewGenCopy(env), nil
 	case GenCopyFixed:
 		c := collectors.NewGenCopy(env)
-		c.FixedNurseryPages = fixedNursery(env)
+		c.Nursery.FixedPages = fixedNursery(env)
 		return c, nil
 	case CopyMS:
 		return collectors.NewCopyMS(env), nil

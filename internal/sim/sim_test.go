@@ -7,6 +7,7 @@ import (
 
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
+	"bookmarkgc/internal/trace"
 )
 
 // tinyJBB is a scaled-down pseudoJBB for fast tests.
@@ -32,6 +33,35 @@ func TestRunEveryCollector(t *testing.T) {
 				t.Fatal("no collections")
 			}
 		})
+	}
+}
+
+// TestEveryKindWiresItsCounters guards the shared constructors: every
+// bump space, large object space and promotion a collector owns must
+// feed the run's counter registry, whichever collector built it.
+func TestEveryKindWiresItsCounters(t *testing.T) {
+	prog := tinyJBB()
+	if prog.LargeEvery == 0 {
+		t.Fatal("the program must allocate large objects")
+	}
+	for _, kind := range KnownKinds {
+		reg := trace.NewCounters()
+		res := Run(RunConfig{Collector: kind, Program: prog, HeapBytes: 4 << 20, PhysBytes: 256 << 20, Seed: 1, Counters: reg})
+		if res.Err != nil || res.Timeline.Count() == 0 {
+			t.Fatalf("%s: err %v, %d collections", kind, res.Err, res.Timeline.Count())
+		}
+		for _, c := range []struct {
+			id      trace.Counter
+			applies bool
+		}{
+			{trace.CBumpAllocs, kind != MarkSweep},                         // every kind with a bump space
+			{trace.CPromotedBytes, kind != MarkSweep && kind != SemiSpace}, // every kind that promotes
+			{trace.CLOSAllocs, true},
+		} {
+			if c.applies && reg.Get(c.id) == 0 {
+				t.Errorf("%s: %s stayed 0 over %d collections", kind, c.id, res.Timeline.Count())
+			}
+		}
 	}
 }
 
