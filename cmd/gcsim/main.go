@@ -478,9 +478,10 @@ func writeTelemetry(tel *telemetry.Collector, path string) {
 }
 
 // listInventory prints everything the simulator can run: the benchmark
-// programs (Table 1), the collector kinds, the parallel mark counter
-// group, the chaos regimes, the trace synthesizer models, and any
-// recorded traces in the current directory.
+// programs (Table 1), the collector kinds, the counter groups (parallel
+// mark, telemetry, heap policy, eviction-notice outcomes), the chaos
+// regimes, the trace synthesizer models, and any recorded traces in the
+// current directory.
 func listInventory() {
 	fmt.Println("programs (-program; sizes at paper scale 1.0):")
 	for _, p := range mutator.Programs {
@@ -501,6 +502,10 @@ func listInventory() {
 	}
 	fmt.Println("heap-policy counters (-counters; subsystem in DESIGN.md §14):")
 	for _, c := range trace.HeapPolicyCounters() {
+		fmt.Printf("  %s\n", c)
+	}
+	fmt.Println("eviction-notice outcome counters (-counters; they sum to the notices BC fielded, DESIGN.md §5):")
+	for _, c := range trace.NoticeCounters() {
 		fmt.Printf("  %s\n", c)
 	}
 	fmt.Printf("heap-limit policies (-heap-policy): %s\n", strings.Join(heappolicy.Names(), ", "))

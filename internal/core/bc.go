@@ -123,6 +123,12 @@ type BC struct {
 	gcRequestAfter uint64
 
 	evictedHeapPg int // count of evicted heap pages
+	residentPg    int // count of resident bits: the footprint shrinkTarget reports
+
+	// seenSuper/seenLOS are processAndEvict's dedup sets, kept between
+	// evictions so a page's processing allocates only its record.
+	seenSuper map[int32]bool
+	seenLOS   map[objmodel.Ref]bool
 
 	// silentEvictions counts pages the residency audit found evicted
 	// without notification (audit.go). Past silentEvictionLimit the
@@ -252,7 +258,23 @@ func (c *BC) resizeNursery() {
 			continue
 		}
 		c.E.Proc.Touch(p, false)
+		c.setResident(p)
+	}
+}
+
+// setResident and clearResident are the only writers of the residency
+// bit array; they keep residentPg equal to its population count.
+func (c *BC) setResident(p mem.PageID) {
+	if !c.resident.Test(int(p)) {
 		c.resident.Set(int(p))
+		c.residentPg++
+	}
+}
+
+func (c *BC) clearResident(p mem.PageID) {
+	if c.resident.Test(int(p)) {
+		c.resident.Clear(int(p))
+		c.residentPg--
 	}
 }
 
@@ -265,7 +287,7 @@ func (c *BC) markRangeResident(a mem.Addr, bytes int) {
 			// handler already fixed the books; nothing to do.
 			continue
 		}
-		c.resident.Set(int(p))
+		c.setResident(p)
 	}
 }
 

@@ -7,18 +7,43 @@ import (
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
+	"bookmarkgc/internal/trace"
 	"bookmarkgc/internal/vmm"
 )
 
-// newBC builds a BC on a machine with physMB of RAM and a heapMB budget.
-// Every collection the BC performs is followed by a CheckInvariants
-// audit, so any regression test that corrupts the books fails at the
-// collection that corrupted them, not at its final assertion.
+// noticeCount counts the eviction notices the VMM delivers, upstream of
+// BC's handler.
+type noticeCount struct {
+	vmm.Handler
+	n uint64
+}
+
+func (h *noticeCount) EvictionScheduled(p mem.PageID) {
+	h.n++
+	h.Handler.EvictionScheduled(p)
+}
+
+// noticeOutcomes sums the eviction-notice outcome counters.
+func noticeOutcomes(c *BC) (sum uint64) {
+	for _, id := range trace.NoticeCounters() {
+		sum += c.E.Counters.Get(id)
+	}
+	return sum
+}
+
+// newBC builds a BC on a machine with physMB of RAM and a heapMB budget,
+// with a counter registry attached. Every collection the BC performs is
+// followed by a CheckInvariants audit, so any regression test that
+// corrupts the books fails at the collection that corrupted them, not at
+// its final assertion; and when the test ends, the notice-outcome
+// counters must sum to the notices the VMM delivered — every notice of
+// every test ends in exactly one outcome.
 func newBC(t testing.TB, physMB, heapMB int, cfg Config) (*vmm.VMM, *BC, *objmodel.Type, *objmodel.Type, *objmodel.Type) {
 	t.Helper()
 	clock := vmm.NewClock()
 	v := vmm.New(clock, uint64(physMB)<<20, vmm.DefaultCosts())
 	env := gc.NewEnv(v, "bc-test", uint64(heapMB)<<20)
+	env.Counters = trace.NewCounters()
 	node := env.Types.Scalar("node", 4, 0, 1)
 	refArr := env.Types.Array("refArr", true)
 	dataArr := env.Types.Array("dataArr", false)
@@ -26,6 +51,13 @@ func newBC(t testing.TB, physMB, heapMB int, cfg Config) (*vmm.VMM, *BC, *objmod
 	c.OnCollectionEnd(func() {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("invariants after collection: %v", err)
+		}
+	})
+	delivered := &noticeCount{Handler: env.Proc.Handler()}
+	env.Proc.Register(delivered)
+	t.Cleanup(func() {
+		if sum := noticeOutcomes(c); sum != delivered.n {
+			t.Errorf("notice outcome counters sum to %d, %d notices were delivered", sum, delivered.n)
 		}
 	})
 	return v, c, node, refArr, dataArr
@@ -178,6 +210,16 @@ func TestBCBookmarksUnderSeverePressure(t *testing.T) {
 	}
 	if c.Stats().Bookmarked == 0 {
 		t.Fatal("pages evicted but no objects bookmarked")
+	}
+	// The outcome counters show the veto churn behind ROADMAP item 2's
+	// open question: many notices vetoed, or paid off in empty pages, for
+	// each page actually scanned and surrendered.
+	surrendered := c.E.Counters.Get(trace.CNoticesBookmarked) + c.E.Counters.Get(trace.CNoticesRedirected)
+	if got := c.E.Counters.Get(trace.CPagesProcessed); got != surrendered || surrendered == 0 {
+		t.Fatalf("%d pages processed, %d notices counted as bookmarked or redirected", got, surrendered)
+	}
+	if notices := noticeOutcomes(c); notices < 10*surrendered {
+		t.Fatalf("%d notices for %d pages surrendered: expected more than 10 notices per eviction", notices, surrendered)
 	}
 	// Full GCs during pressure must not have touched evicted pages:
 	// major faults during full pauses should be zero (BC's core claim).

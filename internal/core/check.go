@@ -28,7 +28,13 @@ import (
 //     subset of evicted pages;
 //  4. reachability: every object reachable from the roots lies in a
 //     valid allocation (nursery extent, allocated superpage block, or
-//     live large object) and carries a registered type.
+//     live large object) and carries a registered type;
+//  5. empty-page words: for every page of the address space, each
+//     space's EmptyWord bit — what the eviction handler's discardable
+//     search intersects (§3.4.3) — equals that space's own per-page
+//     answer, so no bit is set outside the space's region, and the
+//     three spaces' words are disjoint; and the maintained resident-page
+//     count equals the residency bit array's population.
 func (c *BC) CheckInvariants() error {
 	if err := c.checkSuperpages(); err != nil {
 		return err
@@ -39,7 +45,10 @@ func (c *BC) CheckInvariants() error {
 	if err := c.checkPageStates(); err != nil {
 		return err
 	}
-	return c.checkReachability()
+	if err := c.checkReachability(); err != nil {
+		return err
+	}
+	return c.checkEmptyWords()
 }
 
 // peek reads a heap word without touching the page.
@@ -147,6 +156,48 @@ func (c *BC) checkPageStates() error {
 	}
 	if got := c.evicted.Count(); got != c.evictedHeapPg {
 		return fmt.Errorf("evicted count drift: bitmap %d, counter %d", got, c.evictedHeapPg)
+	}
+	return nil
+}
+
+// emptyPerPage is the per-page statement of "p holds no live data",
+// asked of each space through its per-page accessors: a nursery-region
+// page at or past the frontier, a page of an unassigned superpage, a
+// free large-object page. It is the reference the word-at-a-time
+// predicate (discardableWord) is checked against, here and in the
+// differential test; the handler itself never calls it.
+func (c *BC) emptyPerPage(p mem.PageID) (nursery, mature, los bool) {
+	a := mem.PageAddr(p)
+	return c.nursery.Contains(a) && a >= c.nursery.Frontier(),
+		c.SS.Contains(a) && !c.SS.Used(c.SS.SuperIndex(a)),
+		c.LOS.IsFreePage(p)
+}
+
+func (c *BC) checkEmptyWords() error {
+	for wi := 0; wi < c.resident.Words(); wi++ {
+		n, s, l := c.nursery.EmptyWord(wi), c.SS.EmptyWord(wi), c.LOS.EmptyWord(wi)
+		if n&s|n&l|s&l != 0 {
+			return fmt.Errorf("pages %d..%d: spaces publish overlapping empty pages (nursery %#x, mature %#x, LOS %#x)",
+				wi<<6, wi<<6+63, n, s, l)
+		}
+		// Every bit of the word, including any past the last page of the
+		// address space, where all three answers are false.
+		for b := uint(0); b < 64; b++ {
+			p := mem.PageID(wi<<6) + mem.PageID(b)
+			wantN, wantS, wantL := c.emptyPerPage(p)
+			for _, e := range [...]struct {
+				space     string
+				got, want bool
+			}{{"nursery", n>>b&1 != 0, wantN}, {"mature", s>>b&1 != 0, wantS}, {"LOS", l>>b&1 != 0, wantL}} {
+				if e.got != e.want {
+					return fmt.Errorf("page %d: %s space publishes empty=%v, its per-page answer is %v",
+						p, e.space, e.got, e.want)
+				}
+			}
+		}
+	}
+	if got := c.resident.Count(); got != c.residentPg {
+		return fmt.Errorf("resident count drift: bitmap %d, counter %d", got, c.residentPg)
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/heappolicy"
@@ -40,6 +41,7 @@ func (h *bcHandler) EvictionScheduled(p mem.PageID) {
 		// The page left before the signal landed — a silent eviction
 		// learned about late. Repair now rather than at the next audit.
 		c.noteSilentEviction(p)
+		c.E.Counters.Inc(trace.CNoticesSilentRepair)
 		return
 	case st != vmm.Resident:
 		c.E.Trace.Point(trace.EvNotificationIgnored, int64(p), 0)
@@ -58,13 +60,16 @@ func (h *bcHandler) EvictionScheduled(p mem.PageID) {
 	if c.mustKeep(p) {
 		c.E.Proc.Touch(p, false) // veto: a different victim gets scheduled
 		c.giveDiscardables(p)    // still relieve pressure if we can
+		c.E.Counters.Inc(trace.CNoticesMustKeepVeto)
 		return
 	}
 	if c.discardIfEmpty(p) {
+		c.E.Counters.Inc(trace.CNoticesVictimDiscarded)
 		return
 	}
 	if c.giveDiscardables(p) > 0 {
 		c.E.Proc.Touch(p, false) // veto the occupied page; we paid in empties
+		c.E.Counters.Inc(trace.CNoticesPaidInEmpties)
 		return
 	}
 	// No discardable page: request a collection (§3.3.2). The signal can
@@ -85,11 +90,15 @@ func (h *bcHandler) EvictionScheduled(p mem.PageID) {
 		// fail-safe: let the VMM take the page; we only track that it
 		// left.
 		c.noteEvicted(p)
+		c.E.Counters.Inc(trace.CNoticesNotedOnly)
 		return
 	}
 	victim := c.chooseVictim(p)
 	if victim != p {
 		c.E.Proc.Touch(p, false) // veto the scheduled page
+		c.E.Counters.Inc(trace.CNoticesRedirected)
+	} else {
+		c.E.Counters.Inc(trace.CNoticesBookmarked)
 	}
 	c.processAndEvict(victim)
 }
@@ -130,7 +139,7 @@ func (c *BC) reloadBooks(p mem.PageID) {
 		c.evicted.Clear(int(p))
 		c.evictedHeapPg--
 	}
-	c.resident.Set(int(p))
+	c.setResident(p)
 	if c.processed.Test(int(p)) {
 		c.processed.Clear(int(p))
 		c.unbookmarkPage(p)
@@ -146,7 +155,7 @@ func (c *BC) reloadBooks(p mem.PageID) {
 // (§3.3.3). The credit from aggressive discards keeps those voluntary
 // returns from shrinking the target further (§3.4.3).
 func (c *BC) shrinkTarget() {
-	gc.ObserveHeapPolicy(c, heappolicy.EvPressure, c.resident.Count()+c.discardCredit)
+	gc.ObserveHeapPolicy(c, heappolicy.EvPressure, c.residentPg+c.discardCredit)
 }
 
 // mustKeep reports whether p must not be evicted: nursery pages the
@@ -203,24 +212,25 @@ func (c *BC) discardIfEmpty(p mem.PageID) bool {
 	return true
 }
 
+// discardableWord returns the discardable pages among pages
+// [64*wi, 64*wi+64): resident in BC's books, not leaving, and holding no
+// live data. The last is each space's own knowledge — the nursery's
+// pages past the frontier (the §3.4.3 reserve included), the pages of
+// unassigned superpages, the free large-object pages — published by the
+// space as a word of an absolute page bitmap, so the whole predicate is
+// a handful of word operations for 64 pages and BC keeps no copy that
+// could fall out of step. This is the only definition of "discardable".
+func (c *BC) discardableWord(wi int) uint64 {
+	w := c.resident.Word(wi) &^ c.evicted.Word(wi)
+	if w == 0 || c.cfg.debugNoDiscard {
+		return 0
+	}
+	return w & (c.nursery.EmptyWord(wi) | c.SS.EmptyWord(wi) | c.LOS.EmptyWord(wi))
+}
+
 // pageDiscardable reports whether p is resident and holds no live data.
 func (c *BC) pageDiscardable(p mem.PageID) bool {
-	if c.cfg.debugNoDiscard {
-		return false
-	}
-	if !c.resident.Test(int(p)) || c.evicted.Test(int(p)) {
-		return false
-	}
-	a := mem.PageAddr(p)
-	switch {
-	case c.nursery.Contains(a):
-		return a >= c.nursery.Frontier()
-	case c.SS.Contains(a):
-		return !c.SS.Used(c.SS.SuperIndex(a))
-	case c.LOS.Contains(a):
-		return c.LOS.IsFreePage(p)
-	}
-	return false
+	return c.discardableWord(int(p)>>6)&(1<<(uint(p)&63)) != 0
 }
 
 // discardPage returns one page to the VMM.
@@ -228,33 +238,63 @@ func (c *BC) discardPage(p mem.PageID) {
 	c.E.Proc.Discard(p)
 	c.E.Trace.Point(trace.EvPageDiscarded, int64(p), 0)
 	c.E.Counters.Inc(trace.CPagesDiscarded)
-	c.resident.Clear(int(p))
+	c.clearResident(p)
 	c.processed.Clear(int(p))
 }
 
-// giveDiscardables finds empty resident pages and discards them. It
-// discards every empty page recorded in the same residency-bitmap word as
-// the first one it finds (§3.4.3), crediting the extras so the footprint
-// target does not over-shrink. Returns the number discarded. exclude is
-// the page currently under notification (handled by the caller).
-func (c *BC) giveDiscardables(exclude mem.PageID) int {
-	// Rotating cursor: discardable pages cluster (freed superpages, the
-	// nursery tail), so resuming where the last scan stopped keeps each
-	// notification O(found) instead of O(heap).
-	first := -1
-	limit := c.resident.Len()
-	scan := func(from, to int) {
-		for i := c.resident.NextSet(from); i >= 0 && i < to; i = c.resident.NextSet(i + 1) {
-			if mem.PageID(i) != exclude && c.pageDiscardable(mem.PageID(i)) {
-				first = i
-				return
-			}
+// discardableBut is discardableWord(wi) without page exclude.
+func (c *BC) discardableBut(wi int, exclude mem.PageID) uint64 {
+	w := c.discardableWord(wi)
+	if wi == int(exclude)>>6 {
+		w &^= 1 << (uint(exclude) & 63)
+	}
+	return w
+}
+
+// firstDiscardable returns the first discardable page other than
+// exclude at or after the rotating cursor, wrapping to the pages below
+// it, or -1. It visits each bitmap word once (the cursor's word twice:
+// its upper bits first, its lower bits last).
+func (c *BC) firstDiscardable(exclude mem.PageID) int {
+	cur := c.discardCursor
+	if cur >= c.resident.Len() {
+		cur = 0
+	}
+	nw, cw := c.resident.Words(), cur>>6
+	below := uint64(1)<<(uint(cur)&63) - 1 // the cursor word's pages below the cursor
+	for k := 0; k <= nw; k++ {
+		wi := cw + k
+		if wi >= nw {
+			wi -= nw
+		}
+		w := c.discardableBut(wi, exclude)
+		switch k {
+		case 0:
+			w &^= below
+		case nw:
+			w &= below
+		}
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
 		}
 	}
-	scan(c.discardCursor, limit)
-	if first < 0 && c.discardCursor > 0 {
-		scan(0, c.discardCursor)
-	}
+	return -1
+}
+
+// giveDiscardables finds empty resident pages and discards them: the
+// first one at or after a rotating cursor, and with it every other empty
+// page recorded in the same word of the residency bit array — the
+// paper's aggressive discard, "a whole bitmap word at a time" (§3.4.3) —
+// crediting the extras so the footprint target does not over-shrink.
+// Returns the number discarded. exclude is the page currently under
+// notification (handled by the caller).
+//
+// Discardable pages cluster (freed superpages, the nursery tail), so a
+// search that resumes where the last one stopped is O(found) on a hit.
+// A miss — the common case once the reserve is spent — costs one
+// discardableWord per word of the address space: O(words), not O(pages).
+func (c *BC) giveDiscardables(exclude mem.PageID) int {
+	first := c.firstDiscardable(exclude)
 	if first < 0 {
 		c.discardCursor = 0
 		return 0
@@ -265,19 +305,15 @@ func (c *BC) giveDiscardables(exclude mem.PageID) int {
 		c.E.Counters.Observe(trace.HDiscardBatch, 1)
 		return 1
 	}
-	n := 0
-	c.resident.ForEachSetInWord(first, func(i int) {
-		if mem.PageID(i) != exclude && c.pageDiscardable(mem.PageID(i)) {
-			c.discardPage(mem.PageID(i))
-			n++
-		}
-	})
+	w := c.discardableBut(first>>6, exclude)
+	n := bits.OnesCount64(w)
+	for ; w != 0; w &= w - 1 {
+		c.discardPage(mem.PageID(first&^63 + bits.TrailingZeros64(w)))
+	}
 	if n > 1 {
 		c.discardCredit += n - 1
 	}
-	if n > 0 {
-		c.E.Counters.Observe(trace.HDiscardBatch, uint64(n))
-	}
+	c.E.Counters.Observe(trace.HDiscardBatch, uint64(n))
 	return n
 }
 
@@ -331,9 +367,7 @@ func (c *BC) pagePointerCount(p mem.PageID) bool {
 
 // noteEvicted updates BC's books for a page that is leaving memory.
 func (c *BC) noteEvicted(p mem.PageID) {
-	if c.resident.Test(int(p)) {
-		c.resident.Clear(int(p))
-	}
+	c.clearResident(p)
 	if !c.evicted.Test(int(p)) {
 		c.evicted.Set(int(p))
 		c.evictedHeapPg++
@@ -346,9 +380,16 @@ func (c *BC) noteEvicted(p mem.PageID) {
 // protect the page against the eviction race, record the books, and
 // relinquish the page to the VMM.
 func (c *BC) processAndEvict(p mem.PageID) {
-	rec := &pageRecord{}
-	seenSuper := map[int32]bool{}
-	seenLOS := map[objmodel.Ref]bool{}
+	var rec pageRecord
+	// The two dedup sets are scratch kept on BC. A nested eviction (under
+	// chaos a late notice is delivered outside reclaim, and this scan's
+	// own accesses can then fault and start one) finds them detached and
+	// makes its own.
+	seenSuper, seenLOS := c.seenSuper, c.seenLOS
+	c.seenSuper, c.seenLOS = nil, nil
+	if seenSuper == nil {
+		seenSuper, seenLOS = map[int32]bool{}, map[objmodel.Ref]bool{}
+	}
 	booked := int64(0)
 	if c.curWork != nil {
 		// Bookmarking during a collection: the marks grafted in below are
@@ -416,8 +457,11 @@ func (c *BC) processAndEvict(p mem.PageID) {
 		c.scanForEviction(o, bookmarkTarget)
 	})
 
+	clear(seenSuper)
+	clear(seenLOS)
+	c.seenSuper, c.seenLOS = seenSuper, seenLOS
 	if len(rec.supers) > 0 || len(rec.los) > 0 {
-		c.pageTargets[p] = rec
+		c.pageTargets[p] = &pageRecord{rec.supers, rec.los}
 	}
 	c.processed.Set(int(p))
 	c.noteEvicted(p)
@@ -577,7 +621,7 @@ func (c *BC) retryDeferred() {
 	for p := range c.deferredTargets {
 		pages = append(pages, p)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	for _, p := range pages {
 		if c.straddlingEvicted(p) > 0 {
 			continue

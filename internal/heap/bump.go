@@ -100,6 +100,15 @@ func (b *BumpSpace) Base() mem.Addr { return b.base }
 // Frontier returns the current allocation pointer.
 func (b *BumpSpace) Frontier() mem.Addr { return b.cur }
 
+// EmptyWord returns word wi of the region's empty pages as a bitmap
+// indexed by absolute page number: the pages of [base, end) that start
+// at or past the frontier — beyond the budget too, which is where BC
+// keeps its empty-page reserve (§3.4.3). It is arithmetic on the
+// frontier, so there is no state for Alloc and Reset to keep in step.
+func (b *BumpSpace) EmptyWord(wi int) uint64 {
+	return mem.RangeWord(wi, int((b.cur + mem.PageSize - 1).Page()), int((b.end + mem.PageSize - 1).Page()))
+}
+
 // UsedBytes returns bytes allocated since the last Reset.
 func (b *BumpSpace) UsedBytes() uint64 { return uint64(b.cur - b.base) }
 

@@ -17,7 +17,7 @@ type LOS struct {
 	base mem.Addr
 	n    int // pages in the region
 
-	free    *mem.Bitmap      // free pages
+	free    pageBits         // free pages
 	objects map[mem.Addr]int // object -> pages in its run
 	sorted  []mem.Addr       // allocation order cache for iteration, kept sorted
 	dead    []mem.Addr       // sweep scratch, reused across collections
@@ -38,10 +38,10 @@ func NewLOS(s *mem.Space, base, end mem.Addr) *LOS {
 		s:       s,
 		base:    base,
 		n:       n,
-		free:    mem.NewBitmap(n),
+		free:    newPageBits(base, end),
 		objects: make(map[mem.Addr]int),
 	}
-	l.free.SetAll()
+	l.free.setPages(base.Page(), n)
 	return l
 }
 
@@ -68,11 +68,10 @@ func (l *LOS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	if start < 0 {
 		return mem.Nil
 	}
-	for i := start; i < start+pages; i++ {
-		l.free.Clear(i)
-	}
+	first := l.free.page(start)
+	l.free.clearPages(first, pages)
 	l.inUse += pages
-	o := l.base + mem.Addr(start)*mem.PageSize
+	o := mem.PageAddr(first)
 	l.objects[o] = pages
 	l.dirty = true
 	l.counters.Inc(trace.CLOSAllocs)
@@ -83,11 +82,12 @@ func (l *LOS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	return o
 }
 
-// findRun locates pages consecutive free pages, first-fit.
+// findRun locates pages consecutive free pages, first-fit, and returns
+// the free-bitmap index of the first (-1 if there is no such run).
 func (l *LOS) findRun(pages int) int {
 	for i := l.free.NextSet(0); i >= 0; i = l.free.NextSet(i + 1) {
 		run := 1
-		for run < pages && i+run < l.n && l.free.Test(i+run) {
+		for run < pages && i+run < l.free.Len() && l.free.Test(i+run) {
 			run++
 		}
 		if run == pages {
@@ -107,10 +107,7 @@ func (l *LOS) Free(o objmodel.Ref) (first, last mem.PageID) {
 	}
 	delete(l.objects, o)
 	l.dirty = true
-	start := int((o - l.base) / mem.PageSize)
-	for i := start; i < start+pages; i++ {
-		l.free.Set(i)
-	}
+	l.free.setPages(o.Page(), pages)
 	l.inUse -= pages
 	return o.Page(), o.Page() + mem.PageID(pages) - 1
 }
@@ -157,18 +154,19 @@ func (l *LOS) ObjectContaining(a mem.Addr) (objmodel.Ref, bool) {
 // page discovery).
 func (l *LOS) ForEachFreePage(fn func(p mem.PageID)) {
 	for i := l.free.NextSet(0); i >= 0; i = l.free.NextSet(i + 1) {
-		fn((l.base + mem.Addr(i)*mem.PageSize).Page())
+		fn(l.free.page(i))
 	}
 }
 
-// IsFreePage reports in O(1) whether the page holding p is free.
+// IsFreePage reports in O(1) whether page p is a free page of the region.
 func (l *LOS) IsFreePage(p mem.PageID) bool {
-	a := mem.PageAddr(p)
-	if !l.Contains(a) {
-		return false
-	}
-	return l.free.Test(int((a - l.base) / mem.PageSize))
+	return l.Contains(mem.PageAddr(p)) && l.free.Test(l.free.bit(p))
 }
+
+// EmptyWord returns word wi of the region's free pages as a bitmap
+// indexed by absolute page number (zero outside the region). The free
+// bitmap is stored in that alignment, so this is one load.
+func (l *LOS) EmptyWord(wi int) uint64 { return l.free.word(wi) }
 
 // Sweep frees every large object unmarked in epoch. Objects whose header
 // page fails the optional residency filter are skipped (BC never touches

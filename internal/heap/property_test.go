@@ -133,3 +133,90 @@ func TestSuperSpaceAllocFreeProperty(t *testing.T) {
 		t.Fatalf("allocated %d blocks, live %d", total, len(live))
 	}
 }
+
+// checkEmptyWord compares a space's EmptyWord against the space's own
+// per-page answer for every page of the address space: the bit must be
+// set exactly for the region's empty pages, and clear outside the region.
+func checkEmptyWord(t *testing.T, s *mem.Space, step int, emptyWord func(wi int) uint64, empty func(p mem.PageID) bool) {
+	t.Helper()
+	for wi := 0; wi <= s.Pages()>>6; wi++ {
+		w := emptyWord(wi)
+		for b := 0; b < 64; b++ {
+			p := mem.PageID(wi<<6 + b)
+			want := int(p) < s.Pages() && empty(p)
+			if got := w>>uint(b)&1 != 0; got != want {
+				t.Fatalf("step %d: page %d: EmptyWord says %v, per-page answer is %v", step, p, got, want)
+			}
+		}
+	}
+}
+
+// TestEmptyWordAgreesPerPage drives each space through random
+// allocation and release and checks the empty pages it publishes a word
+// at a time (what BC's eviction handler intersects, §3.4.3) against its
+// per-page accessors. The layout's regions start 4 pages into a bitmap
+// word, so every region boundary is mid-word.
+func TestEmptyWordAgreesPerPage(t *testing.T) {
+	_, node, _, arr := testTypes()
+	rng := rand.New(rand.NewSource(19))
+
+	t.Run("bump", func(t *testing.T) {
+		s, l := testSetup(1 << 20)
+		b := NewBumpSpace(s, l.Bump0Base, l.Bump0End)
+		b.SetBudget(200 * mem.PageSize) // the pages past the budget are empty too
+		for step := 0; step < 400; step++ {
+			if b.AllocRaw(rng.Intn(3*mem.PageSize)) == mem.Nil || rng.Intn(40) == 0 {
+				b.Reset()
+			}
+			checkEmptyWord(t, s, step, b.EmptyWord, func(p mem.PageID) bool {
+				return b.Contains(mem.PageAddr(p)) && mem.PageAddr(p) >= b.Frontier()
+			})
+		}
+	})
+
+	t.Run("super", func(t *testing.T) {
+		s, l := testSetup(1 << 20)
+		ss := NewSuperSpace(s, classes, l.MatureBase, l.MatureEnd)
+		var live []objmodel.Ref // one block per acquired superpage
+		for step := 0; step < 400; step++ {
+			if rng.Intn(3) > 0 || len(live) == 0 {
+				if idx := ss.AcquireSuper(classes.Class(rng.Intn(classes.Len())), node.Kind); idx >= 0 {
+					live = append(live, ss.AllocInSuper(idx, node, 0))
+				}
+			} else {
+				i := rng.Intn(len(live))
+				if !ss.FreeBlock(live[i]) {
+					t.Fatalf("step %d: freeing the only block did not release the superpage", step)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			checkEmptyWord(t, s, step, ss.EmptyWord, func(p mem.PageID) bool {
+				a := mem.PageAddr(p)
+				return ss.Contains(a) && !ss.Used(ss.SuperIndex(a))
+			})
+		}
+		if ss.InUseSupers() != len(live) {
+			t.Fatalf("%d superpages in use, %d live", ss.InUseSupers(), len(live))
+		}
+	})
+
+	t.Run("los", func(t *testing.T) {
+		s, l := testSetup(1 << 20)
+		los := NewLOS(s, l.LOSBase, l.LOSEnd)
+		var live []objmodel.Ref
+		for step := 0; step < 400; step++ {
+			if rng.Intn(3) > 0 || len(live) == 0 {
+				if o := los.Alloc(arr, (rng.Intn(5*mem.PageSize)+mem.PageSize)/mem.WordSize); o != mem.Nil {
+					live = append(live, o)
+				}
+			} else {
+				i := rng.Intn(len(live))
+				los.Free(live[i])
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			checkEmptyWord(t, s, step, los.EmptyWord, los.IsFreePage)
+		}
+	})
+}

@@ -41,10 +41,13 @@ type SuperSpace struct {
 	free    []int32 // recycled empty superpages
 	avail   [][]int32
 	inAvail []bool
-	// used mirrors the headers' in-use state so iteration can skip free
-	// superpages without touching their (possibly evicted) header pages —
-	// the moral equivalent of linking in-use superpages in a list.
-	used     []bool
+	// empty holds the pages of unassigned superpages. It mirrors the
+	// headers' in-use state so iteration can skip free superpages without
+	// touching their (possibly evicted) header pages — the moral
+	// equivalent of linking in-use superpages in a list — and it is what
+	// EmptyWord publishes. It changes only in AcquireSuper and
+	// releaseSuper.
+	empty    pageBits
 	inUse    int
 	resident func(mem.PageID) bool // optional residency filter for alloc/sweep
 	counters *trace.Counters       // optional registry (nil-safe)
@@ -57,15 +60,17 @@ func NewSuperSpace(s *mem.Space, classes *objmodel.Classes, base, end mem.Addr) 
 		panic("heap: unaligned superpage region")
 	}
 	n := int((end - base) / mem.SuperSize)
-	return &SuperSpace{
+	ss := &SuperSpace{
 		s:       s,
 		classes: classes,
 		base:    base,
 		n:       n,
 		avail:   make([][]int32, 2*classes.Len()),
 		inAvail: make([]bool, n),
-		used:    make([]bool, n),
+		empty:   newPageBits(base, end),
 	}
+	ss.empty.setPages(base.Page(), n*mem.SuperPages)
+	return ss
 }
 
 // SetResidencyFilter restricts allocation and sweeping to blocks whose
@@ -268,7 +273,7 @@ func (ss *SuperSpace) AcquireSuper(cl objmodel.SizeClass, kind objmodel.Kind) in
 	for w := 0; w < bitmapWords; w++ {
 		ss.setHdr(idx, hdrBitmap+w, 0)
 	}
-	ss.used[idx] = true
+	ss.empty.clearPages(ss.HeaderPage(idx), mem.SuperPages)
 	ss.inUse++
 	ss.counters.Inc(trace.CSuperpagesAcquired)
 	ss.counters.AddVec(trace.VSuperAllocsByClass, cl.Index, 1)
@@ -312,7 +317,7 @@ func (ss *SuperSpace) FreeBlock(o objmodel.Ref) bool {
 func (ss *SuperSpace) releaseSuper(idx int) {
 	ss.setHdr(idx, hdrKindClass, 0)
 	ss.setHdr(idx, hdrIncoming, 0)
-	ss.used[idx] = false
+	ss.empty.setPages(ss.HeaderPage(idx), mem.SuperPages)
 	ss.inUse--
 	ss.counters.Inc(trace.CSuperpagesReleased)
 	ss.free = append(ss.free, int32(idx))
@@ -323,7 +328,7 @@ func (ss *SuperSpace) releaseSuper(idx int) {
 // touches the header page, as a real header walk would.
 func (ss *SuperSpace) ForEachSuper(fn func(idx int, cl objmodel.SizeClass, kind objmodel.Kind)) {
 	for idx := 0; idx < ss.next; idx++ {
-		if !ss.used[idx] {
+		if !ss.Used(idx) {
 			continue
 		}
 		if cl, kind, ok := ss.ClassOf(idx); ok {
@@ -334,7 +339,12 @@ func (ss *SuperSpace) ForEachSuper(fn func(idx int, cl objmodel.SizeClass, kind 
 
 // Used reports whether superpage idx is assigned to a class, without
 // touching the header page.
-func (ss *SuperSpace) Used(idx int) bool { return ss.used[idx] }
+func (ss *SuperSpace) Used(idx int) bool { return !ss.empty.Test(ss.empty.bit(ss.HeaderPage(idx))) }
+
+// EmptyWord returns word wi of the region's empty pages — every page of
+// every unassigned superpage — as a bitmap indexed by absolute page
+// number (zero outside the region).
+func (ss *SuperSpace) EmptyWord(wi int) uint64 { return ss.empty.word(wi) }
 
 // ForEachObjectIn walks the allocated blocks of superpage idx using only
 // the header bitmap, so the walk itself does not touch data pages.
@@ -409,7 +419,7 @@ func (ss *SuperSpace) SweepSuper(idx int, epoch uint32) (freed int, empty bool) 
 // freed superpages.
 func (ss *SuperSpace) Sweep(epoch uint32) (blocks, supers int) {
 	for idx := 0; idx < ss.next; idx++ {
-		if !ss.used[idx] {
+		if !ss.Used(idx) {
 			continue
 		}
 		f, e := ss.SweepSuper(idx, epoch)

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/bits"
 	"testing"
 	"time"
 )
@@ -21,8 +22,9 @@ func BenchmarkArenaAllocFree(b *testing.B) {
 	}
 }
 
-// BenchmarkBitmapWordScan measures the word-at-a-time scan BC's
-// aggressive discard rides on (ForEachSetInWord).
+// BenchmarkBitmapWordScan measures the primitive BC's aggressive discard
+// rides on: take one word of the residency bitmap and visit its set bits
+// in ascending order (§3.4.3).
 func BenchmarkBitmapWordScan(b *testing.B) {
 	bm := NewBitmap(1 << 16)
 	for i := 0; i < bm.Len(); i += 3 {
@@ -32,9 +34,46 @@ func BenchmarkBitmapWordScan(b *testing.B) {
 	b.ResetTimer()
 	var sum int
 	for i := 0; i < b.N; i++ {
-		bm.ForEachSetInWord((i*64)%bm.Len(), func(idx int) { sum += idx })
+		wi := i % bm.Words()
+		for w := bm.Word(wi); w != 0; w &= w - 1 {
+			sum += wi<<6 + bits.TrailingZeros64(w)
+		}
 	}
 	_ = sum
+}
+
+// BenchmarkBitmapIntersectScan measures the eviction handler's miss
+// path: intersect three bitmaps over one index space a word at a time
+// (resident &^ evicted & empty, one empty set a bitmap and one a range)
+// across a 55-word address space — a bc-pressure heap — and find nothing.
+func BenchmarkBitmapIntersectScan(b *testing.B) {
+	const words, tail = 55, 50 * 64 // no page from tail on is resident
+	resident, evicted, empty := NewBitmap(words*64), NewBitmap(words*64), NewBitmap(words*64)
+	for i := 0; i < tail; i++ {
+		switch i % 6 {
+		case 0:
+			resident.Set(i)
+		case 1:
+			resident.Set(i)
+			evicted.Set(i)
+			empty.Set(i)
+		case 2:
+			empty.Set(i)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	found := 0
+	for i := 0; i < b.N; i++ {
+		for wi := 0; wi < words; wi++ {
+			if w := resident.Word(wi) &^ evicted.Word(wi); w != 0 && w&(empty.Word(wi)|RangeWord(wi, tail, words*64)) != 0 {
+				found++
+			}
+		}
+	}
+	if found != 0 {
+		b.Fatalf("intersection found %d non-empty words, want 0", found)
+	}
 }
 
 // benchFT is a no-op fault toucher; the fast path must never call it in

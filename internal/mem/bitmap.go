@@ -102,38 +102,29 @@ func (b *Bitmap) NextClear(i int) int {
 // WordIndex returns the index of the 64-bit word holding bit i.
 func (b *Bitmap) WordIndex(i int) int { return i >> 6 }
 
-// ForEachSetInWord calls fn with the index of every set bit sharing bit
-// i's 64-bit word, in ascending order — SetBitsInWord without the
-// returned slice, for hot paths that must not allocate.
-func (b *Bitmap) ForEachSetInWord(i int, fn func(idx int)) {
-	wi := i >> 6
-	w := b.w[wi]
-	base := wi << 6
-	for w != 0 {
-		t := bits.TrailingZeros64(w)
-		if idx := base + t; idx < b.n {
-			fn(idx)
-		}
-		w &^= 1 << uint(t)
-	}
-}
+// Words returns the number of 64-bit words backing the bitmap.
+func (b *Bitmap) Words() int { return len(b.w) }
 
-// SetBitsInWord returns the indices of all set bits that share bit i's
-// 64-bit word. This is the unit of BC's aggressive discard: when one
-// discardable page is found, every empty page recorded in the same word
-// of the residency bitmap is returned to the VM with it.
-func (b *Bitmap) SetBitsInWord(i int) []int {
-	wi := i >> 6
-	w := b.w[wi]
-	base := wi << 6
-	var out []int
-	for w != 0 {
-		t := bits.TrailingZeros64(w)
-		idx := base + t
-		if idx < b.n {
-			out = append(out, idx)
-		}
-		w &^= 1 << uint(t)
+// Word returns 64-bit word wi: bit k of the result is bit wi*64+k of the
+// bitmap. Set algebra over bitmaps that share an index space — BC's
+// "resident, not evicted, and empty" (§3.4.3) — is word algebra over
+// these.
+func (b *Bitmap) Word(wi int) uint64 { return b.w[wi] }
+
+// RangeWord returns word wi of the bit set {from, ..., to-1}: what
+// Bitmap.Word(wi) would return with exactly those bits set. It lets a
+// contiguous run of an index space be intersected with bitmaps over the
+// same space without materializing it.
+func RangeWord(wi, from, to int) uint64 {
+	lo := wi << 6
+	if from < lo {
+		from = lo
 	}
-	return out
+	if to > lo+64 {
+		to = lo + 64
+	}
+	if from >= to {
+		return 0
+	}
+	return ^uint64(0) >> uint(64-(to-from)) << uint(from-lo)
 }

@@ -194,21 +194,36 @@ func TestBitmapSetAllRespectsLen(t *testing.T) {
 	}
 }
 
-func TestBitmapSetBitsInWord(t *testing.T) {
-	b := NewBitmap(256)
-	b.Set(64)
-	b.Set(65)
-	b.Set(100)
-	b.Set(127)
-	b.Set(128) // different word
-	got := b.SetBitsInWord(70)
-	want := []int{64, 65, 100, 127}
-	if len(got) != len(want) {
-		t.Fatalf("SetBitsInWord = %v, want %v", got, want)
+func TestBitmapWords(t *testing.T) {
+	b := NewBitmap(200)
+	for _, i := range []int{64, 65, 100, 127, 128, 199} {
+		b.Set(i)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SetBitsInWord = %v, want %v", got, want)
+	if b.Words() != 4 {
+		t.Fatalf("Words = %d, want 4", b.Words())
+	}
+	want := []uint64{0, 1<<0 | 1<<1 | 1<<36 | 1<<63, 1 << 0, 1 << 7}
+	for wi, w := range want {
+		if got := b.Word(wi); got != w {
+			t.Errorf("Word(%d) = %#x, want %#x", wi, got, w)
+		}
+	}
+}
+
+func TestRangeWord(t *testing.T) {
+	// RangeWord(wi, from, to) must be Word(wi) of a bitmap holding
+	// exactly [from, to), for ranges that start and end mid-word, span
+	// whole words, are empty, or miss the word altogether.
+	const n = 4 * 64
+	for _, r := range [][2]int{{0, 0}, {0, 1}, {0, 64}, {0, n}, {5, 5}, {7, 3}, {63, 65}, {64, 128}, {70, 250}, {191, 192}, {n - 1, n}} {
+		b := NewBitmap(n)
+		for i := r[0]; i < r[1]; i++ {
+			b.Set(i)
+		}
+		for wi := 0; wi < b.Words(); wi++ {
+			if got, want := RangeWord(wi, r[0], r[1]), b.Word(wi); got != want {
+				t.Errorf("RangeWord(%d, %d, %d) = %#x, want %#x", wi, r[0], r[1], got, want)
+			}
 		}
 	}
 }

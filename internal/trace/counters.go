@@ -181,6 +181,34 @@ const (
 	// policy's own target during a balancer round.
 	CPolicyClamps
 
+	// Eviction-notice outcome counters (internal/core): every notice BC's
+	// handler fields ends in exactly one of CStaleNotices,
+	// CDuplicateNotices or the seven below, so their sum is the number
+	// of notices delivered and their ratio to CNoticesBookmarked is the
+	// veto churn one eviction costs.
+
+	// CNoticesSilentRepair counts notices that named a page already
+	// evicted without BC's knowledge (repaired as a silent eviction).
+	CNoticesSilentRepair
+	// CNoticesMustKeepVeto counts notices vetoed because the page must
+	// stay: a nursery page, a superpage header, a nursery-pointer holder.
+	CNoticesMustKeepVeto
+	// CNoticesVictimDiscarded counts notices whose page was itself empty
+	// and was discarded.
+	CNoticesVictimDiscarded
+	// CNoticesPaidInEmpties counts notices vetoed after other empty pages
+	// were discarded in the victim's place (§3.4.3).
+	CNoticesPaidInEmpties
+	// CNoticesNotedOnly counts notices where the page was let go
+	// unprocessed (resize-only variant, or bookmark state invalid).
+	CNoticesNotedOnly
+	// CNoticesBookmarked counts notices whose page was scanned,
+	// bookmarked and relinquished (§3.4).
+	CNoticesBookmarked
+	// CNoticesRedirected counts notices vetoed in favour of another
+	// victim, which was processed instead (§7 victim policy).
+	CNoticesRedirected
+
 	numCounters
 )
 
@@ -244,6 +272,13 @@ var counterNames = [numCounters]string{
 	CPolicyObservations:     "heap_policy_observations",
 	CBalancerRounds:         "balancer_rounds",
 	CPolicyClamps:           "balancer_policy_clamps",
+	CNoticesSilentRepair:    "notices_silent_repair",
+	CNoticesMustKeepVeto:    "notices_mustkeep_veto",
+	CNoticesVictimDiscarded: "notices_victim_discarded",
+	CNoticesPaidInEmpties:   "notices_paid_in_empties",
+	CNoticesNotedOnly:       "notices_noted_only",
+	CNoticesBookmarked:      "notices_bookmarked",
+	CNoticesRedirected:      "notices_redirected",
 }
 
 // MarkCounters lists the mark counter group in declaration order —
@@ -265,6 +300,17 @@ func TelemetryCounters() []Counter {
 // declaration order — the inventory gcsim -list prints.
 func HeapPolicyCounters() []Counter {
 	return []Counter{CPolicyObservations, CBalancerRounds, CPolicyClamps}
+}
+
+// NoticeCounters lists the eviction-notice outcome group — the inventory
+// gcsim -list prints. The outcomes are disjoint and exhaustive: they sum
+// to the eviction notices BC's handler received.
+func NoticeCounters() []Counter {
+	return []Counter{
+		CStaleNotices, CDuplicateNotices, CNoticesSilentRepair,
+		CNoticesMustKeepVeto, CNoticesVictimDiscarded, CNoticesPaidInEmpties,
+		CNoticesNotedOnly, CNoticesBookmarked, CNoticesRedirected,
+	}
 }
 
 func (c Counter) String() string {
