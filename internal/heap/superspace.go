@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
@@ -115,15 +116,16 @@ func (ss *SuperSpace) HeaderPage(idx int) mem.PageID {
 	return ss.SuperBase(idx).Page()
 }
 
-// hdr reads header word w of superpage idx.
-func (ss *SuperSpace) hdr(idx, w int) uint64 {
-	return ss.s.ReadWord(ss.SuperBase(idx) + mem.Addr(w)*mem.WordSize)
+// hdrAddr returns the address of header word w of superpage idx.
+func (ss *SuperSpace) hdrAddr(idx, w int) mem.Addr {
+	return ss.SuperBase(idx) + mem.Addr(w)*mem.WordSize
 }
 
+// hdr reads header word w of superpage idx.
+func (ss *SuperSpace) hdr(idx, w int) uint64 { return ss.s.ReadWord(ss.hdrAddr(idx, w)) }
+
 // setHdr writes header word w of superpage idx.
-func (ss *SuperSpace) setHdr(idx, w int, v uint64) {
-	ss.s.WriteWord(ss.SuperBase(idx)+mem.Addr(w)*mem.WordSize, v)
-}
+func (ss *SuperSpace) setHdr(idx, w int, v uint64) { ss.s.WriteWord(ss.hdrAddr(idx, w), v) }
 
 // ClassOf returns the size class of superpage idx; ok is false for free
 // superpages.
@@ -220,25 +222,55 @@ func (ss *SuperSpace) Alloc(t *objmodel.Type, arrayLen int, cl objmodel.SizeClas
 	return mem.Nil
 }
 
-// allocIn carves one block out of superpage idx, honoring the residency
-// filter, and initializes the object header.
+// allocIn carves the first usable block out of superpage idx and
+// initializes the object header.
 func (ss *SuperSpace) allocIn(idx int, cl objmodel.SizeClass, t *objmodel.Type, arrayLen int) objmodel.Ref {
-	for b := 0; b < cl.Blocks; b++ {
-		if ss.testBit(idx, b) {
-			continue
-		}
-		o := ss.BlockAddr(idx, b, cl)
-		if ss.resident != nil && !ss.blockResident(o, cl.BlockSize) {
-			continue
-		}
-		ss.setBit(idx, b)
-		ss.setHdr(idx, hdrAllocated, ss.hdr(idx, hdrAllocated)+1)
-		objmodel.ClearStatus(ss.s, o)
-		objmodel.SetTypeWord(ss.s, o, t.ID, arrayLen)
-		ss.s.ZeroRange(objmodel.Payload(o), uint64(t.PayloadWords(arrayLen))*mem.WordSize)
-		return o
+	b := ss.nextUsableBlock(idx, cl, 0)
+	if b == cl.Blocks {
+		return mem.Nil
 	}
-	return mem.Nil
+	o := ss.BlockAddr(idx, b, cl)
+	ss.setBit(idx, b)
+	ss.setHdr(idx, hdrAllocated, ss.hdr(idx, hdrAllocated)+1)
+	objmodel.ClearStatus(ss.s, o)
+	objmodel.SetTypeWord(ss.s, o, t.ID, arrayLen)
+	ss.s.ZeroRange(objmodel.Payload(o), uint64(t.PayloadWords(arrayLen))*mem.WordSize)
+	return o
+}
+
+// nextUsableBlock returns the first block at or after from in superpage
+// idx that is unallocated and whose pages pass the residency filter, or
+// cl.Blocks when there is none. It is the charged bitmap cursor: the scan
+// costs one read of the header bitmap word per bit examined, exactly as
+// testing the bits one by one would, but pays for a word's worth in one
+// step. Per bitmap word it opens a read window sized to the bits left in
+// the word, finds the next clear bit with TrailingZeros64, and charges the
+// allocated bits passed over plus the clear bit found; a refused window
+// (no clock wired, an event due inside it, header page not resident)
+// tests that one bit the per-access way. A free block on a filtered-out
+// page ends the window, as it ends the run of set bits, and the scan
+// reopens at the next bit.
+func (ss *SuperSpace) nextUsableBlock(idx int, cl objmodel.SizeClass, from int) int {
+	for b := from; b < cl.Blocks; b++ {
+		off := b & 63
+		window := min(64-off, cl.Blocks-b)
+		if v, ok := ss.s.TryReadWindow(ss.hdrAddr(idx, hdrBitmap+b/64), window); ok {
+			run := bits.TrailingZeros64(^(v >> off)) // allocated bits from b on
+			if run >= window {
+				ss.s.ChargeReads(window - 1)
+				b += window - 1
+				continue
+			}
+			ss.s.ChargeReads(run)
+			b += run
+		} else if ss.testBit(idx, b) {
+			continue
+		}
+		if ss.resident == nil || ss.blockResident(ss.BlockAddr(idx, b, cl), cl.BlockSize) {
+			return b
+		}
+	}
+	return cl.Blocks
 }
 
 // blockResident reports whether every page the block spans passes the
@@ -455,14 +487,7 @@ func (ss *SuperSpace) FreeResidentBlocks(idx int) int {
 		return 0
 	}
 	n := 0
-	for b := 0; b < cl.Blocks; b++ {
-		if ss.testBit(idx, b) {
-			continue
-		}
-		o := ss.BlockAddr(idx, b, cl)
-		if ss.resident != nil && !ss.blockResident(o, cl.BlockSize) {
-			continue
-		}
+	for b := ss.nextUsableBlock(idx, cl, 0); b < cl.Blocks; b = ss.nextUsableBlock(idx, cl, b+1) {
 		n++
 	}
 	return n

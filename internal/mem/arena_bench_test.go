@@ -133,3 +133,31 @@ func BenchmarkReadWordPairFast(b *testing.B) {
 		b.Fatalf("fast-path benchmark took %d faults", ft.faults)
 	}
 }
+
+// BenchmarkReadWindow measures a full bitmap-word scan through the window
+// primitive: open a 64-read window and charge all of it — what 64 calls
+// of BenchmarkReadWordFast's body cost one at a time.
+func BenchmarkReadWindow(b *testing.B) {
+	const npages = 64
+	s, ft := benchSpace(npages)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		p := Addr(1 + uint64(i)%(npages-1))
+		v, ok := s.TryReadWindow(p*PageSize+Addr(uint64(i)%WordsPage)*WordSize, 64)
+		if !ok {
+			b.Fatal("window refused on a resident page with no event scheduled")
+		}
+		s.ChargeReads(63)
+		sum += v
+	}
+	b.StopTimer()
+	_ = sum
+	if ft.faults != 0 {
+		b.Fatalf("fast-path benchmark took %d faults", ft.faults)
+	}
+	if want := time.Duration(b.N) * 64 * s.wordCost; s.clock.Now() != want {
+		b.Fatalf("clock at %v after %d windows of 64 reads, want %v", s.clock.Now(), b.N, want)
+	}
+}

@@ -328,11 +328,13 @@ func (s *Space) touch(p PageID, write bool) {
 	}
 }
 
-// ReadWord reads the word at a, touching its page. The body is written
-// for the inliner: one cold call covers every non-trivial case (no clock
-// wired, an event due within this access, page not resident-unprotected,
-// bad address), so the resident-page common case runs entirely inline in
-// the caller — a clock add, a flag update, and the word load.
+// ReadWord reads the word at a, touching its page. Every non-trivial case
+// (no clock wired, an event due within this access, page not
+// resident-unprotected, bad address) sits behind one cold noinline call,
+// so the resident-page common case is a short straight line — a clock
+// add, a flag update, and the word load. It is still one direct call per
+// access: at inline cost 143 against a budget of 80 the compiler inlines
+// it nowhere (nor WriteWord, ReadWordPair or TryReadWindow).
 func (s *Space) ReadWord(a Addr) uint64 {
 	c := s.clock
 	p := uint64(a) >> PageShift
@@ -413,21 +415,26 @@ func (s *Space) writeSlow(a Addr, v uint64) {
 	arr[(uint64(a)>>3)&(WordsPage-1)] = v
 }
 
-// TryBeginRMW starts a batched read-check-write sequence on the word at
-// a — the mark-bit pattern (read status, maybe read+write it back). When
-// ok, one read has been charged and v holds the word; the caller may
-// finish with CommitRMW (charging the second read and the write) or stop
-// after the read. ok is false when the full three-access window is not
-// guaranteed event-free on the fast path; nothing is charged then and the
-// caller must issue the exact per-access ReadWord/WriteWord sequence,
-// which preserves any state change an event could cause mid-sequence.
-func (s *Space) TryBeginRMW(a Addr) (v uint64, ok bool) {
-	c := s.clock
-	p := uint64(a) >> PageShift
-	if c == nil || uint64(a)&(WordSize-1) != 0 || c.now+3*s.wordCost >= c.nextDue || s.flags[p]&pfFastMask != PFResident {
+// TryReadWindow opens a window of n consecutive accesses to the word at
+// a — the shape of the mark-bit pattern (read status; maybe read it again
+// and write it back) and of a bitmap scan (one read per bit of a header
+// word). When ok, the first read has been charged and v holds the word;
+// the caller may charge up to n-1 further accesses with ChargeReads and
+// CommitRMW, or stop early. Inside the window no clock event can fire, so
+// no handler runs and the page cannot change state: each further read
+// would return v and repeat the same flag update, which is why it needs
+// no more than its clock charge. ok is false when the n-access window is
+// not guaranteed event-free on the fast path; nothing is charged then and
+// the caller must issue the exact per-access ReadWord/WriteWord sequence,
+// which preserves any state change an event could cause mid-sequence. n
+// may overestimate the accesses the caller ends up making: that only
+// refuses some windows that could have been batched.
+func (s *Space) TryReadWindow(a Addr, n int) (v uint64, ok bool) {
+	p := a.Page()
+	if uint64(a)&(WordSize-1) != 0 || !s.rangeFast(p, uint64(n)) {
 		return 0, false
 	}
-	c.now += s.wordCost
+	s.clock.now += s.wordCost
 	s.flags[p] = (s.flags[p] | PFReferenced) &^ PFSurrendered
 	if arr := s.bodies[p]; arr != nil {
 		return arr[(uint64(a)>>3)&(WordsPage-1)], true
@@ -435,9 +442,16 @@ func (s *Space) TryBeginRMW(a Addr) (v uint64, ok bool) {
 	return 0, true
 }
 
-// CommitRMW completes an RMW begun with TryBeginRMW: it charges one more
-// read and one write of a and stores v. Call at most once, only after
-// TryBeginRMW returned ok, with the same a.
+// ChargeReads charges k further reads of the word a window was opened on.
+// Call only after TryReadWindow returned ok, for at most n-1 accesses in
+// all (CommitRMW's two included).
+func (s *Space) ChargeReads(k int) {
+	s.clock.now += time.Duration(k) * s.wordCost
+}
+
+// CommitRMW completes a read-modify-write inside a window opened on a
+// with TryReadWindow: it charges one more read and one write of a and
+// stores v.
 func (s *Space) CommitRMW(a Addr, v uint64) {
 	p := uint64(a) >> PageShift
 	s.clock.now += 2 * s.wordCost
@@ -458,10 +472,11 @@ func (s *Space) ReadAddr(a Addr) Addr { return Addr(s.ReadWord(a)) }
 func (s *Space) WriteAddr(a Addr, v Addr) { s.WriteWord(a, uint64(v)) }
 
 // rangeFast reports whether n consecutive word accesses to page p can be
-// batched: the fast-touch path is wired, the page is resident and
-// unprotected, and no clock event can fire anywhere in the window — so
-// the per-word loop could not have observed (or caused) any state change
-// the batch would miss.
+// batched — the one guard behind TryReadWindow, ZeroRange and CopyWords:
+// the fast-touch path is wired, the page is resident and unprotected, and
+// no clock event can fire anywhere in the window — so the per-word loop
+// could not have observed (or caused) any state change the batch would
+// miss.
 func (s *Space) rangeFast(p PageID, n uint64) bool {
 	c := s.clock
 	return c != nil && c.eventFreeUntil(time.Duration(n)*s.wordCost) &&

@@ -82,7 +82,7 @@ func SetMark(s *mem.Space, o Ref, epoch uint32) {
 // when no clock event can fall inside that window; otherwise the exact
 // per-access sequence runs.
 func MarkIfUnmarked(s *mem.Space, o Ref, epoch uint32) bool {
-	if w, ok := s.TryBeginRMW(o); ok {
+	if w, ok := s.TryReadWindow(o, 3); ok {
 		if uint32(w>>epochShift)&uint32(epochMask) == epoch {
 			return false
 		}

@@ -1,8 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +15,8 @@ import (
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/vmm"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files from current output")
 
 // runDigest flattens every simulated observable Run and RunFleet both
 // report for one process into a string.
@@ -47,32 +54,28 @@ func oneTenantFleet(cfg RunConfig, regime string, chaosSeed int64) FleetConfig {
 	}}
 }
 
-// TestRunEqualsOneTenantFleet pins the engine's central claim: a
-// single-JVM run IS a one-tenant fleet. Every collector kind without and
-// with paging, and every chaos regime on a paging BC, must measure
-// bit-identically through Run and through RunFleet.
-func TestRunEqualsOneTenantFleet(t *testing.T) {
+// engineCase is one row of the engine's run table: a Run configuration
+// and, for the chaos rows, the regime and fleet chaos seed that make the
+// same run as a one-tenant fleet.
+type engineCase struct {
+	name       string
+	cfg        RunConfig
+	regime     string
+	chaosSeed  int64
+	wantPaging bool
+}
+
+// engineCases is every collector kind without and with paging, then
+// every chaos regime on a paging BC.
+func engineCases() []engineCase {
 	prog := tinyJBB()
 	heap := mem.RoundUpPage(2 * prog.MinHeap)
-	check := func(name string, cfg RunConfig, regime string, chaosSeed int64, wantPaging bool) {
-		t.Helper()
-		solo := Run(cfg)
-		fr := RunFleet(oneTenantFleet(cfg, regime, chaosSeed))
-		if fr.Err != nil {
-			t.Fatalf("%s: fleet: %v", name, fr.Err)
-		}
-		if a, b := runDigest(solo), runDigest(fr.Tenants[0]); a != b {
-			t.Errorf("%s: Run and one-tenant RunFleet differ\n run:   %s\n fleet: %s", name, a, b)
-		}
-		if wantPaging && solo.ProcStats.Evictions == 0 {
-			t.Errorf("%s: memory level did not page", name)
-		}
-	}
+	var cases []engineCase
 	for _, kind := range KnownKinds {
 		for _, frac := range []float64{2, 0.6} {
 			cfg := RunConfig{Collector: kind, Program: prog, HeapBytes: heap,
 				PhysBytes: mem.RoundUpPage(uint64(frac * float64(heap))), Seed: 3}
-			check(fmt.Sprintf("%s@%.1f", kind, frac), cfg, "", 0, frac < 1)
+			cases = append(cases, engineCase{fmt.Sprintf("%s@%.1f", kind, frac), cfg, "", 0, frac < 1})
 		}
 	}
 	for _, regime := range fault.Regimes() {
@@ -80,7 +83,80 @@ func TestRunEqualsOneTenantFleet(t *testing.T) {
 		fc, _ := fault.ByName(regime, fault.TenantSeed(chaosSeed, 0))
 		cfg := RunConfig{Collector: BC, Program: prog, HeapBytes: heap,
 			PhysBytes: mem.RoundUpPage(heap * 6 / 10), Seed: 3, Chaos: &fc, HeapPolicy: "bc-shrink"}
-		check("chaos/"+regime, cfg, regime, chaosSeed, true)
+		cases = append(cases, engineCase{"chaos/" + regime, cfg, regime, chaosSeed, true})
+	}
+	return cases
+}
+
+// soloRuns memoizes Run over the engine table, which two tests read.
+var soloRuns = map[string]Result{}
+
+func soloRun(c engineCase) Result {
+	r, ok := soloRuns[c.name]
+	if !ok {
+		r = Run(c.cfg)
+		soloRuns[c.name] = r
+	}
+	return r
+}
+
+// TestRunEqualsOneTenantFleet pins the engine's central claim: a
+// single-JVM run IS a one-tenant fleet. Every row of the engine table
+// must measure bit-identically through Run and through RunFleet.
+func TestRunEqualsOneTenantFleet(t *testing.T) {
+	for _, c := range engineCases() {
+		solo := soloRun(c)
+		fr := RunFleet(oneTenantFleet(c.cfg, c.regime, c.chaosSeed))
+		if fr.Err != nil {
+			t.Fatalf("%s: fleet: %v", c.name, fr.Err)
+		}
+		if a, b := runDigest(solo), runDigest(fr.Tenants[0]); a != b {
+			t.Errorf("%s: Run and one-tenant RunFleet differ\n run:   %s\n fleet: %s", c.name, a, b)
+		}
+		if c.wantPaging && solo.ProcStats.Evictions == 0 {
+			t.Errorf("%s: memory level did not page", c.name)
+		}
+	}
+}
+
+// TestRunDigestsGolden is the in-tree gate for host-only changes: the
+// ns-exact digest of every row of the engine table is pinned, so a change
+// that claims to leave the simulation alone (a faster access path, a
+// refactor of collector glue) is checked against the commit that last
+// meant to move it, with no parent checkout. Regenerate after an
+// intentional change to simulated behaviour with:
+//
+//	go test ./internal/sim -run TestRunDigestsGolden -update
+func TestRunDigestsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, c := range engineCases() {
+		fmt.Fprintf(&buf, "%s\t%s\n", c.name, runDigest(soloRun(c)))
+	}
+	got := buf.Bytes()
+
+	path := filepath.Join("testdata", "run_digests.golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d digest rows, golden file %s has %d", len(gotLines), path, len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("simulated behaviour drifted from %s\n got:  %s\n want: %s", path, gotLines[i], wantLines[i])
+		}
 	}
 }
 
