@@ -108,7 +108,7 @@ func RunMulti(cfg MultiConfig) []Result { return sim.RunMulti(cfg) }
 
 // SetDefaultMarkWorkers sets the process-wide worker count for the
 // parallel mark engine (DESIGN.md §11); values below 1 restore the
-// GOMAXPROCS default. Worker count changes only host-side parallelism —
+// default of one worker. Worker count changes only host-side parallelism —
 // simulation results are bit-identical for any value. Per-run overrides
 // go through RunConfig.MarkWorkers / MultiConfig.MarkWorkers.
 func SetDefaultMarkWorkers(n int) { gc.SetDefaultMarkWorkers(n) }

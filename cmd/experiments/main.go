@@ -17,7 +17,11 @@
 // -jobs n       run up to n simulations concurrently (default GOMAXPROCS)
 // -mark-workers n  host threads for each simulation's parallel mark engine
 //
-//	(default GOMAXPROCS); report bytes are bit-identical for any value
+//	(default 1); report bytes are bit-identical for any value
+//
+// -cpuprofile f, -memprofile f  write host pprof profiles of the whole
+//
+//	command (written on every exit, failures included)
 //
 // -cache-dir d  persist per-job results as JSONL under d (” disables)
 // -resume       serve results cached by a previous (or interrupted) run
@@ -44,9 +48,13 @@ import (
 
 	"bookmarkgc/internal/bench"
 	"bookmarkgc/internal/gc"
+	"bookmarkgc/internal/hostprof"
 	"bookmarkgc/internal/runner"
 	"bookmarkgc/internal/telemetry"
 )
+
+// prof holds -cpuprofile and -memprofile; every exit goes through it.
+var prof = hostprof.Register()
 
 func main() {
 	var (
@@ -56,7 +64,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiments and exit")
 		counters = flag.Bool("counters", false, "collect event counters and add them to report notes")
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "maximum concurrent simulation jobs")
-		markWkrs = flag.Int("mark-workers", runtime.GOMAXPROCS(0), "host threads per simulation for the parallel mark engine (reports are bit-identical for any value)")
+		markWkrs = flag.Int("mark-workers", 1, "host threads per simulation for the parallel mark engine (reports are bit-identical for any value)")
 		cacheDir = flag.String("cache-dir", ".expcache", "directory for the persistent result store ('' disables)")
 		resume   = flag.Bool("resume", false, "reuse results persisted by a previous run in -cache-dir")
 		timeout  = flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
@@ -65,10 +73,15 @@ func main() {
 		httpAddr = flag.String("http", "", "serve live sweep progress (/api/progress) and /debug/pprof on this address")
 	)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		prof.Exit(1)
+	}
+	defer prof.Stop()
 
 	fail := func(fmtStr string, args ...any) {
 		fmt.Fprintf(os.Stderr, "experiments: "+fmtStr+"\n", args...)
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	if *format != "text" && *format != "json" {
 		fail("-format %q must be text or json", *format)
@@ -181,7 +194,7 @@ func main() {
 
 	if *expect && st.Executed > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: -expect-cached: %d jobs were executed rather than served from cache\n", st.Executed)
-		os.Exit(3)
+		prof.Exit(3)
 	}
 }
 

@@ -78,7 +78,7 @@ func runFleetCLI(arg string, o fleetOpts) {
 	spec, err := loadFleet(arg, o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gcsim: -fleet: %v\n", err)
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	if o.policy != "" {
 		spec.Policy = sim.ArbitrationPolicy(o.policy)
@@ -88,7 +88,7 @@ func runFleetCLI(arg string, o fleetOpts) {
 	}
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "gcsim: -fleet: %v\n", err)
-		os.Exit(2)
+		prof.Exit(2)
 	}
 
 	fr := sim.RunFleet(sim.FleetConfig{
@@ -134,6 +134,6 @@ func runFleetCLI(arg string, o fleetOpts) {
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "gcsim: %d of %d tenants failed\n", failed, len(fr.Tenants))
-		os.Exit(1)
+		prof.Exit(1)
 	}
 }

@@ -19,9 +19,15 @@
 //	parallel runner and prints per-seed summaries + aggregates
 //
 // -jobs n    concurrent simulations for -runs (default GOMAXPROCS)
-// -mark-workers n  host threads for the parallel mark engine (default
+// -mark-workers n  host threads for the parallel mark engine (default 1:
 //
-//	GOMAXPROCS); results are bit-identical for any value
+//	marking is a few percent of host time and two workers have
+//	not been faster than one); results are bit-identical for
+//	any value
+//
+// -cpuprofile f, -memprofile f  write host pprof profiles of the whole
+//
+//	command (written on every exit, failures included)
 //
 // -chaos r   injects kernel faults into the cooperation protocol
 //
@@ -83,6 +89,7 @@ import (
 	"bookmarkgc/internal/fault"
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/heappolicy"
+	"bookmarkgc/internal/hostprof"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/mutator"
@@ -93,6 +100,9 @@ import (
 	"bookmarkgc/internal/vmm"
 	"bookmarkgc/internal/workload"
 )
+
+// prof holds -cpuprofile and -memprofile; every exit goes through it.
+var prof = hostprof.Register()
 
 func main() {
 	var (
@@ -107,7 +117,7 @@ func main() {
 		jvms      = flag.Int("jvms", 1, "number of simultaneous JVM instances")
 		runs      = flag.Int("runs", 1, "sweep this many consecutive seeds and print aggregates")
 		jobs      = flag.Int("jobs", runtime.GOMAXPROCS(0), "maximum concurrent simulations for -runs")
-		markWkrs  = flag.Int("mark-workers", runtime.GOMAXPROCS(0), "host threads for the parallel mark engine (results are bit-identical for any value)")
+		markWkrs  = flag.Int("mark-workers", 1, "host threads for the parallel mark engine (results are bit-identical for any value)")
 		bmu       = flag.Bool("bmu", false, "print the BMU curve")
 		chaos     = flag.String("chaos", "", "inject kernel faults: drop, delay, duplicate, reorder, no-notify, reload-storm, thrash")
 		chaosSeed = flag.Int64("chaos-seed", 1, "seed for the fault injector's PRNG")
@@ -125,6 +135,11 @@ func main() {
 		flightDir   = flag.String("flight-dump-dir", "", "write flight-recorder bundles (anomaly dumps) to this directory")
 	)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "gcsim: %v\n", err)
+		prof.Exit(1)
+	}
+	defer prof.Stop()
 
 	// -sample-every alone also arms telemetry, but only when explicitly
 	// given: the default value must not silently turn the sampler on.
@@ -146,7 +161,7 @@ func main() {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "gcsim: "+format+"\n", args...)
 		flag.Usage()
-		os.Exit(2)
+		prof.Exit(2)
 	}
 	if *stealFrac > 0 && *availMB > 0 {
 		fail("-steal and -avail are mutually exclusive pressure schedules; pick one")
@@ -313,7 +328,7 @@ func main() {
 			ln, err := net.Listen("tcp", *httpAddr)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "gcsim: -http: %v\n", err)
-				os.Exit(1)
+				prof.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "gcsim: serving telemetry on http://%s/\n", ln.Addr())
 			go func() {
@@ -323,7 +338,7 @@ func main() {
 				})}
 				if err := srv.Serve(ln); err != nil {
 					fmt.Fprintf(os.Stderr, "gcsim: http server: %v\n", err)
-					os.Exit(1)
+					prof.Exit(1)
 				}
 			}()
 		}
@@ -456,7 +471,7 @@ func writeTelemetry(tel *telemetry.Collector, path string) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gcsim: %v\n", err)
-		os.Exit(1)
+		prof.Exit(1)
 	}
 	w := bufio.NewWriter(f)
 	if strings.HasSuffix(path, ".jsonl") {
@@ -472,7 +487,7 @@ func writeTelemetry(tel *telemetry.Collector, path string) {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gcsim: writing telemetry: %v\n", err)
-		os.Exit(1)
+		prof.Exit(1)
 	}
 	fmt.Printf("telemetry: %d samples -> %s\n", tel.SampleCount(), path)
 }
@@ -539,10 +554,10 @@ func checkErr(err error) {
 	var oom gc.ErrOutOfMemory
 	if errors.As(err, &oom) {
 		fmt.Fprintf(os.Stderr, "gcsim: %v\ngcsim: the workload's live data does not fit this heap — raise -heap or -scale\n", oom)
-		os.Exit(1)
+		prof.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "gcsim: %v\n", err)
-	os.Exit(2)
+	prof.Exit(2)
 }
 
 // finish exports the trace file and prints the counter registry.
@@ -551,7 +566,7 @@ func finish(rec *trace.Recorder, reg *trace.Counters, path, format string, show 
 		f, err := os.Create(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gcsim: %v\n", err)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		w := bufio.NewWriter(f)
 		var werr error
@@ -572,7 +587,7 @@ func finish(rec *trace.Recorder, reg *trace.Counters, path, format string, show 
 		}
 		if werr != nil {
 			fmt.Fprintf(os.Stderr, "gcsim: writing trace: %v\n", werr)
-			os.Exit(1)
+			prof.Exit(1)
 		}
 		fmt.Printf("trace: %d events -> %s (%s)\n", rec.Len(), path, format)
 	}
@@ -713,7 +728,7 @@ func seedSweep(c sweepConfig) {
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "gcsim: %d of %d seeds failed\n", failed, len(seeds))
-		os.Exit(1)
+		prof.Exit(1)
 	}
 }
 

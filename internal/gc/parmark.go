@@ -32,12 +32,16 @@ import (
 // looked empty" observation can never end a round early.
 
 // defaultMarkWorkers holds the process-wide worker count applied to new
-// environments; zero means runtime.GOMAXPROCS(0).
+// environments; zero means unset, which is one worker. Marking is a few
+// percent of host time at every scale this repository runs and two
+// workers have never been faster than one on it (the repository
+// benchmark's gc.mark_speedup_2w is 0.48–0.94 on every workload), so
+// parallel marking is something a caller asks for, not the default.
 var defaultMarkWorkers atomic.Int64
 
 // SetDefaultMarkWorkers sets the mark worker count new environments
 // start with (the CLIs call this once from their -mark-workers flag).
-// Values below 1 reset to the GOMAXPROCS default.
+// Values below 1 reset to the default of one worker.
 func SetDefaultMarkWorkers(n int) {
 	if n < 1 {
 		n = 0
@@ -50,7 +54,7 @@ func DefaultMarkWorkers() int {
 	if n := defaultMarkWorkers.Load(); n > 0 {
 		return int(n)
 	}
-	return runtime.GOMAXPROCS(0)
+	return 1
 }
 
 // EdgeAction is a collector's verdict on one scanned edge.

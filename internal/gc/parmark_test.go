@@ -364,7 +364,6 @@ func TestParMarkStress(t *testing.T) {
 }
 
 func TestSetDefaultMarkWorkers(t *testing.T) {
-	old := DefaultMarkWorkers()
 	defer SetDefaultMarkWorkers(0)
 	SetDefaultMarkWorkers(3)
 	if DefaultMarkWorkers() != 3 {
@@ -380,8 +379,7 @@ func TestSetDefaultMarkWorkers(t *testing.T) {
 		t.Fatalf("Marker().Workers() = %d", env.Marker().Workers())
 	}
 	SetDefaultMarkWorkers(0)
-	if DefaultMarkWorkers() < 1 {
-		t.Fatal("default below 1")
+	if DefaultMarkWorkers() != 1 {
+		t.Fatalf("unset default = %d workers, want 1", DefaultMarkWorkers())
 	}
-	_ = old
 }

@@ -1,0 +1,82 @@
+// Package hostprof gives the CLIs their -cpuprofile and -memprofile
+// flags: host-side pprof profiles of a whole command, so that asking
+// where a run's host time or memory went needs no throwaway test file.
+// Profiling observes the host only; simulated results do not move.
+package hostprof
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"sync"
+)
+
+// Flags holds the two profile paths; an empty path leaves that profile off.
+type Flags struct {
+	cpu, mem string
+	cpuFile  *os.File
+	stop     sync.Once
+}
+
+// Register declares -cpuprofile and -memprofile on the command line.
+func Register() *Flags {
+	f := &Flags{}
+	flag.StringVar(&f.cpu, "cpuprofile", "", "write a host CPU profile of the whole command to this file")
+	flag.StringVar(&f.mem, "memprofile", "", "write a host heap profile, taken at exit, to this file")
+	return f
+}
+
+// Start begins the CPU profile, if one was asked for. Call it once, right
+// after flag.Parse.
+func (f *Flags) Start() error {
+	if f.cpu == "" {
+		return nil
+	}
+	file, err := os.Create(f.cpu)
+	if err != nil {
+		return fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(file); err != nil {
+		file.Close()
+		return fmt.Errorf("-cpuprofile: %w", err)
+	}
+	f.cpuFile = file
+	return nil
+}
+
+// Exit is os.Exit after Stop: os.Exit runs no deferred calls, so a
+// command that profiles leaves through here.
+func (f *Flags) Exit(code int) {
+	f.Stop()
+	os.Exit(code)
+}
+
+// Stop finishes the CPU profile and writes the heap profile. Only the
+// first call does anything, whichever goroutine makes it.
+func (f *Flags) Stop() {
+	f.stop.Do(func() {
+		if f.cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := f.cpuFile.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+			}
+		}
+		if f.mem == "" {
+			return
+		}
+		file, err := os.Create(f.mem)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
+			return
+		}
+		runtime.GC() // up-to-date allocation statistics
+		if err := pprof.WriteHeapProfile(file); err != nil {
+			fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
+		}
+		if err := file.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
+		}
+	})
+}

@@ -415,19 +415,24 @@ func (s *Space) writeSlow(a Addr, v uint64) {
 	arr[(uint64(a)>>3)&(WordsPage-1)] = v
 }
 
-// TryReadWindow opens a window of n consecutive accesses to the word at
+// TryReadWindow opens a window of n consecutive accesses to the page of
 // a — the shape of the mark-bit pattern (read status; maybe read it again
-// and write it back) and of a bitmap scan (one read per bit of a header
-// word). When ok, the first read has been charged and v holds the word;
-// the caller may charge up to n-1 further accesses with ChargeReads and
-// CommitRMW, or stop early. Inside the window no clock event can fire, so
-// no handler runs and the page cannot change state: each further read
-// would return v and repeat the same flag update, which is why it needs
-// no more than its clock charge. ok is false when the n-access window is
-// not guaranteed event-free on the fast path; nothing is charged then and
-// the caller must issue the exact per-access ReadWord/WriteWord sequence,
-// which preserves any state change an event could cause mid-sequence. n
-// may overestimate the accesses the caller ends up making: that only
+// and write it back), of a bitmap scan (one read per bit of a header
+// word) and of a mutator work step (header, header, datum, and perhaps
+// the same again ending in a write). When ok, the first read — of the
+// word at a — has been charged and v holds it; the caller may make up to
+// n-1 further accesses to the same page with ChargeReads, WindowRead,
+// WindowWrite and CommitRMW, or stop early. Inside the window no clock
+// event can fire, so no handler runs and the page cannot change state:
+// each further access would pass the same checks and repeat the same flag
+// update, which is why it needs no more than its clock charge and its
+// load or store. ok is false when the n-access window is not guaranteed
+// event-free on the fast path; nothing is charged then and the caller
+// must issue the exact per-access ReadWord/WriteWord sequence, which
+// preserves any state change an event could cause mid-sequence. n may
+// overestimate the accesses the caller ends up making in the window —
+// because it stops early, or because it finds the rest of its sequence
+// lies on another page and finishes with ordinary accesses: that only
 // refuses some windows that could have been batched.
 func (s *Space) TryReadWindow(a Addr, n int) (v uint64, ok bool) {
 	p := a.Page()
@@ -442,19 +447,31 @@ func (s *Space) TryReadWindow(a Addr, n int) (v uint64, ok bool) {
 	return 0, true
 }
 
-// ChargeReads charges k further reads of the word a window was opened on.
-// Call only after TryReadWindow returned ok, for at most n-1 accesses in
-// all (CommitRMW's two included).
+// ChargeReads charges k further reads of a word already read inside the
+// open window — one whose value the caller holds, since nothing on the
+// page of the window can have changed but by the caller's own
+// WindowWrite. Call only after TryReadWindow returned ok, for at most n-1
+// accesses in all.
 func (s *Space) ChargeReads(k int) {
 	s.clock.now += time.Duration(k) * s.wordCost
 }
 
-// CommitRMW completes a read-modify-write inside a window opened on a
-// with TryReadWindow: it charges one more read and one write of a and
-// stores v.
-func (s *Space) CommitRMW(a Addr, v uint64) {
-	p := uint64(a) >> PageShift
-	s.clock.now += 2 * s.wordCost
+// WindowRead reads the word at a, which must be word-aligned and lie on
+// the page of the open window, as one of its n-1 further accesses.
+func (s *Space) WindowRead(a Addr) uint64 {
+	s.clock.now += s.wordCost
+	if arr := s.bodies[a>>PageShift]; arr != nil {
+		return arr[(uint64(a)>>3)&(WordsPage-1)]
+	}
+	return 0
+}
+
+// WindowWrite writes the word at a, which must be word-aligned and lie
+// on the page of the open window, as one of its n-1 further accesses. Like
+// WriteWord it leaves a never-written page unmaterialized when v is zero.
+func (s *Space) WindowWrite(a Addr, v uint64) {
+	s.clock.now += s.wordCost
+	p := a >> PageShift
 	arr := s.bodies[p]
 	if arr == nil {
 		if v == 0 {
@@ -463,6 +480,14 @@ func (s *Space) CommitRMW(a Addr, v uint64) {
 		arr = s.materialize(PageID(p))
 	}
 	arr[(uint64(a)>>3)&(WordsPage-1)] = v
+}
+
+// CommitRMW completes a read-modify-write inside a window opened on a
+// with TryReadWindow: it charges one more read and one write of a and
+// stores v.
+func (s *Space) CommitRMW(a Addr, v uint64) {
+	s.ChargeReads(1)
+	s.WindowWrite(a, v)
 }
 
 // ReadAddr reads the word at a as an address.

@@ -11,7 +11,8 @@
 package mutator
 
 import (
-	"math/rand"
+	"fmt"
+	"slices"
 
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
@@ -75,6 +76,48 @@ func (s Spec) Scale(f float64) Spec {
 	return out
 }
 
+// Validate reports the first reason the generator could not run s: a
+// malformed Spec is an error a run returns, not a panic out of its first
+// draw.
+func (s Spec) Validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("mutator: spec %q: %s", s.Name, fmt.Sprintf(format, args...))
+	}
+	if len(s.Sizes) == 0 {
+		return bad("no size bands")
+	}
+	total := 0
+	for i, b := range s.Sizes {
+		if b.Weight < 0 || b.MinWords < 0 || b.MaxWords < b.MinWords {
+			return bad("size band %d is %+v: want Weight >= 0 and 0 <= MinWords <= MaxWords", i, b)
+		}
+		total += b.Weight
+	}
+	if total <= 0 {
+		return bad("size bands have total weight %d", total)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"LiveFrac", s.LiveFrac}, {"ImmortalFrac", s.ImmortalFrac}, {"TempFrac", s.TempFrac}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return bad("%s = %v is outside [0, 1]", f.name, f.v)
+		}
+	}
+	for _, n := range []struct {
+		name string
+		v    int
+	}{{"WorkPerAlloc", s.WorkPerAlloc}, {"LinkEvery", s.LinkEvery}, {"LargeEvery", s.LargeEvery}, {"LargeLive", s.LargeLive}} {
+		if n.v < 0 {
+			return bad("%s = %d is negative", n.name, n.v)
+		}
+	}
+	if s.LargeEvery > 0 && s.LargeWords <= 0 {
+		return bad("LargeEvery = %d with LargeWords = %d", s.LargeEvery, s.LargeWords)
+	}
+	return nil
+}
+
 // Types registers the standard object types a run uses.
 type Types struct {
 	Node    *objmodel.Type // 2 ref slots + 2 data words
@@ -110,7 +153,7 @@ type Run struct {
 	spec  Spec
 	c     gc.Collector
 	types Types
-	rng   *rand.Rand
+	rng   rng
 	sink  Sink // nil = unobserved
 
 	// Hot-path caches resolved once in NewRun: the root registry, type
@@ -122,9 +165,13 @@ type Run struct {
 	tt    *objmodel.Table
 	space *mem.Space
 
-	bandTW    int   // cached total of Spec.Sizes weights
-	immortal  []int // root slots
-	pool      []int // root slots, randomly replaced
+	bandTW int // total of Spec.Sizes weights
+	// live holds the root slots of the objects the work loop draws from:
+	// the immortal ones, then the pool (its tail, randomly replaced). The
+	// slots need not be contiguous — a run may start on a registry with
+	// freed slots — so they go through this table, sized once in start.
+	live      []int32
+	pool      []int32
 	largeRing []int // root slots rotating large survivors (Spec.LargeLive)
 	largeIdx  int
 	allocd    uint64
@@ -137,7 +184,11 @@ type Run struct {
 // NewRun prepares a run of spec on collector c. Types must have been
 // declared on c's environment.
 func NewRun(spec Spec, c gc.Collector, types Types, seed int64) *Run {
-	r := &Run{spec: spec, c: c, types: types, rng: rand.New(rand.NewSource(seed))}
+	r := &Run{spec: spec, c: c, types: types}
+	r.rng.seed(seed)
+	for _, b := range spec.Sizes {
+		r.bandTW += b.Weight
+	}
 	if d, ok := c.(interface{ Direct() *gc.Base }); ok {
 		r.base = d.Direct()
 	}
@@ -170,15 +221,11 @@ func (r *Run) SetSink(s Sink) { r.sink = s }
 
 // avgObjBytes estimates the size mix's mean object size.
 func (r *Run) avgObjBytes() int {
-	tw, ts := 0, 0
+	ts := 0
 	for _, b := range r.spec.Sizes {
-		tw += b.Weight
 		ts += b.Weight * (objmodel.HeaderBytes + (b.MinWords+b.MaxWords)/2*mem.WordSize)
 	}
-	if tw == 0 {
-		return 48
-	}
-	return ts / tw
+	return ts / r.bandTW
 }
 
 // start allocates the immortal data and sizes the pool.
@@ -187,22 +234,23 @@ func (r *Run) start() {
 	live := uint64(float64(r.spec.MinHeap) * r.spec.LiveFrac)
 	immortalBytes := uint64(float64(live) * r.spec.ImmortalFrac)
 	poolBytes := live - immortalBytes
-	avg := uint64(r.avgObjBytes())
-
-	for b := uint64(0); b < immortalBytes; {
-		slot, sz := r.allocOne()
-		r.immortal = append(r.immortal, slot)
-		b += uint64(sz)
-	}
-	n := int(poolBytes / avg)
+	n := int(poolBytes / uint64(r.avgObjBytes()))
 	if n < 8 {
 		n = 8
 	}
-	r.pool = make([]int, n)
-	for i := range r.pool {
-		slot, _ := r.allocOne()
-		r.pool[i] = slot
+
+	for b := uint64(0); b < immortalBytes; {
+		slot, sz := r.allocOne()
+		r.live = append(r.live, slot)
+		b += uint64(sz)
 	}
+	immortal := len(r.live)
+	r.live = slices.Grow(r.live, n)
+	for i := 0; i < n; i++ {
+		slot, _ := r.allocOne()
+		r.live = append(r.live, slot)
+	}
+	r.pool = r.live[immortal:]
 	if k := r.spec.LargeLive; k > 0 {
 		r.largeRing = make([]int, k)
 		for i := range r.largeRing {
@@ -216,24 +264,17 @@ func (r *Run) start() {
 
 // allocOne allocates one object from the size mix, fills its data words,
 // and returns its new root slot and size.
-func (r *Run) allocOne() (slot int, size int) {
+func (r *Run) allocOne() (slot int32, size int) {
 	o, sz := r.allocRaw()
-	slot = r.roots.Add(o)
+	s := r.roots.Add(o)
 	if r.sink != nil {
-		r.sink.RootAdd(slot)
+		r.sink.RootAdd(s)
 	}
-	return slot, sz
+	return int32(s), sz
 }
 
 func (r *Run) pickBand() SizeBand {
-	tw := r.bandTW
-	if tw == 0 {
-		for _, b := range r.spec.Sizes {
-			tw += b.Weight
-		}
-		r.bandTW = tw
-	}
-	x := r.rng.Intn(tw)
+	x := r.rng.Intn(r.bandTW)
 	for _, b := range r.spec.Sizes {
 		if x < b.Weight {
 			return b
@@ -282,12 +323,16 @@ func dataIndexFor(b SizeBand, i int) int {
 
 // randomLive returns a random live root slot (immortal or pool).
 func (r *Run) randomLive() int {
-	n := len(r.immortal) + len(r.pool)
-	i := r.rng.Intn(n)
-	if i < len(r.immortal) {
-		return r.immortal[i]
+	return int(r.live[r.rng.below(uint32(len(r.live)))])
+}
+
+// replacePool stores o over a random pool entry.
+func (r *Run) replacePool(o objmodel.Ref) {
+	slot := int(r.pool[r.rng.Intn(len(r.pool))])
+	r.roots.Set(slot, o)
+	if r.sink != nil {
+		r.sink.RootSet(slot)
 	}
-	return r.pool[i-len(r.immortal)]
 }
 
 // Step performs up to quantum allocations (plus their mutator work) and
@@ -304,78 +349,12 @@ func (r *Run) Step(quantum int) bool {
 			r.done = true
 			return false
 		}
-		if r.spec.LargeEvery > 0 && r.nAllocs%uint64(r.spec.LargeEvery) == uint64(r.spec.LargeEvery)-1 {
-			o := r.c.Alloc(r.types.DataArr, r.spec.LargeWords)
-			v := r.rng.Uint64()
-			r.c.WriteData(o, 0, v)
-			if r.sink != nil {
-				r.sink.Alloc(AllocDataArr, r.spec.LargeWords, true, 0, v)
-			}
-			r.allocd += uint64(objmodel.HeaderBytes + r.spec.LargeWords*mem.WordSize)
-			r.nAllocs++
-			if r.rng.Float64() >= r.spec.TempFrac {
-				if len(r.largeRing) > 0 {
-					// Long-lived large object: rotate it through the
-					// ring, retiring the oldest surviving buffer.
-					slot := r.largeRing[r.largeIdx%len(r.largeRing)]
-					r.largeIdx++
-					r.roots.Set(slot, o)
-					if r.sink != nil {
-						r.sink.RootSet(slot)
-					}
-				} else {
-					// Long-lived large object: replace a pool entry.
-					i := r.rng.Intn(len(r.pool))
-					r.roots.Set(r.pool[i], o)
-					if r.sink != nil {
-						r.sink.RootSet(r.pool[i])
-					}
-				}
-			}
-		}
-		o, _ := r.allocRaw()
-		if r.rng.Float64() >= r.spec.TempFrac {
-			// Survives: enters the pool, displacing a random entry.
-			i := r.rng.Intn(len(r.pool))
-			r.roots.Set(r.pool[i], o)
-			if r.sink != nil {
-				r.sink.RootSet(r.pool[i])
-			}
-		}
+		r.allocate()
 		// Application work: touch random live objects.
 		for w := 0; w < r.spec.WorkPerAlloc; w++ {
-			s := r.randomLive()
-			obj := r.roots.Get(s)
-			ri := r.dataIndexOf(obj)
-			v := r.readData(obj, ri)
-			r.checksum = r.checksum*31 + v
-			if w&3 == 0 {
-				wi := r.dataIndexOf(obj)
-				r.writeData(obj, wi, v+1)
-				if r.sink != nil {
-					r.sink.Work(s, ri, true, wi)
-				}
-			} else if r.sink != nil {
-				r.sink.Work(s, ri, false, 0)
-			}
+			r.work(w)
 		}
-		// Pointer stores between live objects.
-		if r.spec.LinkEvery > 0 && r.nAllocs%uint64(r.spec.LinkEvery) == 0 {
-			ss, ds := r.randomLive(), r.randomLive()
-			src := r.roots.Get(ss)
-			dst := r.roots.Get(ds)
-			if n := r.refSlots(src); n > 0 {
-				i := r.rng.Intn(n)
-				r.c.WriteRef(src, i, dst)
-				if r.sink != nil {
-					r.sink.Link(ss, ds, true, i)
-				}
-			} else if r.sink != nil {
-				// Still an event: refSlots read the source's header,
-				// which touched its page on the simulated machine.
-				r.sink.Link(ss, ds, false, 0)
-			}
-		}
+		r.link()
 		if r.sink != nil {
 			r.sink.StepEnd()
 		}
@@ -383,16 +362,150 @@ func (r *Run) Step(quantum int) bool {
 	return true
 }
 
-// dataIndexOf picks a safe data word index for obj.
-func (r *Run) dataIndexOf(obj objmodel.Ref) int {
-	t, n := r.tt.TypeOf(r.space, obj)
-	if t.Kind == objmodel.KindArray {
-		if t.ElemPtr || n == 0 {
-			return 0
+// allocate performs one iteration's allocations: the periodic large
+// buffer when one is due, then one object from the size mix, each
+// entering a root slot unless it is a temporary.
+func (r *Run) allocate() {
+	if r.spec.LargeEvery > 0 && r.nAllocs%uint64(r.spec.LargeEvery) == uint64(r.spec.LargeEvery)-1 {
+		o := r.c.Alloc(r.types.DataArr, r.spec.LargeWords)
+		v := r.rng.Uint64()
+		r.c.WriteData(o, 0, v)
+		if r.sink != nil {
+			r.sink.Alloc(AllocDataArr, r.spec.LargeWords, true, 0, v)
 		}
+		r.allocd += uint64(objmodel.HeaderBytes + r.spec.LargeWords*mem.WordSize)
+		r.nAllocs++
+		if r.rng.Float64() >= r.spec.TempFrac {
+			if len(r.largeRing) > 0 {
+				// Long-lived large object: rotate it through the
+				// ring, retiring the oldest surviving buffer.
+				slot := r.largeRing[r.largeIdx%len(r.largeRing)]
+				r.largeIdx++
+				r.roots.Set(slot, o)
+				if r.sink != nil {
+					r.sink.RootSet(slot)
+				}
+			} else {
+				// Long-lived large object: replace a pool entry.
+				r.replacePool(o)
+			}
+		}
+	}
+	o, _ := r.allocRaw()
+	if r.rng.Float64() >= r.spec.TempFrac {
+		// Survives: enters the pool, displacing a random entry.
+		r.replacePool(o)
+	}
+}
+
+// work performs the w-th work item of an iteration on a random live
+// object: decode its header (two charged reads) to pick a data word, read
+// it, and on every fourth item decode the header again and write the
+// value back incremented. That is three or six charged accesses, and
+// every one is charged on every path (DESIGN.md §17). When the collector
+// exposes its Base the step first tries to open one mem window over all
+// of them on the header's page; it leaves the window for the ordinary
+// per-access calls at the first datum that lies on another page (an
+// array straddling a page boundary, a large object), and never enters it
+// when an event is due or the page is not simply resident.
+func (r *Run) work(w int) {
+	s := r.randomLive()
+	obj := r.roots.Get(s)
+	sp, hdr := r.space, obj+mem.WordSize
+	write := w&3 == 0
+
+	var h1, h2 uint64
+	win := false
+	if r.base != nil {
+		n := 3
+		if write {
+			n = 6
+		}
+		h1, win = sp.TryReadWindow(hdr, n)
+	}
+	if win {
+		sp.ChargeReads(1)
+		h2 = h1
+	} else {
+		h1, h2 = sp.ReadWordPair(hdr)
+	}
+	ri := r.dataIndex(h1, h2)
+	var v uint64
+	if ra := gc.DataAddr(obj, ri); win && ra.Page() == hdr.Page() {
+		v = sp.WindowRead(ra)
+	} else {
+		win = false
+		v = r.readData(obj, ri)
+	}
+	r.checksum = r.checksum*31 + v
+
+	wi := 0
+	if write {
+		if win {
+			sp.ChargeReads(2)
+		} else {
+			h1, h2 = sp.ReadWordPair(hdr)
+		}
+		wi = r.dataIndex(h1, h2)
+		if wa := gc.DataAddr(obj, wi); win && wa.Page() == hdr.Page() {
+			sp.WindowWrite(wa, v+1)
+		} else {
+			r.writeData(obj, wi, v+1)
+		}
+	}
+	if r.sink != nil {
+		r.sink.Work(s, ri, write, wi)
+	}
+}
+
+// dataIndex picks a safe data word index for the object whose header
+// word 1 was read as h1 (for the type ID) and h2 (for the array length).
+// The generator allocates two shapes, so two compares against their type
+// IDs decode it; anything else goes through the type table.
+func (r *Run) dataIndex(h1, h2 uint64) int {
+	id := int32(uint32(h1))
+	if id == r.types.DataArr.ID {
+		return r.arrayIndex(h2)
+	}
+	if id != r.types.Node.ID {
+		if t := r.tt.Get(id); t.Kind == objmodel.KindArray {
+			if t.ElemPtr {
+				return 0
+			}
+			return r.arrayIndex(h2)
+		}
+	}
+	return 2 + int(r.rng.int31()&1) // Intn(2): a scalar's words 2,3
+}
+
+// arrayIndex draws an element of the data array whose length is in h2.
+func (r *Run) arrayIndex(h2 uint64) int {
+	if n := int(uint32(h2 >> 32)); n > 0 {
 		return r.rng.Intn(n)
 	}
-	return 2 + r.rng.Intn(2)
+	return 0
+}
+
+// link stores a reference between two random live objects when one is
+// due this iteration.
+func (r *Run) link() {
+	if r.spec.LinkEvery <= 0 || r.nAllocs%uint64(r.spec.LinkEvery) != 0 {
+		return
+	}
+	ss, ds := r.randomLive(), r.randomLive()
+	src := r.roots.Get(ss)
+	dst := r.roots.Get(ds)
+	if n := r.refSlots(src); n > 0 {
+		i := r.rng.Intn(n)
+		r.c.WriteRef(src, i, dst)
+		if r.sink != nil {
+			r.sink.Link(ss, ds, true, i)
+		}
+	} else if r.sink != nil {
+		// Still an event: refSlots read the source's header,
+		// which touched its page on the simulated machine.
+		r.sink.Link(ss, ds, false, 0)
+	}
 }
 
 // refSlots returns the number of reference slots obj has.

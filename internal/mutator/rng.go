@@ -1,0 +1,106 @@
+package mutator
+
+import "math/rand"
+
+// rng is the generator's random source: draw-for-draw identical to
+// rand.New(rand.NewSource(seed)), but concrete, so the work loop's draws
+// inline instead of going through rand.Rand's Source interface.
+//
+// The Go 1 source is an additive lagged Fibonacci generator whose outputs
+// are its state: x[n] = x[n-607] + x[n-273] (mod 2^64). Any 607
+// consecutive outputs therefore determine the whole sequence in both
+// directions, so seed takes the first 607 outputs of rand.NewSource(seed),
+// runs the recurrence backwards over them to the 607 words that precede
+// the first, and from there continues forwards itself — the seeding
+// procedure and its table stay in math/rand. math/rand keeps the last 607
+// outputs in a ring of exactly that length and wraps two indices by
+// compare and reset; here the ring is the next power of two, so one
+// counter and three masks do, with no branch and no bounds check.
+//
+// Intn, Float64 and Uint64 reproduce rand.Rand's derivations bit for bit
+// (DESIGN.md §17); TestRNGMatchesMathRand holds them to it.
+type rng struct {
+	vec [rngRing]uint64 // x[i] is at i mod rngRing, for the last rngRing values of i
+	n   uint            // index of the next output
+}
+
+const (
+	rngLen  = 607
+	rngTap  = 273
+	rngRing = 1024
+)
+
+// seed makes r's next output the first output of rand.NewSource(seed).
+func (r *rng) seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := 0; i < rngLen; i++ {
+		r.vec[i] = src.Uint64() // x[i]
+	}
+	// x[n-607] = x[n] - x[n-273], newest first: x[n-273] is either one of
+	// the outputs above or a word an earlier turn has just recovered.
+	for n := uint(rngLen - 1); n < rngLen; n-- {
+		r.vec[(n-rngLen)%rngRing] = r.vec[n] - r.vec[(n-rngTap)%rngRing]
+	}
+	r.n = 0
+}
+
+// Uint64 returns the next 64-bit output.
+func (r *rng) Uint64() uint64 {
+	n := r.n
+	x := r.vec[(n-rngLen)%rngRing] + r.vec[(n-rngTap)%rngRing]
+	r.vec[n%rngRing] = x
+	r.n = n + 1
+	return x
+}
+
+func (r *rng) int63() int64 { return int64(r.Uint64() &^ (1 << 63)) }
+func (r *rng) int31() int32 { return int32(r.Uint64() << 1 >> 33) }
+
+// below is rand.Rand.Int31n for 0 < n < 2^31, small enough to inline.
+// Int31n makes v % n uniform by resampling every draw v above
+// max = 2^31-1 - 2^31%n, that is, every v in the last, partial block of n
+// values below 2^31. A block [v-v%n, v-v%n+n) is whole exactly when its
+// base is at most 2^31-n, and that test needs only the remainder the
+// caller wants anyway, not a second division for max: the loop accepts
+// and rejects the same draws with one.
+func (r *rng) below(n uint32) uint32 {
+	for {
+		v := uint32(r.int31())
+		if rem := v % n; v-rem <= 1<<31-n {
+			return rem
+		}
+	}
+}
+
+// Intn is rand.Rand.Intn: a mask for a power of two, else Int31n, or
+// Int63n (below, on 63 bits) for an n Int31n cannot take.
+func (r *rng) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n&(n-1) == 0 {
+		if n <= 1<<31-1 {
+			return int(r.int31()) & (n - 1)
+		}
+		return int(r.int63()) & (n - 1)
+	}
+	if n <= 1<<31-1 {
+		return int(r.below(uint32(n)))
+	}
+	for n := uint64(n); ; {
+		v := uint64(r.int63())
+		if rem := v % n; v-rem <= 1<<63-n {
+			return int(rem)
+		}
+	}
+}
+
+// Float64 is rand.Rand.Float64: Int63/2^63, resampled in the one case in
+// 2^53 where the division rounds up to 1.
+func (r *rng) Float64() float64 {
+	for {
+		if f := float64(r.int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}

@@ -76,5 +76,8 @@ func (s Spec) WorkloadName() string { return s.Name }
 
 // NewWorkload implements Source for the spec-driven generator.
 func (s Spec) NewWorkload(c gc.Collector, types Types, seed int64) (Workload, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	return NewRun(s, c, types, seed), nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -216,6 +217,61 @@ func TestAllCollectorsComputeIdenticalChecksum(t *testing.T) {
 		if res.Mutator.Checksum != want {
 			t.Fatalf("%s checksum %#x differs from %#x: heap corruption",
 				kind, res.Mutator.Checksum, want)
+		}
+	}
+}
+
+// TestMalformedSpecFails: a program the generator cannot run is a
+// configuration error the run returns — from Run and from a one-tenant
+// fleet alike — not a panic out of the generator's first draw, which the
+// engine's out-of-memory recover would let through.
+func TestMalformedSpecFails(t *testing.T) {
+	valid := tinyJBB()
+	for name, breakIt := range map[string]func(p *mutator.Spec){
+		"no sizes":        func(p *mutator.Spec) { p.Sizes = nil },
+		"zero weight":     func(p *mutator.Spec) { p.Sizes = []mutator.SizeBand{{Array: true, MaxWords: 4}} },
+		"negative weight": func(p *mutator.Spec) { p.Sizes = []mutator.SizeBand{{Weight: 3}, {Weight: -1}} },
+		"max below min": func(p *mutator.Spec) {
+			p.Sizes = []mutator.SizeBand{{Weight: 1, Array: true, MinWords: 8, MaxWords: 4}}
+		},
+		"negative min": func(p *mutator.Spec) {
+			p.Sizes = []mutator.SizeBand{{Weight: 1, Array: true, MinWords: -2, MaxWords: 4}}
+		},
+		"negative work":  func(p *mutator.Spec) { p.WorkPerAlloc = -1 },
+		"negative link":  func(p *mutator.Spec) { p.LinkEvery = -1 },
+		"negative large": func(p *mutator.Spec) { p.LargeEvery = -1 },
+		"negative ring":  func(p *mutator.Spec) { p.LargeLive = -1 },
+		"empty large":    func(p *mutator.Spec) { p.LargeEvery, p.LargeWords = 10, 0 },
+		"live frac":      func(p *mutator.Spec) { p.LiveFrac = 1.5 },
+		"immortal frac":  func(p *mutator.Spec) { p.ImmortalFrac = -0.1 },
+		"temp frac":      func(p *mutator.Spec) { p.TempFrac = math.NaN() },
+	} {
+		prog := valid
+		breakIt(&prog)
+		if prog.Validate() == nil {
+			t.Errorf("%s: Validate accepted %+v", name, prog)
+		}
+		cfg := RunConfig{Collector: GenMS, Program: prog, HeapBytes: 8 << 20, PhysBytes: 64 << 20, Seed: 1}
+		if r := Run(cfg); r.Err == nil || !strings.Contains(r.Err.Error(), prog.Name) {
+			t.Errorf("%s: Run returned Err = %v, want one naming the program", name, r.Err)
+		}
+		fr := RunFleet(oneTenantFleet(cfg, "", 0))
+		if fr.Err == nil && (len(fr.Tenants) != 1 || fr.Tenants[0].Err == nil) {
+			t.Errorf("%s: one-tenant fleet reported no error: %+v", name, fr)
+		}
+	}
+	// The reproducer this test was written for: a Spec literal with no
+	// Sizes at all died with "invalid argument to Intn".
+	r := Run(RunConfig{
+		Collector: GenMS, HeapBytes: 8 << 20, PhysBytes: 64 << 20,
+		Program: mutator.Spec{Name: "x", TotalAlloc: 1 << 20, MinHeap: 1 << 20, LiveFrac: 0.5},
+	})
+	if r.Err == nil {
+		t.Fatal("a Spec with no size bands ran")
+	}
+	for _, p := range mutator.Programs {
+		if err := p.Validate(); err != nil {
+			t.Errorf("stock program rejected: %v", err)
 		}
 	}
 }

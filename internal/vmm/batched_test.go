@@ -12,7 +12,8 @@ import (
 )
 
 // The batched primitives of mem.Space (ReadWordPair, TryReadWindow with
-// ChargeReads and CommitRMW, ZeroRange, CopyWords) promise to charge
+// ChargeReads, WindowRead, WindowWrite and CommitRMW, ZeroRange,
+// CopyWords) promise to charge
 // exactly what the per-access ReadWord/WriteWord sequence they replace
 // would. Their batched paths only run on a clock-wired space, so the
 // tests here drive two identical machines — real VMM, real clock, memory
@@ -115,6 +116,7 @@ const (
 	opPair   diffKind = iota // ReadWordPair
 	opWindow                 // TryReadWindow(n), k reads made
 	opRMW                    // TryReadWindow(3) + CommitRMW
+	opWork                   // TryReadWindow(3 or 6) + WindowRead [+ WindowWrite]: a mutator work step
 	opZero                   // ZeroRange
 	opCopy                   // CopyWords
 	opWrite                  // WriteWord on both sides (seeds data)
@@ -124,14 +126,15 @@ const (
 // diffOp is one step, generated once and applied to both machines.
 type diffOp struct {
 	kind diffKind
-	a    mem.Addr // target (destination of a copy)
-	src  mem.Addr // source of a copy
+	a    mem.Addr // target (destination of a copy; header word of a work step)
+	src  mem.Addr // source of a copy; datum a work step reads, on a's page
+	dst  mem.Addr // datum a work step writes, on a's page
 	n, k int      // window length and reads made; bytes for zero and copy
 	v    uint64
 }
 
 func (op diffOp) String() string {
-	return fmt.Sprintf("{kind %d a %#x src %#x n %d k %d}", op.kind, op.a, op.src, op.n, op.k)
+	return fmt.Sprintf("{kind %d a %#x src %#x dst %#x n %d k %d}", op.kind, op.a, op.src, op.dst, op.n, op.k)
 }
 
 // batched runs op through the primitive under test and returns every
@@ -160,6 +163,19 @@ func (m *diffMachine) batched(op diffOp) []uint64 {
 			s.CommitRMW(op.a, v+op.v)
 			return []uint64{v, v}
 		}
+	case opWork:
+		m.windows++
+		if h, ok := s.TryReadWindow(op.a, op.n); ok {
+			m.granted++
+			s.ChargeReads(1)
+			seen := []uint64{h, h, s.WindowRead(op.src)}
+			if op.n == 6 {
+				s.ChargeReads(2)
+				s.WindowWrite(op.dst, seen[2]+op.v)
+				seen = append(seen, h, h)
+			}
+			return seen
+		}
 	case opZero:
 		s.ZeroRange(op.a, uint64(op.n))
 		return nil
@@ -186,6 +202,12 @@ func (m *diffMachine) literal(op diffOp) []uint64 {
 		w := s.ReadWord(op.a)
 		seen = append(seen, w)
 		s.WriteWord(op.a, w+op.v)
+	case opWork:
+		seen = append(seen, s.ReadWord(op.a), s.ReadWord(op.a), s.ReadWord(op.src))
+		if op.n == 6 {
+			seen = append(seen, s.ReadWord(op.a), s.ReadWord(op.a))
+			s.WriteWord(op.dst, seen[2]+op.v)
+		}
 	case opZero:
 		for a := op.a; a < op.a+mem.Addr(op.n); a += mem.WordSize {
 			s.WriteWord(a, 0)
@@ -266,14 +288,19 @@ func (d *diffPair) compare(ctx string) {
 	}
 }
 
-// pageStates are the states a window can find its page in.
-var pageStates = []string{"fresh", "resident", "evicted", "protected", "surrendered"}
+// pageStates are the states a window can find its page in. A zero page
+// is resident but was only ever read, so it has no backing body yet.
+var pageStates = []string{"fresh", "zero", "resident", "evicted", "protected", "surrendered"}
 
 // prepare brings page pg of both machines into state.
 func (d *diffPair) prepare(pg mem.PageID, state string) {
 	d.t.Helper()
 	d.both(func(m *diffMachine) {
 		if state == "fresh" {
+			return
+		}
+		if state == "zero" {
+			m.s.ReadWord(mem.PageAddr(pg))
 			return
 		}
 		m.s.WriteWord(mem.PageAddr(pg), 0x5eed)
@@ -318,7 +345,7 @@ func TestReadWindowChargesLikePerAccessReads(t *testing.T) {
 					}
 					ctx := fmt.Sprintf("n=%d %s due=%d+%v", n, state, due, half)
 					d.step(ctx, diffOp{kind: opWindow, a: a, n: n, k: n})
-					usable := state == "resident" || state == "surrendered"
+					usable := state == "zero" || state == "resident" || state == "surrendered"
 					clear := due < 0 || time.Duration(due)*word+half > time.Duration(n)*word
 					if want := usable && clear; (d.fast.granted == 1) != want {
 						t.Fatalf("%s: window granted = %v, want %v", ctx, !want, want)
@@ -328,6 +355,48 @@ func TestReadWindowChargesLikePerAccessReads(t *testing.T) {
 					d.both(func(m *diffMachine) { m.s.ReadWord(a) })
 					d.step(ctx+" again", diffOp{kind: opWindow, a: a, n: n, k: 1 + n/2})
 					d.step(ctx+" rmw", diffOp{kind: opRMW, a: a, v: 3})
+				}
+			}
+		}
+	}
+}
+
+// TestWorkWindowChargesLikePerAccessStep is the table for the in-window
+// read and write: the three- and six-access work step (header, header,
+// datum; then header, header, write the datum back changed) with an
+// event due at every access of the window, between two, just after it and
+// not at all, aimed at the header, at the datum read and at the datum
+// written, on a page in every state.
+func TestWorkWindowChargesLikePerAccessStep(t *testing.T) {
+	const pg = mem.PageID(40)
+	hdr := mem.PageAddr(pg) + 5*mem.WordSize
+	op := diffOp{kind: opWork, a: hdr, src: hdr + 4*mem.WordSize, dst: hdr + 300*mem.WordSize}
+	word := DefaultCosts().WordAccess
+	for _, n := range []int{3, 6} {
+		for _, state := range pageStates {
+			for due := -1; due <= n+1; due++ {
+				for _, half := range []time.Duration{0, word / 2} {
+					for _, aim := range []mem.Addr{op.a, op.src, op.dst} {
+						d := newDiffPair(t, 1)
+						d.prepare(pg, state)
+						if due >= 0 {
+							d.both(func(m *diffMachine) {
+								m.armOneShot(m.clock.Now()+time.Duration(due)*word+half, aim)
+							})
+						}
+						ctx := fmt.Sprintf("n=%d %s due=%d+%v aim=%#x", n, state, due, half, aim)
+						// Writing zero keeps a bodiless page bodiless.
+						op.n, op.v = n, -d.by.s.PeekWord(op.src)
+						d.step(ctx, op)
+						usable := state == "zero" || state == "resident" || state == "surrendered"
+						clear := due < 0 || time.Duration(due)*word+half > time.Duration(n)*word
+						if want := usable && clear; (d.fast.granted == 1) != want {
+							t.Fatalf("%s: window granted = %v, want %v", ctx, !want, want)
+						}
+						// A second step follows whatever the event left behind.
+						op.v = 7
+						d.step(ctx+" again", op)
+					}
 				}
 			}
 		}
@@ -353,6 +422,10 @@ func TestBatchedAccessesMatchPerAccessSequence(t *testing.T) {
 		case opWindow:
 			op.n = []int{1, 2, 3, 5, 17, 64}[rng.Intn(6)]
 			op.k = 1 + rng.Intn(op.n)
+		case opWork:
+			op.n = 3 + 3*rng.Intn(2)
+			op.src = op.a.PageBase() + mem.Addr(rng.Intn(mem.WordsPage))*mem.WordSize
+			op.dst = op.a.PageBase() + mem.Addr(rng.Intn(mem.WordsPage))*mem.WordSize
 		case opZero:
 			op.n = mem.WordSize * (1 + rng.Intn(3*edgeWords))
 		case opCopy:

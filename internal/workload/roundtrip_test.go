@@ -31,34 +31,10 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 				heap := scaled.MinHeap * 2
 				phys := heap*4 + (16 << 20)
 
-				var buf bytes.Buffer
-				wr, err := workload.NewWriter(&buf, workload.Meta{
-					Name:      scaled.Name,
-					Source:    "record",
-					Program:   &scaled,
-					Seed:      1,
-					Collector: string(col),
-					HeapBytes: heap,
-					PhysBytes: phys,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec := workload.NewRecorder(wr)
-				orig := sim.Run(sim.RunConfig{
-					Collector: col, Program: scaled,
-					HeapBytes: heap, PhysBytes: phys,
-					Seed: 1, Sink: rec,
-				})
-				if orig.Err != nil {
-					t.Fatalf("recording run: %v", orig.Err)
-				}
-				if err := rec.Close(orig.Mutator); err != nil {
-					t.Fatalf("closing trace: %v", err)
-				}
+				raw, orig := recordRun(t, scaled, col, heap, phys, 1)
 
 				// The recorded bytes are structurally valid...
-				rd, err := workload.NewReader(bytes.NewReader(buf.Bytes()))
+				rd, err := workload.NewReader(bytes.NewReader(raw))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +48,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 				}
 
 				// ...and replaying them reproduces the run exactly.
-				src, err := workload.Open(writeFile(t, buf.Bytes()))
+				src, err := workload.Open(writeFile(t, raw))
 				if err != nil {
 					t.Fatal(err)
 				}
