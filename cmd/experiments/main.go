@@ -36,8 +36,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -53,44 +55,53 @@ import (
 	"bookmarkgc/internal/telemetry"
 )
 
-// prof holds -cpuprofile and -memprofile; every exit goes through it.
-var prof = hostprof.Register()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
+// run is the command: it returns the exit code main leaves with, so the
+// deferred profile flush covers every path and a test can call it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run      = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-		scale    = flag.Float64("scale", 0.25, "workload/memory scale (1.0 = paper scale)")
-		seed     = flag.Int64("seed", 1, "workload random seed")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		counters = flag.Bool("counters", false, "collect event counters and add them to report notes")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "maximum concurrent simulation jobs")
-		markWkrs = flag.Int("mark-workers", 1, "host threads per simulation for the parallel mark engine (reports are bit-identical for any value)")
-		cacheDir = flag.String("cache-dir", ".expcache", "directory for the persistent result store ('' disables)")
-		resume   = flag.Bool("resume", false, "reuse results persisted by a previous run in -cache-dir")
-		timeout  = flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
-		format   = flag.String("format", "text", "report output format: text or json")
-		expect   = flag.Bool("expect-cached", false, "exit 3 unless every job was served from cache (resume smoke test)")
-		httpAddr = flag.String("http", "", "serve live sweep progress (/api/progress) and /debug/pprof on this address")
+		ids      = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
+		scale    = fs.Float64("scale", 0.25, "workload/memory scale (1.0 = paper scale)")
+		seed     = fs.Int64("seed", 1, "workload random seed")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		counters = fs.Bool("counters", false, "collect event counters and add them to report notes")
+		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "maximum concurrent simulation jobs")
+		markWkrs = fs.Int("mark-workers", 1, "host threads per simulation for the parallel mark engine (reports are bit-identical for any value)")
+		cacheDir = fs.String("cache-dir", ".expcache", "directory for the persistent result store ('' disables)")
+		resume   = fs.Bool("resume", false, "reuse results persisted by a previous run in -cache-dir")
+		timeout  = fs.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
+		format   = fs.String("format", "text", "report output format: text or json")
+		expect   = fs.Bool("expect-cached", false, "exit 3 unless every job was served from cache (resume smoke test)")
+		httpAddr = fs.String("http", "", "serve live sweep progress (/api/progress) and /debug/pprof on this address")
 	)
-	flag.Parse()
-	if err := prof.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		prof.Exit(1)
+	prof := hostprof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	defer prof.Stop()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
+	}
+	defer prof.Stop(stderr)
 
-	fail := func(fmtStr string, args ...any) {
-		fmt.Fprintf(os.Stderr, "experiments: "+fmtStr+"\n", args...)
-		prof.Exit(2)
+	fail := func(fmtStr string, args ...any) int {
+		fmt.Fprintf(stderr, "experiments: "+fmtStr+"\n", args...)
+		return 2
 	}
 	if *format != "text" && *format != "json" {
-		fail("-format %q must be text or json", *format)
+		return fail("-format %q must be text or json", *format)
 	}
 	if *resume && *cacheDir == "" {
-		fail("-resume needs a persistent store; set -cache-dir")
+		return fail("-resume needs a persistent store; set -cache-dir")
 	}
 	if *markWkrs < 1 {
-		fail("-mark-workers %d must be at least 1", *markWkrs)
+		return fail("-mark-workers %d must be at least 1", *markWkrs)
 	}
 	// Runner jobs build their own simulation environments, so the mark
 	// worker count travels as the process default. It changes only
@@ -100,19 +111,19 @@ func main() {
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Desc)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Desc)
 		}
-		return
+		return 0
 	}
 
 	var selected []bench.Experiment
-	if *run == "all" {
+	if *ids == "all" {
 		selected = bench.Experiments()
 	} else {
-		for _, id := range strings.Split(*run, ",") {
+		for _, id := range strings.Split(*ids, ",") {
 			e, ok := bench.ByID(strings.TrimSpace(id))
 			if !ok {
-				fail("unknown experiment %q (try -list)", id)
+				return fail("unknown experiment %q (try -list)", id)
 			}
 			selected = append(selected, e)
 		}
@@ -123,13 +134,13 @@ func main() {
 		var err error
 		cache, err = runner.OpenCache(*cacheDir, *resume)
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		defer cache.Close()
 	}
 	// The progress tracker feeds both the stderr printer and, when -http
 	// is set, the /api/progress endpoint that remote dashboards poll.
-	tracker := &progressTracker{print: progressPrinter()}
+	tracker := &progressTracker{print: progressPrinter(stderr)}
 	rn := runner.New(runner.Options{
 		Workers:    *jobs,
 		Timeout:    *timeout,
@@ -139,23 +150,23 @@ func main() {
 	if *httpAddr != "" {
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
-			fail("-http: %v", err)
+			return fail("-http: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "experiments: serving progress on http://%s/api/progress\n", ln.Addr())
+		fmt.Fprintf(stderr, "experiments: serving progress on http://%s/api/progress\n", ln.Addr())
 		go func() {
 			srv := &http.Server{Handler: telemetry.NewMux(telemetry.ServerOptions{
 				Progress: tracker.snapshot,
 				Title:    "experiments",
 			})}
 			if err := srv.Serve(ln); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: http server: %v\n", err)
+				fmt.Fprintf(stderr, "experiments: http server: %v\n", err)
 			}
 		}()
 	}
 
 	opts := bench.Options{Scale: *scale, Seed: *seed, Counters: *counters}
 	if *format == "text" {
-		fmt.Printf("bookmarking collection experiments (scale %.2f, seed %d)\n\n", *scale, *seed)
+		fmt.Fprintf(stdout, "bookmarking collection experiments (scale %.2f, seed %d)\n\n", *scale, *seed)
 	}
 
 	var allReports []bench.Report
@@ -166,12 +177,12 @@ func main() {
 		wall := time.Since(start)
 		if *format == "text" {
 			for i := range reports {
-				reports[i].Print(os.Stdout)
+				reports[i].Print(stdout)
 			}
 		} else {
 			allReports = append(allReports, reports...)
 		}
-		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs wall time]\n", e.ID, wall.Seconds())
+		fmt.Fprintf(stderr, "[%s completed in %.1fs wall time]\n", e.ID, wall.Seconds())
 	}
 
 	if *format == "json" {
@@ -180,22 +191,23 @@ func main() {
 			Seed    int64          `json:"seed"`
 			Reports []bench.Report `json:"reports"`
 		}{*scale, *seed, allReports}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fail("encoding reports: %v", err)
+			return fail("encoding reports: %v", err)
 		}
 	}
 
 	st := rn.Stats()
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"runner: %d jobs submitted, %d executed, %d cache hits (%d memo, %d store), %d errors, %d timeouts\n",
 		st.Submitted, st.Executed, st.Hits(), st.MemHits, st.DiskHits, st.Errors, st.Timeouts)
 
 	if *expect && st.Executed > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -expect-cached: %d jobs were executed rather than served from cache\n", st.Executed)
-		prof.Exit(3)
+		fmt.Fprintf(stderr, "experiments: -expect-cached: %d jobs were executed rather than served from cache\n", st.Executed)
+		return 3
 	}
+	return 0
 }
 
 // progressTracker fans runner progress out to the stderr printer and
@@ -240,7 +252,7 @@ func (t *progressTracker) snapshot() interface{} {
 // progressPrinter returns a throttled stderr progress callback:
 // done/total with cache hits and an ETA, at most ~5 lines a second,
 // always printing the final state of a batch.
-func progressPrinter() func(runner.Progress) {
+func progressPrinter(stderr io.Writer) func(runner.Progress) {
 	var mu sync.Mutex
 	var last time.Time
 	return func(p runner.Progress) {
@@ -258,9 +270,9 @@ func progressPrinter() func(runner.Progress) {
 		if p.ETA > 0 {
 			line += fmt.Sprintf(", eta %s", p.ETA.Round(time.Second))
 		}
-		fmt.Fprint(os.Stderr, line)
+		fmt.Fprint(stderr, line)
 		if p.Done == p.Total {
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(stderr)
 		}
 	}
 }

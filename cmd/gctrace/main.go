@@ -26,7 +26,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -36,51 +39,63 @@ import (
 	"bookmarkgc/internal/sim"
 	"bookmarkgc/internal/vmm"
 	"bookmarkgc/internal/workload"
-
-	"flag"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run dispatches to a subcommand and returns the exit code: 0, 1 for a
+// failed operation, 2 for a command line that makes no sense.
+func run(args []string, stdout, stderr io.Writer) int {
+	cmds := map[string]func(*flag.FlagSet, []string, io.Writer) error{
+		"record": cmdRecord, "replay": cmdReplay, "gen": cmdGen, "stat": cmdStat, "verify": cmdVerify,
 	}
-	switch os.Args[1] {
-	case "record":
-		cmdRecord(os.Args[2:])
-	case "replay":
-		cmdReplay(os.Args[2:])
-	case "gen":
-		cmdGen(os.Args[2:])
-	case "stat":
-		cmdStat(os.Args[2:])
-	case "verify":
-		cmdVerify(os.Args[2:])
-	default:
-		usage()
+	if len(args) == 0 || cmds[args[0]] == nil {
+		fmt.Fprintf(stderr, "usage: gctrace {record|replay|gen|stat|verify} [flags] [FILE]\n")
+		return 2
 	}
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	err := cmds[args[0]](fs, args[1:], stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if !errors.Is(err, errFlags) {
+		fmt.Fprintf(stderr, "gctrace: %v\n", err)
+	}
+	if errors.Is(err, errFlags) || errors.Is(err, errOneFile) {
+		return 2
+	}
+	return 1
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: gctrace {record|replay|gen|stat|verify} [flags] [FILE]\n")
-	os.Exit(2)
+// errFlags is a flag the flag package rejected (it has printed why);
+// errOneFile a missing or surplus FILE argument. Both exit 2.
+var (
+	errFlags   = errors.New("bad flags")
+	errOneFile = errors.New("expected exactly one trace file argument")
+)
+
+// parse parses args into fs.
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errFlags
+	}
+	return err
 }
 
-func die(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "gctrace: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// oneFile returns the single positional FILE argument of fs.
-func oneFile(fs *flag.FlagSet) string {
+// oneFile parses args and returns the single positional FILE argument.
+func oneFile(fs *flag.FlagSet, args []string) (string, error) {
+	if err := parse(fs, args); err != nil {
+		return "", err
+	}
 	if fs.NArg() != 1 {
-		fmt.Fprintf(os.Stderr, "gctrace: expected exactly one trace file argument\n")
-		os.Exit(2)
+		return "", errOneFile
 	}
-	return fs.Arg(0)
+	return fs.Arg(0), nil
 }
 
-func cmdRecord(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+func cmdRecord(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
 		out       = fs.String("o", "", "output trace file (required)")
 		program   = fs.String("program", "pseudojbb", "benchmark program (see Table 1)")
@@ -90,24 +105,26 @@ func cmdRecord(args []string) {
 		heapMB    = fs.Float64("heap", 77, "heap size in MB (paper scale)")
 		physMB    = fs.Float64("phys", 256, "physical memory in MB (paper scale)")
 	)
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *out == "" {
-		die("record: -o is required")
+		return errors.New("record: -o is required")
 	}
 	prog, ok := mutator.ByName(*program)
 	if !ok {
-		die("record: unknown program %q", *program)
+		return fmt.Errorf("record: unknown program %q", *program)
 	}
 	prog = prog.Scale(*scale)
 	heap := mem.RoundUpPage(uint64(*heapMB * *scale * (1 << 20)))
 	phys := mem.RoundUpPage(uint64(*physMB * *scale * (1 << 20)))
 	if phys < vmm.MinPhysBytes {
-		die("record: -phys %v at -scale %v is below the smallest simulable machine", *physMB, *scale)
+		return fmt.Errorf("record: -phys %v at -scale %v is below the smallest simulable machine", *physMB, *scale)
 	}
 
 	f, err := os.Create(*out)
 	if err != nil {
-		die("record: %v", err)
+		return fmt.Errorf("record: %w", err)
 	}
 	bw := bufio.NewWriter(f)
 	wr, err := workload.NewWriter(bw, workload.Meta{
@@ -120,7 +137,7 @@ func cmdRecord(args []string) {
 		PhysBytes: phys,
 	})
 	if err != nil {
-		die("record: %v", err)
+		return fmt.Errorf("record: %w", err)
 	}
 	rec := workload.NewRecorder(wr)
 	r := sim.Run(sim.RunConfig{
@@ -130,39 +147,41 @@ func cmdRecord(args []string) {
 	})
 	if r.Err != nil {
 		os.Remove(*out)
-		die("record: run failed: %v", r.Err)
+		return fmt.Errorf("record: run failed: %w", r.Err)
 	}
-	if err := rec.Close(r.Mutator); err == nil {
+	if err = rec.Close(r.Mutator); err == nil {
 		err = bw.Flush()
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}
 	if err != nil {
-		die("record: writing trace: %v", err)
+		return fmt.Errorf("record: writing trace: %w", err)
 	}
 	hash, err := workload.HashFile(*out)
 	if err != nil {
-		die("record: %v", err)
+		return fmt.Errorf("record: %w", err)
 	}
-	fmt.Printf("recorded %s: %d events, %d allocs, %d bytes, checksum %#x\n",
+	fmt.Fprintf(stdout, "recorded %s: %d events, %d allocs, %d bytes, checksum %#x\n",
 		*out, wr.Events(), r.Mutator.Allocations, r.Mutator.AllocatedBytes, r.Mutator.Checksum)
-	fmt.Printf("content hash %s\n", hash)
-	fmt.Println(runSummary(*collector, prog.Name, r))
+	fmt.Fprintf(stdout, "content hash %s\n", hash)
+	fmt.Fprintln(stdout, runSummary(*collector, prog.Name, r))
+	return nil
 }
 
-func cmdReplay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func cmdReplay(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
 		collector = fs.String("collector", "BC", "collector to replay under")
 		heapMB    = fs.Float64("heap", 0, "heap size in MB (0 = the recording run's)")
 		physMB    = fs.Float64("phys", 0, "physical memory in MB (0 = the recording run's)")
 	)
-	fs.Parse(args)
-	path := oneFile(fs)
+	path, err := oneFile(fs, args)
+	if err != nil {
+		return err
+	}
 	src, err := workload.Open(path)
 	if err != nil {
-		die("replay: %v", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	meta := src.Meta()
 	heap, phys := meta.HeapBytes, meta.PhysBytes
@@ -173,7 +192,7 @@ func cmdReplay(args []string) {
 		phys = mem.RoundUpPage(uint64(*physMB * (1 << 20)))
 	}
 	if heap == 0 || phys == 0 {
-		die("replay: %s records no run geometry (a synthesized trace?); pass -heap and -phys", path)
+		return fmt.Errorf("replay: %s records no run geometry (a synthesized trace?); pass -heap and -phys", path)
 	}
 	var prog mutator.Spec
 	if meta.Program != nil {
@@ -185,13 +204,13 @@ func cmdReplay(args []string) {
 		Seed: meta.Seed, Workload: src,
 	})
 	if r.Err != nil {
-		die("replay: %v", r.Err)
+		return fmt.Errorf("replay: %w", r.Err)
 	}
-	fmt.Println(runSummary(*collector, meta.Name, r))
+	fmt.Fprintln(stdout, runSummary(*collector, meta.Name, r))
+	return nil
 }
 
-func cmdGen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+func cmdGen(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
 		out    = fs.String("o", "", "output trace file (required)")
 		model  = fs.String("model", "markov", "synthesis model: "+strings.Join(workload.Models, ", "))
@@ -200,13 +219,15 @@ func cmdGen(args []string) {
 		seed   = fs.Int64("seed", 1, "model PRNG seed")
 		name   = fs.String("name", "", "trace name (default: the model name)")
 	)
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *out == "" {
-		die("gen: -o is required")
+		return errors.New("gen: -o is required")
 	}
 	f, err := os.Create(*out)
 	if err != nil {
-		die("gen: %v", err)
+		return fmt.Errorf("gen: %w", err)
 	}
 	bw := bufio.NewWriter(f)
 	err = workload.Synthesize(bw, workload.SynthParams{
@@ -220,75 +241,86 @@ func cmdGen(args []string) {
 	}
 	if err != nil {
 		os.Remove(*out)
-		die("gen: %v", err)
+		return fmt.Errorf("gen: %w", err)
 	}
 	hash, err := workload.HashFile(*out)
 	if err != nil {
-		die("gen: %v", err)
+		return fmt.Errorf("gen: %w", err)
 	}
-	fmt.Printf("generated %s (%s): %d allocation iterations, live target %d\n",
+	fmt.Fprintf(stdout, "generated %s (%s): %d allocation iterations, live target %d\n",
 		*out, *model, *allocs, *live)
-	fmt.Printf("content hash %s\n", hash)
+	fmt.Fprintf(stdout, "content hash %s\n", hash)
+	return nil
 }
 
-func cmdStat(args []string) {
-	fs := flag.NewFlagSet("stat", flag.ExitOnError)
-	fs.Parse(args)
-	path := oneFile(fs)
-	st := verifyFile(path)
+func cmdStat(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	path, err := oneFile(fs, args)
+	if err != nil {
+		return err
+	}
+	st, err := verifyFile(path)
+	if err != nil {
+		return err
+	}
 	hash, err := workload.HashFile(path)
 	if err != nil {
-		die("stat: %v", err)
+		return fmt.Errorf("stat: %w", err)
 	}
 	m := st.Meta
-	fmt.Printf("%s: %q (%s), format v%d\n", path, m.Name, m.Source, m.FormatVersion)
+	fmt.Fprintf(stdout, "%s: %q (%s), format v%d\n", path, m.Name, m.Source, m.FormatVersion)
 	if m.Program != nil {
-		fmt.Printf("  recorded: program %s, seed %d, collector %s, heap %dB, phys %dB\n",
+		fmt.Fprintf(stdout, "  recorded: program %s, seed %d, collector %s, heap %dB, phys %dB\n",
 			m.Program.Name, m.Seed, m.Collector, m.HeapBytes, m.PhysBytes)
 	}
 	if len(m.Model) > 0 {
-		fmt.Printf("  model: %v, seed %d\n", m.Model, m.Seed)
+		fmt.Fprintf(stdout, "  model: %v, seed %d\n", m.Model, m.Seed)
 	}
-	fmt.Printf("  content hash %s\n", hash)
-	fmt.Printf("  %d events in %d blocks, %d quantum steps\n", st.Events, st.Blocks, st.Steps)
-	fmt.Printf("  allocs %d (%d nodes, %d data arrays, %d ref arrays) totalling %dB\n",
+	fmt.Fprintf(stdout, "  content hash %s\n", hash)
+	fmt.Fprintf(stdout, "  %d events in %d blocks, %d quantum steps\n", st.Events, st.Blocks, st.Steps)
+	fmt.Fprintf(stdout, "  allocs %d (%d nodes, %d data arrays, %d ref arrays) totalling %dB\n",
 		st.Allocs, st.Nodes, st.DataArrs, st.RefArrs, st.Bytes)
-	fmt.Printf("  %d temps, %d survivors; peak live %d objects\n", st.Temps, st.Survivors, st.PeakLive)
-	fmt.Printf("  lifetime p50 %d, p90 %d (allocations survived)\n", st.LifetimeP50, st.LifetimeP90)
-	fmt.Printf("  %d free hints, %d releases, %d nil roots\n", st.FreeHints, st.Releases, st.RootNils)
-	fmt.Printf("  %d links (+%d no-op), %d work reads, %d work writes\n",
+	fmt.Fprintf(stdout, "  %d temps, %d survivors; peak live %d objects\n", st.Temps, st.Survivors, st.PeakLive)
+	fmt.Fprintf(stdout, "  lifetime p50 %d, p90 %d (allocations survived)\n", st.LifetimeP50, st.LifetimeP90)
+	fmt.Fprintf(stdout, "  %d free hints, %d releases, %d nil roots\n", st.FreeHints, st.Releases, st.RootNils)
+	fmt.Fprintf(stdout, "  %d links (+%d no-op), %d work reads, %d work writes\n",
 		st.Links, st.LinkNops, st.WorkReads, st.WorkWrites)
 	if st.Footer.HasChecksum {
-		fmt.Printf("  footer checksum %#x\n", st.Footer.Checksum)
+		fmt.Fprintf(stdout, "  footer checksum %#x\n", st.Footer.Checksum)
 	} else {
-		fmt.Printf("  no footer checksum (synthesized)\n")
+		fmt.Fprintf(stdout, "  no footer checksum (synthesized)\n")
 	}
+	return nil
 }
 
-func cmdVerify(args []string) {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	fs.Parse(args)
-	path := oneFile(fs)
-	st := verifyFile(path)
-	fmt.Printf("%s: OK (%d events, %d allocs, %d blocks)\n", path, st.Events, st.Allocs, st.Blocks)
+func cmdVerify(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	path, err := oneFile(fs, args)
+	if err != nil {
+		return err
+	}
+	st, err := verifyFile(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%s: OK (%d events, %d allocs, %d blocks)\n", path, st.Events, st.Allocs, st.Blocks)
+	return nil
 }
 
-// verifyFile scans path end to end, dying on any structural violation.
-func verifyFile(path string) *workload.Stats {
+// verifyFile scans path end to end; any structural violation is an error.
+func verifyFile(path string) (*workload.Stats, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		die("%v", err)
+		return nil, err
 	}
 	defer f.Close()
 	rd, err := workload.NewReader(bufio.NewReader(f))
 	if err != nil {
-		die("%s: %v", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	st, err := workload.Verify(rd)
 	if err != nil {
-		die("%s: %v", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return st
+	return st, nil
 }
 
 func runSummary(col, name string, r sim.Result) string {

@@ -1,0 +1,94 @@
+package main
+
+import (
+	"bytes"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// exec runs the command in-process.
+func exec(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// must is exec for a step that has to succeed; it returns stdout.
+func must(t *testing.T, args ...string) string {
+	t.Helper()
+	code, stdout, stderr := exec(args...)
+	if code != 0 {
+		t.Fatalf("gctrace %v: exit %d\n%s", args, code, stderr)
+	}
+	return stdout
+}
+
+// lastLine is the run summary record and replay end with.
+func lastLine(s string) string {
+	lines := strings.Split(strings.TrimSpace(s), "\n")
+	return lines[len(lines)-1]
+}
+
+// TestRoundTrip records a run, checks the file, and replays it: under the
+// recording collector the replay reproduces the recorded run's summary
+// exactly, and another collector gets through the same history.
+func TestRoundTrip(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "j.gctrace")
+	recorded := must(t, "record", "-o", trace, "-program", "pseudojbb", "-scale", "0.03")
+	if !strings.Contains(recorded, "content hash ") {
+		t.Fatalf("record printed no content hash:\n%s", recorded)
+	}
+	if out := must(t, "verify", trace); !strings.Contains(out, ": OK (") {
+		t.Errorf("verify: %s", out)
+	}
+	stat := must(t, "stat", trace)
+	hash := recorded[strings.Index(recorded, "content hash "):]
+	hash, _, _ = strings.Cut(hash, "\n")
+	if !strings.Contains(stat, hash) || !strings.Contains(stat, "program pseudojbb") {
+		t.Errorf("stat does not describe the recording (%s):\n%s", hash, stat)
+	}
+	if got, want := lastLine(must(t, "replay", trace)), lastLine(recorded); got != want {
+		t.Errorf("BC replay of a BC recording:\n got %s\nwant %s", got, want)
+	}
+	if out := must(t, "replay", "-collector", "GenMS", trace); !strings.HasPrefix(out, "GenMS/pseudojbb: ") {
+		t.Errorf("GenMS replay: %s", out)
+	}
+}
+
+// TestSynthesizedTraceNeedsGeometry: gen writes a trace with no recorded
+// run behind it, so replay has to be told the heap and machine.
+func TestSynthesizedTraceNeedsGeometry(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "r.gctrace")
+	must(t, "gen", "-o", trace, "-model", "ramp", "-allocs", "2000", "-live", "100")
+	if code, _, stderr := exec("replay", trace); code != 1 || !strings.Contains(stderr, "pass -heap and -phys") {
+		t.Errorf("replay without geometry: exit %d, stderr %q", code, stderr)
+	}
+	if out := must(t, "replay", "-heap", "8", "-phys", "64", trace); !strings.HasPrefix(out, "BC/ramp: ") {
+		t.Errorf("replay with geometry: %s", out)
+	}
+}
+
+func TestUsageAndFailures(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.gctrace")
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{nil, 2, "usage: gctrace"},
+		{[]string{"frobnicate"}, 2, "usage: gctrace"},
+		{[]string{"stat"}, 2, "expected exactly one trace file argument"},
+		{[]string{"verify", "a", "b"}, 2, "expected exactly one trace file argument"},
+		{[]string{"record", "-nosuchflag"}, 2, "flag provided but not defined"},
+		{[]string{"record"}, 1, "record: -o is required"},
+		{[]string{"gen"}, 1, "gen: -o is required"},
+		{[]string{"verify", missing}, 1, "no such file"},
+		{[]string{"gen", "-o", missing, "-model", "nosuch"}, 1, "unknown synth model"},
+	} {
+		code, stdout, stderr := exec(tc.args...)
+		if code != tc.code || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("gctrace %v: exit %d, stdout %q, stderr %q; want exit %d and %q", tc.args, code, stdout, stderr, tc.code, tc.want)
+		}
+	}
+}

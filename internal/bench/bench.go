@@ -37,10 +37,6 @@ type Options struct {
 	Counters bool
 }
 
-// DefaultOptions returns a quarter-scale configuration: big enough for
-// stable shapes, small enough to finish in minutes.
-func DefaultOptions() Options { return Options{Scale: 0.25, Seed: 1} }
-
 func (o Options) bytes(paperBytes float64) uint64 {
 	b := uint64(paperBytes * o.Scale)
 	return mem.RoundUpPage(b)
@@ -127,12 +123,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// RunSequential executes e on a private single-worker runner — the
-// convenient form for tests and one-off calls.
-func RunSequential(e Experiment, o Options) []Report {
-	return e.Run(o, runner.New(runner.Options{Workers: 1}))
 }
 
 // counterNote renders one run's cooperation counters as a report note.

@@ -40,10 +40,6 @@ func (c *BC) untrusted() bool { return c.silentEvictions >= silentEvictionLimit 
 // notifications (exported for harnesses and diagnostics).
 func (c *BC) Untrusted() bool { return c.untrusted() }
 
-// SilentEvictions returns how many pages were found evicted without
-// notification so far.
-func (c *BC) SilentEvictions() int { return c.silentEvictions }
-
 // auditResidency cross-checks BC's page books against the kernel at
 // collection start and repairs both directions of drift. It runs before
 // any marking, so no collection ever acts on books the kernel has

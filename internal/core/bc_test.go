@@ -25,7 +25,7 @@ func (h *noticeCount) EvictionScheduled(p mem.PageID) {
 
 // noticeOutcomes sums the eviction-notice outcome counters.
 func noticeOutcomes(c *BC) (sum uint64) {
-	for _, id := range trace.NoticeCounters() {
+	for _, id := range trace.CountersIn("notices") {
 		sum += c.E.Counters.Get(id)
 	}
 	return sum

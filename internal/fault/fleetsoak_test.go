@@ -81,6 +81,7 @@ func fleetSoakScale() float64 {
 // checked, and the cascade ladder required to have fired a fleet
 // flight bundle.
 func TestFleetSoakInvariants(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	spec := fleetSoakSpec(fleetSoakScale())
 

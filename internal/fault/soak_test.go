@@ -9,6 +9,7 @@ package fault_test
 // means chaos corrupted the heap.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -127,7 +128,8 @@ func seeds() []int64 {
 
 // TestSoakAllRegimes is the acceptance soak: every fault regime, three
 // seeds each, invariants after every collection, and the checksum oracle
-// against a nominal run.
+// against a nominal run. Each regime × seed is its own machine, so they
+// run in parallel.
 func TestSoakAllRegimes(t *testing.T) {
 	base := map[int64]uint64{}
 	for _, seed := range seeds() {
@@ -135,18 +137,22 @@ func TestSoakAllRegimes(t *testing.T) {
 	}
 	for _, regime := range fault.Regimes() {
 		t.Run(regime, func(t *testing.T) {
+			t.Parallel()
 			for _, seed := range seeds() {
-				out := runSoak(t, regime, 100+seed, seed)
-				if out.invErr != nil {
-					t.Fatalf("seed %d: invariants violated after a collection: %v", seed, out.invErr)
-				}
-				if out.gcs == 0 {
-					t.Fatalf("seed %d: the soak never collected — not a soak", seed)
-				}
-				if out.checksum != base[seed] {
-					t.Fatalf("seed %d: checksum %#x != nominal %#x — chaos corrupted the heap (faults: %v)",
-						seed, out.checksum, base[seed], out.faults)
-				}
+				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+					t.Parallel()
+					out := runSoak(t, regime, 100+seed, seed)
+					if out.invErr != nil {
+						t.Fatalf("invariants violated after a collection: %v", out.invErr)
+					}
+					if out.gcs == 0 {
+						t.Fatal("the soak never collected — not a soak")
+					}
+					if out.checksum != base[seed] {
+						t.Fatalf("checksum %#x != nominal %#x — chaos corrupted the heap (faults: %v)",
+							out.checksum, base[seed], out.faults)
+					}
+				})
 			}
 		})
 	}

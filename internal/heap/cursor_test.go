@@ -58,10 +58,10 @@ func refFreeResidentBlocks(ss *SuperSpace, idx int) int {
 const cursorSupers = 24 // mature region of the oracle worlds: 96 pages over 64 frames
 
 // pageTouches counts accesses per page: the charge record of a world with
-// no clock wired.
+// no VMM, where no page ever becomes resident and every access faults.
 type pageTouches [(cursorSupers + 1) * mem.SuperPages][2]int
 
-func (c *pageTouches) Touch(p mem.PageID, write bool) {
+func (c *pageTouches) FaultTouch(p mem.PageID, write bool) {
 	if write {
 		c[p][1]++
 	} else {
@@ -77,7 +77,7 @@ type cursorWorld struct {
 	s      *mem.Space
 	ss     *SuperSpace
 
-	clock *vmm.Clock // nil when unwired
+	clock *vmm.Clock // nil when unwired: no events, no VMM
 	v     *vmm.VMM
 	p     *vmm.Proc
 	touch pageTouches
@@ -96,7 +96,7 @@ func newCursorWorld(oracle, wired bool, seed int64) *cursorWorld {
 		w.p = w.v.NewProc("oracle", end)
 		w.s = w.p.Space()
 	} else {
-		w.s = mem.NewSpace(end, &w.touch)
+		w.s = mem.NewSpace(end, vmm.NewClock(), vmm.DefaultCosts().WordAccess, &w.touch)
 	}
 	w.ss = NewSuperSpace(w.s, classes, base, end)
 	w.ss.SetResidencyFilter(func(p mem.PageID) bool { return !w.rejected[p] })

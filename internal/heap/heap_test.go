@@ -2,6 +2,7 @@ package heap
 
 import (
 	"testing"
+	"time"
 
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
@@ -9,9 +10,21 @@ import (
 
 var classes = objmodel.BuildClasses()
 
+// resident services a fault by making the page resident: the first
+// access to a page takes the slow path, every later one the fast path.
+type resident struct{ s *mem.Space }
+
+func (r *resident) FaultTouch(p mem.PageID, _ bool) { r.s.PageFlags()[p] = mem.PFResident }
+
+func testSpace(size uint64) *mem.Space {
+	r := &resident{}
+	r.s = mem.NewSpace(size, mem.NewClock(), time.Nanosecond, r)
+	return r.s
+}
+
 func testSetup(heapBytes uint64) (*mem.Space, Layout) {
 	l := NewLayout(heapBytes)
-	return mem.NewSpace(l.Total, nil), l
+	return testSpace(l.Total), l
 }
 
 func testTypes() (*objmodel.Table, *objmodel.Type, *objmodel.Type, *objmodel.Type) {
@@ -290,7 +303,7 @@ func TestSuperSpaceKindSegregation(t *testing.T) {
 }
 
 func TestSuperSpaceExhaustion(t *testing.T) {
-	s := mem.NewSpace(6*mem.SuperSize, nil)
+	s := testSpace(6 * mem.SuperSize)
 	ss := NewSuperSpace(s, classes, mem.SuperSize, 3*mem.SuperSize)
 	cl := classes.Class(0)
 	if ss.AcquireSuper(cl, objmodel.KindScalar) < 0 {
@@ -359,7 +372,7 @@ func TestLOSResidencyFilterSkipsEvicted(t *testing.T) {
 }
 
 func TestLOSFirstFitFragmentation(t *testing.T) {
-	s := mem.NewSpace(mem.PageSize*64, nil)
+	s := testSpace(mem.PageSize * 64)
 	los := NewLOS(s, mem.PageSize*8, mem.PageSize*16) // 8 pages
 	tb := objmodel.NewTable()
 	big := tb.Array("big", false)

@@ -15,7 +15,7 @@ func TestBumpObjectsDisjointProperty(t *testing.T) {
 	tb := objmodel.NewTable()
 	arr := tb.Array("a", false)
 	f := func(sizes []uint16) bool {
-		s := mem.NewSpace(1<<22, nil)
+		s := testSpace(1 << 22)
 		l := NewLayout(1 << 20)
 		b := NewBumpSpace(s, l.Bump0Base, l.Bump0End)
 		var prevEnd mem.Addr = l.Bump0Base
@@ -49,7 +49,7 @@ func TestLOSRunsDisjointProperty(t *testing.T) {
 	tb := objmodel.NewTable()
 	arr := tb.Array("a", false)
 	rng := rand.New(rand.NewSource(11))
-	s := mem.NewSpace(1<<24, nil)
+	s := testSpace(1 << 24)
 	los := NewLOS(s, mem.PageSize*16, mem.PageSize*1040) // 1024 pages
 	live := map[objmodel.Ref]int{}                       // obj -> pages
 

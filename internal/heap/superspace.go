@@ -86,9 +86,6 @@ func (ss *SuperSpace) SetCounters(c *trace.Counters) { ss.counters = c }
 // Classes returns the size-class table in use.
 func (ss *SuperSpace) Classes() *objmodel.Classes { return ss.classes }
 
-// NumSupers returns the superpage capacity of the region.
-func (ss *SuperSpace) NumSupers() int { return ss.n }
-
 // InUseSupers returns the number of superpages assigned to a class.
 func (ss *SuperSpace) InUseSupers() int { return ss.inUse }
 
@@ -246,7 +243,7 @@ func (ss *SuperSpace) allocIn(idx int, cl objmodel.SizeClass, t *objmodel.Type, 
 // step. Per bitmap word it opens a read window sized to the bits left in
 // the word, finds the next clear bit with TrailingZeros64, and charges the
 // allocated bits passed over plus the clear bit found; a refused window
-// (no clock wired, an event due inside it, header page not resident)
+// (an event due inside it, header page not resident)
 // tests that one bit the per-access way. A free block on a filtered-out
 // page ends the window, as it ends the run of set bits, and the scan
 // reopens at the next bit.

@@ -7,29 +7,29 @@ package hostprof
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 )
 
 // Flags holds the two profile paths; an empty path leaves that profile off.
 type Flags struct {
 	cpu, mem string
 	cpuFile  *os.File
-	stop     sync.Once
 }
 
-// Register declares -cpuprofile and -memprofile on the command line.
-func Register() *Flags {
+// Register declares -cpuprofile and -memprofile on fs.
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.cpu, "cpuprofile", "", "write a host CPU profile of the whole command to this file")
-	flag.StringVar(&f.mem, "memprofile", "", "write a host heap profile, taken at exit, to this file")
+	fs.StringVar(&f.cpu, "cpuprofile", "", "write a host CPU profile of the whole command to this file")
+	fs.StringVar(&f.mem, "memprofile", "", "write a host heap profile, taken at exit, to this file")
 	return f
 }
 
 // Start begins the CPU profile, if one was asked for. Call it once, right
-// after flag.Parse.
+// after fs.Parse, and defer Stop when it succeeds: a command that returns
+// its exit code to main leaves through that defer on every path.
 func (f *Flags) Start() error {
 	if f.cpu == "" {
 		return nil
@@ -46,37 +46,28 @@ func (f *Flags) Start() error {
 	return nil
 }
 
-// Exit is os.Exit after Stop: os.Exit runs no deferred calls, so a
-// command that profiles leaves through here.
-func (f *Flags) Exit(code int) {
-	f.Stop()
-	os.Exit(code)
-}
-
-// Stop finishes the CPU profile and writes the heap profile. Only the
-// first call does anything, whichever goroutine makes it.
-func (f *Flags) Stop() {
-	f.stop.Do(func() {
-		if f.cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := f.cpuFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
-			}
+// Stop finishes the CPU profile and writes the heap profile, reporting
+// any failure on stderr.
+func (f *Flags) Stop(stderr io.Writer) {
+	if f.cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := f.cpuFile.Close(); err != nil {
+			fmt.Fprintf(stderr, "-cpuprofile: %v\n", err)
 		}
-		if f.mem == "" {
-			return
-		}
-		file, err := os.Create(f.mem)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
-			return
-		}
-		runtime.GC() // up-to-date allocation statistics
-		if err := pprof.WriteHeapProfile(file); err != nil {
-			fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
-		}
-		if err := file.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
-		}
-	})
+	}
+	if f.mem == "" {
+		return
+	}
+	file, err := os.Create(f.mem)
+	if err != nil {
+		fmt.Fprintf(stderr, "-memprofile: %v\n", err)
+		return
+	}
+	runtime.GC() // up-to-date allocation statistics
+	if err := pprof.WriteHeapProfile(file); err != nil {
+		fmt.Fprintf(stderr, "-memprofile: %v\n", err)
+	}
+	if err := file.Close(); err != nil {
+		fmt.Fprintf(stderr, "-memprofile: %v\n", err)
+	}
 }

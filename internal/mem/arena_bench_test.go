@@ -12,7 +12,7 @@ import (
 // free list without growing the slab arena.
 func BenchmarkArenaAllocFree(b *testing.B) {
 	const npages = 256
-	s := NewSpace(npages*PageSize, nil)
+	s := testSpace(npages * PageSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -85,9 +85,8 @@ func (f *benchFT) FaultTouch(p PageID, write bool) { f.faults++ }
 // benchSpace returns a space wired for the inline fast path with every
 // page resident and no clock event scheduled.
 func benchSpace(npages int) (*Space, *benchFT) {
-	s := NewSpace(uint64(npages)*PageSize, nil)
 	ft := &benchFT{}
-	s.SetFastTouch(NewClock(), 100*time.Nanosecond, ft)
+	s := NewSpace(uint64(npages)*PageSize, NewClock(), 100*time.Nanosecond, ft)
 	flags := s.PageFlags()
 	for p := 1; p < npages; p++ {
 		flags[p] = PFResident

@@ -13,7 +13,7 @@ func FuzzArenaRecycle(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x01, 0x81})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const npages = 32
-		s := NewSpace(npages*PageSize, nil)
+		s := testSpace(npages * PageSize)
 		live := map[PageID]uint64{} // expected first-word value per materialized page
 		for i, op := range ops {
 			p := PageID(1 + int(op&0x7f)%(npages-1))

@@ -80,20 +80,12 @@ func RoundUpPage(n uint64) uint64 { return (n + PageSize - 1) &^ (PageSize - 1) 
 // RoundUpWord rounds n up to a multiple of WordSize.
 func RoundUpWord(n uint64) uint64 { return (n + WordSize - 1) &^ (WordSize - 1) }
 
-// A Toucher observes every access to a space, one call per word access.
-// The virtual memory manager implements this to maintain reference bits
-// and to service page faults. It is the general-purpose observation hook
-// (unit tests install counting touchers); the VMM proper wires the
-// cheaper split path via SetFastTouch instead.
-type Toucher interface {
-	Touch(p PageID, write bool)
-}
-
-// A FaultToucher services the slow half of a fast-touch access: the page
-// was not simply resident and unprotected (fresh, evicted, or protected),
-// so faults, notifications, and queue maintenance are needed. It is
-// called after the word's clock cost has been charged, exactly as the
-// VMM's full Touch observes the world after its own clock advance.
+// A FaultToucher services the slow half of a word access: the page was
+// not simply resident and unprotected (fresh, evicted, or protected), so
+// faults, notifications, and queue maintenance are needed. The virtual
+// memory manager implements it. It is called after the word's clock cost
+// has been charged, exactly as the VMM's full Touch observes the world
+// after its own clock advance.
 type FaultToucher interface {
 	FaultTouch(p PageID, write bool)
 }
@@ -190,12 +182,11 @@ type Space struct {
 	bodies []*[WordsPage]uint64
 	table  []int32 // page -> arena body handle; -1 = unmaterialized
 	size   Addr    // bytes
-	t      Toucher
 
-	// Fast-touch wiring (SetFastTouch). With a clock attached, word
-	// accesses charge the clock inline and only call into ft when the
-	// page is not resident-and-unprotected; without one, every access
-	// goes through the legacy Toucher interface.
+	// Every word access advances clock by wordCost inline, then either
+	// sets the referenced bit in flags (resident, unprotected page) or
+	// falls through to ft.FaultTouch. The flags array is maintained by
+	// ft's VMM; see PageFlags.
 	clock    *Clock
 	wordCost time.Duration
 	ft       FaultToucher
@@ -210,17 +201,19 @@ type Space struct {
 }
 
 // NewSpace creates a space of the given size in bytes (rounded up to a
-// whole number of pages). The Toucher may be nil (used in unit tests);
-// attach the VMM later with SetToucher or SetFastTouch.
-func NewSpace(size uint64, t Toucher) *Space {
+// whole number of pages) whose accesses cost wordCost each on clock and
+// fault to ft.
+func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher) *Space {
 	size = RoundUpPage(size)
 	npg := size / PageSize
 	s := &Space{
-		bodies: make([]*[WordsPage]uint64, npg),
-		table:  make([]int32, npg),
-		flags:  make([]uint8, npg),
-		size:   Addr(size),
-		t:      t,
+		bodies:   make([]*[WordsPage]uint64, npg),
+		table:    make([]int32, npg),
+		flags:    make([]uint8, npg),
+		size:     Addr(size),
+		clock:    clock,
+		wordCost: wordCost,
+		ft:       ft,
 	}
 	for i := range s.table {
 		s.table[i] = -1
@@ -246,19 +239,6 @@ func (s *Space) Release() {
 	s.viewCache = nil
 	s.viewDirty = nil
 	s.ar.release()
-}
-
-// SetToucher attaches the access observer (the VMM).
-func (s *Space) SetToucher(t Toucher) { s.t = t }
-
-// SetFastTouch wires the inline touch fast path: every word access
-// advances clock by wordCost, then either sets the referenced bit in the
-// page-flag array (resident, unprotected page) or falls through to
-// ft.FaultTouch. The flags array is owned by ft's VMM; see PageFlags.
-func (s *Space) SetFastTouch(clock *Clock, wordCost time.Duration, ft FaultToucher) {
-	s.clock = clock
-	s.wordCost = wordCost
-	s.ft = ft
 }
 
 // PageFlags exposes the per-page flag side array for the VMM to maintain.
@@ -313,24 +293,17 @@ func (s *Space) materialize(p PageID) *[WordsPage]uint64 {
 // the residency check against the post-event flags, exactly as the VMM's
 // Touch orders its own clock advance and state switch.
 func (s *Space) touch(p PageID, write bool) {
-	if c := s.clock; c != nil {
-		c.now += s.wordCost
-		if c.now >= c.nextDue {
-			c.fire()
-		}
-		if f := s.flags[p]; f&pfFastMask == PFResident {
-			s.flags[p] = (f | PFReferenced) &^ PFSurrendered
-		} else {
-			s.ft.FaultTouch(p, write)
-		}
-	} else if s.t != nil {
-		s.t.Touch(p, write)
+	s.clock.Advance(s.wordCost)
+	if f := s.flags[p]; f&pfFastMask == PFResident {
+		s.flags[p] = (f | PFReferenced) &^ PFSurrendered
+	} else {
+		s.ft.FaultTouch(p, write)
 	}
 }
 
 // ReadWord reads the word at a, touching its page. Every non-trivial case
-// (no clock wired, an event due within this access, page not
-// resident-unprotected, bad address) sits behind one cold noinline call,
+// (an event due within this access, page not resident-unprotected, bad
+// address) sits behind one cold noinline call,
 // so the resident-page common case is a short straight line — a clock
 // add, a flag update, and the word load. It is still one direct call per
 // access: at inline cost 143 against a budget of 80 the compiler inlines
@@ -338,7 +311,7 @@ func (s *Space) touch(p PageID, write bool) {
 func (s *Space) ReadWord(a Addr) uint64 {
 	c := s.clock
 	p := uint64(a) >> PageShift
-	if c == nil || uint64(a)&(WordSize-1) != 0 || c.now+s.wordCost >= c.nextDue || s.flags[p]&pfFastMask != PFResident {
+	if uint64(a)&(WordSize-1) != 0 || c.now+s.wordCost >= c.nextDue || s.flags[p]&pfFastMask != PFResident {
 		return s.readSlow(a)
 	}
 	c.now += s.wordCost
@@ -368,7 +341,7 @@ func (s *Space) readSlow(a Addr) uint64 {
 func (s *Space) ReadWordPair(a Addr) (uint64, uint64) {
 	c := s.clock
 	p := uint64(a) >> PageShift
-	if c == nil || uint64(a)&(WordSize-1) != 0 || c.now+2*s.wordCost >= c.nextDue || s.flags[p]&pfFastMask != PFResident {
+	if uint64(a)&(WordSize-1) != 0 || c.now+2*s.wordCost >= c.nextDue || s.flags[p]&pfFastMask != PFResident {
 		return s.ReadWord(a), s.ReadWord(a)
 	}
 	c.now += 2 * s.wordCost
@@ -384,7 +357,7 @@ func (s *Space) ReadWordPair(a Addr) (uint64, uint64) {
 func (s *Space) WriteWord(a Addr, v uint64) {
 	c := s.clock
 	p := uint64(a) >> PageShift
-	if c == nil || uint64(a)&(WordSize-1) != 0 || c.now+s.wordCost >= c.nextDue || s.flags[p]&pfFastMask != PFResident {
+	if uint64(a)&(WordSize-1) != 0 || c.now+s.wordCost >= c.nextDue || s.flags[p]&pfFastMask != PFResident {
 		s.writeSlow(a, v)
 		return
 	}
@@ -498,13 +471,11 @@ func (s *Space) WriteAddr(a Addr, v Addr) { s.WriteWord(a, uint64(v)) }
 
 // rangeFast reports whether n consecutive word accesses to page p can be
 // batched — the one guard behind TryReadWindow, ZeroRange and CopyWords:
-// the fast-touch path is wired, the page is resident and unprotected, and
-// no clock event can fire anywhere in the window — so the per-word loop
-// could not have observed (or caused) any state change the batch would
-// miss.
+// the page is resident and unprotected, and no clock event can fire
+// anywhere in the window — so the per-word loop could not have observed
+// (or caused) any state change the batch would miss.
 func (s *Space) rangeFast(p PageID, n uint64) bool {
-	c := s.clock
-	return c != nil && c.eventFreeUntil(time.Duration(n)*s.wordCost) &&
+	return s.clock.eventFreeUntil(time.Duration(n)*s.wordCost) &&
 		s.flags[p]&pfFastMask == PFResident
 }
 

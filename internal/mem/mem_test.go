@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestGeometry(t *testing.T) {
@@ -72,19 +73,33 @@ func TestRounding(t *testing.T) {
 	}
 }
 
+// recordToucher records every fault and services none, so each access to
+// the space faults again.
 type recordToucher struct {
 	touches []PageID
 	writes  []bool
 }
 
-func (r *recordToucher) Touch(p PageID, w bool) {
+func (r *recordToucher) FaultTouch(p PageID, w bool) {
 	r.touches = append(r.touches, p)
 	r.writes = append(r.writes, w)
 }
 
+// resident services a fault by making the page resident: the first
+// access to a page takes the slow path, every later one the fast path.
+type resident struct{ s *Space }
+
+func (r *resident) FaultTouch(p PageID, _ bool) { r.s.flags[p] = PFResident }
+
+func testSpace(size uint64) *Space {
+	r := &resident{}
+	r.s = NewSpace(size, NewClock(), time.Nanosecond, r)
+	return r.s
+}
+
 func TestSpaceReadWrite(t *testing.T) {
 	rec := &recordToucher{}
-	s := NewSpace(4*PageSize, rec)
+	s := NewSpace(4*PageSize, NewClock(), time.Nanosecond, rec)
 	a := Addr(PageSize + 64)
 	s.WriteWord(a, 0xdeadbeef)
 	if got := s.ReadWord(a); got != 0xdeadbeef {
@@ -99,7 +114,7 @@ func TestSpaceReadWrite(t *testing.T) {
 }
 
 func TestSpaceAddrHelpers(t *testing.T) {
-	s := NewSpace(2*PageSize, nil)
+	s := testSpace(2 * PageSize)
 	a := Addr(PageSize)
 	s.WriteAddr(a, 0x2008)
 	if got := s.ReadAddr(a); got != 0x2008 {
@@ -111,7 +126,7 @@ func TestSpaceAddrHelpers(t *testing.T) {
 }
 
 func TestSpaceZeroRange(t *testing.T) {
-	s := NewSpace(2*PageSize, nil)
+	s := testSpace(2 * PageSize)
 	base := Addr(PageSize)
 	for i := 0; i < 8; i++ {
 		s.WriteWord(base+Addr(i*WordSize), 7)
@@ -126,7 +141,7 @@ func TestSpaceZeroRange(t *testing.T) {
 }
 
 func TestSpaceBadAccessPanics(t *testing.T) {
-	s := NewSpace(PageSize*2, nil)
+	s := testSpace(PageSize * 2)
 	for name, a := range map[string]Addr{
 		"unaligned":  PageSize + 1,
 		"null page":  8,

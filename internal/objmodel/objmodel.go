@@ -135,11 +135,6 @@ func ArrayLen(s *mem.Space, o Ref) int {
 	return int(uint32(s.ReadWord(o+mem.WordSize) >> 32))
 }
 
-// PeekTypeID reads the type ID without touching the page (tests only).
-func PeekTypeID(s *mem.Space, o Ref) int32 {
-	return int32(uint32(s.PeekWord(o + mem.WordSize)))
-}
-
 // PeekHeader decodes both header words without touching the page, for
 // heap verifiers that must not perturb the run they check.
 func PeekHeader(s *mem.Space, o Ref) (forwarded bool, typeID int32, arrayLen int) {

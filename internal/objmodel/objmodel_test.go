@@ -3,11 +3,22 @@ package objmodel
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"bookmarkgc/internal/mem"
 )
 
-func space() *mem.Space { return mem.NewSpace(16*mem.PageSize, nil) }
+// resident services a fault by making the page resident: the first
+// access to a page takes the slow path, every later one the fast path.
+type resident struct{ s *mem.Space }
+
+func (r *resident) FaultTouch(p mem.PageID, _ bool) { r.s.PageFlags()[p] = mem.PFResident }
+
+func space() *mem.Space {
+	r := &resident{}
+	r.s = mem.NewSpace(16*mem.PageSize, mem.NewClock(), time.Nanosecond, r)
+	return r.s
+}
 
 func TestStatusBitsIndependent(t *testing.T) {
 	s := space()

@@ -152,7 +152,3 @@ func (c *Classes) ForSize(totalBytes int) (SizeClass, bool) {
 	}
 	return c.classes[idx], true
 }
-
-// MaxBlocksPerSuper is the largest possible block count in any class
-// (that of the smallest class); superpage header bitmaps are sized to it.
-func (c *Classes) MaxBlocksPerSuper() int { return c.classes[0].Blocks }

@@ -25,6 +25,7 @@ import (
 	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/sim"
+	"bookmarkgc/internal/telemetry"
 	"bookmarkgc/internal/trace"
 	"bookmarkgc/internal/vmm"
 	"bookmarkgc/internal/workload"
@@ -99,9 +100,32 @@ func (j Job) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// validate rejects configurations the simulator cannot express, before
-// any simulation state exists.
-func (j Job) validate() error {
+// Host is the other argument of a run: what watches it and what host
+// resources it may spend, where the Job is what decides it. None of it
+// can move a simulated result (sim.RunConfig and sim.FleetConfig document
+// each field as outside a run's identity), so none of it enters Job.Hash
+// or the result cache. The zero Host is an unobserved run.
+type Host struct {
+	// Trace records GC phase spans and VM-cooperation events; each JVM or
+	// fleet tenant gets its own thread in it.
+	Trace *trace.Recorder
+	// Counters is the registry the run counts into. When nil, a job that
+	// asks for counters (Job.Counters) gets a private one.
+	Counters *trace.Counters
+	// Telemetry samples and attributes a single-process run.
+	Telemetry *telemetry.Collector
+	// FlightDir arms per-tenant flight recorders and cascade bundles on a
+	// fleet job.
+	FlightDir string
+	// MarkWorkers is the parallel mark engine's worker count (0 = the
+	// process default).
+	MarkWorkers int
+}
+
+// Validate rejects configurations the simulator cannot express, before
+// any simulation state exists. It holds the run-level rules once, for
+// the runner and for every front end that builds Jobs.
+func (j Job) Validate() error {
 	if j.JVMs > 1 && j.Pressure != nil {
 		return fmt.Errorf("runner: multi-JVM jobs do not support a pressure schedule")
 	}
@@ -147,8 +171,11 @@ func openTrace(ref *TraceRef) (mutator.Source, error) {
 // panics: a panicking simulation (beyond the out-of-memory condition
 // sim.Run already converts to a per-run error) becomes a job error, not
 // a dead sweep.
-func Execute(j Job) *Result {
-	return capture(j.Hash(), func() *Result { return execute(j) })
+func Execute(j Job) *Result { return ExecuteOn(j, Host{}) }
+
+// ExecuteOn is Execute observed by h.
+func ExecuteOn(j Job, h Host) *Result {
+	return capture(j.Hash(), func() *Result { return execute(j, h) })
 }
 
 // capture converts a panic from f into an errored Result for hash.
@@ -161,14 +188,16 @@ func capture(hash string, f func() *Result) (res *Result) {
 	return f()
 }
 
-func execute(j Job) *Result {
+// execute is the only Job → sim adapter: j fills the fields that decide
+// the run, h the ones that watch it.
+func execute(j Job, h Host) *Result {
 	res := &Result{Hash: j.Hash()}
-	if err := j.validate(); err != nil {
+	if err := j.Validate(); err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	var ctrs *trace.Counters
-	if j.Counters {
+	ctrs := h.Counters
+	if ctrs == nil && j.Counters {
 		ctrs = trace.NewCounters()
 	}
 	var src mutator.Source
@@ -182,9 +211,12 @@ func execute(j Job) *Result {
 	}
 	if j.Fleet != nil {
 		fr := sim.RunFleet(sim.FleetConfig{
-			Spec:     *j.Fleet,
-			Costs:    j.Costs,
-			Counters: ctrs,
+			Spec:        *j.Fleet,
+			Costs:       j.Costs,
+			Trace:       h.Trace,
+			Counters:    ctrs,
+			FlightDir:   h.FlightDir,
+			MarkWorkers: h.MarkWorkers,
 		})
 		if fr.Err != nil {
 			res.Err = fr.Err.Error()
@@ -196,22 +228,21 @@ func execute(j Job) *Result {
 			res.Runs = append(res.Runs, rd)
 		}
 		res.Fleet = newFleetData(fr)
-		res.Counters = countersMap(ctrs)
-		return res
-	}
-	if j.JVMs > 1 {
+	} else if j.JVMs > 1 {
 		rs := sim.RunMulti(sim.MultiConfig{
-			Collector:  j.Collector,
-			Program:    j.Program,
-			HeapBytes:  j.HeapBytes,
-			PhysBytes:  j.PhysBytes,
-			JVMs:       j.JVMs,
-			Quantum:    j.Quantum,
-			Seed:       j.Seed,
-			Costs:      j.Costs,
-			Counters:   ctrs,
-			Workload:   src,
-			HeapPolicy: j.HeapPolicy,
+			Collector:   j.Collector,
+			Program:     j.Program,
+			HeapBytes:   j.HeapBytes,
+			PhysBytes:   j.PhysBytes,
+			JVMs:        j.JVMs,
+			Quantum:     j.Quantum,
+			Seed:        j.Seed,
+			Costs:       j.Costs,
+			Trace:       h.Trace,
+			Counters:    ctrs,
+			Workload:    src,
+			MarkWorkers: h.MarkWorkers,
+			HeapPolicy:  j.HeapPolicy,
 		})
 		if len(rs) != j.JVMs {
 			// RunMulti signals an invalid configuration with a single
@@ -228,20 +259,25 @@ func execute(j Job) *Result {
 		}
 	} else {
 		r := sim.Run(sim.RunConfig{
-			Collector:  j.Collector,
-			Program:    j.Program,
-			HeapBytes:  j.HeapBytes,
-			PhysBytes:  j.PhysBytes,
-			Pressure:   j.Pressure,
-			Seed:       j.Seed,
-			Costs:      j.Costs,
-			Chaos:      j.Chaos,
-			Counters:   ctrs,
-			Workload:   src,
-			HeapPolicy: j.HeapPolicy,
+			Collector:   j.Collector,
+			Program:     j.Program,
+			HeapBytes:   j.HeapBytes,
+			PhysBytes:   j.PhysBytes,
+			Pressure:    j.Pressure,
+			Seed:        j.Seed,
+			Costs:       j.Costs,
+			Trace:       h.Trace,
+			Counters:    ctrs,
+			Chaos:       j.Chaos,
+			Workload:    src,
+			MarkWorkers: h.MarkWorkers,
+			Telemetry:   h.Telemetry,
+			HeapPolicy:  j.HeapPolicy,
 		})
 		res.Runs = append(res.Runs, newRunData(r))
 	}
-	res.Counters = countersMap(ctrs)
+	if j.Counters {
+		res.Counters = countersMap(ctrs)
+	}
 	return res
 }

@@ -1,8 +1,10 @@
 package runner
 
 import (
+	"errors"
 	"time"
 
+	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/sim"
 	"bookmarkgc/internal/trace"
@@ -38,10 +40,16 @@ type RunData struct {
 	PagesEvicted   uint64        `json:"pages_evicted,omitempty"`
 	Proc           vmm.ProcStats `json:"proc"`
 
+	// Faults is the fault injector's tally, rendered, when the job
+	// configured chaos.
+	Faults string `json:"faults,omitempty"`
+
 	// Err is the per-run failure (out of memory, typically); the sweep
 	// treats such a configuration as a missing data point, not an engine
-	// error.
+	// error. OOM says it was gc.ErrOutOfMemory: the live data does not
+	// fit the heap, which a front end can tell the user how to fix.
 	Err string `json:"err,omitempty"`
+	OOM bool   `json:"oom,omitempty"`
 }
 
 // newRunData flattens one sim.Result.
@@ -67,8 +75,12 @@ func newRunData(r sim.Result) RunData {
 			MajorFaults: p.MajorFaults,
 		})
 	}
+	if r.Faults != nil {
+		rd.Faults = r.Faults.String()
+	}
 	if r.Err != nil {
 		rd.Err = r.Err.Error()
+		rd.OOM = errors.As(r.Err, new(gc.ErrOutOfMemory))
 	}
 	return rd
 }
@@ -115,6 +127,11 @@ type FleetData struct {
 	BalancerRounds int `json:"balancer_rounds,omitempty"`
 	// AggPeakResident sums every tenant's peak resident page count.
 	AggPeakResident uint64 `json:"agg_peak_resident,omitempty"`
+	// ElapsedSecs is the fleet's total simulated time.
+	ElapsedSecs float64 `json:"elapsed_secs,omitempty"`
+	// Dumps are the cascade bundles this execution wrote (Host.FlightDir):
+	// where, not what, so like TraceRef.Path they are not persisted.
+	Dumps []string `json:"-"`
 }
 
 // newFleetData flattens a fleet result's fleet-level measurements.
@@ -132,6 +149,8 @@ func newFleetData(fr sim.FleetResult) *FleetData {
 		PauseP99NS:      fr.PauseP99NS,
 		BalancerRounds:  fr.BalancerRounds,
 		AggPeakResident: fr.AggPeakResident,
+		ElapsedSecs:     fr.ElapsedSecs,
+		Dumps:           fr.FleetDumps,
 	}
 }
 

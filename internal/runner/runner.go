@@ -28,6 +28,9 @@ type Options struct {
 	// OnProgress, when non-nil, is called after each job resolves (run
 	// or cache hit). It runs on worker goroutines; keep it fast.
 	OnProgress func(Progress)
+	// Host is handed to every job this Runner executes. Observers in it
+	// are shared, so set them only for a Runner that executes one job.
+	Host Host
 }
 
 // Progress is a point-in-time view of one RunAll batch.
@@ -222,7 +225,7 @@ func (r *Runner) runOne(j Job) *Result {
 	var res *Result
 	if r.opts.Timeout > 0 {
 		ch := make(chan *Result, 1)
-		go func() { ch <- Execute(j) }()
+		go func() { ch <- ExecuteOn(j, r.opts.Host) }()
 		select {
 		case res = <-ch:
 		case <-time.After(r.opts.Timeout):
@@ -233,7 +236,7 @@ func (r *Runner) runOne(j Job) *Result {
 			}
 		}
 	} else {
-		res = Execute(j)
+		res = ExecuteOn(j, r.opts.Host)
 	}
 	res.WallNS = int64(time.Since(start))
 	return res

@@ -134,9 +134,6 @@ type FleetConfig struct {
 	// tagged with the tenant's name, plus the fleet-level cascade
 	// bundles; all dumps draw on one shared DumpQuota.
 	FlightDir string
-	// MaxDumpsPerTenant bounds each tenant's share of the dump budget
-	// (default 4).
-	MaxDumpsPerTenant int
 
 	// MarkWorkers overrides the parallel mark engine's worker count for
 	// every tenant (0 = default). Output is bit-identical for any value.
@@ -227,6 +224,9 @@ func (a *fleetArbiter) Approve(owner *vmm.Proc, pg mem.PageID) bool {
 // non-cooperating tenant no longer counts as an eviction target.
 const uncoopSlackFloor = 32
 
+// maxDumpsPerTenant bounds each tenant's share of the flight-dump budget.
+const maxDumpsPerTenant = 4
+
 // fleetRun is the live fleet engine state.
 type fleetRun struct {
 	cfg FleetConfig
@@ -314,11 +314,7 @@ func newFleetRun(cfg FleetConfig) *fleetRun {
 		f.v.SetArbiter(f.arbiter)
 	}
 	if cfg.FlightDir != "" {
-		per := cfg.MaxDumpsPerTenant
-		if per <= 0 {
-			per = 4
-		}
-		f.quota = telemetry.NewDumpQuota(per, 4+2*len(spec.Tenants), 4)
+		f.quota = telemetry.NewDumpQuota(maxDumpsPerTenant, 4+2*len(spec.Tenants), 4)
 	}
 	return f
 }

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"strconv"
+
+	"bookmarkgc/internal/metrics"
 )
 
 // This file serializes a run's telemetry. Two formats:
@@ -39,31 +42,11 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
-			bw.Write(appendInt(buf[:0], c.series.cols[i][row]))
+			bw.Write(strconv.AppendInt(buf[:0], c.series.cols[i][row], 10))
 		}
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()
-}
-
-// appendInt formats v in base 10 (strconv.AppendInt without the import
-// weight at the call sites that loop per sample).
-func appendInt(dst []byte, v int64) []byte {
-	if v < 0 {
-		dst = append(dst, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(dst, tmp[i:]...)
 }
 
 // WriteJSONL writes samples, pause attributions, and digests as one
@@ -80,7 +63,7 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 			bw.WriteString(`,"`)
 			bw.WriteString(i.String())
 			bw.WriteString(`":`)
-			bw.Write(appendInt(buf[:0], c.series.cols[i][row]))
+			bw.Write(strconv.AppendInt(buf[:0], c.series.cols[i][row], 10))
 		}
 		bw.WriteString("}\n")
 	}
@@ -120,7 +103,7 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		if c.digests[k].Count() == 0 {
 			continue
 		}
-		if err := writeDigest(kindName(k), &c.digests[k]); err != nil {
+		if err := writeDigest(metrics.PauseKind(k).String(), &c.digests[k]); err != nil {
 			return err
 		}
 	}
@@ -128,17 +111,4 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// kindName names pause kind k for export ("nursery", "full", "compact").
-func kindName(k int) string {
-	switch k {
-	case 0:
-		return "nursery"
-	case 1:
-		return "full"
-	case 2:
-		return "compact"
-	}
-	return "invalid"
 }

@@ -145,10 +145,7 @@ func (c *Collector) dumpLocked(reason string) {
 		b.RunError = c.runErr.Error()
 	}
 	n := c.series.Len()
-	lo := n - c.cfg.SampleTail
-	if lo < 0 {
-		lo = 0
-	}
+	lo := max(n-sampleTail, 0)
 	for col := Column(0); col < numColumns; col++ {
 		vals := make([]int64, n-lo)
 		copy(vals, c.series.cols[col][lo:])

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"bookmarkgc/internal/metrics"
 )
 
 // WriteProm writes the Prometheus text exposition format (v0.0.4): the
@@ -47,7 +49,7 @@ func (c *Collector) WriteProm(w io.Writer) error {
 	fmt.Fprintf(bw, "# TYPE gcsim_pause_seconds summary\n")
 	for k := 0; k < numPauseKinds; k++ {
 		d := &c.digests[k]
-		kind := kindName(k)
+		kind := metrics.PauseKind(k).String()
 		for _, q := range [...]struct {
 			label string
 			q     float64
@@ -62,7 +64,7 @@ func (c *Collector) WriteProm(w io.Writer) error {
 	fmt.Fprintf(bw, "# TYPE gcsim_pause_max_seconds gauge\n")
 	for k := 0; k < numPauseKinds; k++ {
 		fmt.Fprintf(bw, "gcsim_pause_max_seconds{kind=%q} %s\n",
-			kindName(k), promFloat(float64(c.digests[k].Max())/1e9))
+			metrics.PauseKind(k), promFloat(float64(c.digests[k].Max())/1e9))
 	}
 
 	g("gcsim_telemetry_samples_total", "Time-series samples taken.", "counter", int64(c.samplesTaken))

@@ -130,6 +130,13 @@ func (a *PauseAttr) Other() time.Duration { return a.PhaseNS[a.pausePhase] }
 // numPauseKinds covers metrics.PauseNursery/Full/Compact.
 const numPauseKinds = 3
 
+// The flight recorder's history: ringEvents bounds the event ring, and a
+// bundle includes the sampleTail most recent samples.
+const (
+	ringEvents = 4096
+	sampleTail = 256
+)
+
 // Config tunes the telemetry layer. The zero value is usable: defaults
 // are filled in by New.
 type Config struct {
@@ -141,10 +148,6 @@ type Config struct {
 	// FlightDir, when non-empty, is where flight-recorder bundles are
 	// written; empty disables dumping (the ring still records).
 	FlightDir string
-	// RingEvents bounds the flight ring (default 4096 events).
-	RingEvents int
-	// SampleTail is how many recent samples a bundle includes (default 256).
-	SampleTail int
 	// MaxDumps bounds bundles written per run (default 16).
 	MaxDumps int
 	// Tenant, when non-empty, tags flight-dump filenames and bundle
@@ -214,17 +217,11 @@ func New(cfg Config) *Collector {
 	if cfg.PauseThreshold <= 0 {
 		cfg.PauseThreshold = 500 * time.Millisecond
 	}
-	if cfg.RingEvents <= 0 {
-		cfg.RingEvents = 4096
-	}
-	if cfg.SampleTail <= 0 {
-		cfg.SampleTail = 256
-	}
 	if cfg.MaxDumps <= 0 {
 		cfg.MaxDumps = 16
 	}
 	c := &Collector{cfg: cfg}
-	c.ring.init(cfg.RingEvents)
+	c.ring.init(ringEvents)
 	return c
 }
 
@@ -483,16 +480,6 @@ func (c *Collector) DigestAll() Digest {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.allDigest
-}
-
-// DigestKind returns a copy of the pause digest for one kind.
-func (c *Collector) DigestKind(k metrics.PauseKind) Digest {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if int(k) >= numPauseKinds {
-		return Digest{}
-	}
-	return c.digests[k]
 }
 
 // FlightDumps returns the number of flight bundles written.

@@ -1,6 +1,9 @@
 package trace
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Counter identifies one monotonic counter in the registry. The set
 // covers the quantities the paper's evaluation and DESIGN.md's ablations
@@ -212,110 +215,105 @@ const (
 	numCounters
 )
 
-var counterNames = [numCounters]string{
-	CObjectsBookmarked:      "objects_bookmarked",
-	CIncomingBumps:          "incoming_bumps",
-	CIncomingDecrements:     "incoming_decrements",
-	CPagesDiscarded:         "pages_discarded",
-	CPagesProcessed:         "pages_processed",
-	CPagesReloaded:          "pages_reloaded",
-	CRemsetFlushes:          "remset_flushes",
-	CRemsetEntriesFiltered:  "remset_entries_filtered",
-	CRemsetEntriesCarded:    "remset_entries_carded",
-	CSuperpagesAcquired:     "superpages_acquired",
-	CSuperpagesReleased:     "superpages_released",
-	CLOSAllocs:              "los_allocs",
-	CLOSPagesAllocated:      "los_pages_allocated",
-	CBumpAllocs:             "bump_allocs",
-	CPromotedBytes:          "promoted_bytes",
-	CForwardedObjects:       "forwarded_objects",
-	CForwardedBytes:         "forwarded_bytes",
-	CHeapShrinks:            "heap_shrinks",
-	CHeapRegrows:            "heap_regrows",
-	CPreventiveBookmarks:    "preventive_bookmarks",
-	CSilentEvictions:        "silent_evictions_repaired",
-	CUnnotifiedReloads:      "unnotified_reloads_repaired",
-	CStaleNotices:           "stale_notices_ignored",
-	CDuplicateNotices:       "duplicate_notices_ignored",
-	CSpuriousReloads:        "spurious_reloads_ignored",
-	CGCRequestBackoffs:      "gc_request_backoffs",
-	CFailSafesForced:        "failsafes_forced",
-	CDeferredUnbookmarks:    "deferred_unbookmarks",
-	CChaosEvictsDropped:     "chaos_evicts_dropped",
-	CChaosEvictsDelayed:     "chaos_evicts_delayed",
-	CChaosEvictsDuplicated:  "chaos_evicts_duplicated",
-	CChaosEvictsReordered:   "chaos_evicts_reordered",
-	CChaosReloadsDropped:    "chaos_reloads_dropped",
-	CChaosSpuriousReloads:   "chaos_spurious_reloads",
-	CChaosMuted:             "chaos_muted",
-	CChaosPressureSpikes:    "chaos_pressure_spikes",
-	CRunnerJobsExecuted:     "runner_jobs_executed",
-	CRunnerMemHits:          "runner_mem_hits",
-	CRunnerCacheHits:        "runner_cache_hits",
-	CRunnerJobErrors:        "runner_job_errors",
-	CRunnerJobTimeouts:      "runner_job_timeouts",
-	CWorkloadEventsRecorded: "workload_events_recorded",
-	CWorkloadEventsReplayed: "workload_events_replayed",
-	CWorkloadAllocsReplayed: "workload_allocs_replayed",
-	CWorkloadFreeHints:      "workload_free_hints",
-	CWorkloadBlocksWritten:  "workload_blocks_written",
-	CWorkloadBlocksRead:     "workload_blocks_read",
-	CMarkRounds:             "mark_rounds",
-	CMarkObjects:            "mark_objects",
-	CMarkBytes:              "mark_bytes",
-	CMarkSteals:             "mark_steals",
-	CMarkStealFails:         "mark_steal_fails",
-	CMarkTermRounds:         "mark_termination_rounds",
-	CTelemetrySamples:       "telemetry_samples",
-	CTelemetryFlightDumps:   "telemetry_flight_dumps",
-	CTelemetryRingDrops:     "telemetry_ring_drops",
-	CPolicyObservations:     "heap_policy_observations",
-	CBalancerRounds:         "balancer_rounds",
-	CPolicyClamps:           "balancer_policy_clamps",
-	CNoticesSilentRepair:    "notices_silent_repair",
-	CNoticesMustKeepVeto:    "notices_mustkeep_veto",
-	CNoticesVictimDiscarded: "notices_victim_discarded",
-	CNoticesPaidInEmpties:   "notices_paid_in_empties",
-	CNoticesNotedOnly:       "notices_noted_only",
-	CNoticesBookmarked:      "notices_bookmarked",
-	CNoticesRedirected:      "notices_redirected",
+// counterTable names every counter and assigns it to one group: the
+// unit gcsim -list prints the registry by, and tests sum over. A group
+// is its members in declaration order; groups are ordered by their first
+// member. The eviction-notice outcomes ("notices") are disjoint and
+// exhaustive: they sum to the notices BC's handler received.
+var counterTable = [numCounters]struct{ name, group string }{
+	CObjectsBookmarked:      {"objects_bookmarked", "collector"},
+	CIncomingBumps:          {"incoming_bumps", "collector"},
+	CIncomingDecrements:     {"incoming_decrements", "collector"},
+	CPagesDiscarded:         {"pages_discarded", "collector"},
+	CPagesProcessed:         {"pages_processed", "collector"},
+	CPagesReloaded:          {"pages_reloaded", "collector"},
+	CRemsetFlushes:          {"remset_flushes", "collector"},
+	CRemsetEntriesFiltered:  {"remset_entries_filtered", "collector"},
+	CRemsetEntriesCarded:    {"remset_entries_carded", "collector"},
+	CSuperpagesAcquired:     {"superpages_acquired", "collector"},
+	CSuperpagesReleased:     {"superpages_released", "collector"},
+	CLOSAllocs:              {"los_allocs", "collector"},
+	CLOSPagesAllocated:      {"los_pages_allocated", "collector"},
+	CBumpAllocs:             {"bump_allocs", "collector"},
+	CPromotedBytes:          {"promoted_bytes", "collector"},
+	CForwardedObjects:       {"forwarded_objects", "collector"},
+	CForwardedBytes:         {"forwarded_bytes", "collector"},
+	CHeapShrinks:            {"heap_shrinks", "collector"},
+	CHeapRegrows:            {"heap_regrows", "collector"},
+	CPreventiveBookmarks:    {"preventive_bookmarks", "collector"},
+	CSilentEvictions:        {"silent_evictions_repaired", "hardening"},
+	CUnnotifiedReloads:      {"unnotified_reloads_repaired", "hardening"},
+	CStaleNotices:           {"stale_notices_ignored", "notices"},
+	CDuplicateNotices:       {"duplicate_notices_ignored", "notices"},
+	CSpuriousReloads:        {"spurious_reloads_ignored", "hardening"},
+	CGCRequestBackoffs:      {"gc_request_backoffs", "hardening"},
+	CFailSafesForced:        {"failsafes_forced", "hardening"},
+	CDeferredUnbookmarks:    {"deferred_unbookmarks", "hardening"},
+	CChaosEvictsDropped:     {"chaos_evicts_dropped", "chaos"},
+	CChaosEvictsDelayed:     {"chaos_evicts_delayed", "chaos"},
+	CChaosEvictsDuplicated:  {"chaos_evicts_duplicated", "chaos"},
+	CChaosEvictsReordered:   {"chaos_evicts_reordered", "chaos"},
+	CChaosReloadsDropped:    {"chaos_reloads_dropped", "chaos"},
+	CChaosSpuriousReloads:   {"chaos_spurious_reloads", "chaos"},
+	CChaosMuted:             {"chaos_muted", "chaos"},
+	CChaosPressureSpikes:    {"chaos_pressure_spikes", "chaos"},
+	CRunnerJobsExecuted:     {"runner_jobs_executed", "runner"},
+	CRunnerMemHits:          {"runner_mem_hits", "runner"},
+	CRunnerCacheHits:        {"runner_cache_hits", "runner"},
+	CRunnerJobErrors:        {"runner_job_errors", "runner"},
+	CRunnerJobTimeouts:      {"runner_job_timeouts", "runner"},
+	CWorkloadEventsRecorded: {"workload_events_recorded", "workload"},
+	CWorkloadEventsReplayed: {"workload_events_replayed", "workload"},
+	CWorkloadAllocsReplayed: {"workload_allocs_replayed", "workload"},
+	CWorkloadFreeHints:      {"workload_free_hints", "workload"},
+	CWorkloadBlocksWritten:  {"workload_blocks_written", "workload"},
+	CWorkloadBlocksRead:     {"workload_blocks_read", "workload"},
+	CMarkRounds:             {"mark_rounds", "mark"},
+	CMarkObjects:            {"mark_objects", "mark"},
+	CMarkBytes:              {"mark_bytes", "mark"},
+	CMarkSteals:             {"mark_steals", "mark"},
+	CMarkStealFails:         {"mark_steal_fails", "mark"},
+	CMarkTermRounds:         {"mark_termination_rounds", "mark"},
+	CTelemetrySamples:       {"telemetry_samples", "telemetry"},
+	CTelemetryFlightDumps:   {"telemetry_flight_dumps", "telemetry"},
+	CTelemetryRingDrops:     {"telemetry_ring_drops", "telemetry"},
+	CPolicyObservations:     {"heap_policy_observations", "heap-policy"},
+	CBalancerRounds:         {"balancer_rounds", "heap-policy"},
+	CPolicyClamps:           {"balancer_policy_clamps", "heap-policy"},
+	CNoticesSilentRepair:    {"notices_silent_repair", "notices"},
+	CNoticesMustKeepVeto:    {"notices_mustkeep_veto", "notices"},
+	CNoticesVictimDiscarded: {"notices_victim_discarded", "notices"},
+	CNoticesPaidInEmpties:   {"notices_paid_in_empties", "notices"},
+	CNoticesNotedOnly:       {"notices_noted_only", "notices"},
+	CNoticesBookmarked:      {"notices_bookmarked", "notices"},
+	CNoticesRedirected:      {"notices_redirected", "notices"},
 }
 
-// MarkCounters lists the mark counter group in declaration order —
-// the inventory gcsim -list prints.
-func MarkCounters() []Counter {
-	return []Counter{
-		CMarkRounds, CMarkObjects, CMarkBytes,
-		CMarkSteals, CMarkStealFails, CMarkTermRounds,
+// CounterGroups lists the counter groups.
+func CounterGroups() []string {
+	var groups []string
+	for _, row := range counterTable {
+		if !slices.Contains(groups, row.group) {
+			groups = append(groups, row.group)
+		}
 	}
+	return groups
 }
 
-// TelemetryCounters lists the telemetry counter group in declaration
-// order — the inventory gcsim -list prints.
-func TelemetryCounters() []Counter {
-	return []Counter{CTelemetrySamples, CTelemetryFlightDumps, CTelemetryRingDrops}
-}
-
-// HeapPolicyCounters lists the heap-policy counter group in
-// declaration order — the inventory gcsim -list prints.
-func HeapPolicyCounters() []Counter {
-	return []Counter{CPolicyObservations, CBalancerRounds, CPolicyClamps}
-}
-
-// NoticeCounters lists the eviction-notice outcome group — the inventory
-// gcsim -list prints. The outcomes are disjoint and exhaustive: they sum
-// to the eviction notices BC's handler received.
-func NoticeCounters() []Counter {
-	return []Counter{
-		CStaleNotices, CDuplicateNotices, CNoticesSilentRepair,
-		CNoticesMustKeepVeto, CNoticesVictimDiscarded, CNoticesPaidInEmpties,
-		CNoticesNotedOnly, CNoticesBookmarked, CNoticesRedirected,
+// CountersIn lists the counters of group.
+func CountersIn(group string) []Counter {
+	var ids []Counter
+	for id, row := range counterTable {
+		if row.group == group {
+			ids = append(ids, Counter(id))
+		}
 	}
+	return ids
 }
 
 func (c Counter) String() string {
-	if int(c) < len(counterNames) {
-		return counterNames[c]
+	if int(c) < len(counterTable) {
+		return counterTable[c].name
 	}
 	return "invalid"
 }

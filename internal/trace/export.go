@@ -105,13 +105,11 @@ func (c *Counters) WriteText(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	width := 0
-	for _, n := range counterNames {
-		if len(n) > width {
-			width = len(n)
-		}
+	for _, row := range counterTable {
+		width = max(width, len(row.name))
 	}
-	for id, n := range counterNames {
-		fmt.Fprintf(bw, "%-*s %d\n", width, n, c.vals[id])
+	for id, row := range counterTable {
+		fmt.Fprintf(bw, "%-*s %d\n", width, row.name, c.vals[id])
 	}
 	for id := range c.hists {
 		h := &c.hists[id]
@@ -151,11 +149,11 @@ func (c *Counters) WriteJSONL(w io.Writer) error {
 	bw.WriteString("{\"type\":\"counters\"")
 	if c != nil {
 		bw.WriteString(",\"counters\":{")
-		for id, n := range counterNames {
+		for id, row := range counterTable {
 			if id > 0 {
 				bw.WriteString(",")
 			}
-			fmt.Fprintf(bw, "%q:%d", n, c.vals[id])
+			fmt.Fprintf(bw, "%q:%d", row.name, c.vals[id])
 		}
 		bw.WriteString("},\"histograms\":{")
 		for id := range c.hists {

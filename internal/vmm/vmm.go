@@ -245,13 +245,6 @@ func (v *VMM) Stats() Stats { return v.stats }
 // SetArbiter installs (or, with nil, removes) the eviction arbiter.
 func (v *VMM) SetArbiter(a Arbiter) { v.arbiter = a }
 
-// Procs returns the machine's processes in creation order.
-func (v *VMM) Procs() []*Proc {
-	out := make([]*Proc, len(v.procs))
-	copy(out, v.procs)
-	return out
-}
-
 // CheckAccounting recounts every page table and verifies the O(1)
 // residency counters — per-proc Proc.resident and the machine-wide used
 // total — against ground truth, plus the pinned-frame bounds. Fleet soak
@@ -312,8 +305,7 @@ func (v *VMM) NewProc(name string, spaceBytes uint64) *Proc {
 		name:  name,
 		pages: make([]pageInfo, mem.RoundUpPage(spaceBytes)/mem.PageSize),
 	}
-	p.space = mem.NewSpace(spaceBytes, p)
-	p.space.SetFastTouch(v.Clock, v.costs.WordAccess, p)
+	p.space = mem.NewSpace(spaceBytes, v.Clock, v.costs.WordAccess, p)
 	p.flags = p.space.PageFlags()
 	v.procs = append(v.procs, p)
 	return p
@@ -525,8 +517,8 @@ type ProcStats struct {
 }
 
 // Proc is one process: an address space plus its page table. It
-// implements mem.FaultToucher (and the general mem.Toucher), so it is
-// the Space's access observer.
+// implements mem.FaultToucher, so it services every access of the Space
+// that is not to a resident, unprotected page.
 type Proc struct {
 	vmm      *VMM
 	id       int32
@@ -557,10 +549,9 @@ func (p *Proc) Register(h Handler) { p.handler = h }
 // stream while forwarding to the original receiver.
 func (p *Proc) Handler() Handler { return p.handler }
 
-// Touch implements mem.Toucher: one full word access, clock cost
-// included. The Space's wired fast path bypasses this for resident,
-// unprotected pages; everything else — and every direct caller (veto
-// touches, page replays) — comes through here.
+// Touch is one full word access, clock cost included, for callers that
+// touch a page without reading or writing a word of it (veto touches,
+// page replays).
 func (p *Proc) Touch(pg mem.PageID, write bool) {
 	p.vmm.Clock.Advance(p.vmm.costs.WordAccess)
 	p.FaultTouch(pg, write)
