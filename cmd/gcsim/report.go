@@ -211,11 +211,10 @@ func telemetryReport(w io.Writer, tel *telemetry.Collector, tl metrics.Timeline)
 	pauses := tel.Pauses()
 	fmt.Fprintf(w, "telemetry: %d samples, %d pauses, %d flight dumps\n",
 		tel.SampleCount(), len(pauses), tel.FlightDumps())
-	if all := tel.DigestAll(); all.Count() > 0 {
+	if tl.Count() > 0 {
 		fmt.Fprintf(w, "pause latency: p50=%v p95=%v p99=%v p99.9=%v max=%v\n",
-			round(all.QuantileDuration(0.50)), round(all.QuantileDuration(0.95)),
-			round(all.QuantileDuration(0.99)), round(all.QuantileDuration(0.999)),
-			round(time.Duration(all.Max())))
+			round(tl.Percentile(50)), round(tl.Percentile(95)),
+			round(tl.Percentile(99)), round(tl.Percentile(99.9)), round(tl.MaxPause()))
 	}
 	for _, kind := range []metrics.PauseKind{metrics.PauseNursery, metrics.PauseFull, metrics.PauseCompact} {
 		var (

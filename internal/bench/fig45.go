@@ -7,7 +7,6 @@ import (
 	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/runner"
 	"bookmarkgc/internal/sim"
-	"bookmarkgc/internal/telemetry"
 )
 
 // fig45Heap is the pseudoJBB heap for the dynamic-pressure experiments
@@ -99,8 +98,8 @@ func Fig4(o Options, rn *runner.Runner) []Report {
 }
 
 // fig4Latency is the tail-latency companion to Figure 4: per-collector
-// pause percentiles at the heaviest pressure point, from the telemetry
-// layer's log-bucketed digest over the same runs (no extra jobs). Mean
+// pause percentiles at the heaviest pressure point, exact over the same
+// runs' timelines (no extra jobs). Mean
 // pause (Figure 4) hides the tail; the paper's argument is precisely
 // that a single faulting full collection costs seconds, which shows up
 // here as the gap between p50 and max.
@@ -119,12 +118,11 @@ func fig4Latency(o Options, rn *runner.Runner, kinds []sim.CollectorKind, prog m
 			continue
 		}
 		tl := res.One().Timeline()
-		d := telemetry.FromTimeline(&tl)
 		r.Rows = append(r.Rows, []string{
-			string(k), fmt.Sprint(d.Count()),
-			ms(d.QuantileDuration(0.50)), ms(d.QuantileDuration(0.95)),
-			ms(d.QuantileDuration(0.99)), ms(d.QuantileDuration(0.999)),
-			ms(time.Duration(d.Max())),
+			string(k), fmt.Sprint(tl.Count()),
+			ms(tl.Percentile(50)), ms(tl.Percentile(95)),
+			ms(tl.Percentile(99)), ms(tl.Percentile(99.9)),
+			ms(tl.MaxPause()),
 		})
 	}
 	return r

@@ -557,7 +557,7 @@ func (f *fleetRun) report() FleetResult {
 		res.AggMajorFaults += r.ProcStats.MajorFaults
 		res.AggEvictions += r.ProcStats.Evictions
 		res.AggPeakResident += r.ProcStats.PeakResident
-		res.PauseP99NS[i] = int64(telemetry.FromTimeline(&r.Timeline).Quantile(0.99))
+		res.PauseP99NS[i] = int64(r.Timeline.Percentile(99))
 	}
 	return res
 }
@@ -624,7 +624,6 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 		b.EscalatedTo = string(f.arbiter.mode)
 	}
 	for i, t := range f.tenants {
-		tl := t.col.Stats().Timeline
 		snap := telemetry.TenantFlightSnap{
 			Tenant:        t.env.Proc.Name(),
 			Collector:     t.col.Name(),
@@ -632,7 +631,7 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 			ResidentPages: t.env.Proc.ResidentPages(),
 			MajorFaults:   t.env.Proc.Stats().MajorFaults,
 			Evictions:     t.env.Proc.Stats().Evictions,
-			PauseP99NS:    int64(telemetry.FromTimeline(&tl).Quantile(0.99)),
+			PauseP99NS:    int64(t.col.Stats().Timeline.Percentile(99)),
 			Penalized:     i == noisiest && spec.Backpressure,
 		}
 		if t.failed != nil {

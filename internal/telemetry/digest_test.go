@@ -3,8 +3,6 @@ package telemetry
 import (
 	"testing"
 	"time"
-
-	"bookmarkgc/internal/metrics"
 )
 
 func TestBucketIndexMonotonicAndBounded(t *testing.T) {
@@ -104,23 +102,5 @@ func TestObserveDurationClampsNegative(t *testing.T) {
 	d.ObserveDuration(-time.Second)
 	if d.Max() != 0 || d.Count() != 1 {
 		t.Errorf("negative duration: max=%d count=%d, want 0/1", d.Max(), d.Count())
-	}
-}
-
-func TestFromTimeline(t *testing.T) {
-	tl := &metrics.Timeline{Pauses: []metrics.Pause{
-		{Dur: 2 * time.Millisecond, Kind: metrics.PauseNursery},
-		{Dur: 8 * time.Millisecond, Kind: metrics.PauseFull},
-		{Dur: 4 * time.Millisecond, Kind: metrics.PauseFull},
-	}}
-	d := FromTimeline(tl)
-	if d.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", d.Count())
-	}
-	if d.Max() != uint64(8*time.Millisecond) || d.Min() != uint64(2*time.Millisecond) {
-		t.Errorf("Min/Max = %d/%d", d.Min(), d.Max())
-	}
-	if d.Sum() != uint64(14*time.Millisecond) {
-		t.Errorf("Sum = %d", d.Sum())
 	}
 }
