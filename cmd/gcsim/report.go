@@ -22,8 +22,8 @@ import (
 
 func round(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
 
-// summary is the one line a completed run is reported by.
-func summary(j runner.Job, rd runner.RunData) string {
+// summaryLine is the one line a completed run is reported by.
+func summaryLine(j runner.Job, rd runner.RunData) string {
 	tl := rd.Timeline()
 	return fmt.Sprintf(
 		"%s/%s: exec=%.3fs alloc=%dB gcs=%d (nursery=%d full=%d compact=%d failsafe=%d) avgPause=%v maxPause=%v majflt=%d bookmarked=%d evictedPages=%d",
@@ -72,7 +72,7 @@ func (c *config) report(stdout, stderr io.Writer, jobs []runner.Job, results []*
 					return code
 				}
 			case rd.OK():
-				fmt.Fprintf(stdout, "%s: %s\n", prefix, summary(jobs[i], rd))
+				fmt.Fprintf(stdout, "%s: %s\n", prefix, summaryLine(jobs[i], rd))
 			default:
 				fmt.Fprintf(stdout, "%s: FAILED: %s\n", prefix, rd.Err)
 			}
@@ -90,7 +90,7 @@ func (c *config) report(stdout, stderr io.Writer, jobs []runner.Job, results []*
 		}
 	}
 	if c.runs == 1 {
-		return exportTrace(stdout, stderr, h, c.traceOut, c.traceFormat, c.counters)
+		return c.exportTrace(stdout, stderr, h)
 	}
 	if len(execs) > 0 {
 		mean, lo, hi := stats(execs)
@@ -125,7 +125,7 @@ func stats(xs []float64) (mean, lo, hi float64) {
 // hint, anything else 2.
 func (c *config) soleRun(stdout, stderr io.Writer, j runner.Job, rd runner.RunData, tel *telemetry.Collector) int {
 	if rd.OK() {
-		fmt.Fprintln(stdout, summary(j, rd))
+		fmt.Fprintln(stdout, summaryLine(j, rd))
 		if rd.Faults != "" {
 			fmt.Fprintf(stdout, "chaos(%s, seed %d): %s\n", c.chaos, c.chaosSeed, rd.Faults)
 		}
@@ -296,11 +296,11 @@ func writeTelemetry(stdout io.Writer, tel *telemetry.Collector, path string) err
 	return nil
 }
 
-// exportTrace writes the trace file and prints the counter registry.
-func exportTrace(stdout, stderr io.Writer, h runner.Host, path, format string, show bool) int {
+// exportTrace writes the -trace file and prints the -counters registry.
+func (c *config) exportTrace(stdout, stderr io.Writer, h runner.Host) int {
 	if h.Trace != nil {
-		err := writeFile(path, "trace", func(w io.Writer) error {
-			if format == "chrome" {
+		err := writeFile(c.traceOut, "trace", func(w io.Writer) error {
+			if c.traceFormat == "chrome" {
 				return h.Trace.WriteChrome(w, "gcsim")
 			}
 			if err := h.Trace.WriteJSONL(w); err != nil {
@@ -312,9 +312,9 @@ func exportTrace(stdout, stderr io.Writer, h runner.Host, path, format string, s
 			fmt.Fprintf(stderr, "gcsim: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "trace: %d events -> %s (%s)\n", h.Trace.Len(), path, format)
+		fmt.Fprintf(stdout, "trace: %d events -> %s (%s)\n", h.Trace.Len(), c.traceOut, c.traceFormat)
 	}
-	if show {
+	if c.counters {
 		fmt.Fprintln(stdout, "counters:")
 		h.Counters.WriteText(stdout)
 	}

@@ -2,24 +2,18 @@ package heap
 
 import (
 	"testing"
-	"time"
 
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
+	"bookmarkgc/internal/vmm"
 )
 
 var classes = objmodel.BuildClasses()
 
-// resident services a fault by making the page resident: the first
-// access to a page takes the slow path, every later one the fast path.
-type resident struct{ s *mem.Space }
-
-func (r *resident) FaultTouch(p mem.PageID, _ bool) { r.s.PageFlags()[p] = mem.PFResident }
-
+// testSpace is the address space of a process on a machine with memory
+// to spare: pages fault in on first touch and stay.
 func testSpace(size uint64) *mem.Space {
-	r := &resident{}
-	r.s = mem.NewSpace(size, mem.NewClock(), time.Nanosecond, r)
-	return r.s
+	return vmm.New(vmm.NewClock(), max(2*size, vmm.MinPhysBytes), vmm.DefaultCosts()).NewProc("test", size).Space()
 }
 
 func testSetup(heapBytes uint64) (*mem.Space, Layout) {

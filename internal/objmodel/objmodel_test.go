@@ -3,21 +3,15 @@ package objmodel
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"bookmarkgc/internal/mem"
+	"bookmarkgc/internal/vmm"
 )
 
-// resident services a fault by making the page resident: the first
-// access to a page takes the slow path, every later one the fast path.
-type resident struct{ s *mem.Space }
-
-func (r *resident) FaultTouch(p mem.PageID, _ bool) { r.s.PageFlags()[p] = mem.PFResident }
-
+// space is the address space of a process on a machine with memory to
+// spare: pages fault in on first touch and stay.
 func space() *mem.Space {
-	r := &resident{}
-	r.s = mem.NewSpace(16*mem.PageSize, mem.NewClock(), time.Nanosecond, r)
-	return r.s
+	return vmm.New(vmm.NewClock(), vmm.MinPhysBytes, vmm.DefaultCosts()).NewProc("test", 16*mem.PageSize).Space()
 }
 
 func TestStatusBitsIndependent(t *testing.T) {

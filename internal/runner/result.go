@@ -215,12 +215,9 @@ func (r *Result) One() RunData {
 // configuration, so a resumed sweep retries them.
 func (r *Result) cacheable() bool { return r.Err == "" }
 
-// countersMap snapshots a registry into a name->value map (nil registry
-// -> nil map; enabled registry -> non-nil map even when all zero).
+// countersMap snapshots a registry into a name->value map, non-nil even
+// when every counter is zero.
 func countersMap(c *trace.Counters) map[string]uint64 {
-	if c == nil {
-		return nil
-	}
 	m := make(map[string]uint64)
 	for i := 0; i < trace.NumCounters; i++ {
 		if v := c.Get(trace.Counter(i)); v != 0 {
