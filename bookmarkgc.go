@@ -24,8 +24,6 @@
 package bookmarkgc
 
 import (
-	"bufio"
-	"os"
 	"time"
 
 	"bookmarkgc/internal/bench"
@@ -135,47 +133,8 @@ type TraceSource = mutator.Source
 // the mutator's data checksum) to path. The returned Result is the
 // recording run's; OpenTrace replays the file through any collector,
 // reproducing the recorded run exactly under the recording
-// configuration. On a failed run the partial file is removed.
-func RecordTrace(path string, cfg RunConfig) (Result, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return Result{}, err
-	}
-	bw := bufio.NewWriter(f)
-	wr, err := workload.NewWriter(bw, workload.Meta{
-		Name:      cfg.Program.Name,
-		Source:    "record",
-		Program:   &cfg.Program,
-		Seed:      cfg.Seed,
-		Collector: string(cfg.Collector),
-		HeapBytes: cfg.HeapBytes,
-		PhysBytes: cfg.PhysBytes,
-	})
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return Result{}, err
-	}
-	cfg.Sink = workload.NewRecorder(wr)
-	r := sim.Run(cfg)
-	if r.Err != nil {
-		f.Close()
-		os.Remove(path)
-		return r, r.Err
-	}
-	err = cfg.Sink.(*workload.Recorder).Close(r.Mutator)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-		return r, err
-	}
-	return r, nil
-}
+// configuration. When the run or a write fails, no file is left at path.
+func RecordTrace(path string, cfg RunConfig) (Result, error) { return sim.RecordTrace(path, cfg) }
 
 // OpenTrace opens a .gctrace file (recorded by RecordTrace or
 // cmd/gctrace, or synthesized by gctrace gen) for replay. The source can

@@ -1,6 +1,8 @@
 package bookmarkgc_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"bookmarkgc"
@@ -117,5 +119,31 @@ func TestRunAndExperimentSurface(t *testing.T) {
 	}
 	if p := bookmarkgc.DynamicPressure(1 << 20); p.GrowBytes == 0 {
 		t.Fatal("DynamicPressure wrong")
+	}
+}
+
+// TestRecordTraceFailedWrite: the facade reports a trace it could not
+// write and leaves nothing behind (a link to /dev/full stands in for a
+// full disk; removing the output removes the link).
+func TestRecordTraceFailedWrite(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	path := filepath.Join(t.TempDir(), "full.gctrace")
+	if err := os.Symlink("/dev/full", path); err != nil {
+		t.Fatal(err)
+	}
+	_, err := bookmarkgc.RecordTrace(path, bookmarkgc.RunConfig{
+		Collector: bookmarkgc.GenMS,
+		Program:   bookmarkgc.PseudoJBB().Scale(0.01),
+		HeapBytes: 4 << 20,
+		PhysBytes: 64 << 20,
+		Seed:      1,
+	})
+	if err == nil {
+		t.Error("recording to a full device succeeded")
+	}
+	if _, err := os.Lstat(path); !os.IsNotExist(err) {
+		t.Errorf("the failed trace was left behind (Lstat: %v)", err)
 	}
 }

@@ -108,7 +108,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	c := &config{fs: flag.NewFlagSet("gcsim", flag.ContinueOnError), set: map[string]bool{}}
 	fs := c.fs
 	fs.SetOutput(stderr)
-	fs.StringVar(&c.collector, "collector", "BC", "collector kind (BC, BCResizeOnly, GenMS, GenCopy, CopyMS, MarkSweep, SemiSpace, GenMSFixed, GenCopyFixed)")
+	fs.StringVar(&c.collector, "collector", "BC", "collector kind ("+strings.Join(kindNames(), ", ")+")")
 	fs.StringVar(&c.program, "program", "pseudojbb", "benchmark program (see Table 1)")
 	fs.Float64Var(&c.heapMB, "heap", 77, "heap size in MB (paper scale)")
 	fs.Float64Var(&c.physMB, "phys", 256, "physical memory in MB (paper scale)")

@@ -321,6 +321,15 @@ func (c *config) exportTrace(stdout, stderr io.Writer, h runner.Host) int {
 	return 0
 }
 
+// kindNames is every collector kind -collector accepts.
+func kindNames() []string {
+	names := make([]string, len(sim.KnownKinds))
+	for i, k := range sim.KnownKinds {
+		names[i] = string(k)
+	}
+	return names
+}
+
 // listInventory prints everything the simulator can run: the benchmark
 // programs (Table 1), the collector kinds, every counter group, the heap
 // policies, the chaos regimes, the trace synthesizer models, and any

@@ -37,6 +37,7 @@ import (
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/sim"
+	"bookmarkgc/internal/trace"
 	"bookmarkgc/internal/vmm"
 	"bookmarkgc/internal/workload"
 )
@@ -122,48 +123,20 @@ func cmdRecord(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		return fmt.Errorf("record: -phys %v at -scale %v is below the smallest simulable machine", *physMB, *scale)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return fmt.Errorf("record: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	wr, err := workload.NewWriter(bw, workload.Meta{
-		Name:      prog.Name,
-		Source:    "record",
-		Program:   &prog,
-		Seed:      *seed,
-		Collector: *collector,
-		HeapBytes: heap,
-		PhysBytes: phys,
-	})
-	if err != nil {
-		return fmt.Errorf("record: %w", err)
-	}
-	rec := workload.NewRecorder(wr)
-	r := sim.Run(sim.RunConfig{
+	r, err := sim.RecordTrace(*out, sim.RunConfig{
 		Collector: sim.CollectorKind(*collector),
 		Program:   prog, HeapBytes: heap, PhysBytes: phys,
-		Seed: *seed, Sink: rec,
+		Seed: *seed, Counters: trace.NewCounters(),
 	})
-	if r.Err != nil {
-		os.Remove(*out)
-		return fmt.Errorf("record: run failed: %w", r.Err)
-	}
-	if err = rec.Close(r.Mutator); err == nil {
-		err = bw.Flush()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
-		return fmt.Errorf("record: writing trace: %w", err)
+		return fmt.Errorf("record: %w", err)
 	}
 	hash, err := workload.HashFile(*out)
 	if err != nil {
 		return fmt.Errorf("record: %w", err)
 	}
 	fmt.Fprintf(stdout, "recorded %s: %d events, %d allocs, %d bytes, checksum %#x\n",
-		*out, wr.Events(), r.Mutator.Allocations, r.Mutator.AllocatedBytes, r.Mutator.Checksum)
+		*out, r.Counters.Get(trace.CWorkloadEventsRecorded), r.Mutator.Allocations, r.Mutator.AllocatedBytes, r.Mutator.Checksum)
 	fmt.Fprintf(stdout, "content hash %s\n", hash)
 	fmt.Fprintln(stdout, runSummary(*collector, prog.Name, r))
 	return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -90,5 +91,25 @@ func TestUsageAndFailures(t *testing.T) {
 		if code != tc.code || stdout != "" || !strings.Contains(stderr, tc.want) {
 			t.Errorf("gctrace %v: exit %d, stdout %q, stderr %q; want exit %d and %q", tc.args, code, stdout, stderr, tc.code, tc.want)
 		}
+	}
+}
+
+// TestRecordFailedWrite: a trace that cannot be written is exit 1, and
+// nothing is left at -o (a link to /dev/full stands in for a full disk;
+// removing the output removes the link).
+func TestRecordFailedWrite(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	path := filepath.Join(t.TempDir(), "full.gctrace")
+	if err := os.Symlink("/dev/full", path); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := exec("record", "-o", path, "-program", "pseudojbb", "-scale", "0.03")
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "record: ") {
+		t.Errorf("record to a full device: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	if _, err := os.Lstat(path); !os.IsNotExist(err) {
+		t.Errorf("the failed trace was left behind (Lstat: %v)", err)
 	}
 }

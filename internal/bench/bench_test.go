@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -117,5 +119,27 @@ func TestFig6Tiny(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReplayFailedTraceWrite: when the shared trace cannot be written
+// the experiment is an error report, not four replays of a truncated
+// file, and nothing is left behind (a link to /dev/full stands in for a
+// full disk; removing the output removes the link).
+func TestReplayFailedTraceWrite(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	path := filepath.Join(t.TempDir(), "full.gctrace")
+	if err := os.Symlink("/dev/full", path); err != nil {
+		t.Fatal(err)
+	}
+	reports := replayVia(path, tiny(), testRunner())
+	if len(reports) != 1 || len(reports[0].Rows) != 0 || len(reports[0].Notes) != 1 ||
+		!strings.HasPrefix(reports[0].Notes[0], "error: recording trace: ") {
+		t.Errorf("replay over a full device reported %+v", reports)
+	}
+	if _, err := os.Lstat(path); !os.IsNotExist(err) {
+		t.Errorf("the failed trace was left behind (Lstat: %v)", err)
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/runner"
 	"bookmarkgc/internal/sim"
+	"bookmarkgc/internal/trace"
 	"bookmarkgc/internal/workload"
 )
 
@@ -31,50 +31,28 @@ func replaySpec(o Options) mutator.Spec {
 // job's cache identity, so re-running the experiment (even from another
 // process with a different temporary path) hits the result cache.
 func Replay(o Options, rn *runner.Runner) []Report {
-	scaled := replaySpec(o)
-	heap := scaled.MinHeap * 2
-	phys := heap*4 + o.bytes(64<<20)
-
 	f, err := os.CreateTemp("", "bench-replay-*.gctrace")
 	if err != nil {
 		return []Report{replayError(fmt.Sprintf("creating trace file: %v", err))}
 	}
-	path := f.Name()
-	defer os.Remove(path)
-	bw := bufio.NewWriter(f)
-	wr, err := workload.NewWriter(bw, workload.Meta{
-		Name:      scaled.Name,
-		Source:    "record",
-		Program:   &scaled,
-		Seed:      o.Seed,
-		Collector: string(sim.BC),
-		HeapBytes: heap,
-		PhysBytes: phys,
-	})
-	if err != nil {
-		f.Close()
-		return []Report{replayError(fmt.Sprintf("writing trace: %v", err))}
-	}
-	rec := workload.NewRecorder(wr)
-	base := sim.Run(sim.RunConfig{
+	f.Close()
+	defer os.Remove(f.Name())
+	return replayVia(f.Name(), o, rn)
+}
+
+// replayVia is Replay with the trace recorded to path.
+func replayVia(path string, o Options, rn *runner.Runner) []Report {
+	scaled := replaySpec(o)
+	heap := scaled.MinHeap * 2
+	phys := heap*4 + o.bytes(64<<20)
+
+	base, err := sim.RecordTrace(path, sim.RunConfig{
 		Collector: sim.BC,
 		Program:   scaled, HeapBytes: heap, PhysBytes: phys,
-		Seed: o.Seed, Sink: rec,
+		Seed: o.Seed, Counters: trace.NewCounters(),
 	})
-	if base.Err != nil {
-		f.Close()
-		return []Report{replayError(fmt.Sprintf("recording run failed: %v", base.Err))}
-	}
-	if err := rec.Close(base.Mutator); err == nil {
-		err = bw.Flush()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	} else {
-		f.Close()
-	}
 	if err != nil {
-		return []Report{replayError(fmt.Sprintf("writing trace: %v", err))}
+		return []Report{replayError(fmt.Sprintf("recording trace: %v", err))}
 	}
 	hash, err := workload.HashFile(path)
 	if err != nil {
@@ -105,7 +83,7 @@ func Replay(o Options, rn *runner.Runner) []Report {
 			"alloc"},
 		Notes: []string{
 			fmt.Sprintf("trace: %s seed %d at scale %.2f, %d events, hash %.12s…",
-				scaled.Name, o.Seed, o.Scale, wr.Events(), hash),
+				scaled.Name, o.Seed, o.Scale, base.Counters.Get(trace.CWorkloadEventsRecorded), hash),
 			fmt.Sprintf("recorded under BC: exec=%s checksum %#x (replays verify it word-for-word)",
 				secs(base.ElapsedSecs), base.Mutator.Checksum),
 		},

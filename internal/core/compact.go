@@ -46,7 +46,7 @@ func (c *BC) compact() {
 	c.E.Trace.Begin(trace.PhaseRootScan)
 	c.Roots().ForEach(func(slot *mem.Addr) { markRoot(*slot) })
 	c.E.Trace.End(trace.PhaseRootScan)
-	// Parallel work-stealing census trace (DESIGN.md §11): a pure marking
+	// Census trace on the mark engine (DESIGN.md §11): a pure marking
 	// pass, so there are no deferred edges — nursery objects are marked in
 	// place and scanned like everything else. Nursery slots are always
 	// readable (the sequential pass used an unfiltered ScanObject there);

@@ -49,7 +49,7 @@ type Env struct {
 	Trace    trace.Tracer
 	Counters *trace.Counters
 
-	// MarkWorkers is the parallel mark engine's worker count. NewEnv
+	// MarkWorkers is the mark engine's worker count. NewEnv
 	// resolves it from the package default (SetDefaultMarkWorkers);
 	// callers may override it before the first collection. Output is
 	// bit-identical for any value ≥ 1.
@@ -59,8 +59,8 @@ type Env struct {
 	wlFree []*WorkList // retired gray stacks (GetWorkList/PutWorkList)
 }
 
-// Marker returns the environment's parallel mark engine, building it on
-// first use with MarkWorkers workers.
+// Marker returns the environment's mark engine, building it on first
+// use with MarkWorkers workers.
 func (e *Env) Marker() *ParMarker {
 	if e.marker == nil {
 		e.marker = NewParMarker(e, e.MarkWorkers)
@@ -115,6 +115,9 @@ type Collector interface {
 	// UsedPages reports the heap footprint in pages as the collector
 	// accounts it (used by the harness and the sizing policies).
 	UsedPages() int
+	// Direct exposes the Base every collector embeds, for data-word
+	// access without the interface dispatch (see Base.Direct).
+	Direct() *Base
 }
 
 // ErrOutOfMemory is the panic value when live data exceeds the budget.
@@ -250,7 +253,6 @@ func CopyObject(s *mem.Space, o, dst objmodel.Ref, totalBytes int) {
 // WorkList is a simple gray stack used by all tracing loops.
 type WorkList struct {
 	items []objmodel.Ref
-	spare []objmodel.Ref // previous Drain buffer, recycled on the next one
 }
 
 // Push adds an object to trace.
@@ -269,16 +271,6 @@ func (w *WorkList) Pop() (objmodel.Ref, bool) {
 
 // Len returns the number of pending objects.
 func (w *WorkList) Len() int { return len(w.items) }
-
-// Drain hands the queued items to the caller and leaves the list empty.
-// The returned slice is valid until the drain after next: the two
-// buffers rotate, so steady-state draining allocates nothing.
-func (w *WorkList) Drain() []objmodel.Ref {
-	items := w.items
-	w.items = w.spare[:0]
-	w.spare = items
-	return items
-}
 
 // Reset empties the list, retaining capacity.
 func (w *WorkList) Reset() { w.items = w.items[:0] }

@@ -172,8 +172,8 @@ func (t *Trace) ScanRoots() {
 	env.Trace.End(trace.PhaseRootScan)
 }
 
-// Mark runs the parallel work-stealing trace (DESIGN.md §11) from what
-// the roots queued: workers mark mature objects in place and defer edges
+// Mark runs the mark engine (DESIGN.md §11) from what the roots
+// queued: workers mark mature objects in place and defer edges
 // into the young space, which are promoted sequentially between rounds,
 // in slot order, and written back.
 func (t *Trace) Mark() {

@@ -1,8 +1,7 @@
 package gc
 
 import (
-	"fmt"
-	"runtime"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,31 +11,32 @@ import (
 	"bookmarkgc/internal/trace"
 )
 
-// Parallel mark engine (DESIGN.md §11). Workers trace the heap through a
+// Mark engine (DESIGN.md §11). Workers trace the heap through a
 // mem.AtomicView — raw atomic loads and mark-bit CASes that never touch
 // the VMM or the simulated clock — while every logical word access is
-// tallied per worker, per page. After the workers join, the tallies are
-// merged and replayed against the Space in ascending page order via
-// Proc.TouchN, so faults, evictions, and clock advance happen exactly
-// once per round in an order that is a pure function of the marked
-// graph. That is what makes the simulation bit-identical for any
+// tallied per worker, per page. When a round's gray set is exhausted the
+// tallies are merged and replayed against the Space in ascending page
+// order via Proc.TouchN, so faults, evictions, and clock advance happen
+// exactly once per round in an order that is a pure function of the
+// marked graph. That is what makes the simulation bit-identical for any
 // -mark-workers value: the marked set is schedule-independent (exactly
 // one TryMark winner per object), the per-page access counts are
 // graph-determined, and every order-dependent side effect (touch replay,
 // deferred-edge evacuation) runs sequentially in canonical order.
 //
-// Work distribution is a Chase–Lev deque per worker with steal-half
-// balancing; termination is a global pending counter incremented before
-// every push and decremented after the corresponding scan completes, so
-// pending==0 means no gray object exists anywhere — a stale "deques all
-// looked empty" observation can never end a round early.
+// Each worker owns a plain stack of gray objects. One worker drains its
+// stack depth-first on the caller's goroutine. Several workers run
+// fork-join deals: the gray set is split evenly, every worker scans at
+// most markDeal objects from its share, and the join gathers what the
+// stacks still hold for the next deal. Gray work moves between workers
+// only at a join, so the stacks need no synchronisation, and a round is
+// over when the join finds every stack empty.
 
 // defaultMarkWorkers holds the process-wide worker count applied to new
 // environments; zero means unset, which is one worker. Marking is a few
-// percent of host time at every scale this repository runs and two
-// workers have never been faster than one on it (the repository
-// benchmark's gc.mark_speedup_2w is 0.48–0.94 on every workload), so
-// parallel marking is something a caller asks for, not the default.
+// percent of host time at every scale this repository runs and its
+// heaps are a deal or two, so more workers are something a caller asks
+// for, not the default.
 var defaultMarkWorkers atomic.Int64
 
 // SetDefaultMarkWorkers sets the mark worker count new environments
@@ -97,25 +97,26 @@ type ParMarkConfig struct {
 	SkipObj func(o objmodel.Ref) bool
 }
 
-// markStealMax bounds how many elements one steal-half batch takes.
-const markStealMax = 32
+// markDeal is the most objects one worker scans in one deal. Starting
+// and joining the goroutines costs what scanning about a thousand
+// objects does (tens of microseconds of futex wake-ups), so a deal has
+// to be many thousands long to be worth its fork; the bound is what a
+// worker whose share ran dry early waits at the join, about a
+// millisecond, before the gray set is split evenly again.
+const markDeal = 16384
 
 // markWorker is one tracing goroutine's private state. The touch tally
 // is sparse: touch[pg] is the logical word-access count charged to pg
 // this round, and touched lists the pages with nonzero counts.
 type markWorker struct {
-	id      int
-	deque   *Deque
+	stack   []objmodel.Ref
 	touch   []uint32
 	touched []mem.PageID
 
 	deferred []DeferredEdge
 
-	objects    uint64
-	bytes      uint64
-	steals     uint64
-	stealFails uint64
-	termSpins  uint64
+	objects uint64
+	bytes   uint64
 }
 
 // charge records n logical word accesses to page pg.
@@ -126,13 +127,11 @@ func (w *markWorker) charge(pg mem.PageID, n uint32) {
 	w.touch[pg] += n
 }
 
-// roundState is the shared context of one parallel round.
+// roundState is what every worker reads during one round.
 type roundState struct {
-	cfg     *ParMarkConfig
-	view    *mem.AtomicView
-	types   *objmodel.Table
-	pending atomic.Int64
-	workers []*markWorker
+	cfg   *ParMarkConfig
+	view  *mem.AtomicView
+	types *objmodel.Table
 }
 
 // scan visits o's reference slots, charging accesses exactly as the
@@ -166,50 +165,21 @@ func (w *markWorker) scan(r *roundState, o objmodel.Ref) {
 			if !objmodel.MarkedRaw(r.view, tgt, r.cfg.Epoch) &&
 				objmodel.TryMark(r.view, tgt, r.cfg.Epoch) {
 				w.charge(tgt.Page(), 2)
-				r.pending.Add(1)
-				w.deque.Push(tgt)
+				w.stack = append(w.stack, tgt)
 			}
 		}
 	}
 }
 
-// stealWork sweeps the other workers' deques, moving up to half of one
-// victim's work into w's own deque and returning the first element.
-func (w *markWorker) stealWork(r *roundState) (objmodel.Ref, bool) {
-	n := len(r.workers)
-	for k := 1; k < n; k++ {
-		v := r.workers[(w.id+k)%n]
-		taken, _ := v.deque.StealBatch(w.deque.Push, markStealMax)
-		if taken > 0 {
-			w.steals += uint64(taken)
-			return w.deque.Pop()
-		}
-		w.stealFails++
-	}
-	return mem.Nil, false
-}
-
-// run drains work until the round is globally quiescent. With one worker
-// this is an ordinary sequential loop (no stealing, no spinning), which
-// is why -mark-workers 1 needs no separate code path.
-func (w *markWorker) run(r *roundState) {
-	for {
-		o, ok := w.deque.Pop()
-		if !ok {
-			o, ok = w.stealWork(r)
-		}
-		if !ok {
-			if r.pending.Load() == 0 {
-				return
-			}
-			w.termSpins++
-			runtime.Gosched()
-			continue
-		}
+// drain pops and scans depth-first until the stack is empty or limit
+// objects have been popped.
+func (w *markWorker) drain(r *roundState, limit int) {
+	for ; limit > 0 && len(w.stack) > 0; limit-- {
+		o := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
 		if r.cfg.SkipObj == nil || !r.cfg.SkipObj(o) {
 			w.scan(r, o)
 		}
-		r.pending.Add(-1)
 	}
 }
 
@@ -224,27 +194,18 @@ type ParMarker struct {
 	pages []mem.PageID
 	edges []DeferredEdge
 	round roundState
+	wg    sync.WaitGroup // joins one deal
 }
 
-// NewParMarker builds an engine with n workers over env. The deques carry
-// 32-bit word-index handles (see Deque), so the space must fit
-// objmodel.MaxHandleSpace — any simulated heap does by orders of
-// magnitude, but the bound is enforced rather than assumed.
+// NewParMarker builds an engine with n workers over env.
 func NewParMarker(env *Env, n int) *ParMarker {
 	if n < 1 {
 		n = 1
 	}
-	if size := uint64(env.Space.Pages()) * mem.PageSize; size > objmodel.MaxHandleSpace {
-		panic(fmt.Sprintf("gc: space size %d exceeds the %d-byte handle range", size, objmodel.MaxHandleSpace))
-	}
 	npg := env.Space.Pages()
 	m := &ParMarker{env: env, total: make([]uint32, npg)}
 	for i := 0; i < n; i++ {
-		m.workers = append(m.workers, &markWorker{
-			id:    i,
-			deque: NewDeque(),
-			touch: make([]uint32, npg),
-		})
+		m.workers = append(m.workers, &markWorker{touch: make([]uint32, npg)})
 	}
 	return m
 }
@@ -253,42 +214,67 @@ func NewParMarker(env *Env, n int) *ParMarker {
 func (m *ParMarker) Workers() int { return len(m.workers) }
 
 // Mark drains work to completion in rounds. Each round traces the
-// EdgeMark-closure of the current seeds in parallel, replays the touch
-// tallies canonically, then evacuates deferred edges sequentially via
-// evacuate (which may push follow-on work, as may any VMM handler that
-// fires during replay — both seed the next round). Counters are flushed
-// once at the end.
+// EdgeMark-closure of the current seeds, replays the touch tallies
+// canonically, then evacuates deferred edges sequentially via evacuate
+// (which may push follow-on work, as may any VMM handler that fires
+// during replay — both seed the next round). Counters are flushed once
+// at the end.
 func (m *ParMarker) Mark(cfg *ParMarkConfig, work *WorkList, evacuate func(e DeferredEdge, work *WorkList)) {
+	w0 := m.workers[0]
 	var rounds uint64
 	for work.Len() > 0 {
 		rounds++
-		seeds := work.Drain()
-		// Reuse the round scratch: pending is back to zero when a round
-		// ends, so only the per-round fields need refreshing.
-		r := &m.round
-		r.cfg, r.view, r.types, r.workers = cfg, m.env.Space.View(), m.env.Types, m.workers
-		for i, o := range seeds {
-			w := m.workers[i%len(m.workers)]
-			r.pending.Add(1)
-			w.deque.Push(o)
-		}
+		// A fresh view per round: evacuation and replay change which
+		// bodies back the space's pages.
+		m.round = roundState{cfg: cfg, view: m.env.Space.View(), types: m.env.Types}
+		// Worker 0 traces on the worklist's own buffer, which every run
+		// hands on full-grown to the next (ReleaseScratch). Nothing
+		// pushes on work until the sequential steps below, and by then it
+		// has the buffer back, emptied.
+		w0.stack = work.items
 		if len(m.workers) == 1 {
-			m.workers[0].run(r)
+			w0.drain(&m.round, math.MaxInt)
 		} else {
-			var wg sync.WaitGroup
-			for _, w := range m.workers {
-				wg.Add(1)
-				go func(w *markWorker) {
-					defer wg.Done()
-					w.run(r)
-				}(w)
-			}
-			wg.Wait()
+			m.deal()
 		}
+		work.items, w0.stack = w0.stack[:0], nil
 		m.replay()
 		m.evacuate(work, evacuate)
 	}
 	m.flushCounters(rounds)
+}
+
+// deal traces worker 0's stack to exhaustion with every worker. Each
+// deal hands every other worker an equal share off the top — no more
+// than markDeal objects, since it will pop no more — scans on all of
+// them at once, and moves what they still hold back. A gray set with
+// fewer objects than workers cannot be shared: worker 0 scans one
+// object at a time until it has grown or emptied.
+func (m *ParMarker) deal() {
+	r, w0, n := &m.round, m.workers[0], len(m.workers)
+	for len(w0.stack) > 0 {
+		if len(w0.stack) < n {
+			w0.drain(r, 1)
+			continue
+		}
+		share := min(len(w0.stack)/n, markDeal)
+		for _, w := range m.workers[1:] {
+			keep := len(w0.stack) - share
+			w.stack = append(w.stack, w0.stack[keep:]...)
+			w0.stack = w0.stack[:keep]
+			m.wg.Add(1)
+			go func() {
+				defer m.wg.Done()
+				w.drain(r, markDeal)
+			}()
+		}
+		w0.drain(r, markDeal)
+		m.wg.Wait()
+		for _, w := range m.workers[1:] {
+			w0.stack = append(w0.stack, w.stack...)
+			w.stack = w.stack[:0]
+		}
+	}
 }
 
 // replay merges the workers' touch tallies and applies them to the
@@ -342,18 +328,15 @@ func (m *ParMarker) evacuate(work *WorkList, fn func(e DeferredEdge, work *WorkL
 
 // flushCounters moves the workers' per-collection tallies into the
 // registry and resets them. The graph totals (rounds, objects, bytes)
-// are deterministic for any worker count; the scheduling ones are not
-// and stay out of experiment reports.
+// are deterministic for any worker count; the per-worker split is not
+// and stays out of experiment reports.
 func (m *ParMarker) flushCounters(rounds uint64) {
 	c := m.env.Counters
 	c.Add(trace.CMarkRounds, rounds)
 	for i, w := range m.workers {
 		c.Add(trace.CMarkObjects, w.objects)
 		c.Add(trace.CMarkBytes, w.bytes)
-		c.Add(trace.CMarkSteals, w.steals)
-		c.Add(trace.CMarkStealFails, w.stealFails)
-		c.Add(trace.CMarkTermRounds, w.termSpins)
 		c.AddVec(trace.VMarkBytesByWorker, i, w.bytes)
-		w.objects, w.bytes, w.steals, w.stealFails, w.termSpins = 0, 0, 0, 0, 0
+		w.objects, w.bytes = 0, 0
 	}
 }

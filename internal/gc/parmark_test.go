@@ -2,8 +2,8 @@ package gc
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"bookmarkgc/internal/mem"
@@ -12,131 +12,183 @@ import (
 	"bookmarkgc/internal/vmm"
 )
 
-func TestDequeEmpty(t *testing.T) {
-	d := NewDeque()
-	if _, ok := d.Pop(); ok {
-		t.Fatal("pop of empty deque succeeded")
-	}
-	if _, ok, contended := d.Steal(); ok || contended {
-		t.Fatal("steal of empty deque succeeded or reported contention")
-	}
-	if d.Size() != 0 {
-		t.Fatalf("Size = %d", d.Size())
-	}
-}
-
-func TestDequeOrdering(t *testing.T) {
-	d := NewDeque()
-	for i := 1; i <= 5; i++ {
-		d.Push(objmodel.Ref(i * 8))
-	}
-	// Owner pops LIFO from the bottom.
-	if o, ok := d.Pop(); !ok || o != 5*8 {
-		t.Fatalf("Pop = %#x", o)
-	}
-	// Thieves take FIFO from the top.
-	if o, ok, _ := d.Steal(); !ok || o != 1*8 {
-		t.Fatalf("Steal = %#x", o)
-	}
-	if d.Size() != 3 {
-		t.Fatalf("Size = %d", d.Size())
-	}
-}
-
-func TestDequeGrow(t *testing.T) {
-	d := NewDeque()
-	const n = minDequeCap * 5
-	for i := 1; i <= n; i++ {
-		d.Push(objmodel.Ref(i * 8))
-	}
-	if d.Size() != n {
-		t.Fatalf("Size = %d after grow", d.Size())
-	}
-	for i := n; i >= 1; i-- {
-		o, ok := d.Pop()
-		if !ok || o != objmodel.Ref(i*8) {
-			t.Fatalf("Pop %d = %#x, ok=%v", i, o, ok)
+// allocNodes allocates n zeroed mature objects of type ty (arrayLen
+// elements each for an array type).
+func allocNodes(t testing.TB, m *Mature, ty *objmodel.Type, arrayLen, n int) []objmodel.Ref {
+	t.Helper()
+	env := m.b.E
+	objs := make([]objmodel.Ref, n)
+	for i := range objs {
+		if objs[i] = m.AllocMature(ty, arrayLen, env.HeapPages, 0); objs[i] == mem.Nil {
+			t.Fatal("alloc failed")
 		}
 	}
+	return objs
 }
 
-func TestDequeStealBatchTakesHalf(t *testing.T) {
-	d := NewDeque()
-	for i := 1; i <= 10; i++ {
-		d.Push(objmodel.Ref(i * 8))
-	}
-	var got []objmodel.Ref
-	taken, contended := d.StealBatch(func(o objmodel.Ref) { got = append(got, o) }, markStealMax)
-	if contended {
-		t.Fatal("uncontended batch reported contention")
-	}
-	if taken != 5 || len(got) != 5 {
-		t.Fatalf("taken = %d (%v)", taken, got)
-	}
-	if got[0] != 1*8 || got[4] != 5*8 {
-		t.Fatalf("batch not FIFO: %v", got)
-	}
-	if d.Size() != 5 {
-		t.Fatalf("victim Size = %d", d.Size())
-	}
-}
+// checkAgainstMarkTrace marks the graph build returns (every object
+// ever allocated, and the root) with the sequential MarkTrace and then
+// with the engine at each worker count, on one heap. The marked set and
+// the number of objects the engine scanned must equal the reference's:
+// a gray object dropped at a deal or a join leaves its count (and what
+// only it reaches) short, one duplicated is scanned twice. It returns
+// the counters of the last (8-worker) pass.
+func checkAgainstMarkTrace(t *testing.T, heapBytes uint64, build func(env *Env, m *Mature) (all []objmodel.Ref, root objmodel.Ref)) *trace.Counters {
+	t.Helper()
+	env := NewEnv(vmm.New(vmm.NewClock(), 4*heapBytes, vmm.DefaultCosts()), "gc-test", heapBytes)
+	m := NewMature(&Base{E: env})
+	all, root := build(env, &m)
 
-// TestDequeOwnerThiefRace hammers the size-1 window: an owner pushing
-// and popping while a thief steals. Every pushed element must be taken
-// exactly once — the conservation check fails on both loss and
-// duplication. Run with -race to check the memory model too.
-func TestDequeOwnerThiefRace(t *testing.T) {
-	d := NewDeque()
-	const n = 20000
-	var thiefSum uint64
-	var ownerSum uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			if o, ok, _ := d.Steal(); ok {
-				thiefSum += uint64(o)
-				continue
-			}
-			select {
-			case <-stop:
-				for {
-					o, ok, _ := d.Steal()
-					if !ok {
-						return
-					}
-					thiefSum += uint64(o)
-				}
-			default:
-			}
-		}
-	}()
+	// The header holds one epoch, so snapshot the reference's verdicts
+	// before the engine re-marks at later epochs.
+	var work WorkList
+	MarkStep(env, &work, root, 1)
+	MarkTrace(env, &work, 1, nil)
+	ref := make([]bool, len(all))
 	var want uint64
-	for i := 1; i <= n; i++ {
-		// Refs must be word-aligned: the deque stores word-index handles.
-		d.Push(objmodel.Ref(i) * mem.WordSize)
-		want += uint64(i) * mem.WordSize
-		// Pop every few pushes so the deque keeps crossing size 1 and 0,
-		// exercising the owner/thief CAS on the final element.
-		if i%3 == 0 {
-			if o, ok := d.Pop(); ok {
-				ownerSum += uint64(o)
+	for i, o := range all {
+		if ref[i] = objmodel.Marked(env.Space, o, 1); ref[i] {
+			want++
+		}
+	}
+
+	for i, workers := range []int{1, 2, 8} {
+		epoch := uint32(i + 2)
+		env.Counters = trace.NewCounters()
+		MarkStep(env, &work, root, epoch)
+		NewParMarker(env, workers).Mark(&ParMarkConfig{Epoch: epoch}, &work, nil)
+		for j, o := range all {
+			if got := objmodel.Marked(env.Space, o, epoch); got != ref[j] {
+				t.Fatalf("workers=%d: object %d of %d: MarkTrace=%v engine=%v", workers, j, len(all), ref[j], got)
 			}
 		}
-	}
-	for {
-		o, ok := d.Pop()
-		if !ok {
-			break
+		if got := env.Counters.Get(trace.CMarkObjects); got != want {
+			t.Fatalf("workers=%d: engine scanned %d objects, MarkTrace marked %d", workers, got, want)
 		}
-		ownerSum += uint64(o)
 	}
-	close(stop)
-	wg.Wait()
-	if ownerSum+thiefSum != want {
-		t.Fatalf("conservation violated: owner %d + thief %d != %d", ownerSum, thiefSum, want)
+	return env.Counters
+}
+
+// TestParMarkChain: a 50k-node list never has more than one gray
+// object, so no worker count ever has anything to deal; the round must
+// still terminate with the whole chain marked.
+func TestParMarkChain(t *testing.T) {
+	checkAgainstMarkTrace(t, 8<<20, func(env *Env, m *Mature) ([]objmodel.Ref, objmodel.Ref) {
+		node := env.Types.Scalar("cnode", 2, 0)
+		all := allocNodes(t, m, node, 0, 50000)
+		for i := 1; i < len(all); i++ {
+			env.Space.WriteAddr(node.RefSlotAddr(all[i-1], 0), all[i])
+		}
+		return all, all[0]
+	})
+}
+
+// TestParMarkFanOut: one root array pointing at 4096 short chains. The
+// first scan makes thousands of objects gray at once, so a deal must
+// reach every one of eight workers.
+func TestParMarkFanOut(t *testing.T) {
+	c := checkAgainstMarkTrace(t, 8<<20, func(env *Env, m *Mature) ([]objmodel.Ref, objmodel.Ref) {
+		const width, depth = 4096, 4
+		node := env.Types.Scalar("fnode", 2, 0)
+		root := allocNodes(t, m, env.Types.Array("froot", true), width, 1)[0]
+		all := allocNodes(t, m, node, 0, width*depth)
+		for i, o := range all {
+			if i%depth == 0 {
+				env.Space.WriteAddr(objmodel.Payload(root)+mem.Addr(i/depth)*mem.WordSize, o)
+			} else {
+				env.Space.WriteAddr(node.RefSlotAddr(all[i-1], 0), o)
+			}
+		}
+		return append(all, root), root
+	})
+	byWorker := c.VecValues(trace.VMarkBytesByWorker)
+	if len(byWorker) != 8 {
+		t.Fatalf("mark_bytes_by_worker has %d entries, want 8", len(byWorker))
+	}
+	for w, b := range byWorker {
+		if b == 0 {
+			t.Errorf("worker %d of 8 scanned nothing: the fan-out was never dealt", w)
+		}
+	}
+}
+
+// TestParMarkLeftover: a complete binary tree too large for eight
+// workers to finish in one deal. A worker that stops after markDeal
+// objects of a depth-first walk leaves their unvisited siblings on its
+// stack, so the join moves leftovers from several stacks and the next
+// deal splits them again.
+func TestParMarkLeftover(t *testing.T) {
+	checkAgainstMarkTrace(t, 32<<20, func(env *Env, m *Mature) ([]objmodel.Ref, objmodel.Ref) {
+		node := env.Types.Scalar("tnode", 2, 0, 1)
+		all := allocNodes(t, m, node, 0, 16*markDeal-1)
+		for i := 1; i < len(all); i++ {
+			env.Space.WriteAddr(node.RefSlotAddr(all[(i-1)/2], (i-1)%2), all[i])
+		}
+		return all, all[0]
+	})
+}
+
+// TestParMarkFilters runs the three callbacks BC's in-memory trace sets
+// (SlotOK, Classify → EdgeSkip, SkipObj) over a random graph with a
+// quarter of its pages declared off limits, at 1, 2 and 8 workers: the
+// marked set, the graph totals and the simulated clock must not depend
+// on the worker count, and nothing on a forbidden page may be marked.
+func TestParMarkFilters(t *testing.T) {
+	type result struct {
+		clock          int64
+		objects, bytes uint64
+		marked         []objmodel.Ref
+	}
+	run := func(workers int) result {
+		env := testEnv(t)
+		env.Counters = trace.NewCounters()
+		m := NewMature(&Base{E: env})
+		all, root := buildRandomGraph(t, env, &m, 4000, 11)
+		ok := func(pg mem.PageID) bool { return pg%4 != 3 || pg == root.Page() }
+		cfg := &ParMarkConfig{
+			Epoch:  4,
+			SlotOK: func(slot mem.Addr) bool { return ok(slot.Page()) },
+			Classify: func(tgt objmodel.Ref) EdgeAction {
+				if !ok(tgt.Page()) {
+					return EdgeSkip
+				}
+				return EdgeMark
+			},
+			// Stricter than Classify, as when a page is evicted while
+			// objects on it are gray.
+			SkipObj: func(o objmodel.Ref) bool { return o.Page()%8 == 5 && o != root },
+		}
+		var work WorkList
+		MarkStep(env, &work, root, 4)
+		NewParMarker(env, workers).Mark(cfg, &work, nil)
+		r := result{
+			clock:   int64(env.Clock.Now()),
+			objects: env.Counters.Get(trace.CMarkObjects),
+			bytes:   env.Counters.Get(trace.CMarkBytes),
+		}
+		for _, o := range all {
+			if objmodel.Marked(env.Space, o, 4) {
+				if !ok(o.Page()) {
+					t.Fatalf("workers=%d: %#x marked on a forbidden page", workers, o)
+				}
+				r.marked = append(r.marked, o)
+			}
+		}
+		return r
+	}
+	base := run(1)
+	if len(base.marked) < 100 || uint64(len(base.marked)) <= base.objects {
+		t.Fatalf("filters did not bite: %d marked, %d scanned", len(base.marked), base.objects)
+	}
+	for _, workers := range []int{2, 8} {
+		got := run(workers)
+		if got.clock != base.clock || got.objects != base.objects || got.bytes != base.bytes {
+			t.Errorf("workers=%d: clock/objects/bytes (%d,%d,%d) != (%d,%d,%d)", workers,
+				got.clock, got.objects, got.bytes, base.clock, base.objects, base.bytes)
+		}
+		if !slices.Equal(got.marked, base.marked) {
+			t.Errorf("workers=%d: marked set differs from one worker's", workers)
+		}
 	}
 }
 

@@ -117,9 +117,6 @@ func Known(name string) bool {
 type Options struct {
 	// Regrow enables bc-shrink's §7 regrow extension.
 	Regrow bool
-	// Aggressiveness is membalancer's c; larger c trades memory for
-	// GC time harder (smaller heaps). 0 means the default.
-	Aggressiveness float64
 }
 
 // New constructs a policy by name.
@@ -130,9 +127,9 @@ func New(name string, o Options) (Policy, error) {
 	case "bc-shrink":
 		return NewBCShrink(BCShrinkOptions{Regrow: o.Regrow}), nil
 	case "membalancer":
-		return NewMemBalancer(o.Aggressiveness), nil
+		return NewMemBalancer(0), nil
 	case "composed":
-		return NewComposed(o), nil
+		return NewComposed(), nil
 	default:
 		known := Names()
 		sort.Strings(known)
@@ -250,7 +247,8 @@ type memBalancer struct {
 }
 
 // NewMemBalancer returns the square-root policy with aggressiveness c
-// (0 = default).
+// (0 = default); a larger c trades memory for GC time harder (smaller
+// heaps).
 func NewMemBalancer(c float64) Policy {
 	if c <= 0 {
 		c = defaultAggressiveness
@@ -331,9 +329,9 @@ type composed struct {
 }
 
 // NewComposed returns membalancer clamped by bc-shrink.
-func NewComposed(o Options) Policy {
+func NewComposed() Policy {
 	return &composed{
-		mb: NewMemBalancer(o.Aggressiveness).(*memBalancer),
+		mb: NewMemBalancer(0).(*memBalancer),
 		bc: NewBCShrink(BCShrinkOptions{Regrow: true}).(*bcShrink),
 	}
 }

@@ -140,7 +140,7 @@ func TestMemBalancerHigherAggressivenessShrinks(t *testing.T) {
 }
 
 func TestComposedTakesTighterTarget(t *testing.T) {
-	p := NewComposed(Options{}).(*composed)
+	p := NewComposed().(*composed)
 	if !p.Wants(EvGCEnd) || !p.Wants(EvPressure) || !p.Wants(EvMutator) {
 		t.Fatal("composed should want all events")
 	}

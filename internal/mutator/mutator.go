@@ -184,35 +184,14 @@ type Run struct {
 // NewRun prepares a run of spec on collector c. Types must have been
 // declared on c's environment.
 func NewRun(spec Spec, c gc.Collector, types Types, seed int64) *Run {
-	r := &Run{spec: spec, c: c, types: types}
+	r := &Run{spec: spec, c: c, types: types, base: c.Direct(), roots: c.Roots()}
 	r.rng.seed(seed)
 	for _, b := range spec.Sizes {
 		r.bandTW += b.Weight
 	}
-	if d, ok := c.(interface{ Direct() *gc.Base }); ok {
-		r.base = d.Direct()
-	}
-	r.roots = c.Roots()
 	env := c.Env()
 	r.tt, r.space = env.Types, env.Space
 	return r
-}
-
-// readData and writeData route payload-word access through the cached
-// Base when the collector exposes one, else through the interface.
-func (r *Run) readData(o objmodel.Ref, d int) uint64 {
-	if r.base != nil {
-		return r.base.ReadData(o, d)
-	}
-	return r.c.ReadData(o, d)
-}
-
-func (r *Run) writeData(o objmodel.Ref, d int, v uint64) {
-	if r.base != nil {
-		r.base.WriteData(o, d, v)
-		return
-	}
-	r.c.WriteData(o, d, v)
 }
 
 // SetSink attaches an event observer (an allocation-trace recorder).
@@ -402,30 +381,26 @@ func (r *Run) allocate() {
 // object: decode its header (two charged reads) to pick a data word, read
 // it, and on every fourth item decode the header again and write the
 // value back incremented. That is three or six charged accesses, and
-// every one is charged on every path (DESIGN.md §17). When the collector
-// exposes its Base the step first tries to open one mem window over all
-// of them on the header's page; it leaves the window for the ordinary
-// per-access calls at the first datum that lies on another page (an
-// array straddling a page boundary, a large object), and never enters it
-// when an event is due or the page is not simply resident.
+// every one is charged on every path (DESIGN.md §17). The step first
+// tries to open one mem window over all of them on the header's page; it
+// leaves the window for the ordinary per-access calls at the first datum
+// that lies on another page (an array straddling a page boundary, a
+// large object), and never enters it when an event is due or the page is
+// not simply resident.
 func (r *Run) work(w int) {
 	s := r.randomLive()
 	obj := r.roots.Get(s)
 	sp, hdr := r.space, obj+mem.WordSize
 	write := w&3 == 0
 
-	var h1, h2 uint64
-	win := false
-	if r.base != nil {
-		n := 3
-		if write {
-			n = 6
-		}
-		h1, win = sp.TryReadWindow(hdr, n)
+	n := 3
+	if write {
+		n = 6
 	}
+	h1, win := sp.TryReadWindow(hdr, n)
+	h2 := h1
 	if win {
 		sp.ChargeReads(1)
-		h2 = h1
 	} else {
 		h1, h2 = sp.ReadWordPair(hdr)
 	}
@@ -435,7 +410,7 @@ func (r *Run) work(w int) {
 		v = sp.WindowRead(ra)
 	} else {
 		win = false
-		v = r.readData(obj, ri)
+		v = r.base.ReadData(obj, ri)
 	}
 	r.checksum = r.checksum*31 + v
 
@@ -450,7 +425,7 @@ func (r *Run) work(w int) {
 		if wa := gc.DataAddr(obj, wi); win && wa.Page() == hdr.Page() {
 			sp.WindowWrite(wa, v+1)
 		} else {
-			r.writeData(obj, wi, v+1)
+			r.base.WriteData(obj, wi, v+1)
 		}
 	}
 	if r.sink != nil {

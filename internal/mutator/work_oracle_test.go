@@ -155,10 +155,7 @@ func (s *oracleSide) tick(paging bool) {
 	s.clock.Schedule(s.clock.Now()+gap, func() { s.tick(paging) })
 }
 
-// hidden wraps a collector so that it no longer exposes its Base.
-type hidden struct{ gc.Collector }
-
-func newOracleSide(physBytes uint64, bc, hide bool, seed int64) *oracleSide {
+func newOracleSide(physBytes uint64, bc bool, seed int64) *oracleSide {
 	s := &oracleSide{clock: vmm.NewClock()}
 	s.v = vmm.New(s.clock, physBytes, vmm.DefaultCosts())
 	s.env = gc.NewEnv(s.v, "oracle", 6<<20)
@@ -166,9 +163,6 @@ func newOracleSide(physBytes uint64, bc, hide bool, seed int64) *oracleSide {
 	var c gc.Collector = collectors.NewGenMS(s.env)
 	if bc {
 		c = core.New(s.env, core.Config{})
-	}
-	if hide {
-		c = hidden{c}
 	}
 	s.run = NewRun(oracleSpec, c, DeclareTypes(s.env), seed)
 	s.run.SetSink(&s.log)
@@ -188,23 +182,16 @@ func TestWorkStepMatchesPerAccessOracle(t *testing.T) {
 		{"paging/BC", 1200 << 10, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := newOracleSide(tc.phys, tc.bc, false, 11)    // windowed
-			byIface := newOracleSide(tc.phys, tc.bc, true, 11) // Step with no Base to window through
-			want := newOracleSide(tc.phys, tc.bc, false, 11)   // the oracle
-			if got.run.base == nil || byIface.run.base != nil {
-				t.Fatal("the sides are not wired as labelled")
-			}
+			got := newOracleSide(tc.phys, tc.bc, 11)  // windowed
+			want := newOracleSide(tc.phys, tc.bc, 11) // the oracle
 			var seen workSeen
 			for q := 0; ; q++ {
 				more := want.run.refStep(7, &seen)
-				for _, s := range []*oracleSide{got, byIface} {
-					if s.run.Step(7) != more {
-						t.Fatalf("quantum %d: Step and the oracle disagree on the end of the run", q)
-					}
-					compareSides(t, fmt.Sprintf("quantum %d", q), s, want)
-					s.log.ev = s.log.ev[:0]
+				if got.run.Step(7) != more {
+					t.Fatalf("quantum %d: Step and the oracle disagree on the end of the run", q)
 				}
-				want.log.ev = want.log.ev[:0]
+				compareSides(t, fmt.Sprintf("quantum %d", q), got, want)
+				got.log.ev, want.log.ev = got.log.ev[:0], want.log.ev[:0]
 				if !more {
 					break
 				}

@@ -1,0 +1,49 @@
+package runner
+
+import (
+	"testing"
+
+	"bookmarkgc/internal/fault"
+	"bookmarkgc/internal/mutator"
+	"bookmarkgc/internal/sim"
+)
+
+// TestJobHashPinned holds Job.Hash to values computed at the commit
+// before Job lost its never-set Costs field (PR 23). A persisted result
+// cache is keyed by these hashes, so an edit to Job, to a struct it
+// embeds, or to the registries these jobs are built from that moves one
+// of them orphans every stored result: do that on purpose or not at all.
+func TestJobHashPinned(t *testing.T) {
+	prog, _ := mutator.ByName("pseudojbb")
+	prog = prog.Scale(0.03)
+	chaos, _ := fault.ByName("thrash", 5)
+	fleet := sim.DefaultFleetSpec(4, 0.03, 1, 5)
+	fleet.Policy = "cooperative"
+	for _, tc := range []struct {
+		name string
+		job  Job
+		want string
+	}{
+		{"single", Job{
+			Collector: sim.BC, Program: prog,
+			HeapBytes: 40 << 20, PhysBytes: 60 << 20,
+			Pressure: sim.SteadyPressure(60<<20, 0.8), Seed: 1,
+			Chaos:    &chaos,
+			Counters: true, HeapPolicy: "membalancer",
+		}, "b60ca3243710720e75f7060ac1913eb6e728d3312e17d837c44557c1d6b1dfe3"},
+		{"jvms2", Job{
+			Collector: sim.GenMS, Program: prog,
+			HeapBytes: 45 << 20, PhysBytes: 100 << 20,
+			Seed: 7, JVMs: 2, Quantum: 64,
+		}, "1caacbb70e55b1074e2b580ee0e56379ff341a314117e2cfb163d60c077e91e6"},
+		{"fleet", Job{Fleet: &fleet},
+			"ddfba02259d72bbc434d859b12dfeb2b9ea34a6eeb00f5b7c02894a0dc43b3d1"},
+	} {
+		if err := tc.job.Validate(); err != nil {
+			t.Errorf("%s: the pinned job is not a valid one: %v", tc.name, err)
+		}
+		if got := tc.job.Hash(); got != tc.want {
+			t.Errorf("%s: Job.Hash() = %s, pinned %s", tc.name, got, tc.want)
+		}
+	}
+}

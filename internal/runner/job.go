@@ -27,7 +27,6 @@ import (
 	"bookmarkgc/internal/sim"
 	"bookmarkgc/internal/telemetry"
 	"bookmarkgc/internal/trace"
-	"bookmarkgc/internal/vmm"
 	"bookmarkgc/internal/workload"
 )
 
@@ -54,7 +53,6 @@ type Job struct {
 	PhysBytes uint64            `json:"phys_bytes"`
 	Pressure  *sim.Pressure     `json:"pressure,omitempty"`
 	Seed      int64             `json:"seed"`
-	Costs     *vmm.Costs        `json:"costs,omitempty"`
 	Chaos     *fault.Config     `json:"chaos,omitempty"`
 
 	// JVMs > 1 runs that many identical instances round-robin on one
@@ -212,7 +210,6 @@ func execute(j Job, h Host) *Result {
 	if j.Fleet != nil {
 		fr := sim.RunFleet(sim.FleetConfig{
 			Spec:        *j.Fleet,
-			Costs:       j.Costs,
 			Trace:       h.Trace,
 			Counters:    ctrs,
 			FlightDir:   h.FlightDir,
@@ -237,7 +234,6 @@ func execute(j Job, h Host) *Result {
 			JVMs:        j.JVMs,
 			Quantum:     j.Quantum,
 			Seed:        j.Seed,
-			Costs:       j.Costs,
 			Trace:       h.Trace,
 			Counters:    ctrs,
 			Workload:    src,
@@ -265,7 +261,6 @@ func execute(j Job, h Host) *Result {
 			PhysBytes:   j.PhysBytes,
 			Pressure:    j.Pressure,
 			Seed:        j.Seed,
-			Costs:       j.Costs,
 			Trace:       h.Trace,
 			Counters:    ctrs,
 			Chaos:       j.Chaos,

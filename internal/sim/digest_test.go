@@ -103,7 +103,7 @@ type syncPoint struct {
 func digestRun(t *testing.T, kind CollectorKind, cfg RunConfig, syncEvery int) (syncs []syncPoint, checksum uint64, stats gc.Stats) {
 	t.Helper()
 	cfg.Collector = kind
-	m := newMachine(cfg.PhysBytes, nil, nil)
+	m := newMachine(cfg.PhysBytes, nil)
 	tn, err := m.admit(string(kind), cfg, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", kind, err)

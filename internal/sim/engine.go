@@ -20,18 +20,14 @@ type machine struct {
 	v     *vmm.VMM
 }
 
-// newMachine builds a machine of physBytes (costs nil = DefaultCosts)
-// and binds rec, when non-nil, to its clock.
-func newMachine(physBytes uint64, costs *vmm.Costs, rec *trace.Recorder) machine {
+// newMachine builds a machine of physBytes and binds rec, when non-nil,
+// to its clock.
+func newMachine(physBytes uint64, rec *trace.Recorder) machine {
 	clock := vmm.NewClock()
-	c := vmm.DefaultCosts()
-	if costs != nil {
-		c = *costs
-	}
 	if rec != nil {
 		rec.SetClock(clock)
 	}
-	return machine{clock: clock, v: vmm.New(clock, physBytes, c)}
+	return machine{clock: clock, v: vmm.New(clock, physBytes, vmm.DefaultCosts())}
 }
 
 // every runs fn each d of simulated time from now on.

@@ -117,8 +117,7 @@ type FleetSpec struct {
 // FleetConfig couples a FleetSpec with the host-side knobs that do not
 // affect simulated outcomes (and so stay out of job hashes).
 type FleetConfig struct {
-	Spec  FleetSpec
-	Costs *vmm.Costs // nil = DefaultCosts
+	Spec FleetSpec
 
 	// Trace gives each tenant its own named thread in one shared
 	// recorder; Counters is one registry shared by every tenant.
@@ -292,7 +291,7 @@ func newFleetRun(cfg FleetConfig) *fleetRun {
 	spec := cfg.Spec
 	f := &fleetRun{
 		cfg:     cfg,
-		machine: newMachine(spec.PhysBytes, cfg.Costs, cfg.Trace),
+		machine: newMachine(spec.PhysBytes, cfg.Trace),
 		byProc:  make(map[*vmm.Proc]*tenant, len(spec.Tenants)),
 		policy:  spec.Policy,
 		quantum: spec.Quantum,

@@ -229,7 +229,6 @@ type RunConfig struct {
 	PhysBytes uint64
 	Pressure  *Pressure // nil = none
 	Seed      int64
-	Costs     *vmm.Costs // nil = DefaultCosts
 
 	// Trace, when non-nil, records GC phase spans and VM-cooperation
 	// events on the run's simulated clock. Counters, when non-nil,
@@ -305,7 +304,7 @@ type Result struct {
 // Run executes one configuration to completion: one tenant on its own
 // machine, stepped until its workload ends or fails.
 func Run(cfg RunConfig) Result {
-	m := newMachine(cfg.PhysBytes, cfg.Costs, cfg.Trace)
+	m := newMachine(cfg.PhysBytes, cfg.Trace)
 	var tr trace.Tracer
 	if cfg.Trace != nil {
 		tr = cfg.Trace
@@ -342,7 +341,6 @@ type MultiConfig struct {
 	JVMs      int
 	Quantum   int // allocations per scheduling quantum
 	Seed      int64
-	Costs     *vmm.Costs
 
 	// Trace gives each JVM its own named thread in one shared trace;
 	// Counters is one registry shared by every JVM. Both are optional.
@@ -387,7 +385,6 @@ func RunMulti(cfg MultiConfig) []Result {
 			PhysBytes: cfg.PhysBytes,
 			Quantum:   cfg.Quantum,
 		},
-		Costs:       cfg.Costs,
 		Trace:       cfg.Trace,
 		Counters:    cfg.Counters,
 		Workloads:   workloads,

@@ -121,7 +121,8 @@ const (
 	// Workload counters (internal/workload): allocation-trace recording
 	// and replay traffic.
 
-	// CWorkloadEventsRecorded counts mutator events captured to a trace.
+	// CWorkloadEventsRecorded counts events written to a trace, footer
+	// included.
 	CWorkloadEventsRecorded
 	// CWorkloadEventsReplayed counts trace events applied by a replayer.
 	CWorkloadEventsReplayed
@@ -134,29 +135,19 @@ const (
 	// CWorkloadBlocksRead counts CRC-framed trace blocks decoded.
 	CWorkloadBlocksRead
 
-	// Mark counters (internal/gc): the work-stealing parallel mark
-	// engine's telemetry. The totals in this group that describe the
-	// marked graph (rounds, objects, bytes) are deterministic for any
-	// worker count; the scheduling ones (steals, steal failures,
-	// termination spins, the per-worker byte split) depend on goroutine
-	// interleaving and are diagnostics only — they never appear in
-	// experiment reports, which must stay byte-identical across
-	// -mark-workers values.
+	// Mark counters (internal/gc): the mark engine's telemetry. They
+	// describe the marked graph and are deterministic for any worker
+	// count; only the per-worker byte split (VMarkBytesByWorker) depends
+	// on goroutine interleaving, and it never appears in experiment
+	// reports, which must stay byte-identical across -mark-workers
+	// values.
 
-	// CMarkRounds counts parallel mark rounds (drain + replay cycles).
+	// CMarkRounds counts mark rounds (trace + replay cycles).
 	CMarkRounds
 	// CMarkObjects counts objects scanned by the mark engine.
 	CMarkObjects
 	// CMarkBytes counts bytes of objects scanned by the mark engine.
 	CMarkBytes
-	// CMarkSteals counts successful deque steals between mark workers.
-	CMarkSteals
-	// CMarkStealFails counts steal attempts lost to contention or raced
-	// to empty.
-	CMarkStealFails
-	// CMarkTermRounds counts termination-barrier spins: times an idle
-	// worker swept every deque, found nothing, and re-checked for quiescence.
-	CMarkTermRounds
 
 	// Telemetry counters (internal/telemetry): the live-sampling layer's
 	// own bookkeeping. Samples and flight dumps are clock-driven and
@@ -271,9 +262,6 @@ var counterTable = [numCounters]struct{ name, group string }{
 	CMarkRounds:             {"mark_rounds", "mark"},
 	CMarkObjects:            {"mark_objects", "mark"},
 	CMarkBytes:              {"mark_bytes", "mark"},
-	CMarkSteals:             {"mark_steals", "mark"},
-	CMarkStealFails:         {"mark_steal_fails", "mark"},
-	CMarkTermRounds:         {"mark_termination_rounds", "mark"},
 	CTelemetrySamples:       {"telemetry_samples", "telemetry"},
 	CTelemetryFlightDumps:   {"telemetry_flight_dumps", "telemetry"},
 	CTelemetryRingDrops:     {"telemetry_ring_drops", "telemetry"},

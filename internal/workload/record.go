@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"bookmarkgc/internal/mutator"
-	"bookmarkgc/internal/trace"
-)
+import "bookmarkgc/internal/mutator"
 
 // Recorder captures a generator's event stream to a Writer. It
 // implements mutator.Sink, so attaching it (sim.RunConfig.Sink) records
@@ -42,12 +39,9 @@ func (r *Recorder) setSlot(slot int, id uint64) {
 	}
 	if old := r.slotObj[slot]; old != 0 {
 		r.w.Free(old)
-		r.count()
 	}
 	r.slotObj[slot] = id
 }
-
-func (r *Recorder) count() { r.w.Counters.Inc(trace.CWorkloadEventsRecorded) }
 
 // flushPending emits a pending allocation as a temporary (no root ever
 // held it), plus its immediate death hint.
@@ -57,9 +51,7 @@ func (r *Recorder) flushPending() {
 	}
 	r.pending = false
 	r.w.Alloc(r.pKind, r.pWords, destNone, 0, r.pHasInit, r.pInitIdx, r.pInitVal)
-	r.count()
 	r.w.Free(r.nextID - 1)
-	r.count()
 }
 
 // Alloc implements mutator.Sink.
@@ -78,7 +70,6 @@ func (r *Recorder) RootAdd(slot int) {
 	}
 	r.pending = false
 	r.w.Alloc(r.pKind, r.pWords, destAdd, slot, r.pHasInit, r.pInitIdx, r.pInitVal)
-	r.count()
 	r.setSlot(slot, r.nextID-1)
 }
 
@@ -89,7 +80,6 @@ func (r *Recorder) RootSet(slot int) {
 	}
 	r.pending = false
 	r.w.Alloc(r.pKind, r.pWords, destSet, slot, r.pHasInit, r.pInitIdx, r.pInitVal)
-	r.count()
 	r.setSlot(slot, r.nextID-1)
 }
 
@@ -97,7 +87,6 @@ func (r *Recorder) RootSet(slot int) {
 func (r *Recorder) RootAddNil(slot int) {
 	r.flushPending()
 	r.w.RootNil(slot)
-	r.count()
 	r.setSlot(slot, 0)
 }
 
@@ -105,21 +94,18 @@ func (r *Recorder) RootAddNil(slot int) {
 func (r *Recorder) Work(slot, readIdx int, write bool, writeIdx int) {
 	r.flushPending()
 	r.w.Work(slot, readIdx, write, writeIdx)
-	r.count()
 }
 
 // Link implements mutator.Sink.
 func (r *Recorder) Link(srcSlot, dstSlot int, hasWrite bool, refIdx int) {
 	r.flushPending()
 	r.w.Link(srcSlot, dstSlot, hasWrite, refIdx)
-	r.count()
 }
 
 // StepEnd implements mutator.Sink.
 func (r *Recorder) StepEnd() {
 	r.flushPending()
 	r.w.StepEnd()
-	r.count()
 }
 
 // Close writes the footer from the finished run's summary. Call it

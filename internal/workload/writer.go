@@ -25,8 +25,9 @@ type Writer struct {
 	events uint64
 	blocks uint64
 
-	// Counters, when set, accumulates block/event counts
-	// (workload_blocks_written). Optional; set before writing events.
+	// Counters, when set, accumulates the event and block counts
+	// (workload_events_recorded, workload_blocks_written). Optional; set
+	// before writing events.
 	Counters *trace.Counters
 }
 
@@ -74,6 +75,7 @@ func (w *Writer) flush() error {
 // boundaries, keeping events whole within blocks.
 func (w *Writer) endEvent() {
 	w.events++
+	w.Counters.Inc(trace.CWorkloadEventsRecorded)
 	if len(w.buf) >= flushAt {
 		w.flush()
 	}
@@ -189,6 +191,7 @@ func (w *Writer) End(f Footer) error {
 		w.u64(f.Checksum)
 	}
 	w.events++
+	w.Counters.Inc(trace.CWorkloadEventsRecorded)
 	return w.flush()
 }
 
