@@ -42,7 +42,7 @@
 //	-http addr        serve /metrics, the dashboard, /api/* and
 //	                  /debug/pprof/ during the run, and keep serving after it
 //	-telemetry-out f  write the sampled time series (.jsonl: samples,
-//	                  pauses and digests; anything else: CSV)
+//	                  pauses and exact per-kind percentiles; else CSV)
 //	-sample-every d   sampling interval in simulated time (default 1ms)
 //	-flight-dump-dir d  write flight-recorder bundles (anomaly dumps) to d
 //	-jobs n           concurrent simulations for -runs (default GOMAXPROCS)

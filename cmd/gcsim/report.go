@@ -243,8 +243,7 @@ func telemetryReport(w io.Writer, tel *telemetry.Collector, tl metrics.Timeline)
 		fmt.Fprintf(w, "  %-8s n=%d total=%v p50=%v p99=%v:", kind, n,
 			round(total), round(tl.PercentileKind(kind, 50)), round(tl.PercentileKind(kind, 99)))
 		for ph := trace.Phase(0); int(ph) < trace.NumPhases; ph++ {
-			switch ph {
-			case trace.PhasePauseNursery, trace.PhasePauseFull, trace.PhasePauseCompact:
+			if ph == kind.Phase() {
 				continue // the pause span's self-time is "other" below
 			}
 			if phases[ph] > 0 {
@@ -280,7 +279,7 @@ func writeFile(path, what string, write func(io.Writer) error) error {
 }
 
 // writeTelemetry exports the sampled series: .jsonl gets the full
-// samples+pauses+digests stream, anything else the columnar CSV.
+// samples+pauses+percentiles stream, anything else the columnar CSV.
 func writeTelemetry(stdout io.Writer, tel *telemetry.Collector, path string) error {
 	if path == "" {
 		return nil

@@ -8,7 +8,6 @@ import (
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
-	"bookmarkgc/internal/trace"
 )
 
 // PauseOverhead is the fixed per-collection cost (thread stopping, root
@@ -109,12 +108,12 @@ func (b *Base) Epoch() uint32 { return b.epoch }
 // the simulated clock and the collection is counted.
 func (b *Base) Pause(kind metrics.PauseKind) func() {
 	env := b.E
-	phase, count := trace.PhasePauseFull, &b.stats.Full
+	phase, count := kind.Phase(), &b.stats.Full
 	switch kind {
 	case metrics.PauseNursery:
-		phase, count = trace.PhasePauseNursery, &b.stats.Nursery
+		count = &b.stats.Nursery
 	case metrics.PauseCompact:
-		phase, count = trace.PhasePauseCompact, &b.stats.Compactions
+		count = &b.stats.Compactions
 	}
 	start := env.Clock.Now()
 	faults := env.Proc.Stats().MajorFaults

@@ -8,6 +8,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"bookmarkgc/internal/trace"
 )
 
 // PauseKind classifies a stop-the-world pause.
@@ -32,6 +34,28 @@ func (k PauseKind) String() string {
 		return "compact"
 	}
 	return "invalid"
+}
+
+// pausePhases is the trace span each kind of pause runs under: the one
+// mapping between the two enumerations.
+var pausePhases = [...]trace.Phase{
+	PauseNursery: trace.PhasePauseNursery,
+	PauseFull:    trace.PhasePauseFull,
+	PauseCompact: trace.PhasePauseCompact,
+}
+
+// Phase returns the trace span a pause of kind k runs under.
+func (k PauseKind) Phase() trace.Phase { return pausePhases[k] }
+
+// PauseKindOf returns the kind of pause span p opens, or false when p is
+// not a pause span.
+func PauseKindOf(p trace.Phase) (PauseKind, bool) {
+	for k, ph := range pausePhases {
+		if ph == p {
+			return PauseKind(k), true
+		}
+	}
+	return 0, false
 }
 
 // Pause is one stop-the-world interval in simulated time.

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"bookmarkgc/internal/trace"
 )
 
 // Options configures a Runner.
@@ -22,9 +20,6 @@ type Options struct {
 	// Cache, when non-nil, persists every cacheable result and serves
 	// hits from previous (or interrupted) sweeps.
 	Cache *Cache
-	// Counters, when non-nil, receives the engine's own telemetry
-	// (jobs executed, cache hits, errors, timeouts).
-	Counters *trace.Counters
 	// OnProgress, when non-nil, is called after each job resolves (run
 	// or cache hit). It runs on worker goroutines; keep it fast.
 	OnProgress func(Progress)
@@ -190,32 +185,27 @@ func (r *Runner) Result(j Job) *Result {
 func (r *Runner) lookupLocked(h string) (*Result, bool) {
 	if res, ok := r.memo[h]; ok {
 		r.stats.MemHits++
-		r.opts.Counters.Inc(trace.CRunnerMemHits)
 		return res, true
 	}
 	if r.opts.Cache != nil {
 		if res, ok := r.opts.Cache.Get(h); ok {
 			r.memo[h] = res
 			r.stats.DiskHits++
-			r.opts.Counters.Inc(trace.CRunnerCacheHits)
 			return res, true
 		}
 	}
 	return nil, false
 }
 
-// recordLocked updates execution telemetry for a fresh result. Caller
-// holds r.mu.
+// recordLocked counts a fresh result in the runner's Stats. Caller holds
+// r.mu.
 func (r *Runner) recordLocked(res *Result) {
 	r.stats.Executed++
-	r.opts.Counters.Inc(trace.CRunnerJobsExecuted)
 	if res.Err != "" {
 		r.stats.Errors++
-		r.opts.Counters.Inc(trace.CRunnerJobErrors)
 	}
 	if res.TimedOut {
 		r.stats.Timeouts++
-		r.opts.Counters.Inc(trace.CRunnerJobTimeouts)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/sim"
-	"bookmarkgc/internal/trace"
 )
 
 // tinyJob is a sub-second single-process simulation.
@@ -235,16 +234,15 @@ func TestTimeout(t *testing.T) {
 }
 
 func TestEngineTelemetry(t *testing.T) {
-	ctrs := trace.NewCounters()
-	rn := New(Options{Workers: 2, Counters: ctrs})
+	rn := New(Options{Workers: 2})
 	j := tinyJob(1)
 	rn.RunAll([]Job{j, j})
-	if got := ctrs.Get(trace.CRunnerJobsExecuted); got != 1 {
-		t.Fatalf("runner_jobs_executed = %d, want 1", got)
+	if got := rn.Stats(); got.Submitted != 2 || got.Executed != 1 || got.Hits() != 0 {
+		t.Fatalf("after one batch of a duplicated job: %+v, want 2 submitted, 1 executed, no hits", got)
 	}
 	rn.RunAll([]Job{j})
-	if got := ctrs.Get(trace.CRunnerMemHits); got != 1 {
-		t.Fatalf("runner_mem_hits = %d, want 1", got)
+	if got := rn.Stats(); got.Submitted != 3 || got.Executed != 1 || got.MemHits != 1 || got.DiskHits != 0 {
+		t.Fatalf("after a second batch: %+v, want 3 submitted, 1 executed, 1 memo hit", got)
 	}
 }
 

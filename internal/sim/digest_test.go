@@ -13,7 +13,7 @@ import (
 	"bookmarkgc/internal/objmodel"
 )
 
-// liveDigest is the first slice of the collector-independent heap
+// liveGraphHash is the first slice of the collector-independent heap
 // verifier (ROADMAP item 1): it walks col's live graph breadth-first
 // from the roots, in slot order, numbering objects by first visit, and
 // hashes each object's type id, array length, non-reference payload
@@ -24,7 +24,7 @@ import (
 // misaligned or outside the space, an unregistered type, a length that
 // runs the object off the space, and a forwarded header (the walk runs
 // between collections, when none may be left reachable).
-func liveDigest(col gc.Collector) (digest uint64, objects int, err error) {
+func liveGraphHash(col gc.Collector) (digest uint64, objects int, err error) {
 	env := col.Env()
 	s, size := env.Space, env.Space.Size()
 	number := map[objmodel.Ref]uint64{} // first-visit number, from 1
@@ -119,7 +119,7 @@ func digestRun(t *testing.T, kind CollectorKind, cfg RunConfig, syncEvery int) (
 		// Alternate minor and full collections, so the generational
 		// kinds' remembered sets carry edges across a sync point too.
 		tn.col.Collect(len(syncs)%2 == 1)
-		d, n, err := liveDigest(tn.col)
+		d, n, err := liveGraphHash(tn.col)
 		if err != nil {
 			t.Fatalf("%s, sync %d: %v", kind, len(syncs), err)
 		}

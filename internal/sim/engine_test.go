@@ -18,9 +18,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
-// runDigest flattens every simulated observable Run and RunFleet both
+// runDigestLine flattens every simulated observable Run and RunFleet both
 // report for one process into a string.
-func runDigest(r Result) string {
+func runDigestLine(r Result) string {
 	var faults fault.Stats
 	if r.Faults != nil {
 		faults = *r.Faults
@@ -110,7 +110,7 @@ func TestRunEqualsOneTenantFleet(t *testing.T) {
 		if fr.Err != nil {
 			t.Fatalf("%s: fleet: %v", c.name, fr.Err)
 		}
-		if a, b := runDigest(solo), runDigest(fr.Tenants[0]); a != b {
+		if a, b := runDigestLine(solo), runDigestLine(fr.Tenants[0]); a != b {
 			t.Errorf("%s: Run and one-tenant RunFleet differ\n run:   %s\n fleet: %s", c.name, a, b)
 		}
 		if c.wantPaging && solo.ProcStats.Evictions == 0 {
@@ -130,7 +130,7 @@ func TestRunEqualsOneTenantFleet(t *testing.T) {
 func TestRunDigestsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, c := range engineCases() {
-		fmt.Fprintf(&buf, "%s\t%s\n", c.name, runDigest(soloRun(c)))
+		fmt.Fprintf(&buf, "%s\t%s\n", c.name, runDigestLine(soloRun(c)))
 	}
 	got := buf.Bytes()
 

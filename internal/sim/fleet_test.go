@@ -54,9 +54,9 @@ func thrashFleetSpec(frac float64) FleetSpec {
 	return spec
 }
 
-// fleetDigest flattens every simulated-outcome observable of a fleet
+// fleetOutcome flattens every simulated-outcome observable of a fleet
 // run into one string, so determinism tests compare a single value.
-func fleetDigest(fr FleetResult) string {
+func fleetOutcome(fr FleetResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "policy=%s/%s cascades=%d escalated=%v elapsed=%.9f\n",
 		fr.InitialPolicy, fr.Policy, fr.Cascades, fr.Escalated, fr.ElapsedSecs)
@@ -87,9 +87,9 @@ func TestFleetDeterminism(t *testing.T) {
 	if base.Cascades == 0 {
 		t.Fatal("tuned spec did not cascade; determinism test lost its interesting path")
 	}
-	want := fleetDigest(base)
+	want := fleetOutcome(base)
 	for _, workers := range []int{0, 1, 8} {
-		got := fleetDigest(RunFleet(FleetConfig{Spec: spec, MarkWorkers: workers}))
+		got := fleetOutcome(RunFleet(FleetConfig{Spec: spec, MarkWorkers: workers}))
 		if got != want {
 			t.Errorf("mark-workers=%d diverged:\n--- want\n%s--- got\n%s", workers, want, got)
 		}

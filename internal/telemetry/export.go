@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
+	"time"
 
 	"bookmarkgc/internal/metrics"
 )
@@ -16,7 +17,7 @@ import (
 //   - JSONL: the full story — one "sample" object per sample, then one
 //     "pause" object per attributed pause (phase self-times and fault
 //     stalls), then one "digest" object per pause kind plus the
-//     combined one.
+//     combined one: count, total, exact percentiles and maximum.
 //
 // Both formats are assembled with fixed field orderings from this
 // package (maps go through encoding/json, which sorts keys), so output
@@ -49,8 +50,8 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteJSONL writes samples, pause attributions, and digests as one
-// JSON object per line.
+// WriteJSONL writes samples, pause attributions, and per-kind pause
+// summaries as one JSON object per line.
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -79,19 +80,19 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		bw.Write(line)
 		bw.WriteByte('\n')
 	}
-	writeDigest := func(kind string, d *Digest) error {
+	writeSummary := func(kind string, tl metrics.Timeline) error {
 		line, err := json.Marshal(struct {
-			Type   string `json:"type"`
-			Kind   string `json:"kind"`
-			Count  uint64 `json:"count"`
-			SumNS  uint64 `json:"sum_ns"`
-			P50NS  uint64 `json:"p50_ns"`
-			P95NS  uint64 `json:"p95_ns"`
-			P99NS  uint64 `json:"p99_ns"`
-			P999NS uint64 `json:"p999_ns"`
-			MaxNS  uint64 `json:"max_ns"`
-		}{"digest", kind, d.Count(), d.Sum(), d.Quantile(0.50), d.Quantile(0.95),
-			d.Quantile(0.99), d.Quantile(0.999), d.Max()})
+			Type   string        `json:"type"`
+			Kind   string        `json:"kind"`
+			Count  int           `json:"count"`
+			SumNS  time.Duration `json:"sum_ns"`
+			P50NS  time.Duration `json:"p50_ns"`
+			P95NS  time.Duration `json:"p95_ns"`
+			P99NS  time.Duration `json:"p99_ns"`
+			P999NS time.Duration `json:"p999_ns"`
+			MaxNS  time.Duration `json:"max_ns"`
+		}{"digest", kind, tl.Count(), tl.TotalPause(), tl.Percentile(50), tl.Percentile(95),
+			tl.Percentile(99), tl.Percentile(99.9), tl.MaxPause()})
 		if err != nil {
 			return err
 		}
@@ -99,15 +100,14 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		bw.WriteByte('\n')
 		return nil
 	}
-	for k := 0; k < numPauseKinds; k++ {
-		if c.digests[k].Count() == 0 {
-			continue
-		}
-		if err := writeDigest(metrics.PauseKind(k).String(), &c.digests[k]); err != nil {
-			return err
+	for k := metrics.PauseKind(0); k < numPauseKinds; k++ {
+		if tl := c.timelineLocked(k); tl.Count() > 0 {
+			if err := writeSummary(k.String(), tl); err != nil {
+				return err
+			}
 		}
 	}
-	if err := writeDigest("all", &c.allDigest); err != nil {
+	if err := writeSummary("all", c.timelineLocked()); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -8,13 +8,14 @@ import (
 	"sync"
 )
 
-// DumpQuota is a fleet-wide flight-dump budget shared by every tenant's
-// telemetry collector in one run. Two failure modes it prevents: tenants
-// writing into one FlightDir must not exhaust each other's allowance (a
-// noisy neighbor dumping sixteen OOM bundles would otherwise silence
-// everyone else), and fleet-level cascade bundles must never be crowded
-// out — FleetReserve slots of the total are reserved for them and are
-// unreachable from TryTenant.
+// DumpQuota is a flight-dump budget, the one gate every telemetry
+// collector's dumps pass: a fleet's, shared by every tenant's collector
+// in one run, or the private one New makes. A fleet's prevents two
+// failure modes: tenants writing into one FlightDir must not exhaust each
+// other's allowance (a noisy neighbor dumping sixteen OOM bundles would
+// otherwise silence everyone else), and fleet-level cascade bundles must
+// never be crowded out — FleetReserve slots of the total are reserved for
+// them and are unreachable from TryTenant.
 type DumpQuota struct {
 	mu sync.Mutex
 
@@ -27,21 +28,9 @@ type DumpQuota struct {
 	fleetUsed  int
 }
 
-// NewDumpQuota builds a quota. Non-positive arguments default to
-// perTenant 4, total 32, reserve 4; the reserve is clamped below total.
+// NewDumpQuota builds a quota of total dumps, at most perTenant of them
+// to any one tenant and fleetReserve of them kept for the fleet.
 func NewDumpQuota(perTenant, total, fleetReserve int) *DumpQuota {
-	if perTenant <= 0 {
-		perTenant = 4
-	}
-	if total <= 0 {
-		total = 32
-	}
-	if fleetReserve <= 0 {
-		fleetReserve = 4
-	}
-	if fleetReserve >= total {
-		fleetReserve = total - 1
-	}
 	return &DumpQuota{
 		perTenant:    perTenant,
 		total:        total,
@@ -145,7 +134,7 @@ func WriteFleetBundle(dir string, seq int, b *FleetBundle, q *DumpQuota) string 
 	if dir == "" {
 		return ""
 	}
-	if q != nil && !q.TryFleet() {
+	if !q.TryFleet() {
 		return ""
 	}
 	b.Schema = FleetBundleSchema

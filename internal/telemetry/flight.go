@@ -80,7 +80,7 @@ func renderPause(a *PauseAttr) pauseJSON {
 		OtherNS:      int64(a.Other()),
 	}
 	for p, ns := range a.PhaseNS {
-		if ns == 0 || trace.Phase(p) == a.pausePhase {
+		if ns == 0 || trace.Phase(p) == a.Kind.Phase() {
 			continue
 		}
 		if pj.Phases == nil {
@@ -110,25 +110,18 @@ type bundle struct {
 
 // dumpLocked writes a flight bundle named for reason. Called with c.mu
 // held, on the simulation goroutine; file IO is host-side and does not
-// advance the simulated clock. No-op without a FlightDir or past the
-// dump cap.
+// advance the simulated clock. No-op without a FlightDir or once the
+// quota refuses (it is charged up front: a failed host write forfeits the
+// slot).
 func (c *Collector) dumpLocked(reason string) {
-	if c.cfg.FlightDir == "" {
-		return
-	}
-	// Gate: a shared fleet quota when one is installed (charged up front;
-	// a failed host write forfeits the slot), else the local per-run cap.
-	if c.cfg.Quota != nil {
-		if !c.cfg.Quota.TryTenant(c.cfg.Tenant) {
-			return
-		}
-	} else if int(c.flightDumps) >= c.cfg.MaxDumps {
+	if c.cfg.FlightDir == "" || !c.cfg.Quota.TryTenant(c.cfg.Tenant) {
 		return
 	}
 	var now int64
 	if c.clock != nil {
 		now = int64(c.clock.Now())
 	}
+	tl := c.timelineLocked()
 	b := bundle{
 		Schema:    "gcsim-flight/v1",
 		Reason:    reason,
@@ -137,9 +130,9 @@ func (c *Collector) dumpLocked(reason string) {
 		Collector: c.collectorName,
 		Samples:   make(map[string][]int64, numColumns),
 		Events:    c.ring.tail(),
-		PauseP50:  int64(c.allDigest.Quantile(0.50)),
-		PauseP99:  int64(c.allDigest.Quantile(0.99)),
-		PauseMax:  int64(c.allDigest.Max()),
+		PauseP50:  int64(tl.Percentile(50)),
+		PauseP99:  int64(tl.Percentile(99)),
+		PauseMax:  int64(tl.MaxPause()),
 	}
 	if c.runErr != nil {
 		b.RunError = c.runErr.Error()

@@ -85,19 +85,20 @@ func NewMux(opts ServerOptions) *http.ServeMux {
 			return
 		}
 		t := opts.Telemetry
-		d := t.DigestAll()
+		tl := t.Timeline()
 		writeJSON(w, struct {
-			Collector   string  `json:"collector"`
-			SimTimeNS   int64   `json:"sim_time_ns"`
-			Samples     int     `json:"samples"`
-			Pauses      uint64  `json:"pauses"`
-			PauseP50NS  uint64  `json:"pause_p50_ns"`
-			PauseP99NS  uint64  `json:"pause_p99_ns"`
-			PauseMaxNS  uint64  `json:"pause_max_ns"`
-			FlightDumps int     `json:"flight_dumps"`
-			MeanPauseNS float64 `json:"pause_mean_ns"`
-		}{t.CollectorName(), int64(t.SimTime()), t.SampleCount(), d.Count(),
-			d.Quantile(0.50), d.Quantile(0.99), d.Max(), t.FlightDumps(), d.Mean()})
+			Collector   string `json:"collector"`
+			SimTimeNS   int64  `json:"sim_time_ns"`
+			Samples     int    `json:"samples"`
+			Pauses      int    `json:"pauses"`
+			PauseP50NS  int64  `json:"pause_p50_ns"`
+			PauseP99NS  int64  `json:"pause_p99_ns"`
+			PauseMaxNS  int64  `json:"pause_max_ns"`
+			FlightDumps int    `json:"flight_dumps"`
+			MeanPauseNS int64  `json:"pause_mean_ns"`
+		}{t.CollectorName(), int64(t.SimTime()), t.SampleCount(), tl.Count(),
+			int64(tl.Percentile(50)), int64(tl.Percentile(99)), int64(tl.MaxPause()), t.FlightDumps(),
+			int64(tl.AvgPause())})
 	})
 	mux.HandleFunc("/api/progress", func(w http.ResponseWriter, r *http.Request) {
 		if opts.Progress == nil {

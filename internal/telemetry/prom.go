@@ -10,8 +10,8 @@ import (
 )
 
 // WriteProm writes the Prometheus text exposition format (v0.0.4): the
-// latest sample as gauges/counters, per-kind pause summaries from the
-// digests, and the telemetry layer's own counters. Metric order, HELP
+// latest sample as gauges/counters, per-kind pause summaries with exact
+// percentiles, and the telemetry layer's own counters. Metric order, HELP
 // and TYPE lines, and number formatting are all fixed, so the output is
 // golden-testable byte for byte.
 func (c *Collector) WriteProm(w io.Writer) error {
@@ -47,27 +47,30 @@ func (c *Collector) WriteProm(w io.Writer) error {
 
 	fmt.Fprintf(bw, "# HELP gcsim_pause_seconds Stop-the-world pause durations by kind.\n")
 	fmt.Fprintf(bw, "# TYPE gcsim_pause_seconds summary\n")
-	for k := 0; k < numPauseKinds; k++ {
-		d := &c.digests[k]
+	var byKind [numPauseKinds]metrics.Timeline
+	for k := range byKind {
+		byKind[k] = c.timelineLocked(metrics.PauseKind(k))
+	}
+	for k, tl := range byKind {
 		kind := metrics.PauseKind(k).String()
 		for _, q := range [...]struct {
 			label string
-			q     float64
-		}{{"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}, {"0.999", 0.999}} {
+			p     float64
+		}{{"0.5", 50}, {"0.95", 95}, {"0.99", 99}, {"0.999", 99.9}} {
 			fmt.Fprintf(bw, "gcsim_pause_seconds{kind=%q,quantile=%q} %s\n",
-				kind, q.label, promFloat(float64(d.Quantile(q.q))/1e9))
+				kind, q.label, promFloat(float64(tl.Percentile(q.p))/1e9))
 		}
-		fmt.Fprintf(bw, "gcsim_pause_seconds_sum{kind=%q} %s\n", kind, promFloat(float64(d.Sum())/1e9))
-		fmt.Fprintf(bw, "gcsim_pause_seconds_count{kind=%q} %d\n", kind, d.Count())
+		fmt.Fprintf(bw, "gcsim_pause_seconds_sum{kind=%q} %s\n", kind, promFloat(float64(tl.TotalPause())/1e9))
+		fmt.Fprintf(bw, "gcsim_pause_seconds_count{kind=%q} %d\n", kind, tl.Count())
 	}
 	fmt.Fprintf(bw, "# HELP gcsim_pause_max_seconds Longest pause observed, by kind.\n")
 	fmt.Fprintf(bw, "# TYPE gcsim_pause_max_seconds gauge\n")
-	for k := 0; k < numPauseKinds; k++ {
+	for k, tl := range byKind {
 		fmt.Fprintf(bw, "gcsim_pause_max_seconds{kind=%q} %s\n",
-			metrics.PauseKind(k), promFloat(float64(c.digests[k].Max())/1e9))
+			metrics.PauseKind(k), promFloat(float64(tl.MaxPause())/1e9))
 	}
 
-	g("gcsim_telemetry_samples_total", "Time-series samples taken.", "counter", int64(c.samplesTaken))
+	g("gcsim_telemetry_samples_total", "Time-series samples taken.", "counter", int64(c.series.Len()))
 	g("gcsim_telemetry_flight_dumps_total", "Flight-recorder bundles written.", "counter", int64(c.flightDumps))
 	ringDrops := c.ring.total - uint64(len(c.ring.buf))
 	if c.ring.total < uint64(len(c.ring.buf)) {

@@ -36,14 +36,11 @@ func TestWritePromGolden(t *testing.T) {
 	row[ColGCs] = 9
 	row[ColInPause] = 1
 	c.series.push(&row)
-	c.samplesTaken = 1
 
 	for _, p := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond} {
-		c.digests[int(metrics.PauseNursery)].ObserveDuration(p)
-		c.allDigest.ObserveDuration(p)
+		c.pauses = append(c.pauses, PauseAttr{Pause: metrics.Pause{Dur: p, Kind: metrics.PauseNursery}})
 	}
-	c.digests[int(metrics.PauseFull)].ObserveDuration(4 * time.Second)
-	c.allDigest.ObserveDuration(4 * time.Second)
+	c.pauses = append(c.pauses, PauseAttr{Pause: metrics.Pause{Dur: 4 * time.Second, Kind: metrics.PauseFull}})
 
 	var buf bytes.Buffer
 	if err := c.WriteProm(&buf); err != nil {

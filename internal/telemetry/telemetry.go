@@ -1,7 +1,8 @@
 // Package telemetry is the simulator's live observability layer: a
 // deterministic time-series sampler driven by the simulated clock, a
-// per-pause phase-attribution tracer, pause-latency digests, and a
-// flight recorder that dumps a diagnostic bundle when a run goes wrong.
+// per-pause phase-attribution tracer, and a flight recorder that dumps a
+// diagnostic bundle when a run goes wrong. Every pause statistic it
+// reports is metrics.Timeline's, computed over the pauses it attributed.
 //
 // Determinism contract: the sampler is scheduled on the simulated clock
 // at a fixed interval and only *reads* bookkeeping (page counts, fault
@@ -13,6 +14,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -105,19 +107,16 @@ func (s *Series) push(row *[numColumns]int64) {
 	}
 }
 
-// PauseAttr is one pause with its phase breakdown: for every trace span
-// kind, the self time spent in it (time in the span but not in any
-// nested span) and the major faults taken there. The sum of PhaseNS over
-// all phases equals Dur exactly; the pause span's own self time is the
+// PauseAttr is one pause — the same record gc.Base.Pause puts on the
+// run's timeline — with its phase breakdown: for every trace span kind,
+// the self time spent in it (time in the span but not in any nested
+// span) and the major faults taken there. The sum of PhaseNS over all
+// phases equals Dur exactly; the pause span's own self time is the
 // uninstrumented remainder ("other"). FaultStall is the portion of the
 // pause spent waiting on the disk: MajorFaults times the machine's
 // major-fault cost, the dominant term in the paper's thrashing pauses.
 type PauseAttr struct {
-	Start       time.Duration
-	Dur         time.Duration
-	Kind        metrics.PauseKind
-	pausePhase  trace.Phase
-	MajorFaults uint64
+	metrics.Pause
 	FaultStall  time.Duration
 	PhaseNS     [trace.NumPhases]time.Duration
 	PhaseFaults [trace.NumPhases]uint64
@@ -125,16 +124,20 @@ type PauseAttr struct {
 
 // Other returns the pause's uninstrumented self time: the part of the
 // pause outside every collector phase span.
-func (a *PauseAttr) Other() time.Duration { return a.PhaseNS[a.pausePhase] }
+func (a *PauseAttr) Other() time.Duration { return a.PhaseNS[a.Kind.Phase()] }
 
 // numPauseKinds covers metrics.PauseNursery/Full/Compact.
 const numPauseKinds = 3
 
-// The flight recorder's history: ringEvents bounds the event ring, and a
-// bundle includes the sampleTail most recent samples.
+// The flight recorder: ringEvents bounds the event ring, a bundle
+// includes the sampleTail most recent samples, a pause of pauseThreshold
+// or longer (the order of one disk-bound mark pass) dumps one, and a
+// collector with no shared quota writes at most maxDumps.
 const (
-	ringEvents = 4096
-	sampleTail = 256
+	ringEvents     = 4096
+	sampleTail     = 256
+	pauseThreshold = 500 * time.Millisecond
+	maxDumps       = 16
 )
 
 // Config tunes the telemetry layer. The zero value is usable: defaults
@@ -142,21 +145,16 @@ const (
 type Config struct {
 	// SampleEvery is the sampling interval in simulated time (default 1ms).
 	SampleEvery time.Duration
-	// PauseThreshold triggers a flight-recorder dump when a pause meets
-	// it (default 500ms — the order of one disk-bound mark pass).
-	PauseThreshold time.Duration
 	// FlightDir, when non-empty, is where flight-recorder bundles are
 	// written; empty disables dumping (the ring still records).
 	FlightDir string
-	// MaxDumps bounds bundles written per run (default 16).
-	MaxDumps int
 	// Tenant, when non-empty, tags flight-dump filenames and bundle
 	// metadata with a tenant identity so concurrent per-tenant dumps in
 	// one fleet run cannot collide in one FlightDir.
 	Tenant string
-	// Quota, when set, replaces the local MaxDumps gate with a fleet-wide
-	// dump budget shared across tenants (see DumpQuota). A noisy tenant
-	// then exhausts only its own per-tenant allowance, not the fleet's.
+	// Quota is the dump budget the collector draws on: a fleet-wide one
+	// shared across tenants (see DumpQuota), so a noisy tenant exhausts
+	// only its own allowance, or when nil a private one of maxDumps.
 	Quota *DumpQuota
 }
 
@@ -193,17 +191,13 @@ type Collector struct {
 	cur         *PauseAttr
 	pauseFaults uint64 // Proc major faults at pause start
 
-	pauses    []PauseAttr
-	digests   [numPauseKinds]Digest
-	allDigest Digest
+	pauses []PauseAttr
 
 	ring          flightRing
 	dumpSeq       int
 	lastFailSafes uint64
 	lastBackoffs  uint64
-
-	samplesTaken uint64
-	flightDumps  uint64
+	flightDumps   uint64
 
 	ended  bool
 	runErr error
@@ -214,11 +208,8 @@ func New(cfg Config) *Collector {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = time.Millisecond
 	}
-	if cfg.PauseThreshold <= 0 {
-		cfg.PauseThreshold = 500 * time.Millisecond
-	}
-	if cfg.MaxDumps <= 0 {
-		cfg.MaxDumps = 16
+	if cfg.Quota == nil {
+		cfg.Quota = NewDumpQuota(maxDumps, maxDumps, 0)
 	}
 	c := &Collector{cfg: cfg}
 	c.ring.init(ringEvents)
@@ -247,26 +238,25 @@ func (c *Collector) Attach(v *vmm.VMM, env *gc.Env, col gc.Collector, ctrs *trac
 }
 
 // tick is the sampler event: record one sample stamped at its grid time
-// and reschedule one interval later. When the clock jumped several
-// intervals (a long pause), the rescheduled event is already due and
-// fires again within the same Advance, so the grid never skips — sample
-// timestamps are a fixed arithmetic sequence regardless of how the run
-// advanced time, which is what makes series bytes schedule-independent.
+// and reschedule one interval later, until the run has ended. When the
+// clock jumped several intervals (a long pause), the rescheduled event is
+// already due and fires again within the same Advance, so the grid never
+// skips — sample timestamps are a fixed arithmetic sequence regardless of
+// how the run advanced time, which is what makes series bytes
+// schedule-independent.
 func (c *Collector) tick() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ended {
+		return
+	}
 	c.sampleLocked(c.next)
 	c.next += c.cfg.SampleEvery
-	at := c.next
-	clock := c.clock
-	c.mu.Unlock()
-	clock.Schedule(at, c.tick)
+	c.clock.Schedule(c.next, c.tick)
 }
 
 // sampleLocked appends one row stamped at. Reads bookkeeping only.
 func (c *Collector) sampleLocked(at time.Duration) {
-	if c.ended {
-		return
-	}
 	ps := c.env.Proc.Stats()
 	gs := c.col.Stats()
 	var row [numColumns]int64
@@ -287,7 +277,6 @@ func (c *Collector) sampleLocked(at time.Duration) {
 		row[ColInPause] = 1
 	}
 	c.series.push(&row)
-	c.samplesTaken++
 	c.ctrs.Inc(trace.CTelemetrySamples)
 }
 
@@ -305,20 +294,6 @@ func (c *Collector) RunEnded(err error) {
 	if err != nil {
 		c.dumpLocked("oom")
 	}
-}
-
-// pausePhaseKind maps a pause span to its metrics kind, or false when p
-// is not a pause span.
-func pausePhaseKind(p trace.Phase) (metrics.PauseKind, bool) {
-	switch p {
-	case trace.PhasePauseNursery:
-		return metrics.PauseNursery, true
-	case trace.PhasePauseFull:
-		return metrics.PauseFull, true
-	case trace.PhasePauseCompact:
-		return metrics.PauseCompact, true
-	}
-	return 0, false
 }
 
 // charge adds a closed self-time segment to the active pause's buckets.
@@ -343,8 +318,8 @@ func (c *Collector) spanBegin(p trace.Phase) {
 	if n := len(c.stack); n > 0 {
 		top := &c.stack[n-1]
 		c.charge(top.phase, now-top.segStart, faults-top.segFaults)
-	} else if kind, ok := pausePhaseKind(p); ok {
-		c.cur = &PauseAttr{Start: now, Kind: kind, pausePhase: p}
+	} else if kind, ok := metrics.PauseKindOf(p); ok {
+		c.cur = &PauseAttr{Pause: metrics.Pause{Start: now, Kind: kind}}
 		c.pauseFaults = faults
 	}
 	c.stack = append(c.stack, span{phase: p, segStart: now, segFaults: faults})
@@ -354,7 +329,10 @@ func (c *Collector) spanBegin(p trace.Phase) {
 }
 
 // spanEnd handles an End from the wrapped tracer: close the top span's
-// segment, pop it, and restart the parent's segment. When the popped
+// segment, pop down to the innermost open span of phase p, and restart
+// the parent's segment. Spans above p are ones an out-of-memory unwind
+// left open — Base.Pause's deferred close ends the pause, not the phase
+// spans inside it — and the top one keeps their time. When the popped
 // span was the pause itself, finalize and record the attribution.
 func (c *Collector) spanEnd(p trace.Phase) {
 	c.mu.Lock()
@@ -367,7 +345,11 @@ func (c *Collector) spanEnd(p trace.Phase) {
 	c.ring.push(flightEvent{TimeNS: int64(now), Kind: "end", Name: p.String()}, c.ctrs)
 	top := c.stack[len(c.stack)-1]
 	c.charge(top.phase, now-top.segStart, faults-top.segFaults)
-	c.stack = c.stack[:len(c.stack)-1]
+	i := len(c.stack) - 1
+	for i > 0 && c.stack[i].phase != p {
+		i--
+	}
+	c.stack = c.stack[:i]
 	if n := len(c.stack); n > 0 {
 		parent := &c.stack[n-1]
 		parent.segStart = now
@@ -383,9 +365,7 @@ func (c *Collector) spanEnd(p trace.Phase) {
 	attr.MajorFaults = faults - c.pauseFaults
 	attr.FaultStall = time.Duration(attr.MajorFaults) * c.majorFaultCost
 	c.pauses = append(c.pauses, *attr)
-	c.digests[attr.Kind].ObserveDuration(attr.Dur)
-	c.allDigest.ObserveDuration(attr.Dur)
-	if attr.Dur >= c.cfg.PauseThreshold {
+	if attr.Dur >= pauseThreshold {
 		c.dumpLocked("long-pause")
 	}
 	if c.ctrs != nil {
@@ -475,11 +455,24 @@ func (c *Collector) Pauses() []PauseAttr {
 	return out
 }
 
-// DigestAll returns a copy of the combined pause digest.
-func (c *Collector) DigestAll() Digest {
+// Timeline returns every attributed pause so far as a metrics.Timeline.
+func (c *Collector) Timeline() metrics.Timeline {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.allDigest
+	return c.timelineLocked()
+}
+
+// timelineLocked returns the attributed pauses of the given kinds (every
+// kind when none is given) as a metrics.Timeline, whose Percentile,
+// MaxPause and TotalPause are every pause statistic telemetry reports.
+func (c *Collector) timelineLocked(kinds ...metrics.PauseKind) metrics.Timeline {
+	var tl metrics.Timeline
+	for i := range c.pauses {
+		if p := c.pauses[i].Pause; len(kinds) == 0 || slices.Contains(kinds, p.Kind) {
+			tl.Record(p)
+		}
+	}
+	return tl
 }
 
 // FlightDumps returns the number of flight bundles written.

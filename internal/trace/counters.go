@@ -103,21 +103,6 @@ const (
 	// CChaosPressureSpikes counts injected SignalMem pressure spikes.
 	CChaosPressureSpikes
 
-	// Sweep-runner counters (internal/runner): the engine's own
-	// telemetry — how a sweep's jobs resolved.
-
-	// CRunnerJobsExecuted counts jobs actually simulated.
-	CRunnerJobsExecuted
-	// CRunnerMemHits counts jobs served from the in-process memo.
-	CRunnerMemHits
-	// CRunnerCacheHits counts jobs served from the persistent store.
-	CRunnerCacheHits
-	// CRunnerJobErrors counts engine-level job failures (bad config,
-	// simulator panic, timeout).
-	CRunnerJobErrors
-	// CRunnerJobTimeouts counts jobs abandoned at the per-job deadline.
-	CRunnerJobTimeouts
-
 	// Workload counters (internal/workload): allocation-trace recording
 	// and replay traffic.
 
@@ -248,11 +233,6 @@ var counterTable = [numCounters]struct{ name, group string }{
 	CChaosSpuriousReloads:   {"chaos_spurious_reloads", "chaos"},
 	CChaosMuted:             {"chaos_muted", "chaos"},
 	CChaosPressureSpikes:    {"chaos_pressure_spikes", "chaos"},
-	CRunnerJobsExecuted:     {"runner_jobs_executed", "runner"},
-	CRunnerMemHits:          {"runner_mem_hits", "runner"},
-	CRunnerCacheHits:        {"runner_cache_hits", "runner"},
-	CRunnerJobErrors:        {"runner_job_errors", "runner"},
-	CRunnerJobTimeouts:      {"runner_job_timeouts", "runner"},
 	CWorkloadEventsRecorded: {"workload_events_recorded", "workload"},
 	CWorkloadEventsReplayed: {"workload_events_replayed", "workload"},
 	CWorkloadAllocsReplayed: {"workload_allocs_replayed", "workload"},
