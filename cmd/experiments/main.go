@@ -30,8 +30,10 @@
 // -expect-cached exit 3 unless every job was served from cache
 //
 // Reports go to stdout; progress, timing, and runner telemetry go to
-// stderr. Report bytes are a pure function of (-run, -scale, -seed,
-// -counters, -format): identical for any -jobs value, fresh or resumed.
+// stderr, where each job that failed is named on a line of its own
+// before the runner summary. Report bytes are a pure function of (-run,
+// -scale, -seed, -counters, -format): identical for any -jobs value,
+// fresh or resumed.
 package main
 
 import (
@@ -44,6 +46,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -170,11 +173,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var allReports []bench.Report
+	// failed names each failed job under the experiment that executed it,
+	// for the stderr lines that precede the runner summary.
+	var failed []string
 	for _, e := range selected {
 		tracker.setExperiment(e.ID)
 		start := time.Now()
+		seen := len(rn.Failures())
 		reports := e.Run(opts, rn)
 		wall := time.Since(start)
+		fresh := rn.Failures()[seen:]
+		slices.SortFunc(fresh, func(a, b runner.Failure) int { return strings.Compare(a.Hash, b.Hash) })
+		for _, f := range fresh {
+			failed = append(failed, fmt.Sprintf("failed job %.12s %s: %s: %s", f.Hash, e.ID, f.Job.Describe(), f.Err))
+		}
 		if *format == "text" {
 			for i := range reports {
 				reports[i].Print(stdout)
@@ -198,6 +210,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	for _, line := range failed {
+		fmt.Fprintln(stderr, line)
+	}
 	st := rn.Stats()
 	fmt.Fprintf(stderr,
 		"runner: %d jobs submitted, %d executed, %d cache hits (%d memo, %d store), %d errors, %d timeouts\n",

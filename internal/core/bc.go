@@ -110,6 +110,15 @@ type BC struct {
 	discardCredit int // aggressive-discard slack (§3.4.3)
 	discardCursor int // rotating scan position for discardable pages
 
+	// bookAdds counts BC's own changes that can make a page discardable:
+	// a residency bit set, an evicted bit cleared (discardAdds).
+	bookAdds uint64
+	// missCached says the last search found no discardable page at all,
+	// and missAt is discardAdds() as it stood then. While the sum has not
+	// moved, the next search is a miss too (giveDiscardables).
+	missCached bool
+	missAt     uint64
+
 	inGC          bool
 	pendingGC     bool   // eviction handler requested a collection (§3.3.2)
 	allocsSinceGC uint64 // mutator progress since the last handler-triggered GC
@@ -268,6 +277,7 @@ func (c *BC) setResident(p mem.PageID) {
 	if !c.resident.Test(int(p)) {
 		c.resident.Set(int(p))
 		c.residentPg++
+		c.bookAdds++
 	}
 }
 

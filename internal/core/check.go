@@ -34,7 +34,10 @@ import (
 //     search intersects (§3.4.3) — equals that space's own per-page
 //     answer, so no bit is set outside the space's region, and the
 //     three spaces' words are disjoint; and the maintained resident-page
-//     count equals the residency bit array's population.
+//     count equals the residency bit array's population;
+//  6. a remembered miss is still a miss: while the change counters
+//     giveDiscardables cached its last miss at have not moved, a search
+//     that bypasses the cache finds no discardable page.
 func (c *BC) CheckInvariants() error {
 	if err := c.checkSuperpages(); err != nil {
 		return err
@@ -48,7 +51,10 @@ func (c *BC) CheckInvariants() error {
 	if err := c.checkReachability(); err != nil {
 		return err
 	}
-	return c.checkEmptyWords()
+	if err := c.checkEmptyWords(); err != nil {
+		return err
+	}
+	return c.checkCachedMiss()
 }
 
 // peek reads a heap word without touching the page.
@@ -198,6 +204,19 @@ func (c *BC) checkEmptyWords() error {
 	}
 	if got := c.resident.Count(); got != c.residentPg {
 		return fmt.Errorf("resident count drift: bitmap %d, counter %d", got, c.residentPg)
+	}
+	return nil
+}
+
+// checkCachedMiss searches past the remembered miss while it is still
+// being served. The excluded page lies past every bitmap word, so the
+// search excludes nothing.
+func (c *BC) checkCachedMiss() error {
+	if !c.missCached || c.missAt != c.discardAdds() {
+		return nil
+	}
+	if p := c.firstDiscardable(mem.PageID(c.resident.Words() * 64)); p >= 0 {
+		return fmt.Errorf("page %d is discardable, but the eviction handler remembers a miss (change count %d)", p, c.missAt)
 	}
 	return nil
 }

@@ -138,6 +138,7 @@ func (c *BC) reloadBooks(p mem.PageID) {
 	if c.evicted.Test(int(p)) {
 		c.evicted.Clear(int(p))
 		c.evictedHeapPg--
+		c.bookAdds++
 	}
 	c.setResident(p)
 	if c.processed.Test(int(p)) {
@@ -228,6 +229,16 @@ func (c *BC) discardableWord(wi int) uint64 {
 	return w & (c.nursery.EmptyWord(wi) | c.SS.EmptyWord(wi) | c.LOS.EmptyWord(wi))
 }
 
+// discardAdds sums the counts of every change that can add a page to
+// discardableWord's answer: a superpage released, a large object freed,
+// the nursery reset (each space's EmptyAdds), a residency bit set, an
+// evicted bit cleared (bookAdds). Every other write to the predicate's
+// inputs only takes pages away, so while the sum stands still the set
+// of discardable pages can only shrink.
+func (c *BC) discardAdds() uint64 {
+	return c.nursery.EmptyAdds() + c.SS.EmptyAdds() + c.LOS.EmptyAdds() + c.bookAdds
+}
+
 // pageDiscardable reports whether p is resident and holds no live data.
 func (c *BC) pageDiscardable(p mem.PageID) bool {
 	return c.discardableWord(int(p)>>6)&(1<<(uint(p)&63)) != 0
@@ -293,10 +304,20 @@ func (c *BC) firstDiscardable(exclude mem.PageID) int {
 // search that resumes where the last one stopped is O(found) on a hit.
 // A miss — the common case once the reserve is spent — costs one
 // discardableWord per word of the address space: O(words), not O(pages).
+// A miss is remembered, so the next notice pays that only if something
+// that can add a discardable page has happened since (discardAdds);
+// otherwise it is a miss by construction and costs O(1).
 func (c *BC) giveDiscardables(exclude mem.PageID) int {
+	adds := c.discardAdds()
+	if c.missCached && c.missAt == adds {
+		c.discardCursor = 0
+		return 0
+	}
 	first := c.firstDiscardable(exclude)
 	if first < 0 {
 		c.discardCursor = 0
+		// A discardable exclude is a hit for a notice about another page.
+		c.missCached, c.missAt = !c.pageDiscardable(exclude), adds
 		return 0
 	}
 	c.discardCursor = first + 1

@@ -101,11 +101,11 @@ func (f *discardFuzz) boundaries() []int {
 
 // reshape moves the nursery frontier, acquires and releases superpages
 // across classes, and allocates and frees large-object runs. It runs
-// with no page marked evicted, so the spaces' residency filter passes
-// everything.
+// with no page resident or evicted, so the spaces' residency filter
+// passes everything.
 func (f *discardFuzz) reshape() {
 	c, rng := f.c, f.rng
-	c.evicted.ClearAll()
+	f.setBooks(nil, nil)
 	for n := rng.Intn(4); n > 0; n-- {
 		if c.nursery.AllocRaw(rng.Intn(6*mem.PageSize)) == mem.Nil || rng.Intn(6) == 0 {
 			c.nursery.Reset()
@@ -136,24 +136,41 @@ func (f *discardFuzz) reshape() {
 	}
 }
 
+// setBooks overwrites the residency and eviction bit arrays. These are
+// the test's only writes that bypass BC's own writers, which count every
+// change that can add a discardable page (discardAdds), so this is the
+// one place the remembered miss is forgotten by hand.
+func (f *discardFuzz) setBooks(resident, evicted []int) {
+	c := f.c
+	c.resident.ClearAll()
+	c.evicted.ClearAll()
+	for _, p := range resident {
+		c.resident.Set(p)
+	}
+	for _, p := range evicted {
+		c.evicted.Set(p)
+	}
+	c.residentPg, c.evictedHeapPg = c.resident.Count(), c.evicted.Count()
+	c.missCached = false
+}
+
 // scatter rewrites the residency and eviction bit arrays: resident pages
 // at the given count, some of them also marked evicted, plus — half the
 // time — the pages on either side of every region boundary and of the
 // nursery frontier.
-func (f *discardFuzz) scatter(resident int) {
+func (f *discardFuzz) scatter(n int) {
 	c, rng := f.c, f.rng
-	c.resident.ClearAll()
-	c.evicted.ClearAll()
+	var resident, evicted []int
 	set := func(p int) {
 		if p < 0 || p >= c.resident.Len() {
 			return
 		}
-		c.resident.Set(p)
+		resident = append(resident, p)
 		if rng.Intn(5) == 0 {
-			c.evicted.Set(p)
+			evicted = append(evicted, p)
 		}
 	}
-	for ; resident > 0; resident-- {
+	for ; n > 0; n-- {
 		set(rng.Intn(c.resident.Len()))
 	}
 	if rng.Intn(2) == 0 {
@@ -163,7 +180,38 @@ func (f *discardFuzz) scatter(resident int) {
 			}
 		}
 	}
-	c.residentPg = c.resident.Count()
+	f.setBooks(resident, evicted)
+}
+
+// change makes one change through one of the five writers that can add
+// a discardable page: free a superpage, free a large object, reset the
+// nursery, set a residency bit, reload an evicted page.
+func (f *discardFuzz) change() {
+	c, rng := f.c, f.rng
+	switch rng.Intn(5) {
+	case 0:
+		if len(f.super) > 0 {
+			i := rng.Intn(len(f.super))
+			c.SS.FreeBlock(f.super[i]) // its only block: the superpage goes free
+			f.super = slices.Delete(f.super, i, i+1)
+		}
+	case 1:
+		if len(f.large) > 0 {
+			i := rng.Intn(len(f.large))
+			c.LOS.Free(f.large[i])
+			f.large = slices.Delete(f.large, i, i+1)
+		}
+	case 2:
+		c.nursery.Reset()
+	case 3:
+		c.setResident(mem.PageID(rng.Intn(c.resident.Len())))
+	case 4:
+		// scatter marks only resident pages evicted, so this clears the
+		// evicted bit alone.
+		if p := c.evicted.NextSet(rng.Intn(c.resident.Len())); p >= 0 {
+			c.reloadBooks(mem.PageID(p))
+		}
+	}
 }
 
 // check runs giveDiscardables against the oracle from the current state.
@@ -206,7 +254,10 @@ func (f *discardFuzz) check(exclude mem.PageID) error {
 		return fmt.Errorf("%s: batch histogram went %d/%d -> %d/%d for a batch of %d",
 			state, batches.Count, batches.Sum, after.Count, after.Sum, n)
 	}
-	return c.checkEmptyWords()
+	if err := c.checkEmptyWords(); err != nil {
+		return err
+	}
+	return c.checkCachedMiss()
 }
 
 // TestGiveDiscardablesMatchesPerPageOracle is the differential test for
@@ -214,7 +265,10 @@ func (f *discardFuzz) check(exclude mem.PageID) error {
 // residency books, cursors and excluded pages, the handler's search must
 // find the same first page, discard the same pages in the same order,
 // and leave the same cursor, credit and counts as the per-page search it
-// replaced. Each configuration also gets the directed cases at the end.
+// replaced. The remembered miss is kept across calls: between them the
+// heap changes only through BC's and the spaces' own writers, so a miss
+// served from memory is checked against the oracle like any other.
+// Each configuration also gets the directed cases at the end.
 func TestGiveDiscardablesMatchesPerPageOracle(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"aggressive":    {},
@@ -226,15 +280,20 @@ func TestGiveDiscardablesMatchesPerPageOracle(t *testing.T) {
 			f := newDiscardFuzz(t, 23, cfg)
 			c, rng := f.c, f.rng
 			pages := c.resident.Len()
+			const rounds, calls = 300, 6
 			hits := 0
-			for round := 0; round < 300; round++ {
+			for round := 0; round < rounds; round++ {
 				f.reshape()
 				// From almost nothing resident (misses, and hits a long
 				// wrap away) to most of the address space.
 				f.scatter([]int{0, 1, 3, 40, 600, pages}[rng.Intn(6)])
 				// Several calls per shape: each resumes at the cursor the
-				// last one left, as consecutive notices do.
-				for call := 0; call < 4; call++ {
+				// last one left, as consecutive notices do, after one
+				// change through a real writer.
+				for call := 0; call < calls; call++ {
+					if call > 0 {
+						f.change()
+					}
 					if rng.Intn(3) == 0 {
 						c.discardCursor = rng.Intn(pages + 1)
 					}
@@ -248,7 +307,7 @@ func TestGiveDiscardablesMatchesPerPageOracle(t *testing.T) {
 				}
 			}
 			if (hits == 0) != cfg.debugNoDiscard {
-				t.Fatalf("%d of 1200 searches discarded something", hits)
+				t.Fatalf("%d of %d searches discarded something", hits, rounds*calls)
 			}
 
 			// Directed: one discardable page, an empty nursery page, seen
@@ -256,10 +315,7 @@ func TestGiveDiscardablesMatchesPerPageOracle(t *testing.T) {
 			c.nursery.Reset()
 			only := int(c.nursery.Base().Page()) + 100
 			for _, cursor := range []int{0, only, only + 1, only &^ 63, only | 63, pages - 1, pages &^ 63, pages} {
-				c.resident.ClearAll()
-				c.evicted.ClearAll()
-				c.resident.Set(only)
-				c.residentPg = 1
+				f.setBooks([]int{only}, nil)
 				c.discardCursor = cursor
 				if err := f.check(0); err != nil {
 					t.Fatalf("single page %d: %v", only, err)
@@ -269,8 +325,9 @@ func TestGiveDiscardablesMatchesPerPageOracle(t *testing.T) {
 				}
 			}
 			// Directed: the only candidate is the page under notification.
-			c.resident.Set(only)
-			c.residentPg = 1
+			// That miss must not be remembered: the next notice, for any
+			// other page, takes it.
+			f.setBooks([]int{only}, nil)
 			c.discardCursor = only
 			if err := f.check(mem.PageID(only)); err != nil {
 				t.Fatal(err)
@@ -278,6 +335,59 @@ func TestGiveDiscardablesMatchesPerPageOracle(t *testing.T) {
 			if c.residentPg != 1 || c.discardCursor != 0 {
 				t.Fatalf("excluded only candidate: resident count %d, cursor %d; want 1, 0", c.residentPg, c.discardCursor)
 			}
+			if err := f.check(0); err != nil {
+				t.Fatalf("formerly excluded only candidate: %v", err)
+			}
+
+			// Directed: a remembered miss, then each writer in turn makes
+			// pages discardable, and the next search must find them. Page
+			// 0 is never discardable, so every search here excludes
+			// nothing that matters.
+			missThen := func(what string, write func()) {
+				t.Helper()
+				if err := f.check(0); err != nil {
+					t.Fatalf("%s, before: %v", what, err)
+				}
+				if !c.missCached {
+					t.Fatalf("%s, before: the search missed but nothing was remembered", what)
+				}
+				write()
+				before := c.residentPg
+				for { // one-at-a-time takes one page per notice
+					n := c.residentPg
+					if err := f.check(0); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if c.residentPg == n {
+						break
+					}
+				}
+				if (c.residentPg < before) == cfg.debugNoDiscard {
+					t.Fatalf("%s: %d resident pages before, %d after", what, before, c.residentPg)
+				}
+			}
+			residentPages := func(first, last mem.PageID) {
+				for p := first; p <= last; p++ {
+					c.setResident(p)
+				}
+			}
+			f.setBooks(nil, nil)
+			missThen("set a residency bit", func() { c.setResident(mem.PageID(only)) })
+			f.setBooks([]int{only}, []int{only})
+			missThen("reload an evicted page", func() { c.reloadBooks(mem.PageID(only)) })
+			idx := c.SS.AcquireSuper(c.E.Classes.Class(0), f.node.Kind)
+			o := c.SS.AllocInSuper(idx, f.node, 0)
+			residentPages(c.SS.PagesOf(idx))
+			missThen("free a superpage", func() { c.SS.FreeBlock(o) })
+			if o = c.LOS.Alloc(f.data, 3*mem.PageSize/mem.WordSize); o == mem.Nil {
+				t.Fatal("no room for a large object")
+			}
+			residentPages(c.LOS.PagesOf(o))
+			missThen("free a large object", func() { c.LOS.Free(o) })
+			c.nursery.AllocRaw(3 * mem.PageSize)
+			residentPages(c.nursery.Pages())
+			missThen("reset the nursery", c.nursery.Reset)
+
 			// Directed: a word straddling the LOS base, every page of it
 			// resident — the mature side is empty superpages, the LOS
 			// side free pages, and one batch takes both.
@@ -285,12 +395,11 @@ func TestGiveDiscardablesMatchesPerPageOracle(t *testing.T) {
 				c.LOS.Free(o)
 			}
 			base := int(c.E.Layout.LOSBase.Page())
-			c.resident.ClearAll()
-			c.evicted.ClearAll()
+			var word []int
 			for p := base &^ 63; p < base&^63+64; p++ {
-				c.resident.Set(p)
+				word = append(word, p)
 			}
-			c.residentPg = 64
+			f.setBooks(word, nil)
 			c.discardCursor = base
 			if err := f.check(0); err != nil {
 				t.Fatalf("word straddling the LOS base: %v", err)

@@ -10,6 +10,7 @@ package fault_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,6 +101,30 @@ func runSoak(t *testing.T, regime string, chaosSeed, workSeed int64) soakOutcome
 	return out
 }
 
+// soakKey names one soak run; equal keys are equal runs.
+type soakKey struct {
+	regime              string
+	chaosSeed, workSeed int64
+}
+
+// soakMemo holds each key's outcome, computed once however many tests
+// ask for it.
+var soakMemo sync.Map // soakKey -> *soakOnce
+
+type soakOnce struct {
+	once sync.Once
+	out  soakOutcome
+}
+
+// memoSoak is runSoak computed at most once per key in this process.
+func memoSoak(t *testing.T, regime string, chaosSeed, workSeed int64) soakOutcome {
+	t.Helper()
+	e, _ := soakMemo.LoadOrStore(soakKey{regime, chaosSeed, workSeed}, new(soakOnce))
+	s := e.(*soakOnce)
+	s.once.Do(func() { s.out = runSoak(t, regime, chaosSeed, workSeed) })
+	return s.out
+}
+
 // nominalChecksum runs the same program and pressure with no injector.
 func nominalChecksum(t *testing.T, workSeed int64) uint64 {
 	t.Helper()
@@ -141,7 +166,7 @@ func TestSoakAllRegimes(t *testing.T) {
 			for _, seed := range seeds() {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					t.Parallel()
-					out := runSoak(t, regime, 100+seed, seed)
+					out := memoSoak(t, regime, 100+seed, seed)
 					if out.invErr != nil {
 						t.Fatalf("invariants violated after a collection: %v", out.invErr)
 					}
@@ -160,19 +185,24 @@ func TestSoakAllRegimes(t *testing.T) {
 
 // TestSoakReplayDeterminism re-runs regimes with identical seeds and
 // requires bit-identical outcomes: same checksum, same injection counts,
-// same number of collections, same simulated clock.
+// same number of collections, same simulated clock. The first run of
+// each is TestSoakAllRegimes' own, for the same seeds.
 func TestSoakReplayDeterminism(t *testing.T) {
 	regimes := []string{"drop", "reorder", "no-notify", "thrash"}
 	if testing.Short() {
 		regimes = regimes[:1]
 	}
+	const seed = 1
 	for _, regime := range regimes {
-		a := runSoak(t, regime, 42, 7)
-		b := runSoak(t, regime, 42, 7)
-		if a.checksum != b.checksum || a.faults != b.faults || a.gcs != b.gcs || a.elapsed != b.elapsed {
-			t.Fatalf("%s: replay diverged:\n a: sum=%#x gcs=%d t=%v %v\n b: sum=%#x gcs=%d t=%v %v",
-				regime, a.checksum, a.gcs, a.elapsed, a.faults, b.checksum, b.gcs, b.elapsed, b.faults)
-		}
+		t.Run(regime, func(t *testing.T) {
+			t.Parallel()
+			a := memoSoak(t, regime, 100+seed, seed)
+			b := runSoak(t, regime, 100+seed, seed)
+			if a.checksum != b.checksum || a.faults != b.faults || a.gcs != b.gcs || a.elapsed != b.elapsed {
+				t.Fatalf("replay diverged:\n a: sum=%#x gcs=%d t=%v %v\n b: sum=%#x gcs=%d t=%v %v",
+					a.checksum, a.gcs, a.elapsed, a.faults, b.checksum, b.gcs, b.elapsed, b.faults)
+			}
+		})
 	}
 }
 

@@ -20,6 +20,8 @@ type BumpSpace struct {
 
 	objects int // live allocation count since last Reset (diagnostic)
 
+	emptyAdds uint64 // Resets: the only moves that add pages to EmptyWord
+
 	counters *trace.Counters // optional registry (nil-safe)
 }
 
@@ -86,6 +88,7 @@ func (b *BumpSpace) AllocRaw(totalBytes int) mem.Addr {
 func (b *BumpSpace) Reset() {
 	b.cur = b.base
 	b.objects = 0
+	b.emptyAdds++
 }
 
 // Contains reports whether a lies in the space's region.
@@ -108,6 +111,11 @@ func (b *BumpSpace) Frontier() mem.Addr { return b.cur }
 func (b *BumpSpace) EmptyWord(wi int) uint64 {
 	return mem.RangeWord(wi, int((b.cur + mem.PageSize - 1).Page()), int((b.end + mem.PageSize - 1).Page()))
 }
+
+// EmptyAdds counts the changes that may have added pages to EmptyWord:
+// only Reset moves the frontier down. While it stands still, every word
+// EmptyWord returns is a subset of what it returned before.
+func (b *BumpSpace) EmptyAdds() uint64 { return b.emptyAdds }
 
 // UsedBytes returns bytes allocated since the last Reset.
 func (b *BumpSpace) UsedBytes() uint64 { return uint64(b.cur - b.base) }

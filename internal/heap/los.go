@@ -25,6 +25,8 @@ type LOS struct {
 	dirty   bool             // sorted needs rebuild
 	inUse   int              // pages allocated
 
+	emptyAdds uint64 // Frees: the only writes that set free bits
+
 	counters *trace.Counters // optional registry (nil-safe)
 }
 
@@ -108,6 +110,7 @@ func (l *LOS) Free(o objmodel.Ref) (first, last mem.PageID) {
 	delete(l.objects, o)
 	l.dirty = true
 	l.free.setPages(o.Page(), pages)
+	l.emptyAdds++
 	l.inUse -= pages
 	return o.Page(), o.Page() + mem.PageID(pages) - 1
 }
@@ -167,6 +170,10 @@ func (l *LOS) IsFreePage(p mem.PageID) bool {
 // indexed by absolute page number (zero outside the region). The free
 // bitmap is stored in that alignment, so this is one load.
 func (l *LOS) EmptyWord(wi int) uint64 { return l.free.word(wi) }
+
+// EmptyAdds counts the changes that may have added pages to EmptyWord:
+// only Free sets free bits.
+func (l *LOS) EmptyAdds() uint64 { return l.emptyAdds }
 
 // Sweep frees every large object unmarked in epoch. Objects whose header
 // page fails the optional residency filter are skipped (BC never touches

@@ -47,11 +47,12 @@ type SuperSpace struct {
 	// touching their (possibly evicted) header pages — the moral
 	// equivalent of linking in-use superpages in a list — and it is what
 	// EmptyWord publishes. It changes only in AcquireSuper and
-	// releaseSuper.
-	empty    pageBits
-	inUse    int
-	resident func(mem.PageID) bool // optional residency filter for alloc/sweep
-	counters *trace.Counters       // optional registry (nil-safe)
+	// releaseSuper; emptyAdds counts the releases.
+	empty     pageBits
+	emptyAdds uint64
+	inUse     int
+	resident  func(mem.PageID) bool // optional residency filter for alloc/sweep
+	counters  *trace.Counters       // optional registry (nil-safe)
 }
 
 // NewSuperSpace creates a mature space over [base, end), which must be
@@ -347,6 +348,7 @@ func (ss *SuperSpace) releaseSuper(idx int) {
 	ss.setHdr(idx, hdrKindClass, 0)
 	ss.setHdr(idx, hdrIncoming, 0)
 	ss.empty.setPages(ss.HeaderPage(idx), mem.SuperPages)
+	ss.emptyAdds++
 	ss.inUse--
 	ss.counters.Inc(trace.CSuperpagesReleased)
 	ss.free = append(ss.free, int32(idx))
@@ -374,6 +376,10 @@ func (ss *SuperSpace) Used(idx int) bool { return !ss.empty.Test(ss.empty.bit(ss
 // every unassigned superpage — as a bitmap indexed by absolute page
 // number (zero outside the region).
 func (ss *SuperSpace) EmptyWord(wi int) uint64 { return ss.empty.word(wi) }
+
+// EmptyAdds counts the changes that may have added pages to EmptyWord:
+// only releaseSuper sets empty bits.
+func (ss *SuperSpace) EmptyAdds() uint64 { return ss.emptyAdds }
 
 // ForEachObjectIn walks the allocated blocks of superpage idx using only
 // the header bitmap, so the walk itself does not touch data pages.

@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"bookmarkgc/internal/fault"
 	"bookmarkgc/internal/heappolicy"
@@ -96,6 +97,43 @@ func (j Job) Hash() string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// Describe is the job in one line, for naming it when it fails:
+// collector, workload, heap, machine, pressure point, chaos and seed.
+func (j Job) Describe() string {
+	mb := func(b uint64) string {
+		if b < 1<<20 {
+			return fmt.Sprintf("%dKB", b>>10)
+		}
+		return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
+	}
+	if f := j.Fleet; f != nil {
+		return fmt.Sprintf("fleet of %d tenants, phys %s, seed %d", len(f.Tenants), mb(f.PhysBytes), f.Seed)
+	}
+	var b strings.Builder
+	workload := j.Program.Name
+	if j.Trace != nil {
+		workload = "trace " + j.Trace.Name
+	}
+	fmt.Fprintf(&b, "%s %s, heap %s, phys %s", j.Collector, workload, mb(j.HeapBytes), mb(j.PhysBytes))
+	if j.JVMs > 1 {
+		fmt.Fprintf(&b, ", %d JVMs", j.JVMs)
+	}
+	if p := j.Pressure; p != nil {
+		fmt.Fprintf(&b, ", pin %s", mb(p.InitialBytes))
+		if p.GrowBytes > 0 {
+			fmt.Fprintf(&b, " then %s per %v down to %s available", mb(p.GrowBytes), p.GrowEvery, mb(p.TargetAvailBytes))
+		}
+	}
+	if j.Chaos != nil {
+		fmt.Fprintf(&b, ", chaos seed %d", j.Chaos.Seed)
+	}
+	if j.HeapPolicy != "" {
+		fmt.Fprintf(&b, ", heap policy %s", j.HeapPolicy)
+	}
+	fmt.Fprintf(&b, ", seed %d", j.Seed)
+	return b.String()
 }
 
 // Host is the other argument of a run: what watches it and what host

@@ -3,6 +3,8 @@ package runner
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -49,14 +51,23 @@ type Stats struct {
 // Hits returns all cache hits (memo + store).
 func (s Stats) Hits() int { return s.MemHits + s.DiskHits }
 
+// Failure names one executed job that did not complete: the job failed
+// in the engine (Result.Err) or one of its runs failed (RunData.Err).
+type Failure struct {
+	Job  Job
+	Hash string
+	Err  string // the first line of the job's first error
+}
+
 // Runner executes jobs on a bounded worker pool, memoizing results by
 // content hash. Safe for concurrent use; results it returns are shared
 // and must be treated as immutable.
 type Runner struct {
-	opts  Options
-	mu    sync.Mutex
-	memo  map[string]*Result
-	stats Stats
+	opts     Options
+	mu       sync.Mutex
+	memo     map[string]*Result
+	stats    Stats
+	failures []Failure
 }
 
 // New returns a Runner with opts.
@@ -72,6 +83,15 @@ func (r *Runner) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
+}
+
+// Failures returns every failed job this runner executed, in the order
+// they finished. Cache hits are not executions, so a failure served from
+// the memo is named once.
+func (r *Runner) Failures() []Failure {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.failures)
 }
 
 // RunAll resolves every job and returns results in job order — cache
@@ -129,7 +149,7 @@ func (r *Runner) RunAll(jobs []Job) []*Result {
 					r.mu.Lock()
 					r.memo[hashes[i]] = res
 					out[i] = res
-					r.recordLocked(res)
+					r.recordLocked(jobs[i], res)
 					done += 1 + len(followers[hashes[i]])
 					d := done
 					r.mu.Unlock()
@@ -175,7 +195,7 @@ func (r *Runner) Result(j Job) *Result {
 	}
 	r.mu.Lock()
 	r.memo[h] = res
-	r.recordLocked(res)
+	r.recordLocked(j, res)
 	r.mu.Unlock()
 	return res
 }
@@ -197,15 +217,23 @@ func (r *Runner) lookupLocked(h string) (*Result, bool) {
 	return nil, false
 }
 
-// recordLocked counts a fresh result in the runner's Stats. Caller holds
-// r.mu.
-func (r *Runner) recordLocked(res *Result) {
+// recordLocked counts j's fresh result in the runner's Stats and keeps
+// it among the Failures if it failed. Caller holds r.mu.
+func (r *Runner) recordLocked(j Job, res *Result) {
 	r.stats.Executed++
 	if res.Err != "" {
 		r.stats.Errors++
 	}
 	if res.TimedOut {
 		r.stats.Timeouts++
+	}
+	msg := res.Err
+	for i := 0; msg == "" && i < len(res.Runs); i++ {
+		msg = res.Runs[i].Err
+	}
+	if msg != "" {
+		first, _, _ := strings.Cut(msg, "\n")
+		r.failures = append(r.failures, Failure{Job: j, Hash: res.Hash, Err: first})
 	}
 }
 

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -230,6 +231,43 @@ func TestTimeout(t *testing.T) {
 	st := rn.Stats()
 	if st.Timeouts != 1 || st.Errors != 1 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestFailuresNameTheirJobs: every executed job that failed — a run the
+// simulator refused to admit, or a configuration the engine rejected —
+// is recorded once with its job, hash and first error line; successes,
+// duplicates and memo hits add nothing.
+func TestFailuresNameTheirJobs(t *testing.T) {
+	unadmitted := tinyJob(4)
+	unadmitted.HeapBytes = 0
+	rejected := tinyJob(5)
+	rejected.JVMs = 2
+	rejected.Pressure = sim.SteadyPressure(rejected.HeapBytes, 0.5)
+	rn := New(Options{Workers: 2})
+	rn.RunAll([]Job{tinyJob(1), unadmitted, unadmitted, rejected})
+	rn.RunAll([]Job{unadmitted})
+
+	got := rn.Failures()
+	slices.SortFunc(got, func(a, b Failure) int { return int(a.Job.Seed - b.Job.Seed) })
+	if len(got) != 2 {
+		t.Fatalf("%d failures recorded, want 2: %+v", len(got), got)
+	}
+	for i, want := range []struct {
+		job Job
+		err string
+	}{
+		{unadmitted, "sim: HeapBytes is 0"},
+		{rejected, "runner: multi-JVM jobs do not support a pressure schedule"},
+	} {
+		f := got[i]
+		if f.Hash != want.job.Hash() || f.Job.Hash() != f.Hash || !strings.HasPrefix(f.Err, want.err) {
+			t.Errorf("failure %d: hash %.12s, job seed %d, err %q; want hash %.12s, seed %d, err %q",
+				i, f.Hash, f.Job.Seed, f.Err, want.job.Hash(), want.job.Seed, want.err)
+		}
+	}
+	if d := unadmitted.Describe(); !strings.HasPrefix(d, "BC pseudojbb, heap 0KB") || !strings.HasSuffix(d, "seed 4") {
+		t.Errorf("Describe() = %q", d)
 	}
 }
 

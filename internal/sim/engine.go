@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"bookmarkgc/internal/fault"
@@ -18,6 +19,15 @@ import (
 type machine struct {
 	clock *vmm.Clock
 	v     *vmm.VMM
+}
+
+// checkPhys rejects a machine smaller than vmm.New accepts, so a run
+// reports it as its error instead of panicking before it starts.
+func checkPhys(physBytes uint64) error {
+	if physBytes < vmm.MinPhysBytes {
+		return fmt.Errorf("sim: PhysBytes %d below the machine minimum %d", physBytes, vmm.MinPhysBytes)
+	}
+	return nil
 }
 
 // newMachine builds a machine of physBytes and binds rec, when non-nil,
@@ -90,6 +100,9 @@ func (r *policyRelay) PageReloaded(mem.PageID, bool) {}
 // the attribution tracer. cfg.Pressure, Sink and Trace are the caller's
 // to apply: they belong to the machine or the recorder, not the process.
 func (m machine) admit(name string, cfg RunConfig, tr trace.Tracer) (*tenant, error) {
+	if cfg.HeapBytes == 0 {
+		return nil, fmt.Errorf("sim: HeapBytes is 0, below the minimum 1 (heaps round up to whole %d-byte pages)", mem.PageSize)
+	}
 	pol, err := resolvePolicy(cfg.HeapPolicy, cfg.Collector)
 	if err != nil {
 		return nil, err

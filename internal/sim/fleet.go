@@ -274,6 +274,9 @@ func RunFleet(cfg FleetConfig) FleetResult {
 	if len(cfg.Spec.Tenants) == 0 {
 		return FleetResult{Err: fmt.Errorf("sim: fleet has no tenants"), ErrTenant: -1}
 	}
+	if err := checkPhys(cfg.Spec.PhysBytes); err != nil {
+		return FleetResult{Err: err, ErrTenant: -1}
+	}
 	f := newFleetRun(cfg)
 	defer f.release()
 	if i, err := f.assemble(); err != nil {

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bookmarkgc/internal/fault"
 	"bookmarkgc/internal/gc"
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
+	"bookmarkgc/internal/vmm"
 )
 
 // oomJBB is pseudoJBB scaled so its live set (~7 MB) cannot fit the
@@ -69,6 +73,32 @@ func TestRunMultiSurvivesOOM(t *testing.T) {
 		if r.Timeline.End <= r.Timeline.Start {
 			t.Fatalf("jvm %d has empty timeline", i)
 		}
+	}
+}
+
+// TestBadGeometryIsAnError: a machine below vmm.MinPhysBytes and a zero
+// heap are configuration errors a sweep reports per cell, not panics
+// that escape the run before its out-of-memory recover.
+func TestBadGeometryIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		heap, phys uint64
+		want       string
+	}{
+		{"zero phys", 4 << 20, 0, fmt.Sprintf("PhysBytes 0 below the machine minimum %d", vmm.MinPhysBytes)},
+		{"phys one page short", 4 << 20, vmm.MinPhysBytes - mem.PageSize, fmt.Sprintf("below the machine minimum %d", vmm.MinPhysBytes)},
+		{"zero heap", 0, 64 << 20, "HeapBytes is 0, below the minimum 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := Run(RunConfig{Collector: BC, Program: tinyJBB(), HeapBytes: tc.heap, PhysBytes: tc.phys, Seed: 1})
+			if r.Err == nil || !strings.Contains(r.Err.Error(), tc.want) {
+				t.Errorf("Run: Err = %v, want it to say %q", r.Err, tc.want)
+			}
+			rs := RunMulti(MultiConfig{Collector: BC, Program: tinyJBB(), HeapBytes: tc.heap, PhysBytes: tc.phys, JVMs: 2, Seed: 1})
+			if len(rs) != 1 || rs[0].Err == nil || !strings.Contains(rs[0].Err.Error(), tc.want) {
+				t.Errorf("RunMulti: %d results, first Err = %v; want one saying %q", len(rs), rs[0].Err, tc.want)
+			}
+		})
 	}
 }
 

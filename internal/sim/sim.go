@@ -304,6 +304,9 @@ type Result struct {
 // Run executes one configuration to completion: one tenant on its own
 // machine, stepped until its workload ends or fails.
 func Run(cfg RunConfig) Result {
+	if err := checkPhys(cfg.PhysBytes); err != nil {
+		return Result{Config: cfg, Err: err}
+	}
 	m := newMachine(cfg.PhysBytes, cfg.Trace)
 	var tr trace.Tracer
 	if cfg.Trace != nil {
