@@ -142,6 +142,9 @@ func PeekHeader(s *mem.Space, o Ref) (forwarded bool, typeID int32, arrayLen int
 	return s.PeekWord(o)&forwardedBit != 0, int32(uint32(w)), int(uint32(w >> 32))
 }
 
+// PeekBookmarked is Bookmarked without touching the page.
+func PeekBookmarked(s *mem.Space, o Ref) bool { return s.PeekWord(o)&bookmarkBit != 0 }
+
 // Payload returns the address of the object's first payload word.
 func Payload(o Ref) mem.Addr { return o + HeaderBytes }
 

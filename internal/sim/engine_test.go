@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"bookmarkgc/internal/core"
 	"bookmarkgc/internal/fault"
+	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/vmm"
 )
@@ -115,6 +117,35 @@ func TestRunEqualsOneTenantFleet(t *testing.T) {
 		}
 		if c.wantPaging && solo.ProcStats.Evictions == 0 {
 			t.Errorf("%s: memory level did not page", c.name)
+		}
+	}
+}
+
+// TestCheckInvariantsChargesNothing: BC's invariant check, hooked after
+// every collection, reads only through PeekWord, so the run it checks is
+// the run without it to the nanosecond — at the paging point, where BC
+// bookmarks, compacts and falls back to its fail-safe, and under a chaos
+// regime.
+func TestCheckInvariantsChargesNothing(t *testing.T) {
+	for _, c := range engineCases() {
+		if c.name != "BC@0.6" && c.name != "chaos/duplicate" {
+			continue
+		}
+		checks := 0
+		var firstErr error
+		fc := oneTenantFleet(c.cfg, c.regime, c.chaosSeed)
+		fc.AfterCollection = func(_ int, col gc.Collector, _ *vmm.VMM) {
+			checks++
+			if err := col.(*core.BC).CheckInvariants(); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("collection %d: %w", checks, err)
+			}
+		}
+		fr := RunFleet(fc)
+		if firstErr != nil || checks == 0 {
+			t.Fatalf("%s: %d collections checked, first violation: %v", c.name, checks, firstErr)
+		}
+		if a, b := runDigestLine(soloRun(c)), runDigestLine(fr.Tenants[0]); a != b {
+			t.Errorf("%s: checking after each of %d collections changed the run\n unchecked: %s\n checked:   %s", c.name, checks, a, b)
 		}
 	}
 }
