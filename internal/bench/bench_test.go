@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/runner"
+	"bookmarkgc/internal/sim"
 )
 
 func fmtSscan(s string, f *float64) (int, error) { return fmt.Sscan(s, f) }
@@ -88,6 +90,29 @@ func checkReports(t *testing.T, rs []Report, wantRows int) {
 func TestFig4Tiny(t *testing.T) {
 	rs := Fig4(tiny(), testRunner())
 	checkReports(t, rs, 5)
+}
+
+// TestFig4HardestBCCellCompletes pins the seeds at which BC failed at
+// fig4's hardest point (42MB available) at scale 0.02: 9, 20 and 86
+// panicked with "heap: FreeBlock on free superpage" (the compaction copy
+// pass left a bookmarked object's slot on a vacated block), and 65 ran
+// out of memory (superpages dropped from allocation while their free
+// blocks sat on evicted pages were never offered again). The cell is
+// what the fig4 and fig5 reports print there.
+func TestFig4HardestBCCellCompletes(t *testing.T) {
+	for _, seed := range []int64{9, 20, 65, 86} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			o, rn := Options{Scale: 0.02, Seed: seed}, testRunner()
+			prog := mutator.PseudoJBB().Scale(o.Scale)
+			heap := o.bytes(fig45HeapMB * (1 << 20))
+			avail := uint64(fig45Avail[len(fig45Avail)-1] * float64(heap))
+			job := dynamicJob(o, sim.BC, prog, heap, avail, fig45Baseline(o, rn, prog, heap))
+			if res := rn.Result(job); !res.OK() {
+				t.Fatalf("%s: engine error %q, run error %q", job.Describe(), res.Err, res.One().Err)
+			}
+		})
+	}
 }
 
 func TestFig7Tiny(t *testing.T) {

@@ -75,7 +75,7 @@ func (c *BC) auditResidency() {
 func (c *BC) noteSilentEviction(p mem.PageID) {
 	c.noteEvicted(p)
 	c.silentEvictions++
-	c.booksValid = false
+	c.invalidateBooks()
 	c.E.Trace.Point(trace.EvResidencyRepaired, int64(p), 0)
 	c.E.Counters.Inc(trace.CSilentEvictions)
 }
