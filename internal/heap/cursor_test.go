@@ -13,12 +13,18 @@ import (
 	"bookmarkgc/internal/vmm"
 )
 
-// refAllocIn is the allocator as it was before the bitmap cursor: one
-// charged testBit per block from block 0. It is the oracle the cursor
+// refAllocIn is the allocator's placement written bit by bit: the first
+// clear bit from block 0 whose pages the filter accepts. It charges what
+// the model charges for the scan, one read of each bitmap word it
+// examines, taken at the word's first bit. It is the oracle the cursor
 // must agree with, access for access.
 func refAllocIn(ss *SuperSpace, idx int, cl objmodel.SizeClass, t *objmodel.Type, arrayLen int) objmodel.Ref {
+	var word uint64
 	for b := 0; b < cl.Blocks; b++ {
-		if ss.testBit(idx, b) {
+		if b%64 == 0 {
+			word = ss.hdr(idx, hdrBitmap+b/64)
+		}
+		if word&(1<<(b%64)) != 0 {
 			continue
 		}
 		o := ss.BlockAddr(idx, b, cl)
@@ -35,15 +41,20 @@ func refAllocIn(ss *SuperSpace, idx int, cl objmodel.SizeClass, t *objmodel.Type
 	return mem.Nil
 }
 
-// refFreeResidentBlocks is FreeResidentBlocks' per-bit body.
+// refFreeResidentBlocks is FreeResidentBlocks written bit by bit, with
+// the same one read per bitmap word.
 func refFreeResidentBlocks(ss *SuperSpace, idx int) int {
 	cl, _, ok := ss.ClassOf(idx)
 	if !ok {
 		return 0
 	}
 	n := 0
+	var word uint64
 	for b := 0; b < cl.Blocks; b++ {
-		if ss.testBit(idx, b) {
+		if b%64 == 0 {
+			word = ss.hdr(idx, hdrBitmap+b/64)
+		}
+		if word&(1<<(b%64)) != 0 {
 			continue
 		}
 		o := ss.BlockAddr(idx, b, cl)
@@ -136,7 +147,7 @@ func (w *cursorWorld) squeeze() {
 }
 
 // armEvent schedules a clock event that disturbs superpage idx the way a
-// handler running between two bit tests could: flip an allocation bit
+// handler running between two bitmap reads could: flip an allocation bit
 // (keeping the header's count in step), take the header page away, or
 // change which pages pass the filter.
 func (w *cursorWorld) armEvent(at time.Duration, idx int) {
@@ -302,7 +313,9 @@ func (w *cursorWorld) do(op, idx int, shapes []shape, pick uint64, epoch uint32)
 // class and the largest class (none a multiple of 64 blocks), with the
 // filter rejecting random pages, header pages evicted under the call and
 // events due inside the scan. After every step both worlds must have
-// returned the same block and be in the same simulated state.
+// returned the same block or count and be in the same simulated state:
+// the same clock, faults and event order, so the cursor charged one read
+// per bitmap word it examined, as the reference does.
 func TestCursorMatchesPerBitAllocator(t *testing.T) {
 	tb := objmodel.NewTable()
 	shapes := []shape{{tb.Scalar("tiny", 0), 0}, {tb.Scalar("node", 4, 0, 1), 0}, {tb.Array("big", false), 900}}

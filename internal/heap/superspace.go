@@ -285,7 +285,7 @@ func (ss *SuperSpace) Alloc(t *objmodel.Type, arrayLen int, cl objmodel.SizeClas
 // allocIn carves the first usable block out of superpage idx and
 // initializes the object header.
 func (ss *SuperSpace) allocIn(idx int, cl objmodel.SizeClass, t *objmodel.Type, arrayLen int) objmodel.Ref {
-	b := ss.nextUsableBlock(idx, cl, 0)
+	b := ss.nextUsableBlock(idx, cl)
 	if b == cl.Blocks {
 		return mem.Nil
 	}
@@ -298,39 +298,36 @@ func (ss *SuperSpace) allocIn(idx int, cl objmodel.SizeClass, t *objmodel.Type, 
 	return o
 }
 
-// nextUsableBlock returns the first block at or after from in superpage
-// idx that is unallocated and whose pages pass the residency filter, or
-// cl.Blocks when there is none. It is the charged bitmap cursor: the scan
-// costs one read of the header bitmap word per bit examined, exactly as
-// testing the bits one by one would, but pays for a word's worth in one
-// step. Per bitmap word it opens a read window sized to the bits left in
-// the word, finds the next clear bit with TrailingZeros64, and charges the
-// allocated bits passed over plus the clear bit found; a refused window
-// (an event due inside it, header page not resident)
-// tests that one bit the per-access way. A free block on a filtered-out
-// page ends the window, as it ends the run of set bits, and the scan
-// reopens at the next bit.
-func (ss *SuperSpace) nextUsableBlock(idx int, cl objmodel.SizeClass, from int) int {
-	for b := from; b < cl.Blocks; b++ {
-		off := b & 63
-		window := min(64-off, cl.Blocks-b)
-		if v, ok := ss.s.TryReadWindow(ss.hdrAddr(idx, hdrBitmap+b/64), window); ok {
-			run := bits.TrailingZeros64(^(v >> off)) // allocated bits from b on
-			if run >= window {
-				ss.s.ChargeReads(window - 1)
-				b += window - 1
-				continue
+// nextUsableBlock returns the first block of superpage idx that is
+// unallocated and whose pages pass the residency filter, or cl.Blocks when
+// there is none. It reads the header bitmap a word at a time, one charged
+// read per word it examines, and finds the block in the word it holds.
+func (ss *SuperSpace) nextUsableBlock(idx int, cl objmodel.SizeClass) int {
+	for w := 0; 64*w < cl.Blocks; w++ {
+		for free := ss.freeBits(idx, w, cl); free != 0; free &= free - 1 {
+			if b := 64*w + bits.TrailingZeros64(free); ss.usable(idx, b, cl) {
+				return b
 			}
-			ss.s.ChargeReads(run)
-			b += run
-		} else if ss.testBit(idx, b) {
-			continue
-		}
-		if ss.resident == nil || ss.blockResident(ss.BlockAddr(idx, b, cl), cl.BlockSize) {
-			return b
 		}
 	}
 	return cl.Blocks
+}
+
+// freeBits reads word w of superpage idx's allocation bitmap and returns
+// its clear bits — the word's free blocks — with the bits past cl.Blocks
+// masked off.
+func (ss *SuperSpace) freeBits(idx, w int, cl objmodel.SizeClass) uint64 {
+	free := ^ss.hdr(idx, hdrBitmap+w)
+	if rest := cl.Blocks - 64*w; rest < 64 {
+		free &= 1<<rest - 1
+	}
+	return free
+}
+
+// usable reports whether free block b of superpage idx lies on pages the
+// residency filter accepts.
+func (ss *SuperSpace) usable(idx, b int, cl objmodel.SizeClass) bool {
+	return ss.resident == nil || ss.blockResident(ss.BlockAddr(idx, b, cl), cl.BlockSize)
 }
 
 // blockResident reports whether every page the block spans passes the
@@ -568,15 +565,19 @@ func (ss *SuperSpace) AllocInSuper(idx int, t *objmodel.Type, arrayLen int) objm
 
 // FreeResidentBlocks counts the unallocated blocks of superpage idx whose
 // pages pass the residency filter — the capacity compaction can copy
-// into.
+// into. Like the allocator it reads each bitmap word once.
 func (ss *SuperSpace) FreeResidentBlocks(idx int) int {
 	cl, _, ok := ss.ClassOf(idx)
 	if !ok {
 		return 0
 	}
 	n := 0
-	for b := ss.nextUsableBlock(idx, cl, 0); b < cl.Blocks; b = ss.nextUsableBlock(idx, cl, b+1) {
-		n++
+	for w := 0; 64*w < cl.Blocks; w++ {
+		for free := ss.freeBits(idx, w, cl); free != 0; free &= free - 1 {
+			if ss.usable(idx, 64*w+bits.TrailingZeros64(free), cl) {
+				n++
+			}
+		}
 	}
 	return n
 }
