@@ -16,10 +16,10 @@ import (
 //     objects as secondary roots);
 //  2. its sweep frees garbage so target capacity is visible;
 //  3. target superpages are selected: superpages containing bookmarked
-//     objects or evicted pages are forced targets (their objects cannot
-//     move, because evicted pointers to them cannot be updated), then the
-//     most-occupied superpages until capacity covers the movable live
-//     data;
+//     objects or, while the books hold, evicted pages are forced targets
+//     (their objects cannot move, because evicted pointers to them cannot
+//     be updated), then the most-occupied superpages until capacity
+//     covers the movable live data;
 //  4. a Cheney pass from the same roots forwards every reachable object
 //     not already on a target into target superpages, evacuating the
 //     nursery too;
@@ -122,9 +122,9 @@ type targetSet struct {
 }
 
 // chooseTargets returns the target-superpage set: forced targets
-// (bookmarked objects or evicted pages) plus the most-occupied candidates
-// until free capacity covers the movable live blocks, per size class and
-// kind.
+// (bookmarked objects, or evicted pages the trace skips) plus the
+// most-occupied candidates until free capacity covers the movable live
+// blocks, per size class and kind.
 func (c *BC) chooseTargets() *targetSet {
 	targets := &targetSet{
 		all:   make(map[int]bool),
@@ -137,7 +137,9 @@ func (c *BC) chooseTargets() *targetSet {
 
 	c.SS.ForEachSuper(func(idx int, cl objmodel.SizeClass, kind objmodel.Kind) {
 		k := tkey{cl.Index, kind}
-		forced := c.SS.Incoming(idx) > 0 || c.superHasEvicted(idx)
+		// Evicted pages pin a superpage only while the trace skips them:
+		// without the books it touches them, and rewrites their pointers.
+		forced := c.SS.Incoming(idx) > 0 || c.bookmarksAreRoots() && c.superHasEvicted(idx)
 		if !forced {
 			// A superpage with any bookmarked resident object must not
 			// have that object moved; keeping the whole superpage is the

@@ -5,6 +5,7 @@ import (
 
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
+	"bookmarkgc/internal/vmm"
 )
 
 // TestChurnUnderPressureVariants is a regression test for two bugs found
@@ -137,6 +138,66 @@ func TestRefusedSuperpageIsOfferedAgain(t *testing.T) {
 				t.Fatalf("allocated %#x, want a block reaching page %d", o, last)
 			}
 		})
+	}
+}
+
+// TestCompactionMovesObjectsOffEvictedPagesWithoutBooks: while the books
+// are invalid every trace touches evicted pages, so compaction can rewrite
+// every pointer and must densify superpages with evicted pages like any
+// others. It used to keep each of them in place as a forced target: fig4
+// at scale 0.02, seed 72, ran out of memory after the fail-safe with most
+// superpages half empty. Here the books are invalid as the fail-safe
+// leaves them, and each superpage's last page, which holds no object and
+// so is touched by no trace, is evicted.
+func TestCompactionMovesObjectsOffEvictedPagesWithoutBooks(t *testing.T) {
+	v, c, node, _, _ := newBC(t, 64, 16, Config{})
+	cl, _ := c.E.Classes.ForSize(node.TotalBytes(0))
+	slots := make([]int, 3*cl.Blocks)
+	for i := range slots {
+		o := c.Alloc(node, 0)
+		c.WriteData(o, 2, uint64(i))
+		slots[i] = c.Roots().Add(o)
+	}
+	c.Collect(true)
+	// Keep one node in four, none reaching its superpage's last page:
+	// they fit in one superpage.
+	kept := map[int]uint64{}
+	supers := map[int]bool{}
+	for i, s := range slots {
+		o := c.Roots().Get(s)
+		idx := c.SS.SuperIndex(o)
+		if _, last := c.SS.PagesOf(idx); i%4 == 0 && (o+mem.Addr(cl.BlockSize)-1).Page() != last {
+			kept[s] = uint64(i)
+			supers[idx] = true
+		} else {
+			c.Roots().Release(s)
+		}
+	}
+	c.Collect(true)
+	c.invalidateBooks()
+	var gone []mem.PageID
+	for idx := range supers {
+		_, last := c.SS.PagesOf(idx)
+		c.noteEvicted(last)
+		gone = append(gone, last)
+	}
+	c.E.Proc.Relinquish(gone)
+	v.Pin(v.FreeFrames())
+	v.Unpin(v.PinnedFrames())
+	for _, p := range gone {
+		if c.E.Proc.State(p) != vmm.Evicted {
+			t.Fatalf("setup: page %d was not evicted", p)
+		}
+	}
+
+	c.compact()
+	if n := c.SS.InUseSupers(); len(supers) < 2 || n != 1 {
+		t.Fatalf("%d superpages in use after the compaction, from %d: want 1", n, len(supers))
+	}
+	for s, want := range kept {
+		if got := c.ReadData(c.Roots().Get(s), 2); got != want {
+			t.Fatalf("node %d holds %d after the compaction", want, got)
+		}
 	}
 }
 
