@@ -418,22 +418,31 @@ func (c *BC) Collect(full bool) {
 	c.resizeNursery()
 }
 
-// scanLive visits o's reference slots, skipping slots that lie on evicted
-// pages (their targets were bookmarked when those pages left, §3.4.1) and
-// targets whose header page is evicted.
-func (c *BC) scanLive(o objmodel.Ref, fn func(slot mem.Addr, tgt objmodel.Ref)) {
+// scanSlots is BC's one slot reader: it visits o's non-nil reference
+// slots, skipping slots that lie on evicted pages. Those cannot be read,
+// and the record made when their page left covers their targets (§3.4).
+func (c *BC) scanSlots(o objmodel.Ref, fn func(slot mem.Addr, tgt objmodel.Ref)) {
 	t, n := c.E.Types.TypeOf(c.E.Space, o)
 	for i := 0; i < t.NumRefSlots(n); i++ {
 		slot := t.RefSlotAddr(o, i)
 		if !c.pageOK(slot.Page()) {
 			continue
 		}
-		tgt := c.E.Space.ReadAddr(slot)
-		if tgt == mem.Nil || !c.pageOK(tgt.Page()) {
-			continue
+		if tgt := c.E.Space.ReadAddr(slot); tgt != mem.Nil {
+			fn(slot, tgt)
 		}
-		fn(slot, tgt)
 	}
+}
+
+// scanLive is scanSlots without the targets whose header page is
+// evicted: a trace cannot mark them, and their bookmarks keep them alive
+// (§3.4.1).
+func (c *BC) scanLive(o objmodel.Ref, fn func(slot mem.Addr, tgt objmodel.Ref)) {
+	c.scanSlots(o, func(slot mem.Addr, tgt objmodel.Ref) {
+		if c.pageOK(tgt.Page()) {
+			fn(slot, tgt)
+		}
+	})
 }
 
 // copied keeps the books for a GC copy that landed on [dst, dst+size): a
@@ -498,23 +507,11 @@ func (c *BC) nurseryGC() {
 // is scanned and protected before eviction, and pages holding nursery
 // pointers are vetoed as victims.
 func (c *BC) scanCard(start, end mem.Addr, fwd func(slot mem.Addr, tgt objmodel.Ref)) {
-	if c.SS.Contains(start) {
-		idx := c.SS.SuperIndex(start)
-		if !c.SS.Used(idx) {
-			return
-		}
-		c.SS.ObjectsOverlappingRange(idx, start, end, func(o objmodel.Ref) {
-			if c.pageOK(o.Page()) {
-				c.scanLive(o, fwd)
-			}
-		})
-		return
-	}
-	if o, ok := c.LOS.ObjectContaining(start); ok {
+	c.objectsIn(start, end, func(o objmodel.Ref) {
 		if c.pageOK(o.Page()) {
 			c.scanLive(o, fwd)
 		}
-	}
+	})
 }
 
 // bookmarkRoots marks every memory-resident bookmarked object as if it

@@ -180,30 +180,39 @@ func (c *BC) mustKeep(p mem.PageID) bool {
 		if c.SS.HeaderPage(idx) == p {
 			return true
 		}
-		return c.pageHasNurseryPointer(p, idx)
+		// The verdict is memoized: invalidated by nursery-pointer stores,
+		// dropped whenever the nursery empties.
+		v, ok := c.nurseryPtrCache[p]
+		if !ok {
+			v = c.pagePoints(p, c.nursery.Contains)
+			c.nurseryPtrCache[p] = v
+		}
+		return v
 	}
 	return false
 }
 
-// pageHasNurseryPointer scans p's objects for nursery references,
-// memoizing the verdict (invalidated by nursery-pointer stores and
-// dropped whenever the nursery empties).
-func (c *BC) pageHasNurseryPointer(p mem.PageID, idx int) bool {
-	if v, ok := c.nurseryPtrCache[p]; ok {
-		return v
+// pagePoints reports whether an object BC may touch on mature page p
+// holds a pointer, to a target it may touch, that pred accepts. It is
+// the one "does this page point there" scan: the nursery-pointer veto and
+// the pointer-free victim policy both ask it.
+func (c *BC) pagePoints(p mem.PageID, pred func(tgt objmodel.Ref) bool) bool {
+	a := mem.PageAddr(p)
+	idx := c.SS.SuperIndex(a)
+	if !c.SS.Used(idx) {
+		return false
 	}
 	found := false
-	c.SS.ObjectsOverlappingPage(idx, p, func(o objmodel.Ref) {
+	c.SS.ObjectsOverlapping(idx, a, a+mem.PageSize, func(o objmodel.Ref) {
 		if found || !c.pageOK(o.Page()) {
 			return
 		}
 		c.scanLive(o, func(_ mem.Addr, tgt objmodel.Ref) {
-			if c.nursery.Contains(tgt) {
+			if pred(tgt) {
 				found = true
 			}
 		})
 	})
-	c.nurseryPtrCache[p] = found
 	return found
 }
 
@@ -345,49 +354,32 @@ func (c *BC) giveDiscardables(exclude mem.PageID) int {
 // pointer-free preference, a sampled resident mature data page without
 // outgoing pointers is evicted instead of the LRU choice.
 func (c *BC) chooseVictim(p mem.PageID) mem.PageID {
-	if c.cfg.Victim != VictimPreferPointerFree || !c.pagePointerCount(p) {
+	// Non-mature pages count as pointer-bearing, with nothing to sample
+	// near them: the LRU choice stands.
+	if c.cfg.Victim != VictimPreferPointerFree || !c.SS.Contains(mem.PageAddr(p)) || !c.pagePoints(p, anyTarget) {
 		return p
 	}
 	// The LRU choice has pointers; sample forward through the mature
 	// region for a pointer-free resident page.
-	if c.SS.Contains(mem.PageAddr(p)) {
-		start := c.SS.SuperIndex(mem.PageAddr(p))
-		for off := 1; off <= 16; off++ {
-			idx := start + off
-			if idx >= c.SS.HighWater() || !c.SS.Used(idx) {
-				continue
-			}
-			first, last := c.SS.PagesOf(idx)
-			for q := first + 1; q <= last; q++ { // skip header page
-				if c.resident.Test(int(q)) && !c.evicted.Test(int(q)) &&
-					!c.pagePointerCount(q) && !c.mustKeep(q) {
-					return q
-				}
+	start := c.SS.SuperIndex(mem.PageAddr(p))
+	for off := 1; off <= 16; off++ {
+		idx := start + off
+		if idx >= c.SS.HighWater() || !c.SS.Used(idx) {
+			continue
+		}
+		first, last := c.SS.PagesOf(idx)
+		for q := first + 1; q <= last; q++ { // skip header page
+			if c.resident.Test(int(q)) && !c.evicted.Test(int(q)) &&
+				!c.pagePoints(q, anyTarget) && !c.mustKeep(q) {
+				return q
 			}
 		}
 	}
 	return p
 }
 
-// pagePointerCount reports whether p contains any non-nil pointer.
-func (c *BC) pagePointerCount(p mem.PageID) bool {
-	a := mem.PageAddr(p)
-	if !c.SS.Contains(a) {
-		return true // treat non-mature pages as pointer-bearing
-	}
-	idx := c.SS.SuperIndex(a)
-	if !c.SS.Used(idx) {
-		return false
-	}
-	any := false
-	c.SS.ObjectsOverlappingPage(idx, p, func(o objmodel.Ref) {
-		if any || !c.pageOK(o.Page()) {
-			return
-		}
-		c.scanLive(o, func(_ mem.Addr, _ objmodel.Ref) { any = true })
-	})
-	return any
-}
+// anyTarget is the pagePoints predicate that accepts every pointer.
+func anyTarget(objmodel.Ref) bool { return true }
 
 // noteEvicted updates BC's books for a page that is leaving memory.
 func (c *BC) noteEvicted(p mem.PageID) {
@@ -422,7 +414,7 @@ func (c *BC) processAndEvict(p mem.PageID) {
 		c.E.Counters.Inc(trace.CPreventiveBookmarks)
 	}
 
-	bookmarkTarget := func(tgt objmodel.Ref) {
+	bookmarkTarget := func(_ mem.Addr, tgt objmodel.Ref) {
 		// The bookmark bit can be set only if the target's page is
 		// accessible; a target on an evicted page already carries the
 		// conservative bookmark from its own page's eviction. The
@@ -471,14 +463,20 @@ func (c *BC) processAndEvict(p mem.PageID) {
 			}
 		}
 	}
-	c.forEachObjectOverlapping(p, func(o objmodel.Ref) {
+	a := mem.PageAddr(p)
+	c.objectsIn(a, a+mem.PageSize, func(o objmodel.Ref) {
 		if !c.pageOK(o.Page()) {
 			return // header already evicted; edges were recorded then
 		}
 		objmodel.SetBookmark(c.E.Space, o) // conservative (§3.4)
 		booked++
 		c.E.Counters.Inc(trace.CObjectsBookmarked)
-		c.scanForEviction(o, bookmarkTarget)
+		// scanSlots, not scanLive: a target on an evicted page must still
+		// reach bookmarkTarget, because its superpage's incoming counter
+		// has to rise either way. Otherwise the target page's reload would
+		// see a zero count and clear the conservative bookmark this edge
+		// depends on (§3.4.2).
+		c.scanSlots(o, bookmarkTarget)
 	})
 
 	clear(seenSuper)
@@ -497,39 +495,17 @@ func (c *BC) processAndEvict(p mem.PageID) {
 	c.E.Proc.Relinquish([]mem.PageID{p})
 }
 
-// scanForEviction reads o's reference slots for the eviction-time scan.
-// Unlike scanLive — the marking helper, which rightly drops targets on
-// evicted pages because they cannot be marked — a target on an evicted
-// page must still reach bookmarkTarget: its superpage's incoming counter
-// has to rise either way, or the target page's reload would see a zero
-// count and clear the conservative bookmark this edge depends on
-// (§3.4.2). Slots on evicted pages (straddling objects) are still
-// skipped: they cannot be read, and the record made when their page left
-// already covers them.
-func (c *BC) scanForEviction(o objmodel.Ref, fn func(tgt objmodel.Ref)) {
-	t, n := c.E.Types.TypeOf(c.E.Space, o)
-	for i := 0; i < t.NumRefSlots(n); i++ {
-		slot := t.RefSlotAddr(o, i)
-		if !c.pageOK(slot.Page()) {
-			continue
-		}
-		if tgt := c.E.Space.ReadAddr(slot); tgt != mem.Nil {
-			fn(tgt)
-		}
-	}
-}
-
-// forEachObjectOverlapping visits live objects whose extent overlaps p.
-func (c *BC) forEachObjectOverlapping(p mem.PageID, fn func(o objmodel.Ref)) {
-	a := mem.PageAddr(p)
+// objectsIn visits the objects overlapping [start, end), a page or a card:
+// the allocated blocks of start's superpage if it is in use, or the large
+// object whose run covers start.
+func (c *BC) objectsIn(start, end mem.Addr, fn func(o objmodel.Ref)) {
 	switch {
-	case c.SS.Contains(a):
-		idx := c.SS.SuperIndex(a)
-		if c.SS.Used(idx) {
-			c.SS.ObjectsOverlappingPage(idx, p, fn)
+	case c.SS.Contains(start):
+		if idx := c.SS.SuperIndex(start); c.SS.Used(idx) {
+			c.SS.ObjectsOverlapping(idx, start, end, fn)
 		}
-	case c.LOS.Contains(a):
-		if o, ok := c.LOS.ObjectContaining(a); ok {
+	case c.LOS.Contains(start):
+		if o, ok := c.LOS.ObjectContaining(start); ok {
 			fn(o)
 		}
 	}
@@ -611,7 +587,7 @@ func (c *BC) straddlingEvicted(p mem.PageID) int {
 		if !used {
 			return 0
 		}
-		c.SS.ObjectsOverlappingPage(idx, p, func(o objmodel.Ref) {
+		c.SS.ObjectsOverlapping(idx, a, a+mem.PageSize, func(o objmodel.Ref) {
 			if c.anyEvicted(mem.PagesIn(o, uint64(cl.BlockSize))) {
 				n++
 			}
@@ -656,7 +632,7 @@ func (c *BC) clearConservative(p mem.PageID) {
 	case c.SS.Contains(a):
 		idx := c.SS.SuperIndex(a)
 		if c.SS.Used(idx) && c.SS.Incoming(idx) == 0 {
-			c.SS.ObjectsOverlappingPage(idx, p, func(o objmodel.Ref) {
+			c.SS.ObjectsOverlapping(idx, a, a+mem.PageSize, func(o objmodel.Ref) {
 				if c.pageOK(o.Page()) {
 					objmodel.ClearBookmark(c.E.Space, o)
 				}

@@ -49,6 +49,43 @@ func BenchmarkSuperSpaceAlloc(b *testing.B) {
 	}
 }
 
+// TestSweepAndWalkDoNotAllocate: the sweep runs once per superpage per
+// collection and the range walker once per page on every eviction,
+// reload and card scan; both must stay off the Go heap.
+func TestSweepAndWalkDoNotAllocate(t *testing.T) {
+	ss, typ, cl := benchSuperSpace(4)
+	idx := ss.AcquireSuper(cl, typ.Kind)
+	base := ss.SuperBase(idx)
+	n := 0
+	walk := func() {
+		ss.ObjectsOverlapping(idx, base, base+mem.SuperSize, func(objmodel.Ref) { n++ })
+	}
+	epoch := uint32(0)
+	sweepHalf := func() {
+		for ss.Alloc(typ, 0, cl) != mem.Nil {
+		}
+		epoch++
+		k := 0
+		ss.ForEachObjectIn(idx, func(o objmodel.Ref) {
+			if k++; k%2 != 0 {
+				objmodel.SetMark(ss.s, o, epoch)
+			}
+		})
+		if freed, _ := ss.SweepSuper(idx, epoch); freed != cl.Blocks/2 {
+			t.Fatalf("sweep freed %d blocks, want %d", freed, cl.Blocks/2)
+		}
+	}
+	if a := testing.AllocsPerRun(50, sweepHalf); a != 0 {
+		t.Errorf("SweepSuper: %v allocs per sweep, want 0", a)
+	}
+	if a := testing.AllocsPerRun(50, walk); a != 0 {
+		t.Errorf("ObjectsOverlapping: %v allocs per walk, want 0", a)
+	}
+	if n == 0 {
+		t.Fatal("the walk visited nothing")
+	}
+}
+
 // BenchmarkSweepSuper sweeps one full superpage of nodes: live with
 // every object marked (the scan alone), half with every other object
 // dead (the blocks are allocated again off the clock).

@@ -171,28 +171,6 @@ func TestSuperSpaceAllocFreeCycle(t *testing.T) {
 	}
 }
 
-func TestSuperSpaceObjectAt(t *testing.T) {
-	s, l := testSetup(4 << 20)
-	_, node, _, _ := testTypes()
-	ss := NewSuperSpace(s, classes, l.MatureBase, l.MatureEnd)
-	cl, _ := classes.ForSize(node.TotalBytes(0))
-	idx := ss.AcquireSuper(cl, node.Kind)
-	o := ss.Alloc(node, 0, cl)
-	mid := o + mem.Addr(cl.BlockSize/2/mem.WordSize*mem.WordSize)
-	got, ok := ss.ObjectAt(idx, mid)
-	if !ok || got != o {
-		t.Fatalf("ObjectAt(%#x) = %#x, %v; want %#x", mid, got, ok, o)
-	}
-	// Unallocated block: not an object.
-	if _, ok := ss.ObjectAt(idx, o+mem.Addr(cl.BlockSize)); ok {
-		t.Fatal("ObjectAt found object in free block")
-	}
-	// Header region: not an object.
-	if _, ok := ss.ObjectAt(idx, ss.SuperBase(idx)); ok {
-		t.Fatal("ObjectAt found object in header")
-	}
-}
-
 func TestSuperSpaceSweep(t *testing.T) {
 	s, l := testSetup(4 << 20)
 	_, node, _, _ := testTypes()

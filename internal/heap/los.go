@@ -153,14 +153,6 @@ func (l *LOS) ObjectContaining(a mem.Addr) (objmodel.Ref, bool) {
 	return mem.Nil, false
 }
 
-// ForEachFreePage visits every free page of the region (for discardable-
-// page discovery).
-func (l *LOS) ForEachFreePage(fn func(p mem.PageID)) {
-	for i := l.free.NextSet(0); i >= 0; i = l.free.NextSet(i + 1) {
-		fn(l.free.page(i))
-	}
-}
-
 // IsFreePage reports in O(1) whether page p is a free page of the region.
 func (l *LOS) IsFreePage(p mem.PageID) bool {
 	return l.Contains(mem.PageAddr(p)) && l.free.Test(l.free.bit(p))

@@ -463,36 +463,43 @@ func (ss *SuperSpace) EmptyWord(wi int) uint64 { return ss.empty.word(wi) }
 // only releaseSuper sets empty bits.
 func (ss *SuperSpace) EmptyAdds() uint64 { return ss.emptyAdds }
 
-// ForEachObjectIn walks the allocated blocks of superpage idx using only
-// the header bitmap, so the walk itself does not touch data pages.
-func (ss *SuperSpace) ForEachObjectIn(idx int, fn func(o objmodel.Ref)) {
+// nextAllocated returns the first allocated block of superpage idx in
+// [b, last], or last+1 when there is none. It is the only loop that reads
+// the allocation bitmap a bit at a time: one charged header read per
+// block it passes. The walkers and the sweep all go through it.
+func (ss *SuperSpace) nextAllocated(idx, b, last int) int {
+	for b <= last && !ss.testBit(idx, b) {
+		b++
+	}
+	return b
+}
+
+// ObjectsOverlapping visits, in address order, the allocated blocks of
+// superpage idx whose extent overlaps [start, end): a card (§3.1), a page
+// BC evicts or reloads (§3.4), or the whole superpage. The walk reads only
+// the header, so it does not touch data pages.
+func (ss *SuperSpace) ObjectsOverlapping(idx int, start, end mem.Addr, fn func(o objmodel.Ref)) {
 	cl, _, ok := ss.ClassOf(idx)
 	if !ok {
 		return
 	}
-	for b := 0; b < cl.Blocks; b++ {
-		if ss.testBit(idx, b) {
-			fn(ss.BlockAddr(idx, b, cl))
-		}
+	data := ss.SuperBase(idx) + objmodel.SuperHeaderBytes
+	if end <= data {
+		return
+	}
+	first := 0
+	if start > data {
+		first = int(start-data) / cl.BlockSize
+	}
+	last := min(int(end-1-data)/cl.BlockSize, cl.Blocks-1)
+	for b := ss.nextAllocated(idx, first, last); b <= last; b = ss.nextAllocated(idx, b+1, last) {
+		fn(ss.BlockAddr(idx, b, cl))
 	}
 }
 
-// ObjectAt returns the block start containing a (which may point
-// anywhere inside the block), for page scans that must locate headers.
-func (ss *SuperSpace) ObjectAt(idx int, a mem.Addr) (objmodel.Ref, bool) {
-	cl, _, ok := ss.ClassOf(idx)
-	if !ok {
-		return mem.Nil, false
-	}
-	off := a - ss.SuperBase(idx)
-	if off < objmodel.SuperHeaderBytes {
-		return mem.Nil, false
-	}
-	b := int(off-objmodel.SuperHeaderBytes) / cl.BlockSize
-	if b >= cl.Blocks || !ss.testBit(idx, b) {
-		return mem.Nil, false
-	}
-	return ss.BlockAddr(idx, b, cl), true
+// ForEachObjectIn visits every allocated block of superpage idx.
+func (ss *SuperSpace) ForEachObjectIn(idx int, fn func(o objmodel.Ref)) {
+	ss.ObjectsOverlapping(idx, ss.SuperBase(idx), ss.SuperBase(idx)+mem.SuperSize, fn)
 }
 
 // SweepSuper frees every allocated block in superpage idx whose object is
@@ -506,10 +513,8 @@ func (ss *SuperSpace) SweepSuper(idx int, epoch uint32) (freed int, empty bool) 
 		return 0, false
 	}
 	allocated := ss.hdr(idx, hdrAllocated)
-	for b := 0; b < cl.Blocks; b++ {
-		if !ss.testBit(idx, b) {
-			continue
-		}
+	last := cl.Blocks - 1
+	for b := ss.nextAllocated(idx, 0, last); b <= last; b = ss.nextAllocated(idx, b+1, last) {
 		o := ss.BlockAddr(idx, b, cl)
 		if ss.resident != nil && !ss.resident(o.Page()) {
 			continue
@@ -580,60 +585,6 @@ func (ss *SuperSpace) FreeResidentBlocks(idx int) int {
 		}
 	}
 	return n
-}
-
-// ObjectsOverlappingPage visits every allocated block of superpage idx
-// whose extent overlaps page p — the objects BC must process when p is
-// scheduled for eviction or reloaded (§3.4).
-func (ss *SuperSpace) ObjectsOverlappingPage(idx int, p mem.PageID, fn func(o objmodel.Ref)) {
-	cl, _, ok := ss.ClassOf(idx)
-	if !ok {
-		return
-	}
-	dataStart := ss.SuperBase(idx) + objmodel.SuperHeaderBytes
-	pStart, pEnd := mem.PageAddr(p), mem.PageAddr(p)+mem.PageSize
-	if pEnd <= dataStart {
-		return
-	}
-	b0 := 0
-	if pStart > dataStart {
-		b0 = int(pStart-dataStart) / cl.BlockSize
-	}
-	b1 := int(pEnd-1-dataStart) / cl.BlockSize
-	if b1 >= cl.Blocks {
-		b1 = cl.Blocks - 1
-	}
-	for b := b0; b <= b1; b++ {
-		if ss.testBit(idx, b) {
-			fn(ss.BlockAddr(idx, b, cl))
-		}
-	}
-}
-
-// ObjectsOverlappingRange visits allocated blocks of superpage idx whose
-// extent overlaps [start, end) — used for card scanning (§3.1).
-func (ss *SuperSpace) ObjectsOverlappingRange(idx int, start, end mem.Addr, fn func(o objmodel.Ref)) {
-	cl, _, ok := ss.ClassOf(idx)
-	if !ok {
-		return
-	}
-	dataStart := ss.SuperBase(idx) + objmodel.SuperHeaderBytes
-	if end <= dataStart {
-		return
-	}
-	b0 := 0
-	if start > dataStart {
-		b0 = int(start-dataStart) / cl.BlockSize
-	}
-	b1 := int(end-1-dataStart) / cl.BlockSize
-	if b1 >= cl.Blocks {
-		b1 = cl.Blocks - 1
-	}
-	for b := b0; b <= b1; b++ {
-		if ss.testBit(idx, b) {
-			fn(ss.BlockAddr(idx, b, cl))
-		}
-	}
 }
 
 // PagesOf returns the page range of superpage idx.
