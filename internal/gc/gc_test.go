@@ -248,13 +248,8 @@ func TestRemSetFilterIntoCards(t *testing.T) {
 	if cards[0][0] != 0x1000 || cards[1][0] != 0x2000 {
 		t.Fatalf("card ranges wrong: %v", cards)
 	}
-	if !r.HasCards() {
-		t.Fatal("HasCards false")
-	}
 	r.Clear()
-	if r.HasCards() {
-		t.Fatal("cards survive Clear")
-	}
+	r.ForEachCard(func(s, _ mem.Addr) { t.Fatalf("card at %#x survives Clear", s) })
 }
 
 func TestRemSetMaxBufferPages(t *testing.T) {

@@ -111,9 +111,6 @@ func (r *RemSet) ForEachCard(fn func(start, end mem.Addr)) {
 	}
 }
 
-// HasCards reports whether any card is marked.
-func (r *RemSet) HasCards() bool { return r.cards.NextSet(0) >= 0 }
-
 // Clear empties both the buffer and the card table (after a collection
 // has consumed them).
 func (r *RemSet) Clear() {

@@ -28,25 +28,10 @@ func (b *Bitmap) Clear(i int) { b.w[i>>6] &^= 1 << (uint(i) & 63) }
 // Test reports whether bit i is set.
 func (b *Bitmap) Test(i int) bool { return b.w[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// SetAll sets every bit.
-func (b *Bitmap) SetAll() {
-	for i := range b.w {
-		b.w[i] = ^uint64(0)
-	}
-	b.trim()
-}
-
 // ClearAll clears every bit.
 func (b *Bitmap) ClearAll() {
 	for i := range b.w {
 		b.w[i] = 0
-	}
-}
-
-// trim clears the unused tail bits of the last word so popcounts stay honest.
-func (b *Bitmap) trim() {
-	if rem := b.n & 63; rem != 0 && len(b.w) > 0 {
-		b.w[len(b.w)-1] &= (1 << uint(rem)) - 1
 	}
 }
 
@@ -67,26 +52,6 @@ func (b *Bitmap) NextSet(i int) int {
 	for i < b.n {
 		wi := i >> 6
 		w := b.w[wi] >> (uint(i) & 63)
-		if w != 0 {
-			r := i + bits.TrailingZeros64(w)
-			if r >= b.n {
-				return -1
-			}
-			return r
-		}
-		i = (wi + 1) << 6
-	}
-	return -1
-}
-
-// NextClear returns the index of the first clear bit >= i, or -1.
-func (b *Bitmap) NextClear(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	for i < b.n {
-		wi := i >> 6
-		w := (^b.w[wi]) >> (uint(i) & 63)
 		if w != 0 {
 			r := i + bits.TrailingZeros64(w)
 			if r >= b.n {

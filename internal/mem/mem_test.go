@@ -191,21 +191,9 @@ func TestBitmapNextSetClear(t *testing.T) {
 	if got := b.NextSet(131); got != -1 {
 		t.Errorf("NextSet(131) = %d", got)
 	}
-	b.SetAll()
-	if got := b.NextClear(0); got != -1 {
-		t.Errorf("NextClear all-set = %d", got)
-	}
-	b.Clear(77)
-	if got := b.NextClear(0); got != 77 {
-		t.Errorf("NextClear = %d", got)
-	}
-}
-
-func TestBitmapSetAllRespectsLen(t *testing.T) {
-	b := NewBitmap(70)
-	b.SetAll()
-	if b.Count() != 70 {
-		t.Fatalf("Count after SetAll = %d, want 70", b.Count())
+	b.Clear(5)
+	if got := b.NextSet(0); got != 130 {
+		t.Errorf("NextSet(0) after Clear(5) = %d", got)
 	}
 }
 
