@@ -28,19 +28,20 @@ func (c *BC) failSafe() {
 	c.pageTargets = make(map[mem.PageID]*pageRecord)
 	c.deferredTargets = make(map[mem.PageID]*pageRecord)
 	c.processed.ClearAll()
-	for _, o := range c.sortedLOSBookmarks() {
-		delete(c.losIncoming, o)
-		objmodel.ClearBookmark(c.E.Space, o)
+	clearBookmark := func(o objmodel.Ref) {
+		if objmodel.Bookmarked(c.E.Space, o) {
+			objmodel.ClearBookmark(c.E.Space, o)
+		}
 	}
+	// Every large object, not only those with incoming counts: a page
+	// leaving bookmarks its own large object conservatively without one.
+	clear(c.losIncoming)
+	c.LOS.ForEachObject(clearBookmark)
 	c.SS.ForEachSuper(func(idx int, _ objmodel.SizeClass, _ objmodel.Kind) {
 		if c.SS.Incoming(idx) > 0 {
 			c.SS.SetIncoming(idx, 0)
 		}
-		c.SS.ForEachObjectIn(idx, func(o objmodel.Ref) {
-			if objmodel.Bookmarked(c.E.Space, o) {
-				objmodel.ClearBookmark(c.E.Space, o)
-			}
-		})
+		c.SS.ForEachObjectIn(idx, clearBookmark)
 	})
 
 	// An ordinary full-heap mark-sweep: BC's one trace with no page

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
 )
 
@@ -28,14 +29,16 @@ func establishBookmarks(t *testing.T) (*BC, *objmodel.Type, int) {
 // discard: bookmark bits, per-superpage incoming counters, LOS incoming
 // counts, processed-page bits, and page-target records.
 func countBookmarks(c *BC) (bits, incoming, records int) {
+	count := func(o objmodel.Ref) {
+		if c.pageOK(o.Page()) && objmodel.Bookmarked(c.E.Space, o) {
+			bits++
+		}
+	}
 	c.SS.ForEachSuper(func(idx int, _ objmodel.SizeClass, _ objmodel.Kind) {
 		incoming += c.SS.Incoming(idx)
-		c.SS.ForEachObjectIn(idx, func(o objmodel.Ref) {
-			if c.pageOK(o.Page()) && objmodel.Bookmarked(c.E.Space, o) {
-				bits++
-			}
-		})
+		c.SS.ForEachObjectIn(idx, count)
 	})
+	c.LOS.ForEachObject(count)
 	for _, n := range c.losIncoming {
 		incoming += n
 	}
@@ -67,6 +70,33 @@ func TestFailSafeClearsAllBookmarks(t *testing.T) {
 	}
 	// The heap the fail-safe traced must still be the mutator's heap.
 	checkList(t, c, head, 120000, 23)
+}
+
+// TestFailSafeClearsLargeObjectBookmarks: evicting a large object's page
+// bookmarks the object conservatively without giving it an incoming
+// count. The fail-safe must clear that bookmark too. It used to clear only
+// the large objects with incoming counts, and then no reload cleared the
+// bit, so the object survived every later collection unreachable.
+func TestFailSafeClearsLargeObjectBookmarks(t *testing.T) {
+	_, c, _, refArr, _ := newBC(t, 512, 16, Config{})
+	slot := c.Roots().Add(c.Alloc(refArr, 2*mem.PageSize/mem.WordSize))
+	c.Collect(true)
+	big := c.Roots().Get(slot)
+	if !c.LOS.Contains(big) {
+		t.Fatal("setup: the array is not a large object")
+	}
+	c.processAndEvict(big.Page())
+	if !objmodel.PeekBookmarked(c.E.Space, big) {
+		t.Fatal("setup: evicting the page did not bookmark the object")
+	}
+	c.Roots().Release(slot)
+
+	c.failSafe()
+	c.Collect(true)
+	c.Collect(true)
+	if n := c.LOS.Objects(); n != 0 {
+		t.Fatalf("%d large objects survive, bookmarked=%v: want the unreachable one swept", n, objmodel.PeekBookmarked(c.E.Space, big))
+	}
 }
 
 // TestFailSafeHeapStillUsable checks BC keeps collecting normally after
