@@ -7,27 +7,30 @@
 //
 //	experiments [-run id[,id...]] [-scale f] [-seed n] [-list] [-counters]
 //	            [-jobs n] [-mark-workers n] [-cache-dir dir] [-resume]
-//	            [-timeout d] [-format text|json] [-expect-cached]
+//	            [-timeout d] [-format text|json] [-expect-cached] [-http addr]
 //
 // Experiment ids: table1, fig2, fig2x, fig3, fig3x, fig4, fig5, fig6,
-// fig7, ablate; "all" runs everything. Scale 1.0 is paper scale (1 GB
-// machine); the default 0.25 preserves the shapes at a fraction of the
-// runtime.
+// fig7, ablate, replay, fleet, heappolicy; "all" runs everything. Scale
+// 1.0 is paper scale (1 GB machine); the default 0.25 preserves the
+// shapes at a fraction of the runtime.
 //
-// -jobs n       run up to n simulations concurrently (default GOMAXPROCS)
-// -mark-workers n  host threads for each simulation's parallel mark engine
-//
-//	(default 1); report bytes are bit-identical for any value
-//
-// -cpuprofile f, -memprofile f  write host pprof profiles of the whole
-//
-//	command (written on every exit, failures included)
-//
-// -cache-dir d  persist per-job results as JSONL under d (” disables)
-// -resume       serve results cached by a previous (or interrupted) run
-// -timeout d    abandon any single job after d wall time (0 = none)
-// -format json  emit reports as one JSON document instead of text tables
-// -expect-cached exit 3 unless every job was served from cache
+//	-run ids        comma-separated experiment ids, or all (default all)
+//	-scale f        workload and memory scale (default 0.25)
+//	-seed n         workload random seed (default 1)
+//	-list           list the experiments and exit
+//	-counters       collect event counters and add them to report notes
+//	-jobs n         run up to n simulations concurrently (default GOMAXPROCS)
+//	-mark-workers n host threads for each simulation's parallel mark engine
+//	                (default 1); report bytes are bit-identical for any value
+//	-cache-dir d    persist per-job results as JSONL under d ('' disables)
+//	-resume         serve results cached by a previous (or interrupted) run
+//	-timeout d      abandon any single job after d wall time (0 = none)
+//	-format json    emit reports as one JSON document instead of text tables
+//	-expect-cached  exit 3 unless every job was served from cache
+//	-http addr      serve live sweep progress (/api/progress) and
+//	                /debug/pprof on addr while the sweep runs
+//	-cpuprofile f, -memprofile f  write host pprof profiles of the whole
+//	                command (written on every exit, failures included)
 //
 // Reports go to stdout; progress, timing, and runner telemetry go to
 // stderr, where each job that failed is named on a line of its own

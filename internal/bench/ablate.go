@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/runner"
 	"bookmarkgc/internal/sim"
 )
@@ -24,24 +23,20 @@ func Ablations(o Options, rn *runner.Runner) []Report {
 		sim.BC, sim.BCResizeOnly, sim.BCNoAggressive, sim.BCPointerFree, sim.BCRegrow,
 		sim.GenMS, sim.GenMSAdvisor,
 	}
-	prog := mutator.PseudoJBB().Scale(o.Scale)
-	heap := o.bytes(fig45HeapMB * (1 << 20))
-	rn.RunAll([]runner.Job{baselineJob(o, prog, heap)})
-	base := fig45Baseline(o, rn, prog, heap)
-
+	d := newDynamic(o, rn)
 	var jobs []runner.Job
 	for _, k := range kinds {
-		jobs = append(jobs, dynamicJob(o, k, prog, heap, uint64(availFrac*float64(heap)), base))
+		jobs = append(jobs, d.job(k, availFrac))
 	}
-	rn.RunAll(jobs)
+	results := rn.RunAll(jobs)
 
 	r := Report{
 		ID:     "ablate",
 		Title:  "BC variants under dynamic pressure (available = 70% of heap)",
 		Header: []string{"variant", "exec time", "mean pause", "GC major faults", "pages bookmarked", "notifications"},
 	}
-	for _, k := range kinds {
-		res := rn.Result(dynamicJob(o, k, prog, heap, uint64(availFrac*float64(heap)), base))
+	for i, k := range kinds {
+		res := results[i]
 		if !res.OK() {
 			r.Rows = append(r.Rows, []string{string(k), "-", "-", "-", "-", "-"})
 			continue

@@ -1,11 +1,13 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§5). Each experiment is two passes over the same
-// configuration loops: an emission pass that enumerates every simulation
-// the experiment might need as runner.Jobs, and a reduce pass that folds
-// the (memoized, content-hash-keyed) results into the paper's rows.
-// The runner executes the emitted jobs on a worker pool; because results
-// are looked up by hash during the reduce, report bytes are identical
-// whether the sweep ran on one worker or many, fresh or from cache.
+// evaluation (§5). Each experiment enumerates its configuration matrix
+// once, as runner.Jobs, submits them in one RunAll batch and reduces the
+// results that batch returns, in job order, into the paper's rows. Jobs
+// that depend on a result still batch first: the dynamic-pressure
+// experiments run their unpressured baseline, whose duration calibrates
+// every other job, in a batch of its own. The runner executes a batch on
+// a worker pool and memoizes by content hash, so report bytes are
+// identical whether the sweep ran on one worker or many, fresh or from
+// cache, and experiments that share a job run it once.
 //
 // Workloads, heap sizes, and memory sizes all scale together through
 // Options.Scale, so the experiments keep their shape at a fraction of the
@@ -87,7 +89,7 @@ func (r *Report) Print(w io.Writer) {
 }
 
 // Experiment is a named, runnable reproduction of one table or figure.
-// Run emits the experiment's jobs to the runner and reduces the results;
+// Run submits the experiment's jobs to the runner and reduces the results;
 // it owns no execution policy (parallelism, caching, timeouts all live
 // in the runner it is handed).
 type Experiment struct {
@@ -123,6 +125,28 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// grid submits one job per (row, column) pair as one batch, rows outer,
+// and returns the results as res[row][column].
+func grid[R, C any](rn *runner.Runner, rows []R, cols []C, job func(R, C) runner.Job) [][]*runner.Result {
+	jobs := make([]runner.Job, 0, len(rows)*len(cols))
+	for _, r := range rows {
+		for _, c := range cols {
+			jobs = append(jobs, job(r, c))
+		}
+	}
+	return chunk(rn.RunAll(jobs), len(cols))
+}
+
+// chunk splits a batch's results into consecutive rows of n.
+func chunk(res []*runner.Result, n int) [][]*runner.Result {
+	out := make([][]*runner.Result, 0, len(res)/n)
+	for len(res) > 0 {
+		out = append(out, res[:n])
+		res = res[n:]
+	}
+	return out
 }
 
 // counterNote renders one run's cooperation counters as a report note.

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/runner"
 	"bookmarkgc/internal/sim"
 )
@@ -87,9 +86,17 @@ func checkReports(t *testing.T, rs []Report, wantRows int) {
 	}
 }
 
+// TestFig4Tiny also holds the runner to the sharing DESIGN.md §9
+// promises: Ablations after Fig4 executes only its 5 jobs Fig4 did not
+// run (BC and GenMS at 70% and the baseline are Fig4's).
 func TestFig4Tiny(t *testing.T) {
-	rs := Fig4(tiny(), testRunner())
-	checkReports(t, rs, 5)
+	rn := testRunner()
+	checkReports(t, Fig4(tiny(), rn), 5)
+	before := rn.Stats().Executed
+	checkReports(t, Ablations(tiny(), rn), 5)
+	if got := rn.Stats().Executed - before; got != 5 {
+		t.Errorf("Ablations after Fig4 executed %d jobs, want 5", got)
+	}
 }
 
 // TestFig4HardestBCCellCompletes pins the seeds at which BC failed at
@@ -106,11 +113,8 @@ func TestFig4HardestBCCellCompletes(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			t.Parallel()
 			o, rn := Options{Scale: 0.02, Seed: seed}, testRunner()
-			prog := mutator.PseudoJBB().Scale(o.Scale)
-			heap := o.bytes(fig45HeapMB * (1 << 20))
-			avail := uint64(fig45Avail[len(fig45Avail)-1] * float64(heap))
-			job := dynamicJob(o, sim.BC, prog, heap, avail, fig45Baseline(o, rn, prog, heap))
-			if res := rn.Result(job); !res.OK() {
+			job := newDynamic(o, rn).job(sim.BC, fig45Avail[len(fig45Avail)-1])
+			if res := rn.RunAll([]runner.Job{job})[0]; !res.OK() {
 				t.Fatalf("%s: engine error %q, run error %q", job.Describe(), res.Err, res.One().Err)
 			}
 		})

@@ -25,10 +25,11 @@ func renderAll(t *testing.T, e Experiment, o Options, workers int) []byte {
 
 // TestReportDeterminism is the ISSUE's regression gate: report bytes are
 // a pure function of the experiment's inputs — identical whether jobs
-// run on 1 worker or 8, for more than one seed. fig4 covers the
-// two-batch (baseline then calibrated-pressure) emission shape; fig7
-// covers multi-JVM jobs; fleet covers multi-tenant fleet jobs with
-// chaos, arbitration, and the cascade ladder.
+// run on 1 worker or 8, for more than one seed. fig4 covers a job
+// that depends on a result (the baseline batch, then the sweep its
+// duration calibrates); fig7 covers multi-JVM jobs; fleet covers
+// multi-tenant fleet jobs with chaos, arbitration, and the cascade
+// ladder.
 func TestReportDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fig4, fig7, and fleet four times; the engine-level half (internal/runner TestSchedulingDeterminism) still runs under -short")

@@ -41,16 +41,20 @@ func fig2Job(o Options, k sim.CollectorKind, scaled mutator.Spec, f float64) run
 // compaction, GenCopy ~7% behind, MarkSweep ~20% and CopyMS ~29% behind
 // at the largest heap.
 func Fig2(o Options, rn *runner.Runner) []Report {
-	var jobs []runner.Job
+	// One row of jobs per (benchmark, factor), one column per collector.
+	type point struct {
+		scaled mutator.Spec
+		f      float64
+	}
+	var points []point
 	for _, prog := range mutator.Programs {
-		scaled := prog.Scale(o.Scale)
 		for _, f := range fig2Factors {
-			for _, k := range fig2Collectors {
-				jobs = append(jobs, fig2Job(o, k, scaled, f))
-			}
+			points = append(points, point{prog.Scale(o.Scale), f})
 		}
 	}
-	rn.RunAll(jobs)
+	res := grid(rn, points, fig2Collectors, func(p point, k sim.CollectorKind) runner.Job {
+		return fig2Job(o, k, p.scaled, p.f)
+	})
 
 	r := Report{
 		ID:     "fig2",
@@ -60,49 +64,35 @@ func Fig2(o Options, rn *runner.Runner) []Report {
 			"cells: geomean over all benchmarks of time(collector)/time(BC); '-' = does not complete",
 		},
 	}
-	// exec[collector][factor] = per-benchmark times.
-	type cell struct{ rel []float64 }
-	table := map[sim.CollectorKind]map[float64]*cell{}
-	for _, k := range fig2Collectors {
-		table[k] = map[float64]*cell{}
-		for _, f := range fig2Factors {
-			table[k][f] = &cell{}
-		}
+	// rel[collector][factor] = per-benchmark times relative to BC, which
+	// is fig2Collectors[0].
+	rel := make([][][]float64, len(fig2Collectors))
+	for ki := range rel {
+		rel[ki] = make([][]float64, len(fig2Factors))
 	}
-	for _, prog := range mutator.Programs {
-		scaled := prog.Scale(o.Scale)
-		for _, f := range fig2Factors {
-			bc := rn.Result(fig2Job(o, sim.BC, scaled, f))
-			if !bc.OK() {
-				continue
-			}
-			for _, k := range fig2Collectors {
-				if k == sim.BC {
-					table[k][f].rel = append(table[k][f].rel, 1)
-					continue
-				}
-				res := rn.Result(fig2Job(o, k, scaled, f))
-				if !res.OK() {
-					continue
-				}
-				table[k][f].rel = append(table[k][f].rel,
-					res.One().ElapsedSecs/bc.One().ElapsedSecs)
+	for i, row := range res {
+		fi, bc := i%len(fig2Factors), row[0]
+		if !bc.OK() {
+			continue
+		}
+		for ki, cell := range row {
+			if cell.OK() {
+				rel[ki][fi] = append(rel[ki][fi], cell.One().ElapsedSecs/bc.One().ElapsedSecs)
 			}
 		}
 	}
-	for _, k := range fig2Collectors {
+	for ki, k := range fig2Collectors {
 		row := []string{string(k)}
-		for _, f := range fig2Factors {
-			c := table[k][f]
-			if len(c.rel) == 0 {
+		for _, c := range rel[ki] {
+			if len(c) == 0 {
 				row = append(row, "-")
 				continue
 			}
 			suffix := ""
-			if len(c.rel) < len(mutator.Programs) {
-				suffix = fmt.Sprintf(" (%d/%d)", len(c.rel), len(mutator.Programs))
+			if len(c) < len(mutator.Programs) {
+				suffix = fmt.Sprintf(" (%d/%d)", len(c), len(mutator.Programs))
 			}
-			row = append(row, fmt.Sprintf("%.3f%s", metrics.Geomean(c.rel), suffix))
+			row = append(row, fmt.Sprintf("%.3f%s", metrics.Geomean(c), suffix))
 		}
 		r.Rows = append(r.Rows, row)
 	}

@@ -15,14 +15,9 @@ import (
 // Its jobs are Fig2's 2.0x column, so running both costs one sweep.
 func Fig2Detail(o Options, rn *runner.Runner) []Report {
 	const factor = 2.0
-	var jobs []runner.Job
-	for _, prog := range mutator.Programs {
-		scaled := prog.Scale(o.Scale)
-		for _, k := range fig2Collectors {
-			jobs = append(jobs, fig2Job(o, k, scaled, factor))
-		}
-	}
-	rn.RunAll(jobs)
+	res := grid(rn, mutator.Programs, fig2Collectors, func(prog mutator.Spec, k sim.CollectorKind) runner.Job {
+		return fig2Job(o, k, prog.Scale(o.Scale), factor)
+	})
 
 	r := Report{
 		ID:    "fig2x",
@@ -33,22 +28,21 @@ func Fig2Detail(o Options, rn *runner.Runner) []Report {
 	for _, k := range fig2Collectors {
 		r.Header = append(r.Header, string(k))
 	}
-	for _, prog := range mutator.Programs {
-		scaled := prog.Scale(o.Scale)
+	for i, prog := range mutator.Programs {
 		row := []string{prog.Name}
 		var bcTime float64
-		for _, k := range fig2Collectors {
-			res := rn.Result(fig2Job(o, k, scaled, factor))
-			if !res.OK() {
+		for ki, k := range fig2Collectors {
+			cell := res[i][ki]
+			if !cell.OK() {
 				row = append(row, "-")
 				continue
 			}
 			if k == sim.BC {
-				bcTime = res.One().ElapsedSecs
+				bcTime = cell.One().ElapsedSecs
 				row = append(row, "1.000")
 				continue
 			}
-			row = append(row, fmt.Sprintf("%.3f", res.One().ElapsedSecs/bcTime))
+			row = append(row, fmt.Sprintf("%.3f", cell.One().ElapsedSecs/bcTime))
 		}
 		r.Rows = append(r.Rows, row)
 	}

@@ -53,13 +53,9 @@ func Fig3x(o Options, rn *runner.Runner) []Report { return fig3At(o, rn, "fig3x"
 
 func fig3At(o Options, rn *runner.Runner, id string, availFrac float64) []Report {
 	prog := mutator.PseudoJBB().Scale(o.Scale)
-	var jobs []runner.Job
-	for _, k := range fig3Collectors {
-		for _, heapMB := range fig3Heaps {
-			jobs = append(jobs, fig3Job(o, k, prog, heapMB, availFrac))
-		}
-	}
-	rn.RunAll(jobs)
+	res := grid(rn, fig3Collectors, fig3Heaps, func(k sim.CollectorKind, heapMB int) runner.Job {
+		return fig3Job(o, k, prog, heapMB, availFrac)
+	})
 
 	exec := Report{
 		ID:     id + "a",
@@ -71,23 +67,23 @@ func fig3At(o Options, rn *runner.Runner, id string, availFrac float64) []Report
 		Title:  fmt.Sprintf("steady pressure (available = %.0f%% of heap): mean GC pause, pseudoJBB", availFrac*100),
 		Header: append([]string{"collector"}, heapLabels(fig3Heaps)...),
 	}
-	for _, k := range fig3Collectors {
+	for i, k := range fig3Collectors {
 		execRow := []string{string(k)}
 		pauseRow := []string{string(k)}
-		for _, heapMB := range fig3Heaps {
-			res := rn.Result(fig3Job(o, k, prog, heapMB, availFrac))
-			if !res.OK() {
+		for hi, heapMB := range fig3Heaps {
+			cell := res[i][hi]
+			if !cell.OK() {
 				execRow = append(execRow, "-")
 				pauseRow = append(pauseRow, "-")
 				continue
 			}
-			run := res.One()
+			run := cell.One()
 			tl := run.Timeline()
 			execRow = append(execRow, secs(run.ElapsedSecs))
 			pauseRow = append(pauseRow, ms(tl.AvgPause()))
 			if o.Counters && heapMB == fig3Heaps[len(fig3Heaps)-1] {
 				exec.Notes = append(exec.Notes,
-					counterNote(fmt.Sprintf("%s@%dMB", k, heapMB), res.Counters))
+					counterNote(fmt.Sprintf("%s@%dMB", k, heapMB), cell.Counters))
 			}
 		}
 		exec.Rows = append(exec.Rows, execRow)

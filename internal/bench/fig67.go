@@ -28,39 +28,28 @@ func Fig6(o Options, rn *runner.Runner) []Report {
 		sim.BC, sim.BCResizeOnly, sim.GenMS, sim.GenCopy, sim.CopyMS, sim.SemiSpace, sim.MarkSweep,
 	}
 	fracs := []float64{1.30, 0.90}
-	prog := mutator.PseudoJBB().Scale(o.Scale)
-	heap := o.bytes(fig45HeapMB * (1 << 20))
-	rn.RunAll([]runner.Job{baselineJob(o, prog, heap)})
-	base := fig45Baseline(o, rn, prog, heap)
+	d := newDynamic(o, rn)
+	res := grid(rn, fracs, kinds, func(frac float64, k sim.CollectorKind) runner.Job { return d.job(k, frac) })
 
-	var jobs []runner.Job
-	for _, frac := range fracs {
-		for _, k := range kinds {
-			jobs = append(jobs, dynamicJob(o, k, prog, heap, uint64(frac*float64(heap)), base))
-		}
-	}
-	rn.RunAll(jobs)
-
-	mk := func(id string, frac float64, label string) Report {
+	mk := func(id string, frac float64, label string, cells []*runner.Result) Report {
 		r := Report{
 			ID:     id,
 			Title:  fmt.Sprintf("BMU curves, %s pressure (available = %.0f%% of heap)", label, frac*100),
 			Header: append([]string{"collector"}, windowLabels()...),
 			Notes:  []string{"cells: BMU at windows of w times the unpressured run time T"},
 		}
-		for _, k := range kinds {
+		for i, k := range kinds {
 			row := []string{string(k)}
-			res := rn.Result(dynamicJob(o, k, prog, heap, uint64(frac*float64(heap)), base))
-			if !res.OK() {
+			if !cells[i].OK() {
 				for range fig6Windows {
 					row = append(row, "-")
 				}
 				r.Rows = append(r.Rows, row)
 				continue
 			}
-			tl := res.One().Timeline()
+			tl := cells[i].One().Timeline()
 			for _, wf := range fig6Windows {
-				w := time.Duration(wf * float64(base))
+				w := time.Duration(wf * float64(d.base))
 				row = append(row, fmt.Sprintf("%.3f", tl.BMU(w)))
 			}
 			r.Rows = append(r.Rows, row)
@@ -68,8 +57,8 @@ func Fig6(o Options, rn *runner.Runner) []Report {
 		return r
 	}
 	return []Report{
-		mk("fig6a", fracs[0], "moderate"),
-		mk("fig6b", fracs[1], "severe"),
+		mk("fig6a", fracs[0], "moderate", res[0]),
+		mk("fig6b", fracs[1], "severe", res[1]),
 	}
 }
 
@@ -109,13 +98,9 @@ func Fig7(o Options, rn *runner.Runner) []Report {
 	prog := mutator.PseudoJBB().Scale(o.Scale)
 	heap := o.bytes(fig45HeapMB * (1 << 20))
 
-	var jobs []runner.Job
-	for _, k := range kinds {
-		for _, frac := range fig7Avail {
-			jobs = append(jobs, fig7Job(o, k, prog, heap, frac))
-		}
-	}
-	rn.RunAll(jobs)
+	res := grid(rn, kinds, fig7Avail, func(k sim.CollectorKind, frac float64) runner.Job {
+		return fig7Job(o, k, prog, heap, frac)
+	})
 
 	exec := Report{
 		ID:     "fig7a",
@@ -127,34 +112,23 @@ func Fig7(o Options, rn *runner.Runner) []Report {
 		Title:  "two JVMs: mean GC pause across both instances",
 		Header: append([]string{"collector"}, fig7Labels()...),
 	}
-	for _, k := range kinds {
+	for i, k := range kinds {
 		execRow := []string{string(k)}
 		pauseRow := []string{string(k)}
-		for _, frac := range fig7Avail {
-			res := rn.Result(fig7Job(o, k, prog, heap, frac))
-			if !res.OK() {
+		for _, cell := range res[i] {
+			if !cell.OK() {
 				execRow = append(execRow, "-")
 				pauseRow = append(pauseRow, "-")
 				continue
 			}
 			var end float64
-			var pauses []metrics.Pause
-			for _, rd := range res.Runs {
-				if rd.ElapsedSecs > end {
-					end = rd.ElapsedSecs
-				}
-				pauses = append(pauses, rd.Timeline().Pauses...)
-			}
-			var sum time.Duration
-			for _, p := range pauses {
-				sum += p.Dur
-			}
-			avg := time.Duration(0)
-			if len(pauses) > 0 {
-				avg = sum / time.Duration(len(pauses))
+			var both metrics.Timeline
+			for _, rd := range cell.Runs {
+				end = max(end, rd.ElapsedSecs)
+				both.Pauses = append(both.Pauses, rd.Timeline().Pauses...)
 			}
 			execRow = append(execRow, secs(end))
-			pauseRow = append(pauseRow, ms(avg))
+			pauseRow = append(pauseRow, ms(both.AvgPause()))
 		}
 		exec.Rows = append(exec.Rows, execRow)
 		pause.Rows = append(pause.Rows, pauseRow)

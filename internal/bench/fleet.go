@@ -45,7 +45,7 @@ func Fleet(o Options, rn *runner.Runner) []Report {
 	for _, v := range fleetVariants {
 		jobs = append(jobs, fleetJob(o, v.policy, v.escalate))
 	}
-	rn.RunAll(jobs)
+	results := rn.RunAll(jobs)
 
 	r := Report{
 		ID:    "fleet",
@@ -58,15 +58,14 @@ func Fleet(o Options, rn *runner.Runner) []Report {
 			"lru+ladder: global-lru until the cascade detector trips, then cooperative",
 		},
 	}
-	for _, v := range fleetVariants {
-		job := fleetJob(o, v.policy, v.escalate)
-		res := rn.Result(job)
-		if res == nil || res.Err != "" || res.Fleet == nil {
+	for i, v := range fleetVariants {
+		res := results[i]
+		if res.Err != "" || res.Fleet == nil {
 			r.Rows = append(r.Rows, []string{v.label, "-", "-", "-", "-", "-", "-", "-", "-", "-"})
 			continue
 		}
 		fd := res.Fleet
-		spec := job.Fleet
+		spec := jobs[i].Fleet
 		var bcSum, otherSum time.Duration
 		var bcN, otherN int
 		failed := 0

@@ -22,25 +22,14 @@ var hpHeapsMB = []int{70, 85, 100, 115}
 // while the run stays far from thrashing collapse.
 const hpAvailFrac = 0.70
 
-// hpJob is one single-tenant Pareto point: GenMS on pseudoJBB under
-// steady pressure, with only the heap-limit policy and heap size
-// varying. GenMS has no native policy, so "fixed" is the true status
-// quo; pressure reaches bc-shrink/composed through the policy relay.
+// hpJob is one single-tenant Pareto point: Figure 3's GenMS job at
+// hpAvailFrac, with only the heap-limit policy and heap size varying.
+// GenMS has no native policy, so "fixed" is the true status quo;
+// pressure reaches bc-shrink/composed through the policy relay.
 func hpJob(o Options, pol string, prog mutator.Spec, heapMB int) runner.Job {
-	heap := o.bytes(float64(heapMB) * (1 << 20))
-	slack := o.bytes(6 << 20)
-	avail := uint64(hpAvailFrac*float64(heap)) + slack
-	phys := heap * 2
-	return runner.Job{
-		Collector:  sim.GenMS,
-		Program:    prog,
-		HeapBytes:  heap,
-		PhysBytes:  phys,
-		Seed:       o.Seed,
-		Counters:   o.Counters,
-		Pressure:   &sim.Pressure{InitialBytes: phys - avail},
-		HeapPolicy: pol,
-	}
+	j := fig3Job(o, sim.GenMS, prog, heapMB, hpAvailFrac)
+	j.HeapPolicy = pol
+	return j
 }
 
 // hpFleetJob is one 16-tenant fleet with every tenant under the given
@@ -88,7 +77,8 @@ func HeapPolicy(o Options, rn *runner.Runner) []Report {
 		}
 		jobs = append(jobs, hpFleetJob(o, pol))
 	}
-	rn.RunAll(jobs)
+	// One row per policy: its single-tenant points, then its fleet.
+	rows := chunk(rn.RunAll(jobs), len(hpHeapsMB)+1)
 
 	single := Report{
 		ID:    "heappolicy",
@@ -101,9 +91,9 @@ func HeapPolicy(o Options, rn *runner.Runner) []Report {
 		},
 	}
 	points := map[string][]hpPoint{}
-	for _, pol := range hpPolicies {
-		for _, heapMB := range hpHeapsMB {
-			res := rn.Result(hpJob(o, pol, prog, heapMB))
+	for pi, pol := range hpPolicies {
+		for hi, heapMB := range hpHeapsMB {
+			res := rows[pi][hi]
 			if !res.OK() {
 				single.Rows = append(single.Rows, []string{pol,
 					fmt.Sprintf("%dMB", heapMB), "-", "-", "-", "-", "-"})
@@ -148,9 +138,9 @@ func HeapPolicy(o Options, rn *runner.Runner) []Report {
 		},
 	}
 	fleetPts := map[string]hpPoint{}
-	for _, pol := range hpPolicies {
-		res := rn.Result(hpFleetJob(o, pol))
-		if res == nil || res.Err != "" || res.Fleet == nil {
+	for pi, pol := range hpPolicies {
+		res := rows[pi][len(hpHeapsMB)]
+		if res.Err != "" || res.Fleet == nil {
 			fleet.Rows = append(fleet.Rows, []string{pol, "-", "-", "-", "-", "-", "-", "-"})
 			continue
 		}

@@ -60,21 +60,18 @@ func replayVia(path string, o Options, rn *runner.Runner) []Report {
 	}
 	ref := &runner.TraceRef{Name: scaled.Name, Hash: hash, Path: path}
 
-	job := func(col sim.CollectorKind) runner.Job {
-		return runner.Job{
+	var jobs []runner.Job
+	for _, col := range replayCollectors {
+		jobs = append(jobs, runner.Job{
 			Collector: col,
 			Program:   scaled,
 			HeapBytes: heap,
 			PhysBytes: phys,
 			Seed:      o.Seed,
 			Trace:     ref,
-		}
+		})
 	}
-	var jobs []runner.Job
-	for _, col := range replayCollectors {
-		jobs = append(jobs, job(col))
-	}
-	rn.RunAll(jobs)
+	results := rn.RunAll(jobs)
 
 	r := Report{
 		ID:    "replay",
@@ -88,10 +85,10 @@ func replayVia(path string, o Options, rn *runner.Runner) []Report {
 				secs(base.ElapsedSecs), base.Mutator.Checksum),
 		},
 	}
-	for _, col := range replayCollectors {
-		res := rn.Result(job(col))
+	for i, col := range replayCollectors {
+		res := results[i]
 		if !res.OK() {
-			r.Rows = append(r.Rows, []string{string(col), "FAILED: " + res.Err, "", "", "", ""})
+			r.Rows = append(r.Rows, []string{string(col), "FAILED: " + res.FirstErr(), "-", "-", "-", "-"})
 			continue
 		}
 		rd := res.One()

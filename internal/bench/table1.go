@@ -54,7 +54,7 @@ func Table1(o Options, rn *runner.Runner) []Report {
 			jobs = append(jobs, table1ProbeJob(o, scaled, f))
 		}
 	}
-	rn.RunAll(jobs)
+	rows := chunk(rn.RunAll(jobs), 1+len(minHeapFactors))
 
 	r := Report{
 		ID:    "table1",
@@ -66,12 +66,9 @@ func Table1(o Options, rn *runner.Runner) []Report {
 			"min heap probed at factors of the paper value (coarse search)",
 		},
 	}
-	for _, prog := range mutator.Programs {
-		scaled := prog.Scale(o.Scale)
-		res := rn.Result(table1AllocJob(o, scaled))
-		measuredAlloc := float64(res.One().AllocatedBytes) / o.Scale
-
-		minHeap := findMinHeap(o, rn, scaled)
+	for i, prog := range mutator.Programs {
+		measuredAlloc := float64(rows[i][0].One().AllocatedBytes) / o.Scale
+		minHeap := findMinHeap(prog.Scale(o.Scale), rows[i][1:])
 		r.Rows = append(r.Rows, []string{
 			prog.Name,
 			fmt.Sprintf("%d", prog.TotalAlloc),
@@ -83,11 +80,12 @@ func Table1(o Options, rn *runner.Runner) []Report {
 	return []Report{r}
 }
 
-// findMinHeap reads the probe results in ascending-factor order and
-// returns the smallest (scaled) heap at which BC completes.
-func findMinHeap(o Options, rn *runner.Runner, prog mutator.Spec) uint64 {
-	for _, f := range minHeapFactors {
-		if rn.Result(table1ProbeJob(o, prog, f)).OK() {
+// findMinHeap reads the probe results, aligned with minHeapFactors, in
+// ascending-factor order and returns the smallest (scaled) heap at which
+// BC completes.
+func findMinHeap(prog mutator.Spec, probes []*runner.Result) uint64 {
+	for i, f := range minHeapFactors {
+		if probes[i].OK() {
 			return mem.RoundUpPage(uint64(f * float64(prog.MinHeap)))
 		}
 	}

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"strings"
 	"time"
 
 	"bookmarkgc/internal/gc"
@@ -208,6 +209,17 @@ func (r *Result) One() RunData {
 		return RunData{Err: "no runs"}
 	}
 	return r.Runs[0]
+}
+
+// FirstErr returns the first line of the engine error, or else of the
+// first failed run's error: "" when the job and all its runs completed.
+func (r *Result) FirstErr() string {
+	msg := r.Err
+	for i := 0; msg == "" && i < len(r.Runs); i++ {
+		msg = r.Runs[i].Err
+	}
+	first, _, _ := strings.Cut(msg, "\n")
+	return first
 }
 
 // cacheable reports whether the result may be persisted: deterministic

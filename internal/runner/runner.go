@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 )
@@ -174,32 +173,6 @@ func (r *Runner) RunAll(jobs []Job) []*Result {
 	return out
 }
 
-// Result returns j's result, executing it inline when no batch has
-// resolved it yet — reduces stay correct even for a job their emission
-// pass missed, just without parallelism.
-func (r *Runner) Result(j Job) *Result {
-	h := j.Hash()
-	r.mu.Lock()
-	res, ok := r.lookupLocked(h)
-	if ok {
-		r.stats.Submitted++
-		r.mu.Unlock()
-		return res
-	}
-	r.stats.Submitted++
-	r.mu.Unlock()
-
-	res = r.runOne(j)
-	if r.opts.Cache != nil {
-		_ = r.opts.Cache.Put(res)
-	}
-	r.mu.Lock()
-	r.memo[h] = res
-	r.recordLocked(j, res)
-	r.mu.Unlock()
-	return res
-}
-
 // lookupLocked serves a hash from the memo or the persistent store,
 // promoting store hits into the memo. Caller holds r.mu.
 func (r *Runner) lookupLocked(h string) (*Result, bool) {
@@ -227,13 +200,8 @@ func (r *Runner) recordLocked(j Job, res *Result) {
 	if res.TimedOut {
 		r.stats.Timeouts++
 	}
-	msg := res.Err
-	for i := 0; msg == "" && i < len(res.Runs); i++ {
-		msg = res.Runs[i].Err
-	}
-	if msg != "" {
-		first, _, _ := strings.Cut(msg, "\n")
-		r.failures = append(r.failures, Failure{Job: j, Hash: res.Hash, Err: first})
+	if msg := res.FirstErr(); msg != "" {
+		r.failures = append(r.failures, Failure{Job: j, Hash: res.Hash, Err: msg})
 	}
 }
 

@@ -181,22 +181,6 @@ func TestRunAllMemo(t *testing.T) {
 	}
 }
 
-func TestResultInlineFallback(t *testing.T) {
-	rn := New(Options{Workers: 2})
-	j := tinyJob(3)
-	res := rn.Result(j) // never emitted through RunAll
-	if !res.OK() {
-		t.Fatalf("inline execution failed: %q", res.Err)
-	}
-	if rn.Result(j) != res {
-		t.Fatal("second lookup missed the memo")
-	}
-	st := rn.Stats()
-	if st.Executed != 1 || st.MemHits != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
 // TestSchedulingDeterminism is the engine-level half of the ISSUE's
 // determinism guarantee: the measured content of every result is
 // identical for 1 worker and 8 workers. (The report-level half lives in
@@ -325,5 +309,23 @@ func TestResultHelpers(t *testing.T) {
 	}
 	if !failed.cacheable() {
 		t.Fatal("a deterministic run failure is cacheable")
+	}
+}
+
+// TestFirstErr: a failure names the engine error before any run's, and
+// only its first line.
+func TestFirstErr(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		res  Result
+		want string
+	}{
+		{"engine", Result{Err: "panic: boom\ngoroutine 1", Runs: []RunData{{Err: "out of memory"}}}, "panic: boom"},
+		{"run", Result{Runs: []RunData{{}, {Err: "out of memory\nlive 3MB"}, {Err: "later"}}}, "out of memory"},
+		{"none", Result{Runs: []RunData{{}, {}}}, ""},
+	} {
+		if got := tc.res.FirstErr(); got != tc.want {
+			t.Errorf("%s: FirstErr() = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
