@@ -25,7 +25,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/heappolicy"
@@ -86,12 +85,12 @@ type BC struct {
 	evicted   *mem.Bitmap
 	processed *mem.Bitmap // pages whose eviction-scan set bookmarks
 
-	// pageTargets records, per processed page, which superpages (by
-	// index) and LOS objects had their incoming counts raised, so the
-	// reload path decrements exactly what eviction incremented. The real
-	// implementation re-derives this by rescanning the reloaded page;
-	// keeping the record exact avoids drift for objects straddling pages.
-	pageTargets map[mem.PageID]*pageRecord
+	// pageTargets records, per processed page, which regions had their
+	// incoming counts raised, so the reload path decrements exactly what
+	// eviction incremented. The real implementation re-derives this by
+	// rescanning the reloaded page; keeping the record exact avoids drift
+	// for objects straddling pages.
+	pageTargets map[mem.PageID][]region
 
 	// deferredTargets holds records whose page has reloaded but whose
 	// release had to wait: an object the record covers still straddles
@@ -99,9 +98,7 @@ type BC struct {
 	// yet. Releasing early would let a reload of the header's page drop
 	// the incoming counters protecting targets reachable only through
 	// slots that are still paged out.
-	deferredTargets map[mem.PageID]*pageRecord
-
-	losIncoming map[objmodel.Ref]int // incoming bookmark counts, LOS objects
+	deferredTargets map[mem.PageID][]region
 
 	discardCredit int // aggressive-discard slack (§3.4.3)
 	discardCursor int // rotating scan position for discardable pages
@@ -130,10 +127,9 @@ type BC struct {
 	evictedHeapPg int // count of evicted heap pages
 	residentPg    int // count of resident bits: the footprint shrinkTarget reports
 
-	// seenSuper/seenLOS are processAndEvict's dedup sets, kept between
+	// seen is processAndEvict's set of region keys, kept between
 	// evictions so a page's processing allocates only its record.
-	seenSuper map[int32]bool
-	seenLOS   map[objmodel.Ref]bool
+	seen map[mem.Addr]bool
 
 	// silentEvictions counts pages the residency audit found evicted
 	// without notification (audit.go). Past silentEvictionLimit the
@@ -141,12 +137,11 @@ type BC struct {
 	silentEvictions int
 
 	// booksValid is false between a fail-safe collection (§3.5), which
-	// discards all bookmark state, and the first collection that ends
-	// with no pages evicted. While false, BC behaves like the resize-only
-	// variant — pages evict unprocessed and collections touch evicted
-	// pages — because the in-memory-collection invariant (every evicted
-	// page's outgoing references are counted and its objects bookmarked)
-	// no longer holds.
+	// discards all bookmark state, and the first collection that ends with
+	// no pages evicted, and always in the resize-only variant. While false,
+	// pages evict unprocessed and collections touch evicted pages: the
+	// in-memory-collection invariant (every evicted page's outgoing
+	// references are counted and its objects bookmarked) does not hold.
 	booksValid bool
 
 	// curWork/curEpoch expose the active full-collection worklist to the
@@ -168,11 +163,6 @@ type BC struct {
 	afterGC func()
 }
 
-type pageRecord struct {
-	supers []int32
-	los    []objmodel.Ref
-}
-
 var _ gc.Collector = (*BC)(nil)
 
 // New creates a bookmarking collector on env and registers it for paging
@@ -185,13 +175,12 @@ func New(env *gc.Env, cfg Config) *BC {
 		resident:        mem.NewBitmap(env.Space.Pages()),
 		evicted:         mem.NewBitmap(env.Space.Pages()),
 		processed:       mem.NewBitmap(env.Space.Pages()),
-		pageTargets:     make(map[mem.PageID]*pageRecord),
-		deferredTargets: make(map[mem.PageID]*pageRecord),
-		losIncoming:     make(map[objmodel.Ref]int),
+		pageTargets:     make(map[mem.PageID][]region),
+		deferredTargets: make(map[mem.PageID][]region),
 		allocsSinceGC:   1 << 20,
 		gcRequestAfter:  minGCRequestAfter,
 		nurseryPtrCache: make(map[mem.PageID]bool),
-		booksValid:      true,
+		booksValid:      !cfg.ResizeOnly,
 	}
 	c.Init(env, c)
 	c.Mature = gc.NewMature(&c.Base)
@@ -219,11 +208,11 @@ func (c *BC) Name() string {
 func (c *BC) UsedPages() int { return c.MatureUsedPages() + c.nursery.UsedPages() }
 
 // pageOK reports whether BC may touch page p: anything it has not seen
-// evicted (§3.3.1 — the bit array consulted instead of the kernel). The
-// resize-only variant has no bookmarks to fall back on, so it touches
-// evicted pages like any other collector and pageOK is always true.
+// evicted (§3.3.1 — the bit array consulted instead of the kernel). Without
+// valid books (resize-only, or after a fail-safe) BC has no bookmarks to
+// fall back on and touches evicted pages like any other collector.
 func (c *BC) pageOK(p mem.PageID) bool {
-	return c.cfg.ResizeOnly || !c.booksValid || !c.evicted.Test(int(p))
+	return !c.booksValid || !c.evicted.Test(int(p))
 }
 
 // resetNursery empties the nursery (and its remembered set) after a
@@ -514,44 +503,20 @@ func (c *BC) scanCard(start, end mem.Addr, fwd func(slot mem.Addr, tgt objmodel.
 	})
 }
 
-// bookmarkRoots marks every memory-resident bookmarked object as if it
-// were root-referenced, scanning only superpages with a nonzero incoming
-// bookmark count (§3.4.1), plus bookmarked large objects.
+// bookmarkRoots marks every memory-resident bookmarked object of a root
+// region (bookmarkRoot) as if it were root-referenced (§3.4.1).
 func (c *BC) bookmarkRoots(work *gc.WorkList, epoch uint32) {
-	c.SS.ForEachSuper(func(idx int, _ objmodel.SizeClass, _ objmodel.Kind) {
-		if c.SS.Incoming(idx) == 0 && !c.superHasEvicted(idx) {
+	c.forEachRegion(false, func(r region) {
+		if !c.bookmarkRoot(r) {
 			return
 		}
-		c.SS.ForEachObjectIn(idx, func(o objmodel.Ref) {
-			if !c.pageOK(o.Page()) {
-				return
-			}
-			if objmodel.Bookmarked(c.E.Space, o) {
+		c.objectsOf(r, func(o objmodel.Ref) {
+			if c.pageOK(o.Page()) && objmodel.Bookmarked(c.E.Space, o) {
 				gc.MarkStep(c.E, work, o, epoch)
 			}
 		})
 	})
-	for _, o := range c.sortedLOSBookmarks() {
-		if c.pageOK(o.Page()) && objmodel.Bookmarked(c.E.Space, o) {
-			gc.MarkStep(c.E, work, o, epoch)
-		}
-	}
 }
-
-// sortedLOSBookmarks returns the large objects with incoming bookmarks in
-// address order, so traversal order — and therefore the simulated clock —
-// does not depend on map iteration order.
-func (c *BC) sortedLOSBookmarks() []objmodel.Ref {
-	out := make([]objmodel.Ref, 0, len(c.losIncoming))
-	for o := range c.losIncoming {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// superHasEvicted reports whether any page of superpage idx is evicted.
-func (c *BC) superHasEvicted(idx int) bool { return c.anyEvicted(c.SS.PagesOf(idx)) }
 
 // anyEvicted reports whether any page of [first, last] is evicted.
 func (c *BC) anyEvicted(first, last mem.PageID) bool {
@@ -575,7 +540,7 @@ func (c *BC) enterGC() func() {
 // bookmarked objects too (§3.4.1): pages are evicted, and the books that
 // say what they point to hold.
 func (c *BC) bookmarksAreRoots() bool {
-	return c.evictedHeapPg > 0 && !c.cfg.ResizeOnly && c.booksValid
+	return c.evictedHeapPg > 0 && c.booksValid
 }
 
 // markSweep is BC's one heap trace, shared by the full collection, the
@@ -639,9 +604,10 @@ func (c *BC) invalidateBooks() {
 // maybeRevalidate restores cooperative mode once nothing is evicted: the
 // bookmark invariant then holds trivially. An untrusted kernel (audit.go)
 // never revalidates — pages will keep leaving without notice, so freshly
-// rebuilt books would be wrong again immediately.
+// rebuilt books would be wrong again immediately — and neither does the
+// resize-only variant, which keeps no books.
 func (c *BC) maybeRevalidate() {
-	if !c.booksValid && c.evictedHeapPg == 0 && !c.untrusted() {
+	if !c.booksValid && c.evictedHeapPg == 0 && !c.untrusted() && !c.cfg.ResizeOnly {
 		c.booksValid = true
 	}
 }

@@ -22,9 +22,9 @@ import (
 //  1. superpage accounting: each header is in use exactly when the
 //     space's books say so, its allocated-block count matches its
 //     bitmap, and every allocated block holds a plausible object header;
-//  2. bookmark books balance: each in-use superpage's incoming counter
-//     equals the number of processed pages whose records name it, and
-//     likewise for large objects;
+//  2. bookmark books balance: each in-use region's incoming counter
+//     equals the number of processed pages whose records name it, and no
+//     record names a freed large object;
 //  3. page-state agreement: every page BC believes evicted is Evicted or
 //     (pending eviction) Resident in the VMM, and processed pages are a
 //     subset of evicted pages;
@@ -121,18 +121,17 @@ func (c *BC) checkSuperpages(hs []heap.SuperHeader) error {
 }
 
 func (c *BC) checkBookBalance(hs []heap.SuperHeader) error {
-	superRefs := map[int]int{}
-	losRefs := map[objmodel.Ref]int{}
+	refs := map[region]int{}
+	count := func(rec []region) {
+		for _, r := range rec {
+			refs[r]++
+		}
+	}
 	for p, rec := range c.pageTargets {
 		if !c.processed.Test(int(p)) {
 			return fmt.Errorf("page %d has a target record but no processed bit", p)
 		}
-		for _, idx := range rec.supers {
-			superRefs[int(idx)]++
-		}
-		for _, o := range rec.los {
-			losRefs[o]++
-		}
+		count(rec)
 	}
 	// Deferred records belong to pages that have already reloaded but
 	// whose release waits on a straddling object's other pages; their
@@ -141,26 +140,25 @@ func (c *BC) checkBookBalance(hs []heap.SuperHeader) error {
 		if !c.straddlesEvicted(hs, p) {
 			return fmt.Errorf("page %d has a deferred record but nothing straddling evicted pages", p)
 		}
-		for _, idx := range rec.supers {
-			superRefs[int(idx)]++
-		}
-		for _, o := range rec.los {
-			losRefs[o]++
-		}
+		count(rec)
 	}
+	live := map[region]int{}
 	for idx := range hs {
-		if got, want := hs[idx].Incoming, superRefs[idx]; hs[idx].InUse && got != want {
-			return fmt.Errorf("super %d: incoming counter %d, records say %d", idx, got, want)
+		if hs[idx].InUse {
+			live[region{super: idx}] = hs[idx].Incoming
 		}
 	}
-	for o, n := range c.losIncoming {
-		if losRefs[o] != n {
-			return fmt.Errorf("LOS object %#x: incoming %d, records say %d", o, n, losRefs[o])
+	c.LOS.ForEachObject(func(o objmodel.Ref) { live[region{large: o}] = c.LOS.Incoming(o) })
+	for r, n := range live {
+		if refs[r] != n {
+			return fmt.Errorf("region %+v: incoming counter %d, records say %d", r, n, refs[r])
 		}
 	}
-	for o, n := range losRefs {
-		if c.losIncoming[o] != n {
-			return fmt.Errorf("LOS object %#x: records say %d, incoming map has %d", o, n, c.losIncoming[o])
+	// Records may name a released superpage (a release skips it), but not
+	// a freed large object: its count went with it.
+	for r, n := range refs {
+		if _, ok := live[r]; !ok && r.large != mem.Nil {
+			return fmt.Errorf("LOS object %#x: records say %d, but it is not live", r.large, n)
 		}
 	}
 	return nil
@@ -169,23 +167,18 @@ func (c *BC) checkBookBalance(hs []heap.SuperHeader) error {
 // straddlesEvicted is straddlingEvicted(p) > 0, read from peeked headers.
 func (c *BC) straddlesEvicted(hs []heap.SuperHeader, p mem.PageID) bool {
 	a := mem.PageAddr(p)
-	switch {
-	case c.SS.Contains(a):
-		idx := c.SS.SuperIndex(a)
-		if !c.SS.Used(idx) {
-			return false
-		}
-		found := false
-		hs[idx].Blocks(a, a+mem.PageSize, func(o objmodel.Ref, allocated bool) {
-			found = found || allocated && c.anyEvicted(mem.PagesIn(o, uint64(hs[idx].Class.BlockSize)))
-		})
-		return found
-	case c.LOS.Contains(a):
-		if o, ok := c.LOS.ObjectContaining(a); ok {
-			return c.anyEvicted(c.LOS.PagesOf(o))
-		}
+	r, _, ok := c.regionAt(a)
+	if !ok || r.large != mem.Nil {
+		return ok && c.anyEvicted(c.LOS.PagesOf(r.large))
 	}
-	return false
+	found := false
+	if c.SS.Used(r.super) {
+		h := &hs[r.super]
+		h.Blocks(a, a+mem.PageSize, func(o objmodel.Ref, allocated bool) {
+			found = found || allocated && c.anyEvicted(mem.PagesIn(o, uint64(h.Class.BlockSize)))
+		})
+	}
+	return found
 }
 
 func (c *BC) checkPageStates() error {

@@ -139,7 +139,7 @@ func (c *BC) chooseTargets() *targetSet {
 		k := tkey{cl.Index, kind}
 		// Evicted pages pin a superpage only while the trace skips them:
 		// without the books it touches them, and rewrites their pointers.
-		forced := c.SS.Incoming(idx) > 0 || c.bookmarksAreRoots() && c.superHasEvicted(idx)
+		forced := c.bookmarkRoot(region{super: idx})
 		if !forced {
 			// A superpage with any bookmarked resident object must not
 			// have that object moved; keeping the whole superpage is the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -85,7 +86,7 @@ func (h *bcHandler) EvictionScheduled(p mem.PageID) {
 		c.allocsSinceGC = 0
 		c.pendingGC = true
 	}
-	if c.cfg.ResizeOnly || !c.booksValid {
+	if !c.booksValid {
 		// Resize-only variant, or bookmark state discarded by a
 		// fail-safe: let the VMM take the page; we only track that it
 		// left.
@@ -198,12 +199,8 @@ func (c *BC) mustKeep(p mem.PageID) bool {
 // the pointer-free victim policy both ask it.
 func (c *BC) pagePoints(p mem.PageID, pred func(tgt objmodel.Ref) bool) bool {
 	a := mem.PageAddr(p)
-	idx := c.SS.SuperIndex(a)
-	if !c.SS.Used(idx) {
-		return false
-	}
 	found := false
-	c.SS.ObjectsOverlapping(idx, a, a+mem.PageSize, func(o objmodel.Ref) {
+	c.objectsIn(a, a+mem.PageSize, func(o objmodel.Ref) {
 		if found || !c.pageOK(o.Page()) {
 			return
 		}
@@ -391,20 +388,20 @@ func (c *BC) noteEvicted(p mem.PageID) {
 }
 
 // processAndEvict is the heart of §3.4: scan the victim page, bookmark
-// the targets of its outgoing references and raise their superpages'
+// the targets of its outgoing references and raise their regions'
 // incoming counters, conservatively bookmark the page's own objects,
 // protect the page against the eviction race, record the books, and
 // relinquish the page to the VMM.
 func (c *BC) processAndEvict(p mem.PageID) {
-	var rec pageRecord
-	// The two dedup sets are scratch kept on BC. A nested eviction (under
-	// chaos a late notice is delivered outside reclaim, and this scan's
-	// own accesses can then fault and start one) finds them detached and
-	// makes its own.
-	seenSuper, seenLOS := c.seenSuper, c.seenLOS
-	c.seenSuper, c.seenLOS = nil, nil
-	if seenSuper == nil {
-		seenSuper, seenLOS = map[int32]bool{}, map[objmodel.Ref]bool{}
+	var rec []region
+	// The dedup set is scratch kept on BC. A nested eviction (under chaos
+	// a late notice is delivered outside reclaim, and this scan's own
+	// accesses can then fault and start one) finds it detached and makes
+	// its own.
+	seen := c.seen
+	c.seen = nil
+	if seen == nil {
+		seen = map[mem.Addr]bool{}
 	}
 	booked := int64(0)
 	if c.curWork != nil {
@@ -417,50 +414,31 @@ func (c *BC) processAndEvict(p mem.PageID) {
 	bookmarkTarget := func(_ mem.Addr, tgt objmodel.Ref) {
 		// The bookmark bit can be set only if the target's page is
 		// accessible; a target on an evicted page already carries the
-		// conservative bookmark from its own page's eviction. The
-		// incoming counter, however, lives in the always-resident
-		// superpage header and must be raised either way — it is what
-		// keeps the conservative bookmarks alive when the target's page
-		// reloads while this page is still out (§3.4.2).
-		switch {
-		case c.SS.Contains(tgt):
-			if c.pageOK(tgt.Page()) {
-				objmodel.SetBookmark(c.E.Space, tgt)
-				c.Stats().Bookmarked++
-				booked++
-				c.E.Counters.Inc(trace.CObjectsBookmarked)
-				if c.curWork != nil {
-					// A collection is in progress: the new bookmark must
-					// join its mark, or children reachable only through
-					// the departing page would be swept.
-					gc.MarkStep(c.E, c.curWork, tgt, c.curEpoch)
-				}
+		// conservative bookmark from its own page's eviction. Its
+		// region's count must rise either way: it keeps those bookmarks
+		// alive if the target's page reloads while this one is out
+		// (§3.4.2).
+		r, o, ok := c.regionAt(tgt)
+		if !ok {
+			return
+		}
+		if c.pageOK(o.Page()) {
+			objmodel.SetBookmark(c.E.Space, o)
+			c.Stats().Bookmarked++
+			booked++
+			c.E.Counters.Inc(trace.CObjectsBookmarked)
+			if c.curWork != nil {
+				// A collection is in progress: the new bookmark must join
+				// its mark, or children reachable only through the
+				// departing page would be swept.
+				gc.MarkStep(c.E, c.curWork, o, c.curEpoch)
 			}
-			idx := int32(c.SS.SuperIndex(tgt))
-			if !seenSuper[idx] {
-				seenSuper[idx] = true
-				c.SS.IncIncoming(int(idx))
-				c.E.Counters.Inc(trace.CIncomingBumps)
-				rec.supers = append(rec.supers, idx)
-			}
-		case c.LOS.Contains(tgt):
-			if o, ok := c.LOS.ObjectContaining(tgt); ok {
-				if c.pageOK(o.Page()) {
-					objmodel.SetBookmark(c.E.Space, o)
-					c.Stats().Bookmarked++
-					booked++
-					c.E.Counters.Inc(trace.CObjectsBookmarked)
-					if c.curWork != nil {
-						gc.MarkStep(c.E, c.curWork, o, c.curEpoch)
-					}
-				}
-				if !seenLOS[o] {
-					seenLOS[o] = true
-					c.losIncoming[o]++
-					c.E.Counters.Inc(trace.CIncomingBumps)
-					rec.los = append(rec.los, o)
-				}
-			}
+		}
+		if !seen[r.key()] {
+			seen[r.key()] = true
+			c.raiseIncoming(r)
+			c.E.Counters.Inc(trace.CIncomingBumps)
+			rec = append(rec, r)
 		}
 	}
 	a := mem.PageAddr(p)
@@ -479,11 +457,10 @@ func (c *BC) processAndEvict(p mem.PageID) {
 		c.scanSlots(o, bookmarkTarget)
 	})
 
-	clear(seenSuper)
-	clear(seenLOS)
-	c.seenSuper, c.seenLOS = seenSuper, seenLOS
-	if len(rec.supers) > 0 || len(rec.los) > 0 {
-		c.pageTargets[p] = &pageRecord{rec.supers, rec.los}
+	clear(seen)
+	c.seen = seen
+	if len(rec) > 0 {
+		c.pageTargets[p] = rec
 	}
 	c.processed.Set(int(p))
 	c.noteEvicted(p)
@@ -495,36 +472,18 @@ func (c *BC) processAndEvict(p mem.PageID) {
 	c.E.Proc.Relinquish([]mem.PageID{p})
 }
 
-// objectsIn visits the objects overlapping [start, end), a page or a card:
-// the allocated blocks of start's superpage if it is in use, or the large
-// object whose run covers start.
-func (c *BC) objectsIn(start, end mem.Addr, fn func(o objmodel.Ref)) {
-	switch {
-	case c.SS.Contains(start):
-		if idx := c.SS.SuperIndex(start); c.SS.Used(idx) {
-			c.SS.ObjectsOverlapping(idx, start, end, fn)
-		}
-	case c.LOS.Contains(start):
-		if o, ok := c.LOS.ObjectContaining(start); ok {
-			fn(o)
-		}
-	}
-}
-
 // unbookmarkPage undoes what processAndEvict recorded for p: decrement
-// the incoming counters it raised, clear bookmarks on superpages whose
-// count drops to zero, and clear the conservative bookmarks on p itself
-// if its own superpage has no incoming bookmarks (§3.4.2).
+// the incoming counters it raised, clear bookmarks in regions whose count
+// drops to zero, and clear the conservative bookmarks on p itself if its
+// own region has no incoming bookmarks (§3.4.2).
 //
 // A page's record covers every edge of every object that overlapped p
 // at processing time — including slots physically on OTHER pages of a
 // straddling object, which became unscannable along with the header.
-// If a covered object still extends onto an evicted page, those edges
-// are still unscannable, so the record cannot be released yet: its
-// decrements are deferred until every page under the object is back
-// (retryDeferred). Releasing early would drop the incoming counter to
-// zero and clear the conservative bookmark on a target reachable only
-// through a slot that is still paged out, and the next collection would
+// While a covered object still extends onto an evicted page, its
+// decrements are deferred until every page under it is back
+// (retryDeferred). Releasing early could clear the bookmark of a target
+// reachable only through a slot still paged out, and a collection would
 // sweep it.
 func (c *BC) unbookmarkPage(p mem.PageID) {
 	if rec, ok := c.pageTargets[p]; ok {
@@ -532,12 +491,7 @@ func (c *BC) unbookmarkPage(p mem.PageID) {
 		if n := c.straddlingEvicted(p); n > 0 {
 			c.E.Trace.Point(trace.EvBookmarkDeferred, int64(p), int64(n))
 			c.E.Counters.Inc(trace.CDeferredUnbookmarks)
-			if old, dup := c.deferredTargets[p]; dup {
-				old.supers = append(old.supers, rec.supers...)
-				old.los = append(old.los, rec.los...)
-			} else {
-				c.deferredTargets[p] = rec
-			}
+			c.deferredTargets[p] = append(c.deferredTargets[p], rec...)
 		} else {
 			c.E.Trace.Point(trace.EvBookmarkCleared, int64(p), c.releaseRecord(rec))
 		}
@@ -547,57 +501,28 @@ func (c *BC) unbookmarkPage(p mem.PageID) {
 	c.clearConservative(p)
 }
 
-// releaseRecord applies the decrements a page record holds, clearing
-// bookmarks whose protection lapses, and reports how many it applied.
-func (c *BC) releaseRecord(rec *pageRecord) int64 {
-	decs := int64(0)
-	for _, idx := range rec.supers {
-		decs++
+// releaseRecord applies the decrements a page record holds, clearing the
+// resident bookmarks of each region whose count reaches zero (objects on
+// the region's own evicted pages keep theirs until those pages reload),
+// and reports how many it applied.
+func (c *BC) releaseRecord(rec []region) int64 {
+	// Superpages (no large object) first, each kind in record order: the
+	// order in which releases have always made their charged accesses.
+	slices.SortStableFunc(rec, func(a, b region) int { return cmp.Compare(min(a.large, 1), min(b.large, 1)) })
+	for _, r := range rec {
 		c.E.Counters.Inc(trace.CIncomingDecrements)
-		if c.SS.Used(int(idx)) && c.SS.DecIncoming(int(idx)) == 0 {
-			c.clearSuperBookmarks(int(idx))
+		if c.lowerIncoming(r) {
+			c.objectsOf(r, c.unbookmark)
 		}
 	}
-	for _, o := range rec.los {
-		decs++
-		c.E.Counters.Inc(trace.CIncomingDecrements)
-		if n := c.losIncoming[o] - 1; n > 0 {
-			c.losIncoming[o] = n
-		} else {
-			delete(c.losIncoming, o)
-			if c.pageOK(o.Page()) {
-				objmodel.ClearBookmark(c.E.Space, o)
-			}
-		}
-	}
-	return decs
+	return int64(len(rec))
 }
 
-// straddlingEvicted counts objects overlapping p whose extent reaches a
-// page still marked evicted. Extents come from always-resident metadata
-// (the superpage's block size, the LOS page span) — no data page is
-// read, since the whole point is that some of those pages are out.
-func (c *BC) straddlingEvicted(p mem.PageID) int {
-	n := 0
-	a := mem.PageAddr(p)
-	switch {
-	case c.SS.Contains(a):
-		idx := c.SS.SuperIndex(a)
-		cl, _, used := c.SS.ClassOf(idx)
-		if !used {
-			return 0
-		}
-		c.SS.ObjectsOverlapping(idx, a, a+mem.PageSize, func(o objmodel.Ref) {
-			if c.anyEvicted(mem.PagesIn(o, uint64(cl.BlockSize))) {
-				n++
-			}
-		})
-	case c.LOS.Contains(a):
-		if o, ok := c.LOS.ObjectContaining(a); ok && c.anyEvicted(c.LOS.PagesOf(o)) {
-			n++
-		}
+// unbookmark clears o's bookmark if BC may touch its header page.
+func (c *BC) unbookmark(o objmodel.Ref) {
+	if c.pageOK(o.Page()) {
+		objmodel.ClearBookmark(c.E.Space, o)
 	}
-	return n
 }
 
 // retryDeferred releases deferred records whose straddling objects have
@@ -624,36 +549,10 @@ func (c *BC) retryDeferred() {
 }
 
 // clearConservative clears the conservative bookmarks on p's own
-// objects once nothing evicted points into their superpage or large
-// object (§3.4.2).
+// objects once nothing evicted points into their region (§3.4.2).
 func (c *BC) clearConservative(p mem.PageID) {
 	a := mem.PageAddr(p)
-	switch {
-	case c.SS.Contains(a):
-		idx := c.SS.SuperIndex(a)
-		if c.SS.Used(idx) && c.SS.Incoming(idx) == 0 {
-			c.SS.ObjectsOverlapping(idx, a, a+mem.PageSize, func(o objmodel.Ref) {
-				if c.pageOK(o.Page()) {
-					objmodel.ClearBookmark(c.E.Space, o)
-				}
-			})
-		}
-	case c.LOS.Contains(a):
-		if o, ok := c.LOS.ObjectContaining(a); ok {
-			if c.losIncoming[o] == 0 && c.pageOK(o.Page()) {
-				objmodel.ClearBookmark(c.E.Space, o)
-			}
-		}
+	if r, _, ok := c.regionAt(a); ok && c.incoming(r) == 0 {
+		c.objectsIn(a, a+mem.PageSize, c.unbookmark)
 	}
-}
-
-// clearSuperBookmarks clears bookmarks on superpage idx's resident
-// objects once no evicted page points into it. Objects on its own evicted
-// pages keep their conservative bookmarks until those pages reload.
-func (c *BC) clearSuperBookmarks(idx int) {
-	c.SS.ForEachObjectIn(idx, func(o objmodel.Ref) {
-		if c.pageOK(o.Page()) {
-			objmodel.ClearBookmark(c.E.Space, o)
-		}
-	})
 }

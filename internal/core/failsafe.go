@@ -25,23 +25,18 @@ func (c *BC) failSafe() {
 	// an evicted page touches it — that is the point of the fail-safe.
 	// The books are zeroed first so the reloads triggered below do not
 	// try to rebalance counters.
-	c.pageTargets = make(map[mem.PageID]*pageRecord)
-	c.deferredTargets = make(map[mem.PageID]*pageRecord)
+	c.pageTargets = make(map[mem.PageID][]region)
+	c.deferredTargets = make(map[mem.PageID][]region)
 	c.processed.ClearAll()
-	clearBookmark := func(o objmodel.Ref) {
-		if objmodel.Bookmarked(c.E.Space, o) {
-			objmodel.ClearBookmark(c.E.Space, o)
-		}
-	}
-	// Every large object, not only those with incoming counts: a page
-	// leaving bookmarks its own large object conservatively without one.
-	clear(c.losIncoming)
-	c.LOS.ForEachObject(clearBookmark)
-	c.SS.ForEachSuper(func(idx int, _ objmodel.SizeClass, _ objmodel.Kind) {
-		if c.SS.Incoming(idx) > 0 {
-			c.SS.SetIncoming(idx, 0)
-		}
-		c.SS.ForEachObjectIn(idx, clearBookmark)
+	// Every region, not only those with incoming counts: a page leaving
+	// bookmarks its own objects conservatively without one.
+	c.forEachRegion(true, func(r region) {
+		c.resetIncoming(r)
+		c.objectsOf(r, func(o objmodel.Ref) {
+			if objmodel.Bookmarked(c.E.Space, o) {
+				objmodel.ClearBookmark(c.E.Space, o)
+			}
+		})
 	})
 
 	// An ordinary full-heap mark-sweep: BC's one trace with no page

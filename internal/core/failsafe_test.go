@@ -38,10 +38,10 @@ func countBookmarks(c *BC) (bits, incoming, records int) {
 		incoming += c.SS.Incoming(idx)
 		c.SS.ForEachObjectIn(idx, count)
 	})
-	c.LOS.ForEachObject(count)
-	for _, n := range c.losIncoming {
-		incoming += n
-	}
+	c.LOS.ForEachObject(func(o objmodel.Ref) {
+		incoming += c.LOS.Incoming(o)
+		count(o)
+	})
 	records = len(c.pageTargets) + len(c.deferredTargets) + c.processed.Count()
 	return
 }

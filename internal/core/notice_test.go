@@ -98,3 +98,38 @@ func TestEvictionNoticeDoesNotAllocate(t *testing.T) {
 		t.Errorf("%d of 201 notices were paid in empties", got)
 	}
 }
+
+// bookmarkNotice returns the notice the bookmarking protocol exists for:
+// the victim is an occupied mature page and nothing is discardable, so
+// the handler scans it, bookmarks its targets and surrenders it (§3.4).
+// arm touches the page back, which reloads it and releases its record.
+func bookmarkNotice(tb testing.TB) (c *BC, arm, notice func()) {
+	c, _ = missNotice(tb)
+	var victim mem.PageID
+	for p := c.E.Layout.MatureBase.Page(); victim == 0; p++ {
+		if c.resident.Test(int(p)) && !c.mustKeep(p) && !c.pageDiscardable(p) {
+			victim = p
+		}
+	}
+	h := c.E.Proc.Handler()
+	return c, func() { c.E.Proc.Touch(victim, false) }, func() { h.EvictionScheduled(victim) }
+}
+
+func BenchmarkEvictionNoticeBookmark(b *testing.B) {
+	c, arm, notice := bookmarkNotice(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		notice()
+		b.StopTimer()
+		arm()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	if got := c.E.Counters.Get(trace.CNoticesBookmarked); got != uint64(b.N) || c.Stats().Bookmarked == 0 {
+		b.Fatalf("%d of %d notices bookmarked a page, %d objects bookmarked", got, b.N, c.Stats().Bookmarked)
+	}
+	if got := c.E.Counters.Get(trace.CPagesReloaded); got != uint64(b.N) {
+		b.Fatalf("%d of %d surrendered pages reloaded", got, b.N)
+	}
+}

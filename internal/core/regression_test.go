@@ -5,6 +5,7 @@ import (
 
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
+	"bookmarkgc/internal/objmodel"
 	"bookmarkgc/internal/vmm"
 )
 
@@ -220,5 +221,55 @@ func TestBCOutOfMemory(t *testing.T) {
 		o := c.Alloc(node, 0)
 		c.WriteRef(o, 0, c.Roots().Get(head))
 		c.Roots().Set(head, o)
+	}
+}
+
+// TestLargeObjectRootRule pins the large-object half of the bookmark-root
+// rule: a large object with an evicted page is no root unless it has
+// incoming bookmarks. Evicting the last page of a rooted array bookmarks
+// the array conservatively with no count, and — because every resident
+// slot of the array is scanned — bookmarks its child and raises the
+// child's superpage count. Once the array is unrooted, the next full
+// collection traces the child from its superpage's count alone and keeps
+// the array by its bookmark without tracing it.
+func TestLargeObjectRootRule(t *testing.T) {
+	_, c, node, refArr, _ := newBC(t, 512, 16, Config{})
+	slot := c.Roots().Add(c.Alloc(refArr, 2*mem.PageSize/mem.WordSize))
+	child := c.Alloc(node, 0)
+	c.WriteData(child, 2, 41)
+	c.WriteRef(c.Roots().Get(slot), 0, child)
+	c.Collect(true) // promotes the child
+	big := c.Roots().Get(slot)
+	child = c.ReadRef(big, 0)
+	_, last := c.LOS.PagesOf(big)
+	if !c.LOS.Contains(big) || !c.SS.Contains(child) || last == big.Page() {
+		t.Fatal("setup: want a large array of several pages and a mature child")
+	}
+	idx := c.SS.SuperIndex(child)
+	before := c.SS.Incoming(idx)
+
+	c.processAndEvict(last)
+	if !objmodel.PeekBookmarked(c.E.Space, big) || c.LOS.Incoming(big) != 0 {
+		t.Fatalf("array: bookmarked=%v incoming=%d, want a conservative bookmark and no count",
+			objmodel.PeekBookmarked(c.E.Space, big), c.LOS.Incoming(big))
+	}
+	if !objmodel.PeekBookmarked(c.E.Space, child) || c.SS.Incoming(idx) != before+1 {
+		t.Fatalf("child: bookmarked=%v, superpage count %d from %d: want a bookmark and one more",
+			objmodel.PeekBookmarked(c.E.Space, child), c.SS.Incoming(idx), before)
+	}
+
+	c.Roots().Release(slot)
+	c.Collect(true)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The trace started from the child's superpage, not from the array,
+	// which its bookmark alone kept through the sweep.
+	if epoch := c.Epoch(); objmodel.Marked(c.E.Space, big, epoch) || !objmodel.Marked(c.E.Space, child, epoch) {
+		t.Fatalf("array marked=%v, child marked=%v: want only the child traced",
+			objmodel.Marked(c.E.Space, big, epoch), objmodel.Marked(c.E.Space, child, epoch))
+	}
+	if got := c.ReadData(child, 2); !c.SS.Used(idx) || got != 41 {
+		t.Fatalf("child: superpage in use=%v, data %d: want it to survive with 41", c.SS.Used(idx), got)
 	}
 }

@@ -19,11 +19,12 @@ type LOS struct {
 
 	free    pageBits         // free pages
 	objects map[mem.Addr]int // object -> pages in its run
-	sorted  []mem.Addr       // allocation order cache for iteration, kept sorted
+	sorted  []mem.Addr       // the objects in address order
 	dead    []mem.Addr       // sweep scratch, reused across collections
 	runsBuf [][2]mem.PageID  // Sweep's result buffer, reused across collections
-	dirty   bool             // sorted needs rebuild
 	inUse   int              // pages allocated
+	// incoming holds the incoming-bookmark counts (§3.4): no page access.
+	incoming map[mem.Addr]int
 
 	emptyAdds uint64 // Frees: the only writes that set free bits
 
@@ -36,13 +37,8 @@ func NewLOS(s *mem.Space, base, end mem.Addr) *LOS {
 		panic("heap: unaligned LOS region")
 	}
 	n := int((end - base) / mem.PageSize)
-	l := &LOS{
-		s:       s,
-		base:    base,
-		n:       n,
-		free:    newPageBits(base, end),
-		objects: make(map[mem.Addr]int),
-	}
+	l := &LOS{s: s, base: base, n: n, free: newPageBits(base, end),
+		objects: make(map[mem.Addr]int), incoming: make(map[mem.Addr]int)}
 	l.free.setPages(base.Page(), n)
 	return l
 }
@@ -75,7 +71,8 @@ func (l *LOS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	l.inUse += pages
 	o := mem.PageAddr(first)
 	l.objects[o] = pages
-	l.dirty = true
+	i, _ := slices.BinarySearch(l.sorted, o)
+	l.sorted = slices.Insert(l.sorted, i, o)
 	l.counters.Inc(trace.CLOSAllocs)
 	l.counters.Add(trace.CLOSPagesAllocated, uint64(pages))
 	objmodel.ClearStatus(l.s, o)
@@ -108,7 +105,9 @@ func (l *LOS) Free(o objmodel.Ref) (first, last mem.PageID) {
 		panic("heap: LOS free of unknown object")
 	}
 	delete(l.objects, o)
-	l.dirty = true
+	delete(l.incoming, o)
+	i, _ := slices.BinarySearch(l.sorted, o)
+	l.sorted = slices.Delete(l.sorted, i, i+1)
 	l.free.setPages(o.Page(), pages)
 	l.emptyAdds++
 	l.inUse -= pages
@@ -121,37 +120,43 @@ func (l *LOS) PagesOf(o objmodel.Ref) (first, last mem.PageID) {
 	return o.Page(), o.Page() + mem.PageID(pages) - 1
 }
 
-// ForEachObject visits live large objects in address order. The visit
-// itself does not touch heap pages; callers touching headers will.
+// ForEachObject visits live large objects in address order; fn must not
+// allocate or free one. The visit itself does not touch heap pages;
+// callers touching headers will.
 func (l *LOS) ForEachObject(fn func(o objmodel.Ref)) {
-	if l.dirty {
-		l.sorted = l.sorted[:0]
-		for o := range l.objects {
-			l.sorted = append(l.sorted, o)
-		}
-		slices.Sort(l.sorted)
-		l.dirty = false
-	}
 	for _, o := range l.sorted {
-		if _, ok := l.objects[o]; ok {
-			fn(o)
-		}
+		fn(o)
 	}
 }
 
-// ObjectContaining returns the large object whose run covers a, if any.
+// ObjectContaining returns the large object whose run covers a, if any:
+// by binary search, the last object at or below a if its run reaches a.
 func (l *LOS) ObjectContaining(a mem.Addr) (objmodel.Ref, bool) {
 	if !l.Contains(a) {
 		return mem.Nil, false
 	}
-	// Walk back from a's page to the run start; runs are short.
-	for o, pages := range l.objects {
-		if a >= o && a < o+mem.Addr(pages)*mem.PageSize {
+	if i, _ := slices.BinarySearch(l.sorted, a+1); i > 0 {
+		if o := l.sorted[i-1]; a < o+mem.Addr(l.objects[o])*mem.PageSize {
 			return o, true
 		}
 	}
 	return mem.Nil, false
 }
+
+// Incoming returns large object o's incoming-bookmark count.
+func (l *LOS) Incoming(o objmodel.Ref) int { return l.incoming[o] }
+
+// IncIncoming bumps live object o's incoming-bookmark count.
+func (l *LOS) IncIncoming(o objmodel.Ref) { l.incoming[o]++ }
+
+// DecIncoming decrements o's count, saturating at zero, and returns it.
+func (l *LOS) DecIncoming(o objmodel.Ref) int {
+	l.incoming[o] = max(l.incoming[o]-1, 0)
+	return l.incoming[o]
+}
+
+// SetIncoming overwrites live object o's count (the fail-safe, §3.5).
+func (l *LOS) SetIncoming(o objmodel.Ref, v int) { l.incoming[o] = v }
 
 // IsFreePage reports in O(1) whether page p is a free page of the region.
 func (l *LOS) IsFreePage(p mem.PageID) bool {

@@ -91,9 +91,6 @@ func (ss *SuperSpace) SetResidencyFilter(ok func(mem.PageID) bool) { ss.resident
 // per-size-class acquisition counts. nil detaches.
 func (ss *SuperSpace) SetCounters(c *trace.Counters) { ss.counters = c }
 
-// Classes returns the size-class table in use.
-func (ss *SuperSpace) Classes() *objmodel.Classes { return ss.classes }
-
 // InUseSupers returns the number of superpages assigned to a class.
 func (ss *SuperSpace) InUseSupers() int { return ss.inUse }
 

@@ -185,4 +185,30 @@ func TestLOSObjectContainingAndIsFree(t *testing.T) {
 	if los.IsFreePage(l.MatureBase.Page()) {
 		t.Fatal("out-of-region page reported free")
 	}
+
+	// o and runs of 1, 2 and 4 pages after it, the 2-page run freed: every
+	// word of a live run finds its object, and no word of the freed run or
+	// past the last object finds one.
+	type run struct {
+		o           objmodel.Ref
+		first, last mem.PageID
+	}
+	runs := []run{{o: o}}
+	for _, pages := range []int{1, 2, 4} {
+		runs = append(runs, run{o: los.Alloc(big, (pages*mem.PageSize-objmodel.HeaderBytes)/mem.WordSize)})
+	}
+	for i := range runs {
+		runs[i].first, runs[i].last = los.PagesOf(runs[i].o)
+	}
+	los.Free(runs[2].o)
+	runs[2].o = mem.Nil
+	end := runs[len(runs)-1].last + 1
+	runs = append(runs, run{mem.Nil, end, end + 1})
+	for _, r := range runs {
+		for a := mem.PageAddr(r.first); a < mem.PageAddr(r.last+1); a += mem.WordSize {
+			if got, ok := los.ObjectContaining(a); got != r.o || ok != (r.o != mem.Nil) {
+				t.Fatalf("ObjectContaining(%#x) = %#x, %v; want %#x", a, got, ok, r.o)
+			}
+		}
+	}
 }
