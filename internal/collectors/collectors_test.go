@@ -2,6 +2,7 @@ package collectors
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bookmarkgc/internal/gc"
@@ -230,27 +231,72 @@ func TestLargeObjectsSurvive(t *testing.T) {
 	}
 }
 
+// outOfMemoryLadder holds, per collector, the pauses recorded between
+// the last allocation that succeeded and the ErrOutOfMemory panic: for a
+// growing list, where a collection itself runs out of room (promotion,
+// or live data past the heap at its end), and for one request larger
+// than the heap, where every collection succeeds and the collector
+// climbs each rung of its escalation ladder before it gives up.
+var outOfMemoryLadder = map[string]struct{ list, oversized string }{
+	"MarkSweep":    {"full full", "full full"},
+	"SemiSpace":    {"full full", "full full"},
+	"GenMS":        {"nursery full", "nursery full"},
+	"GenCopy":      {"nursery", "nursery full"},
+	"CopyMS":       {"full", "full full"},
+	"GenMSFixed":   {"nursery full", "nursery full"},
+	"GenCopyFixed": {"nursery", "nursery full"},
+}
+
+// pausesToOOM calls step until the collector panics out of memory and
+// returns the kinds of the pauses recorded after the last step that
+// completed.
+func pausesToOOM(t *testing.T, c gc.Collector, step func()) (kinds string) {
+	t.Helper()
+	done := len(c.Stats().Timeline.Pauses)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected ErrOutOfMemory panic")
+		}
+		if _, ok := r.(gc.ErrOutOfMemory); !ok {
+			panic(r)
+		}
+		var names []string
+		for _, p := range c.Stats().Timeline.Pauses[done:] {
+			names = append(names, p.Kind.String())
+		}
+		kinds = strings.Join(names, " ")
+	}()
+	for {
+		step()
+		done = len(c.Stats().Timeline.Pauses)
+	}
+}
+
 func TestOutOfMemoryPanics(t *testing.T) {
 	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {
+			want := outOfMemoryLadder[name]
 			env := newEnv(t, 2) // 2 MB heap
-			node, _, _ := declareTypes(env)
+			node, _, dataArr := declareTypes(env)
 			c := mk(env)
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("expected ErrOutOfMemory panic")
-				}
-				if _, ok := r.(gc.ErrOutOfMemory); !ok {
-					panic(r)
-				}
-			}()
 			// A linked list that can never be collected.
 			head := c.Roots().Add(c.Alloc(node, 0))
-			for i := 0; ; i++ {
+			got := pausesToOOM(t, c, func() {
 				o := c.Alloc(node, 0)
 				c.WriteRef(o, 0, c.Roots().Get(head))
 				c.Roots().Set(head, o)
+			})
+			if got != want.list {
+				t.Errorf("growing list: pauses from the last successful Alloc to the panic: %q, want %q", got, want.list)
+			}
+
+			env = newEnv(t, 2)
+			_, _, dataArr = declareTypes(env)
+			c = mk(env)
+			got = pausesToOOM(t, c, func() { c.Alloc(dataArr, 3<<20/mem.WordSize) })
+			if got != want.oversized {
+				t.Errorf("3 MB array: pauses from the last successful Alloc to the panic: %q, want %q", got, want.oversized)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bookmarkgc/internal/gc"
@@ -202,25 +204,67 @@ func TestCompactionMovesObjectsOffEvictedPagesWithoutBooks(t *testing.T) {
 	}
 }
 
-// TestBCOutOfMemory verifies the configured heap is a hard ceiling: live
-// data beyond it panics with ErrOutOfMemory after the whole escalation
-// ladder (nursery, full, compaction, fail-safe) is exhausted.
+// TestBCOutOfMemory verifies the configured heap is a hard ceiling and
+// pins the escalation ladder BC climbs before it gives up (§3.2, §3.5):
+// nursery collection, full collection, compaction, the fail-safe when
+// pages are evicted, compaction again. The pauses recorded between the
+// last allocation that succeeded and the ErrOutOfMemory panic are the
+// rungs it climbed; the fail-safe's pause is a full one.
 func TestBCOutOfMemory(t *testing.T) {
-	_, c, node, _, _ := newBC(t, 512, 2, Config{})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected ErrOutOfMemory")
-		}
-		if _, ok := r.(gc.ErrOutOfMemory); !ok {
-			panic(r)
-		}
-	}()
-	head := c.Roots().Add(c.Alloc(node, 0))
-	for {
-		o := c.Alloc(node, 0)
-		c.WriteRef(o, 0, c.Roots().Get(head))
-		c.Roots().Set(head, o)
+	for _, tc := range []struct {
+		name      string
+		evict     bool // evict a page of a live large object first
+		oversized bool // one request larger than the heap, not a growing list
+		want      string
+		failSafes uint64
+	}{
+		{"list", false, false, "nursery", 0}, // promotion runs out of room
+		{"oversized", false, true, "nursery full compact compact", 0},
+		{"oversized-evicted", true, true, "nursery full compact full compact", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const huge = 3 << 20 / mem.WordSize // a 3 MB array in a 2 MB heap
+			_, c, node, refArr, dataArr := newBC(t, 512, 2, Config{})
+			if tc.evict {
+				slot := c.Roots().Add(c.Alloc(refArr, 2*mem.PageSize/mem.WordSize))
+				c.Collect(true)
+				c.processAndEvict(c.Roots().Get(slot).Page())
+			}
+			done := len(c.Stats().Timeline.Pauses)
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("expected ErrOutOfMemory")
+				}
+				oom, ok := r.(gc.ErrOutOfMemory)
+				if !ok {
+					panic(r)
+				}
+				if need := fmt.Sprintf(" need=%dB", dataArr.TotalBytes(huge)); tc.oversized && !strings.HasSuffix(oom.Detail, need) {
+					t.Errorf("out-of-memory detail %q does not end in %q", oom.Detail, need)
+				}
+				var kinds []string
+				for _, p := range c.Stats().Timeline.Pauses[done:] {
+					kinds = append(kinds, p.Kind.String())
+				}
+				if got := strings.Join(kinds, " "); got != tc.want {
+					t.Errorf("pauses from the last successful Alloc to the panic: %q, want %q", got, tc.want)
+				}
+				if got := c.Stats().FailSafe; got != tc.failSafes {
+					t.Errorf("%d fail-safe collections, want %d", got, tc.failSafes)
+				}
+			}()
+			if tc.oversized {
+				c.Alloc(dataArr, huge)
+			}
+			head := c.Roots().Add(c.Alloc(node, 0))
+			for {
+				o := c.Alloc(node, 0)
+				done = len(c.Stats().Timeline.Pauses)
+				c.WriteRef(o, 0, c.Roots().Get(head))
+				c.Roots().Set(head, o)
+			}
+		})
 	}
 }
 

@@ -68,7 +68,11 @@ type engineCase struct {
 }
 
 // engineCases is every collector kind without and with paging, then
-// every chaos regime on a paging BC.
+// every chaos regime on a paging BC, then BC climbing its whole
+// allocation ladder on its own: a heap squeezed below its footprint with
+// no pressure and no injected fault, where BC runs out of room after its
+// full collections and reaches compaction and the fail-safe itself
+// (gcsim -collector BC -scale 0.02 -heap 77 -phys 42).
 func engineCases() []engineCase {
 	prog := tinyJBB()
 	heap := mem.RoundUpPage(2 * prog.MinHeap)
@@ -87,6 +91,9 @@ func engineCases() []engineCase {
 			PhysBytes: mem.RoundUpPage(heap * 6 / 10), Seed: 3, Chaos: &fc, HeapPolicy: "bc-shrink"}
 		cases = append(cases, engineCase{"chaos/" + regime, cfg, regime, chaosSeed, true})
 	}
+	mb := func(n float64) uint64 { return mem.RoundUpPage(uint64(n * 0.02 * (1 << 20))) }
+	cfg := RunConfig{Collector: BC, Program: prog, HeapBytes: mb(77), PhysBytes: mb(42), Seed: 1}
+	cases = append(cases, engineCase{"ladder/BC", cfg, "", 0, true})
 	return cases
 }
 
