@@ -1,9 +1,6 @@
 package collectors
 
-import (
-	"bookmarkgc/internal/gc"
-	"bookmarkgc/internal/objmodel"
-)
+import "bookmarkgc/internal/gc"
 
 // AdvisedGenMS is GenMS with an Alonso–Appel-style heap-sizing advisor
 // (related work, §6 of the paper): after every collection it consults the
@@ -22,24 +19,16 @@ var _ gc.Collector = (*AdvisedGenMS)(nil)
 // NewAdvisedGenMS creates the advised variant; the configured heap is its
 // upper bound.
 func NewAdvisedGenMS(env *gc.Env) *AdvisedGenMS {
-	return &AdvisedGenMS{GenMS: NewGenMS(env), maxPages: env.HeapPages}
+	c := &AdvisedGenMS{GenMS: NewGenMS(env), maxPages: env.HeapPages}
+	// The original polls "after each garbage collection": an allocation
+	// that collected consults the advisor once it is done, never between
+	// rungs.
+	c.Ladder.Climbed = c.advise
+	return c
 }
 
 // Name implements gc.Collector.
 func (c *AdvisedGenMS) Name() string { return "GenMSAdvisor" }
-
-// Alloc implements gc.Collector. Embedding does not virtualize method
-// calls, so the advisor hooks the allocation path: whenever the embedded
-// collector performed a collection, consult the advisor afterwards (the
-// original polls "after each garbage collection").
-func (c *AdvisedGenMS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
-	before := c.Stats().Timeline.Count()
-	o := c.GenMS.Alloc(t, arrayLen)
-	if c.Stats().Timeline.Count() != before {
-		c.advise()
-	}
-	return o
-}
 
 // Collect implements gc.Collector: collect, then consult the advisor.
 func (c *AdvisedGenMS) Collect(full bool) {

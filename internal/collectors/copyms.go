@@ -3,7 +3,6 @@ package collectors
 import (
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/heappolicy"
-	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
 )
 
@@ -29,6 +28,8 @@ func NewCopyMS(env *gc.Env) *CopyMS {
 	// Every promotion happens in a full collection; the fresh copy is
 	// stamped once, so Promote itself returns eden survivors marked.
 	c.OnPromote = func(dst objmodel.Ref, _ int) { objmodel.SetMark(env.Space, dst, c.Epoch()) }
+	full := func() { c.Collect(true) }
+	c.Ladder = gc.Ladder{Place: c.YoungFirst(c.eden), Rungs: []func(){full, full}, Grow: c.resizeEden}
 	c.resizeEden()
 	return c
 }
@@ -40,31 +41,6 @@ func (c *CopyMS) Name() string { return "CopyMS" }
 func (c *CopyMS) UsedPages() int { return c.MatureUsedPages() + c.eden.UsedPages() }
 
 func (c *CopyMS) resizeEden() { c.eden.Resize(c.Budget() - c.MatureUsedPages()) }
-
-// Alloc implements gc.Collector.
-func (c *CopyMS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
-	total := t.TotalBytes(arrayLen)
-	_, small := c.E.Classes.ForSize(total)
-	for attempt := 0; ; attempt++ {
-		var o objmodel.Ref
-		if small {
-			o = c.eden.Alloc(t, arrayLen)
-		} else {
-			o = c.AllocMature(t, arrayLen, c.Budget(), c.eden.UsedPages())
-		}
-		if o != mem.Nil {
-			c.CountAlloc(t, arrayLen)
-			if c.PolicyTick() {
-				c.resizeEden()
-			}
-			return o
-		}
-		if attempt == 2 {
-			panic(c.OOM(c.E.HeapPages))
-		}
-		c.Collect(true)
-	}
-}
 
 // WriteRef implements gc.Collector (no barrier: every GC is full-heap).
 func (c *CopyMS) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw(o, i, v) }

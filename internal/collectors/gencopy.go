@@ -45,6 +45,11 @@ func NewGenCopy(env *gc.Env) *GenCopy {
 		los:     gc.NewLOS(env),
 	}
 	c.Init(env, c)
+	c.Ladder = gc.Ladder{
+		Place: c.place,
+		Rungs: []func(){func() { c.Collect(false) }, func() { c.Collect(true) }},
+		Grow:  c.resizeNursery,
+	}
 	c.resizeNursery()
 	return c
 }
@@ -81,36 +86,16 @@ func (c *GenCopy) nurseryRoom() int {
 
 func (c *GenCopy) resizeNursery() { c.Nursery.Resize(c.nurseryRoom()) }
 
-// Alloc implements gc.Collector.
-func (c *GenCopy) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
-	total := t.TotalBytes(arrayLen)
-	_, small := c.E.Classes.ForSize(total)
-	for attempt := 0; ; attempt++ {
-		var o objmodel.Ref
-		if small {
-			o = c.Nursery.Alloc(t, arrayLen)
-		} else {
-			pages := int(mem.RoundUpPage(uint64(total)) / mem.PageSize)
-			if c.UsedPages()+pages <= c.heapBudget() {
-				o = c.los.Alloc(t, arrayLen)
-			}
-		}
-		if o != mem.Nil {
-			c.CountAlloc(t, arrayLen)
-			if c.PolicyTick() {
-				c.resizeNursery()
-			}
-			return o
-		}
-		switch attempt {
-		case 0:
-			c.Collect(false)
-		case 1:
-			c.Collect(true)
-		default:
-			panic(c.OOM(c.E.HeapPages))
-		}
+// place puts a small object in the nursery and any other in the LOS,
+// while the whole footprint stays within the budget.
+func (c *GenCopy) place(t *objmodel.Type, arrayLen, total int, small bool) objmodel.Ref {
+	if small {
+		return c.Nursery.Alloc(t, arrayLen)
 	}
+	if c.UsedPages()+int(mem.RoundUpPage(uint64(total))/mem.PageSize) > c.heapBudget() {
+		return mem.Nil
+	}
+	return c.los.Alloc(t, arrayLen)
 }
 
 // WriteRef implements gc.Collector with the generational write barrier.

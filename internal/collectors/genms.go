@@ -3,7 +3,6 @@ package collectors
 import (
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/heappolicy"
-	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
 )
@@ -28,6 +27,11 @@ func NewGenMS(env *gc.Env) *GenMS {
 	c := &GenMS{Nursery: gc.NewNursery(env, 0)} // MMTk-style unbounded write buffer
 	c.Init(env, c)
 	c.Mature = gc.NewMature(&c.Base)
+	c.Ladder = gc.Ladder{
+		Place: c.YoungFirst(c.Nursery),
+		Rungs: []func(){func() { c.Collect(false) }, func() { c.Collect(true) }},
+		Grow:  c.resizeNursery,
+	}
 	c.resizeNursery()
 	return c
 }
@@ -46,35 +50,6 @@ func (c *GenMS) UsedPages() int { return c.MatureUsedPages() + c.Nursery.UsedPag
 // resizeNursery applies the Appel policy: the nursery gets all the space
 // the mature heap is not using.
 func (c *GenMS) resizeNursery() { c.Nursery.Resize(c.Budget() - c.MatureUsedPages()) }
-
-// Alloc implements gc.Collector.
-func (c *GenMS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
-	total := t.TotalBytes(arrayLen)
-	_, small := c.E.Classes.ForSize(total)
-	for attempt := 0; ; attempt++ {
-		var o objmodel.Ref
-		if small {
-			o = c.Nursery.Alloc(t, arrayLen)
-		} else {
-			o = c.AllocMature(t, arrayLen, c.Budget(), c.Nursery.UsedPages())
-		}
-		if o != mem.Nil {
-			c.CountAlloc(t, arrayLen)
-			if c.PolicyTick() {
-				c.resizeNursery()
-			}
-			return o
-		}
-		switch attempt {
-		case 0:
-			c.Collect(false)
-		case 1:
-			c.Collect(true)
-		default:
-			panic(c.OOM(c.E.HeapPages))
-		}
-	}
-}
 
 // WriteRef implements gc.Collector with the generational write barrier.
 func (c *GenMS) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) {

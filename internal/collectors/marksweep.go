@@ -3,7 +3,6 @@ package collectors
 import (
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/heappolicy"
-	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
 )
 
@@ -24,6 +23,13 @@ func NewMarkSweep(env *gc.Env) *MarkSweep {
 	c := &MarkSweep{}
 	c.Init(env, c)
 	c.Mature = gc.NewMature(&c.Base)
+	full := func() { c.Collect(true) }
+	c.Ladder = gc.Ladder{
+		Place: func(t *objmodel.Type, arrayLen, _ int, _ bool) objmodel.Ref {
+			return c.AllocMature(t, arrayLen, c.Budget(), 0)
+		},
+		Rungs: []func(){full, full},
+	}
 	return c
 }
 
@@ -32,21 +38,6 @@ func (c *MarkSweep) Name() string { return "MarkSweep" }
 
 // UsedPages implements gc.Collector.
 func (c *MarkSweep) UsedPages() int { return c.MatureUsedPages() }
-
-// Alloc implements gc.Collector.
-func (c *MarkSweep) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
-	for attempt := 0; ; attempt++ {
-		if o := c.AllocMature(t, arrayLen, c.Budget(), 0); o != mem.Nil {
-			c.CountAlloc(t, arrayLen)
-			c.PolicyTick()
-			return o
-		}
-		if attempt == 2 {
-			panic(c.OOM(c.E.HeapPages))
-		}
-		c.Collect(true)
-	}
-}
 
 // WriteRef implements gc.Collector (no barrier needed).
 func (c *MarkSweep) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw(o, i, v) }

@@ -42,6 +42,8 @@ func NewSemiSpace(env *gc.Env) *SemiSpace {
 	c.Init(env, c)
 	c.from.SetBudget(half)
 	c.to.SetBudget(half)
+	full := func() { c.Collect(true) }
+	c.Ladder = gc.Ladder{Place: c.place, Rungs: []func(){full, full}}
 	return c
 }
 
@@ -58,34 +60,19 @@ func (c *SemiSpace) heapBudget() int {
 	return c.E.HeapBudget(2*(c.to.UsedPages()+c.los.UsedPages()) + 2*gc.MinNurseryPages)
 }
 
-// Alloc implements gc.Collector. Allocation goes to to-space; objects too
-// large for a size class would also be too large here only if they exceed
-// the semispace, so anything above the LOS threshold goes to the LOS.
-func (c *SemiSpace) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
-	total := t.TotalBytes(arrayLen)
-	for attempt := 0; ; attempt++ {
-		var o objmodel.Ref
-		budget := c.heapBudget()
-		if _, small := c.E.Classes.ForSize(total); !small {
-			pages := int(mem.RoundUpPage(uint64(total)) / mem.PageSize)
-			if c.los.UsedPages()+pages <= budget/4 { // LOS shares the non-reserve half
-				o = c.los.Alloc(t, arrayLen)
-			}
-		} else {
-			// Keep the semispace within budget net of LOS usage.
-			c.to.SetBudget(uint64(budget/2-c.los.UsedPages()) * mem.PageSize)
-			o = c.to.Alloc(t, arrayLen)
+// place puts an object in to-space, whose budget it sets on every
+// attempt to the semispace's share net of LOS usage. An object no size
+// class holds goes to the LOS instead, which shares the non-reserve half.
+func (c *SemiSpace) place(t *objmodel.Type, arrayLen, total int, small bool) objmodel.Ref {
+	budget := c.heapBudget()
+	if !small {
+		if c.los.UsedPages()+int(mem.RoundUpPage(uint64(total))/mem.PageSize) > budget/4 {
+			return mem.Nil
 		}
-		if o != mem.Nil {
-			c.CountAlloc(t, arrayLen)
-			c.PolicyTick()
-			return o
-		}
-		if attempt == 2 {
-			panic(c.OOM(c.E.HeapPages))
-		}
-		c.Collect(true)
+		return c.los.Alloc(t, arrayLen)
 	}
+	c.to.SetBudget(uint64(budget/2-c.los.UsedPages()) * mem.PageSize)
+	return c.to.Alloc(t, arrayLen)
 }
 
 // WriteRef implements gc.Collector (no barrier).

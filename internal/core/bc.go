@@ -186,6 +186,7 @@ func New(env *gc.Env, cfg Config) *BC {
 	c.Mature = gc.NewMature(&c.Base)
 	c.SS.SetResidencyFilter(c.pageOK)
 	c.OnPromote = c.copied
+	c.Ladder = c.ladder()
 	// The paper's shrink-to-footprint/regrow rule is BC's native heap
 	// policy; install it unless the harness chose another.
 	if env.HeapPolicy == nil {
@@ -286,14 +287,13 @@ func (c *BC) markRangeResident(a mem.Addr, bytes int) {
 	}
 }
 
-// Alloc implements gc.Collector. The escalation ladder is the paper's:
-// nursery collection, then full mark-sweep, then compaction (§3.2), then
-// the completeness fail-safe (§3.5).
+// Alloc implements gc.Collector. The first safepoint after the eviction
+// handler asked for a collection runs it; then allocation takes the
+// shared path over BC's ladder.
 func (c *BC) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	if c.pendingGC {
-		// The eviction handler asked for a collection; this is the first
-		// safepoint since. Freshly emptied pages become discardable for
-		// the next notifications (§3.3.2).
+		// Freshly emptied pages become discardable for the next
+		// notifications (§3.3.2).
 		c.pendingGC = false
 		before := c.UsedPages()
 		c.Collect(true)
@@ -309,49 +309,50 @@ func (c *BC) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 			c.gcRequestAfter = minGCRequestAfter
 		}
 	}
-	total := t.TotalBytes(arrayLen)
-	_, small := c.E.Classes.ForSize(total)
-	for attempt := 0; ; attempt++ {
-		var o objmodel.Ref
-		if small {
-			o = c.nursery.Alloc(t, arrayLen)
-		} else {
-			o = c.AllocMature(t, arrayLen, c.Budget(), c.nursery.UsedPages())
-		}
-		if o != mem.Nil {
-			c.markRangeResident(o, total)
-			c.CountAlloc(t, arrayLen)
-			c.allocsSinceGC++
-			// With Config.Regrow, bc-shrink raises the target again once
-			// the VMM has had free memory for a while (§7 extension).
-			if c.PolicyTick() {
-				c.resizeNursery()
+	return c.Base.Alloc(t, arrayLen)
+}
+
+// ladder is BC's allocation ladder. Placement is GenMS's, and it keeps
+// the residency books and counts mutator progress before the allocation
+// is counted and the policy ticked: a nursery resize touches pages, so
+// it can fire the eviction handler, which reads allocsSinceGC. The rungs
+// are the paper's: nursery collection, then full mark-sweep, then
+// compaction (§3.2), then the completeness fail-safe (§3.5).
+func (c *BC) ladder() gc.Ladder {
+	young := c.YoungFirst(c.nursery)
+	return gc.Ladder{
+		Place: func(t *objmodel.Type, arrayLen, total int, small bool) objmodel.Ref {
+			o := young(t, arrayLen, total, small)
+			if o != mem.Nil {
+				c.markRangeResident(o, total)
+				c.allocsSinceGC++
 			}
 			return o
-		}
-		switch attempt {
-		case 0:
-			c.Collect(false)
-		case 1:
-			c.Collect(true)
-		case 2:
-			c.compact()
-		case 3:
-			if c.evictedHeapPg > 0 && !c.cfg.ResizeOnly {
-				c.failSafe()
-			}
-		case 4:
+		},
+		Rungs: []func(){
+			func() { c.Collect(false) },
+			func() { c.Collect(true) },
+			c.compact,
+			func() {
+				if c.evictedHeapPg > 0 && !c.cfg.ResizeOnly {
+					c.failSafe()
+				}
+			},
 			// Evicted pages force compaction targets and pin garbage via
 			// bookmarks; after the fail-safe reloaded and unbookmarked
 			// everything, one more compaction can finally densify.
-			c.compact()
-		default:
+			c.compact,
+		},
+		// With Config.Regrow, bc-shrink raises the target again once the
+		// VMM has had free memory for a while (§7 extension).
+		Grow: c.resizeNursery,
+		OOM: func(need int) gc.ErrOutOfMemory {
 			oom := c.OOM(c.Budget())
 			oom.Detail = fmt.Sprintf("mature=%dp los=%dp nursery=%dp supers=%d evicted=%dp need=%dB",
 				c.SS.UsedPages(), c.LOS.UsedPages(), c.nursery.UsedPages(),
-				c.SS.InUseSupers(), c.evictedHeapPg, total)
-			panic(oom)
-		}
+				c.SS.InUseSupers(), c.evictedHeapPg, need)
+			return oom
+		},
 	}
 }
 

@@ -20,13 +20,38 @@ const MinNurseryPages = 64 // 256 KB
 
 // Base carries the plumbing every collector shares: environment, roots,
 // statistics, the mark epoch, barrier-free object access, the pause
-// bracket, the out-of-memory error and the heap policy's mutator tick.
+// bracket, the out-of-memory error and the allocation slow path.
 type Base struct {
-	E     *Env
-	self  Collector
-	roots Roots
-	stats Stats
-	epoch uint32
+	E *Env
+	// Ladder is the collector's allocation slow path, set once by its
+	// constructor when the spaces it places into exist.
+	Ladder Ladder
+	self   Collector
+	roots  Roots
+	stats  Stats
+	epoch  uint32
+}
+
+// Placer puts a fresh object of total bytes (small: a size class holds
+// it) where a collector allocates, within its budget, or returns mem.Nil.
+type Placer func(t *objmodel.Type, arrayLen, total int, small bool) objmodel.Ref
+
+// Ladder is what a collector declares, once, for Base.Alloc to run:
+// where a fresh object goes and what to do when it does not fit.
+type Ladder struct {
+	Place Placer
+	// Rungs are tried in order, one after each failed placement.
+	Rungs []func()
+	// Grow, when set, applies a heap-policy target that rose (the
+	// nursery resize).
+	Grow func()
+	// Climbed, when set, runs once an allocation that needed a rung has
+	// been placed, counted and ticked (GenMSAdvisor's heap advice).
+	Climbed func()
+	// OOM, when set, is the panic value once no rung is left, for a
+	// request of need bytes; by default the error names the configured
+	// heap.
+	OOM func(need int) ErrOutOfMemory
 }
 
 // Init binds the Base to its environment and to the collector embedding
@@ -49,6 +74,44 @@ func (b *Base) Stats() *Stats { return &b.stats }
 
 // Env implements the corresponding Collector method.
 func (b *Base) Env() *Env { return b.E }
+
+// Alloc implements the corresponding Collector method; it is every
+// collector's one allocation retry loop. It places the object as the
+// collector's Ladder says, counts it and gives the heap policy its
+// mutator observation (its Wants gate keeps that nearly free), growing
+// the collector when the target rose. After a failed placement it climbs
+// one rung and tries again, and it panics out of memory when no rung is
+// left.
+func (b *Base) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
+	l := &b.Ladder
+	total := t.TotalBytes(arrayLen)
+	_, small := b.E.Classes.ForSize(total)
+	for attempt := 0; ; attempt++ {
+		if o := l.Place(t, arrayLen, total, small); o != mem.Nil {
+			b.CountAlloc(t, arrayLen)
+			if from, to := ObserveHeapPolicy(b.self, heappolicy.EvMutator, -1); to > from && l.Grow != nil {
+				l.Grow()
+			}
+			if attempt > 0 && l.Climbed != nil {
+				l.Climbed()
+			}
+			return o
+		}
+		if attempt == len(l.Rungs) {
+			b.outOfMemory(total)
+		}
+		l.Rungs[attempt]()
+	}
+}
+
+// outOfMemory panics for a request of need bytes that no rung could
+// place, with the ladder's error if it has one.
+func (b *Base) outOfMemory(need int) {
+	if b.Ladder.OOM != nil {
+		panic(b.Ladder.OOM(need))
+	}
+	panic(b.OOM(b.E.HeapPages))
+}
 
 // CountAlloc records an allocation in the stats.
 func (b *Base) CountAlloc(t *objmodel.Type, arrayLen int) {
@@ -135,15 +198,6 @@ func (b *Base) Pause(kind metrics.PauseKind) func() {
 // is the budget the collector was held to.
 func (b *Base) OOM(heapPages int) ErrOutOfMemory {
 	return ErrOutOfMemory{Collector: b.self.Name(), HeapPages: heapPages}
-}
-
-// PolicyTick gives the heap policy its mutator observation and reports
-// whether it raised the target, which a collector with a nursery applies
-// at once by resizing it. The policy's Wants gate keeps the tick nearly
-// free for policies that ignore the mutator.
-func (b *Base) PolicyTick() bool {
-	from, to := ObserveHeapPolicy(b.self, heappolicy.EvMutator, -1)
-	return to > from
 }
 
 // MoveObject is the only copy-and-forward: o's size bytes are copied to

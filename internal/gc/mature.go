@@ -92,6 +92,19 @@ func (m *Mature) AllocMature(t *objmodel.Type, arrayLen int, budget int, extraUs
 	return m.SS.Alloc(t, arrayLen, cl)
 }
 
+// YoungFirst is the placement of a collector with a young space in front
+// of its mature space (GenMS, CopyMS, BC): a small object goes to young,
+// any other into the mature space within Budget, young's pages counted
+// against it.
+func (m *Mature) YoungFirst(young *Nursery) Placer {
+	return func(t *objmodel.Type, arrayLen, _ int, small bool) objmodel.Ref {
+		if small {
+			return young.Alloc(t, arrayLen)
+		}
+		return m.AllocMature(t, arrayLen, m.Budget(), young.UsedPages())
+	}
+}
+
 // Promoter evacuates a young object during a collection and returns its
 // new address, pushing a fresh copy on work for scanning.
 type Promoter func(o objmodel.Ref, work *WorkList) objmodel.Ref
