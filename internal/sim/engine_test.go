@@ -72,7 +72,10 @@ type engineCase struct {
 // allocation ladder on its own: a heap squeezed below its footprint with
 // no pressure and no injected fault, where BC runs out of room after its
 // full collections and reaches compaction and the fail-safe itself
-// (gcsim -collector BC -scale 0.02 -heap 77 -phys 42).
+// (gcsim -collector BC -scale 0.02 -heap 77 -phys 42), then every
+// collector under a rate-driven heap policy at the paging point: the
+// policy reads each collection's end (EvGCEnd), shrinks the heap, and
+// the generational collectors escalate from nursery to full collections.
 func engineCases() []engineCase {
 	prog := tinyJBB()
 	heap := mem.RoundUpPage(2 * prog.MinHeap)
@@ -94,6 +97,11 @@ func engineCases() []engineCase {
 	mb := func(n float64) uint64 { return mem.RoundUpPage(uint64(n * 0.02 * (1 << 20))) }
 	cfg := RunConfig{Collector: BC, Program: prog, HeapBytes: mb(77), PhysBytes: mb(42), Seed: 1}
 	cases = append(cases, engineCase{"ladder/BC", cfg, "", 0, true})
+	for _, kind := range AllKinds {
+		cfg := RunConfig{Collector: kind, Program: prog, HeapBytes: heap,
+			PhysBytes: mem.RoundUpPage(heap * 6 / 10), Seed: 3, HeapPolicy: "composed"}
+		cases = append(cases, engineCase{"policy/" + string(kind), cfg, "", 0, true})
+	}
 	return cases
 }
 
