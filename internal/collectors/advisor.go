@@ -20,6 +20,8 @@ var _ gc.Collector = (*AdvisedGenMS)(nil)
 // upper bound.
 func NewAdvisedGenMS(env *gc.Env) *AdvisedGenMS {
 	c := &AdvisedGenMS{GenMS: NewGenMS(env), maxPages: env.HeapPages}
+	// The advisor is who runs out of memory and whom the policy observes.
+	c.Init(env, c)
 	// The original polls "after each garbage collection": an allocation
 	// that collected consults the advisor once it is done, never between
 	// rungs.
@@ -32,7 +34,7 @@ func (c *AdvisedGenMS) Name() string { return "GenMSAdvisor" }
 
 // Collect implements gc.Collector: collect, then consult the advisor.
 func (c *AdvisedGenMS) Collect(full bool) {
-	c.GenMS.Collect(full)
+	c.Base.Collect(full)
 	c.advise()
 }
 

@@ -198,3 +198,24 @@ func TestAdvisedGenMSShrinksHeapUnderPressure(t *testing.T) {
 		t.Fatalf("data corrupted: %d", got)
 	}
 }
+
+// TestAdvisorNeverAdvisesBetweenRungs: GenMSAdvisor consults its advisor
+// once an allocation that collected is done, never between the rungs it
+// climbs. With most of the machine pinned, advice would shrink the heap,
+// so a request no rung can place must run out of memory in the heap it
+// started with.
+func TestAdvisorNeverAdvisesBetweenRungs(t *testing.T) {
+	v := vmm.New(vmm.NewClock(), 24<<20, vmm.DefaultCosts())
+	env := gc.NewEnv(v, "advisor", 16<<20)
+	_, _, dataArr := declareTypes(env)
+	c := NewAdvisedGenMS(env)
+	v.Pin(v.FreeFrames() - 512)
+	before := env.HeapPages
+	oom, kinds := pausesToOOM(t, c, func() { c.Alloc(dataArr, 20<<20/mem.WordSize) })
+	if kinds != "nursery full" {
+		t.Errorf("pauses before the panic: %q, want %q", kinds, "nursery full")
+	}
+	if env.HeapPages != before || oom.HeapPages != before {
+		t.Fatalf("heap %d pages, error names %d, want %d: the advisor ran between rungs", env.HeapPages, oom.HeapPages, before)
+	}
+}

@@ -37,6 +37,7 @@ var makers = map[string]func(*gc.Env) gc.Collector{
 		c.Nursery.FixedPages = 128
 		return c
 	},
+	"GenMSAdvisor": func(e *gc.Env) gc.Collector { return NewAdvisedGenMS(e) },
 }
 
 // declareTypes registers the standard test types on an env.
@@ -245,12 +246,13 @@ var outOfMemoryLadder = map[string]struct{ list, oversized string }{
 	"CopyMS":       {"full", "full full"},
 	"GenMSFixed":   {"nursery full", "nursery full"},
 	"GenCopyFixed": {"nursery", "nursery full"},
+	"GenMSAdvisor": {"nursery full", "nursery full"},
 }
 
 // pausesToOOM calls step until the collector panics out of memory and
-// returns the kinds of the pauses recorded after the last step that
-// completed.
-func pausesToOOM(t *testing.T, c gc.Collector, step func()) (kinds string) {
+// returns the panic and the kinds of the pauses recorded after the last
+// step that completed.
+func pausesToOOM(t *testing.T, c gc.Collector, step func()) (oom gc.ErrOutOfMemory, kinds string) {
 	t.Helper()
 	done := len(c.Stats().Timeline.Pauses)
 	defer func() {
@@ -258,7 +260,8 @@ func pausesToOOM(t *testing.T, c gc.Collector, step func()) (kinds string) {
 		if r == nil {
 			t.Fatal("expected ErrOutOfMemory panic")
 		}
-		if _, ok := r.(gc.ErrOutOfMemory); !ok {
+		var ok bool
+		if oom, ok = r.(gc.ErrOutOfMemory); !ok {
 			panic(r)
 		}
 		var names []string
@@ -282,7 +285,7 @@ func TestOutOfMemoryPanics(t *testing.T) {
 			c := mk(env)
 			// A linked list that can never be collected.
 			head := c.Roots().Add(c.Alloc(node, 0))
-			got := pausesToOOM(t, c, func() {
+			oom, got := pausesToOOM(t, c, func() {
 				o := c.Alloc(node, 0)
 				c.WriteRef(o, 0, c.Roots().Get(head))
 				c.Roots().Set(head, o)
@@ -290,13 +293,19 @@ func TestOutOfMemoryPanics(t *testing.T) {
 			if got != want.list {
 				t.Errorf("growing list: pauses from the last successful Alloc to the panic: %q, want %q", got, want.list)
 			}
+			if oom.Collector != c.Name() {
+				t.Errorf("growing list: the error names %q, want %q", oom.Collector, c.Name())
+			}
 
 			env = newEnv(t, 2)
 			_, _, dataArr = declareTypes(env)
 			c = mk(env)
-			got = pausesToOOM(t, c, func() { c.Alloc(dataArr, 3<<20/mem.WordSize) })
+			oom, got = pausesToOOM(t, c, func() { c.Alloc(dataArr, 3<<20/mem.WordSize) })
 			if got != want.oversized {
 				t.Errorf("3 MB array: pauses from the last successful Alloc to the panic: %q, want %q", got, want.oversized)
+			}
+			if oom.Collector != c.Name() {
+				t.Errorf("3 MB array: the error names %q, want %q", oom.Collector, c.Name())
 			}
 		})
 	}

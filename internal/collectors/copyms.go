@@ -2,7 +2,6 @@ package collectors
 
 import (
 	"bookmarkgc/internal/gc"
-	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/objmodel"
 )
 
@@ -28,8 +27,14 @@ func NewCopyMS(env *gc.Env) *CopyMS {
 	// Every promotion happens in a full collection; the fresh copy is
 	// stamped once, so Promote itself returns eden survivors marked.
 	c.OnPromote = func(dst objmodel.Ref, _ int) { objmodel.SetMark(env.Space, dst, c.Epoch()) }
-	full := func() { c.Collect(true) }
-	c.Ladder = gc.Ladder{Place: c.YoungFirst(c.eden), Rungs: []func(){full, full}, Grow: c.resizeEden}
+	c.Ladder = gc.Ladder{
+		Place: c.YoungFirst(c.eden),
+		// One whole-heap collection copies eden survivors into the
+		// mature space and mark-sweeps the rest.
+		Full: func() { c.FullCollect(c.eden, c.Promote) },
+		Live: c.MatureUsedPages,
+		Grow: c.resizeEden,
+	}
 	c.resizeEden()
 	return c
 }
@@ -40,19 +45,7 @@ func (c *CopyMS) Name() string { return "CopyMS" }
 // UsedPages implements gc.Collector.
 func (c *CopyMS) UsedPages() int { return c.MatureUsedPages() + c.eden.UsedPages() }
 
-func (c *CopyMS) resizeEden() { c.eden.Resize(c.Budget() - c.MatureUsedPages()) }
+func (c *CopyMS) resizeEden() { c.eden.Resize(c.NurseryRoom()) }
 
 // WriteRef implements gc.Collector (no barrier: every GC is full-heap).
 func (c *CopyMS) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw(o, i, v) }
-
-// Collect implements gc.Collector: a whole-heap collection that copies
-// eden survivors into the mature space and mark-sweeps the rest.
-func (c *CopyMS) Collect(bool) {
-	c.FullCollect(c.eden, c.Promote)
-	if c.MatureUsedPages() > c.E.HeapPages {
-		panic(c.OOM(c.E.HeapPages))
-	}
-	// Outside the pause so the policy sees the collection's own cost.
-	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
-	c.resizeEden()
-}

@@ -3,7 +3,6 @@ package collectors
 import (
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/heap"
-	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
@@ -47,7 +46,10 @@ func NewGenCopy(env *gc.Env) *GenCopy {
 	c.Init(env, c)
 	c.Ladder = gc.Ladder{
 		Place: c.place,
-		Rungs: []func(){func() { c.Collect(false) }, func() { c.Collect(true) }},
+		Young: func() { c.Nursery.Evacuate(&c.Base, c.promote) },
+		Room:  c.nurseryRoom,
+		Full:  c.fullGC,
+		Live:  func() int { return c.matFrom.UsedPages() + c.los.UsedPages() },
 		Grow:  c.resizeNursery,
 	}
 	c.resizeNursery()
@@ -103,35 +105,12 @@ func (c *GenCopy) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) {
 	c.Nursery.Barrier(o, c.WriteRefRaw(o, i, v), v)
 }
 
-// Collect implements gc.Collector.
-func (c *GenCopy) Collect(full bool) {
-	if full {
-		c.fullGC()
-	} else {
-		c.nurseryGC()
-		if c.nurseryRoom() <= gc.MinNurseryPages {
-			c.fullGC()
-		}
-	}
-	if c.matFrom.UsedPages()+c.los.UsedPages() > c.E.HeapPages {
-		panic(c.OOM(c.E.HeapPages))
-	}
-	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
-	c.resizeNursery()
-}
-
 // promote copies a nursery object into the active mature semispace.
 func (c *GenCopy) promote(o objmodel.Ref, work *gc.WorkList) objmodel.Ref {
 	before := c.matFrom.UsedBytes()
 	nw := c.CopyTo(c.matFrom, o, work)
 	c.E.Counters.Add(trace.CPromotedBytes, c.matFrom.UsedBytes()-before)
 	return nw
-}
-
-// nurseryGC copies nursery survivors into the active mature semispace.
-func (c *GenCopy) nurseryGC() {
-	defer c.Pause(metrics.PauseNursery)()
-	c.Nursery.Evacuate(&c.Base, c.promote)
 }
 
 // fullGC flips the mature semispaces, copying all live data (nursery and

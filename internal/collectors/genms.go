@@ -2,8 +2,6 @@ package collectors
 
 import (
 	"bookmarkgc/internal/gc"
-	"bookmarkgc/internal/heappolicy"
-	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
 )
 
@@ -29,7 +27,10 @@ func NewGenMS(env *gc.Env) *GenMS {
 	c.Mature = gc.NewMature(&c.Base)
 	c.Ladder = gc.Ladder{
 		Place: c.YoungFirst(c.Nursery),
-		Rungs: []func(){func() { c.Collect(false) }, func() { c.Collect(true) }},
+		Young: func() { c.Nursery.Evacuate(&c.Base, c.Promote) },
+		Room:  c.NurseryRoom,
+		Full:  func() { c.FullCollect(c.Nursery, c.PromoteMarked) },
+		Live:  c.MatureUsedPages,
 		Grow:  c.resizeNursery,
 	}
 	c.resizeNursery()
@@ -47,35 +48,9 @@ func (c *GenMS) Name() string {
 // UsedPages implements gc.Collector.
 func (c *GenMS) UsedPages() int { return c.MatureUsedPages() + c.Nursery.UsedPages() }
 
-// resizeNursery applies the Appel policy: the nursery gets all the space
-// the mature heap is not using.
-func (c *GenMS) resizeNursery() { c.Nursery.Resize(c.Budget() - c.MatureUsedPages()) }
+func (c *GenMS) resizeNursery() { c.Nursery.Resize(c.NurseryRoom()) }
 
 // WriteRef implements gc.Collector with the generational write barrier.
 func (c *GenMS) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) {
 	c.Nursery.Barrier(o, c.WriteRefRaw(o, i, v), v)
-}
-
-// Collect implements gc.Collector.
-func (c *GenMS) Collect(full bool) {
-	if !full {
-		c.nurseryGC()
-		// Appel trigger: a nursery too small to be useful means the
-		// mature space owns the heap — do the full collection now.
-		full = c.Budget()-c.MatureUsedPages() <= gc.MinNurseryPages
-	}
-	if full {
-		c.FullCollect(c.Nursery, c.PromoteMarked)
-	}
-	if c.MatureUsedPages() > c.E.HeapPages {
-		panic(c.OOM(c.E.HeapPages))
-	}
-	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
-	c.resizeNursery()
-}
-
-// nurseryGC copies nursery survivors to the mature space.
-func (c *GenMS) nurseryGC() {
-	defer c.Pause(metrics.PauseNursery)()
-	c.Nursery.Evacuate(&c.Base, c.Promote)
 }

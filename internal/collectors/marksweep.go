@@ -2,7 +2,6 @@ package collectors
 
 import (
 	"bookmarkgc/internal/gc"
-	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/objmodel"
 )
 
@@ -23,12 +22,13 @@ func NewMarkSweep(env *gc.Env) *MarkSweep {
 	c := &MarkSweep{}
 	c.Init(env, c)
 	c.Mature = gc.NewMature(&c.Base)
-	full := func() { c.Collect(true) }
 	c.Ladder = gc.Ladder{
 		Place: func(t *objmodel.Type, arrayLen, _ int, _ bool) objmodel.Ref {
 			return c.AllocMature(t, arrayLen, c.Budget(), 0)
 		},
-		Rungs: []func(){full, full},
+		// The shared trace with an empty young space, so nothing is
+		// ever promoted.
+		Full: func() { c.FullCollect(&gc.Nursery{}, nil) },
 	}
 	return c
 }
@@ -41,11 +41,3 @@ func (c *MarkSweep) UsedPages() int { return c.MatureUsedPages() }
 
 // WriteRef implements gc.Collector (no barrier needed).
 func (c *MarkSweep) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw(o, i, v) }
-
-// Collect implements gc.Collector: a full mark-sweep collection — the
-// shared trace with an empty young space, so nothing is ever promoted.
-func (c *MarkSweep) Collect(bool) {
-	c.FullCollect(&gc.Nursery{}, nil)
-	// Outside the pause so the policy sees the collection's own cost.
-	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
-}

@@ -3,7 +3,6 @@ package collectors
 import (
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/heap"
-	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
@@ -42,8 +41,7 @@ func NewSemiSpace(env *gc.Env) *SemiSpace {
 	c.Init(env, c)
 	c.from.SetBudget(half)
 	c.to.SetBudget(half)
-	full := func() { c.Collect(true) }
-	c.Ladder = gc.Ladder{Place: c.place, Rungs: []func(){full, full}}
+	c.Ladder = gc.Ladder{Place: c.place, Full: c.flip}
 	return c
 }
 
@@ -78,14 +76,8 @@ func (c *SemiSpace) place(t *objmodel.Type, arrayLen, total int, small bool) obj
 // WriteRef implements gc.Collector (no barrier).
 func (c *SemiSpace) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw(o, i, v) }
 
-// Collect implements gc.Collector: flip and copy.
-func (c *SemiSpace) Collect(bool) {
-	c.collect()
-	// Outside the pause so the policy sees the collection's own cost.
-	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
-}
-
-func (c *SemiSpace) collect() {
+// flip is SemiSpace's collection: flip the semispaces and copy.
+func (c *SemiSpace) flip() {
 	defer c.Pause(metrics.PauseFull)()
 	c.from, c.to = c.to, c.from
 	c.to.Reset()

@@ -236,7 +236,7 @@ const reservePages = 128
 // bc-shrink, by memory pressure, §3.3.3) and replenishes the empty-page
 // reserve.
 func (c *BC) resizeNursery() {
-	c.nursery.Resize(c.Budget() - c.MatureUsedPages())
+	c.nursery.Resize(c.NurseryRoom())
 
 	// Replenish the reserve: touch pages just beyond the nursery budget
 	// so they are resident and empty — pageDiscardable recognizes any
@@ -312,12 +312,15 @@ func (c *BC) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	return c.Base.Alloc(t, arrayLen)
 }
 
-// ladder is BC's allocation ladder. Placement is GenMS's, and it keeps
-// the residency books and counts mutator progress before the allocation
-// is counted and the policy ticked: a nursery resize touches pages, so
-// it can fire the eviction handler, which reads allocsSinceGC. The rungs
-// are the paper's: nursery collection, then full mark-sweep, then
-// compaction (§3.2), then the completeness fail-safe (§3.5).
+// ladder is BC's allocation ladder and collections. Placement is
+// GenMS's, and it keeps the residency books and counts mutator progress
+// before the allocation is counted and the policy ticked: a nursery
+// resize touches pages, so it can fire the eviction handler, which reads
+// allocsSinceGC. The collection cycle is GenMS's over BC's own nursery
+// and full collections, with no live-data check: BC runs out of memory
+// only past its last rung. The rungs are the paper's: nursery
+// collection, then full mark-sweep, then compaction (§3.2), then the
+// completeness fail-safe (§3.5).
 func (c *BC) ladder() gc.Ladder {
 	young := c.YoungFirst(c.nursery)
 	return gc.Ladder{
@@ -343,8 +346,12 @@ func (c *BC) ladder() gc.Ladder {
 			// everything, one more compaction can finally densify.
 			c.compact,
 		},
-		// With Config.Regrow, bc-shrink raises the target again once the
-		// VMM has had free memory for a while (§7 extension).
+		Young: c.nurseryGC,
+		Room:  c.NurseryRoom,
+		Full:  c.fullGC,
+		// After each collection, and when the target rose: with
+		// Config.Regrow, bc-shrink raises it again once the VMM has had
+		// free memory for a while (§7 extension).
 		Grow: c.resizeNursery,
 		OOM: func(need int) gc.ErrOutOfMemory {
 			oom := c.OOM(c.Budget())
@@ -385,7 +392,9 @@ func (c *BC) collectionDone() {
 	}
 }
 
-// Collect implements gc.Collector.
+// Collect implements gc.Collector: the shared collection cycle over
+// BC's nursery and full collections, never re-entered from a handler
+// and only once the books agree with the kernel.
 func (c *BC) Collect(full bool) {
 	if c.inGC {
 		return
@@ -394,18 +403,7 @@ func (c *BC) Collect(full bool) {
 	// pages may have left or returned without the notifications that
 	// normally keep the bit arrays true (audit.go).
 	c.auditResidency()
-	if full {
-		c.fullGC()
-	} else {
-		c.nurseryGC()
-		if c.Budget()-c.MatureUsedPages() <= gc.MinNurseryPages {
-			c.fullGC()
-		}
-	}
-	// Rate-driven policies (membalancer, composed) recompute their
-	// target from post-GC live size and cost; bc-shrink ignores this.
-	gc.ObserveHeapPolicy(c, heappolicy.EvGCEnd, -1)
-	c.resizeNursery()
+	c.Base.Collect(full)
 }
 
 // scanSlots is BC's one slot reader: it visits o's non-nil reference

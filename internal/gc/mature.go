@@ -66,6 +66,10 @@ func (m *Mature) Budget() int {
 	return m.b.E.HeapBudget(m.MatureUsedPages() + MinNurseryPages)
 }
 
+// NurseryRoom is the Appel share of a young space in front of the
+// mature spaces: all the budget they are not using.
+func (m *Mature) NurseryRoom() int { return m.Budget() - m.MatureUsedPages() }
+
 // AllocMature places an object into the segregated-fit space or the LOS,
 // acquiring superpages as needed, keeping the total footprint (mature +
 // extraUsed) within budget pages. Returns mem.Nil when that would exceed

@@ -3,6 +3,7 @@ package gc
 import (
 	"bookmarkgc/internal/heap"
 	"bookmarkgc/internal/mem"
+	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
 	"bookmarkgc/internal/trace"
 )
@@ -75,11 +76,12 @@ func (n *Nursery) Reset() {
 	}
 }
 
-// Evacuate is a nursery collection: every nursery object reachable from
-// the remembered slots and the roots is moved out through promote, the
-// copies are scanned Cheney-style for further nursery references, and
-// the nursery is reset.
+// Evacuate is a nursery collection, in a nursery pause of its own: every
+// nursery object reachable from the remembered slots and the roots is
+// moved out through promote, the copies are scanned Cheney-style for
+// further nursery references, and the nursery is reset.
 func (n *Nursery) Evacuate(b *Base, promote Promoter) {
+	defer b.Pause(metrics.PauseNursery)()
 	env := b.E
 	work := env.GetWorkList()
 	defer env.PutWorkList(work)

@@ -3,7 +3,6 @@ package mutator_test
 import (
 	"testing"
 
-	"bookmarkgc/internal/collectors"
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/sim"
@@ -65,31 +64,44 @@ func TestMutatorSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCollectionAllocResidue bounds the per-collection allocation
-// residue: a full collection may spawn its parallel-mark round
-// goroutines and refill pools, but must not allocate per marked object.
-// The bound is generous (400 objects per collection) so host-GC-timing
-// noise cannot flake it; the regression it guards against is a
-// per-object or per-page allocation sneaking into the mark/sweep path,
-// which shows up thousands of objects over this budget.
+// residue of every collector, for a young and a full collection: a
+// collection may spawn its parallel-mark round goroutines and refill
+// pools, but must not allocate per marked object, nor build its
+// collection steps anew on every call. The bound is generous (400
+// objects per collection) so host-GC-timing noise cannot flake it; the
+// regression it guards against is a per-object or per-page allocation
+// sneaking into the mark/sweep path, which shows up thousands of objects
+// over this budget.
 func TestCollectionAllocResidue(t *testing.T) {
-	clock := vmm.NewClock()
-	v := vmm.New(clock, 64<<20, vmm.DefaultCosts())
-	env := gc.NewEnv(v, "residue", 16<<20)
-	col := collectors.NewMarkSweep(env)
-	types := mutator.DeclareTypes(env)
-	run := mutator.NewRun(mutator.PseudoJBB().Scale(0.5), col, types, 1)
-	for i := 0; col.Stats().Full < 2; i++ {
-		if !run.Step(256) {
-			t.Fatalf("program ended during warmup at step %d", i)
-		}
-		if i > 5000 {
-			t.Fatal("no collections in 5000 warmup steps")
-		}
-	}
-	avg := testing.AllocsPerRun(1, func() {
-		col.Collect(true)
-	})
-	if avg > 400 {
-		t.Fatalf("full collection allocates %v objects; the mark/sweep path has a per-object allocation", avg)
+	for _, kind := range sim.AllKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			clock := vmm.NewClock()
+			// The steady-state test's heap: SemiSpace's copy reserve
+			// leaves this program too little room in 16 MB.
+			v := vmm.New(clock, 128<<20, vmm.DefaultCosts())
+			env := gc.NewEnv(v, "residue", 24<<20)
+			col, err := sim.NewCollector(kind, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			types := mutator.DeclareTypes(env)
+			run := mutator.NewRun(mutator.PseudoJBB().Scale(0.5), col, types, 1)
+			for i := 0; col.Stats().Nursery+col.Stats().Full < 2; i++ {
+				if !run.Step(256) {
+					t.Fatalf("program ended during warmup at step %d", i)
+				}
+				if i > 5000 {
+					t.Fatal("no collections in 5000 warmup steps")
+				}
+			}
+			for _, full := range []bool{false, true} {
+				avg := testing.AllocsPerRun(1, func() {
+					col.Collect(full)
+				})
+				if avg > 400 {
+					t.Fatalf("Collect(%v) allocates %v objects; the collection path has a per-object allocation", full, avg)
+				}
+			}
+		})
 	}
 }
