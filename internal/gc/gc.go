@@ -9,7 +9,6 @@ package gc
 
 import (
 	"fmt"
-	"sync"
 
 	"bookmarkgc/internal/heap"
 	"bookmarkgc/internal/heappolicy"
@@ -156,23 +155,22 @@ type Roots struct {
 	free  []int32
 }
 
-// rootsPool recycles root-registry backing arrays across runs (each run
+// freeRoots recycles root-registry backing arrays across runs (each run
 // re-grows tens of thousands of slots otherwise).
-var rootsPool sync.Pool
+var freeRoots mem.FreeList[rootsScratch]
 
 type rootsScratch struct {
 	slots []mem.Addr
 	free  []int32
 }
 
-// acquire adopts pooled backing arrays if the registry is still empty.
+// acquire adopts recycled backing arrays if the registry is still empty.
 func (r *Roots) acquire() {
 	if r.slots != nil {
 		return
 	}
-	if v := rootsPool.Get(); v != nil {
-		sc := v.(*rootsScratch)
-		r.slots, r.free = sc.slots[:0], sc.free[:0]
+	if sc, ok := freeRoots.Get(); ok {
+		r.slots, r.free = sc.slots, sc.free
 	}
 }
 
@@ -180,7 +178,7 @@ func (r *Roots) release() {
 	if cap(r.slots) == 0 {
 		return
 	}
-	rootsPool.Put(&rootsScratch{slots: r.slots[:0], free: r.free[:0]})
+	freeRoots.Put(rootsScratch{slots: r.slots[:0], free: r.free[:0]})
 	r.slots, r.free = nil, nil
 }
 
@@ -284,8 +282,8 @@ func (e *Env) GetWorkList() *WorkList {
 		e.wlFree = e.wlFree[:n-1]
 		return w
 	}
-	if v := wlPool.Get(); v != nil {
-		return v.(*WorkList)
+	if w, ok := freeWorkLists.Get(); ok {
+		return w
 	}
 	return &WorkList{}
 }
@@ -296,18 +294,17 @@ func (e *Env) PutWorkList(w *WorkList) {
 	e.wlFree = append(e.wlFree, w)
 }
 
-// wlPool recycles gray stacks across environments: a sweep retires each
-// Env's worklists when the run ends, so the next run starts with
-// full-grown buffers instead of re-growing them from nil.
-var wlPool sync.Pool
+// freeWorkLists recycles gray stacks across environments: a sweep
+// retires each Env's worklists when the run ends, so the next run starts
+// with full-grown buffers instead of re-growing them from nil.
+var freeWorkLists mem.FreeList[*WorkList]
 
-// ReleaseScratch hands the environment's pooled scratch — retired
+// ReleaseScratch hands the environment's recycled scratch — retired
 // worklists and the root registry's backing arrays — to process-wide
-// pools for the next run. Call only when the run is completely finished.
+// free lists for the next run. Call only when the run is completely
+// finished.
 func (e *Env) ReleaseScratch(roots *Roots) {
-	for _, w := range e.wlFree {
-		wlPool.Put(w)
-	}
+	freeWorkLists.Put(e.wlFree...)
 	e.wlFree = nil
 	if roots != nil {
 		roots.release()

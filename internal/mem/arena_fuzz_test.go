@@ -6,11 +6,18 @@ import "testing"
 // materialize / write / ZeroPageRaw sequences and checks the arena
 // invariants the hot path depends on: recycled bodies come back zeroed,
 // the handle table and body table stay in sync, and data written to one
-// page never leaks into another page's body through free-list reuse.
+// page never leaks into another page's body through free-list reuse —
+// within the Space, or across Spaces once it is released and its slabs
+// go to the next one.
 func FuzzArenaRecycle(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x81, 0x02})
 	f.Add([]byte{0x05, 0x05, 0x85, 0x85, 0x05})
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x01, 0x81})
+	every := make([]byte, 31) // write every page: a whole slab prefix dirty
+	for i := range every {
+		every[i] = byte(i + 1)
+	}
+	f.Add(every)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const npages = 32
 		s := testSpace(npages * PageSize)
@@ -47,5 +54,17 @@ func FuzzArenaRecycle(f *testing.F) {
 				t.Fatalf("recycled page %d materialized dirty: first word %#x", p, got)
 			}
 		}
+		// A released Space's slabs go to the next Space, which must see
+		// every page it materializes read zero.
+		s.Release()
+		next := testSpace(npages * PageSize)
+		for p := PageID(1); p < npages; p++ {
+			for i, w := range next.materialize(p) {
+				if w != 0 {
+					t.Fatalf("page %d of the next Space materialized dirty: word %d = %#x", p, i, w)
+				}
+			}
+		}
+		next.Release()
 	})
 }

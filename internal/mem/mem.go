@@ -19,7 +19,6 @@ package mem
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -108,69 +107,6 @@ const (
 // fast path: resident, not evicted, not protected.
 const pfFastMask = PFResident | PFEvicted | PFProtected
 
-// Arena geometry: page bodies are carved from slabs of slabPages bodies
-// (256 KB per slab). Slabs are allocated once and never move, so a body
-// pointer captured by an AtomicView stays valid for its whole phase.
-const (
-	slabPages = 64
-	slabShift = 6  // log2(slabPages)
-	slabMask  = 63 // slabPages - 1
-)
-
-type slab [slabPages * WordsPage]uint64
-
-// arena hands out page bodies by dense uint32 handle with free-list
-// recycling. Handle b lives at words [b&slabMask * WordsPage ...] of
-// slab b>>slabShift.
-type arena struct {
-	slabs []*slab
-	free  []int32 // recycled handles; bodies are zeroed on reuse
-	next  int32   // first never-issued handle
-}
-
-// slabPool recycles slabs across Spaces. A sweep churns through one
-// Space per run, and before pooling the discarded slabs dominated host
-// allocation (and with it host GC frequency). Pooled slabs hold the
-// previous owner's words, so newSlab zeroes them to preserve the
-// fresh-handle-reads-zero invariant.
-var slabPool sync.Pool
-
-func newSlab() *slab {
-	if v := slabPool.Get(); v != nil {
-		s := v.(*slab)
-		*s = slab{}
-		return s
-	}
-	return new(slab)
-}
-
-// alloc returns a body handle and whether it was recycled (and therefore
-// holds stale words the caller must zero).
-func (ar *arena) alloc() (b int32, recycled bool) {
-	if n := len(ar.free); n > 0 {
-		b = ar.free[n-1]
-		ar.free = ar.free[:n-1]
-		return b, true
-	}
-	b = ar.next
-	ar.next++
-	if int(b)>>slabShift >= len(ar.slabs) {
-		ar.slabs = append(ar.slabs, newSlab())
-	}
-	return b, false
-}
-
-// release hands every slab back to the process-wide pool.
-func (ar *arena) release() {
-	for i, s := range ar.slabs {
-		slabPool.Put(s)
-		ar.slabs[i] = nil
-	}
-	ar.slabs = ar.slabs[:0]
-	ar.free = ar.free[:0]
-	ar.next = 0
-}
-
 // Space is the backing store for one process's virtual address space.
 // Backing bodies are allocated lazily on first write and read as zero
 // before that, so host memory tracks the pages actually used rather than
@@ -192,7 +128,7 @@ type Space struct {
 	ft       FaultToucher
 	flags    []uint8
 
-	ar arena
+	ar *arena
 
 	// viewCache is the lazily built AtomicView (see view.go); viewDirty
 	// lists pages whose body pointer changed since the view last synced.
@@ -214,6 +150,7 @@ func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher
 		clock:    clock,
 		wordCost: wordCost,
 		ft:       ft,
+		ar:       newArena(),
 	}
 	for i := range s.table {
 		s.table[i] = -1
@@ -227,10 +164,11 @@ func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher
 	return s
 }
 
-// Release returns the space's slabs to the process-wide pool and drops
-// every body pointer. Only call it when the space — and any AtomicView
-// built from it — is dead: recycled slabs are handed to future Spaces,
-// which zero and overwrite them.
+// Release returns the space's slabs to the process-wide free list and
+// drops every body pointer. Only call it when the space — and any
+// AtomicView built from it — is dead: recycled slabs are handed to future
+// Spaces, which overwrite them. A space dropped without Release returns
+// its slabs when the Go collector finds its arena unreachable.
 func (s *Space) Release() {
 	for i := range s.bodies {
 		s.bodies[i] = nil
