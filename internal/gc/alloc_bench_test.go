@@ -14,7 +14,8 @@ import (
 // slots of a ring of roots, so each collection finds a bounded live set,
 // and one allocation in 256 is an array past the largest size class,
 // which takes the large-object path. The collections the allocations
-// trigger are part of the cost; building the collector is not.
+// trigger are part of the cost; building and releasing the collector
+// are not.
 func BenchmarkCollectorAlloc(b *testing.B) {
 	for _, kind := range sim.AllKinds {
 		b.Run(string(kind), func(b *testing.B) {
@@ -42,6 +43,9 @@ func BenchmarkCollectorAlloc(b *testing.B) {
 				}
 				col.Roots().Set(ring[i%len(ring)], o)
 			}
+			b.StopTimer()
+			env.ReleaseScratch(col.Roots())
+			env.Proc.Space().Release()
 		})
 	}
 }

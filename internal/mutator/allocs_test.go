@@ -16,9 +16,8 @@ import (
 // allocation, data reads and writes, root updates — performs zero Go
 // heap allocations per step. Collections, nursery and full, are excluded
 // from the window (their small per-cycle residue — the parallel round's
-// worker goroutines, sync.Pool refills after a host GC — is bounded
-// separately below); if one lands in it anyway the run retries rather
-// than failing on GC residue.
+// worker goroutines — is bounded separately below); if one lands in it
+// anyway the run retries rather than failing on GC residue.
 func TestMutatorSteadyStateAllocs(t *testing.T) {
 	for _, kind := range sim.AllKinds {
 		t.Run(string(kind), func(t *testing.T) {

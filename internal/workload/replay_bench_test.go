@@ -17,7 +17,8 @@ import (
 // event costs against a generated one (ROADMAP item 3: whether "generate
 // once, replay many" could pay). Decoding the trace is part of a replayed
 // step; recording it, building the machine and the initial live set are
-// not.
+// not. Each machine is released when its replay ends, as in
+// BenchmarkMutatorStep.
 func BenchmarkReplayStep(b *testing.B) {
 	raw := recordPseudoJBB(b, 0.04, 1)
 	rd, err := workload.NewReader(bytes.NewReader(raw))
@@ -40,7 +41,8 @@ func BenchmarkReplayStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rp := workload.NewReplayer(rd, collectors.NewGenMS(env), mutator.DeclareTypes(env))
+		col := collectors.NewGenMS(env)
+		rp := workload.NewReplayer(rd, col, mutator.DeclareTypes(env))
 		rp.Step(1) // the initial live set and the first iteration
 		b.StartTimer()
 		for q := min(64, b.N-done); q > 0 && rp.Step(q); q = min(64, b.N-done) {
@@ -49,6 +51,9 @@ func BenchmarkReplayStep(b *testing.B) {
 		if err := rp.Err(); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		env.ReleaseScratch(col.Roots())
+		env.Proc.Space().Release()
 	}
 	b.ReportMetric(float64(st.Events)/float64(st.Steps), "events/op")
 }
