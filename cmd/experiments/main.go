@@ -6,7 +6,7 @@
 // Usage:
 //
 //	experiments [-run id[,id...]] [-scale f] [-seed n] [-list] [-counters]
-//	            [-jobs n] [-mark-workers n] [-cache-dir dir] [-resume]
+//	            [-jobs n] [-cache-dir dir] [-resume]
 //	            [-timeout d] [-format text|json] [-expect-cached] [-http addr]
 //
 // Experiment ids: table1, fig2, fig2x, fig3, fig3x, fig4, fig5, fig6,
@@ -20,8 +20,6 @@
 //	-list           list the experiments and exit
 //	-counters       collect event counters and add them to report notes
 //	-jobs n         run up to n simulations concurrently (default GOMAXPROCS)
-//	-mark-workers n host threads for each simulation's parallel mark engine
-//	                (default 1); report bytes are bit-identical for any value
 //	-cache-dir d    persist per-job results as JSONL under d ('' disables)
 //	-resume         serve results cached by a previous (or interrupted) run
 //	-timeout d      abandon any single job after d wall time (0 = none)
@@ -55,7 +53,6 @@ import (
 	"time"
 
 	"bookmarkgc/internal/bench"
-	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/hostprof"
 	"bookmarkgc/internal/runner"
 	"bookmarkgc/internal/telemetry"
@@ -75,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list experiments and exit")
 		counters = fs.Bool("counters", false, "collect event counters and add them to report notes")
 		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "maximum concurrent simulation jobs")
-		markWkrs = fs.Int("mark-workers", 1, "host threads per simulation for the parallel mark engine (reports are bit-identical for any value)")
 		cacheDir = fs.String("cache-dir", ".expcache", "directory for the persistent result store ('' disables)")
 		resume   = fs.Bool("resume", false, "reuse results persisted by a previous run in -cache-dir")
 		timeout  = fs.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
@@ -106,14 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *resume && *cacheDir == "" {
 		return fail("-resume needs a persistent store; set -cache-dir")
 	}
-	if *markWkrs < 1 {
-		return fail("-mark-workers %d must be at least 1", *markWkrs)
-	}
-	// Runner jobs build their own simulation environments, so the mark
-	// worker count travels as the process default. It changes only
-	// host-side parallelism: report bytes and cache keys are unaffected
-	// (DESIGN.md §11), so cached results are shared across worker counts.
-	gc.SetDefaultMarkWorkers(*markWkrs)
 
 	if *list {
 		for _, e := range bench.Experiments() {

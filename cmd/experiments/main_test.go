@@ -42,7 +42,6 @@ func TestRejections(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-format xml", `-format "xml" must be text or json`},
 		{"-resume -cache-dir=", "-resume needs a persistent store"},
-		{"-mark-workers 0", "-mark-workers 0 must be at least 1"},
 		{"-run nosuch -cache-dir=", `unknown experiment "nosuch"`},
 		{"-nosuchflag", "flag provided but not defined"},
 	} {

@@ -64,7 +64,7 @@ func cliRows() []cliRow {
 		cliRow{"runs/jvms", base + "-heap 45 -phys 100 -jvms 2 -runs 2"},
 		cliRow{"runs/oom", base + "-collector SemiSpace " + paging + " -runs 2"},
 		cliRow{"fleet", base + "-fleet mixed4"},
-		cliRow{"fleet/overrides", base + "-fleet mixed4 -phys 200 -fleet-policy cooperative -heap-policy membalancer -chaos-seed 3 -mark-workers 8"},
+		cliRow{"fleet/overrides", base + "-fleet mixed4 -phys 200 -fleet-policy cooperative -heap-policy membalancer -chaos-seed 3"},
 		cliRow{"fleet/flight", base + "-fleet mixed4 -flight-dump-dir fd"},
 		cliRow{"heap-policy/membalancer", base + "-heap 60 -phys 100 -steal 0.7 -heap-policy membalancer"},
 		cliRow{"heap-policy/composed", base + "-collector GenMS -heap 60 -phys 100 -steal 0.7 -heap-policy composed"},
@@ -72,8 +72,6 @@ func cliRows() []cliRow {
 		cliRow{"trace/jsonl", base + paging + " -counters -trace t.jsonl -trace-format jsonl"},
 		cliRow{"trace/jvms", base + "-heap 45 -phys 100 -jvms 2 -trace t.json"},
 		cliRow{"bmu", base + paging + " -bmu"},
-		cliRow{"mark-workers/BC", base + "-collector BC " + paging + " -mark-workers 8"},
-		cliRow{"mark-workers/GenCopy", base + "-collector GenCopy " + paging + " -mark-workers 8"},
 		cliRow{"telemetry/csv", base + "-collector GenMS " + paging + " -telemetry-out s.csv -flight-dump-dir fl -sample-every 50ms"},
 		cliRow{"telemetry/jsonl", base + "-heap 45 -phys 100 -steal 0.6 -telemetry-out s.jsonl"},
 		cliRow{"telemetry/oom", base + "-collector SemiSpace " + paging + " -sample-every 50ms"},
@@ -89,7 +87,6 @@ func cliRows() []cliRow {
 		cliRow{"reject/avail-negative", "-avail -1"},
 		cliRow{"reject/jvms", "-jvms 0"},
 		cliRow{"reject/runs", "-runs 0"},
-		cliRow{"reject/mark-workers", "-mark-workers 0"},
 		cliRow{"reject/sample-every", "-sample-every 0s"},
 		cliRow{"reject/telemetry-runs", "-telemetry-out s.csv -runs 2"},
 		cliRow{"reject/telemetry-jvms", "-sample-every 1ms -jvms 2"},

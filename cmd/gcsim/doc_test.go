@@ -33,7 +33,7 @@ func TestEveryFlagIsDocumented(t *testing.T) {
 			t.Errorf("-%s is not in README.md", f.Name)
 		}
 	})
-	if n != 28 {
-		t.Errorf("%d flags defined; the package comment and README.md say 28", n)
+	if n != 27 {
+		t.Errorf("%d flags defined; the package comment and README.md say 27", n)
 	}
 }

@@ -74,8 +74,7 @@ func (c *config) jobs() ([]runner.Job, error) {
 	for i, j := range jobs {
 		bases[i] = runner.Job{Collector: j.Collector, Program: j.Program, HeapBytes: heap, PhysBytes: phys, Seed: j.Seed}
 	}
-	unobserved := runner.Host{MarkWorkers: c.markWorkers}
-	for i, base := range runner.New(runner.Options{Workers: c.workers, Host: unobserved}).RunAll(bases) {
+	for i, base := range runner.New(runner.Options{Workers: c.workers}).RunAll(bases) {
 		if !base.OK() {
 			jobs[i] = bases[i]
 			continue
@@ -136,7 +135,7 @@ func (c *config) fleetSpec(phys uint64) (sim.FleetSpec, error) {
 // telemetry collector, served over -http from before the run so the
 // dashboard is live while it executes.
 func (c *config) host(stderr io.Writer) (runner.Host, error) {
-	h := runner.Host{MarkWorkers: c.markWorkers}
+	var h runner.Host
 	if c.fleet != "" {
 		h.FlightDir = c.flightDir
 		return h, nil

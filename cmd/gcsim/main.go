@@ -46,8 +46,6 @@
 //	-sample-every d   sampling interval in simulated time (default 1ms)
 //	-flight-dump-dir d  write flight-recorder bundles (anomaly dumps) to d
 //	-jobs n           concurrent simulations for -runs (default GOMAXPROCS)
-//	-mark-workers n   host threads for the parallel mark engine (default 1;
-//	                  results are bit-identical for any value)
 //	-cpuprofile f, -memprofile f  host pprof profiles of the whole command,
 //	                  written on every exit, failures included
 //
@@ -88,7 +86,7 @@ type config struct {
 	steal, availMB         float64
 	seed, chaosSeed        int64
 	jvms, runs             int
-	workers, markWorkers   int
+	workers                int
 	chaos, heapPolicy      string
 	fleet, fleetPolicy     string
 	bmu, counters, list    bool
@@ -119,7 +117,6 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.jvms, "jvms", 1, "number of simultaneous JVM instances")
 	fs.IntVar(&c.runs, "runs", 1, "sweep this many consecutive seeds and print aggregates")
 	fs.IntVar(&c.workers, "jobs", runtime.GOMAXPROCS(0), "maximum concurrent simulations for -runs")
-	fs.IntVar(&c.markWorkers, "mark-workers", 1, "host threads for the parallel mark engine (results are bit-identical for any value)")
 	fs.BoolVar(&c.bmu, "bmu", false, "print the BMU curve")
 	fs.StringVar(&c.chaos, "chaos", "", "inject kernel faults: drop, delay, duplicate, reorder, no-notify, reload-storm, thrash")
 	fs.Int64Var(&c.chaosSeed, "chaos-seed", 1, "seed for the fault injector's PRNG")
@@ -168,8 +165,6 @@ func (c *config) validate() error {
 		return fmt.Errorf("-jvms %d must be at least 1", c.jvms)
 	case c.runs < 1:
 		return fmt.Errorf("-runs %d must be at least 1", c.runs)
-	case c.markWorkers < 1:
-		return fmt.Errorf("-mark-workers %d must be at least 1", c.markWorkers)
 	case c.sampleEvery <= 0:
 		return fmt.Errorf("-sample-every %v must be positive", c.sampleEvery)
 	case c.telemetryOn() && (c.runs > 1 || c.jvms > 1):

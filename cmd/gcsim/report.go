@@ -158,8 +158,8 @@ func (c *config) soleRun(stdout, stderr io.Writer, j runner.Job, rd runner.RunDa
 
 // fleetReport prints the deterministic fleet report: per-tenant
 // summaries in spec order, then the fleet-level aggregates. Every figure
-// is simulated-clock data, so the bytes are identical for any
-// -mark-workers or host parallelism.
+// is simulated-clock data, so the bytes are identical for any host
+// parallelism.
 func (c *config) fleetReport(stdout, stderr io.Writer, spec *sim.FleetSpec, res *runner.Result) int {
 	if res.Err != "" {
 		fmt.Fprintf(stderr, "gcsim: %s\n", res.Err)

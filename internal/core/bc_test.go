@@ -211,9 +211,10 @@ func TestBCBookmarksUnderSeverePressure(t *testing.T) {
 	if c.Stats().Bookmarked == 0 {
 		t.Fatal("pages evicted but no objects bookmarked")
 	}
-	// The outcome counters show the veto churn behind ROADMAP item 2's
-	// open question: many notices vetoed, or paid off in empty pages, for
-	// each page actually scanned and surrendered.
+	// The outcome counters show the veto churn behind ROADMAP "Charge
+	// what the paper's system pays" (b), "Make the veto stick": many
+	// notices vetoed, or paid off in empty pages, for each page actually
+	// scanned and surrendered.
 	surrendered := c.E.Counters.Get(trace.CNoticesBookmarked) + c.E.Counters.Get(trace.CNoticesRedirected)
 	if got := c.E.Counters.Get(trace.CPagesProcessed); got != surrendered || surrendered == 0 {
 		t.Fatalf("%d pages processed, %d notices counted as bookmarked or redirected", got, surrendered)

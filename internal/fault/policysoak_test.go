@@ -3,11 +3,11 @@ package fault_test
 // The heap-limit policy soak (DESIGN.md §14): run BC under eviction-storm
 // and mute chaos with each pluggable policy installed, auditing the
 // collector's books with CheckInvariants after every collection and
-// pinning the policy's limit trajectory against the mark-worker count.
+// pinning the policy's limit trajectory across two identical runs.
 // The policies only move the heap target — never object state — so the
 // mutator checksum oracle and the invariant audit must hold under every
 // (policy, regime) pair, and the limit trajectory must be bit-identical
-// for any parallel-mark configuration.
+// from run to run.
 
 import (
 	"testing"
@@ -23,9 +23,9 @@ import (
 
 // policyProgram is the policy soak's workload: the acceptance soak's
 // pseudoJBB mix at a lighter scale. The policy matrix multiplies every
-// run by (policies × regimes × mark-worker counts), so each run is
-// trimmed to keep the whole package inside go test's default timeout;
-// the chaos schedules and pressure setup are the acceptance soak's own.
+// run by (policies × regimes), so each run is trimmed to keep the whole
+// package inside go test's default timeout; the chaos schedules and
+// pressure setup are the acceptance soak's own.
 func policyProgram() mutator.Spec { return mutator.PseudoJBB().Scale(0.025) }
 
 // policyNominalChecksum runs policyProgram chaos-free: the oracle every
@@ -58,15 +58,11 @@ type policyOutcome struct {
 // runPolicySoak executes the soak program on BC under the named fault
 // regime with the named heap policy installed ("" keeps BC's built-in
 // bc-shrink default), invariants audited after every collection.
-// markWorkers overrides the parallel mark engine when positive.
-func runPolicySoak(t *testing.T, regime, policy string, chaosSeed, workSeed int64, markWorkers int) policyOutcome {
+func runPolicySoak(t *testing.T, regime, policy string, chaosSeed, workSeed int64) policyOutcome {
 	t.Helper()
 	clock := vmm.NewClock()
 	v := vmm.New(clock, soakPhysBytes, vmm.DefaultCosts())
 	env := gc.NewEnv(v, "policysoak", soakHeapBytes)
-	if markWorkers > 0 {
-		env.MarkWorkers = markWorkers
-	}
 	if policy != "" {
 		pol, err := heappolicy.New(policy, heappolicy.Options{})
 		if err != nil {
@@ -135,7 +131,7 @@ func TestPolicySoakAllRegimes(t *testing.T) {
 		for _, regime := range policyRegimes() {
 			t.Run(policy+"/"+regime, func(t *testing.T) {
 				t.Parallel()
-				out := runPolicySoak(t, regime, policy, 100+workSeed, workSeed, 0)
+				out := runPolicySoak(t, regime, policy, 100+workSeed, workSeed)
 				if out.invErr != nil {
 					t.Fatalf("%s: invariants violated after a collection: %v", regime, out.invErr)
 				}
@@ -168,7 +164,7 @@ func TestPolicyShrinksUnderStormRegrowsWhenMuted(t *testing.T) {
 	for _, policy := range []string{"bc-shrink", "composed"} {
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
-			out := runPolicySoak(t, "reload-storm", policy, 101, 1, 0)
+			out := runPolicySoak(t, "reload-storm", policy, 101, 1)
 			if !shrunk(out.limits) {
 				t.Errorf("%s never shrank below %d pages under the eviction storm: %v",
 					policy, heapPages, out.limits)
@@ -177,18 +173,18 @@ func TestPolicyShrinksUnderStormRegrowsWhenMuted(t *testing.T) {
 	}
 	t.Run("fixed", func(t *testing.T) {
 		t.Parallel()
-		out := runPolicySoak(t, "reload-storm", "fixed", 101, 1, 0)
+		out := runPolicySoak(t, "reload-storm", "fixed", 101, 1)
 		if shrunk(out.limits) {
 			t.Errorf("fixed moved the limit under chaos: %v", out.limits)
 		}
 	})
 }
 
-// TestPolicyLimitTrajectoryMarkWorkerInvariant is the determinism gate:
-// the policy's limit trajectory — the heap target after every single
-// collection — must be bit-identical whether the parallel mark engine
-// runs on one host thread or eight, under chaos, for every policy.
-func TestPolicyLimitTrajectoryMarkWorkerInvariant(t *testing.T) {
+// TestPolicyLimitTrajectoryDeterministic is the determinism gate: the
+// policy's limit trajectory — the heap target after every single
+// collection — must be bit-identical across two identical runs under
+// chaos, for every policy.
+func TestPolicyLimitTrajectoryDeterministic(t *testing.T) {
 	policies := heappolicy.Names()
 	if testing.Short() {
 		policies = []string{"membalancer"}
@@ -196,8 +192,8 @@ func TestPolicyLimitTrajectoryMarkWorkerInvariant(t *testing.T) {
 	for _, policy := range policies {
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
-			a := runPolicySoak(t, "thrash", policy, 42, 7, 1)
-			b := runPolicySoak(t, "thrash", policy, 42, 7, 8)
+			a := runPolicySoak(t, "thrash", policy, 42, 7)
+			b := runPolicySoak(t, "thrash", policy, 42, 7)
 			if a.checksum != b.checksum || a.gcs != b.gcs || a.faults != b.faults {
 				t.Fatalf("runs diverge: a(sum=%#x gcs=%d %v) b(sum=%#x gcs=%d %v)",
 					a.checksum, a.gcs, a.faults, b.checksum, b.gcs, b.faults)
@@ -207,7 +203,7 @@ func TestPolicyLimitTrajectoryMarkWorkerInvariant(t *testing.T) {
 			}
 			for i := range a.limits {
 				if a.limits[i] != b.limits[i] {
-					t.Fatalf("limit trajectory diverges at collection %d: %d vs %d\n1 worker: %v\n8 workers: %v",
+					t.Fatalf("limit trajectory diverges at collection %d: %d vs %d\nfirst run: %v\nsecond run: %v",
 						i, a.limits[i], b.limits[i], a.limits, b.limits)
 				}
 			}

@@ -20,7 +20,6 @@ func BenchmarkCollectorAlloc(b *testing.B) {
 	for _, kind := range sim.AllKinds {
 		b.Run(string(kind), func(b *testing.B) {
 			env := gc.NewEnv(vmm.New(vmm.NewClock(), 64<<20, vmm.DefaultCosts()), "bench", 8<<20)
-			env.MarkWorkers = 1
 			col, err := sim.NewCollector(kind, env)
 			if err != nil {
 				b.Fatal(err)

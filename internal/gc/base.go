@@ -294,14 +294,3 @@ func Drain(env *Env, work *WorkList, visit func(slot mem.Addr, target objmodel.R
 		ScanObject(env.Space, env.Types, o, visit)
 	}
 }
-
-// MarkTrace drains the worklist, scanning each object and marking its
-// targets. follow filters which targets to pursue (nil = all).
-func MarkTrace(env *Env, work *WorkList, epoch uint32, follow func(objmodel.Ref) bool) {
-	Drain(env, work, func(_ mem.Addr, tgt objmodel.Ref) {
-		if follow != nil && !follow(tgt) {
-			return
-		}
-		MarkStep(env, work, tgt, epoch)
-	})
-}

@@ -48,21 +48,23 @@ type Env struct {
 	Trace    trace.Tracer
 	Counters *trace.Counters
 
-	// MarkWorkers is the mark engine's worker count. NewEnv
-	// resolves it from the package default (SetDefaultMarkWorkers);
-	// callers may override it before the first collection. Output is
-	// bit-identical for any value ≥ 1.
+	// MarkWorkers is ignored: marking runs on one worker. It stays
+	// declared only because the benchmark module still sets it.
 	MarkWorkers int
 
-	marker *ParMarker
+	marker *Marker
 	wlFree []*WorkList // retired gray stacks (GetWorkList/PutWorkList)
 }
 
+// SetDefaultMarkWorkers is ignored: marking runs on one worker. It stays
+// declared only because the benchmark module still calls it.
+func SetDefaultMarkWorkers(int) {}
+
 // Marker returns the environment's mark engine, building it on first
-// use with MarkWorkers workers.
-func (e *Env) Marker() *ParMarker {
+// use.
+func (e *Env) Marker() *Marker {
 	if e.marker == nil {
-		e.marker = NewParMarker(e, e.MarkWorkers)
+		e.marker = &Marker{env: e, touch: make([]uint32, e.Space.Pages())}
 	}
 	return e.marker
 }
@@ -72,15 +74,14 @@ func NewEnv(v *vmm.VMM, name string, heapBytes uint64) *Env {
 	layout := heap.NewLayout(heapBytes)
 	proc := v.NewProc(name, layout.Total)
 	return &Env{
-		Proc:        proc,
-		Space:       proc.Space(),
-		Clock:       v.Clock,
-		Types:       objmodel.NewTable(),
-		Classes:     objmodel.BuildClasses(),
-		Layout:      layout,
-		HeapPages:   int(mem.RoundUpPage(heapBytes) / mem.PageSize),
-		Trace:       trace.Nop{},
-		MarkWorkers: DefaultMarkWorkers(),
+		Proc:      proc,
+		Space:     proc.Space(),
+		Clock:     v.Clock,
+		Types:     objmodel.NewTable(),
+		Classes:   objmodel.BuildClasses(),
+		Layout:    layout,
+		HeapPages: int(mem.RoundUpPage(heapBytes) / mem.PageSize),
+		Trace:     trace.Nop{},
 	}
 }
 

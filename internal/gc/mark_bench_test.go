@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -24,33 +23,26 @@ func benchGraph(b *testing.B, env *Env, n int) (root objmodel.Ref) {
 }
 
 // BenchmarkMarkLoop measures the engine every full collection runs,
-// ParMarker.Mark, over a 4k-object graph: at one worker (a plain loop
-// that must not allocate) and at two (fork-join deals).
+// Marker.Mark, over a 4k-object graph. It must not allocate.
 func BenchmarkMarkLoop(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			env := testEnv(b)
-			root := benchGraph(b, env, 4096)
-			work := env.GetWorkList()
-			defer env.PutWorkList(work)
-			marker := NewParMarker(env, workers)
-			cfg := &ParMarkConfig{}
-			mark := func() {
-				cfg.Epoch = cfg.Epoch%(objmodel.MaxEpoch-1) + 1
-				MarkStep(env, work, root, cfg.Epoch)
-				marker.Mark(cfg, work, nil)
-			}
-			mark() // grow the stacks and tallies once
-			if workers == 1 {
-				if a := testing.AllocsPerRun(3, mark); a != 0 {
-					b.Fatalf("one-worker Mark allocates %v times per call", a)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mark()
-			}
-		})
+	env := testEnv(b)
+	root := benchGraph(b, env, 4096)
+	work := env.GetWorkList()
+	defer env.PutWorkList(work)
+	marker := env.Marker()
+	cfg := &MarkConfig{}
+	mark := func() {
+		cfg.Epoch = cfg.Epoch%(objmodel.MaxEpoch-1) + 1
+		MarkStep(env, work, root, cfg.Epoch)
+		marker.Mark(cfg, work, nil)
+	}
+	mark() // grow the worklist and the tally once
+	if a := testing.AllocsPerRun(3, mark); a != 0 {
+		b.Fatalf("Mark allocates %v times per call", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mark()
 	}
 }

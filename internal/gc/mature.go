@@ -190,21 +190,21 @@ func (t *Trace) ScanRoots() {
 }
 
 // Mark runs the mark engine (DESIGN.md §11) from what the roots
-// queued: workers mark mature objects in place and defer edges
-// into the young space, which are promoted sequentially between rounds,
-// in slot order, and written back.
+// queued: it marks mature objects in place and defers edges into the
+// young space, which are promoted between rounds, in slot order, and
+// written back.
 func (t *Trace) Mark() {
 	env, young, ok := t.m.b.E, t.young, t.pageOK
-	cfg := &ParMarkConfig{Epoch: t.Epoch, Classify: func(tgt objmodel.Ref) EdgeAction {
+	cfg := &MarkConfig{Epoch: t.Epoch, Classify: func(tgt objmodel.Ref) EdgeAction {
 		if young.Contains(tgt) {
 			return EdgeDefer
 		}
 		return EdgeMark
 	}}
 	if ok != nil {
-		// The books behind ok only change during the sequential steps
-		// between rounds (eviction handlers fire there, queueing next-
-		// round seeds on Work), so ok is stable while the workers run.
+		// The books behind ok only change between rounds (eviction
+		// handlers fire there, queueing next-round seeds on Work), so
+		// ok is stable while a round traces.
 		// SkipObj re-applies it to objects evicted while gray.
 		cfg.SlotOK = func(slot mem.Addr) bool { return ok(slot.Page()) }
 		cfg.SkipObj = func(o objmodel.Ref) bool { return !ok(o.Page()) }

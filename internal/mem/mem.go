@@ -129,11 +129,6 @@ type Space struct {
 	flags    []uint8
 
 	ar *arena
-
-	// viewCache is the lazily built AtomicView (see view.go); viewDirty
-	// lists pages whose body pointer changed since the view last synced.
-	viewCache *AtomicView
-	viewDirty []PageID
 }
 
 // NewSpace creates a space of the given size in bytes (rounded up to a
@@ -165,17 +160,14 @@ func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher
 }
 
 // Release returns the space's slabs to the process-wide free list and
-// drops every body pointer. Only call it when the space — and any
-// AtomicView built from it — is dead: recycled slabs are handed to future
-// Spaces, which overwrite them. A space dropped without Release returns
+// drops every body pointer. Only call it when the space is dead:
+// recycled slabs are handed to future Spaces, which overwrite them. A space dropped without Release returns
 // its slabs when the Go collector finds its arena unreachable.
 func (s *Space) Release() {
 	for i := range s.bodies {
 		s.bodies[i] = nil
 		s.table[i] = -1
 	}
-	s.viewCache = nil
-	s.viewDirty = nil
 	s.ar.release()
 }
 
@@ -220,9 +212,6 @@ func (s *Space) materialize(p PageID) *[WordsPage]uint64 {
 		clear(body[:])
 	}
 	s.bodies[p] = body
-	if s.viewCache != nil {
-		s.viewDirty = append(s.viewDirty, p)
-	}
 	return body
 }
 
@@ -516,14 +505,31 @@ func (s *Space) copyBodies(dst, src Addr, words uint64) {
 	copy(da[di:di+Addr(words)], sw)
 }
 
-// PeekWord reads a word without touching the page. It exists only for
-// tests and debug dumps; runtime code must use ReadWord.
+// PeekWord reads a word without touching the page: no clock advance, no
+// page flag, no fault. Its callers account for the access themselves
+// (the mark engine tallies and replays it) or must charge nothing at all
+// (heap verifiers, tests). Everything else uses ReadWord.
 func (s *Space) PeekWord(a Addr) uint64 {
 	s.check(a)
 	if arr := s.bodies[a.Page()]; arr != nil {
 		return arr[(a&(PageSize-1))>>3]
 	}
 	return 0
+}
+
+// PokeWord is PeekWord's write: it stores v at a without touching the
+// page. Writing zero to a page that was never written leaves it
+// unmaterialized, as it already reads zero.
+func (s *Space) PokeWord(a Addr, v uint64) {
+	s.check(a)
+	arr := s.bodies[a.Page()]
+	if arr == nil {
+		if v == 0 {
+			return
+		}
+		arr = s.materialize(a.Page())
+	}
+	arr[(a&(PageSize-1))>>3] = v
 }
 
 // ZeroPageRaw drops a page's backing body into the arena free list
@@ -534,8 +540,5 @@ func (s *Space) ZeroPageRaw(p PageID) {
 		s.table[p] = -1
 		s.bodies[p] = nil
 		s.ar.free = append(s.ar.free, b)
-		if s.viewCache != nil {
-			s.viewDirty = append(s.viewDirty, p)
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -122,6 +123,43 @@ func TestSpaceAddrHelpers(t *testing.T) {
 	}
 	if got := s.PeekWord(a); got != 0x2008 {
 		t.Fatalf("PeekWord = %#x", got)
+	}
+}
+
+// TestPeekPokeChargeNothing: the raw accessors never advance the clock,
+// set no page flag and fault nothing, and a zero poked into a page that
+// was never written leaves it unmaterialized.
+func TestPeekPokeChargeNothing(t *testing.T) {
+	rec := &recordToucher{}
+	clock := NewClock()
+	s := NewSpace(4*PageSize, clock, time.Nanosecond, rec)
+	flags := slices.Clone(s.PageFlags())
+	a, b := Addr(PageSize+64), Addr(2*PageSize+8)
+
+	s.PokeWord(a, 0)
+	if s.bodies[a.Page()] != nil || s.table[a.Page()] != -1 {
+		t.Fatal("PokeWord(a, 0) materialized an unwritten page")
+	}
+	if got := s.PeekWord(a); got != 0 {
+		t.Fatalf("PeekWord of an unwritten page = %#x", got)
+	}
+	s.PokeWord(b, 0xfeed)
+	if got := s.PeekWord(b); got != 0xfeed {
+		t.Fatalf("PeekWord after PokeWord = %#x", got)
+	}
+	s.PokeWord(b, 0)
+	if got := s.PeekWord(b); got != 0 {
+		t.Fatalf("PeekWord after poking zero = %#x", got)
+	}
+
+	if clock.Now() != 0 {
+		t.Errorf("clock advanced to %v", clock.Now())
+	}
+	if len(rec.touches) != 0 {
+		t.Errorf("faulted pages %v", rec.touches)
+	}
+	if !slices.Equal(s.PageFlags(), flags) {
+		t.Errorf("page flags %v, were %v", s.PageFlags(), flags)
 	}
 }
 

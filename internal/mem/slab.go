@@ -7,7 +7,7 @@ import (
 
 // Arena geometry: page bodies are carved from slabs of slabPages bodies
 // (256 KB per slab). Slabs are allocated once and never move, so a body
-// pointer captured by an AtomicView stays valid for its whole phase.
+// pointer stays valid until its Space is released.
 const (
 	slabPages = 64
 	slabShift = 6  // log2(slabPages)

@@ -63,8 +63,8 @@ func TestDroppedSpaceReturnsSlabs(t *testing.T) {
 
 // TestSlabBacking: outside race builds, on unix, page bodies live off the
 // Go heap, so materializing 32 MB of pages barely moves HeapAlloc. Race
-// builds keep slabs on the heap, where the detector sees the mark
-// engine's atomic accesses to them.
+// builds keep slabs on the heap, where the detector sees concurrent
+// runner jobs hand them to each other through the shared free list.
 func TestSlabBacking(t *testing.T) {
 	const pages = 32 << 20 / PageSize
 	slabBytes := int64(len(slab{}) * WordSize)

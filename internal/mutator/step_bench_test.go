@@ -24,7 +24,6 @@ func BenchmarkMutatorStep(b *testing.B) {
 		b.StopTimer()
 		v := vmm.New(vmm.NewClock(), heap*4, vmm.DefaultCosts())
 		env := gc.NewEnv(v, "bench", heap)
-		env.MarkWorkers = 1
 		col := collectors.NewGenMS(env)
 		run := NewRun(spec, col, DeclareTypes(env), 1)
 		run.Step(1) // the initial live set and the first iteration

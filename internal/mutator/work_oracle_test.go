@@ -159,7 +159,6 @@ func newOracleSide(physBytes uint64, bc bool, seed int64) *oracleSide {
 	s := &oracleSide{clock: vmm.NewClock()}
 	s.v = vmm.New(s.clock, physBytes, vmm.DefaultCosts())
 	s.env = gc.NewEnv(s.v, "oracle", 6<<20)
-	s.env.MarkWorkers = 1
 	var c gc.Collector = collectors.NewGenMS(s.env)
 	if bc {
 		c = core.New(s.env, core.Config{})

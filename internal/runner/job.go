@@ -153,9 +153,6 @@ type Host struct {
 	// FlightDir arms per-tenant flight recorders and cascade bundles on a
 	// fleet job.
 	FlightDir string
-	// MarkWorkers is the parallel mark engine's worker count (0 = the
-	// process default).
-	MarkWorkers int
 }
 
 // Validate rejects configurations the simulator cannot express, before
@@ -247,11 +244,10 @@ func execute(j Job, h Host) *Result {
 	}
 	if j.Fleet != nil {
 		fr := sim.RunFleet(sim.FleetConfig{
-			Spec:        *j.Fleet,
-			Trace:       h.Trace,
-			Counters:    ctrs,
-			FlightDir:   h.FlightDir,
-			MarkWorkers: h.MarkWorkers,
+			Spec:      *j.Fleet,
+			Trace:     h.Trace,
+			Counters:  ctrs,
+			FlightDir: h.FlightDir,
 		})
 		if fr.Err != nil {
 			res.Err = fr.Err.Error()
@@ -265,18 +261,17 @@ func execute(j Job, h Host) *Result {
 		res.Fleet = newFleetData(fr)
 	} else if j.JVMs > 1 {
 		rs := sim.RunMulti(sim.MultiConfig{
-			Collector:   j.Collector,
-			Program:     j.Program,
-			HeapBytes:   j.HeapBytes,
-			PhysBytes:   j.PhysBytes,
-			JVMs:        j.JVMs,
-			Quantum:     j.Quantum,
-			Seed:        j.Seed,
-			Trace:       h.Trace,
-			Counters:    ctrs,
-			Workload:    src,
-			MarkWorkers: h.MarkWorkers,
-			HeapPolicy:  j.HeapPolicy,
+			Collector:  j.Collector,
+			Program:    j.Program,
+			HeapBytes:  j.HeapBytes,
+			PhysBytes:  j.PhysBytes,
+			JVMs:       j.JVMs,
+			Quantum:    j.Quantum,
+			Seed:       j.Seed,
+			Trace:      h.Trace,
+			Counters:   ctrs,
+			Workload:   src,
+			HeapPolicy: j.HeapPolicy,
 		})
 		if len(rs) != j.JVMs {
 			// RunMulti signals an invalid configuration with a single
@@ -293,19 +288,18 @@ func execute(j Job, h Host) *Result {
 		}
 	} else {
 		r := sim.Run(sim.RunConfig{
-			Collector:   j.Collector,
-			Program:     j.Program,
-			HeapBytes:   j.HeapBytes,
-			PhysBytes:   j.PhysBytes,
-			Pressure:    j.Pressure,
-			Seed:        j.Seed,
-			Trace:       h.Trace,
-			Counters:    ctrs,
-			Chaos:       j.Chaos,
-			Workload:    src,
-			MarkWorkers: h.MarkWorkers,
-			Telemetry:   h.Telemetry,
-			HeapPolicy:  j.HeapPolicy,
+			Collector:  j.Collector,
+			Program:    j.Program,
+			HeapBytes:  j.HeapBytes,
+			PhysBytes:  j.PhysBytes,
+			Pressure:   j.Pressure,
+			Seed:       j.Seed,
+			Trace:      h.Trace,
+			Counters:   ctrs,
+			Chaos:      j.Chaos,
+			Workload:   src,
+			Telemetry:  h.Telemetry,
+			HeapPolicy: j.HeapPolicy,
 		})
 		res.Runs = append(res.Runs, newRunData(r))
 	}

@@ -14,12 +14,12 @@ import (
 )
 
 // liveGraphHash is the first slice of the collector-independent heap
-// verifier (ROADMAP item 1): it walks col's live graph breadth-first
-// from the roots, in slot order, numbering objects by first visit, and
-// hashes each object's type id, array length, non-reference payload
-// words and children's numbers. Addresses never enter the hash, so two
-// collectors that kept the same graph alive report the same digest
-// wherever they put it. Every read is a PeekWord: the walk charges
+// verifier (ROADMAP "One verifier for every collector"): it walks col's
+// live graph breadth-first from the roots, in slot order, numbering
+// objects by first visit, and hashes each object's type id, array
+// length, non-reference payload words and children's numbers. Addresses
+// never enter the hash, so two collectors that kept the same graph
+// alive report the same digest wherever they put it. Every read is a PeekWord: the walk charges
 // nothing and cannot perturb the run. It fails on a reference that is
 // misaligned or outside the space, an unregistered type, a length that
 // runs the object off the space, and a forwarded header (the walk runs
@@ -154,7 +154,7 @@ func TestLiveGraphAgreesAcrossCollectors(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			heap := uint64(tc.heap * float64(spec.MinHeap))
-			cfg := RunConfig{Program: spec, PhysBytes: uint64(tc.phys * float64(spec.MinHeap)), Seed: 7, MarkWorkers: 1}
+			cfg := RunConfig{Program: spec, PhysBytes: uint64(tc.phys * float64(spec.MinHeap)), Seed: 7}
 			if tc.steal > 0 {
 				cfg.Pressure = SteadyPressure(heap, tc.steal)
 			}

@@ -115,9 +115,6 @@ func (m machine) admit(name string, cfg RunConfig, tr trace.Tracer) (*tenant, er
 		env.Trace = tr
 	}
 	env.Counters = cfg.Counters
-	if cfg.MarkWorkers > 0 {
-		env.MarkWorkers = cfg.MarkWorkers
-	}
 	env.HeapPolicy = pol
 	types := mutator.DeclareTypes(env)
 	col, err := NewCollector(cfg.Collector, env)

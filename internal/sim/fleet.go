@@ -134,8 +134,8 @@ type FleetConfig struct {
 	// bundles; all dumps draw on one shared DumpQuota.
 	FlightDir string
 
-	// MarkWorkers overrides the parallel mark engine's worker count for
-	// every tenant (0 = default). Output is bit-identical for any value.
+	// MarkWorkers is ignored: marking runs on one worker. It stays
+	// declared only because the benchmark module still sets it.
 	MarkWorkers int
 
 	// AfterCollection, when set, runs after every collection of any
@@ -268,8 +268,8 @@ func (f *fleetRun) uncoopHasSlack() bool {
 // single discrete-event queue: round-robin quanta on one simulated CPU,
 // cross-tenant eviction arbitration, per-tenant chaos, and the
 // graceful-degradation ladder. Everything observable is a function of
-// the FleetSpec alone — reports are byte-identical for any -jobs or
-// -mark-workers setting.
+// the FleetSpec alone — reports are byte-identical for any -jobs
+// setting.
 func RunFleet(cfg FleetConfig) FleetResult {
 	if len(cfg.Spec.Tenants) == 0 {
 		return FleetResult{Err: fmt.Errorf("sim: fleet has no tenants"), ErrTenant: -1}
@@ -370,14 +370,13 @@ func (f *fleetRun) assemble() (int, error) {
 func (f *fleetRun) tenantConfig(i int, ts TenantSpec) (RunConfig, error) {
 	spec := f.cfg.Spec
 	cfg := RunConfig{
-		Collector:   ts.Collector,
-		Program:     ts.Program,
-		HeapBytes:   ts.HeapBytes,
-		PhysBytes:   spec.PhysBytes,
-		Seed:        spec.Seed + ts.Seed + int64(i),
-		Counters:    f.cfg.Counters,
-		MarkWorkers: f.cfg.MarkWorkers,
-		HeapPolicy:  ts.HeapPolicy,
+		Collector:  ts.Collector,
+		Program:    ts.Program,
+		HeapBytes:  ts.HeapBytes,
+		PhysBytes:  spec.PhysBytes,
+		Seed:       spec.Seed + ts.Seed + int64(i),
+		Counters:   f.cfg.Counters,
+		HeapPolicy: ts.HeapPolicy,
 	}
 	if cfg.HeapPolicy == "" {
 		cfg.HeapPolicy = spec.HeapPolicy

