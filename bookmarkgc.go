@@ -97,12 +97,20 @@ type Result = sim.Result
 // Run executes one workload × collector × machine configuration.
 func Run(cfg RunConfig) Result { return sim.Run(cfg) }
 
-// MultiConfig configures several JVMs sharing one machine (§5.3.3);
-// RunMulti executes them round-robin.
-type MultiConfig = sim.MultiConfig
+// FleetSpec describes several tenants sharing one machine (TenantSpec
+// each), FleetConfig couples it with what watches the run, and
+// FleetResult reports one Result per tenant. Two identical tenants with
+// no arbitration policy are the paper's two concurrent JVMs (§5.3.3).
+type (
+	FleetSpec   = sim.FleetSpec
+	TenantSpec  = sim.TenantSpec
+	FleetConfig = sim.FleetConfig
+	FleetResult = sim.FleetResult
+)
 
-// RunMulti executes a multi-JVM configuration.
-func RunMulti(cfg MultiConfig) []Result { return sim.RunMulti(cfg) }
+// RunFleet runs every tenant round-robin on one simulated CPU of one
+// machine until all complete.
+func RunFleet(cfg FleetConfig) FleetResult { return sim.RunFleet(cfg) }
 
 // Pressure is a signalmem-style memory-pressure schedule.
 type Pressure = sim.Pressure

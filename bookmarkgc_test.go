@@ -103,16 +103,14 @@ func TestRunAndExperimentSurface(t *testing.T) {
 	if res.ElapsedSecs <= 0 {
 		t.Fatal("run failed")
 	}
-	rs := bookmarkgc.RunMulti(bookmarkgc.MultiConfig{
-		Collector: bookmarkgc.BC,
-		Program:   bookmarkgc.PseudoJBB().Scale(0.005),
-		HeapBytes: 4 << 20,
+	jvm := bookmarkgc.TenantSpec{Collector: bookmarkgc.BC, Program: bookmarkgc.PseudoJBB().Scale(0.005), HeapBytes: 4 << 20}
+	fr := bookmarkgc.RunFleet(bookmarkgc.FleetConfig{Spec: bookmarkgc.FleetSpec{
+		Tenants:   []bookmarkgc.TenantSpec{jvm, jvm},
 		PhysBytes: 64 << 20,
-		JVMs:      2,
 		Seed:      1,
-	})
-	if len(rs) != 2 {
-		t.Fatal("RunMulti wrong")
+	}})
+	if fr.Err != nil || len(fr.Tenants) != 2 {
+		t.Fatal("RunFleet wrong")
 	}
 	if p := bookmarkgc.SteadyPressure(10<<20, 0.5); p.InitialBytes != 5<<20 {
 		t.Fatal("SteadyPressure wrong")

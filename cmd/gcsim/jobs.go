@@ -19,14 +19,12 @@ import (
 )
 
 // jobs is the only place the flags become simulations: one runner.Job
-// per seed, or the one fleet job. Whatever a job cannot express it
-// rejects here (runner.Job.Validate), before anything runs.
+// per seed — under -jvms n, a fleet of n identical tenants — or the one
+// -fleet job. Whatever a job cannot express it rejects here
+// (runner.Job.Validate), before anything runs.
 func (c *config) jobs() ([]runner.Job, error) {
 	heap, phys := c.bytes(c.heapMB), c.bytes(c.physMB)
 	var job runner.Job
-	if c.jvms > 1 {
-		job.JVMs = c.jvms
-	}
 	if c.chaos != "" {
 		cfg, _ := fault.ByName(c.chaos, c.chaosSeed) // validate checked the name
 		job.Chaos = &cfg
@@ -61,6 +59,15 @@ func (c *config) jobs() ([]runner.Job, error) {
 	for i := range jobs {
 		jobs[i] = job
 		jobs[i].Seed = c.seed + int64(i)
+		if c.jvms > 1 {
+			// The JVMs share one machine and nothing arbitrates between
+			// them; JVM k runs seed+k.
+			spec := sim.FleetSpec{PhysBytes: phys, Seed: jobs[i].Seed, HeapPolicy: c.heapPolicy}
+			for range c.jvms {
+				spec.Tenants = append(spec.Tenants, sim.TenantSpec{Collector: job.Collector, Program: job.Program, HeapBytes: heap})
+			}
+			jobs[i] = runner.Job{Fleet: &spec}
+		}
 	}
 	if c.availMB == 0 {
 		return jobs, nil

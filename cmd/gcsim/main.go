@@ -150,9 +150,9 @@ func (c *config) bytes(mb float64) uint64 {
 
 // validate holds every rule about the flags themselves: ranges, names,
 // and combinations that contradict. What the simulator cannot run for
-// reasons of its own — multi-JVM with pressure or chaos, unknown heap
-// policies, a fleet with single-run settings — is runner.Job.Validate's
-// to say, once the flags have become jobs.
+// reasons of its own — unknown heap policies, a fleet with single-run
+// settings — is runner.Job.Validate's to say, once the flags have become
+// jobs.
 func (c *config) validate() error {
 	switch {
 	case c.steal > 0 && c.availMB > 0:
@@ -169,6 +169,8 @@ func (c *config) validate() error {
 		return fmt.Errorf("-sample-every %v must be positive", c.sampleEvery)
 	case c.telemetryOn() && (c.runs > 1 || c.jvms > 1):
 		return errors.New("telemetry instruments exactly one simulation; drop -runs/-jvms or the telemetry flags")
+	case c.jvms > 1 && (c.steal > 0 || c.availMB > 0 || c.chaos != "" || c.fleet != ""):
+		return errors.New("-jvms does not combine with -steal, -avail, -chaos or -fleet")
 	case c.runs > 1 && (c.bmu || c.traceOut != "" || c.counters):
 		return errors.New("-runs is a summary sweep; -bmu, -trace and -counters need a single run")
 	case c.scale <= 0:

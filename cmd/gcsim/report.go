@@ -47,7 +47,7 @@ func (c *config) report(stdout, stderr io.Writer, jobs []runner.Job, results []*
 	for i, res := range results {
 		var seed string
 		if c.runs > 1 {
-			seed = fmt.Sprintf("seed %d", jobs[i].Seed)
+			seed = fmt.Sprintf("seed %d", runJob(jobs[i], 0).Seed)
 		}
 		if res.Err != "" {
 			// Nothing ran: an unknown collector, or a simulator panic.
@@ -72,7 +72,7 @@ func (c *config) report(stdout, stderr io.Writer, jobs []runner.Job, results []*
 					return code
 				}
 			case rd.OK():
-				fmt.Fprintf(stdout, "%s: %s\n", prefix, summaryLine(jobs[i], rd))
+				fmt.Fprintf(stdout, "%s: %s\n", prefix, summaryLine(runJob(jobs[i], k), rd))
 			default:
 				fmt.Fprintf(stdout, "%s: FAILED: %s\n", prefix, rd.Err)
 			}
@@ -107,6 +107,16 @@ func (c *config) report(stdout, stderr io.Writer, jobs []runner.Job, results []*
 		return 1
 	}
 	return 0
+}
+
+// runJob is job j as its run k sees it: under -jvms, the fleet's tenant
+// k with the fleet's seed; otherwise j itself.
+func runJob(j runner.Job, k int) runner.Job {
+	if f := j.Fleet; f != nil {
+		t := f.Tenants[k]
+		return runner.Job{Collector: t.Collector, Program: t.Program, Seed: f.Seed}
+	}
+	return j
 }
 
 // stats returns the mean, minimum and maximum of xs (len > 0).

@@ -4,10 +4,11 @@
 // effectively serializes the two instances; the bookmarking collector
 // keeps both responsive.
 //
-// RunMulti is a thin wrapper over the fleet engine (internal/sim
-// RunFleet) with the arbiter, cascade detector, and fleet telemetry
-// left uninstalled — this example's output is byte-identical to what it
-// printed before the fleet engine existed, and golden.txt pins that.
+// Two JVMs on one machine are a fleet of two identical tenants run by
+// RunFleet with no arbitration policy, so the arbiter, cascade detector
+// and fleet telemetry stay uninstalled — this example's output is
+// byte-identical to what it printed before the fleet engine existed,
+// and golden.txt pins that.
 package main
 
 import (
@@ -26,18 +27,16 @@ func main() {
 		fmt.Printf("machine RAM = %.1f MB for two %d MB heaps\n",
 			float64(phys)/(1<<20), heap>>20)
 		for _, kind := range []bookmarkgc.CollectorKind{bookmarkgc.BC, bookmarkgc.CopyMS} {
-			results := bookmarkgc.RunMulti(bookmarkgc.MultiConfig{
-				Collector: kind,
-				Program:   prog,
-				HeapBytes: heap,
+			jvm := bookmarkgc.TenantSpec{Collector: kind, Program: prog, HeapBytes: heap}
+			fr := bookmarkgc.RunFleet(bookmarkgc.FleetConfig{Spec: bookmarkgc.FleetSpec{
+				Tenants:   []bookmarkgc.TenantSpec{jvm, jvm},
 				PhysBytes: phys,
-				JVMs:      2,
 				Seed:      7,
-			})
+			}})
 			var worst float64
 			var pauses int
 			var pauseSum time.Duration
-			for _, r := range results {
+			for _, r := range fr.Tenants {
 				if r.ElapsedSecs > worst {
 					worst = r.ElapsedSecs
 				}

@@ -30,7 +30,7 @@ func renderAll(t *testing.T, e Experiment, o Options, workers int) []byte {
 // One seed each: every reduce reads index-aligned RunAll results, so
 // scheduling reaches the bytes only through the runner, which
 // internal/runner's TestSchedulingDeterminism covers. CI compares fig4 and
-// fig7 (multi-JVM jobs) at -jobs 1 and 4 as well.
+// fig7 (two-tenant fleet jobs) at -jobs 1 and 4 as well.
 func TestReportDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fig4 and fleet twice each; the engine-level half (internal/runner TestSchedulingDeterminism) still runs under -short")

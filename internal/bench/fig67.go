@@ -75,16 +75,15 @@ func windowLabels() []string {
 var fig7Avail = []float64{1.3, 1.1, 0.9, 0.7, 0.55}
 
 // fig7Job is two JVM instances sharing one machine whose memory is frac
-// of their combined heaps.
+// of their combined heaps: a fleet of two identical tenants with no
+// arbitration, running seeds o.Seed and o.Seed+1.
 func fig7Job(o Options, k sim.CollectorKind, prog mutator.Spec, heap uint64, frac float64) runner.Job {
-	return runner.Job{
-		Collector: k,
-		Program:   prog,
-		HeapBytes: heap,
+	jvm := sim.TenantSpec{Collector: k, Program: prog, HeapBytes: heap}
+	return runner.Job{Fleet: &sim.FleetSpec{
+		Tenants:   []sim.TenantSpec{jvm, jvm},
 		PhysBytes: uint64(frac * float64(2*heap)),
-		JVMs:      2,
 		Seed:      o.Seed,
-	}
+	}}
 }
 
 // Fig7 reproduces Figure 7: two JVM instances running pseudoJBB

@@ -45,8 +45,8 @@ type Sink interface {
 	// object in dstSlot into reference slot refIdx of the source.
 	Link(srcSlot, dstSlot int, hasWrite bool, refIdx int)
 	// StepEnd marks the end of one allocation iteration — the unit
-	// Step's quantum counts, so replay interleaves identically under
-	// RunMulti.
+	// Step's quantum counts, so replay interleaves identically when
+	// fleet tenants share a machine.
 	StepEnd()
 }
 
@@ -64,7 +64,7 @@ type Workload interface {
 }
 
 // Source produces a fresh Workload bound to one collector instance —
-// the seam through which sim.Run/RunMulti accept recorded or
+// the seam through which sim.Run and sim.RunFleet accept recorded or
 // synthesized traces in place of a Spec's generator.
 type Source interface {
 	WorkloadName() string

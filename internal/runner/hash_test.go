@@ -13,12 +13,15 @@ import (
 // cache is keyed by these hashes, so an edit to Job, to a struct it
 // embeds, or to the registries these jobs are built from that moves one
 // of them orphans every stored result: do that on purpose or not at all.
+// The jvms2 row was re-pinned when several JVMs on one machine became a
+// fleet of identical tenants; its old single-run form no longer exists.
 func TestJobHashPinned(t *testing.T) {
 	prog, _ := mutator.ByName("pseudojbb")
 	prog = prog.Scale(0.03)
 	chaos, _ := fault.ByName("thrash", 5)
 	fleet := sim.DefaultFleetSpec(4, 0.03, 1, 5)
 	fleet.Policy = "cooperative"
+	jvm := sim.TenantSpec{Collector: sim.GenMS, Program: prog, HeapBytes: 45 << 20}
 	for _, tc := range []struct {
 		name string
 		job  Job
@@ -31,11 +34,10 @@ func TestJobHashPinned(t *testing.T) {
 			Chaos:    &chaos,
 			Counters: true, HeapPolicy: "membalancer",
 		}, "b60ca3243710720e75f7060ac1913eb6e728d3312e17d837c44557c1d6b1dfe3"},
-		{"jvms2", Job{
-			Collector: sim.GenMS, Program: prog,
-			HeapBytes: 45 << 20, PhysBytes: 100 << 20,
-			Seed: 7, JVMs: 2, Quantum: 64,
-		}, "1caacbb70e55b1074e2b580ee0e56379ff341a314117e2cfb163d60c077e91e6"},
+		{"jvms2", Job{Fleet: &sim.FleetSpec{
+			Tenants:   []sim.TenantSpec{jvm, jvm},
+			PhysBytes: 100 << 20, Quantum: 64, Seed: 7,
+		}}, "a74c1be22e35d1588dc9471e7d631889771187b436438cf4c36dfa1aa9afd0cc"},
 		{"fleet", Job{Fleet: &fleet},
 			"ddfba02259d72bbc434d859b12dfeb2b9ea34a6eeb00f5b7c02894a0dc43b3d1"},
 	} {

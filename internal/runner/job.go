@@ -16,10 +16,13 @@
 package runner
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 
 	"bookmarkgc/internal/fault"
@@ -56,12 +59,6 @@ type Job struct {
 	Seed      int64             `json:"seed"`
 	Chaos     *fault.Config     `json:"chaos,omitempty"`
 
-	// JVMs > 1 runs that many identical instances round-robin on one
-	// machine (sim.RunMulti); 0 or 1 is a single-process run. Quantum is
-	// the multi-JVM scheduling quantum (0 = sim's default).
-	JVMs    int `json:"jvms,omitempty"`
-	Quantum int `json:"quantum,omitempty"`
-
 	// Counters attaches a per-job event-counter registry; its totals ride
 	// along in the Result. Counting never advances the simulated clock,
 	// but it changes what a Result carries, so it is part of the hash.
@@ -75,7 +72,8 @@ type Job struct {
 	// Fleet, when non-nil, runs a multi-tenant fleet (sim.RunFleet)
 	// described entirely by the spec; the single-run fields above must be
 	// left zero (Collector/Program/Heap/Phys live inside the spec). The
-	// spec is a pure value, so it hashes with the job.
+	// spec is a pure value, so it hashes with the job. Several identical
+	// JVMs on one machine (§5.3.3) are a fleet of identical tenants.
 	Fleet *sim.FleetSpec `json:"fleet,omitempty"`
 
 	// HeapPolicy names the run's heap-limit policy (internal/heappolicy;
@@ -100,7 +98,8 @@ func (j Job) Hash() string {
 }
 
 // Describe is the job in one line, for naming it when it fails:
-// collector, workload, heap, machine, pressure point, chaos and seed.
+// collector, workload, heap, machine, JVM count, pressure point, chaos
+// and seed. A fleet of identical tenants reads as that many JVMs.
 func (j Job) Describe() string {
 	mb := func(b uint64) string {
 		if b < 1<<20 {
@@ -108,8 +107,16 @@ func (j Job) Describe() string {
 		}
 		return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
 	}
+	jvms := 1
 	if f := j.Fleet; f != nil {
-		return fmt.Sprintf("fleet of %d tenants, phys %s, seed %d", len(f.Tenants), mb(f.PhysBytes), f.Seed)
+		differs := func(t sim.TenantSpec) bool { return !reflect.DeepEqual(t, f.Tenants[0]) }
+		if len(f.Tenants) < 2 || slices.ContainsFunc(f.Tenants, differs) {
+			return fmt.Sprintf("fleet of %d tenants, phys %s, seed %d", len(f.Tenants), mb(f.PhysBytes), f.Seed)
+		}
+		t := f.Tenants[0]
+		jvms = len(f.Tenants)
+		j = Job{Collector: t.Collector, Program: t.Program, HeapBytes: t.HeapBytes, PhysBytes: f.PhysBytes,
+			Seed: f.Seed, HeapPolicy: cmp.Or(t.HeapPolicy, f.HeapPolicy)}
 	}
 	var b strings.Builder
 	workload := j.Program.Name
@@ -117,8 +124,8 @@ func (j Job) Describe() string {
 		workload = "trace " + j.Trace.Name
 	}
 	fmt.Fprintf(&b, "%s %s, heap %s, phys %s", j.Collector, workload, mb(j.HeapBytes), mb(j.PhysBytes))
-	if j.JVMs > 1 {
-		fmt.Fprintf(&b, ", %d JVMs", j.JVMs)
+	if jvms > 1 {
+		fmt.Fprintf(&b, ", %d JVMs", jvms)
 	}
 	if p := j.Pressure; p != nil {
 		fmt.Fprintf(&b, ", pin %s", mb(p.InitialBytes))
@@ -142,8 +149,8 @@ func (j Job) Describe() string {
 // each field as outside a run's identity), so none of it enters Job.Hash
 // or the result cache. The zero Host is an unobserved run.
 type Host struct {
-	// Trace records GC phase spans and VM-cooperation events; each JVM or
-	// fleet tenant gets its own thread in it.
+	// Trace records GC phase spans and VM-cooperation events; each fleet
+	// tenant gets its own thread in it.
 	Trace *trace.Recorder
 	// Counters is the registry the run counts into. When nil, a job that
 	// asks for counters (Job.Counters) gets a private one.
@@ -159,12 +166,6 @@ type Host struct {
 // any simulation state exists. It holds the run-level rules once, for
 // the runner and for every front end that builds Jobs.
 func (j Job) Validate() error {
-	if j.JVMs > 1 && j.Pressure != nil {
-		return fmt.Errorf("runner: multi-JVM jobs do not support a pressure schedule")
-	}
-	if j.JVMs > 1 && j.Chaos != nil {
-		return fmt.Errorf("runner: multi-JVM jobs do not support chaos injection")
-	}
 	if j.Trace != nil && j.Trace.Path == "" {
 		return fmt.Errorf("runner: trace %q has no resolved path on this machine", j.Trace.Name)
 	}
@@ -172,8 +173,8 @@ func (j Job) Validate() error {
 		return fmt.Errorf("runner: unknown heap policy %q (valid: %v)", j.HeapPolicy, heappolicy.Names())
 	}
 	if j.Fleet != nil {
-		if j.JVMs > 1 || j.Pressure != nil || j.Chaos != nil || j.Trace != nil {
-			return fmt.Errorf("runner: fleet jobs carry their whole configuration in the spec (jvms/pressure/chaos/trace must be unset)")
+		if j.Pressure != nil || j.Chaos != nil || j.Trace != nil {
+			return fmt.Errorf("runner: fleet jobs carry their whole configuration in the spec (pressure/chaos/trace must be unset)")
 		}
 		if j.HeapPolicy != "" {
 			return fmt.Errorf("runner: fleet jobs name heap policies inside the spec (heap_policy must be unset)")
@@ -259,33 +260,6 @@ func execute(j Job, h Host) *Result {
 			res.Runs = append(res.Runs, rd)
 		}
 		res.Fleet = newFleetData(fr)
-	} else if j.JVMs > 1 {
-		rs := sim.RunMulti(sim.MultiConfig{
-			Collector:  j.Collector,
-			Program:    j.Program,
-			HeapBytes:  j.HeapBytes,
-			PhysBytes:  j.PhysBytes,
-			JVMs:       j.JVMs,
-			Quantum:    j.Quantum,
-			Seed:       j.Seed,
-			Trace:      h.Trace,
-			Counters:   ctrs,
-			Workload:   src,
-			HeapPolicy: j.HeapPolicy,
-		})
-		if len(rs) != j.JVMs {
-			// RunMulti signals an invalid configuration with a single
-			// errored result.
-			if len(rs) > 0 && rs[0].Err != nil {
-				res.Err = rs[0].Err.Error()
-			} else {
-				res.Err = fmt.Sprintf("runner: expected %d results, got %d", j.JVMs, len(rs))
-			}
-			return res
-		}
-		for _, r := range rs {
-			res.Runs = append(res.Runs, newRunData(r))
-		}
 	} else {
 		r := sim.Run(sim.RunConfig{
 			Collector:  j.Collector,

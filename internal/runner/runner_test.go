@@ -60,8 +60,8 @@ func TestJobHashSensitivity(t *testing.T) {
 	j.Pressure = sim.SteadyPressure(base.HeapBytes, 0.5)
 	variants["pressure"] = j
 	j = base
-	j.JVMs = 2
-	variants["jvms"] = j
+	j.HeapPolicy = "composed"
+	variants["heap-policy"] = j
 	for name, v := range variants {
 		h := v.Hash()
 		if prev, dup := seen[h]; dup {
@@ -129,11 +129,10 @@ func TestCapturePanic(t *testing.T) {
 
 func TestExecuteInvalidConfig(t *testing.T) {
 	j := tinyJob(1)
-	j.JVMs = 2
-	j.Pressure = sim.SteadyPressure(j.HeapBytes, 0.5)
+	j.HeapPolicy = "bogus"
 	res := Execute(j)
 	if res.Err == "" {
-		t.Fatal("multi-JVM job with pressure schedule must be rejected")
+		t.Fatal("job with an unknown heap policy must be rejected")
 	}
 	if res.cacheable() {
 		t.Fatal("engine errors must not be cacheable")
@@ -226,8 +225,7 @@ func TestFailuresNameTheirJobs(t *testing.T) {
 	unadmitted := tinyJob(4)
 	unadmitted.HeapBytes = 0
 	rejected := tinyJob(5)
-	rejected.JVMs = 2
-	rejected.Pressure = sim.SteadyPressure(rejected.HeapBytes, 0.5)
+	rejected.HeapPolicy = "bogus"
 	rn := New(Options{Workers: 2})
 	rn.RunAll([]Job{tinyJob(1), unadmitted, unadmitted, rejected})
 	rn.RunAll([]Job{unadmitted})
@@ -242,7 +240,7 @@ func TestFailuresNameTheirJobs(t *testing.T) {
 		err string
 	}{
 		{unadmitted, "sim: HeapBytes is 0"},
-		{rejected, "runner: multi-JVM jobs do not support a pressure schedule"},
+		{rejected, `runner: unknown heap policy "bogus"`},
 	} {
 		f := got[i]
 		if f.Hash != want.job.Hash() || f.Job.Hash() != f.Hash || !strings.HasPrefix(f.Err, want.err) {
@@ -252,6 +250,13 @@ func TestFailuresNameTheirJobs(t *testing.T) {
 	}
 	if d := unadmitted.Describe(); !strings.HasPrefix(d, "BC pseudojbb, heap 0KB") || !strings.HasSuffix(d, "seed 4") {
 		t.Errorf("Describe() = %q", d)
+	}
+	// Identical tenants read as that many JVMs, so fig7's cells stay
+	// told apart by collector and machine.
+	jvm := sim.TenantSpec{Collector: sim.BC, Program: mutator.PseudoJBB(), HeapBytes: 7 << 20}
+	jvms := Job{Fleet: &sim.FleetSpec{Tenants: []sim.TenantSpec{jvm, jvm}, PhysBytes: 12 << 20, Seed: 1}}
+	if d, want := jvms.Describe(), "BC pseudojbb, heap 7.0MB, phys 12.0MB, 2 JVMs, seed 1"; d != want {
+		t.Errorf("Describe() = %q, want %q", d, want)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 	"bookmarkgc/internal/vmm"
 )
 
-// machine is the simulated hardware a run executes on. Run, RunMulti
-// and RunFleet all admit tenants onto one: a single-JVM run is a
-// one-tenant fleet with no scheduler (DESIGN.md §13).
+// machine is the simulated hardware a run executes on. Run and RunFleet
+// both admit tenants onto one: a single-JVM run is a one-tenant fleet
+// with no scheduler (DESIGN.md §13).
 type machine struct {
 	clock *vmm.Clock
 	v     *vmm.VMM

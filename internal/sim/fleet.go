@@ -124,11 +124,6 @@ type FleetConfig struct {
 	Trace    *trace.Recorder
 	Counters *trace.Counters
 
-	// Workloads, when non-nil, overrides tenant i's workload source with
-	// Workloads[i] (nil entries fall back to the spec). RunMulti uses it
-	// to share one trace source across identical tenants.
-	Workloads []mutator.Source
-
 	// FlightDir arms a per-tenant telemetry collector on each tenant,
 	// tagged with the tenant's name, plus the fleet-level cascade
 	// bundles; all dumps draw on one shared DumpQuota.
@@ -310,7 +305,8 @@ func newFleetRun(cfg FleetConfig) *fleetRun {
 	}
 	// The arbiter is installed only when the spec engages arbitration
 	// (a policy, or a ladder that can escalate into one): a bare fleet —
-	// RunMulti's configuration — runs on an unarbitrated VMM.
+	// identical JVMs sharing a machine (§5.3.3) — runs on an
+	// unarbitrated VMM.
 	f.arbiter = &fleetArbiter{f: f, mode: f.policy}
 	if spec.Policy != "" || spec.EscalateTo != "" {
 		f.v.SetArbiter(f.arbiter)
@@ -365,8 +361,8 @@ func (f *fleetRun) assemble() (int, error) {
 // tenantConfig is tenant i's effective RunConfig: the spec's fields
 // with the fleet-wide defaults, seed offsets and chaos seed derivation
 // applied, so Result.Config says what the tenant actually ran with.
-// The workload follows the documented precedence: config override,
-// recorded trace, synthesized trace, else (nil) the generated program.
+// The workload follows the documented precedence: recorded trace,
+// synthesized trace, else (nil) the generated program.
 func (f *fleetRun) tenantConfig(i int, ts TenantSpec) (RunConfig, error) {
 	spec := f.cfg.Spec
 	cfg := RunConfig{
@@ -383,8 +379,6 @@ func (f *fleetRun) tenantConfig(i int, ts TenantSpec) (RunConfig, error) {
 	}
 	var err error
 	switch {
-	case i < len(f.cfg.Workloads) && f.cfg.Workloads[i] != nil:
-		cfg.Workload = f.cfg.Workloads[i]
 	case ts.TracePath != "":
 		cfg.Workload, err = workload.Open(ts.TracePath)
 	case ts.Synth != nil:

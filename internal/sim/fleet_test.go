@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -349,6 +350,28 @@ func TestFleetSpecValidate(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+	// Zero means "default" in these fields; a negative value is a typed
+	// error naming the field, not a value the engine quietly replaces.
+	negatives := []struct {
+		name   string
+		tenant int
+		mutate func(*FleetSpec)
+	}{
+		{"quantum", -1, func(s *FleetSpec) { s.Quantum = -5 }},
+		{"balance_every_ns", -1, func(s *FleetSpec) { s.BalanceEveryNS = -1 }},
+		{"cascade_window_ns", -1, func(s *FleetSpec) { s.CascadeWindowNS = -10 }},
+		{"cascade_sustain", -1, func(s *FleetSpec) { s.CascadeSustain = -1 }},
+		{"weight", 1, func(s *FleetSpec) { s.Tenants[1].Weight = -3 }},
+		{"admit_at_ns", 0, func(s *FleetSpec) { s.Tenants[0].AdmitAtNS = -1 }},
+	}
+	for _, tc := range negatives {
+		s := thrashFleetSpec(0.5)
+		tc.mutate(&s)
+		var ne *NegativeFieldError
+		if err := s.Validate(); !errors.As(err, &ne) || ne.Field != tc.name || ne.Tenant != tc.tenant {
+			t.Errorf("negative %s: Validate() = %v, want a NegativeFieldError for tenant %d", tc.name, err, tc.tenant)
+		}
+	}
 }
 
 // TestLoadFleetSpec round-trips a spec through JSON and rejects
@@ -370,6 +393,14 @@ func TestLoadFleetSpec(t *testing.T) {
 	}
 	if _, err := LoadFleetSpec([]byte(`{"tenants": [], "phys_byte": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	for _, tail := range []string{` {"tenants":[]}`, ` garbage`, ` }`} {
+		if _, err := LoadFleetSpec(append(data[:len(data):len(data)], tail...)); err == nil {
+			t.Errorf("spec followed by %q accepted", tail)
+		}
+	}
+	if _, err := LoadFleetSpec(append(data[:len(data):len(data)], " \n\t"...)); err != nil {
+		t.Errorf("spec followed by whitespace rejected: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"bookmarkgc/internal/fault"
 	"bookmarkgc/internal/heappolicy"
@@ -32,6 +33,39 @@ func policyKnown(p ArbitrationPolicy) bool {
 	return false
 }
 
+// NegativeFieldError is a fleet spec field holding a negative value.
+// Zero means "the default" in every such field; a negative value means
+// nothing, and the engine would otherwise replace it silently.
+type NegativeFieldError struct {
+	Tenant int    // the tenant's index, or -1 for a fleet-wide field
+	Field  string // the field's JSON name
+	Value  int64
+}
+
+func (e *NegativeFieldError) Error() string {
+	if e.Tenant < 0 {
+		return fmt.Sprintf("sim: %s %d is negative", e.Field, e.Value)
+	}
+	return fmt.Sprintf("sim: tenant %d: %s %d is negative", e.Tenant, e.Field, e.Value)
+}
+
+// field is one integer field of a spec, by its JSON name.
+type field struct {
+	name string
+	v    int64
+}
+
+// negative returns the first of fs holding a negative value as a
+// NegativeFieldError of tenant (-1: fleet-wide); nil when there is none.
+func negative(tenant int, fs ...field) error {
+	for _, f := range fs {
+		if f.v < 0 {
+			return &NegativeFieldError{Tenant: tenant, Field: f.name, Value: f.v}
+		}
+	}
+	return nil
+}
+
 // Validate rejects fleet specs the engine cannot run, before any
 // simulation state exists — the check CLIs and the runner share.
 func (s *FleetSpec) Validate() error {
@@ -50,8 +84,9 @@ func (s *FleetSpec) Validate() error {
 	if s.HeapPolicy != "" && !heappolicy.Known(s.HeapPolicy) {
 		return fmt.Errorf("sim: unknown heap policy %q (valid: %v)", s.HeapPolicy, heappolicy.Names())
 	}
-	if s.BalanceEveryNS < 0 {
-		return fmt.Errorf("sim: balance_every_ns %d is negative", s.BalanceEveryNS)
+	if err := negative(-1, field{"quantum", int64(s.Quantum)}, field{"balance_every_ns", s.BalanceEveryNS},
+		field{"cascade_window_ns", s.CascadeWindowNS}, field{"cascade_sustain", int64(s.CascadeSustain)}); err != nil {
+		return err
 	}
 	for i, t := range s.Tenants {
 		if !kindKnown(t.Collector) {
@@ -71,18 +106,25 @@ func (s *FleetSpec) Validate() error {
 		if t.HeapPolicy != "" && !heappolicy.Known(t.HeapPolicy) {
 			return fmt.Errorf("sim: tenant %d: unknown heap policy %q (valid: %v)", i, t.HeapPolicy, heappolicy.Names())
 		}
+		if err := negative(i, field{"weight", int64(t.Weight)}, field{"admit_at_ns", t.AdmitAtNS}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // LoadFleetSpec parses a tenant-spec file (strict JSON: unknown fields
-// are errors, so typos fail loudly) and validates it.
+// and anything after the one JSON value are errors, so typos and
+// concatenated files fail loudly) and validates it.
 func LoadFleetSpec(data []byte) (FleetSpec, error) {
 	var s FleetSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return FleetSpec{}, fmt.Errorf("sim: fleet spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return FleetSpec{}, fmt.Errorf("sim: fleet spec: trailing data after the JSON value")
 	}
 	if err := s.Validate(); err != nil {
 		return FleetSpec{}, err

@@ -47,23 +47,22 @@ func TestRunRecoversOOM(t *testing.T) {
 	}
 }
 
-func TestRunMultiSurvivesOOM(t *testing.T) {
+func TestTwoJVMsSurviveOOM(t *testing.T) {
 	// Identically configured JVMs all outgrow their budgets; the failures
-	// must stay per-JVM — RunMulti itself returns one Result per JVM with
+	// must stay per-JVM — the fleet itself returns one Result per JVM with
 	// Err set, exactly as a sweep needs, instead of the first OOM
 	// panicking the whole experiment.
-	rs := RunMulti(MultiConfig{
+	fr := twoJVMs(RunConfig{
 		Collector: BC,
 		Program:   oomJBB(),
 		HeapBytes: 2 << 20,
 		PhysBytes: 64 << 20,
-		JVMs:      2,
 		Seed:      5,
 	})
-	if len(rs) != 2 {
-		t.Fatalf("%d results, want 2", len(rs))
+	if fr.Err != nil || len(fr.Tenants) != 2 {
+		t.Fatalf("%d results, err %v; want 2 per-JVM results", len(fr.Tenants), fr.Err)
 	}
-	for i, r := range rs {
+	for i, r := range fr.Tenants {
 		if r.Err == nil {
 			t.Fatalf("jvm %d completed despite overcommit", i)
 		}
@@ -90,13 +89,12 @@ func TestBadGeometryIsAnError(t *testing.T) {
 		{"zero heap", 0, 64 << 20, "HeapBytes is 0, below the minimum 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := Run(RunConfig{Collector: BC, Program: tinyJBB(), HeapBytes: tc.heap, PhysBytes: tc.phys, Seed: 1})
-			if r.Err == nil || !strings.Contains(r.Err.Error(), tc.want) {
+			cfg := RunConfig{Collector: BC, Program: tinyJBB(), HeapBytes: tc.heap, PhysBytes: tc.phys, Seed: 1}
+			if r := Run(cfg); r.Err == nil || !strings.Contains(r.Err.Error(), tc.want) {
 				t.Errorf("Run: Err = %v, want it to say %q", r.Err, tc.want)
 			}
-			rs := RunMulti(MultiConfig{Collector: BC, Program: tinyJBB(), HeapBytes: tc.heap, PhysBytes: tc.phys, JVMs: 2, Seed: 1})
-			if len(rs) != 1 || rs[0].Err == nil || !strings.Contains(rs[0].Err.Error(), tc.want) {
-				t.Errorf("RunMulti: %d results, first Err = %v; want one saying %q", len(rs), rs[0].Err, tc.want)
+			if fr := twoJVMs(cfg); fr.Err == nil || !strings.Contains(fr.Err.Error(), tc.want) || len(fr.Tenants) != 0 {
+				t.Errorf("two JVMs: %d results, Err = %v; want none and an error saying %q", len(fr.Tenants), fr.Err, tc.want)
 			}
 		})
 	}

@@ -332,63 +332,3 @@ func Run(cfg RunConfig) Result {
 	t.retire()
 	return t.result()
 }
-
-// MultiConfig describes n identical JVMs sharing one machine (§5.3.3).
-type MultiConfig struct {
-	Collector CollectorKind
-	Program   mutator.Spec
-	HeapBytes uint64
-	PhysBytes uint64
-	JVMs      int
-	Quantum   int // allocations per scheduling quantum
-	Seed      int64
-
-	// Trace gives each JVM its own named thread in one shared trace;
-	// Counters is one registry shared by every JVM. Both are optional.
-	Trace    *trace.Recorder
-	Counters *trace.Counters
-
-	// Workload, when non-nil, supplies every JVM's events instead of
-	// Program's generator; each instance replays its own stream.
-	Workload mutator.Source
-
-	// HeapPolicy names every JVM's heap-limit policy ("" = default).
-	HeapPolicy string
-}
-
-// RunMulti round-robins the JVMs on one simulated CPU until all complete,
-// returning one Result per JVM. Total elapsed time is shared; per-JVM
-// pause statistics are their own: a fleet of n identical tenants with
-// no arbitration, no chaos and no ladder.
-func RunMulti(cfg MultiConfig) []Result {
-	tenants := make([]TenantSpec, cfg.JVMs)
-	workloads := make([]mutator.Source, cfg.JVMs) // nil entries: Program
-	for i := range tenants {
-		tenants[i] = TenantSpec{
-			Name:      fmt.Sprintf("%s-%d", cfg.Collector, i),
-			Collector: cfg.Collector,
-			Program:   cfg.Program,
-			HeapBytes: cfg.HeapBytes,
-			// Tenant i runs with this plus i: RunMulti's Seed+i.
-			Seed:       cfg.Seed,
-			HeapPolicy: cfg.HeapPolicy,
-		}
-		workloads[i] = cfg.Workload
-	}
-	fr := RunFleet(FleetConfig{
-		Spec: FleetSpec{
-			Tenants:   tenants,
-			PhysBytes: cfg.PhysBytes,
-			Quantum:   cfg.Quantum,
-		},
-		Trace:     cfg.Trace,
-		Counters:  cfg.Counters,
-		Workloads: workloads,
-	})
-	if fr.Err != nil {
-		// Same kind for every JVM: the whole configuration is invalid.
-		return []Result{{Config: RunConfig{Collector: cfg.Collector, Program: cfg.Program,
-			HeapBytes: cfg.HeapBytes, PhysBytes: cfg.PhysBytes}, Err: fr.Err}}
-	}
-	return fr.Tenants
-}

@@ -161,19 +161,29 @@ func TestSignalMemReachesTarget(t *testing.T) {
 	_ = res
 }
 
-func TestRunMultiTwoJVMs(t *testing.T) {
-	rs := RunMulti(MultiConfig{
+// twoJVMs runs two tenants configured as cfg on one machine with no
+// arbitration policy: the paper's two concurrent JVMs (§5.3.3).
+func twoJVMs(cfg RunConfig) FleetResult {
+	jvm := TenantSpec{Collector: cfg.Collector, Program: cfg.Program, HeapBytes: cfg.HeapBytes}
+	return RunFleet(FleetConfig{
+		Spec:     FleetSpec{Tenants: []TenantSpec{jvm, jvm}, PhysBytes: cfg.PhysBytes, Seed: cfg.Seed},
+		Trace:    cfg.Trace,
+		Counters: cfg.Counters,
+	})
+}
+
+func TestTwoJVMsBothWork(t *testing.T) {
+	fr := twoJVMs(RunConfig{
 		Collector: BC,
 		Program:   mutator.PseudoJBB().Scale(0.01),
 		HeapBytes: 6 << 20,
 		PhysBytes: 64 << 20,
-		JVMs:      2,
 		Seed:      4,
 	})
-	if len(rs) != 2 {
-		t.Fatalf("%d results", len(rs))
+	if fr.Err != nil || len(fr.Tenants) != 2 {
+		t.Fatalf("%d results, err %v", len(fr.Tenants), fr.Err)
 	}
-	for i, r := range rs {
+	for i, r := range fr.Tenants {
 		if r.Mutator.AllocatedBytes == 0 {
 			t.Fatalf("jvm %d did no work", i)
 		}

@@ -176,17 +176,16 @@ func TestTracingDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// TestRunMultiTracing gives each JVM its own trace thread over a shared
+// TestTwoJVMsTracing gives each JVM its own trace thread over a shared
 // buffer and checks the export names both threads.
-func TestRunMultiTracing(t *testing.T) {
+func TestTwoJVMsTracing(t *testing.T) {
 	rec := trace.NewRecorder(nil, "multi")
 	reg := trace.NewCounters()
-	RunMulti(MultiConfig{
+	twoJVMs(RunConfig{
 		Collector: BC,
 		Program:   tinyJBB(),
 		HeapBytes: 4 << 20,
 		PhysBytes: 64 << 20,
-		JVMs:      2,
 		Seed:      1,
 		Trace:     rec,
 		Counters:  reg,

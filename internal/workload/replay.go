@@ -12,7 +12,7 @@ import (
 )
 
 // Replayer drives a collector from a trace, implementing
-// mutator.Workload so sim.Run and sim.RunMulti accept it anywhere the
+// mutator.Workload so sim.Run and sim.RunFleet accept it anywhere the
 // spec-driven generator goes. It re-issues the recorded sequence of
 // collector calls — allocations, root operations, header reads, data
 // reads/writes, pointer stores — so the simulated machine sees the
