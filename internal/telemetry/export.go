@@ -36,17 +36,16 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 		bw.WriteString(i.String())
 	}
 	bw.WriteByte('\n')
-	n := c.series.Len()
 	var buf [20]byte
-	for row := 0; row < n; row++ {
-		for i := Column(0); i < numColumns; i++ {
+	c.series.rows(func(row *[numColumns]int64) {
+		for i, v := range row {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
-			bw.Write(strconv.AppendInt(buf[:0], c.series.cols[i][row], 10))
+			bw.Write(strconv.AppendInt(buf[:0], v, 10))
 		}
 		bw.WriteByte('\n')
-	}
+	})
 	return bw.Flush()
 }
 
@@ -56,18 +55,17 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	bw := bufio.NewWriter(w)
-	n := c.series.Len()
 	var buf [20]byte
-	for row := 0; row < n; row++ {
+	c.series.rows(func(row *[numColumns]int64) {
 		bw.WriteString(`{"type":"sample"`)
-		for i := Column(0); i < numColumns; i++ {
+		for i, v := range row {
 			bw.WriteString(`,"`)
-			bw.WriteString(i.String())
+			bw.WriteString(Column(i).String())
 			bw.WriteString(`":`)
-			bw.Write(strconv.AppendInt(buf[:0], c.series.cols[i][row], 10))
+			bw.Write(strconv.AppendInt(buf[:0], v, 10))
 		}
 		bw.WriteString("}\n")
-	}
+	})
 	for i := range c.pauses {
 		pj := renderPause(&c.pauses[i])
 		line, err := json.Marshal(struct {

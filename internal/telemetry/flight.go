@@ -19,43 +19,35 @@ type flightEvent struct {
 	Arg2   int64  `json:"arg2,omitempty"`
 }
 
-// flightRing is a bounded ring of recent events. Overwrites count as
-// drops: history lost before any dump captured it.
+// flightRing is a ring of the ringEvents most recent events. It grows
+// by append until full, so a collector that records few events holds
+// few. Overwrites count as drops: history lost before any dump
+// captured it.
 type flightRing struct {
 	buf   []flightEvent
 	next  int
 	total uint64
 }
 
-func (r *flightRing) init(capacity int) {
-	r.buf = make([]flightEvent, 0, capacity)
-}
-
 func (r *flightRing) push(e flightEvent, ctrs *trace.Counters) {
-	if cap(r.buf) == 0 {
-		return
-	}
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < ringEvents {
 		r.buf = append(r.buf, e)
 	} else {
 		r.buf[r.next] = e
 		ctrs.Inc(trace.CTelemetryRingDrops)
 	}
-	r.next = (r.next + 1) % cap(r.buf)
+	r.next = (r.next + 1) % ringEvents
 	r.total++
 }
 
 // tail returns the ring's contents oldest-first.
 func (r *flightRing) tail() []flightEvent {
-	if len(r.buf) < cap(r.buf) {
-		out := make([]flightEvent, len(r.buf))
-		copy(out, r.buf)
-		return out
-	}
 	out := make([]flightEvent, 0, len(r.buf))
+	if len(r.buf) < ringEvents {
+		return append(out, r.buf...)
+	}
 	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return append(out, r.buf[:r.next]...)
 }
 
 // pauseJSON is a PauseAttr rendered for a bundle: phases as a name map
@@ -128,7 +120,7 @@ func (c *Collector) dumpLocked(reason string) {
 		Tenant:    c.cfg.Tenant,
 		SimTimeNS: now,
 		Collector: c.collectorName,
-		Samples:   make(map[string][]int64, numColumns),
+		Samples:   c.seriesTailLocked(sampleTail),
 		Events:    c.ring.tail(),
 		PauseP50:  int64(tl.Percentile(50)),
 		PauseP99:  int64(tl.Percentile(99)),
@@ -136,13 +128,6 @@ func (c *Collector) dumpLocked(reason string) {
 	}
 	if c.runErr != nil {
 		b.RunError = c.runErr.Error()
-	}
-	n := c.series.Len()
-	lo := max(n-sampleTail, 0)
-	for col := Column(0); col < numColumns; col++ {
-		vals := make([]int64, n-lo)
-		copy(vals, c.series.cols[col][lo:])
-		b.Samples[col.String()] = vals
 	}
 	pl := len(c.pauses) - 8
 	if pl < 0 {

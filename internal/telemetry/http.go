@@ -53,10 +53,7 @@ func NewMux(opts ServerOptions) *http.ServeMux {
 			return
 		}
 		tail, _ := strconv.Atoi(r.URL.Query().Get("tail"))
-		cols := make(map[string][]int64, NumColumns)
-		for col := Column(0); int(col) < NumColumns; col++ {
-			cols[col.String()] = opts.Telemetry.ColumnTail(col, tail)
-		}
+		cols := opts.Telemetry.SeriesTail(tail)
 		writeJSON(w, struct {
 			Collector string             `json:"collector"`
 			Len       int                `json:"len"`

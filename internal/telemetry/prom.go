@@ -20,10 +20,8 @@ func (c *Collector) WriteProm(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 
 	var last [numColumns]int64
-	if n := c.series.Len(); n > 0 {
-		for i := range last {
-			last[i] = c.series.cols[i][n-1]
-		}
+	for i := range last {
+		last[i] = c.series.last(Column(i))
 	}
 	g := func(name, help, typ string, v int64) {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)

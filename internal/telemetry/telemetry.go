@@ -14,6 +14,7 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 	"time"
@@ -92,18 +93,100 @@ func (c Column) String() string {
 // NumColumns is the number of series columns (for table-driven tests).
 const NumColumns = int(numColumns)
 
-// Series is the columnar sample store: one slice per column, rows
-// aligned by index.
+// Series is the columnar sample store. Each column is a run of
+// zigzag varints of the column's second differences — how much a
+// sample's change from its predecessor differs from the change before
+// it, as in Gorilla's timestamps (Pelkonen et al., VLDB 2015) — so a
+// steady timestamp, a constant level or a counter rising at a steady
+// rate costs about one byte per sample. Arithmetic wraps in int64:
+// every value round-trips.
+//
+// head is the encoder's state, which is the cursor after the newest
+// sample: its values are the newest row. marks holds the cursors at
+// every seriesBlock-th sample, so a read of the last t samples decodes
+// at most seriesBlock+t values per column however long the run.
 type Series struct {
-	cols [numColumns][]int64
+	n     int
+	cols  [numColumns][]byte
+	head  [numColumns]cursor
+	marks [][numColumns]cursor
+}
+
+// seriesBlock is the number of samples between two checkpoints.
+const seriesBlock = 4096
+
+// cursor is a decoding position in one column: the byte offset of the
+// next sample's varint, and the value and first difference of the
+// sample before it.
+type cursor struct {
+	off       int
+	val, step int64
+}
+
+// next decodes the sample at c and advances past it.
+func (c *cursor) next(col []byte) int64 {
+	dd, k := binary.Varint(col[c.off:])
+	c.off += k
+	c.step += dd
+	c.val += c.step
+	return c.val
 }
 
 // Len returns the number of samples.
-func (s *Series) Len() int { return len(s.cols[0]) }
+func (s *Series) Len() int { return s.n }
 
 func (s *Series) push(row *[numColumns]int64) {
+	if s.n%seriesBlock == 0 {
+		s.marks = append(s.marks, s.head)
+	}
 	for i := range s.cols {
-		s.cols[i] = append(s.cols[i], row[i])
+		h := &s.head[i]
+		d := row[i] - h.val
+		s.cols[i] = binary.AppendVarint(s.cols[i], d-h.step)
+		*h = cursor{off: len(s.cols[i]), val: row[i], step: d}
+	}
+	s.n++
+}
+
+// last returns the newest sample's value of col (0 when empty).
+func (s *Series) last(col Column) int64 { return s.head[col].val }
+
+// tailFrom returns the first sample index of a tail of tail samples
+// (the whole series when tail <= 0).
+func (s *Series) tailFrom(tail int) int {
+	if tail > 0 && tail < s.n {
+		return s.n - tail
+	}
+	return 0
+}
+
+// column decodes col's samples from index from to the newest, starting
+// at the checkpoint at or before from.
+func (s *Series) column(col Column, from int) []int64 {
+	out := make([]int64, s.n-from)
+	if len(out) == 0 {
+		return out
+	}
+	b := from / seriesBlock
+	c, src := s.marks[b][col], s.cols[col]
+	for k := b * seriesBlock; k < from; k++ {
+		c.next(src)
+	}
+	for k := range out {
+		out[k] = c.next(src)
+	}
+	return out
+}
+
+// rows calls emit with each sample in order, decoding one row at a time.
+func (s *Series) rows(emit func(row *[numColumns]int64)) {
+	var c [numColumns]cursor
+	var row [numColumns]int64
+	for k := 0; k < s.n; k++ {
+		for i := range c {
+			row[i] = c[i].next(s.cols[i])
+		}
+		emit(&row)
 	}
 }
 
@@ -185,6 +268,7 @@ type Collector struct {
 	majorFaultCost time.Duration
 
 	next   time.Duration // next sample's grid timestamp
+	tickFn func()        // c.tick, bound once so rescheduling does not allocate
 	series Series
 
 	stack       []span
@@ -212,7 +296,7 @@ func New(cfg Config) *Collector {
 		cfg.Quota = NewDumpQuota(maxDumps, maxDumps, 0)
 	}
 	c := &Collector{cfg: cfg}
-	c.ring.init(ringEvents)
+	c.tickFn = c.tick
 	return c
 }
 
@@ -234,7 +318,7 @@ func (c *Collector) Attach(v *vmm.VMM, env *gc.Env, col gc.Collector, ctrs *trac
 	}
 	at := c.next
 	c.mu.Unlock()
-	v.Clock.Schedule(at, c.tick)
+	v.Clock.Schedule(at, c.tickFn)
 }
 
 // tick is the sampler event: record one sample stamped at its grid time
@@ -252,7 +336,7 @@ func (c *Collector) tick() {
 	}
 	c.sampleLocked(c.next)
 	c.next += c.cfg.SampleEvery
-	c.clock.Schedule(c.next, c.tick)
+	c.clock.Schedule(c.next, c.tickFn)
 }
 
 // sampleLocked appends one row stamped at. Reads bookkeeping only.
@@ -437,13 +521,25 @@ func (c *Collector) SampleCount() int {
 func (c *Collector) ColumnTail(col Column, tail int) []int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	src := c.series.cols[col]
-	if tail > 0 && tail < len(src) {
-		src = src[len(src)-tail:]
+	return c.series.column(col, c.series.tailFrom(tail))
+}
+
+// SeriesTail returns up to tail recent values of every column (all when
+// tail <= 0), keyed by column name. One lock covers every column, so all
+// have the same length even while the run samples.
+func (c *Collector) SeriesTail(tail int) map[string][]int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.seriesTailLocked(tail)
+}
+
+func (c *Collector) seriesTailLocked(tail int) map[string][]int64 {
+	from := c.series.tailFrom(tail)
+	cols := make(map[string][]int64, numColumns)
+	for col := Column(0); col < numColumns; col++ {
+		cols[col.String()] = c.series.column(col, from)
 	}
-	out := make([]int64, len(src))
-	copy(out, src)
-	return out
+	return cols
 }
 
 // Pauses returns a copy of every attributed pause so far.
@@ -493,8 +589,5 @@ func (c *Collector) CollectorName() string {
 func (c *Collector) SimTime() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := c.series.Len(); n > 0 {
-		return time.Duration(c.series.cols[ColTimeNS][n-1])
-	}
-	return 0
+	return time.Duration(c.series.last(ColTimeNS))
 }
