@@ -273,7 +273,11 @@ func (r *Runtime) MajorFaults() uint64 { return r.env.Proc.Stats().MajorFaults }
 func (r *Runtime) HeapPages() int { return r.col.UsedPages() }
 
 // NewProgramRun prepares a benchmark program on this runtime (the
-// standard workload types are registered on first use).
+// standard workload types are registered on first use). The program's
+// roots are one block of new slots past every slot the registry holds
+// when it starts: slots the caller released before are left to the
+// caller's next NewRoot, so a program started after DropRoot calls sees
+// different slot indices than one started on a fresh runtime.
 func (r *Runtime) NewProgramRun(p Program, seed int64) *mutator.Run {
 	if r.wtypes == nil {
 		t := mutator.DeclareTypes(r.env)

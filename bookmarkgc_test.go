@@ -86,6 +86,75 @@ func TestProgramRunThroughFacade(t *testing.T) {
 	}
 }
 
+// slotLog records the root slots a program run registers and works on.
+type slotLog struct {
+	added, worked []int
+}
+
+func (l *slotLog) Alloc(byte, int, bool, int, uint64) {}
+func (l *slotLog) RootAdd(slot int)                   { l.added = append(l.added, slot) }
+func (l *slotLog) RootAddNil(slot int)                { l.added = append(l.added, slot) }
+func (l *slotLog) RootSet(int)                        {}
+func (l *slotLog) Work(slot, _ int, _ bool, _ int)    { l.worked = append(l.worked, slot) }
+func (l *slotLog) Link(src, dst int, _ bool, _ int)   { l.worked = append(l.worked, src, dst) }
+func (l *slotLog) StepEnd()                           {}
+
+// TestProgramRunLeavesFreedRootsFree starts a program on a runtime whose
+// caller has added roots and released some of them: the program's slots
+// — its live objects and, for compress, its large-buffer ring — are one
+// block past the caller's, it draws only from that block, and the freed
+// slots are still free when it ends.
+func TestProgramRunLeavesFreedRootsFree(t *testing.T) {
+	for _, prog := range bookmarkgc.Programs() {
+		if prog.Name != "pseudojbb" && prog.Name != "compress" {
+			continue
+		}
+		t.Run(prog.Name, func(t *testing.T) {
+			m := bookmarkgc.NewMachine(128 << 20)
+			rt := m.NewRuntime("t", bookmarkgc.GenMS, 8<<20)
+			node := rt.DefineScalar("node", 4, 0, 1)
+			var mine []int
+			for i := 0; i < 6; i++ {
+				o := rt.Alloc(node)
+				rt.WriteData(o, 2, uint64(i))
+				mine = append(mine, rt.NewRoot(o))
+			}
+			rt.DropRoot(mine[1])
+			rt.DropRoot(mine[4])
+
+			run := rt.NewProgramRun(prog.Scale(0.01), 5)
+			var log slotLog
+			run.SetSink(&log)
+			run.RunToCompletion()
+
+			if len(log.added) < 8 {
+				t.Fatalf("the program registered %d roots", len(log.added))
+			}
+			for i, s := range log.added {
+				if s != len(mine)+i {
+					t.Fatalf("program root %d is in slot %d, want %d: not one block past the caller's", i, s, len(mine)+i)
+				}
+			}
+			for _, s := range log.worked {
+				if s < len(mine) || s >= len(mine)+len(log.added) {
+					t.Fatalf("the program worked on slot %d, outside its block [%d, %d)", s, len(mine), len(mine)+len(log.added))
+				}
+			}
+			for i, s := range mine {
+				if freed := i == 1 || i == 4; freed != (rt.Root(s) == bookmarkgc.Nil) {
+					t.Fatalf("caller slot %d holds %#x after the run (freed: %v)", s, rt.Root(s), freed)
+				}
+				if i != 1 && i != 4 && rt.ReadData(rt.Root(s), 2) != uint64(i) {
+					t.Fatalf("caller slot %d lost its object", s)
+				}
+			}
+			if a, b := rt.NewRoot(bookmarkgc.Nil), rt.NewRoot(bookmarkgc.Nil); a != mine[4] || b != mine[1] {
+				t.Fatalf("the next roots took slots %d and %d, want the freed %d and %d", a, b, mine[4], mine[1])
+			}
+		})
+	}
+}
+
 func TestRunAndExperimentSurface(t *testing.T) {
 	if len(bookmarkgc.Programs()) != 9 {
 		t.Fatalf("suite size %d", len(bookmarkgc.Programs()))

@@ -185,14 +185,22 @@ func (r *Roots) release() {
 
 // Add registers a root holding o and returns its slot index.
 func (r *Roots) Add(o mem.Addr) int {
-	if r.slots == nil {
-		r.acquire()
-	}
 	if n := len(r.free); n > 0 {
 		i := int(r.free[n-1])
 		r.free = r.free[:n-1]
 		r.slots[i] = o
 		return i
+	}
+	return r.Append(o)
+}
+
+// Append registers a root holding o in a new slot past every existing
+// one and returns its index. Unlike Add it never reuses a freed slot, so
+// consecutive Appends with no Add between them fill consecutive slots —
+// a block its owner can address as base + offset.
+func (r *Roots) Append(o mem.Addr) int {
+	if r.slots == nil {
+		r.acquire()
 	}
 	r.slots = append(r.slots, o)
 	return len(r.slots) - 1

@@ -62,6 +62,32 @@ func TestRootsLifecycle(t *testing.T) {
 	}
 }
 
+// TestRootsAppend: Append takes a new slot past every existing one even
+// while freed slots wait for Add, so consecutive Appends fill one block,
+// and the freed slots stay free for the next Add.
+func TestRootsAppend(t *testing.T) {
+	var r Roots
+	if s := r.Append(0x1000); s != 0 {
+		t.Fatalf("first Append on an empty registry took slot %d", s)
+	}
+	for i := 1; i < 5; i++ {
+		r.Add(mem.Addr(0x1000 * (i + 1)))
+	}
+	r.Release(1)
+	r.Release(3)
+	for i := 0; i < 3; i++ {
+		if s := r.Append(mem.Addr(0x9000 + 8*i)); s != 5+i {
+			t.Fatalf("Append %d took slot %d, want %d", i, s, 5+i)
+		}
+	}
+	if r.Len() != 8 || r.Get(1) != mem.Nil || r.Get(3) != mem.Nil || r.Get(6) != 0x9008 {
+		t.Fatalf("registry after Appends: len %d, slots 1, 3, 6 = %#x %#x %#x", r.Len(), r.Get(1), r.Get(3), r.Get(6))
+	}
+	if a, b := r.Add(0x2000), r.Add(0x4000); a != 3 || b != 1 {
+		t.Fatalf("Add after Appends took slots %d and %d, want the freed 3 and 1", a, b)
+	}
+}
+
 func TestWorkList(t *testing.T) {
 	var w WorkList
 	if _, ok := w.Pop(); ok {

@@ -144,12 +144,13 @@ func BenchmarkReadWindow(b *testing.B) {
 	var sum uint64
 	for i := 0; i < b.N; i++ {
 		p := Addr(1 + uint64(i)%(npages-1))
-		v, ok := s.TryReadWindow(p*PageSize+Addr(uint64(i)%WordsPage)*WordSize, 64)
+		a := p*PageSize + Addr(uint64(i)%WordsPage)*WordSize
+		body, ok := s.OpenWindow(a, 64)
 		if !ok {
 			b.Fatal("window refused on a resident page with no event scheduled")
 		}
 		s.ChargeReads(63)
-		sum += v
+		sum += BodyWord(body, a)
 	}
 	b.StopTimer()
 	_ = sum

@@ -234,7 +234,7 @@ func (s *Space) touch(p PageID, write bool) {
 // so the resident-page common case is a short straight line — a clock
 // add, a flag update, and the word load. It is still one direct call per
 // access: at inline cost 143 against a budget of 80 the compiler inlines
-// it nowhere (nor WriteWord, ReadWordPair or TryReadWindow).
+// it nowhere (nor WriteWord or ReadWordPair).
 func (s *Space) ReadWord(a Addr) uint64 {
 	c := s.clock
 	p := uint64(a) >> PageShift
@@ -315,59 +315,60 @@ func (s *Space) writeSlow(a Addr, v uint64) {
 	arr[(uint64(a)>>3)&(WordsPage-1)] = v
 }
 
-// TryReadWindow opens a window of n consecutive accesses to the page of a
-// — the shape of the mark-bit pattern (read status; maybe read it again
+// OpenWindow opens a window of n consecutive accesses to the page of a —
+// the shape of the mark-bit pattern (read status; maybe read it again
 // and write it back) and of a mutator work step (header, header, datum,
-// and perhaps the same again ending in a write). When ok, the first read —
-// of the word at a — has been charged and v holds it; the caller may make
-// up to n-1 further accesses to the same page with ChargeReads,
-// WindowRead, WindowWrite and CommitRMW, or stop early. Inside the window
-// no clock event can fire, so no handler runs and the page cannot change
-// state: each further access would pass the same checks and repeat the
-// same flag update, which is why it needs no more than its clock charge
-// and its load or store. ok is false when the n-access window is not
-// guaranteed event-free on the fast path; nothing is charged then and the
-// caller must issue the exact per-access ReadWord/WriteWord sequence,
-// which preserves any state change an event could cause mid-sequence. n
-// may overestimate the accesses the caller ends up making in the window —
-// because it stops early, or because it finds the rest of its sequence
-// lies on another page and finishes with ordinary accesses: that only
-// refuses some windows that could have been batched.
-func (s *Space) TryReadWindow(a Addr, n int) (v uint64, ok bool) {
+// and perhaps the same again ending in a write). When ok, the first
+// access — a read of the word at a — has been charged, and body is the
+// page's word array (nil: never written, every word reads as zero; see
+// BodyWord). The caller may then make up to n-1 further accesses to the
+// same page: it loads a word straight from body and charges the load
+// with ChargeReads, and it stores with WindowWrite, which must be the
+// window's last access (the store may give the page a body). Or it stops
+// early. Inside the window no clock event can fire, so no handler runs
+// and the page cannot change state: each further access would pass the
+// same checks and repeat the same flag update, which is why it needs no
+// more than its clock charge and its load or store. ok is false when the
+// n-access window is not guaranteed event-free on the fast path; nothing
+// is charged then and the caller must issue the exact per-access
+// ReadWord/WriteWord sequence, which preserves any state change an event
+// could cause mid-sequence. n may overestimate the accesses the caller
+// ends up making in the window — because it stops early, or because it
+// finds the rest of its sequence lies on another page and finishes with
+// ordinary accesses: that only refuses some windows that could have been
+// batched.
+func (s *Space) OpenWindow(a Addr, n int) (body *[WordsPage]uint64, ok bool) {
 	p := a.Page()
 	if uint64(a)&(WordSize-1) != 0 || !s.rangeFast(p, uint64(n)) {
-		return 0, false
+		return nil, false
 	}
 	s.clock.now += s.wordCost
 	s.flags[p] = (s.flags[p] | PFReferenced) &^ PFSurrendered
-	if arr := s.bodies[p]; arr != nil {
-		return arr[(uint64(a)>>3)&(WordsPage-1)], true
-	}
-	return 0, true
+	return s.bodies[p], true
 }
 
-// ChargeReads charges k further reads of a word already read inside the
-// open window — one whose value the caller holds, since nothing on the
-// page of the window can have changed but by the caller's own
-// WindowWrite. Call only after TryReadWindow returned ok, for at most n-1
-// accesses in all.
+// BodyWord returns the word at a in body, the word array of a's page as
+// OpenWindow returned it (nil reads as zero). It charges nothing.
+func BodyWord(body *[WordsPage]uint64, a Addr) uint64 {
+	if body == nil {
+		return 0
+	}
+	return body[(uint64(a)>>3)&(WordsPage-1)]
+}
+
+// ChargeReads charges k further reads inside the window OpenWindow
+// opened: loads from its body, or repeats of a word the caller already
+// holds, since nothing on the page can have changed but by the window's
+// own last access. Call only after OpenWindow returned ok, for at most
+// n-1 accesses in all.
 func (s *Space) ChargeReads(k int) {
 	s.clock.now += time.Duration(k) * s.wordCost
 }
 
-// WindowRead reads the word at a, which must be word-aligned and lie on
-// the page of the open window, as one of its n-1 further accesses.
-func (s *Space) WindowRead(a Addr) uint64 {
-	s.clock.now += s.wordCost
-	if arr := s.bodies[a>>PageShift]; arr != nil {
-		return arr[(uint64(a)>>3)&(WordsPage-1)]
-	}
-	return 0
-}
-
 // WindowWrite writes the word at a, which must be word-aligned and lie
-// on the page of the open window, as one of its n-1 further accesses. Like
-// WriteWord it leaves a never-written page unmaterialized when v is zero.
+// on the page of the open window, as the last of its n-1 further
+// accesses. Like WriteWord it leaves a never-written page unmaterialized
+// when v is zero.
 func (s *Space) WindowWrite(a Addr, v uint64) {
 	s.clock.now += s.wordCost
 	p := a >> PageShift
@@ -381,14 +382,6 @@ func (s *Space) WindowWrite(a Addr, v uint64) {
 	arr[(uint64(a)>>3)&(WordsPage-1)] = v
 }
 
-// CommitRMW completes a read-modify-write inside a window opened on a
-// with TryReadWindow: it charges one more read and one write of a and
-// stores v.
-func (s *Space) CommitRMW(a Addr, v uint64) {
-	s.ChargeReads(1)
-	s.WindowWrite(a, v)
-}
-
 // ReadAddr reads the word at a as an address.
 func (s *Space) ReadAddr(a Addr) Addr { return Addr(s.ReadWord(a)) }
 
@@ -396,7 +389,7 @@ func (s *Space) ReadAddr(a Addr) Addr { return Addr(s.ReadWord(a)) }
 func (s *Space) WriteAddr(a Addr, v Addr) { s.WriteWord(a, uint64(v)) }
 
 // rangeFast reports whether n consecutive word accesses to page p can be
-// batched — the one guard behind TryReadWindow, ZeroRange and CopyWords:
+// batched — the one guard behind OpenWindow, ZeroRange and CopyWords:
 // the page is resident and unprotected, and no clock event can fire
 // anywhere in the window — so the per-word loop could not have observed
 // (or caused) any state change the batch would miss.

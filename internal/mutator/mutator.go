@@ -12,7 +12,6 @@ package mutator
 
 import (
 	"fmt"
-	"slices"
 
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
@@ -166,25 +165,27 @@ type Run struct {
 	space *mem.Space
 
 	bandTW int // total of Spec.Sizes weights
-	// live holds the root slots of the objects the work loop draws from:
-	// the immortal ones, then the pool (its tail, randomly replaced). The
-	// slots need not be contiguous — a run may start on a registry with
-	// freed slots — so they go through this table, sized once in start.
-	live      []int32
-	pool      []int32
-	largeRing []int // root slots rotating large survivors (Spec.LargeLive)
-	largeIdx  int
-	allocd    uint64
-	nAllocs   uint64
-	checksum  uint64
-	done      bool
-	started   bool
+	// The objects the work loop draws from sit in one block of root
+	// slots that start appends: the immortal ones from liveBase, then
+	// the pool (the block's tail, randomly replaced) from poolBase. The
+	// draws' bounds are the block's and the pool's lengths.
+	liveBase, poolBase int
+	nLive, nPool       divisor
+	nodeID, arrID      int32 // types.Node.ID, types.DataArr.ID
+	largeRing          []int // root slots rotating large survivors (Spec.LargeLive)
+	largeIdx           int
+	allocd             uint64
+	nAllocs            uint64
+	checksum           uint64
+	done               bool
+	started            bool
 }
 
 // NewRun prepares a run of spec on collector c. Types must have been
 // declared on c's environment.
 func NewRun(spec Spec, c gc.Collector, types Types, seed int64) *Run {
-	r := &Run{spec: spec, c: c, types: types, base: c.Direct(), roots: c.Roots()}
+	r := &Run{spec: spec, c: c, types: types, base: c.Direct(), roots: c.Roots(),
+		nodeID: types.Node.ID, arrID: types.DataArr.ID}
 	r.rng.seed(seed)
 	for _, b := range spec.Sizes {
 		r.bandTW += b.Weight
@@ -218,22 +219,20 @@ func (r *Run) start() {
 		n = 8
 	}
 
+	r.liveBase = r.roots.Len()
 	for b := uint64(0); b < immortalBytes; {
-		slot, sz := r.allocOne()
-		r.live = append(r.live, slot)
-		b += uint64(sz)
+		b += uint64(r.allocOne())
 	}
-	immortal := len(r.live)
-	r.live = slices.Grow(r.live, n)
+	r.poolBase = r.roots.Len()
 	for i := 0; i < n; i++ {
-		slot, _ := r.allocOne()
-		r.live = append(r.live, slot)
+		r.allocOne()
 	}
-	r.pool = r.live[immortal:]
+	r.nLive = newDivisor(r.roots.Len() - r.liveBase)
+	r.nPool = newDivisor(n)
 	if k := r.spec.LargeLive; k > 0 {
 		r.largeRing = make([]int, k)
 		for i := range r.largeRing {
-			r.largeRing[i] = r.roots.Add(mem.Nil)
+			r.largeRing[i] = r.roots.Append(mem.Nil)
 			if r.sink != nil {
 				r.sink.RootAddNil(r.largeRing[i])
 			}
@@ -242,14 +241,16 @@ func (r *Run) start() {
 }
 
 // allocOne allocates one object from the size mix, fills its data words,
-// and returns its new root slot and size.
-func (r *Run) allocOne() (slot int32, size int) {
+// appends it to the live block and returns its size. The block is the
+// registry's tail: Append never reuses a slot a caller freed before the
+// program started, so nothing else can land inside it.
+func (r *Run) allocOne() (size int) {
 	o, sz := r.allocRaw()
-	s := r.roots.Add(o)
+	s := r.roots.Append(o)
 	if r.sink != nil {
 		r.sink.RootAdd(s)
 	}
-	return int32(s), sz
+	return sz
 }
 
 func (r *Run) pickBand() SizeBand {
@@ -302,12 +303,12 @@ func dataIndexFor(b SizeBand, i int) int {
 
 // randomLive returns a random live root slot (immortal or pool).
 func (r *Run) randomLive() int {
-	return int(r.live[r.rng.below(uint32(len(r.live)))])
+	return r.liveBase + r.rng.intn(r.nLive)
 }
 
 // replacePool stores o over a random pool entry.
 func (r *Run) replacePool(o objmodel.Ref) {
-	slot := int(r.pool[r.rng.Intn(len(r.pool))])
+	slot := r.poolBase + r.rng.intn(r.nPool)
 	r.roots.Set(slot, o)
 	if r.sink != nil {
 		r.sink.RootSet(slot)
@@ -381,14 +382,15 @@ func (r *Run) allocate() {
 // object: decode its header (two charged reads) to pick a data word, read
 // it, and on every fourth item decode the header again and write the
 // value back incremented. That is three or six charged accesses, and
-// every one is charged on every path (DESIGN.md §17). The step first
-// tries to open one mem window over all of them on the header's page; it
-// leaves the window for the ordinary per-access calls at the first datum
-// that lies on another page (an array straddling a page boundary, a
-// large object), and never enters it when an event is due or the page is
-// not simply resident.
+// every one is charged on every path (DESIGN.md §17). The step opens one
+// mem window over all of them on the header's page and loads the words
+// it reads from the page body the window hands back; it leaves the
+// window for the ordinary per-access calls at the first datum that lies
+// on another page (an array straddling a page boundary, a large object),
+// and never enters it when an event is due or the page is not simply
+// resident.
 func (r *Run) work(w int) {
-	s := r.randomLive()
+	s := r.liveBase + r.rng.intn(r.nLive) // randomLive, which is over the inlining budget
 	obj := r.roots.Get(s)
 	sp, hdr := r.space, obj+mem.WordSize
 	write := w&3 == 0
@@ -397,17 +399,29 @@ func (r *Run) work(w int) {
 	if write {
 		n = 6
 	}
-	h1, win := sp.TryReadWindow(hdr, n)
-	h2 := h1
+	body, win := sp.OpenWindow(hdr, n)
+	var h1, h2 uint64
 	if win {
+		h1 = mem.BodyWord(body, hdr)
+		h2 = h1
 		sp.ChargeReads(1)
 	} else {
 		h1, h2 = sp.ReadWordPair(hdr)
 	}
-	ri := r.dataIndex(h1, h2)
+	// dataIndex's two common shapes, written out: a call per item costs
+	// more than the decode.
+	var ri int
+	if id, n := int32(uint32(h1)), uint32(h2>>32); id == r.nodeID {
+		ri = 2 + int(r.rng.int31()&1)
+	} else if id == r.arrID && n-1 < uint32(len(lengthDivisors)-1) {
+		ri = r.rng.intn(lengthDivisors[n])
+	} else {
+		ri = r.dataIndex(h1, h2)
+	}
 	var v uint64
 	if ra := gc.DataAddr(obj, ri); win && ra.Page() == hdr.Page() {
-		v = sp.WindowRead(ra)
+		v = mem.BodyWord(body, ra)
+		sp.ChargeReads(1)
 	} else {
 		win = false
 		v = r.base.ReadData(obj, ri)
@@ -439,10 +453,10 @@ func (r *Run) work(w int) {
 // IDs decode it; anything else goes through the type table.
 func (r *Run) dataIndex(h1, h2 uint64) int {
 	id := int32(uint32(h1))
-	if id == r.types.DataArr.ID {
+	if id == r.arrID {
 		return r.arrayIndex(h2)
 	}
-	if id != r.types.Node.ID {
+	if id != r.nodeID {
 		if t := r.tt.Get(id); t.Kind == objmodel.KindArray {
 			if t.ElemPtr {
 				return 0
@@ -453,10 +467,24 @@ func (r *Run) dataIndex(h1, h2 uint64) int {
 	return 2 + int(r.rng.int31()&1) // Intn(2): a scalar's words 2,3
 }
 
+// lengthDivisors holds the divisor of every array length from 1 to
+// len-1, shared by all runs, so a draw over a data array of ordinary
+// length needs no division. Its size is a constant, not a Spec's largest
+// array: longer arrays draw through Intn.
+var lengthDivisors = func() (t [512]divisor) {
+	for n := 1; n < len(t); n++ {
+		t[n] = newDivisor(n)
+	}
+	return t
+}()
+
 // arrayIndex draws an element of the data array whose length is in h2.
 func (r *Run) arrayIndex(h2 uint64) int {
-	if n := int(uint32(h2 >> 32)); n > 0 {
-		return r.rng.Intn(n)
+	// n-1 wraps for n = 0, so one compare selects 1 <= n < len.
+	if n := uint32(h2 >> 32); n-1 < uint32(len(lengthDivisors)-1) {
+		return r.rng.intn(lengthDivisors[n])
+	} else if n > 0 {
+		return r.rng.Intn(int(n))
 	}
 	return 0
 }

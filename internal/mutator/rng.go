@@ -1,6 +1,9 @@
 package mutator
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // rng is the generator's random source: draw-for-draw identical to
 // rand.New(rand.NewSource(seed)), but concrete, so the work loop's draws
@@ -68,6 +71,46 @@ func (r *rng) below(n uint32) uint32 {
 		v := uint32(r.int31())
 		if rem := v % n; v-rem <= 1<<31-n {
 			return rem
+		}
+	}
+}
+
+// divisor is a draw bound n in [1, 2^31) with its 64-bit reciprocal
+// m = ⌈2^64/n⌉ mod 2^64, so that v % n for any 32-bit v is the high word
+// of (m·v mod 2^64)·n: one wrapping and one widening multiply instead of
+// a division (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+// Computation", 2019, which proves it exact for 32-bit v and n). For
+// n = 1 the reciprocal wraps to 0 and the remainder is 0, as it should
+// be.
+type divisor struct {
+	m, n uint64
+}
+
+func newDivisor(n int) divisor {
+	if n <= 0 || n > 1<<31-1 {
+		panic("mutator: divisor out of range")
+	}
+	return divisor{m: ^uint64(0)/uint64(n) + 1, n: uint64(n)}
+}
+
+// mod returns v % d.n for v < 2^32.
+func (d divisor) mod(v uint64) uint64 {
+	hi, _ := bits.Mul64(d.m*v, d.n)
+	return hi
+}
+
+// intn is Intn(d.n) without a division: below's loop and accept test
+// with the reciprocal's remainder. It needs no power-of-two case, because
+// such an n divides 2^31: no draw is rejected and v % n is Intn's
+// v & (n-1). Without that branch, and with int31 and d.mod written out,
+// it fits the inliner's budget (cost 79 of 80), so the work loop's draws
+// make no call.
+func (r *rng) intn(d divisor) int {
+	for {
+		v := r.Uint64() << 1 >> 33       // int31
+		rem, _ := bits.Mul64(d.m*v, d.n) // d.mod(v)
+		if v-rem <= 1<<31-d.n {
+			return int(rem)
 		}
 	}
 }

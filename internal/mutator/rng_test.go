@@ -15,7 +15,9 @@ var rngArgs = []int{
 }
 
 // compareStreams draws n mixed values from a fresh rng and a fresh
-// rand.Rand and reports the first disagreement. pick steers the mix.
+// rand.Rand and reports the first disagreement. pick steers the mix: op
+// 0 is Intn, 1 Uint64, 2 Float64 and 3 intn through a divisor, which
+// takes an arg below 2^31.
 func compareStreams(t testing.TB, seed int64, n int, pick func(i int) (op, arg int)) {
 	t.Helper()
 	var got rng
@@ -35,6 +37,10 @@ func compareStreams(t testing.TB, seed int64, n int, pick func(i int) (op, arg i
 			if g, w := got.Float64(), want.Float64(); g != w {
 				t.Fatalf("seed %d draw %d: Float64 = %v, math/rand %v", seed, i, g, w)
 			}
+		case 3:
+			if g, w := got.intn(newDivisor(arg)), want.Intn(arg); g != w {
+				t.Fatalf("seed %d draw %d: intn(divisor %d) = %d, math/rand Intn %d", seed, i, arg, g, w)
+			}
 		}
 	}
 }
@@ -50,7 +56,7 @@ func TestRNGMatchesMathRand(t *testing.T) {
 	for _, seed := range seeds {
 		mix := rand.New(rand.NewSource(seed ^ 0x5eed))
 		compareStreams(t, seed, 20_031, func(i int) (int, int) {
-			op := mix.Intn(3)
+			op := mix.Intn(4)
 			arg := rngArgs[mix.Intn(len(rngArgs))]
 			if mix.Intn(3) == 0 {
 				arg = 1 + mix.Intn(1<<31-1)
@@ -72,11 +78,35 @@ func FuzzRNGMatchesMathRand(f *testing.F) {
 		arg := max(int(n&(1<<31-1)), 1)
 		compareStreams(t, seed, 700+len(ops), func(i int) (int, int) {
 			if i < len(ops) {
-				return int(ops[i] % 3), arg
+				return int(ops[i] % 4), arg
 			}
-			return i % 3, 1 + (arg+i)%(1<<31-1)
+			return i % 4, 1 + (arg+i)%(1<<31-1)
 		})
 	})
+}
+
+// TestDivisorMatchesModulo holds the reciprocal to the remainder it
+// replaces at the edges of the 31-bit draw range and at random draws,
+// for bounds at the edges of theirs, powers of two and their neighbours,
+// and a live-set size.
+func TestDivisorMatchesModulo(t *testing.T) {
+	ns := []uint64{1, 2, 3, 7, 79_000, 1<<31 - 1}
+	for k := 1; k < 31; k++ {
+		ns = append(ns, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	rnd := rand.New(rand.NewSource(1))
+	for _, n := range ns {
+		d := newDivisor(int(n))
+		vs := []uint64{0, 1, n - 1, n, 1<<31 - n, 1<<31 - 1, 1<<32 - 1}
+		for i := 0; i < 1000; i++ {
+			vs = append(vs, uint64(rnd.Int31()))
+		}
+		for _, v := range vs {
+			if got := d.mod(v); got != v%n {
+				t.Fatalf("divisor %d: mod(%d) = %d, want %d", n, v, got, v%n)
+			}
+		}
+	}
 }
 
 func BenchmarkRNGIntn(b *testing.B) {
@@ -87,6 +117,16 @@ func BenchmarkRNGIntn(b *testing.B) {
 		sum := 0
 		for i := 0; i < b.N; i++ {
 			sum += r.Intn(n)
+		}
+		sinkInt = sum
+	})
+	b.Run("divisor", func(b *testing.B) {
+		var r rng
+		r.seed(1)
+		d := newDivisor(n)
+		sum := 0
+		for i := 0; i < b.N; i++ {
+			sum += r.intn(d)
 		}
 		sinkInt = sum
 	})

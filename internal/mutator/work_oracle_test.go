@@ -17,7 +17,8 @@ import (
 // The work step charges its three or six accesses through one mem window
 // when it can (Run.work). The oracle below is the loop body it replaced:
 // a header decode through the type table and a collector call per data
-// access, nothing batched. Two identical machines run the same program,
+// access, nothing batched, and every draw through the dividing Intn, so
+// each of Step's reciprocal draws is checked against it. Two identical machines run the same program,
 // one through Step and one through refStep, and must stay
 // indistinguishable — simulated clock, fault statistics, page flags, data
 // checksum, and every event a recorder would see.
@@ -56,7 +57,7 @@ type workSeen struct {
 }
 
 func (r *Run) refWorkStep(w int, seen *workSeen) {
-	s := int(r.live[r.rng.Intn(len(r.live))])
+	s := r.liveBase + r.rng.Intn(int(r.nLive.n))
 	obj := r.roots.Get(s)
 	ri := r.refDataIndexOf(obj, seen)
 	v := r.c.ReadData(obj, ri)

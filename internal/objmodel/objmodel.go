@@ -82,12 +82,14 @@ func SetMark(s *mem.Space, o Ref, epoch uint32) {
 // when no clock event can fall inside that window; otherwise the exact
 // per-access sequence runs.
 func MarkIfUnmarked(s *mem.Space, o Ref, epoch uint32) bool {
-	if w, ok := s.TryReadWindow(o, 3); ok {
+	if body, ok := s.OpenWindow(o, 3); ok {
+		w := mem.BodyWord(body, o)
 		if uint32(w>>epochShift)&uint32(epochMask) == epoch {
 			return false
 		}
 		w = (w &^ (epochMask << epochShift)) | uint64(epoch&uint32(epochMask))<<epochShift
-		s.CommitRMW(o, w)
+		s.ChargeReads(1)
+		s.WindowWrite(o, w)
 		return true
 	}
 	if Marked(s, o, epoch) {

@@ -11,8 +11,8 @@ import (
 	"bookmarkgc/internal/mem"
 )
 
-// The batched primitives of mem.Space (ReadWordPair, TryReadWindow with
-// ChargeReads, WindowRead, WindowWrite and CommitRMW, ZeroRange,
+// The batched primitives of mem.Space (ReadWordPair, OpenWindow with
+// loads from its page body, ChargeReads and WindowWrite, ZeroRange,
 // CopyWords) promise to charge
 // exactly what the per-access ReadWord/WriteWord sequence they replace
 // would. Their batched paths only run on a clock-wired space, so the
@@ -34,7 +34,7 @@ type diffMachine struct {
 	s     *mem.Space
 	rng   *rand.Rand // drawn only inside clock events
 	log   []string
-	// windows counts TryReadWindow calls and how many were granted, so a
+	// windows counts OpenWindow calls and how many were granted, so a
 	// test can tell that both the batched path and its refusal ran.
 	windows, granted int
 }
@@ -114,9 +114,9 @@ type diffKind int
 
 const (
 	opPair   diffKind = iota // ReadWordPair
-	opWindow                 // TryReadWindow(n), k reads made
-	opRMW                    // TryReadWindow(3) + CommitRMW
-	opWork                   // TryReadWindow(3 or 6) + WindowRead [+ WindowWrite]: a mutator work step
+	opWindow                 // OpenWindow(n), k reads made
+	opRMW                    // OpenWindow(3), read, read, WindowWrite: the mark bit
+	opWork                   // OpenWindow(3 or 6), header, header, datum [header, header, WindowWrite]: a mutator work step
 	opZero                   // ZeroRange
 	opCopy                   // CopyWords
 	opWrite                  // WriteWord on both sides (seeds data)
@@ -147,28 +147,31 @@ func (m *diffMachine) batched(op diffOp) []uint64 {
 		return []uint64{v1, v2}
 	case opWindow:
 		m.windows++
-		if v, ok := s.TryReadWindow(op.a, op.n); ok {
+		if body, ok := s.OpenWindow(op.a, op.n); ok {
 			m.granted++
-			s.ChargeReads(op.k - 1)
-			seen := make([]uint64, op.k)
-			for i := range seen {
-				seen[i] = v
+			seen := []uint64{mem.BodyWord(body, op.a)}
+			for len(seen) < op.k {
+				s.ChargeReads(1)
+				seen = append(seen, mem.BodyWord(body, op.a))
 			}
 			return seen
 		}
 	case opRMW:
 		m.windows++
-		if v, ok := s.TryReadWindow(op.a, 3); ok {
+		if body, ok := s.OpenWindow(op.a, 3); ok {
 			m.granted++
-			s.CommitRMW(op.a, v+op.v)
+			v := mem.BodyWord(body, op.a)
+			s.ChargeReads(1)
+			s.WindowWrite(op.a, v+op.v)
 			return []uint64{v, v}
 		}
 	case opWork:
 		m.windows++
-		if h, ok := s.TryReadWindow(op.a, op.n); ok {
+		if body, ok := s.OpenWindow(op.a, op.n); ok {
 			m.granted++
-			s.ChargeReads(1)
-			seen := []uint64{h, h, s.WindowRead(op.src)}
+			h := mem.BodyWord(body, op.a)
+			s.ChargeReads(2)
+			seen := []uint64{h, h, mem.BodyWord(body, op.src)}
 			if op.n == 6 {
 				s.ChargeReads(2)
 				s.WindowWrite(op.dst, seen[2]+op.v)
@@ -362,7 +365,7 @@ func TestReadWindowChargesLikePerAccessReads(t *testing.T) {
 }
 
 // TestWorkWindowChargesLikePerAccessStep is the table for the in-window
-// read and write: the three- and six-access work step (header, header,
+// loads and write: the three- and six-access work step (header, header,
 // datum; then header, header, write the datum back changed) with an
 // event due at every access of the window, between two, just after it and
 // not at all, aimed at the header, at the datum read and at the datum
