@@ -18,11 +18,10 @@ import (
 // Figure 5(b).
 //
 // Both of GenCopy's collections are pure copying passes (nursery
-// evacuation and the mature semispace flip), so neither uses the
-// parallel mark engine: a Cheney scan assigns to-space addresses as a
-// side effect of visiting, and that assignment order must stay a pure
-// function of scan order to keep runs deterministic (DESIGN.md §11
-// parallelizes only in-place marking).
+// evacuation and the mature semispace flip), so neither uses the mark
+// engine (gc.Marker, DESIGN.md §11), which marks in place: a Cheney
+// scan assigns to-space addresses as a side effect of visiting, with
+// every access charged as it happens.
 type GenCopy struct {
 	gc.Base
 	Nursery *gc.Nursery

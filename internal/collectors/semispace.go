@@ -15,13 +15,10 @@ import (
 // VM evicts them — both liabilities the paper discusses (§5.3.2).
 // Large objects go to a non-moving LOS collected at each GC.
 //
-// SemiSpace has no mark phase to parallelize: its Cheney copy IS the
-// trace, and every "visit" both allocates in to-space and rewrites the
-// edge, an ordering-dependent mutation the parallel mark engine
-// (DESIGN.md §11) deliberately keeps sequential. The engine only
-// parallelizes in-place marking; copying passes everywhere stay on the
-// sequential path so address assignment remains a pure function of
-// scan order.
+// SemiSpace has no mark phase: its Cheney copy IS the trace, and every
+// "visit" both allocates in to-space and rewrites the edge, so it does
+// not use the mark engine (gc.Marker, DESIGN.md §11), which only marks
+// in place. Copying passes charge every access as it happens.
 type SemiSpace struct {
 	gc.Base
 	from, to *heap.BumpSpace

@@ -57,10 +57,6 @@ type Config struct {
 	ResizeOnly bool
 	// Victim selects the eviction-victim strategy (§7).
 	Victim VictimPolicy
-	// Regrow lets BC raise its footprint target again when the VMM
-	// reports free memory (§7: transient pressure should not permanently
-	// limit throughput).
-	Regrow bool
 
 	// NoAggressiveDiscard disables the §3.4.3 word-at-a-time discard:
 	// each notification hands back at most one empty page. An ablation of
@@ -187,10 +183,11 @@ func New(env *gc.Env, cfg Config) *BC {
 	c.SS.SetResidencyFilter(c.pageOK)
 	c.OnPromote = c.copied
 	c.Ladder = c.ladder()
-	// The paper's shrink-to-footprint/regrow rule is BC's native heap
-	// policy; install it unless the harness chose another.
+	// The paper's shrink-to-footprint rule is BC's native heap policy;
+	// install it unless the harness chose another (a regrowing bc-shrink
+	// is the §7 extension).
 	if env.HeapPolicy == nil {
-		env.HeapPolicy = heappolicy.NewBCShrink(heappolicy.BCShrinkOptions{Regrow: cfg.Regrow})
+		env.HeapPolicy = heappolicy.NewBCShrink(heappolicy.BCShrinkOptions{})
 	}
 	env.Proc.Register((*bcHandler)(c))
 	c.resizeNursery()
@@ -349,9 +346,9 @@ func (c *BC) ladder() gc.Ladder {
 		Young: c.nurseryGC,
 		Room:  c.NurseryRoom,
 		Full:  c.fullGC,
-		// After each collection, and when the target rose: with
-		// Config.Regrow, bc-shrink raises it again once the VMM has had
-		// free memory for a while (§7 extension).
+		// After each collection, and when the target rose: a regrowing
+		// bc-shrink raises it again once the VMM has had free memory for
+		// a while (§7 extension).
 		Grow: c.resizeNursery,
 		OOM: func(need int) gc.ErrOutOfMemory {
 			oom := c.OOM(c.Budget())

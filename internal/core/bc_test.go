@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bookmarkgc/internal/gc"
+	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
 	"bookmarkgc/internal/trace"
@@ -40,10 +41,18 @@ func noticeOutcomes(c *BC) (sum uint64) {
 // every test ends in exactly one outcome.
 func newBC(t testing.TB, physMB, heapMB int, cfg Config) (*vmm.VMM, *BC, *objmodel.Type, *objmodel.Type, *objmodel.Type) {
 	t.Helper()
+	return newBCWithPolicy(t, physMB, heapMB, cfg, nil)
+}
+
+// newBCWithPolicy is newBC with pol as the environment's heap policy
+// (nil: BC installs its own), set before BC is built, as sim does.
+func newBCWithPolicy(t testing.TB, physMB, heapMB int, cfg Config, pol heappolicy.Policy) (*vmm.VMM, *BC, *objmodel.Type, *objmodel.Type, *objmodel.Type) {
+	t.Helper()
 	clock := vmm.NewClock()
 	v := vmm.New(clock, uint64(physMB)<<20, vmm.DefaultCosts())
 	env := gc.NewEnv(v, "bc-test", uint64(heapMB)<<20)
 	env.Counters = trace.NewCounters()
+	env.HeapPolicy = pol
 	node := env.Types.Scalar("node", 4, 0, 1)
 	refArr := env.Types.Array("refArr", true)
 	dataArr := env.Types.Array("dataArr", false)
@@ -324,7 +333,7 @@ func TestBCShrinksFootprintUnderPressure(t *testing.T) {
 }
 
 func TestBCRegrowAfterTransientPressure(t *testing.T) {
-	v, c, node, _, _ := newBC(t, 64, 32, Config{Regrow: true})
+	v, c, node, _, _ := newBCWithPolicy(t, 64, 32, Config{}, heappolicy.NewBCShrink(heappolicy.BCShrinkOptions{Regrow: true}))
 	for i := 0; i < 100000; i++ {
 		c.Alloc(node, 0)
 	}

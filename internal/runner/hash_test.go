@@ -15,6 +15,9 @@ import (
 // of them orphans every stored result: do that on purpose or not at all.
 // The jvms2 row was re-pinned when several JVMs on one machine became a
 // fleet of identical tenants; its old single-run form no longer exists.
+// The fleet row was re-pinned when the fleet spec lost the cascade
+// window and sustain, backpressure and admission-throttle keys that
+// DefaultFleetSpec used to write; the fleet it runs did not change.
 func TestJobHashPinned(t *testing.T) {
 	prog, _ := mutator.ByName("pseudojbb")
 	prog = prog.Scale(0.03)
@@ -39,7 +42,7 @@ func TestJobHashPinned(t *testing.T) {
 			PhysBytes: 100 << 20, Quantum: 64, Seed: 7,
 		}}, "a74c1be22e35d1588dc9471e7d631889771187b436438cf4c36dfa1aa9afd0cc"},
 		{"fleet", Job{Fleet: &fleet},
-			"ddfba02259d72bbc434d859b12dfeb2b9ea34a6eeb00f5b7c02894a0dc43b3d1"},
+			"c8d1768a036a1503a397f20c498f108fbe3efe90a04cbe4e43fff3bef637c967"},
 	} {
 		if err := tc.job.Validate(); err != nil {
 			t.Errorf("%s: the pinned job is not a valid one: %v", tc.name, err)

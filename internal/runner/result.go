@@ -23,10 +23,10 @@ type Pause struct {
 
 // RunData is the serializable subset of one simulation's measurements
 // that the experiment reduces consume. A single-process job yields one;
-// a multi-JVM job yields one per instance.
+// a fleet job (several JVMs on one machine included) one per tenant.
 type RunData struct {
-	// Name labels the run within its job (fleet tenants); empty for
-	// single-process and identical-multi-JVM runs.
+	// Name labels the run within its job: the fleet tenant's name
+	// (several identical JVMs included); empty for a single-process run.
 	Name           string        `json:"name,omitempty"`
 	ElapsedSecs    float64       `json:"elapsed_secs"`
 	StartNS        int64         `json:"start_ns"`

@@ -61,7 +61,6 @@ type tenant struct {
 	inj *fault.Injector
 
 	weight       int
-	admitAt      time.Duration
 	penaltySkips int
 	lastMajor    uint64 // detector snapshot for noisiest-tenant attribution
 

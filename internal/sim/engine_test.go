@@ -210,7 +210,7 @@ func TestRunDigestsGolden(t *testing.T) {
 // and heap policy it actually ran with, fleet-wide defaults applied.
 func TestFleetTenantConfig(t *testing.T) {
 	prog := tinyJBB()
-	ts := TenantSpec{Collector: GenMS, Program: prog, HeapBytes: mem.RoundUpPage(2 * prog.MinHeap), Seed: 10}
+	ts := TenantSpec{Collector: GenMS, Program: prog, HeapBytes: mem.RoundUpPage(2 * prog.MinHeap)}
 	own := ts
 	own.HeapPolicy = "membalancer"
 	fr := RunFleet(FleetConfig{Spec: FleetSpec{
@@ -219,7 +219,7 @@ func TestFleetTenantConfig(t *testing.T) {
 	if fr.Err != nil {
 		t.Fatal(fr.Err)
 	}
-	for i, want := range []RunConfig{{Seed: 110, HeapPolicy: "fixed"}, {Seed: 111, HeapPolicy: "membalancer"}} {
+	for i, want := range []RunConfig{{Seed: 100, HeapPolicy: "fixed"}, {Seed: 101, HeapPolicy: "membalancer"}} {
 		got := fr.Tenants[i].Config
 		if got.Seed != want.Seed || got.HeapPolicy != want.HeapPolicy {
 			t.Errorf("tenant %d ran as seed=%d policy=%q, want seed=%d policy=%q",
@@ -239,45 +239,10 @@ func assembled(t *testing.T, spec FleetSpec) *fleetRun {
 	return f
 }
 
-// TestScheduleSkipsIdleToEarliestAdmit: with every live tenant waiting
-// on admission, one scheduling turn steps nobody and jumps the clock to
-// the earliest admit point exactly; the next turn steps only the tenant
-// admitted there.
-func TestScheduleSkipsIdleToEarliestAdmit(t *testing.T) {
-	prog := tinyJBB()
-	ts := TenantSpec{Collector: MarkSweep, Program: prog, HeapBytes: mem.RoundUpPage(2 * prog.MinHeap)}
-	late, early := ts, ts
-	late.AdmitAtNS = int64(70 * time.Millisecond)
-	early.AdmitAtNS = int64(30 * time.Millisecond)
-	f := assembled(t, FleetSpec{Tenants: []TenantSpec{late, early}, PhysBytes: 4 * ts.HeapBytes})
-
-	if !f.turn() {
-		t.Fatal("turn reported no live tenants")
-	}
-	if now := f.clock.Now(); now != 30*time.Millisecond {
-		t.Fatalf("idle turn left the clock at %v, want the earliest admit point 30ms", now)
-	}
-	for _, tn := range f.tenants {
-		if n := tn.run.Finish().Allocations; n != 0 {
-			t.Fatalf("%s allocated %d objects before its admission", tn.env.Proc.Name(), n)
-		}
-	}
-	f.turn()
-	if f.tenants[0].run.Finish().Allocations != 0 || f.tenants[1].run.Finish().Allocations == 0 {
-		t.Fatal("the turn at 30ms should step the early tenant and only it")
-	}
-	f.schedule()
-	for _, tn := range f.tenants {
-		if !tn.done || tn.failed != nil {
-			t.Fatalf("%s: done=%v failed=%v after schedule", tn.env.Proc.Name(), tn.done, tn.failed)
-		}
-	}
-}
-
 // TestLadderObserve: hot windows count only while consecutive; a cool
 // window and a cascade both restart the count.
 func TestLadderObserve(t *testing.T) {
-	l := ladder{threshold: 12, sustain: 2, last: 100}
+	l := ladder{threshold: 12, last: 100}
 	steps := []struct {
 		cur       uint64
 		delta     uint64
@@ -301,8 +266,8 @@ func TestLadderObserve(t *testing.T) {
 	}
 }
 
-// TestArmLadder: an unset threshold arms nothing; a set one applies the
-// window and sustain defaults and ticks on the simulated clock, so a
+// TestArmLadder: an unset threshold arms nothing; a set one ticks every
+// 100 ms on the simulated clock and cascades after two hot windows, so a
 // process thrashing the shared machine cascades the fleet with no
 // scheduler running, and a quiet window afterwards cools the detector.
 func TestArmLadder(t *testing.T) {
@@ -317,12 +282,12 @@ func TestArmLadder(t *testing.T) {
 		t.Fatalf("ladder armed without a threshold: %+v", f.ladder)
 	}
 
-	spec.CascadeMajorFaults = 5 // half of what a 50ms window can hold at 5ms a fault
+	if cascadeWindow != 100*time.Millisecond || cascadeSustain != 2 {
+		t.Fatalf("ladder shape: window=%v sustain=%d, want 100ms and 2", cascadeWindow, cascadeSustain)
+	}
+	spec.CascadeMajorFaults = 10 // half of what a 100ms window can hold at 5ms a fault
 	f = assembled(t, spec)
 	f.armLadder()
-	if f.ladder.window != 50*time.Millisecond || f.ladder.sustain != 2 {
-		t.Fatalf("defaults: window=%v sustain=%d, want 50ms and 2", f.ladder.window, f.ladder.sustain)
-	}
 	// Cycling over twice the machine's frames faults on every touch once
 	// the first pass has pushed the early pages out to swap.
 	thrasher := f.v.NewProc("thrasher", 2*vmm.MinPhysBytes)
@@ -335,7 +300,10 @@ func TestArmLadder(t *testing.T) {
 	if f.cascades == 0 {
 		t.Fatalf("no cascade after %v and %d major faults", f.clock.Now(), f.v.Stats().MajorFaults)
 	}
-	f.clock.Advance(2 * f.ladder.window)
+	// One Advance closes one window (the detector re-arms from the time
+	// it fires): the first closes the thrash's tail, the second a quiet one.
+	f.clock.Advance(cascadeWindow)
+	f.clock.Advance(cascadeWindow)
 	if f.ladder.hot != 0 {
 		t.Fatalf("hot=%d after quiet windows, want 0", f.ladder.hot)
 	}

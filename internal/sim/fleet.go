@@ -52,16 +52,10 @@ type TenantSpec struct {
 	Synth     *workload.SynthParams `json:"synth,omitempty"`
 	TracePath string                `json:"trace_path,omitempty"`
 
-	// Seed drives the tenant's workload generator (ignored for traces).
-	Seed int64 `json:"seed,omitempty"`
 	// Chaos, when non-empty, is a fault regime name (fault.Regimes). The
 	// tenant's injector seed derives from the fleet chaos seed and the
 	// tenant index via fault.TenantSeed, so schedules are independent.
 	Chaos string `json:"chaos,omitempty"`
-	// AdmitAtNS delays the tenant's first quantum until the given
-	// simulated time: staggered admission, and the lever the admission
-	// throttle pushes on when the fleet cascades.
-	AdmitAtNS int64 `json:"admit_at_ns,omitempty"`
 	// Weight is the tenant's proportional-share weight (default 1).
 	Weight int `json:"weight,omitempty"`
 	// HeapPolicy names the tenant's heap-limit policy
@@ -79,7 +73,7 @@ type FleetSpec struct {
 	// Quantum is allocations per scheduling turn (default 512).
 	Quantum int `json:"quantum,omitempty"`
 	// Seed offsets every tenant's workload seed (tenant i runs with
-	// Seed + TenantSpec.Seed + i).
+	// Seed + i; ignored for traces).
 	Seed int64 `json:"seed,omitempty"`
 	// ChaosSeed is the fleet-wide chaos seed tenant injector seeds
 	// derive from.
@@ -99,19 +93,14 @@ type FleetSpec struct {
 	BalanceEveryNS int64 `json:"balance_every_ns,omitempty"`
 
 	// Degradation ladder. The cascade detector samples the fleet-wide
-	// major-fault rate every CascadeWindowNS of simulated time; when the
-	// per-window count meets CascadeMajorFaults for CascadeSustain
-	// consecutive windows, the fleet has cascaded: the arbiter escalates
-	// to EscalateTo (when set), the noisiest tenant is backpressured
-	// (when Backpressure), unadmitted tenants are pushed back (when
-	// AdmissionThrottle), and a fleet flight bundle is written. A zero
-	// CascadeMajorFaults disables the detector.
-	CascadeWindowNS    int64             `json:"cascade_window_ns,omitempty"`
+	// major-fault count every 100 ms of simulated time; when the
+	// per-window count meets CascadeMajorFaults for two consecutive
+	// windows, the fleet has cascaded: the arbiter escalates to
+	// EscalateTo (when set), the tenant with the most major faults in
+	// the window loses its next 16 turns, and a fleet flight bundle is
+	// written. A zero CascadeMajorFaults disables the detector.
 	CascadeMajorFaults uint64            `json:"cascade_major_faults,omitempty"`
-	CascadeSustain     int               `json:"cascade_sustain,omitempty"`
 	EscalateTo         ArbitrationPolicy `json:"escalate_to,omitempty"`
-	Backpressure       bool              `json:"backpressure,omitempty"`
-	AdmissionThrottle  bool              `json:"admission_throttle,omitempty"`
 }
 
 // FleetConfig couples a FleetSpec with the host-side knobs that do not
@@ -217,6 +206,15 @@ func (a *fleetArbiter) Approve(owner *vmm.Proc, pg mem.PageID) bool {
 // uncoopSlackFloor is the residency (pages) below which a
 // non-cooperating tenant no longer counts as an eviction target.
 const uncoopSlackFloor = 32
+
+// The degradation ladder's fixed shape: the detector's window, the hot
+// windows in a row that make a cascade, and the turns the noisiest
+// tenant loses to one.
+const (
+	cascadeWindow     = 100 * time.Millisecond
+	cascadeSustain    = 2
+	backpressureSkips = 16
+)
 
 // maxDumpsPerTenant bounds each tenant's share of the flight-dump budget.
 const maxDumpsPerTenant = 4
@@ -345,7 +343,6 @@ func (f *fleetRun) assemble() (int, error) {
 		if err != nil {
 			return i, err
 		}
-		t.admitAt = time.Duration(ts.AdmitAtNS)
 		t.weight = max(ts.Weight, 1)
 		if f.cfg.AfterCollection != nil {
 			if hooked, ok := t.col.(interface{ OnCollectionEnd(func()) }); ok {
@@ -370,7 +367,7 @@ func (f *fleetRun) tenantConfig(i int, ts TenantSpec) (RunConfig, error) {
 		Program:    ts.Program,
 		HeapBytes:  ts.HeapBytes,
 		PhysBytes:  spec.PhysBytes,
-		Seed:       spec.Seed + ts.Seed + int64(i),
+		Seed:       spec.Seed + int64(i),
 		Counters:   f.cfg.Counters,
 		HeapPolicy: ts.HeapPolicy,
 	}
@@ -407,12 +404,10 @@ func (f *fleetRun) release() {
 }
 
 // ladder is the cascade detector's state: a hot window is one whose
-// fleet-wide major-fault count met the threshold, and sustain hot
-// windows in a row are a cascade.
+// fleet-wide major-fault count met the threshold, and cascadeSustain
+// hot windows in a row are a cascade.
 type ladder struct {
 	threshold uint64
-	window    time.Duration
-	sustain   int
 
 	hot  int    // consecutive hot windows so far
 	last uint64 // fleet major faults at the previous tick
@@ -429,7 +424,7 @@ func (l *ladder) observe(cur uint64) (delta uint64, cascaded bool) {
 		return delta, false
 	}
 	l.hot++
-	if l.hot < l.sustain {
+	if l.hot < cascadeSustain {
 		return delta, false
 	}
 	l.hot = 0
@@ -443,20 +438,9 @@ func (f *fleetRun) armLadder() {
 	if spec.CascadeMajorFaults == 0 {
 		return
 	}
-	f.ladder = ladder{
-		threshold: spec.CascadeMajorFaults,
-		window:    time.Duration(spec.CascadeWindowNS),
-		sustain:   spec.CascadeSustain,
-		last:      f.v.Stats().MajorFaults,
-	}
-	if f.ladder.window <= 0 {
-		f.ladder.window = 50 * time.Millisecond
-	}
-	if f.ladder.sustain <= 0 {
-		f.ladder.sustain = 2
-	}
+	f.ladder = ladder{threshold: spec.CascadeMajorFaults, last: f.v.Stats().MajorFaults}
 	f.snapshotMajors()
-	f.every(f.ladder.window, func() {
+	f.every(cascadeWindow, func() {
 		if delta, cascaded := f.ladder.observe(f.v.Stats().MajorFaults); cascaded {
 			f.cascade(delta)
 		} else {
@@ -488,37 +472,23 @@ func (f *fleetRun) schedule() {
 	}
 }
 
-// turn gives every admitted live tenant one quantum, round-robin in
-// spec order, honouring admission times and backpressure, and reports
-// whether any tenant is still live. When every live tenant is waiting
-// on admission, the clock skips idle time to the earliest admit point —
-// a discrete-event jump, not a busy spin.
+// turn gives every live tenant one quantum, round-robin in spec order,
+// except that a backpressured tenant spends one of its penalty skips
+// instead, and reports whether any tenant is still live.
 func (f *fleetRun) turn() bool {
-	live, stepped := 0, 0
-	var nextAdmit time.Duration = -1
+	live := 0
 	for _, t := range f.tenants {
 		if t.done {
 			continue
 		}
 		live++
-		if f.clock.Now() < t.admitAt {
-			if nextAdmit < 0 || t.admitAt < nextAdmit {
-				nextAdmit = t.admitAt
-			}
-			continue
-		}
 		if t.penaltySkips > 0 {
 			t.penaltySkips--
 			continue
 		}
-		if t.step(f.quantum) {
-			stepped++
-		} else {
+		if !t.step(f.quantum) {
 			t.retire()
 		}
-	}
-	if stepped == 0 && nextAdmit > f.clock.Now() {
-		f.clock.Advance(nextAdmit - f.clock.Now())
 	}
 	return live > 0
 }
@@ -559,9 +529,8 @@ func (f *fleetRun) report() FleetResult {
 
 // cascade is the ladder's response to a sustained fleet-wide fault
 // storm: escalate the arbitration policy, backpressure the noisiest
-// tenant, push back unadmitted tenants, and write the fleet bundle
-// through the reserved dump slots. Runs on the simulated clock, so every
-// action is deterministic.
+// tenant, and write the fleet bundle through the reserved dump slots.
+// Runs on the simulated clock, so every action is deterministic.
 func (f *fleetRun) cascade(windowFaults uint64) {
 	spec := f.cfg.Spec
 	f.cascades++
@@ -572,8 +541,8 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 		f.escalated = true
 	}
 
-	// Backpressure: the tenant with the most major faults this window
-	// loses its next turns at the scheduler.
+	// The tenant with the most major faults this window loses its next
+	// turns at the scheduler.
 	noisiest := -1
 	var worst uint64
 	for i, t := range f.tenants {
@@ -585,19 +554,7 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 			worst = d
 		}
 	}
-	if spec.Backpressure && noisiest >= 0 {
-		f.tenants[noisiest].penaltySkips += 16
-	}
-
-	// Admission throttle: anyone not yet admitted waits out the storm.
-	if spec.AdmissionThrottle {
-		now := f.clock.Now()
-		for _, t := range f.tenants {
-			if !t.done && now < t.admitAt {
-				t.admitAt += 4 * f.ladder.window
-			}
-		}
-	}
+	f.tenants[noisiest].penaltySkips += backpressureSkips
 
 	if f.cfg.FlightDir == "" {
 		return
@@ -605,10 +562,10 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 	b := &telemetry.FleetBundle{
 		Reason:        "cascade-thrash",
 		SimTimeNS:     int64(f.clock.Now()),
-		WindowNS:      int64(f.ladder.window),
+		WindowNS:      int64(cascadeWindow),
 		WindowFaults:  windowFaults,
 		Threshold:     spec.CascadeMajorFaults,
-		SustainedFor:  f.ladder.sustain,
+		SustainedFor:  cascadeSustain,
 		Policy:        string(f.cfg.Spec.Policy),
 		Fairness:      f.fairnessNow(),
 		AggMajor:      f.v.Stats().MajorFaults,
@@ -627,7 +584,7 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 			MajorFaults:   t.env.Proc.Stats().MajorFaults,
 			Evictions:     t.env.Proc.Stats().Evictions,
 			PauseP99NS:    int64(t.col.Stats().Timeline.Percentile(99)),
-			Penalized:     i == noisiest && spec.Backpressure,
+			Penalized:     i == noisiest,
 		}
 		if t.failed != nil {
 			snap.Failed = t.failed.Error()

@@ -27,9 +27,7 @@ func thrashFleetSpec(frac float64) FleetSpec {
 		ChaosSeed:          42,
 		Quantum:            512,
 		Policy:             PolicyGlobalLRU,
-		CascadeWindowNS:    100 * 1e6,
 		CascadeMajorFaults: 12,
-		CascadeSustain:     2,
 	}
 	var sum uint64
 	for i := 0; i < 3; i++ {
@@ -77,8 +75,6 @@ func fleetOutcome(fr FleetResult) string {
 func TestFleetDeterminism(t *testing.T) {
 	spec := thrashFleetSpec(0.5)
 	spec.EscalateTo = PolicyCooperative
-	spec.Backpressure = true
-	spec.AdmissionThrottle = true
 
 	base := RunFleet(FleetConfig{Spec: spec})
 	if base.Err != nil {
@@ -115,7 +111,7 @@ func TestFleetMatchesIsolatedRuns(t *testing.T) {
 			Program:   ts.Program,
 			HeapBytes: ts.HeapBytes,
 			PhysBytes: 4 * ts.HeapBytes, // alone and unpressured
-			Seed:      spec.Seed + ts.Seed + int64(i),
+			Seed:      spec.Seed + int64(i),
 		})
 		if solo.Err != nil {
 			t.Fatalf("isolated run for %s failed: %v", fr.Names[i], solo.Err)
@@ -135,8 +131,6 @@ func TestFleetCascadeLadder(t *testing.T) {
 	dir := t.TempDir()
 	spec := thrashFleetSpec(0.45)
 	spec.EscalateTo = PolicyCooperative
-	spec.Backpressure = true
-	spec.AdmissionThrottle = true
 	fr := RunFleet(FleetConfig{Spec: spec, FlightDir: dir})
 	if fr.Err != nil {
 		t.Fatalf("fleet err: %v", fr.Err)
@@ -251,41 +245,6 @@ func TestFleetPolicyDifference(t *testing.T) {
 		blind.AggMajorFaults, aware.AggMajorFaults, blind.Fairness, aware.Fairness)
 }
 
-// TestFleetAdmission delays one tenant's admission: the scheduler must
-// idle-skip to the admit point rather than spin, and the tenant still
-// runs to completion with the right checksum.
-func TestFleetAdmission(t *testing.T) {
-	prog, _ := mutator.ByName("compress")
-	prog = prog.Scale(0.02)
-	heap := mem.RoundUpPage(2 * prog.MinHeap)
-	spec := FleetSpec{
-		Seed: 3,
-		Tenants: []TenantSpec{{
-			Collector: BC, Program: prog, HeapBytes: heap,
-			AdmitAtNS: int64(250 * 1e6),
-		}},
-		PhysBytes: 4 * heap,
-	}
-	fr := RunFleet(FleetConfig{Spec: spec})
-	if fr.Err != nil {
-		t.Fatalf("fleet err: %v", fr.Err)
-	}
-	if fr.Tenants[0].Err != nil {
-		t.Fatalf("tenant failed: %v", fr.Tenants[0].Err)
-	}
-	if fr.ElapsedSecs < 0.25 {
-		t.Fatalf("fleet finished in %.3fs, before the 250ms admit point", fr.ElapsedSecs)
-	}
-	solo := Run(RunConfig{
-		Collector: BC, Program: prog, HeapBytes: heap,
-		PhysBytes: 4 * heap, Seed: 3,
-	})
-	if solo.Mutator.Checksum != fr.Tenants[0].Mutator.Checksum {
-		t.Fatalf("delayed tenant checksum %x != isolated %x",
-			fr.Tenants[0].Mutator.Checksum, solo.Mutator.Checksum)
-	}
-}
-
 // TestFleetAfterCollectionHook wires collector invariant checks and
 // machine-wide accounting audits into a contended fleet: every BC
 // collection end must observe a consistent heap and consistent
@@ -359,10 +318,7 @@ func TestFleetSpecValidate(t *testing.T) {
 	}{
 		{"quantum", -1, func(s *FleetSpec) { s.Quantum = -5 }},
 		{"balance_every_ns", -1, func(s *FleetSpec) { s.BalanceEveryNS = -1 }},
-		{"cascade_window_ns", -1, func(s *FleetSpec) { s.CascadeWindowNS = -10 }},
-		{"cascade_sustain", -1, func(s *FleetSpec) { s.CascadeSustain = -1 }},
 		{"weight", 1, func(s *FleetSpec) { s.Tenants[1].Weight = -3 }},
-		{"admit_at_ns", 0, func(s *FleetSpec) { s.Tenants[0].AdmitAtNS = -1 }},
 	}
 	for _, tc := range negatives {
 		s := thrashFleetSpec(0.5)
@@ -401,6 +357,37 @@ func TestLoadFleetSpec(t *testing.T) {
 	}
 	if _, err := LoadFleetSpec(append(data[:len(data):len(data)], " \n\t"...)); err != nil {
 		t.Errorf("spec followed by whitespace rejected: %v", err)
+	}
+	// A setting the spec no longer has is an unknown field, named.
+	withRemoved := strings.Replace(string(data), `"tenants":[{`, `"tenants":[{"admit_at_ns":5,`, 1)
+	if _, err := LoadFleetSpec([]byte(withRemoved)); err == nil || !strings.Contains(err.Error(), `"admit_at_ns"`) {
+		t.Errorf("spec naming admit_at_ns: LoadFleetSpec() = %v, want an unknown-field error naming it", err)
+	}
+}
+
+// TestReadmeFleetSpecLoads loads the tenant-spec example README.md shows
+// users, so the example cannot name a setting the spec does not have.
+func TestReadmeFleetSpecLoads(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var examples []string
+	for _, block := range strings.Split(string(readme), "```json\n")[1:] {
+		body, _, _ := strings.Cut(block, "```")
+		if strings.Contains(body, `"tenants"`) {
+			examples = append(examples, body)
+		}
+	}
+	if len(examples) != 1 {
+		t.Fatalf("README.md has %d tenant-spec JSON blocks, want 1", len(examples))
+	}
+	spec, err := LoadFleetSpec([]byte(examples[0]))
+	if err != nil {
+		t.Fatalf("README.md's tenant-spec example does not load: %v", err)
+	}
+	if len(spec.Tenants) != 2 || spec.CascadeMajorFaults == 0 {
+		t.Fatalf("README.md's example loaded as %d tenants, cascade threshold %d", len(spec.Tenants), spec.CascadeMajorFaults)
 	}
 }
 

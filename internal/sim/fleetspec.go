@@ -84,8 +84,7 @@ func (s *FleetSpec) Validate() error {
 	if s.HeapPolicy != "" && !heappolicy.Known(s.HeapPolicy) {
 		return fmt.Errorf("sim: unknown heap policy %q (valid: %v)", s.HeapPolicy, heappolicy.Names())
 	}
-	if err := negative(-1, field{"quantum", int64(s.Quantum)}, field{"balance_every_ns", s.BalanceEveryNS},
-		field{"cascade_window_ns", s.CascadeWindowNS}, field{"cascade_sustain", int64(s.CascadeSustain)}); err != nil {
+	if err := negative(-1, field{"quantum", int64(s.Quantum)}, field{"balance_every_ns", s.BalanceEveryNS}); err != nil {
 		return err
 	}
 	for i, t := range s.Tenants {
@@ -106,7 +105,7 @@ func (s *FleetSpec) Validate() error {
 		if t.HeapPolicy != "" && !heappolicy.Known(t.HeapPolicy) {
 			return fmt.Errorf("sim: tenant %d: unknown heap policy %q (valid: %v)", i, t.HeapPolicy, heappolicy.Names())
 		}
-		if err := negative(i, field{"weight", int64(t.Weight)}, field{"admit_at_ns", t.AdmitAtNS}); err != nil {
+		if err := negative(i, field{"weight", int64(t.Weight)}); err != nil {
 			return err
 		}
 	}
@@ -162,11 +161,7 @@ func DefaultFleetSpec(n int, scale float64, seed, chaosSeed int64) FleetSpec {
 		// the fleet-wide fault rate saturates at 20 per 100ms window; 12
 		// means the fleet spends over half its time servicing faults —
 		// thrashing by any definition.
-		CascadeWindowNS:    int64(100 * 1e6),
 		CascadeMajorFaults: 12,
-		CascadeSustain:     2,
-		Backpressure:       true,
-		AdmissionThrottle:  true,
 	}
 	var sumHeap uint64
 	for i := 0; i < n; i++ {

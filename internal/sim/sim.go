@@ -13,6 +13,7 @@ import (
 	"bookmarkgc/internal/core"
 	"bookmarkgc/internal/fault"
 	"bookmarkgc/internal/gc"
+	"bookmarkgc/internal/heappolicy"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/mutator"
@@ -83,7 +84,12 @@ func NewCollector(kind CollectorKind, env *gc.Env) (gc.Collector, error) {
 	case BCPointerFree:
 		return core.New(env, core.Config{Victim: core.VictimPreferPointerFree}), nil
 	case BCRegrow:
-		return core.New(env, core.Config{Regrow: true}), nil
+		// BC with bc-shrink's §7 regrow: a footprint target that rises
+		// again once the VMM has had free memory for a while.
+		if env.HeapPolicy == nil {
+			env.HeapPolicy = heappolicy.NewBCShrink(heappolicy.BCShrinkOptions{Regrow: true})
+		}
+		return core.New(env, core.Config{}), nil
 	case GenMS:
 		return collectors.NewGenMS(env), nil
 	case GenMSAdvisor:

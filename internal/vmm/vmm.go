@@ -198,10 +198,6 @@ type VMM struct {
 	sinceStuckTry int
 
 	stats Stats
-
-	// OnMajorFault, when set, observes every major fault (pid, page) —
-	// a debugging/tracing hook used by diagnostics and tests.
-	OnMajorFault func(pid int32, page mem.PageID)
 }
 
 // MinPhysBytes is the smallest machine New accepts: enough frames for
@@ -579,9 +575,6 @@ func (p *Proc) FaultTouch(pg mem.PageID, write bool) {
 	case f&mem.PFEvicted != 0:
 		v.stats.MajorFaults++
 		p.stats.MajorFaults++
-		if v.OnMajorFault != nil {
-			v.OnMajorFault(p.id, pg)
-		}
 		v.Clock.Advance(v.costs.MajorFault)
 		// The page is locked for the duration of fault service, as the
 		// kernel's page lock does: reclaim triggered while mapping the
@@ -611,8 +604,8 @@ func (p *Proc) FaultTouch(pg mem.PageID, write bool) {
 // access runs the full fault path (faults, residency, notifications),
 // the remainder only advance the clock — after the first access the
 // page is resident and referenced, so n-1 further touches could differ
-// only in clock cost. The parallel mark engine uses this to replay its
-// recorded per-page access counts in canonical order.
+// only in clock cost. The mark engine (gc.Marker) uses this to replay
+// its recorded per-page access counts in ascending page order.
 func (p *Proc) TouchN(pg mem.PageID, n uint64, write bool) {
 	if n == 0 {
 		return
