@@ -8,8 +8,8 @@ import (
 
 // BenchmarkArenaAllocFree cycles page bodies through materialize and
 // ZeroPageRaw — the allocate/discard churn of a collector that returns
-// empty pages to the VM. Steady state must recycle handles from the
-// free list without growing the slab arena.
+// empty pages to the VM. Steady state must recycle bodies through the
+// process-wide pool without mapping new ones.
 func BenchmarkArenaAllocFree(b *testing.B) {
 	const npages = 256
 	s := testSpace(npages * PageSize)

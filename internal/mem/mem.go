@@ -8,13 +8,13 @@
 // collectors can only reach heap memory through Space, so "who touches
 // which page" is an emergent property of the algorithms.
 //
-// Backing storage is an index-addressed arena (DESIGN.md §15): page
-// bodies live in large fixed slabs that never move, the per-page table
-// maps a PageID to a uint32 body handle (with -1 meaning "never written:
-// reads as zero"), and discarded bodies recycle through a free list. The
-// VMM's hot residency bits live in a side byte array (PageFlags) so the
-// common touch — a resident, unprotected page — is an inline flag check
-// with no interface dispatch and no Go allocation.
+// Backing storage is one process-wide pool of page bodies (DESIGN.md
+// §15): the per-page table points at each page's body (nil meaning
+// "never written: reads as zero"), and a discarded or released body goes
+// back to the pool for any Space to reuse. The VMM's hot residency bits
+// live in a side byte array (PageFlags) so the common touch — a
+// resident, unprotected page — is an inline flag check with no interface
+// dispatch and no Go allocation.
 package mem
 
 import (
@@ -113,11 +113,9 @@ const pfFastMask = PFResident | PFEvicted | PFProtected
 // the (large) virtual region.
 type Space struct {
 	// bodies is the hot page table: a direct pointer to each page's word
-	// array (nil = unmaterialized). table holds the arena handle behind
-	// each body for free-list recycling.
+	// array (nil = unmaterialized), each drawn from the pool.
 	bodies []*[WordsPage]uint64
-	table  []int32 // page -> arena body handle; -1 = unmaterialized
-	size   Addr    // bytes
+	size   Addr // bytes
 
 	// Every word access advances clock by wordCost inline, then either
 	// sets the referenced bit in flags (resident, unprotected page) or
@@ -128,7 +126,7 @@ type Space struct {
 	ft       FaultToucher
 	flags    []uint8
 
-	ar *arena
+	own *owner // shares bodies; returns them if the Space is dropped
 }
 
 // NewSpace creates a space of the given size in bytes (rounded up to a
@@ -137,18 +135,15 @@ type Space struct {
 func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher) *Space {
 	size = RoundUpPage(size)
 	npg := size / PageSize
+	bodies := make([]*[WordsPage]uint64, npg)
 	s := &Space{
-		bodies:   make([]*[WordsPage]uint64, npg),
-		table:    make([]int32, npg),
+		bodies:   bodies,
 		flags:    make([]uint8, npg),
 		size:     Addr(size),
 		clock:    clock,
 		wordCost: wordCost,
 		ft:       ft,
-		ar:       newArena(),
-	}
-	for i := range s.table {
-		s.table[i] = -1
+		own:      newOwner(bodies),
 	}
 	// The reserved null page can never satisfy the fast-path flag test
 	// (both state bits set is otherwise impossible), so a page-0 access
@@ -159,17 +154,11 @@ func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher
 	return s
 }
 
-// Release returns the space's slabs to the process-wide free list and
-// drops every body pointer. Only call it when the space is dead:
-// recycled slabs are handed to future Spaces, which overwrite them. A space dropped without Release returns
-// its slabs when the Go collector finds its arena unreachable.
-func (s *Space) Release() {
-	for i := range s.bodies {
-		s.bodies[i] = nil
-		s.table[i] = -1
-	}
-	s.ar.release()
-}
+// Release returns the space's bodies to the process-wide pool and drops
+// every body pointer. Only call it when the space is dead: the bodies
+// go to other Spaces, which overwrite them. A space dropped without
+// Release returns its bodies when the Go collector finds it unreachable.
+func (s *Space) Release() { putBodies(s.bodies) }
 
 // PageFlags exposes the per-page flag side array for the VMM to maintain.
 // Entry p holds the PF* bits of page p.
@@ -197,22 +186,11 @@ func (s *Space) badAccess(a Addr) {
 	panic(fmt.Sprintf("mem: access to reserved null page at %#x", a))
 }
 
-// body returns the word array of arena handle b.
-func (s *Space) body(b int32) *[WordsPage]uint64 {
-	return (*[WordsPage]uint64)(s.ar.slabs[b>>slabShift][(uint64(b)&slabMask)*WordsPage:])
-}
-
-// materialize installs backing for page p, recycling a free body when
-// one is available (zeroing it: a discarded page reads as zero-filled).
+// materialize installs a zeroed body from the pool as page p's backing.
 func (s *Space) materialize(p PageID) *[WordsPage]uint64 {
-	b, recycled := s.ar.alloc()
-	s.table[p] = b
-	body := s.body(b)
-	if recycled {
-		clear(body[:])
-	}
-	s.bodies[p] = body
-	return body
+	b := newBody()
+	s.bodies[p] = b
+	return b
 }
 
 // touch charges one word access to page p: clock cost first (due events
@@ -337,6 +315,11 @@ func (s *Space) writeSlow(a Addr, v uint64) {
 // finds the rest of its sequence lies on another page and finishes with
 // ordinary accesses: that only refuses some windows that could have been
 // batched.
+//
+// body is valid only until the next clock event: ZeroPageRaw hands a
+// discarded page's body to the pool, from which any Space — on any
+// goroutine of a parallel sweep — may take it at once. Callers hold it
+// only inside the event-free window.
 func (s *Space) OpenWindow(a Addr, n int) (body *[WordsPage]uint64, ok bool) {
 	p := a.Page()
 	if uint64(a)&(WordSize-1) != 0 || !s.rangeFast(p, uint64(n)) {
@@ -525,13 +508,14 @@ func (s *Space) PokeWord(a Addr, v uint64) {
 	arr[(a&(PageSize-1))>>3] = v
 }
 
-// ZeroPageRaw drops a page's backing body into the arena free list
+// ZeroPageRaw returns a page's backing body to the process-wide pool
 // without touching it. The VMM uses this to model madvise(MADV_DONTNEED):
-// a discarded page reads as zero-filled when next faulted in.
+// a discarded page reads as zero-filled when next faulted in. Another
+// Space may reuse the body straight away, so no caller may keep a body
+// pointer across a clock event, whose handler can discard the page.
 func (s *Space) ZeroPageRaw(p PageID) {
-	if b := s.table[p]; b >= 0 {
-		s.table[p] = -1
+	if b := s.bodies[p]; b != nil {
 		s.bodies[p] = nil
-		s.ar.free = append(s.ar.free, b)
+		freeBodies.Put(b)
 	}
 }

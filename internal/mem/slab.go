@@ -5,19 +5,8 @@ import (
 	"sync"
 )
 
-// Arena geometry: page bodies are carved from slabs of slabPages bodies
-// (256 KB per slab). Slabs are allocated once and never move, so a body
-// pointer stays valid until its Space is released.
-const (
-	slabPages = 64
-	slabShift = 6  // log2(slabPages)
-	slabMask  = 63 // slabPages - 1
-)
-
-type slab [slabPages * WordsPage]uint64
-
 // FreeList is a mutex-guarded stack of retired host buffers shared by
-// every run in the process: page slabs here, worklists and root
+// every run in the process: page bodies here, worklists and root
 // registries in internal/gc. Unlike a sync.Pool it is never emptied by
 // the Go collector, so what one run retires is there for the next however
 // often the host GC runs; in exchange the list keeps its high-water mark
@@ -50,82 +39,67 @@ func (l *FreeList[T]) Put(vs ...T) {
 	l.mu.Unlock()
 }
 
-// freeSlabs holds the zeroed slabs of released Spaces. A sweep churns
-// through one Space per run, and before slabs were recycled the discarded
-// ones dominated host allocation (and with it host GC frequency).
-var freeSlabs FreeList[*slab]
+// freeBodies is the process-wide pool of page bodies no Space holds.
+// Every Space draws from it and returns to it, so the bodies the process
+// ever mapped are the most that all live Spaces held at once, not the sum
+// of each Space's own high-water mark. Bodies on it hold whatever their
+// last page held; newBody zeroes them on reuse.
+var freeBodies FreeList[*[WordsPage]uint64]
 
-// fresh is the never-issued rest of the last chunk of slabs mapSlabs
-// returned; those slabs read zero as mapped. issued counts the slabs ever
-// taken from a chunk.
+// fresh is the never-issued rest of the last chunk mapChunk returned;
+// those bodies read zero as mapped and are never written before they are
+// issued, so the host need not back a chunk's untouched tail. issued
+// counts the bodies ever taken from a chunk.
 var fresh struct {
 	sync.Mutex
-	chunk  []slab
+	chunk  [][WordsPage]uint64
 	issued int
 }
 
-// newSlab returns an all-zero slab: a recycled one if any Space has
-// released one, otherwise the next of the current chunk.
-func newSlab() *slab {
-	if s, ok := freeSlabs.Get(); ok {
-		return s
+// newBody returns an all-zero page body: a retired one, cleared, if the
+// pool has one, otherwise the next of the current chunk.
+func newBody() *[WordsPage]uint64 {
+	if b, ok := freeBodies.Get(); ok {
+		clear(b[:])
+		return b
 	}
 	fresh.Lock()
 	defer fresh.Unlock()
 	if len(fresh.chunk) == 0 {
-		fresh.chunk = mapSlabs()
+		fresh.chunk = mapChunk()
 	}
-	s := &fresh.chunk[0]
+	b := &fresh.chunk[0]
 	fresh.chunk = fresh.chunk[1:]
 	fresh.issued++
-	return s
+	return b
 }
 
-// arena hands out page bodies by dense uint32 handle with free-list
-// recycling. Handle b lives at words [b&slabMask * WordsPage ...] of
-// slab b>>slabShift.
-type arena struct {
-	slabs []*slab
-	free  []int32 // recycled handles; bodies are zeroed on reuse
-	next  int32   // first never-issued handle
-}
-
-// newArena returns an empty arena whose slabs go back to the free list
-// when it becomes unreachable, so a Space dropped without Release does
-// not strand them.
-func newArena() *arena {
-	ar := &arena{}
-	runtime.SetFinalizer(ar, (*arena).release)
-	return ar
-}
-
-// alloc returns a body handle and whether it was recycled (and therefore
-// holds stale words the caller must zero).
-func (ar *arena) alloc() (b int32, recycled bool) {
-	if n := len(ar.free); n > 0 {
-		b = ar.free[n-1]
-		ar.free = ar.free[:n-1]
-		return b, true
+// putBodies retires every non-nil body of table to the pool under one
+// lock and clears the table.
+func putBodies(table []*[WordsPage]uint64) {
+	freeBodies.mu.Lock()
+	for i, b := range table {
+		if b != nil {
+			freeBodies.items = append(freeBodies.items, b)
+			table[i] = nil
+		}
 	}
-	b = ar.next
-	ar.next++
-	if int(b)>>slabShift >= len(ar.slabs) {
-		ar.slabs = append(ar.slabs, newSlab())
-	}
-	return b, false
+	freeBodies.mu.Unlock()
 }
 
-// release zeroes every body the arena issued and hands its slabs to the
-// process-wide free list. Bodies from next on were never issued and still
-// read zero, so they are not written: the host need not back a slab's
-// untouched tail.
-func (ar *arena) release() {
-	for i, s := range ar.slabs {
-		clear(s[:min(int(ar.next)-i*slabPages, slabPages)*WordsPage])
-	}
-	freeSlabs.Put(ar.slabs...)
-	clear(ar.slabs)
-	ar.slabs = ar.slabs[:0]
-	ar.free = ar.free[:0]
-	ar.next = 0
+// owner shares a Space's body table so that a Space dropped without
+// Release still returns its bodies. The finalizer sits here, not on the
+// Space: a Space and its FaultToucher usually point at each other (a
+// vmm.Proc holds its Space), and the Go collector never frees a cycle
+// that carries a finalizer. owner points at nothing but the table.
+type owner struct {
+	bodies []*[WordsPage]uint64
+}
+
+// newOwner returns an owner of table whose bodies go back to the pool
+// when it becomes unreachable.
+func newOwner(table []*[WordsPage]uint64) *owner {
+	o := &owner{bodies: table}
+	runtime.SetFinalizer(o, func(o *owner) { putBodies(o.bodies) })
+	return o
 }

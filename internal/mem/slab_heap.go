@@ -2,10 +2,13 @@
 
 package mem
 
-// mapSlabs allocates one zeroed slab on the Go heap. Race builds keep
-// slabs there because the race detector ignores memory it did not
-// allocate: concurrent runner jobs hand slabs to each other through one
-// shared free list, and off the heap a body still written by the job
-// that released it would race unseen. Platforms without mmap keep slabs
-// there too.
-func mapSlabs() []slab { return make([]slab, 1) }
+// chunkBodies is the number of page bodies one heap chunk holds (256 KB).
+const chunkBodies = 64
+
+// mapChunk allocates a chunk of zeroed page bodies on the Go heap. Race
+// builds keep bodies there because the race detector ignores memory it
+// did not allocate: concurrent runner jobs hand bodies to each other
+// through one shared pool, and off the heap a body still written by the
+// job that freed it would race unseen. Platforms without mmap keep
+// bodies there too.
+func mapChunk() [][WordsPage]uint64 { return make([][WordsPage]uint64, chunkBodies) }

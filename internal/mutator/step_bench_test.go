@@ -15,7 +15,7 @@ import (
 // LinkEvery). Collections the program triggers are part of the cost;
 // building the machine and the initial live set is not. Each machine is
 // released when its program ends, as the run engine releases a finished
-// run's, so the next starts on recycled slabs and scratch.
+// run's, so the next starts on recycled page bodies and scratch.
 func BenchmarkMutatorStep(b *testing.B) {
 	spec := PseudoJBB().Scale(0.04)
 	heap := uint64(77<<20) * 4 / 100

@@ -203,8 +203,8 @@ func (t *tenant) result() Result {
 	return r
 }
 
-// release recycles the tenant's slabs — and its Env's worklist and root
-// scratch — for the next run in the sweep. The space dies with the run.
+// release returns the tenant's page bodies to the pool — and recycles its
+// Env's worklist and root scratch — for the next run in the sweep. The space dies with the run.
 func (t *tenant) release() {
 	t.env.ReleaseScratch(t.col.Roots())
 	t.env.Proc.Space().Release()
