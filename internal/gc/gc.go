@@ -61,13 +61,25 @@ type Env struct {
 func SetDefaultMarkWorkers(int) {}
 
 // Marker returns the environment's mark engine, building it on first
-// use.
+// use from a retired engine's buffers when one is large enough.
 func (e *Env) Marker() *Marker {
 	if e.marker == nil {
-		e.marker = &Marker{env: e, touch: make([]uint32, e.Space.Pages())}
+		n := e.Space.Pages()
+		m, ok := freeMarkers.GetFit(n, func(m *Marker) int { return cap(m.touch) })
+		if !ok {
+			m = &Marker{touch: make([]uint32, n)}
+		}
+		// A run that failed mid-mark may have retired it dirty.
+		*m = Marker{env: e, touch: m.touch[:n], touched: m.touched[:0], deferred: m.deferred[:0]}
+		clear(m.touch)
+		e.marker = m
 	}
 	return e.marker
 }
+
+// freeMarkers recycles mark engines — their per-page tally and round
+// buffers — across environments (ReleaseScratch).
+var freeMarkers mem.FreeList[*Marker]
 
 // NewEnv wires a process-wide environment for a heap of heapBytes.
 func NewEnv(v *vmm.VMM, name string, heapBytes uint64) *Env {
@@ -309,12 +321,17 @@ func (e *Env) PutWorkList(w *WorkList) {
 var freeWorkLists mem.FreeList[*WorkList]
 
 // ReleaseScratch hands the environment's recycled scratch — retired
-// worklists and the root registry's backing arrays — to process-wide
-// free lists for the next run. Call only when the run is completely
-// finished.
+// worklists, the mark engine's buffers and the root registry's backing
+// arrays — to process-wide free lists for the next run. Call only when
+// the run is completely finished.
 func (e *Env) ReleaseScratch(roots *Roots) {
 	freeWorkLists.Put(e.wlFree...)
 	e.wlFree = nil
+	if e.marker != nil {
+		e.marker.env = nil
+		freeMarkers.Put(e.marker)
+		e.marker = nil
+	}
 	if roots != nil {
 		roots.release()
 	}

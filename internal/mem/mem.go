@@ -19,6 +19,7 @@ package mem
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -135,10 +136,10 @@ type Space struct {
 func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher) *Space {
 	size = RoundUpPage(size)
 	npg := size / PageSize
-	bodies := make([]*[WordsPage]uint64, npg)
+	bodies := TakeTable(&freeBodyTables, npg)
 	s := &Space{
 		bodies:   bodies,
-		flags:    make([]uint8, npg),
+		flags:    TakeTable(&freeFlagTables, npg),
 		size:     Addr(size),
 		clock:    clock,
 		wordCost: wordCost,
@@ -154,11 +155,25 @@ func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher
 	return s
 }
 
-// Release returns the space's bodies to the process-wide pool and drops
-// every body pointer. Only call it when the space is dead: the bodies
-// go to other Spaces, which overwrite them. A space dropped without
+// Release returns the space's bodies to the process-wide pool and its
+// body and flag tables to theirs. Only call it when the space is dead:
+// bodies and tables go to other Spaces, which overwrite them, so no
+// holder of PageFlags may use it again either. A space dropped without
 // Release returns its bodies when the Go collector finds it unreachable.
-func (s *Space) Release() { putBodies(s.bodies) }
+// A second Release does nothing.
+func (s *Space) Release() {
+	if s.own == nil {
+		return
+	}
+	// Disarm the owner first: its finalizer would otherwise empty the
+	// body table after another Space has taken it.
+	runtime.SetFinalizer(s.own, nil)
+	s.own = nil
+	putBodies(s.bodies)
+	freeBodyTables.Put(s.bodies)
+	freeFlagTables.Put(s.flags)
+	s.bodies, s.flags = nil, nil
+}
 
 // PageFlags exposes the per-page flag side array for the VMM to maintain.
 // Entry p holds the PF* bits of page p.

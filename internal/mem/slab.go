@@ -6,9 +6,11 @@ import (
 )
 
 // FreeList is a mutex-guarded stack of retired host buffers shared by
-// every run in the process: page bodies here, worklists and root
-// registries in internal/gc. Unlike a sync.Pool it is never emptied by
-// the Go collector, so what one run retires is there for the next however
+// every run in the process: page bodies and the Space's page tables
+// here, the VMM's queues and page tables in internal/vmm, worklists,
+// root registries and mark engines in internal/gc, and trace buffers in
+// internal/workload. Unlike a sync.Pool it is never emptied by the Go
+// collector, so what one run retires is there for the next however
 // often the host GC runs; in exchange the list keeps its high-water mark
 // for the life of the process.
 type FreeList[T any] struct {
@@ -29,6 +31,31 @@ func (l *FreeList[T]) Get() (v T, ok bool) {
 	var zero T
 	l.items[n-1] = zero
 	l.items = l.items[:n-1]
+	return v, true
+}
+
+// GetFit pops the retired value of least size at least n, the most
+// recently retired of equals, where size reports a value's capacity, so
+// a table sized for a large run is not spent on a small one; ok is
+// false when none is that large.
+func (l *FreeList[T]) GetFit(n int, size func(T) int) (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	best := -1
+	for i := len(l.items) - 1; i >= 0; i-- {
+		if c := size(l.items[i]); c >= n && (best < 0 || c < size(l.items[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return v, false
+	}
+	last := len(l.items) - 1
+	v = l.items[best]
+	l.items[best] = l.items[last]
+	var zero T
+	l.items[last] = zero
+	l.items = l.items[:last]
 	return v, true
 }
 
@@ -85,6 +112,25 @@ func putBodies(table []*[WordsPage]uint64) {
 		}
 	}
 	freeBodies.mu.Unlock()
+}
+
+// Page tables a released Space hands to the next one (TakeTable):
+// body tables, nil throughout, and flag tables.
+var (
+	freeBodyTables FreeList[[]*[WordsPage]uint64]
+	freeFlagTables FreeList[[]uint8]
+)
+
+// TakeTable returns a table of n zero entries: the retired table of
+// least capacity that fits, cleared, or a new one.
+func TakeTable[T any](l *FreeList[[]T], n uint64) []T {
+	t, ok := l.GetFit(int(n), func(t []T) int { return cap(t) })
+	if !ok {
+		return make([]T, n)
+	}
+	t = t[:n]
+	clear(t)
+	return t
 }
 
 // owner shares a Space's body table so that a Space dropped without

@@ -200,3 +200,44 @@ func TestSlabBacking(t *testing.T) {
 		t.Fatalf("materializing %d fresh bodies grew HeapAlloc by %d bytes, want at least %d: bodies are not on the Go heap", fresh, grown, want)
 	}
 }
+
+// TestReleaseDisarmsTheOwner: Release hands the body table to the next
+// Space of its size. The released Space's owner, whose finalizer returns
+// the bodies of a dropped Space, must not then return the taker's
+// bodies when the Go collector finds the released Space unreachable.
+func TestReleaseDisarmsTheOwner(t *testing.T) {
+	const pages = 61 // a size no other test uses, so b takes a's table
+	size := uint64(pages+1) * PageSize
+	a := testSpace(size)
+	a.WriteWord(PageAddr(1), 1)
+	table := &a.bodies[0]
+	a.Release()
+	b := testSpace(size)
+	if &b.bodies[0] != table {
+		t.Fatal("the next Space did not take the released body table")
+	}
+	for p := PageID(1); p <= pages; p++ {
+		b.WriteWord(PageAddr(p), uint64(p))
+	}
+	a = nil
+	runtime.GC()
+	runtime.GC()
+	// Finalizers run in turn on one goroutine: once one queued after a's
+	// owner became unreachable has run, a's would have run too.
+	done := make(chan struct{})
+	sentinel := new([32]byte) // too big for the tiny allocator, which may never finalize
+	runtime.SetFinalizer(sentinel, func(*[32]byte) { close(done) })
+	sentinel = nil
+	runtime.GC()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sentinel's finalizer never ran")
+	}
+	for p := PageID(1); p <= pages; p++ {
+		if got := b.PeekWord(PageAddr(p)); got != uint64(p) {
+			t.Fatalf("page %d reads %d after the released Space was collected, want %d", p, got, p)
+		}
+	}
+	b.Release()
+}

@@ -3,6 +3,8 @@ package mutator
 import (
 	"math/bits"
 	"math/rand"
+
+	"bookmarkgc/internal/mem"
 )
 
 // rng is the generator's random source: draw-for-draw identical to
@@ -33,12 +35,22 @@ const (
 	rngRing = 1024
 )
 
+// seedSources holds math/rand sources between seedings. Seeding one
+// afresh resets its whole state, so a recycled source yields exactly
+// what a new one would, without allocating its 5 KB table each run.
+var seedSources mem.FreeList[rand.Source64]
+
 // seed makes r's next output the first output of rand.NewSource(seed).
 func (r *rng) seed(seed int64) {
-	src := rand.NewSource(seed).(rand.Source64)
+	src, ok := seedSources.Get()
+	if !ok {
+		src = rand.NewSource(seed).(rand.Source64)
+	}
+	src.Seed(seed)
 	for i := 0; i < rngLen; i++ {
 		r.vec[i] = src.Uint64() // x[i]
 	}
+	seedSources.Put(src)
 	// x[n-607] = x[n] - x[n-273], newest first: x[n-273] is either one of
 	// the outputs above or a word an earlier turn has just recovered.
 	for n := uint(rngLen - 1); n < rngLen; n-- {

@@ -3,6 +3,7 @@ package objmodel
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"bookmarkgc/internal/mem"
 )
@@ -51,7 +52,8 @@ type Classes struct {
 
 func alignDown(n int) int { return n / mem.WordSize * mem.WordSize }
 
-// BuildClasses constructs the size-class table deterministically:
+// BuildClasses returns the size-class table, built once and shared, as
+// nothing changes it after construction. It is built deterministically:
 //
 //   - exact classes at every word multiple from HeaderBytes to SmallCutoff;
 //   - a geometric ladder of LargerClasses-largeDivisorClasses classes from
@@ -60,7 +62,11 @@ func alignDown(n int) int { return n / mem.WordSize * mem.WordSize }
 //   - the largeDivisorClasses largest classes at usable/n for n from
 //     largeDivisorClasses+1 down to 2, which waste almost nothing
 //     externally but cost 16–33% worst-case internally.
-func BuildClasses() *Classes {
+func BuildClasses() *Classes { return sharedClasses() }
+
+var sharedClasses = sync.OnceValue(buildClasses)
+
+func buildClasses() *Classes {
 	geoCount := LargerClasses - largeDivisorClasses
 	geoTop := alignDown(SuperUsableBytes / (largeDivisorClasses + 2))
 	geoBase := SmallCutoff + mem.WordSize

@@ -104,6 +104,7 @@ func digestRun(t *testing.T, kind CollectorKind, cfg RunConfig, syncEvery int) (
 	t.Helper()
 	cfg.Collector = kind
 	m := newMachine(cfg.PhysBytes, nil)
+	defer m.release()
 	tn, err := m.admit(string(kind), cfg, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", kind, err)

@@ -40,6 +40,11 @@ func newMachine(physBytes uint64, rec *trace.Recorder) machine {
 	return machine{clock: clock, v: vmm.New(clock, physBytes, vmm.DefaultCosts())}
 }
 
+// release recycles the machine's host tables — its VMM's queues and
+// every process's tables and page bodies — for the next run in the
+// process. Call it once every tenant is done and released.
+func (m machine) release() { m.v.Release() }
+
 // every runs fn each d of simulated time from now on.
 func (m machine) every(d time.Duration, fn func()) {
 	var tick func()
@@ -203,9 +208,9 @@ func (t *tenant) result() Result {
 	return r
 }
 
-// release returns the tenant's page bodies to the pool — and recycles its
-// Env's worklist and root scratch — for the next run in the sweep. The space dies with the run.
+// release recycles the tenant's host scratch — worklists, root
+// registry, mark tallies — for the next run in the process. Its
+// process's tables and page bodies go back with the machine.
 func (t *tenant) release() {
 	t.env.ReleaseScratch(t.col.Roots())
-	t.env.Proc.Space().Release()
 }

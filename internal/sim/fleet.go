@@ -396,11 +396,16 @@ func (f *fleetRun) tenantConfig(i int, ts TenantSpec) (RunConfig, error) {
 	return cfg, nil
 }
 
-// release tears down every admitted tenant; the spaces die with the fleet.
+// release tears down every admitted tenant, then the machine. The
+// traces assemble synthesized for the tenants go back to their pool too.
 func (f *fleetRun) release() {
 	for _, t := range f.tenants {
 		t.release()
+		if s, ok := t.cfg.Workload.(*workload.SynthSource); ok {
+			s.Release()
+		}
 	}
+	f.machine.release()
 }
 
 // ladder is the cascade detector's state: a hot window is one whose

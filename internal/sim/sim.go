@@ -181,6 +181,8 @@ type SignalMem struct {
 	v  *vmm.VMM
 	p  Pressure
 	tr trace.Tracer
+
+	growFn func() // s.grow, bound once: each reschedule reuses it
 }
 
 // StartSignalMem arms the schedule on the machine's clock. tr records
@@ -190,6 +192,7 @@ func StartSignalMem(v *vmm.VMM, p Pressure, tr trace.Tracer) *SignalMem {
 		tr = trace.Nop{}
 	}
 	s := &SignalMem{v: v, p: p, tr: tr}
+	s.growFn = s.grow
 	v.Clock.Schedule(p.StartAt, s.initial)
 	return s
 }
@@ -207,10 +210,13 @@ func (s *SignalMem) initial() {
 	s.v.Pin(frames)
 	s.tr.Point(trace.EvMemoryPinned, int64(frames), int64(s.v.PinnedFrames()))
 	if s.p.GrowBytes > 0 {
-		s.v.Clock.Schedule(s.v.Clock.Now()+s.p.GrowEvery, s.grow)
+		s.v.Clock.Schedule(s.v.Clock.Now()+s.p.GrowEvery, s.growFn)
 	}
 }
 
+// grow pins the next step of the ramp and reschedules itself. It stops
+// once no whole frame is left to pin above the target, which an
+// unaligned TargetAvailBytes leaves less than a page short of.
 func (s *SignalMem) grow() {
 	avail := uint64(s.v.TotalFrames()-s.v.PinnedFrames()) * mem.PageSize
 	if avail <= s.p.TargetAvailBytes {
@@ -222,9 +228,12 @@ func (s *SignalMem) grow() {
 		step = want
 	}
 	frames := int(step / mem.PageSize)
+	if frames == 0 {
+		return
+	}
 	s.v.Pin(frames)
 	s.tr.Point(trace.EvMemoryPinned, int64(frames), int64(s.v.PinnedFrames()))
-	s.v.Clock.Schedule(s.v.Clock.Now()+s.p.GrowEvery, s.grow)
+	s.v.Clock.Schedule(s.v.Clock.Now()+s.p.GrowEvery, s.growFn)
 }
 
 // RunConfig describes one JVM-on-one-machine experiment.
@@ -312,6 +321,7 @@ func Run(cfg RunConfig) Result {
 		return Result{Config: cfg, Err: err}
 	}
 	m := newMachine(cfg.PhysBytes, cfg.Trace)
+	defer m.release()
 	var tr trace.Tracer
 	if cfg.Trace != nil {
 		tr = cfg.Trace

@@ -9,6 +9,7 @@ import (
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/trace"
+	"bookmarkgc/internal/vmm"
 )
 
 // tinyJBB is a scaled-down pseudoJBB for fast tests.
@@ -283,5 +284,49 @@ func TestMalformedSpecFails(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("stock program rejected: %v", err)
 		}
+	}
+}
+
+// pinTracer records the frames of each memory-pinned point.
+type pinTracer struct {
+	trace.Nop
+	frames []int64
+}
+
+func (p *pinTracer) Point(e trace.Event, frames, _ int64) {
+	if e == trace.EvMemoryPinned {
+		p.frames = append(p.frames, frames)
+	}
+}
+
+// TestSignalMemStopsBelowAPage: under a calibrated ramp to a target no
+// whole number of pages meets, the ramp ends less than a page above the
+// target. signalmem then stops: no grow pins zero frames or stays
+// scheduled, and every whole frame above the target is pinned, as before
+// the ramp learned to stop.
+func TestSignalMemStopsBelowAPage(t *testing.T) {
+	const phys = 64 << 20
+	avail := uint64(phys/2 + mem.PageSize/2)
+	p := CalibratedDynamicPressure(phys, avail, 8<<20, 1<<20, 300*time.Millisecond)
+	v := vmm.New(vmm.NewClock(), phys, vmm.DefaultCosts())
+	tr := &pinTracer{}
+	StartSignalMem(v, *p, tr)
+	for i := 0; i < 1000 && len(v.Clock.Pending()) > 0; i++ {
+		v.Clock.Advance(p.GrowEvery)
+	}
+	if n := len(v.Clock.Pending()); n != 0 {
+		t.Errorf("%d events still scheduled after the ramp", n)
+	}
+	var sum int64
+	for i, f := range tr.frames {
+		if f == 0 {
+			t.Errorf("pin %d of %d pinned zero frames", i, len(tr.frames))
+			break
+		}
+		sum += f
+	}
+	want := (phys - avail) / mem.PageSize
+	if got := v.PinnedFrames(); uint64(got) != want || sum != int64(got) {
+		t.Errorf("pinned %d frames (points sum to %d), want %d", got, sum, want)
 	}
 }

@@ -97,9 +97,11 @@ type pageInfo struct {
 	stamp     uint32
 }
 
+// pageRef is one queue entry, 12 bytes: NewProc caps a space below 2^32
+// pages so the page number fits a uint32.
 type pageRef struct {
 	pid   int32
-	page  mem.PageID
+	page  uint32
 	stamp uint32
 }
 
@@ -211,13 +213,38 @@ func New(clock *Clock, physBytes uint64, costs Costs) *VMM {
 	if frames < 64 {
 		panic("vmm: physical memory too small")
 	}
-	return &VMM{
+	v := &VMM{
 		Clock:    clock,
 		costs:    costs,
 		frames:   frames,
 		lowWater: 32,
 		batch:    32,
 	}
+	v.active.refs, _ = freeQueues.Get()
+	v.inactive.refs, _ = freeQueues.Get()
+	return v
+}
+
+// Host tables a dead machine hands to the next one (Release): the
+// queues' backing arrays, empty, and the procs' page tables.
+var (
+	freeQueues     mem.FreeList[[]pageRef]
+	freePageTables mem.FreeList[[]pageInfo]
+)
+
+// Release recycles the machine's host tables — both queues, and every
+// process's page table, flag table and page bodies — for the next
+// machine in the process. Only call it when the machine is dead: no
+// process of it may run again.
+func (v *VMM) Release() {
+	for _, p := range v.procs {
+		p.space.Release()
+		freePageTables.Put(p.pages)
+		p.pages, p.flags = nil, nil
+	}
+	v.procs = nil
+	freeQueues.Put(v.active.refs[:0], v.inactive.refs[:0])
+	v.active, v.inactive = refQueue{}, refQueue{}
 }
 
 // Costs returns the machine's latency model.
@@ -293,13 +320,25 @@ func (v *VMM) Unpin(n int) {
 	}
 }
 
+// maxSpacePages bounds a process's address space: queue entries hold
+// page numbers in 32 bits.
+const maxSpacePages = 1 << 32
+
 // NewProc creates a process owning a fresh address space of spaceBytes.
+// It panics on a space of 2^32 pages (16 TB) or more.
 func (v *VMM) NewProc(name string, spaceBytes uint64) *Proc {
+	npg := spaceBytes / mem.PageSize
+	if spaceBytes%mem.PageSize != 0 {
+		npg++
+	}
+	if npg >= maxSpacePages {
+		panic(fmt.Sprintf("vmm: address space of %d bytes is %d pages or more", spaceBytes, uint64(maxSpacePages)))
+	}
 	p := &Proc{
 		vmm:   v,
 		id:    int32(len(v.procs)),
 		name:  name,
-		pages: make([]pageInfo, mem.RoundUpPage(spaceBytes)/mem.PageSize),
+		pages: mem.TakeTable(&freePageTables, npg),
 	}
 	p.space = mem.NewSpace(spaceBytes, v.Clock, v.costs.WordAccess, p)
 	p.flags = p.space.PageFlags()
@@ -341,7 +380,7 @@ func (v *VMM) pushActive(p *Proc, pg mem.PageID) {
 	pi := &p.pages[pg]
 	pi.stamp++
 	pi.queued = true
-	v.active.push(pageRef{p.id, pg, pi.stamp})
+	v.active.push(pageRef{p.id, uint32(pg), pi.stamp})
 	v.maybeCompactQueues()
 }
 
@@ -349,7 +388,7 @@ func (v *VMM) pushInactive(p *Proc, pg mem.PageID) {
 	pi := &p.pages[pg]
 	pi.stamp++
 	pi.queued = true
-	v.inactive.push(pageRef{p.id, pg, pi.stamp})
+	v.inactive.push(pageRef{p.id, uint32(pg), pi.stamp})
 	v.maybeCompactQueues()
 }
 
@@ -417,26 +456,27 @@ func (v *VMM) reclaim() {
 		if !ok {
 			continue
 		}
+		pg := mem.PageID(r.page)
 		pi.queued = false
 		if pi.locked || pi.servicing {
-			v.pushActive(p, r.page)
+			v.pushActive(p, pg)
 			continue
 		}
-		f := p.flags[r.page]
+		f := p.flags[pg]
 		if f&mem.PFReferenced != 0 && f&mem.PFSurrendered == 0 {
 			// Second chance: recently used, promote back to active.
-			p.flags[r.page] = f &^ mem.PFReferenced
-			v.pushActive(p, r.page)
+			p.flags[pg] = f &^ mem.PFReferenced
+			v.pushActive(p, pg)
 			continue
 		}
 		// Cross-owner arbitration: a fleet policy may redirect pressure
 		// away from this owner. Desperation cap: past 2×batch vetoes the
 		// pass stops asking, so reclaim cannot be starved by policy.
 		if v.arbiter != nil && f&mem.PFSurrendered == 0 && vetoes < 2*v.batch {
-			if !v.arbiter.Approve(p, r.page) {
+			if !v.arbiter.Approve(p, pg) {
 				vetoes++
 				v.stats.ArbiterVetoes++
-				v.pushActive(p, r.page)
+				v.pushActive(p, pg)
 				continue
 			}
 		}
@@ -445,18 +485,18 @@ func (v *VMM) reclaim() {
 		if p.handler != nil && f&mem.PFSurrendered == 0 {
 			v.stats.Notification++
 			v.Clock.Advance(v.costs.Signal)
-			p.handler.EvictionScheduled(r.page)
+			p.handler.EvictionScheduled(pg)
 			// The handler may have touched the page (vetoing eviction),
 			// locked it, or discarded it altogether.
-			f = p.flags[r.page]
+			f = p.flags[pg]
 			if f&mem.PFResident == 0 || f&mem.PFReferenced != 0 || pi.locked {
 				if f&mem.PFResident != 0 && !pi.queued {
-					v.pushActive(p, r.page)
+					v.pushActive(p, pg)
 				}
 				continue
 			}
 		}
-		v.evict(p, r.page)
+		v.evict(p, pg)
 	}
 }
 
@@ -473,17 +513,18 @@ func (v *VMM) refillInactive() {
 		if !ok {
 			continue
 		}
+		pg := mem.PageID(r.page)
 		pi.queued = false
 		if pi.locked || pi.servicing {
-			v.pushActive(p, r.page)
+			v.pushActive(p, pg)
 			continue
 		}
-		if f := p.flags[r.page]; f&mem.PFReferenced != 0 {
-			p.flags[r.page] = f &^ mem.PFReferenced
-			v.pushActive(p, r.page)
+		if f := p.flags[pg]; f&mem.PFReferenced != 0 {
+			p.flags[pg] = f &^ mem.PFReferenced
+			v.pushActive(p, pg)
 			continue
 		}
-		v.pushInactive(p, r.page)
+		v.pushInactive(p, pg)
 		moved++
 	}
 }

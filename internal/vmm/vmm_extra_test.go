@@ -180,3 +180,48 @@ func TestStateStringAndProcString(t *testing.T) {
 		t.Fatal("diagnostics broken")
 	}
 }
+
+// TestNewProcRejectsFourBillionPages: queue entries hold page numbers in
+// 32 bits, so a space of 2^32 pages is refused before anything is built.
+func TestNewProcRejectsFourBillionPages(t *testing.T) {
+	v := New(NewClock(), 64*mem.PageSize, DefaultCosts())
+	for _, bytes := range []uint64{1 << 32 * mem.PageSize, 1<<64 - 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewProc of %d bytes did not panic", bytes)
+				}
+			}()
+			v.NewProc("huge", bytes)
+		}()
+	}
+}
+
+// TestReleasedMachineTablesComeBackZeroed: a machine built after one was
+// released runs on its page table, flag table and queue arrays, and sees
+// none of the old state.
+func TestReleasedMachineTablesComeBackZeroed(t *testing.T) {
+	v, _, _ := reclaimMachine(t) // every frame in use, queues full
+	old := &v.procs[0].pages[0]
+	v.Release()
+	u := New(NewClock(), reclaimFrames*mem.PageSize, DefaultCosts())
+	q := u.NewProc("fresh", (1+reclaimHot+reclaimCold)*mem.PageSize)
+	if &q.pages[0] != old || cap(u.active.refs) == 0 {
+		t.Fatal("the new machine took no recycled table")
+	}
+	for pg := range q.pages {
+		if q.pages[pg] != (pageInfo{}) || pg > 0 && q.flags[pg] != 0 {
+			t.Fatalf("page %d starts as %+v, flags %#x", pg, q.pages[pg], q.flags[pg])
+		}
+	}
+	if u.active.size() != 0 || u.inactive.size() != 0 {
+		t.Fatalf("queues start with %d and %d entries", u.active.size(), u.inactive.size())
+	}
+	if err := u.CheckAccounting(); err != nil {
+		t.Fatal(err)
+	}
+	if w := q.Space().ReadWord(mem.PageAddr(1)); w != 0 {
+		t.Fatalf("a fresh page reads %d", w)
+	}
+	u.Release()
+}

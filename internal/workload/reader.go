@@ -8,20 +8,24 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/trace"
 )
 
 // Reader streams a trace: it validates the header and meta block up
 // front, then yields events one at a time in constant memory (one block
-// buffered). Every framing or encoding problem surfaces as an error
-// wrapping ErrCorrupt; the decoder never panics on hostile input.
+// buffered, in one buffer that every block reuses). Every framing or
+// encoding problem surfaces as an error wrapping ErrCorrupt; the decoder
+// never panics on hostile input.
 type Reader struct {
 	br     *bufio.Reader
 	meta   Meta
-	block  []byte
+	buf    []byte // grow-only: every block is read into it
+	block  []byte // the current block's payload, within buf
 	pos    int
 	derr   error // sticky error of the event currently being decoded
 	sawEnd bool
@@ -32,9 +36,11 @@ type Reader struct {
 	Counters *trace.Counters
 }
 
-// NewReader validates r's header and reads the meta block.
+// NewReader validates r's header and reads the meta block, into a block
+// buffer a finished replay left if there is one.
 func NewReader(r io.Reader) (*Reader, error) {
 	rd := &Reader{br: bufio.NewReader(r)}
+	rd.buf, _ = freeReadBufs.Get()
 	var hdr [5]byte
 	if _, err := io.ReadFull(rd.br, hdr[:]); err != nil {
 		return nil, corrupt("short header: %v", err)
@@ -70,6 +76,17 @@ func (rd *Reader) Events() uint64 { return rd.events }
 // Blocks returns how many blocks have been decoded so far.
 func (rd *Reader) Blocks() uint64 { return rd.blocks }
 
+// freeReadBufs holds the block buffers of finished replays.
+var freeReadBufs mem.FreeList[[]byte]
+
+// release hands the block buffer to the next NewReader. The reader
+// yields nothing after it.
+func (rd *Reader) release() {
+	freeReadBufs.Put(rd.buf[:0])
+	rd.buf, rd.block, rd.pos = nil, nil, 0
+	rd.sawEnd = true
+}
+
 // loadBlock reads and CRC-checks the next block. io.EOF (untranslated)
 // means a clean end-of-stream at a block boundary.
 func (rd *Reader) loadBlock() error {
@@ -83,7 +100,11 @@ func (rd *Reader) loadBlock() error {
 	if n == 0 || n > maxBlockSize {
 		return corrupt("block length %d out of range", n)
 	}
-	buf := make([]byte, n+4)
+	if uint64(cap(rd.buf)) < n+4 {
+		// A power of two holds the next trace's slightly longer blocks too.
+		rd.buf = make([]byte, 1<<bits.Len64(n+3))
+	}
+	buf := rd.buf[:n+4]
 	if _, err := io.ReadFull(rd.br, buf); err != nil {
 		return corrupt("truncated block: %v", err)
 	}

@@ -69,6 +69,9 @@ func (rp *Replayer) fail(err error) {
 }
 
 func (rp *Replayer) finish() {
+	if !rp.done {
+		rp.rd.release()
+	}
 	rp.done = true
 	if rp.closer != nil {
 		rp.closer.Close()

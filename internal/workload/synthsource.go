@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"bookmarkgc/internal/gc"
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
 )
 
@@ -18,10 +19,12 @@ type SynthSource struct {
 	meta Meta
 }
 
-// NewSynthSource synthesizes the trace for p into memory.
+// NewSynthSource synthesizes the trace for p into memory, in a buffer a
+// released SynthSource left if there is one.
 func NewSynthSource(p SynthParams) (*SynthSource, error) {
-	var buf bytes.Buffer
-	if err := Synthesize(&buf, p); err != nil {
+	b, _ := freeTraces.Get()
+	buf := bytes.NewBuffer(b)
+	if err := Synthesize(buf, p); err != nil {
 		return nil, err
 	}
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
@@ -30,6 +33,16 @@ func NewSynthSource(p SynthParams) (*SynthSource, error) {
 	}
 	return &SynthSource{data: buf.Bytes(), meta: rd.Meta()}, nil
 }
+
+// Release recycles the trace buffer for the next NewSynthSource. Call
+// it only when no workload of s runs again and s is not used again.
+func (s *SynthSource) Release() {
+	freeTraces.Put(s.data[:0])
+	s.data = nil
+}
+
+// freeTraces holds the trace buffers of released SynthSources.
+var freeTraces mem.FreeList[[]byte]
 
 // Meta returns the synthesized trace's self-description.
 func (s *SynthSource) Meta() Meta { return s.meta }

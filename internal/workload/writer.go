@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/trace"
 )
 
@@ -40,6 +41,7 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 		return nil, err
 	}
 	wr := &Writer{w: w}
+	wr.buf, _ = freeBlockBufs.Get()
 	if _, err := w.Write(append([]byte(magic), Version)); err != nil {
 		return nil, err
 	}
@@ -192,8 +194,15 @@ func (w *Writer) End(f Footer) error {
 	}
 	w.events++
 	w.Counters.Inc(trace.CWorkloadEventsRecorded)
-	return w.flush()
+	err := w.flush()
+	freeBlockBufs.Put(w.buf[:0])
+	w.buf = nil
+	return err
 }
+
+// freeBlockBufs holds the block buffers of ended Writers for the next
+// NewWriter.
+var freeBlockBufs mem.FreeList[[]byte]
 
 // Events returns how many events have been emitted (including the
 // footer once End has run).
