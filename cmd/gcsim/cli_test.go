@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"bookmarkgc/internal/sim"
 )
@@ -253,5 +254,45 @@ func TestFleetSpecFile(t *testing.T) {
 	}
 	if got, want := out("-fleet", file, "-seed", "1", "-chaos-seed", "5"), out("-fleet", "mixed4", "-scale", "0.03", "-seed", "1", "-chaos-seed", "5"); got != want {
 		t.Errorf("spec file with seeds overridden:\n%s\nmixed4 with those seeds:\n%s", got, want)
+	}
+}
+
+// TestLateTenantBundleFleet: testdata/late-bundle-fleet.json — the
+// benchmark's 8-tenant fleet at scale 0.05 with the cascade detector off,
+// so fleet bundles leave the dump quota to the tenants — writes a tenant
+// flight bundle past the tenant's 4097th sample, whose series tail a
+// tenant's flight recorder reads from a window that has dropped its
+// older samples. CI compares these bundles with the base commit's.
+func TestLateTenantBundleFleet(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-fleet", "testdata/late-bundle-fleet.json", "-flight-dump-dir", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	bundles, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := 0
+	for _, path := range bundles {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b struct {
+			Tenant    string             `json:"tenant"`
+			SimTimeNS int64              `json:"sim_time_ns"`
+			Samples   map[string][]int64 `json:"samples"`
+		}
+		if err := json.Unmarshal(data, &b); err != nil {
+			t.Fatal(err)
+		}
+		// A tenant samples every millisecond from time 0.
+		if ts := b.Samples["time_ns"]; b.Tenant != "" && len(ts) == 256 && ts[0] >= 4096*int64(time.Millisecond) {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Errorf("none of %d bundles is a tenant's past its 4097th sample", len(bundles))
 	}
 }

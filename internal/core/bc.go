@@ -168,9 +168,9 @@ func New(env *gc.Env, cfg Config) *BC {
 		// The paper's page-sized write buffer, filtered into cards (§3.1).
 		nursery:         gc.NewNursery(env, gc.EntriesPerPage),
 		cfg:             cfg,
-		resident:        mem.NewBitmap(env.Space.Pages()),
-		evicted:         mem.NewBitmap(env.Space.Pages()),
-		processed:       mem.NewBitmap(env.Space.Pages()),
+		resident:        env.Space.NewBitmap(env.Space.Pages()),
+		evicted:         env.Space.NewBitmap(env.Space.Pages()),
+		processed:       env.Space.NewBitmap(env.Space.Pages()),
 		pageTargets:     make(map[mem.PageID][]region),
 		deferredTargets: make(map[mem.PageID][]region),
 		allocsSinceGC:   1 << 20,

@@ -53,7 +53,6 @@ type Env struct {
 	MarkWorkers int
 
 	marker *Marker
-	wlFree []*WorkList // retired gray stacks (GetWorkList/PutWorkList)
 }
 
 // SetDefaultMarkWorkers is ignored: marking runs on one worker. It stays
@@ -177,14 +176,18 @@ type rootsScratch struct {
 	free  []int32
 }
 
-// acquire adopts recycled backing arrays if the registry is still empty.
-func (r *Roots) acquire() {
+// Reserve readies an empty registry for about n slots: it adopts the
+// least recycled backing array that holds n, or a new one. On a
+// registry already in use it does nothing.
+func (r *Roots) Reserve(n int) {
 	if r.slots != nil {
 		return
 	}
-	if sc, ok := freeRoots.Get(); ok {
+	if sc, ok := freeRoots.GetFit(n, func(sc rootsScratch) int { return cap(sc.slots) }); ok {
 		r.slots, r.free = sc.slots, sc.free
+		return
 	}
+	r.slots = make([]mem.Addr, 0, n)
 }
 
 func (r *Roots) release() {
@@ -212,7 +215,7 @@ func (r *Roots) Add(o mem.Addr) int {
 // a block its owner can address as base + offset.
 func (r *Roots) Append(o mem.Addr) int {
 	if r.slots == nil {
-		r.acquire()
+		r.Reserve(0)
 	}
 	r.slots = append(r.slots, o)
 	return len(r.slots) - 1
@@ -294,16 +297,12 @@ func (w *WorkList) Len() int { return len(w.items) }
 // Reset empties the list, retaining capacity.
 func (w *WorkList) Reset() { w.items = w.items[:0] }
 
-// GetWorkList returns an empty gray stack, recycling one retired via
-// PutWorkList so the per-collection tracing loops stop allocating their
-// worklists (and the backing arrays they grow) on every cycle.
+// GetWorkList returns an empty gray stack: the largest one retired via
+// PutWorkList by any environment, so the per-collection tracing loops
+// stop allocating their worklists (and the backing arrays they grow) on
+// every cycle.
 func (e *Env) GetWorkList() *WorkList {
-	if n := len(e.wlFree); n > 0 {
-		w := e.wlFree[n-1]
-		e.wlFree = e.wlFree[:n-1]
-		return w
-	}
-	if w, ok := freeWorkLists.Get(); ok {
+	if w, ok := freeWorkLists.GetLargest(func(w *WorkList) int { return cap(w.items) }); ok {
 		return w
 	}
 	return &WorkList{}
@@ -312,21 +311,21 @@ func (e *Env) GetWorkList() *WorkList {
 // PutWorkList retires w (emptied, capacity kept) for reuse.
 func (e *Env) PutWorkList(w *WorkList) {
 	w.Reset()
-	e.wlFree = append(e.wlFree, w)
+	freeWorkLists.Put(w)
 }
 
-// freeWorkLists recycles gray stacks across environments: a sweep
-// retires each Env's worklists when the run ends, so the next run starts
-// with full-grown buffers instead of re-growing them from nil.
+// freeWorkLists holds the gray stacks no collection is using, shared by
+// every environment. A collection returns its stack when it ends, so the
+// stacks number the most collections ever in progress at once (a fleet's
+// tenants collect one at a time), and taking the largest hands each
+// collection one the biggest evacuation so far has already grown.
 var freeWorkLists mem.FreeList[*WorkList]
 
-// ReleaseScratch hands the environment's recycled scratch — retired
-// worklists, the mark engine's buffers and the root registry's backing
-// arrays — to process-wide free lists for the next run. Call only when
-// the run is completely finished.
+// ReleaseScratch hands the environment's recycled scratch — the mark
+// engine's buffers and the root registry's backing arrays — to
+// process-wide free lists for the next run. Call only when the run is
+// completely finished.
 func (e *Env) ReleaseScratch(roots *Roots) {
-	freeWorkLists.Put(e.wlFree...)
-	e.wlFree = nil
 	if e.marker != nil {
 		e.marker.env = nil
 		freeMarkers.Put(e.marker)

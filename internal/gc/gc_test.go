@@ -230,7 +230,7 @@ func TestMarkStepAndTrace(t *testing.T) {
 }
 
 func TestRemSetUnbounded(t *testing.T) {
-	r := NewRemSet(0, 1<<20, 0)
+	r := NewRemSet(testEnv(t).Space, 0, 1<<20, 0)
 	for i := 0; i < 2000; i++ {
 		r.Record(mem.Addr(i * 8))
 	}
@@ -252,7 +252,7 @@ func TestRemSetUnbounded(t *testing.T) {
 }
 
 func TestRemSetFilterIntoCards(t *testing.T) {
-	r := NewRemSet(0, 1<<20, 4) // tiny buffer for the test
+	r := NewRemSet(testEnv(t).Space, 0, 1<<20, 4) // tiny buffer for the test
 	keep := map[mem.Addr]bool{0x1000: true, 0x2000: true}
 	r.SetFilter(func(slot mem.Addr) bool { return keep[slot] })
 	r.Record(0x1000)
@@ -279,7 +279,7 @@ func TestRemSetFilterIntoCards(t *testing.T) {
 }
 
 func TestRemSetMaxBufferPages(t *testing.T) {
-	r := NewRemSet(0, 1<<20, 0)
+	r := NewRemSet(testEnv(t).Space, 0, 1<<20, 0)
 	if r.MaxBufferPages() != 0 {
 		t.Fatal("empty buffer has pages")
 	}

@@ -37,7 +37,7 @@ func NewEden(env *Env) *Nursery {
 // the filter while it still points into the nursery.
 func NewNursery(env *Env, bufCap int) *Nursery {
 	n := NewEden(env)
-	n.Rem = NewRemSet(env.Layout.Bump0End, env.Layout.LOSEnd, bufCap)
+	n.Rem = NewRemSet(env.Space, env.Layout.Bump0End, env.Layout.LOSEnd, bufCap)
 	n.Rem.SetCounters(env.Counters)
 	n.Rem.SetFilter(func(slot mem.Addr) bool { return n.Contains(env.Space.ReadAddr(slot)) })
 	return n

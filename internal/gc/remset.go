@@ -34,13 +34,13 @@ type RemSet struct {
 }
 
 // NewRemSet covers slot addresses in [cardBase, cardEnd) with a card
-// table. bufCap is the entry capacity of one write buffer (0 disables
-// filtering; the buffer grows without bound).
-func NewRemSet(cardBase, cardEnd mem.Addr, bufCap int) *RemSet {
+// table, whose words s lends. bufCap is the entry capacity of one write
+// buffer (0 disables filtering; the buffer grows without bound).
+func NewRemSet(s *mem.Space, cardBase, cardEnd mem.Addr, bufCap int) *RemSet {
 	n := int(cardEnd-cardBase+CardBytes-1) / CardBytes
 	return &RemSet{
 		bufCap:   bufCap,
-		cards:    mem.NewBitmap(n),
+		cards:    s.NewBitmap(n),
 		cardBase: cardBase,
 		cardEnd:  cardEnd,
 	}

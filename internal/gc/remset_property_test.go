@@ -13,9 +13,10 @@ import (
 // nursery collection correctness rests on (§3.1).
 func TestRemSetCardSoundnessProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	space := testEnv(t).Space
 	for trial := 0; trial < 50; trial++ {
 		interesting := map[mem.Addr]bool{}
-		r := NewRemSet(0, 1<<20, 16)
+		r := NewRemSet(space, 0, 1<<20, 16)
 		r.SetFilter(func(slot mem.Addr) bool { return interesting[slot] })
 
 		recorded := map[mem.Addr]bool{}

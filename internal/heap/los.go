@@ -37,7 +37,7 @@ func NewLOS(s *mem.Space, base, end mem.Addr) *LOS {
 		panic("heap: unaligned LOS region")
 	}
 	n := int((end - base) / mem.PageSize)
-	l := &LOS{s: s, base: base, n: n, free: newPageBits(base, end),
+	l := &LOS{s: s, base: base, n: n, free: newPageBits(s, base, end),
 		objects: make(map[mem.Addr]int), incoming: make(map[mem.Addr]int)}
 	l.free.setPages(base.Page(), n)
 	return l

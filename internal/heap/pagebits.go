@@ -16,10 +16,11 @@ type pageBits struct {
 	origin int // absolute page number of bit 0, a multiple of 64
 }
 
-// newPageBits creates an all-clear bitmap over the pages of [base, end).
-func newPageBits(base, end mem.Addr) pageBits {
+// newPageBits creates an all-clear bitmap over the pages of [base, end)
+// of s, which lends its words.
+func newPageBits(s *mem.Space, base, end mem.Addr) pageBits {
 	origin := int(base.Page()) &^ 63
-	return pageBits{mem.NewBitmap(int(end.Page()) - origin), origin}
+	return pageBits{s.NewBitmap(int(end.Page()) - origin), origin}
 }
 
 // bit returns the bitmap index of absolute page p.

@@ -42,7 +42,7 @@ type SuperSpace struct {
 	next    int     // first never-used superpage
 	free    []int32 // recycled empty superpages
 	avail   [][]int32
-	inAvail []bool
+	inAvail *mem.Bitmap // superpages on an available list
 	// refused holds, for a superpage Alloc dropped from its available
 	// list because the residency filter refused every free block, that
 	// list's key plus one (0: not refused). Like inAvail it is host-side,
@@ -74,9 +74,9 @@ func NewSuperSpace(s *mem.Space, classes *objmodel.Classes, base, end mem.Addr) 
 		base:    base,
 		n:       n,
 		avail:   make([][]int32, 2*classes.Len()),
-		inAvail: make([]bool, n),
-		refused: make([]int32, n),
-		empty:   newPageBits(base, end),
+		inAvail: s.NewBitmap(n),
+		refused: s.LendInt32s(n),
+		empty:   newPageBits(s, base, end),
 	}
 	ss.empty.setPages(base.Page(), n*mem.SuperPages)
 	return ss
@@ -262,7 +262,7 @@ func (ss *SuperSpace) Alloc(t *objmodel.Type, arrayLen int, cl objmodel.SizeClas
 		if !used || gotCl.Index != cl.Index || gotKind != kind || ss.Allocated(idx) == cl.Blocks {
 			// Stale entry: superpage freed, reassigned, or filled.
 			list = list[:len(list)-1]
-			ss.inAvail[idx] = false
+			ss.inAvail.Clear(idx)
 			continue
 		}
 		if o := ss.allocIn(idx, cl, t, arrayLen); o != mem.Nil {
@@ -272,7 +272,7 @@ func (ss *SuperSpace) Alloc(t *objmodel.Type, arrayLen int, cl objmodel.SizeClas
 		// No usable block: every free block is on a page the residency
 		// filter refuses. Reoffer lists it again.
 		list = list[:len(list)-1]
-		ss.inAvail[idx] = false
+		ss.inAvail.Clear(idx)
 		ss.refused[idx] = int32(key) + 1
 	}
 	ss.avail[key] = list
@@ -373,8 +373,8 @@ func (ss *SuperSpace) pushAvail(idx int, cl objmodel.SizeClass, kind objmodel.Ki
 
 func (ss *SuperSpace) listAvail(idx, key int) {
 	ss.refused[idx] = 0
-	if !ss.inAvail[idx] {
-		ss.inAvail[idx] = true
+	if !ss.inAvail.Test(idx) {
+		ss.inAvail.Set(idx)
 		ss.avail[key] = append(ss.avail[key], int32(idx))
 	}
 }
@@ -430,7 +430,7 @@ func (ss *SuperSpace) releaseSuper(idx int) {
 	ss.inUse--
 	ss.counters.Inc(trace.CSuperpagesReleased)
 	ss.free = append(ss.free, int32(idx))
-	ss.inAvail[idx] = false
+	ss.inAvail.Clear(idx)
 	ss.refused[idx] = 0
 }
 

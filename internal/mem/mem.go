@@ -128,6 +128,11 @@ type Space struct {
 	flags    []uint8
 
 	own *owner // shares bodies; returns them if the Space is dropped
+
+	// The tables the Space has lent to structures built over it
+	// (NewBitmap, LendInt32s); Release takes them back.
+	lentWords  [][]uint64
+	lentInt32s [][]int32
 }
 
 // NewSpace creates a space of the given size in bytes (rounded up to a
@@ -155,12 +160,13 @@ func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher
 	return s
 }
 
-// Release returns the space's bodies to the process-wide pool and its
-// body and flag tables to theirs. Only call it when the space is dead:
-// bodies and tables go to other Spaces, which overwrite them, so no
-// holder of PageFlags may use it again either. A space dropped without
-// Release returns its bodies when the Go collector finds it unreachable.
-// A second Release does nothing.
+// Release returns the space's bodies to the process-wide pool, and its
+// body and flag tables and the tables it lent to theirs. Only call it
+// when the space is dead: bodies and tables go to other Spaces, which
+// overwrite them, so no holder of PageFlags or of a lent table may use
+// it again either. A space dropped without Release returns its bodies
+// when the Go collector finds it unreachable. A second Release does
+// nothing.
 func (s *Space) Release() {
 	if s.own == nil {
 		return
@@ -172,7 +178,24 @@ func (s *Space) Release() {
 	putBodies(s.bodies)
 	freeBodyTables.Put(s.bodies)
 	freeFlagTables.Put(s.flags)
-	s.bodies, s.flags = nil, nil
+	freeWordTables.Put(s.lentWords...)
+	freeInt32Tables.Put(s.lentInt32s...)
+	s.bodies, s.flags, s.lentWords, s.lentInt32s = nil, nil, nil, nil
+}
+
+// NewBitmap returns a bitmap of n bits, all clear, whose words s lends:
+// they go back with s.Release, so the bitmap dies with the space.
+func (s *Space) NewBitmap(n int) *Bitmap {
+	w := TakeTable(&freeWordTables, uint64(n+63)/64)
+	s.lentWords = append(s.lentWords, w)
+	return &Bitmap{w: w, n: n}
+}
+
+// LendInt32s returns a table of n zeros that s takes back at Release.
+func (s *Space) LendInt32s(n int) []int32 {
+	t := TakeTable(&freeInt32Tables, uint64(n))
+	s.lentInt32s = append(s.lentInt32s, t)
+	return t
 }
 
 // PageFlags exposes the per-page flag side array for the VMM to maintain.

@@ -39,12 +39,25 @@ func (l *FreeList[T]) Get() (v T, ok bool) {
 // a table sized for a large run is not spent on a small one; ok is
 // false when none is that large.
 func (l *FreeList[T]) GetFit(n int, size func(T) int) (v T, ok bool) {
+	return l.getBest(size, func(c, best int) bool { return c >= n && (best < 0 || c < best) })
+}
+
+// GetLargest pops the retired value of greatest size, the most recently
+// retired of equals, for a buffer whose need is unknown until it fills;
+// ok is false when the list is empty.
+func (l *FreeList[T]) GetLargest(size func(T) int) (v T, ok bool) {
+	return l.getBest(size, func(c, best int) bool { return c > best })
+}
+
+// getBest pops the value whose size is better than that of every value
+// retired after it; best is -1 until one qualifies.
+func (l *FreeList[T]) getBest(size func(T) int, better func(c, best int) bool) (v T, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	best := -1
+	best, bestSize := -1, -1
 	for i := len(l.items) - 1; i >= 0; i-- {
-		if c := size(l.items[i]); c >= n && (best < 0 || c < size(l.items[best])) {
-			best = i
+		if c := size(l.items[i]); better(c, bestSize) {
+			best, bestSize = i, c
 		}
 	}
 	if best < 0 {
@@ -114,11 +127,14 @@ func putBodies(table []*[WordsPage]uint64) {
 	freeBodies.mu.Unlock()
 }
 
-// Page tables a released Space hands to the next one (TakeTable):
-// body tables, nil throughout, and flag tables.
+// Tables a released Space hands to the next one (TakeTable): body
+// tables, nil throughout, flag tables, and the bitmap words and int32
+// tables it lent.
 var (
-	freeBodyTables FreeList[[]*[WordsPage]uint64]
-	freeFlagTables FreeList[[]uint8]
+	freeBodyTables  FreeList[[]*[WordsPage]uint64]
+	freeFlagTables  FreeList[[]uint8]
+	freeWordTables  FreeList[[]uint64]
+	freeInt32Tables FreeList[[]int32]
 )
 
 // TakeTable returns a table of n zero entries: the retired table of

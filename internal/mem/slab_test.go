@@ -241,3 +241,31 @@ func TestReleaseDisarmsTheOwner(t *testing.T) {
 	}
 	b.Release()
 }
+
+// TestFreeListTakesByCapacity: GetFit takes the least capacity that
+// fits, GetLargest the greatest, each the most recently retired of
+// equals, and neither takes from an empty list.
+func TestFreeListTakesByCapacity(t *testing.T) {
+	var l FreeList[[]int]
+	size := func(s []int) int { return cap(s) }
+	if _, ok := l.GetLargest(size); ok {
+		t.Fatal("GetLargest took from an empty list")
+	}
+	a, b, c, d := make([]int, 0, 8), make([]int, 0, 64), make([]int, 0, 16), make([]int, 0, 64)
+	l.Put(a, b, c, d)
+	if s, ok := l.GetFit(10, size); !ok || cap(s) != 16 {
+		t.Fatalf("GetFit(10) took cap %d (ok %v), want 16", cap(s), ok)
+	}
+	if s, ok := l.GetLargest(size); !ok || &s[:1][0] != &d[:1][0] {
+		t.Fatalf("GetLargest took cap %d (ok %v), want the later cap-64 slice", cap(s), ok)
+	}
+	if _, ok := l.GetFit(65, size); ok {
+		t.Fatal("GetFit(65) took a slice too small")
+	}
+	if s, ok := l.GetLargest(size); !ok || cap(s) != 64 {
+		t.Fatalf("GetLargest took cap %d (ok %v), want 64", cap(s), ok)
+	}
+	if s, ok := l.GetLargest(size); !ok || cap(s) != 8 {
+		t.Fatalf("GetLargest took cap %d (ok %v), want 8", cap(s), ok)
+	}
+}

@@ -182,9 +182,13 @@ type Run struct {
 }
 
 // NewRun prepares a run of spec on collector c. Types must have been
-// declared on c's environment.
+// declared on c's environment. It reuses a released run if there is one.
 func NewRun(spec Spec, c gc.Collector, types Types, seed int64) *Run {
-	r := &Run{spec: spec, c: c, types: types, base: c.Direct(), roots: c.Roots(),
+	r, ok := freeRuns.Get()
+	if !ok {
+		r = new(Run)
+	}
+	*r = Run{spec: spec, c: c, types: types, base: c.Direct(), roots: c.Roots(),
 		nodeID: types.Node.ID, arrID: types.DataArr.ID}
 	r.rng.seed(seed)
 	for _, b := range spec.Sizes {
@@ -218,6 +222,7 @@ func (r *Run) start() {
 	if n < 8 {
 		n = 8
 	}
+	r.roots.Reserve(int(immortalBytes)/r.avgObjBytes() + n + r.spec.LargeLive)
 
 	r.liveBase = r.roots.Len()
 	for b := uint64(0); b < immortalBytes; {
@@ -526,6 +531,16 @@ func (r *Run) Err() error { return nil }
 // Finish returns the run summary.
 func (r *Run) Finish() Result {
 	return Result{Spec: r.spec, AllocatedBytes: r.allocd, Allocations: r.nAllocs, Checksum: r.checksum}
+}
+
+// freeRuns holds released runs, each with its generator's ring.
+var freeRuns mem.FreeList[*Run]
+
+// Release hands the run to the next NewRun. Call it only once the run's
+// results are read and the run is not used again.
+func (r *Run) Release() {
+	*r = Run{}
+	freeRuns.Put(r)
 }
 
 // RunToCompletion drives the whole program in one call.

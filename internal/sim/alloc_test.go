@@ -58,6 +58,45 @@ func TestWarmRunAllocatesLittle(t *testing.T) {
 	}
 }
 
+// warmFleetBudget bounds what a warm process allocates on the host for
+// one small flight-recorded fleet: the tenants' Go objects, their flight
+// recorders' windows and rings, and the bundles written, but none of
+// the tables, gray stacks, runs, trace buffers or synthesis state, which
+// come from the process's free lists once one fleet has released them.
+const warmFleetBudget = 1 << 20
+
+// TestWarmFleetAllocatesLittle runs an 8-tenant flight-recorded fleet —
+// DefaultFleetSpec's mix, synthesized tenants included, under the
+// cooperative policy and the MemBalancer — twice, and bounds the host
+// bytes the second run allocates.
+func TestWarmFleetAllocatesLittle(t *testing.T) {
+	spec := DefaultFleetSpec(8, 0.03, 1, 7936)
+	spec.Policy = PolicyCooperative
+	spec.HeapPolicy = "membalancer"
+	spec.BalanceEveryNS = int64(5 * time.Millisecond)
+	first := RunFleet(FleetConfig{Spec: spec, FlightDir: t.TempDir()})
+	if first.Err != nil {
+		t.Fatal(first.Err)
+	}
+	cfg := FleetConfig{Spec: spec, FlightDir: t.TempDir()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second := RunFleet(cfg)
+	runtime.ReadMemStats(&after)
+	for i := range first.Tenants {
+		f, s := first.Tenants[i], second.Tenants[i]
+		if s.ElapsedSecs != f.ElapsedSecs || s.Mutator.Checksum != f.Mutator.Checksum || s.ProcStats != f.ProcStats {
+			t.Fatalf("tenant %d differs in the warm fleet: %v s, checksum %x; first %v s, %x",
+				i, s.ElapsedSecs, s.Mutator.Checksum, f.ElapsedSecs, f.Mutator.Checksum)
+		}
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("warm fleet: %d bytes in %d allocations, %d cascades", got, after.Mallocs-before.Mallocs, second.Cascades)
+	if got > warmFleetBudget {
+		t.Errorf("warm fleet allocated %d bytes, budget %d", got, warmFleetBudget)
+	}
+}
+
 // TestRunsTradeTablesAcrossGoroutines: runs on several goroutines at
 // once, as a parallel sweep's jobs do, hand their tables to each other
 // through the free lists and still measure what each measures alone.

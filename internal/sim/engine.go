@@ -208,9 +208,13 @@ func (t *tenant) result() Result {
 	return r
 }
 
-// release recycles the tenant's host scratch — worklists, root
-// registry, mark tallies — for the next run in the process. Its
-// process's tables and page bodies go back with the machine.
+// release recycles the tenant's host scratch — root registry, mark
+// tallies, and a generated program's run — for the next run in the
+// process. Its process's tables, page bodies and the tables its space
+// lent go back with the machine.
 func (t *tenant) release() {
 	t.env.ReleaseScratch(t.col.Roots())
+	if r, ok := t.run.(*mutator.Run); ok {
+		r.Release()
+	}
 }

@@ -113,9 +113,10 @@ type FleetConfig struct {
 	Trace    *trace.Recorder
 	Counters *trace.Counters
 
-	// FlightDir arms a per-tenant telemetry collector on each tenant,
-	// tagged with the tenant's name, plus the fleet-level cascade
-	// bundles; all dumps draw on one shared DumpQuota.
+	// FlightDir arms a per-tenant flight recorder on each tenant
+	// (telemetry.NewFlightRecorder: its series keeps only a bundle's
+	// window), tagged with the tenant's name, plus the fleet-level
+	// cascade bundles; all dumps draw on one shared DumpQuota.
 	FlightDir string
 
 	// MarkWorkers is ignored: marking runs on one worker. It stays
@@ -239,6 +240,14 @@ type fleetRun struct {
 	dumpSeq    int
 
 	balancerRounds int
+	participants   []participant // rebalance's scratch
+}
+
+// participant is one tenant a MemBalancer round distributes memory to.
+type participant struct {
+	pol  heappolicy.Balancable
+	live float64
+	w    float64
 }
 
 // shareFrames is tenant t's weighted share of the machine's frames.
@@ -333,7 +342,7 @@ func (f *fleetRun) assemble() (int, error) {
 			tr = f.cfg.Trace.Thread(name)
 		}
 		if f.cfg.FlightDir != "" {
-			cfg.Telemetry = telemetry.New(telemetry.Config{
+			cfg.Telemetry = telemetry.NewFlightRecorder(telemetry.Config{
 				FlightDir: f.cfg.FlightDir,
 				Tenant:    name,
 				Quota:     f.quota,
@@ -617,12 +626,7 @@ func (f *fleetRun) rebalance() {
 	f.cfg.Counters.Inc(trace.CBalancerRounds)
 
 	budget := float64(f.v.TotalFrames()-f.v.PinnedFrames()) * float64(mem.PageSize)
-	type participant struct {
-		pol  heappolicy.Balancable
-		live float64
-		w    float64
-	}
-	var parts []participant
+	parts := f.participants[:0]
 	var sumLive, sumW float64
 	for _, t := range f.tenants {
 		b, ok := t.env.HeapPolicy.(heappolicy.Balancable)
@@ -640,6 +644,7 @@ func (f *fleetRun) rebalance() {
 		}
 		budget -= float64(t.env.Proc.ResidentPages()) * float64(mem.PageSize)
 	}
+	f.participants = parts
 	if len(parts) == 0 {
 		return
 	}

@@ -10,8 +10,27 @@ import (
 )
 
 // flightEvent is one entry in the flight ring: a trace span boundary or
-// point event, kept so a dump can show what led up to an anomaly.
+// point event, kept so a dump can show what led up to an anomaly. It
+// holds the span's phase or the point's event as its ID, and a bundle
+// renders the names.
 type flightEvent struct {
+	TimeNS     int64
+	Arg1, Arg2 int64
+	Kind       eventKind
+	ID         uint8 // a trace.Phase (begin, end) or trace.Event (point)
+}
+
+// eventKind says what a flightEvent records.
+type eventKind uint8
+
+const (
+	evBegin eventKind = iota
+	evEnd
+	evPoint
+)
+
+// eventJSON is a flightEvent rendered for a bundle.
+type eventJSON struct {
 	TimeNS int64  `json:"t_ns"`
 	Kind   string `json:"kind"` // "begin", "end", "point"
 	Name   string `json:"name"`
@@ -19,35 +38,57 @@ type flightEvent struct {
 	Arg2   int64  `json:"arg2,omitempty"`
 }
 
-// flightRing is a ring of the ringEvents most recent events. It grows
-// by append until full, so a collector that records few events holds
-// few. Overwrites count as drops: history lost before any dump
-// captured it.
+func (e *flightEvent) render() eventJSON {
+	j := eventJSON{TimeNS: e.TimeNS, Arg1: e.Arg1, Arg2: e.Arg2}
+	switch e.Kind {
+	case evBegin:
+		j.Kind, j.Name = "begin", trace.Phase(e.ID).String()
+	case evEnd:
+		j.Kind, j.Name = "end", trace.Phase(e.ID).String()
+	default:
+		j.Kind, j.Name = "point", trace.Event(e.ID).String()
+	}
+	return j
+}
+
+// ringChunk is how many events the flight ring allocates at a time.
+const ringChunk = 256
+
+// flightRing is a ring of the ringEvents most recent events. It takes
+// its slots a chunk at a time as it first reaches them, so a collector
+// that records few events holds few, and growing copies nothing.
+// Overwrites count as drops: history lost before any dump captured it.
 type flightRing struct {
-	buf   []flightEvent
-	next  int
-	total uint64
+	chunks [ringEvents / ringChunk]*[ringChunk]flightEvent
+	next   int // the slot the next event takes
+	total  uint64
 }
 
 func (r *flightRing) push(e flightEvent, ctrs *trace.Counters) {
-	if len(r.buf) < ringEvents {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
+	ch := &r.chunks[r.next/ringChunk]
+	if *ch == nil {
+		*ch = new([ringChunk]flightEvent)
+	}
+	(*ch)[r.next%ringChunk] = e
+	if r.total >= ringEvents {
 		ctrs.Inc(trace.CTelemetryRingDrops)
 	}
 	r.next = (r.next + 1) % ringEvents
 	r.total++
 }
 
-// tail returns the ring's contents oldest-first.
-func (r *flightRing) tail() []flightEvent {
-	out := make([]flightEvent, 0, len(r.buf))
-	if len(r.buf) < ringEvents {
-		return append(out, r.buf...)
+// held returns the number of events the ring holds.
+func (r *flightRing) held() int { return int(min(r.total, ringEvents)) }
+
+// tail returns the ring's contents oldest-first, rendered.
+func (r *flightRing) tail() []eventJSON {
+	n := r.held()
+	out := make([]eventJSON, n)
+	for k := range out {
+		i := (r.next - n + k + ringEvents) % ringEvents
+		out[k] = r.chunks[i/ringChunk][i%ringChunk].render()
 	}
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	return out
 }
 
 // pauseJSON is a PauseAttr rendered for a bundle: phases as a name map
@@ -92,7 +133,7 @@ type bundle struct {
 	Collector string             `json:"collector"`
 	RunError  string             `json:"run_error,omitempty"`
 	Samples   map[string][]int64 `json:"samples"`
-	Events    []flightEvent      `json:"events"`
+	Events    []eventJSON        `json:"events"`
 	Pauses    []pauseJSON        `json:"pauses"`
 	Counters  map[string]uint64  `json:"counters,omitempty"`
 	PauseP50  int64              `json:"pause_p50_ns"`
@@ -109,12 +150,34 @@ func (c *Collector) dumpLocked(reason string) {
 	if c.cfg.FlightDir == "" || !c.cfg.Quota.TryTenant(c.cfg.Tenant) {
 		return
 	}
+	b := c.bundleLocked(reason)
+	if err := os.MkdirAll(c.cfg.FlightDir, 0o755); err != nil {
+		return
+	}
+	data, err := json.MarshalIndent(b, "", " ")
+	if err != nil {
+		return
+	}
+	c.dumpSeq++
+	name := fmt.Sprintf("flight-%03d-%s.json", c.dumpSeq, reason)
+	if c.cfg.Tenant != "" {
+		name = fmt.Sprintf("flight-%s-%03d-%s.json", c.cfg.Tenant, c.dumpSeq, reason)
+	}
+	if os.WriteFile(filepath.Join(c.cfg.FlightDir, name), data, 0o644) == nil {
+		c.flightDumps++
+		c.ctrs.Inc(trace.CTelemetryFlightDumps)
+	}
+}
+
+// bundleLocked assembles the bundle a dump for reason writes. Called
+// with c.mu held.
+func (c *Collector) bundleLocked(reason string) *bundle {
 	var now int64
 	if c.clock != nil {
 		now = int64(c.clock.Now())
 	}
 	tl := c.timelineLocked()
-	b := bundle{
+	b := &bundle{
 		Schema:    "gcsim-flight/v1",
 		Reason:    reason,
 		Tenant:    c.cfg.Tenant,
@@ -142,20 +205,5 @@ func (c *Collector) dumpLocked(reason string) {
 			b.Counters[trace.Counter(id).String()] = c.ctrs.Get(trace.Counter(id))
 		}
 	}
-	if err := os.MkdirAll(c.cfg.FlightDir, 0o755); err != nil {
-		return
-	}
-	data, err := json.MarshalIndent(&b, "", " ")
-	if err != nil {
-		return
-	}
-	c.dumpSeq++
-	name := fmt.Sprintf("flight-%03d-%s.json", c.dumpSeq, reason)
-	if c.cfg.Tenant != "" {
-		name = fmt.Sprintf("flight-%s-%03d-%s.json", c.cfg.Tenant, c.dumpSeq, reason)
-	}
-	if os.WriteFile(filepath.Join(c.cfg.FlightDir, name), data, 0o644) == nil {
-		c.flightDumps++
-		c.ctrs.Inc(trace.CTelemetryFlightDumps)
-	}
+	return b
 }

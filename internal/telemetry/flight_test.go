@@ -13,16 +13,22 @@ func TestFlightRingKeepsTheNewest(t *testing.T) {
 		var r flightRing
 		ctrs := trace.NewCounters()
 		for i := 0; i < pushes; i++ {
-			r.push(flightEvent{TimeNS: int64(i)}, ctrs)
+			r.push(flightEvent{TimeNS: int64(i), Kind: evPoint, ID: uint8(trace.EvHeapShrink)}, ctrs)
 		}
 		kept := min(pushes, ringEvents)
 		got := r.tail()
-		if len(got) != kept || len(r.buf) > ringEvents {
-			t.Fatalf("%d pushes: tail holds %d events in a buffer of %d, want %d", pushes, len(got), len(r.buf), kept)
+		chunks := 0
+		for _, ch := range r.chunks {
+			if ch != nil {
+				chunks++
+			}
+		}
+		if len(got) != kept || chunks != (kept+ringChunk-1)/ringChunk {
+			t.Fatalf("%d pushes: tail holds %d events in %d chunks, want %d", pushes, len(got), chunks, kept)
 		}
 		for k, e := range got {
-			if want := int64(pushes - kept + k); e.TimeNS != want {
-				t.Fatalf("%d pushes: tail[%d] is event %d, want %d", pushes, k, e.TimeNS, want)
+			if want := int64(pushes - kept + k); e.TimeNS != want || e.Kind != "point" || e.Name != trace.EvHeapShrink.String() {
+				t.Fatalf("%d pushes: tail[%d] is %s %s at %d, want point %s at %d", pushes, k, e.Kind, e.Name, e.TimeNS, trace.EvHeapShrink, want)
 			}
 		}
 		if drops := ctrs.Get(trace.CTelemetryRingDrops); drops != uint64(pushes-kept) {

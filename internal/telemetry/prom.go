@@ -70,11 +70,7 @@ func (c *Collector) WriteProm(w io.Writer) error {
 
 	g("gcsim_telemetry_samples_total", "Time-series samples taken.", "counter", int64(c.series.Len()))
 	g("gcsim_telemetry_flight_dumps_total", "Flight-recorder bundles written.", "counter", int64(c.flightDumps))
-	ringDrops := c.ring.total - uint64(len(c.ring.buf))
-	if c.ring.total < uint64(len(c.ring.buf)) {
-		ringDrops = 0
-	}
-	g("gcsim_telemetry_ring_drops_total", "Flight-ring entries overwritten.", "counter", int64(ringDrops))
+	g("gcsim_telemetry_ring_drops_total", "Flight-ring entries overwritten.", "counter", int64(c.ring.total)-int64(c.ring.held()))
 	return bw.Flush()
 }
 

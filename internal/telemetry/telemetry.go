@@ -103,16 +103,27 @@ const NumColumns = int(numColumns)
 //
 // head is the encoder's state, which is the cursor after the newest
 // sample: its values are the newest row. marks holds the cursors at
-// every seriesBlock-th sample, so a read of the last t samples decodes
-// at most seriesBlock+t values per column however long the run.
+// the start of every block of samples held, so a read of the last t
+// samples decodes at most one block plus t values per column however
+// long the run.
+//
+// The zero Series keeps every sample, in blocks of seriesBlock. A
+// windowed one (window > 0, a flight recorder's) uses blocks of window
+// samples and holds only the newest two: when a third starts, the
+// oldest is dropped and the rest slide to the front of the columns, so
+// it always holds at least the newest window samples in memory that
+// does not grow with the run.
 type Series struct {
-	n     int
-	cols  [numColumns][]byte
-	head  [numColumns]cursor
-	marks [][numColumns]cursor
+	n      int
+	window int // 0: keep every sample; else the block length, two held
+	base   int // index of the oldest sample held
+	cols   [numColumns][]byte
+	head   [numColumns]cursor
+	marks  [][numColumns]cursor // marks[k] is at sample base + k*block
 }
 
-// seriesBlock is the number of samples between two checkpoints.
+// seriesBlock is the number of samples between two checkpoints of a
+// series that keeps every sample.
 const seriesBlock = 4096
 
 // cursor is a decoding position in one column: the byte offset of the
@@ -132,14 +143,30 @@ func (c *cursor) next(col []byte) int64 {
 	return c.val
 }
 
-// Len returns the number of samples.
+// Len returns the number of samples taken, held or not.
 func (s *Series) Len() int { return s.n }
 
+// block returns the number of samples between two checkpoints.
+func (s *Series) block() int {
+	if s.window > 0 {
+		return s.window
+	}
+	return seriesBlock
+}
+
 func (s *Series) push(row *[numColumns]int64) {
-	if s.n%seriesBlock == 0 {
+	if s.n%s.block() == 0 {
+		if s.window > 0 && len(s.marks) == 2 {
+			s.dropOldest()
+		}
 		s.marks = append(s.marks, s.head)
 	}
 	for i := range s.cols {
+		if s.cols[i] == nil && s.window > 0 {
+			// Two blocks of about a byte a sample: most columns
+			// never regrow.
+			s.cols[i] = make([]byte, 0, 2*s.window)
+		}
 		h := &s.head[i]
 		d := row[i] - h.val
 		s.cols[i] = binary.AppendVarint(s.cols[i], d-h.step)
@@ -148,28 +175,44 @@ func (s *Series) push(row *[numColumns]int64) {
 	s.n++
 }
 
+// dropOldest discards a windowed series' oldest block: the newer one
+// slides to the front of every column, in place.
+func (s *Series) dropOldest() {
+	keep := s.marks[1]
+	for i := range s.cols {
+		off := keep[i].off
+		s.cols[i] = s.cols[i][:copy(s.cols[i], s.cols[i][off:])]
+		keep[i].off = 0
+		s.head[i].off -= off
+	}
+	s.marks[0] = keep
+	s.marks = s.marks[:1]
+	s.base += s.window
+}
+
 // last returns the newest sample's value of col (0 when empty).
 func (s *Series) last(col Column) int64 { return s.head[col].val }
 
 // tailFrom returns the first sample index of a tail of tail samples
-// (the whole series when tail <= 0).
+// (every sample held when tail <= 0).
 func (s *Series) tailFrom(tail int) int {
-	if tail > 0 && tail < s.n {
+	if tail > 0 && tail < s.n-s.base {
 		return s.n - tail
 	}
-	return 0
+	return s.base
 }
 
-// column decodes col's samples from index from to the newest, starting
-// at the checkpoint at or before from.
+// column decodes col's samples from index from (at least base) to the
+// newest, starting at the checkpoint at or before from.
 func (s *Series) column(col Column, from int) []int64 {
 	out := make([]int64, s.n-from)
 	if len(out) == 0 {
 		return out
 	}
-	b := from / seriesBlock
+	blk := s.block()
+	b := (from - s.base) / blk
 	c, src := s.marks[b][col], s.cols[col]
-	for k := b * seriesBlock; k < from; k++ {
+	for k := s.base + b*blk; k < from; k++ {
 		c.next(src)
 	}
 	for k := range out {
@@ -178,11 +221,15 @@ func (s *Series) column(col Column, from int) []int64 {
 	return out
 }
 
-// rows calls emit with each sample in order, decoding one row at a time.
+// rows calls emit with each sample held in order, decoding one row at a
+// time.
 func (s *Series) rows(emit func(row *[numColumns]int64)) {
-	var c [numColumns]cursor
+	if s.n == 0 {
+		return
+	}
+	c := s.marks[0]
 	var row [numColumns]int64
-	for k := 0; k < s.n; k++ {
+	for k := s.base; k < s.n; k++ {
 		for i := range c {
 			row[i] = c[i].next(s.cols[i])
 		}
@@ -287,7 +334,8 @@ type Collector struct {
 	runErr error
 }
 
-// New returns a collector with cfg's zero fields defaulted.
+// New returns a collector with cfg's zero fields defaulted. It keeps
+// the whole series, for exports and the live endpoints.
 func New(cfg Config) *Collector {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = time.Millisecond
@@ -297,6 +345,17 @@ func New(cfg Config) *Collector {
 	}
 	c := &Collector{cfg: cfg}
 	c.tickFn = c.tick
+	return c
+}
+
+// NewFlightRecorder returns a collector that keeps only what a flight
+// bundle reads: of the series, a window of at least the newest
+// sampleTail samples, so its memory does not grow with the run. Its
+// exports and tails cover that window alone. A fleet arms one per
+// tenant.
+func NewFlightRecorder(cfg Config) *Collector {
+	c := New(cfg)
+	c.series.window = sampleTail
 	return c
 }
 
@@ -398,7 +457,7 @@ func (c *Collector) spanBegin(p trace.Phase) {
 	}
 	now := c.clock.Now()
 	faults := c.env.Proc.Stats().MajorFaults
-	c.ring.push(flightEvent{TimeNS: int64(now), Kind: "begin", Name: p.String()}, c.ctrs)
+	c.ring.push(flightEvent{TimeNS: int64(now), Kind: evBegin, ID: uint8(p)}, c.ctrs)
 	if n := len(c.stack); n > 0 {
 		top := &c.stack[n-1]
 		c.charge(top.phase, now-top.segStart, faults-top.segFaults)
@@ -426,7 +485,7 @@ func (c *Collector) spanEnd(p trace.Phase) {
 	}
 	now := c.clock.Now()
 	faults := c.env.Proc.Stats().MajorFaults
-	c.ring.push(flightEvent{TimeNS: int64(now), Kind: "end", Name: p.String()}, c.ctrs)
+	c.ring.push(flightEvent{TimeNS: int64(now), Kind: evEnd, ID: uint8(p)}, c.ctrs)
 	top := c.stack[len(c.stack)-1]
 	c.charge(top.phase, now-top.segStart, faults-top.segFaults)
 	i := len(c.stack) - 1
@@ -468,9 +527,7 @@ func (c *Collector) point(e trace.Event, a1, a2 int64) {
 	if c.clock == nil {
 		return
 	}
-	c.ring.push(flightEvent{
-		TimeNS: int64(c.clock.Now()), Kind: "point", Name: e.String(), Arg1: a1, Arg2: a2,
-	}, c.ctrs)
+	c.ring.push(flightEvent{TimeNS: int64(c.clock.Now()), Arg1: a1, Arg2: a2, Kind: evPoint, ID: uint8(e)}, c.ctrs)
 }
 
 // attributor is the tracer wrapper Tracer returns: every event goes to
@@ -516,16 +573,16 @@ func (c *Collector) SampleCount() int {
 	return c.series.Len()
 }
 
-// ColumnTail returns up to tail recent values of column col (all when
-// tail <= 0).
+// ColumnTail returns up to tail recent values of column col (every
+// sample held when tail <= 0).
 func (c *Collector) ColumnTail(col Column, tail int) []int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.series.column(col, c.series.tailFrom(tail))
 }
 
-// SeriesTail returns up to tail recent values of every column (all when
-// tail <= 0), keyed by column name. One lock covers every column, so all
+// SeriesTail returns up to tail recent values of every column (every
+// sample held when tail <= 0), keyed by column name. One lock covers every column, so all
 // have the same length even while the run samples.
 func (c *Collector) SeriesTail(tail int) map[string][]int64 {
 	c.mu.Lock()

@@ -220,8 +220,11 @@ func New(clock *Clock, physBytes uint64, costs Costs) *VMM {
 		lowWater: 32,
 		batch:    32,
 	}
-	v.active.refs, _ = freeQueues.Get()
-	v.inactive.refs, _ = freeQueues.Get()
+	// Each list takes the largest queue left, so that within a run or
+	// two both hold what either list of this machine grows to.
+	qcap := func(q []pageRef) int { return cap(q) }
+	v.active.refs, _ = freeQueues.GetLargest(qcap)
+	v.inactive.refs, _ = freeQueues.GetLargest(qcap)
 	return v
 }
 

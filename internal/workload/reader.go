@@ -36,11 +36,21 @@ type Reader struct {
 	Counters *trace.Counters
 }
 
-// NewReader validates r's header and reads the meta block, into a block
-// buffer a finished replay left if there is one.
-func NewReader(r io.Reader) (*Reader, error) {
-	rd := &Reader{br: bufio.NewReader(r)}
-	rd.buf, _ = freeReadBufs.Get()
+// NewReader validates r's header and reads the meta block, into the
+// buffers a released reader left if there are any.
+func NewReader(r io.Reader) (_ *Reader, err error) {
+	rd := &Reader{}
+	if sc, ok := freeReaders.Get(); ok {
+		sc.br.Reset(r)
+		rd.br, rd.buf = sc.br, sc.buf
+	} else {
+		rd.br = bufio.NewReader(r)
+	}
+	defer func() {
+		if err != nil {
+			rd.release()
+		}
+	}()
 	var hdr [5]byte
 	if _, err := io.ReadFull(rd.br, hdr[:]); err != nil {
 		return nil, corrupt("short header: %v", err)
@@ -76,14 +86,23 @@ func (rd *Reader) Events() uint64 { return rd.events }
 // Blocks returns how many blocks have been decoded so far.
 func (rd *Reader) Blocks() uint64 { return rd.blocks }
 
-// freeReadBufs holds the block buffers of finished replays.
-var freeReadBufs mem.FreeList[[]byte]
+// readScratch is what a released Reader hands to the next: its input
+// buffer and its block buffer.
+type readScratch struct {
+	br  *bufio.Reader
+	buf []byte
+}
 
-// release hands the block buffer to the next NewReader. The reader
+// freeReaders holds the buffers of released readers: finished replays,
+// and readers opened only for their meta block.
+var freeReaders mem.FreeList[readScratch]
+
+// release hands the reader's buffers to the next NewReader. The reader
 // yields nothing after it.
 func (rd *Reader) release() {
-	freeReadBufs.Put(rd.buf[:0])
-	rd.buf, rd.block, rd.pos = nil, nil, 0
+	rd.br.Reset(nil)
+	freeReaders.Put(readScratch{br: rd.br, buf: rd.buf[:0]})
+	rd.br, rd.buf, rd.block, rd.pos = nil, nil, nil, 0
 	rd.sawEnd = true
 }
 
@@ -281,6 +300,7 @@ func ReadMeta(path string) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
+	defer rd.release()
 	return rd.Meta(), nil
 }
 

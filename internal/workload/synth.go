@@ -69,7 +69,8 @@ func Synthesize(w io.Writer, p SynthParams) error {
 	if err != nil {
 		return err
 	}
-	st := &synthState{w: wr, p: p, rng: rand.New(rand.NewSource(p.Seed)), pos: map[int]int{}, nextID: 1}
+	st := newSynthState(wr, p)
+	defer st.release()
 	gen(st)
 	// Synthesizers cannot know the data checksum a replay will compute
 	// without simulating the heap, so the footer omits it; readers still
@@ -79,18 +80,64 @@ func Synthesize(w io.Writer, p SynthParams) error {
 
 // synthState tracks the synthetic program's live set, mirroring the
 // replayer's root-slot discipline (gc.Roots' LIFO free list) so every
-// emitted slot index matches what Roots will hand out on replay.
+// emitted slot index matches what Roots will hand out on replay. Its
+// generator and tables outlive the synthesis: the next one reuses them
+// (freeSynthStates).
 type synthState struct {
 	w   *Writer
 	p   SynthParams
 	rng *rand.Rand
 
-	slots  vmodel
-	live   []int       // in-use slots, for O(1) random picks
-	pos    map[int]int // slot -> index in live
+	slots vmodel
+	live  []int // in-use slots, for O(1) random picks
+	pos   []int // slot -> index in live, for in-use slots
+
+	// The slot releases each iteration has due, in the order they were
+	// queued: the first and last slot due at an iteration (-1: none),
+	// and for each queued slot the next one due at the same iteration.
+	dueFirst, dueLast, dueNext []int32
+
 	nextID uint64
 	allocs uint64
 	bytes  uint64
+}
+
+// freeSynthStates holds the states of finished syntheses.
+var freeSynthStates mem.FreeList[*synthState]
+
+// newSynthState returns an empty state for p writing to w, reseeding a
+// finished synthesis's generator and reusing its tables if there is one.
+func newSynthState(w *Writer, p SynthParams) *synthState {
+	st, ok := freeSynthStates.Get()
+	if !ok {
+		return &synthState{w: w, p: p, rng: rand.New(rand.NewSource(p.Seed)), nextID: 1}
+	}
+	st.rng.Seed(p.Seed)
+	*st = synthState{w: w, p: p, rng: st.rng, nextID: 1,
+		slots: vmodel{slots: st.slots.slots[:0], free: st.slots.free[:0]},
+		live:  st.live[:0], pos: st.pos[:0],
+		dueFirst: st.dueFirst[:0], dueLast: st.dueLast[:0], dueNext: st.dueNext[:0]}
+	return st
+}
+
+// release hands the state to the next synthesis.
+func (s *synthState) release() {
+	s.w = nil
+	freeSynthStates.Put(s)
+}
+
+// due queues slot's release at iteration at.
+func (s *synthState) due(at, slot int) {
+	for len(s.dueNext) <= slot {
+		s.dueNext = append(s.dueNext, -1)
+	}
+	s.dueNext[slot] = -1
+	if last := s.dueLast[at]; last >= 0 {
+		s.dueNext[last] = int32(slot)
+	} else {
+		s.dueFirst[at] = int32(slot)
+	}
+	s.dueLast[at] = int32(slot)
 }
 
 func (s *synthState) account(words int) {
@@ -115,6 +162,9 @@ func (s *synthState) allocSurvive(kind byte, words int) int {
 	hasInit, initIdx := initFor(kind, words, s.rng)
 	s.w.Alloc(kind, words, destAdd, slot, hasInit, initIdx, s.rng.Uint64())
 	s.account(words)
+	for len(s.pos) <= slot {
+		s.pos = append(s.pos, 0)
+	}
 	s.pos[slot] = len(s.live)
 	s.live = append(s.live, slot)
 	return slot
@@ -131,7 +181,6 @@ func (s *synthState) releaseSlot(slot int) {
 	s.live[i] = last
 	s.pos[last] = i
 	s.live = s.live[:len(s.live)-1]
-	delete(s.pos, slot)
 }
 
 func (s *synthState) randomLive() (int, *vslot) {
@@ -224,12 +273,16 @@ func synthMarkov(s *synthState) {
 		{20, 40, 100}, // long
 	}
 	state := 1
-	deaths := map[int][]int{} // iteration -> slots to release
+	for range s.p.Allocs {
+		s.dueFirst = append(s.dueFirst, -1)
+		s.dueLast = append(s.dueLast, -1)
+	}
 	for i := 0; i < s.p.Allocs; i++ {
-		for _, slot := range deaths[i] {
-			s.releaseSlot(slot)
+		for slot := s.dueFirst[i]; slot >= 0; {
+			next := s.dueNext[slot]
+			s.releaseSlot(int(slot))
+			slot = next
 		}
-		delete(deaths, i)
 
 		x := s.rng.Intn(100)
 		row := trans[state]
@@ -251,7 +304,7 @@ func synthMarkov(s *synthState) {
 				life = s.p.Live*4 + s.rng.Intn(s.p.Live*8)
 			}
 			if at := i + life; at < s.p.Allocs {
-				deaths[at] = append(deaths[at], slot)
+				s.due(at, slot)
 			}
 		}
 		s.work(2)

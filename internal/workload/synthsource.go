@@ -31,6 +31,7 @@ func NewSynthSource(p SynthParams) (*SynthSource, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer rd.release()
 	return &SynthSource{data: buf.Bytes(), meta: rd.Meta()}, nil
 }
 
