@@ -526,10 +526,16 @@ func (c *BC) anyEvicted(first, last mem.PageID) bool {
 
 // enterGC marks a collection in progress and returns the func that ends
 // it (defer it), which also detaches the eviction handler from the
-// collection's worklist.
+// collection's worklist and only then retires that stack: until the
+// collection ends, an eviction notice may still push to it.
 func (c *BC) enterGC() func() {
 	c.inGC = true
-	return func() { c.inGC, c.curWork = false, nil }
+	return func() {
+		if c.curWork != nil {
+			c.E.PutWorkList(c.curWork)
+		}
+		c.inGC, c.curWork = false, nil
+	}
 }
 
 // bookmarksAreRoots reports whether a trace must start from the resident
@@ -545,8 +551,8 @@ func (c *BC) bookmarksAreRoots() bool {
 // young is evacuated through PromoteMarked. pageOK names the pages the
 // trace may touch; nil touches every page, and then the sweep passes the
 // superpage space's residency filter too. The eviction handler sees the
-// trace in progress through curWork/curEpoch, which stay set until the
-// collection ends (enterGC).
+// trace in progress through curWork/curEpoch, which stay set, and the
+// stack the trace's, until the collection ends (enterGC).
 func (c *BC) markSweep(young *gc.Nursery, pageOK func(mem.PageID) bool) {
 	t := c.BeginTrace(young, pageOK, c.PromoteMarked)
 	c.curWork, c.curEpoch = t.Work, t.Epoch

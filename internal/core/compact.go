@@ -41,12 +41,12 @@ func (c *BC) compact() {
 	c.E.Trace.End(trace.PhaseCompactSelect)
 	c.E.Trace.Begin(trace.PhaseCheneyForward)
 	epoch2 := c.NextEpoch()
-	// The census's worklist, back from its sweep: what the handler grafted
-	// onto it since is dropped, and mid-pass bookmarks join the copy pass.
-	work := c.E.GetWorkList()
-	defer c.E.PutWorkList(work)
+	// The census's worklist, still the collection's after its sweep: what
+	// the handler grafted onto it since is dropped, and mid-pass bookmarks
+	// join the copy pass. enterGC's end retires it.
+	work := c.curWork
 	work.Reset()
-	c.curWork, c.curEpoch = work, epoch2
+	c.curEpoch = epoch2
 	var moved []objmodel.Ref // source blocks, freed after the trace
 	forward := func(o objmodel.Ref) objmodel.Ref {
 		switch {

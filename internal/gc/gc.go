@@ -176,18 +176,14 @@ type rootsScratch struct {
 	free  []int32
 }
 
-// Reserve readies an empty registry for about n slots: it adopts the
-// least recycled backing array that holds n, or a new one. On a
-// registry already in use it does nothing.
-func (r *Roots) Reserve(n int) {
+// acquire adopts recycled backing arrays if the registry is still empty.
+func (r *Roots) acquire() {
 	if r.slots != nil {
 		return
 	}
-	if sc, ok := freeRoots.GetFit(n, func(sc rootsScratch) int { return cap(sc.slots) }); ok {
+	if sc, ok := freeRoots.Get(); ok {
 		r.slots, r.free = sc.slots, sc.free
-		return
 	}
-	r.slots = make([]mem.Addr, 0, n)
 }
 
 func (r *Roots) release() {
@@ -215,7 +211,7 @@ func (r *Roots) Add(o mem.Addr) int {
 // a block its owner can address as base + offset.
 func (r *Roots) Append(o mem.Addr) int {
 	if r.slots == nil {
-		r.Reserve(0)
+		r.acquire()
 	}
 	r.slots = append(r.slots, o)
 	return len(r.slots) - 1
@@ -303,12 +299,15 @@ func (w *WorkList) Reset() { w.items = w.items[:0] }
 // every cycle.
 func (e *Env) GetWorkList() *WorkList {
 	if w, ok := freeWorkLists.GetLargest(func(w *WorkList) int { return cap(w.items) }); ok {
+		w.Reset()
 		return w
 	}
 	return &WorkList{}
 }
 
-// PutWorkList retires w (emptied, capacity kept) for reuse.
+// PutWorkList retires w (emptied, capacity kept) for reuse by any
+// environment, possibly on another goroutine: call it only when nothing
+// of this one can push to w again.
 func (e *Env) PutWorkList(w *WorkList) {
 	w.Reset()
 	freeWorkLists.Put(w)

@@ -226,15 +226,16 @@ func (t *Trace) Mark() {
 }
 
 // Sweep frees what the trace left unmarked (large objects only on pages
-// the trace may touch) and ends the trace. Every young survivor has been
-// promoted by now; the caller resets the young space.
+// the trace may touch). Every young survivor has been promoted by now;
+// the caller resets the young space. Work stays the caller's: it returns
+// the stack (Env.PutWorkList) once nothing can push to it any more,
+// which for BC is when the whole collection ends, not here.
 func (t *Trace) Sweep() {
 	env := t.m.b.E
 	env.Trace.Begin(trace.PhaseSweep)
 	t.m.SS.Sweep(t.Epoch)
 	t.m.LOS.Sweep(t.Epoch, t.pageOK)
 	env.Trace.End(trace.PhaseSweep)
-	env.PutWorkList(t.Work)
 }
 
 // FullCollect is the whole collection for a collector with nothing to
@@ -247,5 +248,6 @@ func (m *Mature) FullCollect(young *Nursery, promote Promoter) {
 	t.Mark()
 	m.b.E.Trace.End(trace.PhaseMark)
 	t.Sweep()
+	m.b.E.PutWorkList(t.Work)
 	young.Reset()
 }

@@ -222,7 +222,6 @@ func (r *Run) start() {
 	if n < 8 {
 		n = 8
 	}
-	r.roots.Reserve(int(immortalBytes)/r.avgObjBytes() + n + r.spec.LargeLive)
 
 	r.liveBase = r.roots.Len()
 	for b := uint64(0); b < immortalBytes; {

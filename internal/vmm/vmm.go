@@ -220,11 +220,8 @@ func New(clock *Clock, physBytes uint64, costs Costs) *VMM {
 		lowWater: 32,
 		batch:    32,
 	}
-	// Each list takes the largest queue left, so that within a run or
-	// two both hold what either list of this machine grows to.
-	qcap := func(q []pageRef) int { return cap(q) }
-	v.active.refs, _ = freeQueues.GetLargest(qcap)
-	v.inactive.refs, _ = freeQueues.GetLargest(qcap)
+	v.active.refs, _ = freeQueues.Get()
+	v.inactive.refs, _ = freeQueues.Get()
 	return v
 }
 
