@@ -55,7 +55,7 @@ import (
 	"bookmarkgc/internal/bench"
 	"bookmarkgc/internal/hostprof"
 	"bookmarkgc/internal/runner"
-	"bookmarkgc/internal/telemetry"
+	"bookmarkgc/internal/telemetry/serve"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -148,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "experiments: serving progress on http://%s/api/progress\n", ln.Addr())
 		go func() {
-			srv := &http.Server{Handler: telemetry.NewMux(telemetry.ServerOptions{
+			srv := &http.Server{Handler: serve.NewMux(serve.ServerOptions{
 				Progress: tracker.snapshot,
 				Title:    "experiments",
 			})}
@@ -239,7 +239,7 @@ func (t *progressTracker) observe(p runner.Progress) {
 	t.print(p)
 }
 
-// snapshot is the telemetry.ServerOptions.Progress hook: a JSON-ready
+// snapshot is the serve.ServerOptions.Progress hook: a JSON-ready
 // view of the current experiment's batch.
 func (t *progressTracker) snapshot() interface{} {
 	t.mu.Lock()

@@ -296,3 +296,25 @@ func TestLateTenantBundleFleet(t *testing.T) {
 		t.Errorf("none of %d bundles is a tenant's past its 4097th sample", len(bundles))
 	}
 }
+
+// TestCascadingFleetLeavesTenantBundles: mixed4 at scale 0.03 cascades
+// all run long, and its fleet bundles take only the dump quota's fleet
+// reserve, so a tenant's long pause still writes its bundle.
+func TestCascadingFleetLeavesTenantBundles(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-fleet", "mixed4", "-scale", "0.03", "-seed", "1", "-flight-dump-dir", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	fleet, err := filepath.Glob(filepath.Join(dir, "fleet-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fleet) == 0 || len(fleet) > 4 || len(tenant) == 0 {
+		t.Errorf("%d fleet bundles (want 1 to 4) and %d tenant bundles (want at least 1)", len(fleet), len(tenant))
+	}
+}

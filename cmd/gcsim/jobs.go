@@ -15,6 +15,7 @@ import (
 	"bookmarkgc/internal/runner"
 	"bookmarkgc/internal/sim"
 	"bookmarkgc/internal/telemetry"
+	"bookmarkgc/internal/telemetry/serve"
 	"bookmarkgc/internal/trace"
 )
 
@@ -166,7 +167,7 @@ func (c *config) host(stderr io.Writer) (runner.Host, error) {
 	}
 	fmt.Fprintf(stderr, "gcsim: serving telemetry on http://%s/\n", ln.Addr())
 	go func() {
-		srv := &http.Server{Handler: telemetry.NewMux(telemetry.ServerOptions{
+		srv := &http.Server{Handler: serve.NewMux(serve.ServerOptions{
 			Telemetry: h.Telemetry,
 			Title:     fmt.Sprintf("gcsim %s/%s", c.collector, c.program),
 		})}

@@ -49,6 +49,21 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
+// WritePauses writes the newest tail attributed pauses held (every one
+// when tail <= 0) as one JSON array on one line, each rendered as a
+// flight bundle renders it: the body of the live /api/pauses. It
+// renders under the lock and writes after it, so a slow reader never
+// holds up the run.
+func (c *Collector) WritePauses(w io.Writer, tail int) error {
+	c.mu.Lock()
+	out := c.renderPausesLocked(tail)
+	c.mu.Unlock()
+	if out == nil {
+		out = []pauseJSON{} // an empty array, not null
+	}
+	return json.NewEncoder(w).Encode(out)
+}
+
 // WriteJSONL writes samples, pause attributions, and per-kind pause
 // summaries as one JSON object per line.
 func (c *Collector) WriteJSONL(w io.Writer) error {

@@ -13,15 +13,15 @@ import (
 // in one run, or the private one New makes. A fleet's prevents two
 // failure modes: tenants writing into one FlightDir must not exhaust each
 // other's allowance (a noisy neighbor dumping sixteen OOM bundles would
-// otherwise silence everyone else), and fleet-level cascade bundles must
-// never be crowded out — FleetReserve slots of the total are reserved for
-// them and are unreachable from TryTenant.
+// otherwise silence everyone else), and fleet-level cascade bundles and
+// tenant bundles must not crowd each other out — fleetReserve slots of
+// the total are the cascades' alone, and the rest the tenants'.
 type DumpQuota struct {
 	mu sync.Mutex
 
 	perTenant    int // max dumps any single tenant may write
 	total        int // max dumps across the whole run, incl. the reserve
-	fleetReserve int // slots of total only TryFleet can use
+	fleetReserve int // slots of total only TryFleet can use, and all it can
 
 	tenant     map[string]int
 	tenantUsed int
@@ -45,8 +45,7 @@ func NewDumpQuota(perTenant, total, fleetReserve int) *DumpQuota {
 func (q *DumpQuota) TryTenant(tag string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.tenant[tag] >= q.perTenant || q.tenantUsed >= q.total-q.fleetReserve ||
-		q.tenantUsed+q.fleetUsed >= q.total {
+	if q.tenant[tag] >= q.perTenant || q.tenantUsed >= q.total-q.fleetReserve {
 		return false
 	}
 	q.tenant[tag]++
@@ -54,11 +53,13 @@ func (q *DumpQuota) TryTenant(tag string) bool {
 	return true
 }
 
-// TryFleet charges one fleet-level dump slot (cascade bundles).
+// TryFleet charges one fleet-level dump slot (cascade bundles). The
+// fleet draws only from its fleetReserve, so a cascading fleet leaves
+// its tenants their slots.
 func (q *DumpQuota) TryFleet() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.tenantUsed+q.fleetUsed >= q.total {
+	if q.fleetUsed >= q.fleetReserve {
 		return false
 	}
 	q.fleetUsed++

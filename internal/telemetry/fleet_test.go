@@ -49,23 +49,51 @@ func TestDumpQuotaFleetReserveSurvives(t *testing.T) {
 }
 
 func TestDumpQuotaCombinedCap(t *testing.T) {
-	// Fleet dumps count against the shared total too: once cascades have
-	// drawn the pool down, tenants cannot push the combined count past it.
+	// Fleet and tenant dumps draw from shares of one total: together
+	// they reach it and cannot pass it.
 	q := NewDumpQuota(100, 6, 2)
-	for i := 0; i < 5; i++ {
-		if !q.TryFleet() {
-			t.Fatalf("fleet dump %d refused below total", i)
+	for i := 0; i < 4; i++ {
+		if !q.TryTenant("t") {
+			t.Fatalf("tenant dump %d refused within the tenants' share", i)
 		}
 	}
-	if !q.TryTenant("t") {
-		t.Fatal("tenant refused with one combined slot left")
+	for i := 0; i < 2; i++ {
+		if !q.TryFleet() {
+			t.Fatalf("fleet dump %d refused within the reserve", i)
+		}
 	}
-	if q.TryTenant("t") || q.TryFleet() {
+	if q.TryTenant("u") || q.TryFleet() {
 		t.Fatal("combined total cap breached")
 	}
 	tn, fl := q.Used()
 	if tn+fl != 6 {
 		t.Fatalf("combined used = %d, want 6", tn+fl)
+	}
+}
+
+func TestDumpQuotaCascadesLeaveTenantsTheirSlots(t *testing.T) {
+	// A fleet that cascades all run long takes its reserve and no more,
+	// so its tenants still write their bundles: 4 + 2·tenants slots for
+	// four tenants, as sim.RunFleet builds it.
+	q := NewDumpQuota(2, 4+2*4, 4)
+	fleet := 0
+	for i := 0; i < 50; i++ {
+		if q.TryFleet() {
+			fleet++
+		}
+	}
+	if fleet != 4 {
+		t.Fatalf("a cascading fleet took %d slots, want its reserve of 4", fleet)
+	}
+	for _, tag := range []string{"a", "b", "c", "d"} {
+		for i := 0; i < 2; i++ {
+			if !q.TryTenant(tag) {
+				t.Fatalf("tenant %s refused dump %d after the fleet's cascades", tag, i)
+			}
+		}
+	}
+	if tn, fl := q.Used(); tn != 8 || fl != 4 {
+		t.Fatalf("Used() = (%d,%d), want (8,4)", tn, fl)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/trace"
 )
 
@@ -124,6 +125,23 @@ func renderPause(a *PauseAttr) pauseJSON {
 	return pj
 }
 
+// renderPausesLocked renders the newest tail pauses held (every one
+// when tail <= 0), nil when there are none.
+func (c *Collector) renderPausesLocked(tail int) []pauseJSON {
+	ps := c.pauses
+	if tail > 0 && tail < len(ps) {
+		ps = ps[len(ps)-tail:]
+	}
+	if len(ps) == 0 {
+		return nil
+	}
+	out := make([]pauseJSON, len(ps))
+	for i := range ps {
+		out[i] = renderPause(&ps[i])
+	}
+	return out
+}
+
 // bundle is the diagnostic JSON a dump writes.
 type bundle struct {
 	Schema    string             `json:"schema"`
@@ -176,7 +194,10 @@ func (c *Collector) bundleLocked(reason string) *bundle {
 	if c.clock != nil {
 		now = int64(c.clock.Now())
 	}
-	tl := c.timelineLocked()
+	var tl metrics.Timeline
+	for _, d := range c.durs {
+		tl.Record(metrics.Pause{Dur: d})
+	}
 	b := &bundle{
 		Schema:    "gcsim-flight/v1",
 		Reason:    reason,
@@ -192,13 +213,7 @@ func (c *Collector) bundleLocked(reason string) *bundle {
 	if c.runErr != nil {
 		b.RunError = c.runErr.Error()
 	}
-	pl := len(c.pauses) - 8
-	if pl < 0 {
-		pl = 0
-	}
-	for i := pl; i < len(c.pauses); i++ {
-		b.Pauses = append(b.Pauses, renderPause(&c.pauses[i]))
-	}
+	b.Pauses = c.renderPausesLocked(bundlePauses)
 	if c.ctrs != nil {
 		b.Counters = make(map[string]uint64, trace.NumCounters)
 		for id := 0; id < trace.NumCounters; id++ {

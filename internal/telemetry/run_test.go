@@ -6,8 +6,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -410,45 +408,5 @@ func TestFlightBundlePercentilesAreExact(t *testing.T) {
 				b.SimTimeNS, b.Reason, b.PauseP50NS, b.PauseP99NS, b.PauseMaxNS, before.Count(),
 				int64(before.Percentile(50)), int64(before.Percentile(99)), int64(before.MaxPause()))
 		}
-	}
-}
-
-func TestHTTPEndpoints(t *testing.T) {
-	tel := telemetry.New(telemetry.Config{})
-	if r := pressuredRun(tel, trace.NewCounters(), nil); r.Err != nil {
-		t.Fatalf("run: %v", r.Err)
-	}
-	srv := httptest.NewServer(telemetry.NewMux(telemetry.ServerOptions{Telemetry: tel}))
-	defer srv.Close()
-
-	get := func(path string) (int, string) {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
-	}
-
-	if code, body := get("/metrics"); code != 200 ||
-		!strings.Contains(body, "gcsim_pause_seconds") ||
-		!strings.Contains(body, "gcsim_major_faults_total") {
-		t.Errorf("/metrics: code %d, body %.200s", code, body)
-	}
-	if code, body := get("/api/series?tail=5"); code != 200 || !strings.Contains(body, `"heap_used_pages"`) {
-		t.Errorf("/api/series: code %d, body %.200s", code, body)
-	}
-	if code, body := get("/api/summary"); code != 200 || !strings.Contains(body, `"collector":"BC"`) {
-		t.Errorf("/api/summary: code %d, body %.200s", code, body)
-	}
-	if code, body := get("/api/pauses?tail=3"); code != 200 || !strings.Contains(body, `"kind"`) {
-		t.Errorf("/api/pauses: code %d, body %.200s", code, body)
-	}
-	if code, body := get("/"); code != 200 || !strings.Contains(body, "<html") {
-		t.Errorf("dashboard: code %d, body %.80s", code, body)
-	}
-	if code, _ := get("/api/progress"); code != 404 {
-		t.Errorf("/api/progress without a Progress hook: code %d, want 404", code)
 	}
 }

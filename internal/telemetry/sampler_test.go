@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"testing"
 
 	"bookmarkgc/internal/collectors"
@@ -61,49 +59,5 @@ func TestSamplerTickDoesNotAllocate(t *testing.T) {
 	}
 	if n := c.series.Len(); n != 10000 {
 		t.Errorf("%d samples, want 10000", n)
-	}
-}
-
-func TestSeriesEndpointIsNotTorn(t *testing.T) {
-	// /api/series reads every column under one lock: polled while the
-	// sampler ticks, each column has exactly len entries. Each poll runs
-	// beside a burst of ticks on another goroutine.
-	c, clock := attached()
-	mux := NewMux(ServerOptions{Telemetry: c})
-	const polls, burst = 40, 150
-	every := c.cfg.SampleEvery
-	start, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		for range start {
-			for i := 0; i < burst; i++ {
-				clock.Advance(every)
-			}
-			done <- struct{}{}
-		}
-	}()
-	defer close(start)
-	for p := 0; p < polls; p++ {
-		start <- struct{}{}
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/series", nil))
-		<-done
-		var got struct {
-			Len     int                `json:"len"`
-			Columns map[string][]int64 `json:"columns"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-			t.Fatalf("poll %d: %v", p, err)
-		}
-		if len(got.Columns) != NumColumns {
-			t.Fatalf("poll %d: %d columns, want %d", p, len(got.Columns), NumColumns)
-		}
-		for name, vals := range got.Columns {
-			if len(vals) != got.Len {
-				t.Fatalf("poll %d: column %s has %d entries, len is %d", p, name, len(vals), got.Len)
-			}
-		}
-		if ts := got.Columns["time_ns"]; len(ts) > 0 && ts[len(ts)-1] != int64(len(ts)-1)*int64(every) {
-			t.Fatalf("poll %d: newest sample at %dns after %d samples", p, ts[len(ts)-1], len(ts))
-		}
 	}
 }

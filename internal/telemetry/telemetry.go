@@ -9,8 +9,9 @@
 // counters, allocation totals) — it never touches pages or advances the
 // clock, so an instrumented run is bit-identical to an uninstrumented
 // one, and the exported series bytes are identical for any -jobs
-// value. Everything host-visible (HTTP handlers) reads under a
-// mutex; everything sim-side runs on the simulation goroutine.
+// value. Everything host-visible (the HTTP handlers of package serve)
+// reads under a mutex; everything sim-side runs on the simulation
+// goroutine.
 package telemetry
 
 import (
@@ -260,12 +261,14 @@ func (a *PauseAttr) Other() time.Duration { return a.PhaseNS[a.Kind.Phase()] }
 const numPauseKinds = 3
 
 // The flight recorder: ringEvents bounds the event ring, a bundle
-// includes the sampleTail most recent samples, a pause of pauseThreshold
-// or longer (the order of one disk-bound mark pass) dumps one, and a
-// collector with no shared quota writes at most maxDumps.
+// includes the sampleTail most recent samples and the bundlePauses most
+// recent attributed pauses, a pause of pauseThreshold or longer (the
+// order of one disk-bound mark pass) dumps one, and a collector with no
+// shared quota writes at most maxDumps.
 const (
 	ringEvents     = 4096
 	sampleTail     = 256
+	bundlePauses   = 8
 	pauseThreshold = 500 * time.Millisecond
 	maxDumps       = 16
 )
@@ -300,7 +303,8 @@ type span struct {
 // Collector accumulates a run's telemetry. Create with New, wrap the
 // run's tracer with Tracer, and hand it to sim.RunConfig.Telemetry —
 // sim.Run calls Attach and RunEnded. All exported readers lock, so an
-// HTTP server can serve snapshots while the simulation runs.
+// HTTP server (package serve) can serve snapshots while the simulation
+// runs.
 type Collector struct {
 	mu  sync.Mutex
 	cfg Config
@@ -319,10 +323,17 @@ type Collector struct {
 	series Series
 
 	stack       []span
-	cur         *PauseAttr
+	cur         *PauseAttr // &open inside a pause, else nil
+	open        PauseAttr
 	pauseFaults uint64 // Proc major faults at pause start
 
-	pauses []PauseAttr
+	// pauses holds the attributed pauses: every one, or with pauseTail
+	// > 0 (a flight recorder's) only the newest pauseTail. durs holds
+	// every pause's duration, which is all a bundle's exact
+	// percentiles need.
+	pauses    []PauseAttr
+	pauseTail int
+	durs      []time.Duration
 
 	ring          flightRing
 	dumpSeq       int
@@ -350,12 +361,15 @@ func New(cfg Config) *Collector {
 
 // NewFlightRecorder returns a collector that keeps only what a flight
 // bundle reads: of the series, a window of at least the newest
-// sampleTail samples, so its memory does not grow with the run. Its
-// exports and tails cover that window alone. A fleet arms one per
-// tenant.
+// sampleTail samples; of the attributed pauses, the newest bundlePauses
+// and every pause's duration. Only the durations grow with the run, by
+// eight bytes a pause. Its exports, tails and Pauses cover what it
+// holds alone; its bundles' pause percentiles are exact over the run. A
+// fleet arms one per tenant.
 func NewFlightRecorder(cfg Config) *Collector {
 	c := New(cfg)
 	c.series.window = sampleTail
+	c.pauseTail = bundlePauses
 	return c
 }
 
@@ -462,7 +476,8 @@ func (c *Collector) spanBegin(p trace.Phase) {
 		top := &c.stack[n-1]
 		c.charge(top.phase, now-top.segStart, faults-top.segFaults)
 	} else if kind, ok := metrics.PauseKindOf(p); ok {
-		c.cur = &PauseAttr{Pause: metrics.Pause{Start: now, Kind: kind}}
+		c.open = PauseAttr{Pause: metrics.Pause{Start: now, Kind: kind}}
+		c.cur = &c.open
 		c.pauseFaults = faults
 	}
 	c.stack = append(c.stack, span{phase: p, segStart: now, segFaults: faults})
@@ -507,7 +522,7 @@ func (c *Collector) spanEnd(p trace.Phase) {
 	attr.Dur = now - attr.Start
 	attr.MajorFaults = faults - c.pauseFaults
 	attr.FaultStall = time.Duration(attr.MajorFaults) * c.majorFaultCost
-	c.pauses = append(c.pauses, *attr)
+	c.recordPause(attr)
 	if attr.Dur >= pauseThreshold {
 		c.dumpLocked("long-pause")
 	}
@@ -518,6 +533,17 @@ func (c *Collector) spanEnd(p trace.Phase) {
 			c.dumpLocked("chaos-escalation")
 		}
 	}
+}
+
+// recordPause keeps a finished pause: its duration, and the pause
+// itself, dropping the oldest held once a flight recorder holds
+// pauseTail.
+func (c *Collector) recordPause(a *PauseAttr) {
+	c.durs = append(c.durs, a.Dur)
+	if c.pauseTail > 0 && len(c.pauses) == c.pauseTail {
+		c.pauses = c.pauses[:copy(c.pauses, c.pauses[1:])]
+	}
+	c.pauses = append(c.pauses, *a)
 }
 
 // point handles a Point from the wrapped tracer: flight-ring only.
@@ -599,7 +625,8 @@ func (c *Collector) seriesTailLocked(tail int) map[string][]int64 {
 	return cols
 }
 
-// Pauses returns a copy of every attributed pause so far.
+// Pauses returns a copy of every attributed pause held (a flight
+// recorder holds the newest few).
 func (c *Collector) Pauses() []PauseAttr {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -608,7 +635,7 @@ func (c *Collector) Pauses() []PauseAttr {
 	return out
 }
 
-// Timeline returns every attributed pause so far as a metrics.Timeline.
+// Timeline returns every attributed pause held as a metrics.Timeline.
 func (c *Collector) Timeline() metrics.Timeline {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 	"unsafe"
 
+	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/trace"
 )
 
@@ -115,4 +117,40 @@ func TestFlightRecorderMemoryIsBounded(t *testing.T) {
 		t.Errorf("the flight recorder holds %d bytes after 10⁶ samples, %d after 10⁴", late, early)
 	}
 	t.Logf("%d bytes", early)
+}
+
+// TestFlightRecorderPausesMatchWholeRun: a flight recorder, which holds
+// only the newest bundlePauses attributed pauses and every duration,
+// writes the same bundle pauses and exact percentiles as a collector
+// that keeps every pause, and holds no more pauses than a bundle shows.
+func TestFlightRecorderPausesMatchWholeRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	whole, window := New(Config{}), NewFlightRecorder(Config{})
+	var at time.Duration
+	for n := 1; n <= 1000; n++ {
+		a := PauseAttr{Pause: metrics.Pause{Start: at, Dur: time.Duration(rng.Int63n(1e9)),
+			Kind: metrics.PauseKind(rng.Intn(numPauseKinds)), MajorFaults: uint64(rng.Intn(100))}}
+		a.PhaseNS[rng.Intn(trace.NumPhases)] = a.Dur
+		at += a.Dur + time.Millisecond
+		whole.recordPause(&a)
+		window.recordPause(&a)
+		if n%97 != 0 && n > bundlePauses+1 {
+			continue
+		}
+		want, got := whole.bundleLocked("test"), window.bundleLocked("test")
+		w, err := json.Marshal([]any{want.Pauses, want.PauseP50, want.PauseP99, want.PauseMax})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := json.Marshal([]any{got.Pauses, got.PauseP50, got.PauseP99, got.PauseMax})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(w) != string(g) {
+			t.Errorf("after %d pauses the flight recorder's bundle pauses differ from the whole run's:\n%s\n%s", n, g, w)
+		}
+		if len(window.pauses) != min(n, bundlePauses) || cap(window.pauses) > 2*bundlePauses {
+			t.Errorf("after %d pauses the flight recorder holds %d (capacity %d)", n, len(window.pauses), cap(window.pauses))
+		}
+	}
 }

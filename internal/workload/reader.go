@@ -137,29 +137,30 @@ func (rd *Reader) loadBlock() error {
 	return nil
 }
 
-// next decodes the next event. After the footer it returns io.EOF; a
-// stream that ends without a footer is corrupt.
-func (rd *Reader) next() (event, error) {
+// next decodes the next event into ev, which the caller owns and reuses:
+// the event is too large to return by value at every step. After the
+// footer it returns io.EOF; a stream that ends without a footer is
+// corrupt.
+func (rd *Reader) next(ev *event) error {
 	if rd.sawEnd {
-		return event{}, io.EOF
+		return io.EOF
 	}
 	if rd.pos >= len(rd.block) {
 		if err := rd.loadBlock(); err != nil {
 			if err == io.EOF {
-				return event{}, corrupt("truncated trace: missing footer")
+				return corrupt("truncated trace: missing footer")
 			}
-			return event{}, err
+			return err
 		}
 	}
-	ev, err := rd.decode()
-	if err != nil {
-		return event{}, err
+	if err := rd.decode(ev); err != nil {
+		return err
 	}
 	rd.events++
 	if ev.op == opEnd {
 		rd.sawEnd = true
 	}
-	return ev, nil
+	return nil
 }
 
 // expectEOF verifies nothing follows the footer — Verify's last check.
@@ -224,23 +225,23 @@ func (rd *Reader) ru64() uint64 {
 	return v
 }
 
-// decode reads one event from the current block.
-func (rd *Reader) decode() (event, error) {
+// decode reads one event from the current block into ev.
+func (rd *Reader) decode(ev *event) error {
 	rd.derr = nil
-	ev := event{op: rd.rb()}
+	*ev = event{op: rd.rb()}
 	switch ev.op {
 	case opAlloc:
 		flags := rd.rb()
 		if flags&^byte(allocFlags) != 0 {
-			return ev, corrupt("alloc flags %#x have unknown bits", flags)
+			return corrupt("alloc flags %#x have unknown bits", flags)
 		}
 		ev.kind = flags & kindMask
 		if ev.kind > mutator.AllocRefArr {
-			return ev, corrupt("alloc kind %d unknown", ev.kind)
+			return corrupt("alloc kind %d unknown", ev.kind)
 		}
 		ev.dest = flags >> destShift & 0x03
 		if ev.dest > destSet {
-			return ev, corrupt("alloc dest %d unknown", ev.dest)
+			return corrupt("alloc dest %d unknown", ev.dest)
 		}
 		ev.hasInit = flags&initBit != 0
 		ev.words = rd.ri()
@@ -275,7 +276,7 @@ func (rd *Reader) decode() (event, error) {
 	case opEnd:
 		flags := rd.rb()
 		if flags&^byte(endHasChecksum) != 0 {
-			return ev, corrupt("footer flags %#x have unknown bits", flags)
+			return corrupt("footer flags %#x have unknown bits", flags)
 		}
 		ev.footer.HasChecksum = flags&endHasChecksum != 0
 		ev.footer.Allocs = rd.ruv()
@@ -284,9 +285,9 @@ func (rd *Reader) decode() (event, error) {
 			ev.footer.Checksum = rd.ru64()
 		}
 	default:
-		return ev, corrupt("unknown opcode %d", ev.op)
+		return corrupt("unknown opcode %d", ev.op)
 	}
-	return ev, rd.derr
+	return rd.derr
 }
 
 // ReadMeta opens path just far enough to return its Meta.

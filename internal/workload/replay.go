@@ -87,9 +87,9 @@ func (rp *Replayer) Step(quantum int) bool {
 		return false
 	}
 	steps := 0
+	var ev event
 	for steps < quantum {
-		ev, err := rp.rd.next()
-		if err != nil {
+		if err := rp.rd.next(&ev); err != nil {
 			rp.fail(err)
 			return false
 		}
@@ -97,7 +97,7 @@ func (rp *Replayer) Step(quantum int) bool {
 			rp.checkFooter(ev.footer)
 			return false
 		}
-		if err := rp.apply(ev); err != nil {
+		if err := rp.apply(&ev); err != nil {
 			rp.fail(err)
 			return false
 		}
@@ -148,7 +148,7 @@ func (rp *Replayer) payloadBound(o objmodel.Ref) int {
 	return t.PayloadWords(n)
 }
 
-func (rp *Replayer) apply(ev event) error {
+func (rp *Replayer) apply(ev *event) error {
 	rp.ctrs.Inc(trace.CWorkloadEventsReplayed)
 	switch ev.op {
 	case opAlloc:

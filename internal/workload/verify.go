@@ -122,9 +122,9 @@ func Verify(rd *Reader) (*Stats, error) {
 	alive := make(map[uint64]uint64) // object ID -> allocation ordinal
 	var lifeHist [65]uint64
 
+	var ev event
 	for {
-		ev, err := rd.next()
-		if err != nil {
+		if err := rd.next(&ev); err != nil {
 			return st, err
 		}
 		if ev.op == opEnd {
