@@ -148,10 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "experiments: serving progress on http://%s/api/progress\n", ln.Addr())
 		go func() {
-			srv := &http.Server{Handler: serve.NewMux(serve.ServerOptions{
-				Progress: tracker.snapshot,
-				Title:    "experiments",
-			})}
+			srv := &http.Server{Handler: serve.NewMux(serve.ServerOptions{Progress: tracker.snapshot})}
 			if err := srv.Serve(ln); err != nil {
 				fmt.Fprintf(stderr, "experiments: http server: %v\n", err)
 			}

@@ -70,7 +70,7 @@ func cliRows() []cliRow {
 		cliRow{"heap-policy/membalancer", base + "-heap 60 -phys 100 -steal 0.7 -heap-policy membalancer"},
 		cliRow{"heap-policy/composed", base + "-collector GenMS -heap 60 -phys 100 -steal 0.7 -heap-policy composed"},
 		cliRow{"trace/chrome", base + paging + " -counters -trace t.json"},
-		cliRow{"trace/jsonl", base + paging + " -counters -trace t.jsonl -trace-format jsonl"},
+		cliRow{"trace/jsonl", base + paging + " -counters -trace t.jsonl"},
 		cliRow{"trace/jvms", base + "-heap 45 -phys 100 -jvms 2 -trace t.json"},
 		cliRow{"bmu", base + paging + " -bmu"},
 		cliRow{"telemetry/csv", base + "-collector GenMS " + paging + " -telemetry-out s.csv -flight-dump-dir fl -sample-every 50ms"},
@@ -99,7 +99,6 @@ func cliRows() []cliRow {
 		cliRow{"reject/scale", "-scale 0"},
 		cliRow{"reject/heap", "-heap 0"},
 		cliRow{"reject/phys", "-phys -1"},
-		cliRow{"reject/trace-format", "-trace-format xml"},
 		cliRow{"reject/heap-policy", "-heap-policy bogus"},
 		cliRow{"reject/chaos-regime", "-chaos bogus"},
 		cliRow{"reject/chaos-jvms", "-chaos drop -jvms 2"},

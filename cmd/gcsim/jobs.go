@@ -167,10 +167,7 @@ func (c *config) host(stderr io.Writer) (runner.Host, error) {
 	}
 	fmt.Fprintf(stderr, "gcsim: serving telemetry on http://%s/\n", ln.Addr())
 	go func() {
-		srv := &http.Server{Handler: serve.NewMux(serve.ServerOptions{
-			Telemetry: h.Telemetry,
-			Title:     fmt.Sprintf("gcsim %s/%s", c.collector, c.program),
-		})}
+		srv := &http.Server{Handler: serve.NewMux(serve.ServerOptions{Telemetry: h.Telemetry})}
 		if err := srv.Serve(ln); err != nil {
 			fmt.Fprintf(stderr, "gcsim: http server: %v\n", err)
 		}

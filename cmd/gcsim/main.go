@@ -36,8 +36,9 @@
 // What watches it (none of this can move a simulated result):
 //
 //	-bmu              print the BMU curve
-//	-trace f          write GC phase spans and VM-cooperation events to f;
-//	                  -trace-format chrome (Perfetto-loadable) or jsonl
+//	-trace f          write GC phase spans and VM-cooperation events to f
+//	                  (.jsonl: one event a line, then the counters record;
+//	                  else Chrome trace_event JSON, Perfetto-loadable)
 //	-counters         print the event-counter registry after the run
 //	-http addr        serve /metrics, the dashboard, /api/* and
 //	                  /debug/pprof/ during the run, and keep serving after it
@@ -90,7 +91,7 @@ type config struct {
 	chaos, heapPolicy      string
 	fleet, fleetPolicy     string
 	bmu, counters, list    bool
-	traceOut, traceFormat  string
+	traceOut               string
 	httpAddr, telemetryOut string
 	sampleEvery            time.Duration
 	flightDir              string
@@ -123,8 +124,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&c.heapPolicy, "heap-policy", "", "heap-limit policy: fixed, bc-shrink, membalancer, composed ('' = collector default; with -fleet, overrides the spec)")
 	fs.StringVar(&c.fleet, "fleet", "", "run a multi-tenant fleet: a tenant-spec JSON file, or mixedN for the stock N-tenant mixed fleet")
 	fs.StringVar(&c.fleetPolicy, "fleet-policy", "", "fleet eviction-arbitration policy: global-lru, proportional, cooperative (overrides the spec)")
-	fs.StringVar(&c.traceOut, "trace", "", "write a GC event trace to this file")
-	fs.StringVar(&c.traceFormat, "trace-format", "chrome", "trace file format: chrome (Perfetto-loadable) or jsonl")
+	fs.StringVar(&c.traceOut, "trace", "", "write a GC event trace to this file (.jsonl or Chrome JSON)")
 	fs.BoolVar(&c.counters, "counters", false, "print the event-counter registry after the run")
 	fs.BoolVar(&c.list, "list", false, "list programs, collectors, counter groups, chaos regimes, trace models and files, then exit")
 	fs.StringVar(&c.httpAddr, "http", "", "serve /metrics, the dashboard and /debug/pprof on this address (e.g. :8080)")
@@ -177,8 +177,6 @@ func (c *config) validate() error {
 		return fmt.Errorf("-scale %v must be positive", c.scale)
 	case c.heapMB <= 0 || c.physMB <= 0:
 		return fmt.Errorf("-heap and -phys must be positive (got %v, %v)", c.heapMB, c.physMB)
-	case c.traceFormat != "chrome" && c.traceFormat != "jsonl":
-		return fmt.Errorf("-trace-format %q must be chrome or jsonl", c.traceFormat)
 	case c.fleetPolicy != "" && c.fleet == "":
 		return errors.New("-fleet-policy needs -fleet")
 	}

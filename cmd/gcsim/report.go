@@ -177,8 +177,8 @@ func (c *config) fleetReport(stdout, stderr io.Writer, spec *sim.FleetSpec, res 
 	}
 	fd := res.Fleet
 	pol := fd.InitialPolicy
-	if fd.FinalPolicy != fd.InitialPolicy {
-		pol += "->" + fd.FinalPolicy
+	if fd.Policy != fd.InitialPolicy {
+		pol += "->" + fd.Policy
 	}
 	fmt.Fprintf(stdout, "fleet: %d tenants, phys=%dB, policy=%s, cascades=%d\n",
 		len(res.Runs), spec.PhysBytes, pol, fd.Cascades)
@@ -201,10 +201,10 @@ func (c *config) fleetReport(stdout, stderr io.Writer, spec *sim.FleetSpec, res 
 	fmt.Fprintf(stdout, "fleet aggregates: major=%d minor=%d evict=%d vetoes=%d fairness=%.3f elapsed=%.3fs\n",
 		fd.AggMajorFaults, fd.AggMinorFaults, fd.AggEvictions, fd.ArbiterVetoes, fd.Fairness, fd.ElapsedSecs)
 	if fd.Escalated {
-		fmt.Fprintf(stdout, "fleet escalation: %s -> %s after a sustained cascade\n", fd.InitialPolicy, fd.FinalPolicy)
+		fmt.Fprintf(stdout, "fleet escalation: %s -> %s after a sustained cascade\n", fd.InitialPolicy, fd.Policy)
 	}
-	if len(fd.Dumps) > 0 {
-		fmt.Fprintf(stdout, "fleet dumps: %d cascade bundles -> %s\n", len(fd.Dumps), c.flightDir)
+	if len(fd.FleetDumps) > 0 {
+		fmt.Fprintf(stdout, "fleet dumps: %d cascade bundles -> %s\n", len(fd.FleetDumps), c.flightDir)
 	}
 	if failed > 0 {
 		fmt.Fprintf(stderr, "gcsim: %d of %d tenants failed\n", failed, len(res.Runs))
@@ -305,23 +305,25 @@ func writeTelemetry(stdout io.Writer, tel *telemetry.Collector, path string) err
 	return nil
 }
 
-// exportTrace writes the -trace file and prints the -counters registry.
+// exportTrace writes the -trace file — .jsonl gets one event a line and
+// the counters record, anything else Chrome trace_event JSON — and
+// prints the -counters registry.
 func (c *config) exportTrace(stdout, stderr io.Writer, h runner.Host) int {
 	if h.Trace != nil {
-		err := writeFile(c.traceOut, "trace", func(w io.Writer) error {
-			if c.traceFormat == "chrome" {
-				return h.Trace.WriteChrome(w, "gcsim")
+		format, write := "chrome", func(w io.Writer) error { return h.Trace.WriteChrome(w, "gcsim") }
+		if strings.HasSuffix(c.traceOut, ".jsonl") {
+			format, write = "jsonl", func(w io.Writer) error {
+				if err := h.Trace.WriteJSONL(w); err != nil {
+					return err
+				}
+				return h.Counters.WriteJSONL(w)
 			}
-			if err := h.Trace.WriteJSONL(w); err != nil {
-				return err
-			}
-			return h.Counters.WriteJSONL(w)
-		})
-		if err != nil {
+		}
+		if err := writeFile(c.traceOut, "trace", write); err != nil {
 			fmt.Fprintf(stderr, "gcsim: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "trace: %d events -> %s (%s)\n", h.Trace.Len(), c.traceOut, c.traceFormat)
+		fmt.Fprintf(stdout, "trace: %d events -> %s (%s)\n", h.Trace.Len(), c.traceOut, format)
 	}
 	if c.counters {
 		fmt.Fprintln(stdout, "counters:")

@@ -214,7 +214,9 @@ func (b *Base) Epoch() uint32 { return b.epoch }
 // close the pause). The interval becomes a timeline entry, with the major
 // faults taken inside it, and a trace span enclosing whatever phase spans
 // the collector opens; the fixed per-collection overhead is charged to
-// the simulated clock and the collection is counted.
+// the simulated clock and the collection is counted. The entry is on the
+// timeline before the span ends, so a tracer that sees the End (the
+// telemetry attribution) reads the pause from the timeline.
 func (b *Base) Pause(kind metrics.PauseKind) func() {
 	env := b.E
 	phase, count := kind.Phase(), &b.stats.Full
@@ -230,13 +232,13 @@ func (b *Base) Pause(kind metrics.PauseKind) func() {
 	env.Clock.Advance(PauseOverhead)
 	*count++
 	return func() {
-		env.Trace.End(phase)
 		b.stats.Timeline.Record(metrics.Pause{
 			Start:       start,
 			Dur:         env.Clock.Now() - start,
 			Kind:        kind,
 			MajorFaults: env.Proc.Stats().MajorFaults - faults,
 		})
+		env.Trace.End(phase)
 	}
 }
 

@@ -259,7 +259,7 @@ func execute(j Job, h Host) *Result {
 			rd.Name = fr.Names[i]
 			res.Runs = append(res.Runs, rd)
 		}
-		res.Fleet = newFleetData(fr)
+		res.Fleet = &fr.FleetStats
 	} else {
 		r := sim.Run(sim.RunConfig{
 			Collector:  j.Collector,

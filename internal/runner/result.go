@@ -109,52 +109,6 @@ func (rd RunData) Timeline() metrics.Timeline {
 	return t
 }
 
-// FleetData is the fleet-level outcome of a fleet job: what no
-// per-tenant RunData can carry — arbitration, cascades, and the
-// cross-tenant aggregates the fleet experiment reduces.
-type FleetData struct {
-	InitialPolicy  string  `json:"initial_policy"`
-	FinalPolicy    string  `json:"final_policy"`
-	Cascades       int     `json:"cascades"`
-	Escalated      bool    `json:"escalated,omitempty"`
-	AggMinorFaults uint64  `json:"agg_minor_faults"`
-	AggMajorFaults uint64  `json:"agg_major_faults"`
-	AggEvictions   uint64  `json:"agg_evictions"`
-	ArbiterVetoes  uint64  `json:"arbiter_vetoes"`
-	Fairness       float64 `json:"eviction_fairness"`
-	// PauseP99NS is each tenant's p99 pause, aligned with Result.Runs.
-	PauseP99NS []int64 `json:"pause_p99_ns,omitempty"`
-	// BalancerRounds counts fleet MemBalancer redistribution rounds.
-	BalancerRounds int `json:"balancer_rounds,omitempty"`
-	// AggPeakResident sums every tenant's peak resident page count.
-	AggPeakResident uint64 `json:"agg_peak_resident,omitempty"`
-	// ElapsedSecs is the fleet's total simulated time.
-	ElapsedSecs float64 `json:"elapsed_secs,omitempty"`
-	// Dumps are the cascade bundles this execution wrote (Host.FlightDir):
-	// where, not what, so like TraceRef.Path they are not persisted.
-	Dumps []string `json:"-"`
-}
-
-// newFleetData flattens a fleet result's fleet-level measurements.
-func newFleetData(fr sim.FleetResult) *FleetData {
-	return &FleetData{
-		InitialPolicy:   string(fr.InitialPolicy),
-		FinalPolicy:     string(fr.Policy),
-		Cascades:        fr.Cascades,
-		Escalated:       fr.Escalated,
-		AggMinorFaults:  fr.AggMinorFaults,
-		AggMajorFaults:  fr.AggMajorFaults,
-		AggEvictions:    fr.AggEvictions,
-		ArbiterVetoes:   fr.ArbiterVetoes,
-		Fairness:        fr.Fairness,
-		PauseP99NS:      fr.PauseP99NS,
-		BalancerRounds:  fr.BalancerRounds,
-		AggPeakResident: fr.AggPeakResident,
-		ElapsedSecs:     fr.ElapsedSecs,
-		Dumps:           fr.FleetDumps,
-	}
-}
-
 // Result is one job's outcome, keyed by the job's content hash. It is
 // immutable once published: the pool shares one *Result between
 // duplicate jobs and cache hits.
@@ -164,7 +118,7 @@ type Result struct {
 
 	// Fleet carries the fleet-level measurements of a fleet job (nil
 	// otherwise); Runs then holds one entry per tenant, named.
-	Fleet *FleetData `json:"fleet,omitempty"`
+	Fleet *sim.FleetStats `json:"fleet,omitempty"`
 
 	// Counters carries the job's event-counter totals by name when the
 	// job asked for them. Deliberately not omitempty: an enabled-but-empty

@@ -137,43 +137,53 @@ type FleetResult struct {
 	// Names are the resolved tenant names, index-aligned with Tenants.
 	Names []string
 
-	// InitialPolicy and Policy are the arbitration policy at the start
-	// and end of the run (they differ iff the ladder escalated).
-	InitialPolicy ArbitrationPolicy
-	Policy        ArbitrationPolicy
-	Cascades      int
-	Escalated     bool
-
-	// Fleet aggregates.
-	AggMinorFaults uint64
-	AggMajorFaults uint64
-	AggEvictions   uint64
-	ArbiterVetoes  uint64
-	// PauseP99NS is each tenant's 99th-percentile pause, index-aligned.
-	PauseP99NS []int64
-	// Fairness is Jain's index over per-tenant eviction counts: 1.0 is
-	// perfectly even pressure, 1/n is one tenant absorbing everything.
-	Fairness float64
-
-	// BalancerRounds counts fleet MemBalancer redistribution rounds
-	// (zero unless FleetSpec.BalanceEveryNS armed the balancer).
-	BalancerRounds int
-	// AggPeakResident is the sum of every tenant's peak resident page
-	// count — the fleet's memory-side Pareto axis.
-	AggPeakResident uint64
-
-	// ElapsedSecs is the fleet's total simulated time.
-	ElapsedSecs float64
-	VMM         vmm.Stats
-
-	// FleetDumps are the cascade bundle paths written (FlightDir only).
-	FleetDumps []string
+	FleetStats
+	// VMM is the shared machine's paging counters.
+	VMM vmm.Stats
 
 	// Err is a configuration-level failure (unknown collector, bad
 	// regime, unreadable trace): nothing ran. ErrTenant is the tenant
 	// index it arose on, -1 for fleet-level problems.
 	Err       error
 	ErrTenant int
+}
+
+// FleetStats is a fleet run's fleet-level outcome: what no tenant's
+// Result can carry — arbitration, cascades and the cross-tenant
+// aggregates. The result store keeps it as it is (runner.Result.Fleet),
+// so its JSON keys are stored keys and must not change.
+type FleetStats struct {
+	// InitialPolicy and Policy are the arbitration policy at the start
+	// and end of the run (they differ iff the ladder escalated).
+	InitialPolicy ArbitrationPolicy `json:"initial_policy"`
+	Policy        ArbitrationPolicy `json:"final_policy"`
+	Cascades      int               `json:"cascades"`
+	Escalated     bool              `json:"escalated,omitempty"`
+
+	AggMinorFaults uint64 `json:"agg_minor_faults"`
+	AggMajorFaults uint64 `json:"agg_major_faults"`
+	AggEvictions   uint64 `json:"agg_evictions"`
+	ArbiterVetoes  uint64 `json:"arbiter_vetoes"`
+	// Fairness is Jain's index over per-tenant eviction counts: 1.0 is
+	// perfectly even pressure, 1/n is one tenant absorbing everything.
+	Fairness float64 `json:"eviction_fairness"`
+	// PauseP99NS is each tenant's 99th-percentile pause, index-aligned
+	// with the tenants.
+	PauseP99NS []int64 `json:"pause_p99_ns,omitempty"`
+
+	// BalancerRounds counts fleet MemBalancer redistribution rounds
+	// (zero unless FleetSpec.BalanceEveryNS armed the balancer).
+	BalancerRounds int `json:"balancer_rounds,omitempty"`
+	// AggPeakResident is the sum of every tenant's peak resident page
+	// count — the fleet's memory-side Pareto axis.
+	AggPeakResident uint64 `json:"agg_peak_resident,omitempty"`
+
+	// ElapsedSecs is the fleet's total simulated time.
+	ElapsedSecs float64 `json:"elapsed_secs,omitempty"`
+
+	// FleetDumps are the cascade bundle paths written (FlightDir only):
+	// where, not what, so the store does not keep them.
+	FleetDumps []string `json:"-"`
 }
 
 // fleetArbiter maps vmm.Arbiter onto the current policy. Escalation
@@ -282,7 +292,7 @@ func RunFleet(cfg FleetConfig) FleetResult {
 	f := newFleetRun(cfg)
 	defer f.release()
 	if i, err := f.assemble(); err != nil {
-		return FleetResult{Err: err, ErrTenant: i, InitialPolicy: f.policy, Policy: f.policy}
+		return FleetResult{Err: err, ErrTenant: i, FleetStats: FleetStats{InitialPolicy: f.policy, Policy: f.policy}}
 	}
 	f.armLadder()
 	f.armBalancer()
@@ -513,19 +523,21 @@ func (f *fleetRun) turn() bool {
 func (f *fleetRun) report() FleetResult {
 	n := len(f.tenants)
 	res := FleetResult{
-		Tenants:        make([]Result, n),
-		Names:          make([]string, n),
-		PauseP99NS:     make([]int64, n),
-		InitialPolicy:  f.policy,
-		Policy:         f.arbiter.mode,
-		Cascades:       f.cascades,
-		Escalated:      f.escalated,
-		BalancerRounds: f.balancerRounds,
-		FleetDumps:     f.fleetDumps,
-		ElapsedSecs:    f.clock.Now().Seconds(),
-		VMM:            f.v.Stats(),
-		Fairness:       f.fairnessNow(),
-		ErrTenant:      -1,
+		Tenants: make([]Result, n),
+		Names:   make([]string, n),
+		FleetStats: FleetStats{
+			PauseP99NS:     make([]int64, n),
+			InitialPolicy:  f.policy,
+			Policy:         f.arbiter.mode,
+			Cascades:       f.cascades,
+			Escalated:      f.escalated,
+			BalancerRounds: f.balancerRounds,
+			FleetDumps:     f.fleetDumps,
+			ElapsedSecs:    f.clock.Now().Seconds(),
+			Fairness:       f.fairnessNow(),
+		},
+		VMM:       f.v.Stats(),
+		ErrTenant: -1,
 	}
 	res.ArbiterVetoes = res.VMM.ArbiterVetoes
 	for i, t := range f.tenants {

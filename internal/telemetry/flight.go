@@ -10,27 +10,7 @@ import (
 	"bookmarkgc/internal/trace"
 )
 
-// flightEvent is one entry in the flight ring: a trace span boundary or
-// point event, kept so a dump can show what led up to an anomaly. It
-// holds the span's phase or the point's event as its ID, and a bundle
-// renders the names.
-type flightEvent struct {
-	TimeNS     int64
-	Arg1, Arg2 int64
-	Kind       eventKind
-	ID         uint8 // a trace.Phase (begin, end) or trace.Event (point)
-}
-
-// eventKind says what a flightEvent records.
-type eventKind uint8
-
-const (
-	evBegin eventKind = iota
-	evEnd
-	evPoint
-)
-
-// eventJSON is a flightEvent rendered for a bundle.
+// eventJSON is a flight ring entry rendered for a bundle.
 type eventJSON struct {
 	TimeNS int64  `json:"t_ns"`
 	Kind   string `json:"kind"` // "begin", "end", "point"
@@ -39,36 +19,24 @@ type eventJSON struct {
 	Arg2   int64  `json:"arg2,omitempty"`
 }
 
-func (e *flightEvent) render() eventJSON {
-	j := eventJSON{TimeNS: e.TimeNS, Arg1: e.Arg1, Arg2: e.Arg2}
-	switch e.Kind {
-	case evBegin:
-		j.Kind, j.Name = "begin", trace.Phase(e.ID).String()
-	case evEnd:
-		j.Kind, j.Name = "end", trace.Phase(e.ID).String()
-	default:
-		j.Kind, j.Name = "point", trace.Event(e.ID).String()
-	}
-	return j
-}
-
 // ringChunk is how many events the flight ring allocates at a time.
 const ringChunk = 256
 
-// flightRing is a ring of the ringEvents most recent events. It takes
+// flightRing is a ring of the ringEvents most recent trace records: the
+// span boundaries and point events that led up to an anomaly. It takes
 // its slots a chunk at a time as it first reaches them, so a collector
 // that records few events holds few, and growing copies nothing.
 // Overwrites count as drops: history lost before any dump captured it.
 type flightRing struct {
-	chunks [ringEvents / ringChunk]*[ringChunk]flightEvent
+	chunks [ringEvents / ringChunk]*[ringChunk]trace.Record
 	next   int // the slot the next event takes
 	total  uint64
 }
 
-func (r *flightRing) push(e flightEvent, ctrs *trace.Counters) {
+func (r *flightRing) push(e trace.Record, ctrs *trace.Counters) {
 	ch := &r.chunks[r.next/ringChunk]
 	if *ch == nil {
-		*ch = new([ringChunk]flightEvent)
+		*ch = new([ringChunk]trace.Record)
 	}
 	(*ch)[r.next%ringChunk] = e
 	if r.total >= ringEvents {
@@ -87,7 +55,8 @@ func (r *flightRing) tail() []eventJSON {
 	out := make([]eventJSON, n)
 	for k := range out {
 		i := (r.next - n + k + ringEvents) % ringEvents
-		out[k] = r.chunks[i/ringChunk][i%ringChunk].render()
+		e := &r.chunks[i/ringChunk][i%ringChunk]
+		out[k] = eventJSON{TimeNS: int64(e.TS), Kind: e.Kind.String(), Name: e.Name(), Arg1: e.Arg1, Arg2: e.Arg2}
 	}
 	return out
 }
@@ -195,8 +164,8 @@ func (c *Collector) bundleLocked(reason string) *bundle {
 		now = int64(c.clock.Now())
 	}
 	var tl metrics.Timeline
-	for _, d := range c.durs {
-		tl.Record(metrics.Pause{Dur: d})
+	if c.col != nil {
+		tl = c.col.Stats().Timeline
 	}
 	b := &bundle{
 		Schema:    "gcsim-flight/v1",

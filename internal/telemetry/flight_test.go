@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"testing"
+	"time"
 
 	"bookmarkgc/internal/trace"
 )
@@ -13,7 +14,7 @@ func TestFlightRingKeepsTheNewest(t *testing.T) {
 		var r flightRing
 		ctrs := trace.NewCounters()
 		for i := 0; i < pushes; i++ {
-			r.push(flightEvent{TimeNS: int64(i), Kind: evPoint, ID: uint8(trace.EvHeapShrink)}, ctrs)
+			r.push(trace.Record{TS: time.Duration(i), Kind: trace.RecPoint, Code: uint8(trace.EvHeapShrink)}, ctrs)
 		}
 		kept := min(pushes, ringEvents)
 		got := r.tail()

@@ -256,6 +256,7 @@ type flightBundle struct {
 	SimTimeNS  int64                    `json:"sim_time_ns"`
 	Samples    map[string][]int64       `json:"samples"`
 	Events     []map[string]interface{} `json:"events"`
+	Pauses     []map[string]interface{} `json:"pauses"`
 	PauseP50NS int64                    `json:"pause_p50_ns"`
 	PauseP99NS int64                    `json:"pause_p99_ns"`
 	PauseMaxNS int64                    `json:"pause_max_ns"`
@@ -408,5 +409,41 @@ func TestFlightBundlePercentilesAreExact(t *testing.T) {
 				b.SimTimeNS, b.Reason, b.PauseP50NS, b.PauseP99NS, b.PauseMaxNS, before.Count(),
 				int64(before.Percentile(50)), int64(before.Percentile(99)), int64(before.MaxPause()))
 		}
+	}
+}
+
+func TestFlightRecorderBundlePercentilesAreExact(t *testing.T) {
+	// A fleet tenant's recorder holds only its newest pauses, yet its
+	// bundles' percentiles read the collector's timeline: exact over
+	// every pause before the dump, as a whole-run collector's are.
+	dir := t.TempDir()
+	r := cliPoint(sim.GenMS, 40, 60, 0.8, telemetry.NewFlightRecorder(telemetry.Config{FlightDir: dir}))
+	if r.Err != nil {
+		t.Fatalf("run: %v", r.Err)
+	}
+	bundles := readBundles(t, dir, "flight-*.json")
+	if len(bundles) == 0 {
+		t.Fatal("no flight bundles written")
+	}
+	longer := 0
+	for _, b := range bundles {
+		var before metrics.Timeline
+		for _, p := range r.Timeline.Pauses {
+			if int64(p.Start+p.Dur) <= b.SimTimeNS {
+				before.Record(p)
+			}
+		}
+		if len(b.Pauses) < before.Count() {
+			longer++
+		}
+		if b.PauseP99NS != int64(before.Percentile(99)) || b.PauseP50NS != int64(before.Percentile(50)) ||
+			b.PauseMaxNS != int64(before.MaxPause()) {
+			t.Errorf("bundle at %dns (%s): p50/p99/max %d/%d/%dns, the %d pauses before it %d/%d/%dns",
+				b.SimTimeNS, b.Reason, b.PauseP50NS, b.PauseP99NS, b.PauseMaxNS, before.Count(),
+				int64(before.Percentile(50)), int64(before.Percentile(99)), int64(before.MaxPause()))
+		}
+	}
+	if longer == 0 {
+		t.Error("no bundle came after more pauses than it shows")
 	}
 }

@@ -25,8 +25,6 @@ type ServerOptions struct {
 	// Progress, when set, is snapshotted by /api/progress — the runner's
 	// sweep progress for a live experiments invocation.
 	Progress func() interface{}
-	// Title heads the dashboard page (defaults to "gcsim").
-	Title string
 }
 
 // NewMux builds the HTTP surface: the embedded dashboard at /, the
@@ -35,9 +33,6 @@ type ServerOptions struct {
 // own hot path. Handlers only snapshot under the collector's mutex, so
 // serving never perturbs the simulated run.
 func NewMux(opts ServerOptions) *http.ServeMux {
-	if opts.Title == "" {
-		opts.Title = "gcsim"
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {

@@ -322,18 +322,14 @@ type Collector struct {
 	tickFn func()        // c.tick, bound once so rescheduling does not allocate
 	series Series
 
-	stack       []span
-	cur         *PauseAttr // &open inside a pause, else nil
-	open        PauseAttr
-	pauseFaults uint64 // Proc major faults at pause start
+	stack []span
+	cur   *PauseAttr // &open inside a pause, else nil
+	open  PauseAttr
 
 	// pauses holds the attributed pauses: every one, or with pauseTail
-	// > 0 (a flight recorder's) only the newest pauseTail. durs holds
-	// every pause's duration, which is all a bundle's exact
-	// percentiles need.
+	// > 0 (a flight recorder's) only the newest pauseTail.
 	pauses    []PauseAttr
 	pauseTail int
-	durs      []time.Duration
 
 	ring          flightRing
 	dumpSeq       int
@@ -361,10 +357,10 @@ func New(cfg Config) *Collector {
 
 // NewFlightRecorder returns a collector that keeps only what a flight
 // bundle reads: of the series, a window of at least the newest
-// sampleTail samples; of the attributed pauses, the newest bundlePauses
-// and every pause's duration. Only the durations grow with the run, by
-// eight bytes a pause. Its exports, tails and Pauses cover what it
-// holds alone; its bundles' pause percentiles are exact over the run. A
+// sampleTail samples; of the attributed pauses, the newest
+// bundlePauses. Nothing it holds grows with the run. Its exports, tails
+// and Pauses cover what it holds alone; its bundles' pause percentiles
+// read the collector's timeline, so they are exact over the run. A
 // fleet arms one per tenant.
 func NewFlightRecorder(cfg Config) *Collector {
 	c := New(cfg)
@@ -471,14 +467,13 @@ func (c *Collector) spanBegin(p trace.Phase) {
 	}
 	now := c.clock.Now()
 	faults := c.env.Proc.Stats().MajorFaults
-	c.ring.push(flightEvent{TimeNS: int64(now), Kind: evBegin, ID: uint8(p)}, c.ctrs)
+	c.ring.push(trace.Record{TS: now, Kind: trace.RecBegin, Code: uint8(p)}, c.ctrs)
 	if n := len(c.stack); n > 0 {
 		top := &c.stack[n-1]
 		c.charge(top.phase, now-top.segStart, faults-top.segFaults)
-	} else if kind, ok := metrics.PauseKindOf(p); ok {
-		c.open = PauseAttr{Pause: metrics.Pause{Start: now, Kind: kind}}
+	} else if _, ok := metrics.PauseKindOf(p); ok {
+		c.open = PauseAttr{}
 		c.cur = &c.open
-		c.pauseFaults = faults
 	}
 	c.stack = append(c.stack, span{phase: p, segStart: now, segFaults: faults})
 	if p == trace.PhaseFailSafe {
@@ -491,7 +486,8 @@ func (c *Collector) spanBegin(p trace.Phase) {
 // the parent's segment. Spans above p are ones an out-of-memory unwind
 // left open — Base.Pause's deferred close ends the pause, not the phase
 // spans inside it — and the top one keeps their time. When the popped
-// span was the pause itself, finalize and record the attribution.
+// span was the pause itself, the attribution takes the pause record
+// Base.Pause has just put on the collector's timeline.
 func (c *Collector) spanEnd(p trace.Phase) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -500,7 +496,7 @@ func (c *Collector) spanEnd(p trace.Phase) {
 	}
 	now := c.clock.Now()
 	faults := c.env.Proc.Stats().MajorFaults
-	c.ring.push(flightEvent{TimeNS: int64(now), Kind: evEnd, ID: uint8(p)}, c.ctrs)
+	c.ring.push(trace.Record{TS: now, Kind: trace.RecEnd, Code: uint8(p)}, c.ctrs)
 	top := c.stack[len(c.stack)-1]
 	c.charge(top.phase, now-top.segStart, faults-top.segFaults)
 	i := len(c.stack) - 1
@@ -519,8 +515,8 @@ func (c *Collector) spanEnd(p trace.Phase) {
 	}
 	attr := c.cur
 	c.cur = nil
-	attr.Dur = now - attr.Start
-	attr.MajorFaults = faults - c.pauseFaults
+	tl := c.col.Stats().Timeline.Pauses
+	attr.Pause = tl[len(tl)-1]
 	attr.FaultStall = time.Duration(attr.MajorFaults) * c.majorFaultCost
 	c.recordPause(attr)
 	if attr.Dur >= pauseThreshold {
@@ -535,11 +531,9 @@ func (c *Collector) spanEnd(p trace.Phase) {
 	}
 }
 
-// recordPause keeps a finished pause: its duration, and the pause
-// itself, dropping the oldest held once a flight recorder holds
-// pauseTail.
+// recordPause keeps a finished pause, dropping the oldest held once a
+// flight recorder holds pauseTail.
 func (c *Collector) recordPause(a *PauseAttr) {
-	c.durs = append(c.durs, a.Dur)
 	if c.pauseTail > 0 && len(c.pauses) == c.pauseTail {
 		c.pauses = c.pauses[:copy(c.pauses, c.pauses[1:])]
 	}
@@ -553,7 +547,7 @@ func (c *Collector) point(e trace.Event, a1, a2 int64) {
 	if c.clock == nil {
 		return
 	}
-	c.ring.push(flightEvent{TimeNS: int64(c.clock.Now()), Arg1: a1, Arg2: a2, Kind: evPoint, ID: uint8(e)}, c.ctrs)
+	c.ring.push(trace.Record{TS: c.clock.Now(), Arg1: a1, Arg2: a2, Kind: trace.RecPoint, Code: uint8(e)}, c.ctrs)
 }
 
 // attributor is the tracer wrapper Tracer returns: every event goes to

@@ -29,13 +29,13 @@ func nextSample(rng *rand.Rand, k int, row *[numColumns]int64) {
 }
 
 // nextEvent is ring event k: spans and points in turn, with arguments.
-func nextEvent(rng *rand.Rand, k int) flightEvent {
-	e := flightEvent{TimeNS: int64(k) * 1000, Kind: eventKind(k % 3)}
-	if e.Kind == evPoint {
-		e.ID = uint8(rng.Intn(trace.NumEvents))
+func nextEvent(rng *rand.Rand, k int) trace.Record {
+	e := trace.Record{TS: time.Duration(k) * 1000, Kind: trace.RecordKind(k % 3)}
+	if e.Kind == trace.RecPoint {
+		e.Code = uint8(rng.Intn(trace.NumEvents))
 		e.Arg1, e.Arg2 = int64(rng.Uint64()), rng.Int63n(5)
 	} else {
-		e.ID = uint8(rng.Intn(trace.NumPhases))
+		e.Code = uint8(rng.Intn(trace.NumPhases))
 	}
 	return e
 }

@@ -33,19 +33,19 @@ func (r *Recorder) WriteChrome(w io.Writer, process string) error {
 	}
 	for _, rec := range r.sh.recs {
 		bw.WriteString(",\n")
-		switch rec.kind {
-		case recBegin, recEnd:
+		switch rec.Kind {
+		case RecBegin, RecEnd:
 			ph := "B"
-			if rec.kind == recEnd {
+			if rec.Kind == RecEnd {
 				ph = "E"
 			}
 			fmt.Fprintf(bw, "{\"name\":%q,\"cat\":\"gc\",\"ph\":%q,\"ts\":%.3f,\"pid\":1,\"tid\":%d}",
-				Phase(rec.code).String(), ph, usec(rec.ts), rec.tid)
-		case recPoint:
-			e := Event(rec.code)
+				rec.Name(), ph, usec(rec.TS), rec.Tid)
+		case RecPoint:
+			e := Event(rec.Code)
 			fmt.Fprintf(bw, "{\"name\":%q,\"cat\":\"vm\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{",
-				e.String(), usec(rec.ts), rec.tid)
-			writeArgs(bw, e, rec.a1, rec.a2)
+				rec.Name(), usec(rec.TS), rec.Tid)
+			writeArgs(bw, e, rec.Arg1, rec.Arg2)
 			bw.WriteString("}}")
 		}
 	}
@@ -60,25 +60,14 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		fmt.Fprintf(bw, "{\"type\":\"thread\",\"tid\":%d,\"name\":%q}\n", i+1, name)
 	}
 	for _, rec := range r.sh.recs {
-		switch rec.kind {
-		case recBegin, recEnd:
-			typ := "begin"
-			if rec.kind == recEnd {
-				typ = "end"
-			}
-			fmt.Fprintf(bw, "{\"type\":%q,\"ts_us\":%.3f,\"tid\":%d,\"name\":%q}\n",
-				typ, usec(rec.ts), rec.tid, Phase(rec.code).String())
-		case recPoint:
-			e := Event(rec.code)
-			fmt.Fprintf(bw, "{\"type\":\"point\",\"ts_us\":%.3f,\"tid\":%d,\"name\":%q",
-				usec(rec.ts), rec.tid, e.String())
-			if e.Arg(0) != "" || e.Arg(1) != "" {
-				bw.WriteString(",\"args\":{")
-				writeArgs(bw, e, rec.a1, rec.a2)
-				bw.WriteString("}")
-			}
-			bw.WriteString("}\n")
+		fmt.Fprintf(bw, "{\"type\":%q,\"ts_us\":%.3f,\"tid\":%d,\"name\":%q",
+			rec.Kind.String(), usec(rec.TS), rec.Tid, rec.Name())
+		if e := Event(rec.Code); rec.Kind == RecPoint && (e.Arg(0) != "" || e.Arg(1) != "") {
+			bw.WriteString(",\"args\":{")
+			writeArgs(bw, e, rec.Arg1, rec.Arg2)
+			bw.WriteString("}")
 		}
+		bw.WriteString("}\n")
 	}
 	return bw.Flush()
 }

@@ -199,27 +199,48 @@ func (Nop) Point(Event, int64, int64) {}
 var _ Tracer = Nop{}
 var _ Tracer = (*Recorder)(nil)
 
-// record is one trace entry. Fixed-size and value-typed so recording is
-// one slice append: no per-event allocation once the buffer has grown.
-type record struct {
-	ts   time.Duration
-	tid  int32
-	kind uint8 // recBegin, recEnd, recPoint
-	code uint8 // Phase or Event
-	a1   int64
-	a2   int64
+// Record is one trace entry: a span boundary or a point event. It is
+// 32 bytes and value-typed, so recording is one slice append with no
+// per-event allocation once the buffer has grown; the telemetry flight
+// ring holds the same entries.
+type Record struct {
+	TS         time.Duration
+	Arg1, Arg2 int64 // a point event's arguments
+	Tid        int32
+	Kind       RecordKind
+	Code       uint8 // the Phase (RecBegin, RecEnd) or the Event (RecPoint)
 }
 
+// RecordKind says what a Record marks.
+type RecordKind uint8
+
 const (
-	recBegin = iota
-	recEnd
-	recPoint
+	RecBegin RecordKind = iota
+	RecEnd
+	RecPoint
 )
+
+var recordKindNames = [...]string{RecBegin: "begin", RecEnd: "end", RecPoint: "point"}
+
+func (k RecordKind) String() string {
+	if int(k) < len(recordKindNames) {
+		return recordKindNames[k]
+	}
+	return "invalid"
+}
+
+// Name returns the name of the record's span phase or point event.
+func (r *Record) Name() string {
+	if r.Kind == RecPoint {
+		return Event(r.Code).String()
+	}
+	return Phase(r.Code).String()
+}
 
 // shared is the buffer and clock a Recorder and its Thread views share.
 type shared struct {
 	clock   TimeSource
-	recs    []record
+	recs    []Record
 	threads []string // tid-1 -> display name
 }
 
@@ -268,15 +289,15 @@ func (r *Recorder) Enabled() bool { return true }
 
 // Begin implements Tracer.
 func (r *Recorder) Begin(p Phase) {
-	r.sh.recs = append(r.sh.recs, record{ts: r.now(), tid: r.tid, kind: recBegin, code: uint8(p)})
+	r.sh.recs = append(r.sh.recs, Record{TS: r.now(), Tid: r.tid, Kind: RecBegin, Code: uint8(p)})
 }
 
 // End implements Tracer.
 func (r *Recorder) End(p Phase) {
-	r.sh.recs = append(r.sh.recs, record{ts: r.now(), tid: r.tid, kind: recEnd, code: uint8(p)})
+	r.sh.recs = append(r.sh.recs, Record{TS: r.now(), Tid: r.tid, Kind: RecEnd, Code: uint8(p)})
 }
 
 // Point implements Tracer.
 func (r *Recorder) Point(e Event, arg1, arg2 int64) {
-	r.sh.recs = append(r.sh.recs, record{ts: r.now(), tid: r.tid, kind: recPoint, code: uint8(e), a1: arg1, a2: arg2})
+	r.sh.recs = append(r.sh.recs, Record{TS: r.now(), Arg1: arg1, Arg2: arg2, Tid: r.tid, Kind: RecPoint, Code: uint8(e)})
 }

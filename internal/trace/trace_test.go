@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock is a settable TimeSource.
@@ -52,11 +53,16 @@ func TestRecorderRecords(t *testing.T) {
 		t.Fatal("recorder must report enabled")
 	}
 	recs := r.sh.recs
-	if recs[0].kind != recBegin || recs[2].kind != recEnd {
+	if recs[0].Kind != RecBegin || recs[2].Kind != RecEnd {
 		t.Fatal("span records out of order")
 	}
-	if recs[1].a1 != 42 || recs[1].ts != 5*time.Microsecond {
+	if recs[1].Arg1 != 42 || recs[1].TS != 5*time.Microsecond || recs[1].Name() != "page-discarded" {
 		t.Fatalf("point record = %+v", recs[1])
+	}
+	// The recorder's buffer and the telemetry flight ring hold Records
+	// by value: one must stay half a cache line.
+	if size := unsafe.Sizeof(recs[0]); size != 32 {
+		t.Errorf("a Record is %d bytes, want 32", size)
 	}
 }
 
