@@ -45,6 +45,9 @@ func (c *CopyMS) Name() string { return "CopyMS" }
 // UsedPages implements gc.Collector.
 func (c *CopyMS) UsedPages() int { return c.MatureUsedPages() + c.eden.UsedPages() }
 
+// EmptyWord implements gc.Collector.
+func (c *CopyMS) EmptyWord(wi int) uint64 { return c.Mature.EmptyWord(wi) | c.eden.EmptyWord(wi) }
+
 func (c *CopyMS) resizeEden() { c.eden.Resize(c.NurseryRoom()) }
 
 // WriteRef implements gc.Collector (no barrier: every GC is full-heap).

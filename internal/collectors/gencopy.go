@@ -70,6 +70,11 @@ func (c *GenCopy) UsedPages() int {
 	return c.matFrom.UsedPages() + c.los.UsedPages() + c.Nursery.UsedPages()
 }
 
+// EmptyWord implements gc.Collector.
+func (c *GenCopy) EmptyWord(wi int) uint64 {
+	return c.Nursery.EmptyWord(wi) | c.matFrom.EmptyWord(wi) | c.matTo.EmptyWord(wi) | c.los.EmptyWord(wi)
+}
+
 // heapBudget is the policy-effective page budget; with no policy it is
 // exactly the configured heap. The floor covers the mature space twice
 // (space plus copy reserve), the LOS, and a minimal nursery with its
@@ -114,10 +119,11 @@ func (c *GenCopy) promote(o objmodel.Ref, work *gc.WorkList) objmodel.Ref {
 
 // fullGC flips the mature semispaces, copying all live data (nursery and
 // mature) into the new active space; LOS objects are marked and swept.
+// The new active space is empty, since every flip ends by resetting the
+// space it copied out of, which gives that space's host bodies back.
 func (c *GenCopy) fullGC() {
 	defer c.Pause(metrics.PauseFull)()
 	c.matFrom, c.matTo = c.matTo, c.matFrom
-	c.matFrom.Reset()
 	epoch := c.NextEpoch()
 
 	work := c.E.GetWorkList()
@@ -148,5 +154,7 @@ func (c *GenCopy) fullGC() {
 	c.E.Trace.Begin(trace.PhaseSweep)
 	c.los.Sweep(epoch, nil)
 	c.E.Trace.End(trace.PhaseSweep)
+	c.matTo.Reset()
 	c.Nursery.Reset()
+	c.CollectionDone()
 }

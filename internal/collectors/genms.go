@@ -48,6 +48,9 @@ func (c *GenMS) Name() string {
 // UsedPages implements gc.Collector.
 func (c *GenMS) UsedPages() int { return c.MatureUsedPages() + c.Nursery.UsedPages() }
 
+// EmptyWord implements gc.Collector.
+func (c *GenMS) EmptyWord(wi int) uint64 { return c.Mature.EmptyWord(wi) | c.Nursery.EmptyWord(wi) }
+
 func (c *GenMS) resizeNursery() { c.Nursery.Resize(c.NurseryRoom()) }
 
 // WriteRef implements gc.Collector with the generational write barrier.

@@ -48,6 +48,11 @@ func (c *SemiSpace) Name() string { return "SemiSpace" }
 // UsedPages implements gc.Collector.
 func (c *SemiSpace) UsedPages() int { return c.to.UsedPages() + c.los.UsedPages() }
 
+// EmptyWord implements gc.Collector.
+func (c *SemiSpace) EmptyWord(wi int) uint64 {
+	return c.from.EmptyWord(wi) | c.to.EmptyWord(wi) | c.los.EmptyWord(wi)
+}
+
 // heapBudget is the policy-effective page budget; with no policy it is
 // exactly the configured heap. The floor charges live data twice (the
 // copy reserve) plus a minimal allocation headroom.
@@ -73,11 +78,12 @@ func (c *SemiSpace) place(t *objmodel.Type, arrayLen, total int, small bool) obj
 // WriteRef implements gc.Collector (no barrier).
 func (c *SemiSpace) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRefRaw(o, i, v) }
 
-// flip is SemiSpace's collection: flip the semispaces and copy.
+// flip is SemiSpace's collection: flip the semispaces and copy. The
+// new to-space is empty, since every flip ends by resetting the space it
+// copied out of, which gives that space's host bodies back at once.
 func (c *SemiSpace) flip() {
 	defer c.Pause(metrics.PauseFull)()
 	c.from, c.to = c.to, c.from
-	c.to.Reset()
 	c.to.SetBudget(uint64(c.heapBudget()/2-c.los.UsedPages()) * mem.PageSize)
 	epoch := c.NextEpoch()
 
@@ -107,4 +113,6 @@ func (c *SemiSpace) flip() {
 	c.E.Trace.Begin(trace.PhaseSweep)
 	c.los.Sweep(epoch, nil)
 	c.E.Trace.End(trace.PhaseSweep)
+	c.from.Reset()
+	c.CollectionDone()
 }

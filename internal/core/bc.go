@@ -153,10 +153,6 @@ type BC struct {
 	// is stored to the page and the cache is dropped whenever the nursery
 	// empties, so a cached false verdict is always sound.
 	nurseryPtrCache map[mem.PageID]bool
-
-	// afterGC, when set, runs at the end of every collection, books
-	// settled (OnCollectionEnd). Harnesses hang invariant checks on it.
-	afterGC func()
 }
 
 var _ gc.Collector = (*BC)(nil)
@@ -204,6 +200,13 @@ func (c *BC) Name() string {
 
 // UsedPages implements gc.Collector.
 func (c *BC) UsedPages() int { return c.MatureUsedPages() + c.nursery.UsedPages() }
+
+// EmptyWord implements gc.Collector: the nursery's pages past the
+// frontier (the §3.4.3 reserve included), the pages of unassigned
+// superpages and the free large-object pages.
+func (c *BC) EmptyWord(wi int) uint64 {
+	return c.nursery.EmptyWord(wi) | c.SS.EmptyWord(wi) | c.LOS.EmptyWord(wi)
+}
 
 // pageOK reports whether BC may touch page p: anything it has not seen
 // evicted (§3.3.1 — the bit array consulted instead of the kernel). Without
@@ -376,19 +379,6 @@ const (
 	maxGCRequestAfter = 1 << 16
 )
 
-// OnCollectionEnd registers fn to run at the end of every collection
-// (nursery, full, compaction, fail-safe), after the books are settled but
-// within the pause. Harnesses use it to check invariants after each GC;
-// fn must not allocate through the collector.
-func (c *BC) OnCollectionEnd(fn func()) { c.afterGC = fn }
-
-// collectionDone fires the OnCollectionEnd hook.
-func (c *BC) collectionDone() {
-	if c.afterGC != nil {
-		c.afterGC()
-	}
-}
-
 // Collect implements gc.Collector: the shared collection cycle over
 // BC's nursery and full collections, never re-entered from a handler
 // and only once the books agree with the kernel.
@@ -484,7 +474,7 @@ func (c *BC) nurseryGC() {
 	// anywhere; only nursery targets matter here.
 	gc.Drain(c.E, work, fwd)
 	c.resetNursery()
-	c.collectionDone()
+	c.CollectionDone()
 }
 
 // scanCard visits the objects overlapping a marked card and forwards
@@ -587,7 +577,7 @@ func (c *BC) fullGC() {
 	c.markSweep(c.nursery, c.pageOK)
 	c.resetNursery()
 	c.maybeRevalidate()
-	c.collectionDone()
+	c.CollectionDone()
 }
 
 // invalidateBooks stops trusting the bookmark books (booksValid). pageOK

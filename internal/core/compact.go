@@ -104,7 +104,7 @@ func (c *BC) compact() {
 	c.resetNursery()
 	c.resizeNursery()
 	c.maybeRevalidate()
-	c.collectionDone()
+	c.CollectionDone()
 }
 
 // tkey identifies a (size class, kind) allocation bucket.

@@ -235,6 +235,8 @@ func (c *BC) discardableWord(wi int) uint64 {
 	if w == 0 || c.cfg.debugNoDiscard {
 		return 0
 	}
+	// c.EmptyWord(wi), written out: the three spaces' words inline here,
+	// and the call would not.
 	return w & (c.nursery.EmptyWord(wi) | c.SS.EmptyWord(wi) | c.LOS.EmptyWord(wi))
 }
 

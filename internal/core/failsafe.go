@@ -50,5 +50,5 @@ func (c *BC) failSafe() {
 	c.resetNursery()
 	c.resizeNursery()
 	c.maybeRevalidate()
-	c.collectionDone()
+	c.CollectionDone()
 }

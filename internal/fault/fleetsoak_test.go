@@ -4,7 +4,7 @@ package fault_test
 // one machine through the fleet engine while every tenant's
 // notification stream runs through its own chaos regime (seeds derived
 // per tenant via fault.TenantSeed) and the eviction arbiter redirects
-// pressure across owners. After every BC collection the collector's
+// pressure across owners. After every collection the BC collectors'
 // books AND the machine's cross-owner accounting are audited, and each
 // tenant's mutator checksum is checked against an isolated nominal run:
 // arbitration and chaos may reshape paging, never computation.
@@ -73,7 +73,7 @@ func fleetSoakScale() float64 {
 
 // TestFleetSoakInvariants is the multi-owner acceptance soak: chaos on
 // every tenant, cross-owner arbitration live, invariants and machine
-// books audited after every BC collection, checksums differentially
+// books audited after every collection, checksums differentially
 // checked, and the cascade ladder required to have fired a fleet
 // flight bundle.
 func TestFleetSoakInvariants(t *testing.T) {
@@ -109,7 +109,7 @@ func TestFleetSoakInvariants(t *testing.T) {
 		t.Fatalf("invariants violated mid-soak: %v", invErr)
 	}
 	if checks == 0 {
-		t.Fatal("no BC collection was ever audited — not a soak")
+		t.Fatal("no collection was ever audited — not a soak")
 	}
 
 	// Every tenant survived its own chaos and the neighbors'.

@@ -31,6 +31,10 @@ type Base struct {
 	roots  Roots
 	stats  Stats
 	epoch  uint32
+
+	// afterGC, when set, runs at the end of every collection
+	// (OnCollectionEnd).
+	afterGC func()
 }
 
 // Placer puts a fresh object of total bytes (small: a size class holds
@@ -239,6 +243,21 @@ func (b *Base) Pause(kind metrics.PauseKind) func() {
 			MajorFaults: env.Proc.Stats().MajorFaults - faults,
 		})
 		env.Trace.End(phase)
+	}
+}
+
+// OnCollectionEnd registers fn to run at the end of every collection —
+// nursery, full, and BC's compaction and fail-safe — once the heap and
+// the collector's books are settled, but within the pause. Harnesses use
+// it to check invariants after each collection; fn must not allocate
+// through the collector.
+func (b *Base) OnCollectionEnd(fn func()) { b.afterGC = fn }
+
+// CollectionDone fires the OnCollectionEnd hook: every collection calls
+// it as its last step.
+func (b *Base) CollectionDone() {
+	if b.afterGC != nil {
+		b.afterGC()
 	}
 }
 

@@ -126,6 +126,10 @@ type Collector interface {
 	// UsedPages reports the heap footprint in pages as the collector
 	// accounts it (used by the harness and the sizing policies).
 	UsedPages() int
+	// EmptyWord returns word wi of the pages the collector's spaces
+	// report empty — no object occupies them — as a bitmap indexed by
+	// absolute page number: the union of each space's EmptyWord.
+	EmptyWord(wi int) uint64
 	// Direct exposes the Base every collector embeds, for data-word
 	// access without the interface dispatch (see Base.Direct).
 	Direct() *Base

@@ -54,6 +54,10 @@ func NewMature(b *Base) Mature {
 	return m
 }
 
+// EmptyWord is the union of the mature spaces' empty pages (see
+// Collector.EmptyWord).
+func (m *Mature) EmptyWord(wi int) uint64 { return m.SS.EmptyWord(wi) | m.LOS.EmptyWord(wi) }
+
 // MatureUsedPages is the page footprint of the mature spaces.
 func (m *Mature) MatureUsedPages() int { return m.SS.UsedPages() + m.LOS.UsedPages() }
 
@@ -250,4 +254,5 @@ func (m *Mature) FullCollect(young *Nursery, promote Promoter) {
 	t.Sweep()
 	m.b.E.PutWorkList(t.Work)
 	young.Reset()
+	m.b.CollectionDone()
 }

@@ -107,4 +107,5 @@ func (n *Nursery) Evacuate(b *Base, promote Promoter) {
 	Drain(env, work, fwd)
 	env.Trace.End(trace.PhaseCheneyForward)
 	n.Reset()
+	b.CollectionDone()
 }

@@ -49,8 +49,9 @@ func (b *BumpSpace) Budget() uint64 { return uint64(b.limit - b.base) }
 
 // Alloc carves an uninitialized object of totalBytes (header included).
 // It returns mem.Nil when the space is full; the caller must collect.
-// The new object's header is initialized and its payload zeroed (fresh
-// pages read as zero, but recycled semispace memory does not).
+// The new object's header is initialized and its payload zeroed, as a
+// real allocator must over recycled memory (on the host, a page Reset
+// emptied already reads zero).
 func (b *BumpSpace) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	total := mem.Addr(mem.RoundUpWord(uint64(t.TotalBytes(arrayLen))))
 	if b.cur+total > b.limit {
@@ -84,8 +85,13 @@ func (b *BumpSpace) AllocRaw(totalBytes int) mem.Addr {
 // Reset empties the space for reuse (a nursery collection or a semispace
 // flip). Pages are deliberately not returned to the VM: as in MMTk, dead
 // nursery pages stay mapped and drift down the LRU queues — the behaviour
-// the paper identifies as a paging liability (§5.3.2).
+// the paper identifies as a paging liability (§5.3.2). Only the host
+// copies of the emptied pages go back to the pool (mem.ForgetPages); each
+// page is written again by Alloc or a copy before anything reads it.
 func (b *BumpSpace) Reset() {
+	if b.cur > b.base {
+		b.s.ForgetPages(b.base.Page(), (b.cur + mem.PageSize - 1).Page())
+	}
 	b.cur = b.base
 	b.objects = 0
 	b.emptyAdds++

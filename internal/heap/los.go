@@ -97,8 +97,9 @@ func (l *LOS) findRun(pages int) int {
 	return -1
 }
 
-// Free releases the run holding o and returns its page range so the
-// caller can discard the pages.
+// Free releases the run holding o, gives its pages' host bodies back
+// (mem.ForgetPages; Alloc writes the next object before it is read), and
+// returns its page range so the caller can discard the pages.
 func (l *LOS) Free(o objmodel.Ref) (first, last mem.PageID) {
 	pages, ok := l.objects[o]
 	if !ok {
@@ -109,6 +110,7 @@ func (l *LOS) Free(o objmodel.Ref) (first, last mem.PageID) {
 	i, _ := slices.BinarySearch(l.sorted, o)
 	l.sorted = slices.Delete(l.sorted, i, i+1)
 	l.free.setPages(o.Page(), pages)
+	l.s.ForgetPages(o.Page(), o.Page()+mem.PageID(pages))
 	l.emptyAdds++
 	l.inUse -= pages
 	return o.Page(), o.Page() + mem.PageID(pages) - 1

@@ -421,11 +421,17 @@ func (ss *SuperSpace) FreeBlock(o objmodel.Ref) bool {
 	return false
 }
 
-// releaseSuper marks superpage idx free.
+// releaseSuper marks superpage idx free and gives its four pages' host
+// bodies back (mem.ForgetPages). Its header now reads all zero — class,
+// count, allocated blocks and bitmap — so a forgotten header page reads
+// what it held, and AcquireSuper and the allocator write every block
+// before it is read.
 func (ss *SuperSpace) releaseSuper(idx int) {
 	ss.setHdr(idx, hdrKindClass, 0)
 	ss.setHdr(idx, hdrIncoming, 0)
-	ss.empty.setPages(ss.HeaderPage(idx), mem.SuperPages)
+	first := ss.HeaderPage(idx)
+	ss.s.ForgetPages(first, first+mem.SuperPages)
+	ss.empty.setPages(first, mem.SuperPages)
 	ss.emptyAdds++
 	ss.inUse--
 	ss.counters.Inc(trace.CSuperpagesReleased)

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkArenaAllocFree cycles page bodies through materialize and
-// ZeroPageRaw — the allocate/discard churn of a collector that returns
+// ForgetPages — the allocate/discard churn of a collector that returns
 // empty pages to the VM. Steady state must recycle bodies through the
 // process-wide pool without mapping new ones.
 func BenchmarkArenaAllocFree(b *testing.B) {
@@ -18,7 +18,7 @@ func BenchmarkArenaAllocFree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := PageID(1 + i%(npages-1))
 		s.materialize(p)
-		s.ZeroPageRaw(p)
+		s.ForgetPages(p, p+1)
 	}
 }
 

@@ -3,11 +3,17 @@ package mem
 import "testing"
 
 // FuzzArenaRecycle drives a Space's page bodies through arbitrary
-// materialize / write / ZeroPageRaw sequences and checks the pool
-// invariants the hot path depends on: recycled bodies come back zeroed,
-// and data written to one page never leaks into another page's body
-// through reuse — within the Space, to another live Space that takes a
-// discarded body at once, or to the next Space once it is released.
+// materialize / write / ForgetPages sequences and checks the pool
+// invariants the hot path depends on: a forgotten range reads zero while
+// the Space's other pages keep their words, recycled bodies come back
+// zeroed, and data written to one page never leaks into another page's
+// body through reuse — within the Space, to another live Space that
+// takes the forgotten bodies at once, or to the next Space once it is
+// released.
+//
+// An op with the high bit clear writes page 1+(op&0x7f)%31; one with it
+// set forgets the 1+(op>>5&3) pages from 1+(op&0x1f)%31 (cut at the
+// Space's end).
 func FuzzArenaRecycle(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x81, 0x02})
 	f.Add([]byte{0x05, 0x05, 0x85, 0x85, 0x05})
@@ -17,34 +23,53 @@ func FuzzArenaRecycle(f *testing.F) {
 		every[i] = byte(i + 1)
 	}
 	f.Add(every)
+	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0xe1, 0x02}) // forget pages 2..5, then write 3 again
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		const npages = 32
+		const npages, maxRun = 32, 4
 		s := testSpace(npages * PageSize)
-		other := testSpace(2 * PageSize) // a live sibling sharing the pool
-		live := map[PageID]uint64{}      // expected first-word value per materialized page
+		other := testSpace((1 + maxRun) * PageSize) // a live sibling sharing the pool
+		live := map[PageID]uint64{}                 // expected first-word value per materialized page
 		for i, op := range ops {
-			p := PageID(1 + int(op&0x7f)%(npages-1))
-			a := Addr(p) * PageSize
 			if op&0x80 == 0 {
 				// Write a distinct word, materializing the page.
+				p := PageID(1 + int(op&0x7f)%(npages-1))
 				v := uint64(i)<<8 | uint64(p)
-				s.WriteWord(a, v)
+				s.WriteWord(PageAddr(p), v)
 				live[p] = v
 				continue
 			}
-			// Return the page's body to the pool. The sibling takes the
-			// most recently freed body: it must read zero, and what the
-			// sibling scribbles over it must never reach s.
-			s.ZeroPageRaw(p)
-			delete(live, p)
-			b := other.materialize(1)
-			for w, v := range b {
-				if v != 0 {
-					t.Fatalf("op %d: a body taken by another Space read dirty: word %d = %#x", i, w, v)
+			// Forget a run of pages. It must read zero at once, and the
+			// rest of the Space must keep its words.
+			first := PageID(1 + int(op&0x1f)%(npages-1))
+			end := min(first+PageID(1+op>>5&3), npages)
+			s.ForgetPages(first, end)
+			for p := first; p < end; p++ {
+				delete(live, p)
+				if s.HasBody(p) {
+					t.Fatalf("op %d: forgotten page %d still holds a body", i, p)
 				}
-				b[w] = ^uint64(0)
+				if got := s.PeekWord(PageAddr(p)); got != 0 {
+					t.Fatalf("op %d: forgotten page %d reads %#x", i, p, got)
+				}
 			}
-			other.ZeroPageRaw(1)
+			for p, v := range live {
+				if got := s.PeekWord(PageAddr(p)); got != v {
+					t.Fatalf("op %d: forgetting pages %d..%d changed page %d: %#x, want %#x", i, first, end-1, p, got, v)
+				}
+			}
+			// The sibling takes as many bodies as were forgotten: the
+			// most recently freed ones. Each must read zero, and what the
+			// sibling scribbles over them must never reach s.
+			for q := PageID(1); q <= end-first; q++ {
+				b := other.materialize(q)
+				for w, v := range b {
+					if v != 0 {
+						t.Fatalf("op %d: a body taken by another Space read dirty: word %d = %#x", i, w, v)
+					}
+					b[w] = ^uint64(0)
+				}
+			}
+			other.ForgetPages(1, 1+end-first)
 		}
 		for p := PageID(1); p < npages; p++ {
 			got := s.PeekWord(Addr(p) * PageSize)

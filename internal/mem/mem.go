@@ -10,11 +10,11 @@
 //
 // Backing storage is one process-wide pool of page bodies (DESIGN.md
 // §15): the per-page table points at each page's body (nil meaning
-// "never written: reads as zero"), and a discarded or released body goes
-// back to the pool for any Space to reuse. The VMM's hot residency bits
-// live in a side byte array (PageFlags) so the common touch — a
-// resident, unprotected page — is an inline flag check with no interface
-// dispatch and no Go allocation.
+// "never written: reads as zero"), and a discarded, emptied or released
+// body goes back to the pool for any Space to reuse. The VMM's hot
+// residency bits live in a side byte array (PageFlags) so the common
+// touch — a resident, unprotected page — is an inline flag check with no
+// interface dispatch and no Go allocation.
 package mem
 
 import (
@@ -354,7 +354,7 @@ func (s *Space) writeSlow(a Addr, v uint64) {
 // ordinary accesses: that only refuses some windows that could have been
 // batched.
 //
-// body is valid only until the next clock event: ZeroPageRaw hands a
+// body is valid only until the next clock event: ForgetPages hands a
 // discarded page's body to the pool, from which any Space — on any
 // goroutine of a parallel sweep — may take it at once. Callers hold it
 // only inside the event-free window.
@@ -546,14 +546,21 @@ func (s *Space) PokeWord(a Addr, v uint64) {
 	arr[(a&(PageSize-1))>>3] = v
 }
 
-// ZeroPageRaw returns a page's backing body to the process-wide pool
-// without touching it. The VMM uses this to model madvise(MADV_DONTNEED):
-// a discarded page reads as zero-filled when next faulted in. Another
-// Space may reuse the body straight away, so no caller may keep a body
-// pointer across a clock event, whose handler can discard the page.
-func (s *Space) ZeroPageRaw(p PageID) {
-	if b := s.bodies[p]; b != nil {
-		s.bodies[p] = nil
-		freeBodies.Put(b)
-	}
+// ForgetPages drops the host bodies of pages [first, end), handing them
+// to the process-wide pool under one lock. It charges nothing, changes no
+// page flag and tells the VMM nothing: each page reads zero afterwards,
+// as if never written, whatever it held. The VMM calls it for one page to
+// model madvise(MADV_DONTNEED) (a discarded page reads zero-filled when
+// next faulted in); the heap calls it for the pages it has emptied, whose
+// next object is written before it is read, so the host keeps a body
+// only while an object may occupy its page. Another Space may reuse a
+// forgotten body straight away, so no caller may keep a body pointer
+// across a clock event, whose handler can discard the page.
+func (s *Space) ForgetPages(first, end PageID) {
+	putBodies(s.bodies[first:end])
 }
+
+// HasBody reports whether page p holds a host body: whether a nonzero
+// word has been stored on it since the Space was made or the page last
+// forgotten. It charges nothing.
+func (s *Space) HasBody(p PageID) bool { return s.bodies[p] != nil }

@@ -106,7 +106,7 @@ func TestPoolMapsPeakNotSumOfPeaks(t *testing.T) {
 				peak = max(peak, live)
 				if prev.bodies[p] != nil {
 					live--
-					prev.ZeroPageRaw(p)
+					prev.ForgetPages(p, p+1)
 				}
 			}
 			for p := PageID(1); p <= pages; p++ {
@@ -161,7 +161,7 @@ func TestPoolAcrossGoroutines(t *testing.T) {
 						t.Errorf("worker %d, round %d: page %d reads %#x and %#x, want %#x", w, r, p, got, gotLast, mark(p))
 						return
 					}
-					s.ZeroPageRaw(p)
+					s.ForgetPages(p, p+1)
 				}
 			}
 		}(w)

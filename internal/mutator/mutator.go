@@ -454,7 +454,9 @@ func (r *Run) work(w int) {
 // dataIndex picks a safe data word index for the object whose header
 // word 1 was read as h1 (for the type ID) and h2 (for the array length).
 // The generator allocates two shapes, so two compares against their type
-// IDs decode it; anything else goes through the type table.
+// IDs decode it; anything else goes through the type table. A reference
+// array has no data word, and the generator allocates none: work on one
+// would store an integer into a reference slot, so it panics.
 func (r *Run) dataIndex(h1, h2 uint64) int {
 	id := int32(uint32(h1))
 	if id == r.arrID {
@@ -463,7 +465,7 @@ func (r *Run) dataIndex(h1, h2 uint64) int {
 	if id != r.nodeID {
 		if t := r.tt.Get(id); t.Kind == objmodel.KindArray {
 			if t.ElemPtr {
-				return 0
+				panic(fmt.Sprintf("mutator: work step on reference array type %q has no data word", t.Name))
 			}
 			return r.arrayIndex(h2)
 		}

@@ -1,6 +1,7 @@
 package mutator
 
 import (
+	"strings"
 	"testing"
 
 	"bookmarkgc/internal/collectors"
@@ -153,4 +154,19 @@ func TestWorkTouchesLiveObjects(t *testing.T) {
 	if env.Proc.Stats().MinorFaults == before {
 		t.Fatal("no memory was touched at all")
 	}
+}
+
+// TestWorkOnReferenceArrayPanics: a work step has no data word to use in
+// a reference array, so dataIndex refuses one, naming its type, rather
+// than store an integer into reference slot 0.
+func TestWorkOnReferenceArrayPanics(t *testing.T) {
+	env := testEnv(t, 4)
+	types := DeclareTypes(env)
+	r := NewRun(PseudoJBB().Scale(0.02), collectors.NewMarkSweep(env), types, 1)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, `"refs"`) {
+			t.Errorf("dataIndex on a reference array: panic %q, want one naming the type", msg)
+		}
+	}()
+	r.dataIndex(uint64(uint32(types.RefArr.ID)), 3<<32)
 }

@@ -79,7 +79,9 @@ func (r *Run) refDataIndexOf(obj objmodel.Ref, seen *workSeen) int {
 	if t.Kind != objmodel.KindArray {
 		seen.scalars++
 		d = 2 + r.rng.Intn(2)
-	} else if !t.ElemPtr && n > 0 {
+	} else if t.ElemPtr {
+		panic("work on a reference array")
+	} else if n > 0 {
 		seen.arrays++
 		d = r.rng.Intn(n)
 	}

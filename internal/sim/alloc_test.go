@@ -1,13 +1,17 @@
 package sim
 
 import (
+	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
+	"bookmarkgc/internal/vmm"
 )
 
 // warmRunBudget bounds what a warm process allocates on the host for one
@@ -139,4 +143,54 @@ func TestRunsTradeTablesAcrossGoroutines(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEmptyPagesHoldNoBody: the host keeps a page body only while an
+// object may occupy the page. At the end of every collection, no page
+// that a collector's spaces report empty (gc.Collector.EmptyWord) holds
+// a body — for every kind, with memory to spare and paging, under every
+// chaos regime and heap policy of the engine table, and in a small stock
+// fleet.
+func TestEmptyPagesHoldNoBody(t *testing.T) {
+	fleet := DefaultFleetSpec(8, 0.03, 1, 7936)
+	fleet.Policy = PolicyCooperative
+	type namedFleet struct {
+		name string
+		fc   FleetConfig
+	}
+	runs := []namedFleet{{"fleet/mixed8", FleetConfig{Spec: fleet}}}
+	for _, c := range engineCases() {
+		runs = append(runs, namedFleet{c.name, oneTenantFleet(c.cfg, c.regime, c.chaosSeed)})
+	}
+	for _, run := range runs {
+		name, fc := run.name, run.fc
+		checks := 0
+		var firstErr error
+		fc.AfterCollection = func(tenant int, col gc.Collector, _ *vmm.VMM) {
+			checks++
+			if err := emptyPagesHoldNoBody(col); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("tenant %d (%s), collection %d: %w", tenant, col.Name(), checks, err)
+			}
+		}
+		if fr := RunFleet(fc); fr.Err != nil {
+			t.Fatalf("%s: %v", name, fr.Err)
+		}
+		if firstErr != nil || checks == 0 {
+			t.Errorf("%s: %d collections checked, first violation: %v", name, checks, firstErr)
+		}
+	}
+}
+
+// emptyPagesHoldNoBody reports the first page col's spaces publish as
+// empty that still holds a host body.
+func emptyPagesHoldNoBody(col gc.Collector) error {
+	sp := col.Env().Space
+	for wi := 0; wi < (sp.Pages()+63)/64; wi++ {
+		for w := col.EmptyWord(wi); w != 0; w &= w - 1 {
+			if p := mem.PageID(wi*64 + bits.TrailingZeros64(w)); sp.HasBody(p) {
+				return fmt.Errorf("empty page %d holds a body", p)
+			}
+		}
+	}
+	return nil
 }

@@ -123,9 +123,9 @@ type FleetConfig struct {
 	// declared only because the benchmark module still sets it.
 	MarkWorkers int
 
-	// AfterCollection, when set, runs after every collection of any
-	// tenant whose collector exposes OnCollectionEnd (the BC family) —
-	// the hook fleet soak tests hang invariant and accounting checks on.
+	// AfterCollection, when set, runs at the end of every collection of
+	// every tenant (gc.Base.OnCollectionEnd) — the hook fleet soak tests
+	// hang invariant and accounting checks on.
 	// The machine is passed so checks can audit cross-owner bookkeeping.
 	AfterCollection func(tenant int, col gc.Collector, v *vmm.VMM)
 }
@@ -364,9 +364,7 @@ func (f *fleetRun) assemble() (int, error) {
 		}
 		t.weight = max(ts.Weight, 1)
 		if f.cfg.AfterCollection != nil {
-			if hooked, ok := t.col.(interface{ OnCollectionEnd(func()) }); ok {
-				hooked.OnCollectionEnd(func() { f.cfg.AfterCollection(i, t.col, f.v) })
-			}
+			t.col.Direct().OnCollectionEnd(func() { f.cfg.AfterCollection(i, t.col, f.v) })
 		}
 		f.byProc[t.env.Proc] = t
 		f.tenants = append(f.tenants, t)

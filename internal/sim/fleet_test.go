@@ -246,9 +246,9 @@ func TestFleetPolicyDifference(t *testing.T) {
 }
 
 // TestFleetAfterCollectionHook wires collector invariant checks and
-// machine-wide accounting audits into a contended fleet: every BC
-// collection end must observe a consistent heap and consistent
-// cross-owner VMM books.
+// machine-wide accounting audits into a contended fleet: every
+// collection end must observe consistent cross-owner VMM books, and
+// every BC collection end a consistent heap.
 func TestFleetAfterCollectionHook(t *testing.T) {
 	spec := thrashFleetSpec(0.5)
 	spec.Policy = PolicyCooperative
@@ -278,7 +278,7 @@ func TestFleetAfterCollectionHook(t *testing.T) {
 		t.Fatal(firstErr)
 	}
 	if checks == 0 {
-		t.Fatal("AfterCollection never fired; no BC collections in a contended fleet?")
+		t.Fatal("AfterCollection never fired; no collections in a contended fleet?")
 	}
 }
 

@@ -32,12 +32,18 @@ func TestSamplerStopsAtRunEnd(t *testing.T) {
 // attached returns a collector attached to an idle MarkSweep run, and
 // the clock whose every Advance by SampleEvery fires one sample.
 func attached() (*Collector, *vmm.Clock) {
+	c := New(Config{})
+	return c, attach(c)
+}
+
+// attach attaches c to an idle MarkSweep run of its own and returns the
+// run's clock.
+func attach(c *Collector) *vmm.Clock {
 	clock := vmm.NewClock()
 	v := vmm.New(clock, 16<<20, vmm.DefaultCosts())
 	env := gc.NewEnv(v, "t", 4<<20)
-	c := New(Config{})
 	c.Attach(v, env, collectors.NewMarkSweep(env), trace.NewCounters())
-	return c, clock
+	return clock
 }
 
 func TestSamplerTickDoesNotAllocate(t *testing.T) {

@@ -120,24 +120,34 @@ func TestFlightRecorderMemoryIsBounded(t *testing.T) {
 }
 
 // TestFlightRecorderPausesMatchWholeRun: a flight recorder, which holds
-// only the newest bundlePauses attributed pauses and every duration,
-// writes the same bundle pauses and exact percentiles as a collector
-// that keeps every pause, and holds no more pauses than a bundle shows.
+// only the newest bundlePauses attributed pauses, writes the same bundle
+// pauses and exact percentiles as a collector that keeps every pause,
+// and holds no more pauses than a bundle shows. Each is attached to a
+// run whose collector's timeline gets every pause, as gc.Base.Pause puts
+// it there before telemetry attributes it, so the percentiles compared
+// are the bundles' own, not zeros.
 func TestFlightRecorderPausesMatchWholeRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	whole, window := New(Config{}), NewFlightRecorder(Config{})
+	attach(whole)
+	attach(window)
 	var at time.Duration
 	for n := 1; n <= 1000; n++ {
 		a := PauseAttr{Pause: metrics.Pause{Start: at, Dur: time.Duration(rng.Int63n(1e9)),
 			Kind: metrics.PauseKind(rng.Intn(numPauseKinds)), MajorFaults: uint64(rng.Intn(100))}}
 		a.PhaseNS[rng.Intn(trace.NumPhases)] = a.Dur
 		at += a.Dur + time.Millisecond
-		whole.recordPause(&a)
-		window.recordPause(&a)
+		for _, c := range []*Collector{whole, window} {
+			c.col.Stats().Timeline.Record(a.Pause)
+			c.recordPause(&a)
+		}
 		if n%97 != 0 && n > bundlePauses+1 {
 			continue
 		}
 		want, got := whole.bundleLocked("test"), window.bundleLocked("test")
+		if want.PauseP50 <= 0 || want.PauseP99 <= 0 || want.PauseMax <= 0 {
+			t.Fatalf("after %d pauses the whole run's bundle reads p50/p99/max %d/%d/%dns", n, want.PauseP50, want.PauseP99, want.PauseMax)
+		}
 		w, err := json.Marshal([]any{want.Pauses, want.PauseP50, want.PauseP99, want.PauseMax})
 		if err != nil {
 			t.Fatal(err)

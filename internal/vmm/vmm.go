@@ -684,7 +684,7 @@ func (p *Proc) Discard(pg mem.PageID) {
 	pi := &p.pages[pg]
 	pi.queued = false // lazy-invalidates any queue entry via stamp
 	pi.stamp++
-	p.space.ZeroPageRaw(pg)
+	p.space.ForgetPages(pg, pg+1)
 	p.vmm.stats.Discards++
 	p.stats.Discards++
 }
