@@ -241,17 +241,10 @@ func TestFleetSpecFile(t *testing.T) {
 	if err := os.WriteFile(file, spec, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := func(args ...string) string {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("gcsim %v: exit %d\n%s", args, code, stderr.String())
-		}
-		return stdout.String()
-	}
-	if got, want := out("-fleet", file), out("-fleet", "mixed4", "-scale", "0.03", "-seed", "7", "-chaos-seed", "9"); got != want {
+	if got, want := mustRun(t, "-fleet", file), mustRun(t, "-fleet", "mixed4", "-scale", "0.03", "-seed", "7", "-chaos-seed", "9"); got != want {
 		t.Errorf("spec file as written:\n%s\nmixed4 with its seeds:\n%s", got, want)
 	}
-	if got, want := out("-fleet", file, "-seed", "1", "-chaos-seed", "5"), out("-fleet", "mixed4", "-scale", "0.03", "-seed", "1", "-chaos-seed", "5"); got != want {
+	if got, want := mustRun(t, "-fleet", file, "-seed", "1", "-chaos-seed", "5"), mustRun(t, "-fleet", "mixed4", "-scale", "0.03", "-seed", "1", "-chaos-seed", "5"); got != want {
 		t.Errorf("spec file with seeds overridden:\n%s\nmixed4 with those seeds:\n%s", got, want)
 	}
 }

@@ -36,4 +36,9 @@ func TestEveryFlagIsDocumented(t *testing.T) {
 	if n != 26 {
 		t.Errorf("%d flags defined; the package comment and README.md say 26", n)
 	}
+	// -program takes a trace file too, and both say so.
+	program := regexp.MustCompile(`-program[^\n]*\.gctrace`)
+	if !program.MatchString(doc) || !program.Match(readme) {
+		t.Errorf("the package comment or README.md does not say -program takes a .gctrace file")
+	}
 }

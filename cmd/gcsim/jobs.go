@@ -17,6 +17,7 @@ import (
 	"bookmarkgc/internal/telemetry"
 	"bookmarkgc/internal/telemetry/serve"
 	"bookmarkgc/internal/trace"
+	"bookmarkgc/internal/workload"
 )
 
 // jobs is the only place the flags become simulations: one runner.Job
@@ -24,8 +25,13 @@ import (
 // -fleet job. Whatever a job cannot express it rejects here
 // (runner.Job.Validate), before anything runs.
 func (c *config) jobs() ([]runner.Job, error) {
-	heap, phys := c.bytes(c.heapMB), c.bytes(c.physMB)
-	var job runner.Job
+	job := runner.Job{HeapBytes: c.bytes(c.heapMB), PhysBytes: c.bytes(c.physMB)}
+	if c.fleet == "" {
+		if err := c.setWorkload(&job); err != nil {
+			return nil, fmt.Errorf("-program %s: %w", c.program, err)
+		}
+	}
+	heap, phys := job.HeapBytes, job.PhysBytes
 	if c.chaos != "" {
 		cfg, _ := fault.ByName(c.chaos, c.chaosSeed) // validate checked the name
 		job.Chaos = &cfg
@@ -45,13 +51,11 @@ func (c *config) jobs() ([]runner.Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-fleet: %w", err)
 		}
-		job.Fleet = &spec
+		job = runner.Job{Fleet: &spec, Pressure: job.Pressure, Chaos: job.Chaos}
 		return []runner.Job{job}, job.Validate()
 	}
 
-	prog, _ := mutator.ByName(c.program) // validate checked the name
-	job.Collector, job.Program = sim.CollectorKind(c.collector), prog.Scale(c.scale)
-	job.HeapBytes, job.PhysBytes = heap, phys
+	job.Collector = sim.CollectorKind(c.collector)
 	job.HeapPolicy = c.heapPolicy
 	if err := job.Validate(); err != nil {
 		return nil, err
@@ -64,8 +68,12 @@ func (c *config) jobs() ([]runner.Job, error) {
 			// The JVMs share one machine and nothing arbitrates between
 			// them; JVM k runs seed+k.
 			spec := sim.FleetSpec{PhysBytes: phys, Seed: jobs[i].Seed, HeapPolicy: c.heapPolicy}
+			t := sim.TenantSpec{Collector: job.Collector, Program: job.Program, HeapBytes: heap}
+			if job.Trace != nil {
+				t.TracePath = job.Trace.Path
+			}
 			for range c.jvms {
-				spec.Tenants = append(spec.Tenants, sim.TenantSpec{Collector: job.Collector, Program: job.Program, HeapBytes: heap})
+				spec.Tenants = append(spec.Tenants, t)
 			}
 			jobs[i] = runner.Job{Fleet: &spec}
 		}
@@ -80,7 +88,7 @@ func (c *config) jobs() ([]runner.Job, error) {
 	// failure for its outcome.
 	bases := make([]runner.Job, len(jobs))
 	for i, j := range jobs {
-		bases[i] = runner.Job{Collector: j.Collector, Program: j.Program, HeapBytes: heap, PhysBytes: phys, Seed: j.Seed}
+		bases[i] = runner.Job{Collector: j.Collector, Program: j.Program, HeapBytes: heap, PhysBytes: phys, Seed: j.Seed, Trace: j.Trace}
 	}
 	for i, base := range runner.New(runner.Options{Workers: c.workers}).RunAll(bases) {
 		if !base.OK() {
@@ -91,6 +99,37 @@ func (c *config) jobs() ([]runner.Job, error) {
 			time.Duration(base.One().ElapsedSecs*float64(time.Second)))
 	}
 	return jobs, nil
+}
+
+// setWorkload resolves -program into job: a Table 1 name is that program
+// at -scale, anything else a .gctrace file, replayed as recorded through
+// the replay experiment's hash-checked reference. Unless -heap or -phys
+// was given, a recording's geometry stands (a synthesized trace has none).
+func (c *config) setWorkload(job *runner.Job) error {
+	if prog, ok := mutator.ByName(c.program); ok {
+		job.Program = prog.Scale(c.scale)
+		return nil
+	}
+	meta, err := workload.ReadMeta(c.program)
+	if err != nil {
+		return err
+	}
+	hash, err := workload.HashFile(c.program)
+	if err != nil {
+		return err
+	}
+	job.Trace = &runner.TraceRef{Name: meta.Name, Hash: hash, Path: c.program}
+	job.Program.Name = meta.Name // all a synthesized trace records of one
+	if meta.Program != nil {
+		job.Program = *meta.Program
+	}
+	if meta.HeapBytes > 0 && !c.set["heap"] {
+		job.HeapBytes = meta.HeapBytes
+	}
+	if meta.PhysBytes > 0 && !c.set["phys"] {
+		job.PhysBytes = meta.PhysBytes
+	}
+	return nil
 }
 
 // fleetSpec resolves -fleet: "mixedN" builds the stock N-tenant mixed

@@ -9,9 +9,13 @@
 // What runs:
 //
 //	-collector k   collector kind (gcsim -list names them; default BC)
-//	-program p     benchmark program of Table 1 (default pseudojbb)
-//	-heap mb       heap size in MB at paper scale (default 77)
-//	-phys mb       physical memory in MB at paper scale (default 256)
+//	-program p     a Table 1 program (default pseudojbb) or a .gctrace
+//	               file (gctrace record, gctrace gen), replayed as written;
+//	               a Table 1 name wins over a file of that name
+//	-heap mb       heap size in MB at paper scale (default 77; unset, a
+//	               recorded trace's own heap)
+//	-phys mb       physical memory in MB at paper scale (default 256;
+//	               unset, a recorded trace's own machine)
 //	-scale f       factor applied to every byte quantity (default 0.25)
 //	-seed n        workload seed (default 1)
 //	-steal f       steady pressure: pin f*heap at once (Figure 3)
@@ -108,7 +112,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs := c.fs
 	fs.SetOutput(stderr)
 	fs.StringVar(&c.collector, "collector", "BC", "collector kind ("+strings.Join(kindNames(), ", ")+")")
-	fs.StringVar(&c.program, "program", "pseudojbb", "benchmark program (see Table 1)")
+	fs.StringVar(&c.program, "program", "pseudojbb", "benchmark program (see Table 1), or a .gctrace file to replay")
 	fs.Float64Var(&c.heapMB, "heap", 77, "heap size in MB (paper scale)")
 	fs.Float64Var(&c.physMB, "phys", 256, "physical memory in MB (paper scale)")
 	fs.Float64Var(&c.steal, "steal", 0, "steady pressure: immediately pin this fraction of the heap")
@@ -195,7 +199,9 @@ func (c *config) validate() error {
 		return nil
 	}
 	if _, ok := mutator.ByName(c.program); !ok {
-		return fmt.Errorf("unknown program %q", c.program)
+		if _, err := os.Stat(c.program); err != nil {
+			return fmt.Errorf("unknown program %q", c.program)
+		}
 	}
 	if phys := c.bytes(c.physMB); phys < vmm.MinPhysBytes {
 		return fmt.Errorf("-phys %v at -scale %v is a %d-byte machine; the smallest simulable machine is %d bytes",

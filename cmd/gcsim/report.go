@@ -22,18 +22,6 @@ import (
 
 func round(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
 
-// summaryLine is the one line a completed run is reported by.
-func summaryLine(j runner.Job, rd runner.RunData) string {
-	tl := rd.Timeline()
-	return fmt.Sprintf(
-		"%s/%s: exec=%.3fs alloc=%dB gcs=%d (nursery=%d full=%d compact=%d failsafe=%d) avgPause=%v maxPause=%v majflt=%d bookmarked=%d evictedPages=%d",
-		j.Collector, j.Program.Name,
-		rd.ElapsedSecs, rd.AllocatedBytes,
-		tl.Count(), rd.Nursery, rd.Full, rd.Compactions, rd.FailSafe,
-		round(tl.AvgPause()), round(tl.MaxPause()),
-		rd.Proc.MajorFaults, rd.Bookmarked, rd.PagesEvicted)
-}
-
 // report prints every run of every result and returns the exit code.
 // Runs are told apart by prefix — "seed N" under -runs, "jvmN" under
 // -jvms, both, or nothing for the sole run of a plain invocation, which
@@ -72,7 +60,8 @@ func (c *config) report(stdout, stderr io.Writer, jobs []runner.Job, results []*
 					return code
 				}
 			case rd.OK():
-				fmt.Fprintf(stdout, "%s: %s\n", prefix, summaryLine(runJob(jobs[i], k), rd))
+				j := runJob(jobs[i], k)
+				fmt.Fprintf(stdout, "%s: %s\n", prefix, rd.Summary(j.Collector, j.Program.Name))
 			default:
 				fmt.Fprintf(stdout, "%s: FAILED: %s\n", prefix, rd.Err)
 			}
@@ -135,7 +124,7 @@ func stats(xs []float64) (mean, lo, hi float64) {
 // hint, anything else 2.
 func (c *config) soleRun(stdout, stderr io.Writer, j runner.Job, rd runner.RunData, tel *telemetry.Collector) int {
 	if rd.OK() {
-		fmt.Fprintln(stdout, summaryLine(j, rd))
+		fmt.Fprintln(stdout, rd.Summary(j.Collector, j.Program.Name))
 		if rd.Faults != "" {
 			fmt.Fprintf(stdout, "chaos(%s, seed %d): %s\n", c.chaos, c.chaosSeed, rd.Faults)
 		}

@@ -1,27 +1,28 @@
-// Command gctrace records, replays, synthesizes, and inspects allocation
-// traces (internal/workload). A trace captures a workload's full event
-// stream — allocations, root updates, data accesses, pointer stores — so
-// the identical mutator can be driven through any collector, any number
-// of times, without the generator: record once, replay everywhere.
+// Command gctrace records, synthesizes, and inspects allocation traces
+// (internal/workload). A trace captures a workload's full event stream —
+// allocations, root updates, data accesses, pointer stores — so the
+// identical mutator can be driven through any collector, any number of
+// times, without the generator: record once, replay everywhere. gcsim
+// replays them: its -program takes a .gctrace file.
 //
 // Usage:
 //
 //	gctrace record -o FILE [-program pseudojbb] [-collector BC]
 //	               [-scale 0.25] [-seed 1] [-heap 77] [-phys 256]
-//	gctrace replay [-collector BC] [-heap 0] [-phys 0] FILE
 //	gctrace gen    -o FILE [-model markov] [-allocs 100000] [-live 1000]
 //	               [-seed 1] [-name NAME]
 //	gctrace stat   FILE
 //	gctrace verify FILE
 //
 // record runs a benchmark program once, writing the trace alongside the
-// normal run. replay drives a recorded or synthesized trace through a
-// collector; for recorded traces the footer checksum cross-checks every
-// data word against the original run. gen synthesizes a trace from a
-// statistical model (markov, ramp, frag) that the spec table cannot
-// express. stat prints a trace's structural statistics and content hash;
-// verify exits non-zero unless the trace is well-formed down to the last
-// byte. -heap/-phys of 0 on replay reuse the recording run's geometry.
+// normal run, and prints the run's summary line as gcsim does: gcsim
+// -program FILE under the recording's collector reproduces it exactly,
+// the footer checksum cross-checking every data word against the
+// original run. gen synthesizes a trace from a statistical model (markov,
+// ramp, frag) that the spec table cannot express; it records no run
+// geometry. stat prints a trace's structural statistics and content
+// hash; verify exits non-zero unless the trace is well-formed down to
+// the last byte.
 package main
 
 import (
@@ -32,10 +33,10 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
+	"bookmarkgc/internal/runner"
 	"bookmarkgc/internal/sim"
 	"bookmarkgc/internal/trace"
 	"bookmarkgc/internal/vmm"
@@ -48,10 +49,10 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // failed operation, 2 for a command line that makes no sense.
 func run(args []string, stdout, stderr io.Writer) int {
 	cmds := map[string]func(*flag.FlagSet, []string, io.Writer) error{
-		"record": cmdRecord, "replay": cmdReplay, "gen": cmdGen, "stat": cmdStat, "verify": cmdVerify,
+		"record": cmdRecord, "gen": cmdGen, "stat": cmdStat, "verify": cmdVerify,
 	}
 	if len(args) == 0 || cmds[args[0]] == nil {
-		fmt.Fprintf(stderr, "usage: gctrace {record|replay|gen|stat|verify} [flags] [FILE]\n")
+		fmt.Fprintf(stderr, "usage: gctrace {record|gen|stat|verify} [flags] [FILE]\n")
 		return 2
 	}
 	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
@@ -138,48 +139,7 @@ func cmdRecord(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "recorded %s: %d events, %d allocs, %d bytes, checksum %#x\n",
 		*out, r.Counters.Get(trace.CWorkloadEventsRecorded), r.Mutator.Allocations, r.Mutator.AllocatedBytes, r.Mutator.Checksum)
 	fmt.Fprintf(stdout, "content hash %s\n", hash)
-	fmt.Fprintln(stdout, runSummary(*collector, prog.Name, r))
-	return nil
-}
-
-func cmdReplay(fs *flag.FlagSet, args []string, stdout io.Writer) error {
-	var (
-		collector = fs.String("collector", "BC", "collector to replay under")
-		heapMB    = fs.Float64("heap", 0, "heap size in MB (0 = the recording run's)")
-		physMB    = fs.Float64("phys", 0, "physical memory in MB (0 = the recording run's)")
-	)
-	path, err := oneFile(fs, args)
-	if err != nil {
-		return err
-	}
-	src, err := workload.Open(path)
-	if err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
-	meta := src.Meta()
-	heap, phys := meta.HeapBytes, meta.PhysBytes
-	if *heapMB > 0 {
-		heap = mem.RoundUpPage(uint64(*heapMB * (1 << 20)))
-	}
-	if *physMB > 0 {
-		phys = mem.RoundUpPage(uint64(*physMB * (1 << 20)))
-	}
-	if heap == 0 || phys == 0 {
-		return fmt.Errorf("replay: %s records no run geometry (a synthesized trace?); pass -heap and -phys", path)
-	}
-	var prog mutator.Spec
-	if meta.Program != nil {
-		prog = *meta.Program
-	}
-	r := sim.Run(sim.RunConfig{
-		Collector: sim.CollectorKind(*collector),
-		Program:   prog, HeapBytes: heap, PhysBytes: phys,
-		Seed: meta.Seed, Workload: src,
-	})
-	if r.Err != nil {
-		return fmt.Errorf("replay: %w", r.Err)
-	}
-	fmt.Fprintln(stdout, runSummary(*collector, meta.Name, r))
+	fmt.Fprintln(stdout, runner.NewRunData(r).Summary(sim.CollectorKind(*collector), prog.Name))
 	return nil
 }
 
@@ -294,16 +254,4 @@ func verifyFile(path string) (*workload.Stats, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return st, nil
-}
-
-func runSummary(col, name string, r sim.Result) string {
-	st := r.GCStats
-	round := func(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
-	return fmt.Sprintf(
-		"%s/%s: exec=%.3fs alloc=%dB gcs=%d (nursery=%d full=%d compact=%d failsafe=%d) avgPause=%v maxPause=%v majflt=%d",
-		col, name,
-		r.ElapsedSecs, r.Mutator.AllocatedBytes,
-		r.Timeline.Count(), st.Nursery, st.Full, st.Compactions, st.FailSafe,
-		round(r.Timeline.AvgPause()), round(r.Timeline.MaxPause()),
-		r.ProcStats.MajorFaults)
 }

@@ -25,20 +25,14 @@ func must(t *testing.T, args ...string) string {
 	return stdout
 }
 
-// lastLine is the run summary record and replay end with.
-func lastLine(s string) string {
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	return lines[len(lines)-1]
-}
-
-// TestRoundTrip records a run, checks the file, and replays it: under the
-// recording collector the replay reproduces the recorded run's summary
-// exactly, and another collector gets through the same history.
+// TestRoundTrip records a run and checks the file: record prints the
+// run's summary line, verify passes the file, and stat describes the
+// recording under the hash record printed. gcsim's tests replay it.
 func TestRoundTrip(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "j.gctrace")
 	recorded := must(t, "record", "-o", trace, "-program", "pseudojbb", "-scale", "0.03")
-	if !strings.Contains(recorded, "content hash ") {
-		t.Fatalf("record printed no content hash:\n%s", recorded)
+	if !strings.Contains(recorded, "content hash ") || !strings.Contains(recorded, "\nBC/pseudojbb: exec=") {
+		t.Fatalf("record printed no content hash or no summary line:\n%s", recorded)
 	}
 	if out := must(t, "verify", trace); !strings.Contains(out, ": OK (") {
 		t.Errorf("verify: %s", out)
@@ -48,25 +42,6 @@ func TestRoundTrip(t *testing.T) {
 	hash, _, _ = strings.Cut(hash, "\n")
 	if !strings.Contains(stat, hash) || !strings.Contains(stat, "program pseudojbb") {
 		t.Errorf("stat does not describe the recording (%s):\n%s", hash, stat)
-	}
-	if got, want := lastLine(must(t, "replay", trace)), lastLine(recorded); got != want {
-		t.Errorf("BC replay of a BC recording:\n got %s\nwant %s", got, want)
-	}
-	if out := must(t, "replay", "-collector", "GenMS", trace); !strings.HasPrefix(out, "GenMS/pseudojbb: ") {
-		t.Errorf("GenMS replay: %s", out)
-	}
-}
-
-// TestSynthesizedTraceNeedsGeometry: gen writes a trace with no recorded
-// run behind it, so replay has to be told the heap and machine.
-func TestSynthesizedTraceNeedsGeometry(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "r.gctrace")
-	must(t, "gen", "-o", trace, "-model", "ramp", "-allocs", "2000", "-live", "100")
-	if code, _, stderr := exec("replay", trace); code != 1 || !strings.Contains(stderr, "pass -heap and -phys") {
-		t.Errorf("replay without geometry: exit %d, stderr %q", code, stderr)
-	}
-	if out := must(t, "replay", "-heap", "8", "-phys", "64", trace); !strings.HasPrefix(out, "BC/ramp: ") {
-		t.Errorf("replay with geometry: %s", out)
 	}
 }
 
@@ -79,6 +54,7 @@ func TestUsageAndFailures(t *testing.T) {
 	}{
 		{nil, 2, "usage: gctrace"},
 		{[]string{"frobnicate"}, 2, "usage: gctrace"},
+		{[]string{"replay", missing}, 2, "usage: gctrace"},
 		{[]string{"stat"}, 2, "expected exactly one trace file argument"},
 		{[]string{"verify", "a", "b"}, 2, "expected exactly one trace file argument"},
 		{[]string{"record", "-nosuchflag"}, 2, "flag provided but not defined"},

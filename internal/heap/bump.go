@@ -18,8 +18,6 @@ type BumpSpace struct {
 	limit mem.Addr // current soft limit (base + size budget)
 	cur   mem.Addr
 
-	objects int // live allocation count since last Reset (diagnostic)
-
 	emptyAdds uint64 // Resets: the only moves that add pages to EmptyWord
 
 	counters *trace.Counters // optional registry (nil-safe)
@@ -59,7 +57,6 @@ func (b *BumpSpace) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	}
 	o := b.cur
 	b.cur += total
-	b.objects++
 	b.counters.Inc(trace.CBumpAllocs)
 	objmodel.ClearStatus(b.s, o)
 	objmodel.SetTypeWord(b.s, o, t.ID, arrayLen)
@@ -77,7 +74,6 @@ func (b *BumpSpace) AllocRaw(totalBytes int) mem.Addr {
 	}
 	o := b.cur
 	b.cur += total
-	b.objects++
 	b.counters.Inc(trace.CBumpAllocs)
 	return o
 }
@@ -93,7 +89,6 @@ func (b *BumpSpace) Reset() {
 		b.s.ForgetPages(b.base.Page(), (b.cur + mem.PageSize - 1).Page())
 	}
 	b.cur = b.base
-	b.objects = 0
 	b.emptyAdds++
 }
 
@@ -130,9 +125,6 @@ func (b *BumpSpace) UsedBytes() uint64 { return uint64(b.cur - b.base) }
 func (b *BumpSpace) UsedPages() int {
 	return int(mem.RoundUpPage(uint64(b.cur-b.base)) / mem.PageSize)
 }
-
-// Objects returns the number of objects allocated since the last Reset.
-func (b *BumpSpace) Objects() int { return b.objects }
 
 // Pages returns the page IDs of the region up to the frontier.
 func (b *BumpSpace) Pages() (first, last mem.PageID) {

@@ -67,14 +67,11 @@ type Workload interface {
 // the seam through which sim.Run and sim.RunFleet accept recorded or
 // synthesized traces in place of a Spec's generator.
 type Source interface {
-	WorkloadName() string
 	NewWorkload(c gc.Collector, types Types, seed int64) (Workload, error)
 }
 
-// WorkloadName implements Source: a Spec is its own workload factory.
-func (s Spec) WorkloadName() string { return s.Name }
-
-// NewWorkload implements Source for the spec-driven generator.
+// NewWorkload implements Source: a Spec is its own workload factory,
+// the generator.
 func (s Spec) NewWorkload(c gc.Collector, types Types, seed int64) (Workload, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -255,7 +255,7 @@ func execute(j Job, h Host) *Result {
 			return res
 		}
 		for i, r := range fr.Tenants {
-			rd := newRunData(r)
+			rd := NewRunData(r)
 			rd.Name = fr.Names[i]
 			res.Runs = append(res.Runs, rd)
 		}
@@ -275,7 +275,7 @@ func execute(j Job, h Host) *Result {
 			Telemetry:  h.Telemetry,
 			HeapPolicy: j.HeapPolicy,
 		})
-		res.Runs = append(res.Runs, newRunData(r))
+		res.Runs = append(res.Runs, NewRunData(r))
 	}
 	if j.Counters {
 		res.Counters = countersMap(ctrs)

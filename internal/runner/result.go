@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"time"
 
@@ -53,8 +54,8 @@ type RunData struct {
 	OOM bool   `json:"oom,omitempty"`
 }
 
-// newRunData flattens one sim.Result.
-func newRunData(r sim.Result) RunData {
+// NewRunData flattens one sim.Result.
+func NewRunData(r sim.Result) RunData {
 	rd := RunData{
 		ElapsedSecs:    r.ElapsedSecs,
 		StartNS:        int64(r.Timeline.Start),
@@ -88,6 +89,21 @@ func newRunData(r sim.Result) RunData {
 
 // OK reports whether the run completed.
 func (rd RunData) OK() bool { return rd.Err == "" }
+
+// Summary is the one line a completed run is reported by, collector
+// running program: gcsim prints it for every run, gctrace record for the
+// run it recorded.
+func (rd RunData) Summary(collector sim.CollectorKind, program string) string {
+	tl := rd.Timeline()
+	round := func(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
+	return fmt.Sprintf(
+		"%s/%s: exec=%.3fs alloc=%dB gcs=%d (nursery=%d full=%d compact=%d failsafe=%d) avgPause=%v maxPause=%v majflt=%d bookmarked=%d evictedPages=%d",
+		collector, program,
+		rd.ElapsedSecs, rd.AllocatedBytes,
+		tl.Count(), rd.Nursery, rd.Full, rd.Compactions, rd.FailSafe,
+		round(tl.AvgPause()), round(tl.MaxPause()),
+		rd.Proc.MajorFaults, rd.Bookmarked, rd.PagesEvicted)
+}
 
 // Timeline reconstructs the pause timeline, for the metrics the reports
 // derive (AvgPause, BMU, percentiles). Every field is integral, so the

@@ -36,7 +36,7 @@ func TestRunDataJSONPinned(t *testing.T) {
 			{Start: 100000, Dur: 5, Kind: metrics.PauseCompact},
 		},
 	}
-	rd := newRunData(sim.Result{
+	rd := NewRunData(sim.Result{
 		ElapsedSecs: 1.5,
 		Timeline:    tl,
 		GCStats:     gc.Stats{Nursery: 2, Full: 1, Compactions: 1},
@@ -105,7 +105,7 @@ func TestFleetResultJSONPinned(t *testing.T) {
 		},
 	}
 	res := Result{Hash: "f1ee7", Fleet: &fr.FleetStats}
-	rd := newRunData(fr.Tenants[0])
+	rd := NewRunData(fr.Tenants[0])
 	rd.Name = fr.Names[0]
 	res.Runs = append(res.Runs, rd)
 	got, err := json.Marshal(&res)

@@ -558,8 +558,6 @@ type attributor struct {
 	c     *Collector
 }
 
-func (a attributor) Enabled() bool { return true }
-
 func (a attributor) Begin(p trace.Phase) {
 	a.inner.Begin(p)
 	a.c.spanBegin(p)

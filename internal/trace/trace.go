@@ -7,10 +7,11 @@
 // simulated clock, so traces are deterministic and never perturb the
 // measured run.
 //
-// Two implementations of Tracer exist: Recorder, which appends fixed-size
-// records to an in-memory buffer for later export (Chrome trace_event or
-// JSONL, see export.go), and Nop, whose methods are empty — the disabled
-// path costs one interface call per site and allocates nothing.
+// Two implementations of Tracer live here: Recorder, which appends
+// fixed-size records to an in-memory buffer for later export (Chrome
+// trace_event or JSONL, see export.go), and Nop, whose methods are empty.
+// No call site asks a tracer whether it records: every site calls it,
+// and the disabled path costs one interface call and allocates nothing.
 package trace
 
 import "time"
@@ -170,9 +171,6 @@ const NumEvents = int(numEvents)
 // nest properly per tracer (Begin/End in stack order); point events may
 // fire anywhere, including inside spans.
 type Tracer interface {
-	// Enabled reports whether events are recorded; call sites with
-	// expensive arguments may check it first.
-	Enabled() bool
 	// Begin opens a span of kind p at the current time.
 	Begin(p Phase)
 	// End closes the innermost open span of kind p.
@@ -183,9 +181,6 @@ type Tracer interface {
 
 // Nop is the disabled tracer: every method is an empty body.
 type Nop struct{}
-
-// Enabled implements Tracer.
-func (Nop) Enabled() bool { return false }
 
 // Begin implements Tracer.
 func (Nop) Begin(Phase) {}
@@ -283,9 +278,6 @@ func (r *Recorder) now() time.Duration {
 	}
 	return r.sh.clock.Now()
 }
-
-// Enabled implements Tracer.
-func (r *Recorder) Enabled() bool { return true }
 
 // Begin implements Tracer.
 func (r *Recorder) Begin(p Phase) {

@@ -282,9 +282,6 @@ func Open(path string) (*FileSource, error) {
 // Meta returns the trace's self-description.
 func (f *FileSource) Meta() Meta { return f.meta }
 
-// WorkloadName implements mutator.Source.
-func (f *FileSource) WorkloadName() string { return f.meta.Name }
-
 // NewWorkload implements mutator.Source. The seed is ignored: a trace
 // fixes every decision the seed would have driven.
 func (f *FileSource) NewWorkload(c gc.Collector, types mutator.Types, seed int64) (mutator.Workload, error) {

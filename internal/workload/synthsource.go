@@ -48,9 +48,6 @@ var freeTraces mem.FreeList[[]byte]
 // Meta returns the synthesized trace's self-description.
 func (s *SynthSource) Meta() Meta { return s.meta }
 
-// WorkloadName implements mutator.Source.
-func (s *SynthSource) WorkloadName() string { return s.meta.Name }
-
 // NewWorkload implements mutator.Source. The seed is ignored: the trace
 // was fixed by SynthParams.Seed at construction.
 func (s *SynthSource) NewWorkload(c gc.Collector, types mutator.Types, seed int64) (mutator.Workload, error) {
