@@ -115,7 +115,9 @@ func RunFleet(cfg FleetConfig) FleetResult { return sim.RunFleet(cfg) }
 // Pressure is a signalmem-style memory-pressure schedule.
 type Pressure = sim.Pressure
 
-// SteadyPressure removes frac of the heap size immediately (Figure 3).
+// SteadyPressure pins frac of the heap size at once: steady pressure of
+// Figure 3's kind, not its recipe, which leaves 0.4·heap + 6 MB of the
+// machine available.
 func SteadyPressure(heapBytes uint64, frac float64) *Pressure {
 	return sim.SteadyPressure(heapBytes, frac)
 }

@@ -18,10 +18,13 @@
 //	               unset, a recorded trace's own machine)
 //	-scale f       factor applied to every byte quantity (default 0.25)
 //	-seed n        workload seed (default 1)
-//	-steal f       steady pressure: pin f*heap at once (Figure 3)
+//	-steal f       steady pressure: pin f*heap at once (Figure 3's
+//	               kind; fig3 itself leaves 0.4*heap + 6 MB available)
 //	-avail mb      dynamic pressure: signalmem ramps until mb megabytes
-//	               stay available (Figures 4 and 5), its rate calibrated
-//	               by an unpressured run of the same seed
+//	               stay available (Figures 4 and 5's kind), its rate
+//	               calibrated by an unpressured run of the same seed and
+//	               collector at -phys; EXPERIMENTS.md (Figure 5) says
+//	               how that differs from the figures' own runs
 //	-jvms n        n instances round-robin on one machine (Figure 7)
 //	-runs n        n consecutive seeds (-seed, -seed+1, ...): one summary
 //	               line per seed, then aggregates

@@ -10,6 +10,7 @@ import (
 
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
+	"bookmarkgc/internal/objmodel"
 	"bookmarkgc/internal/runner"
 	"bookmarkgc/internal/sim"
 	"bookmarkgc/internal/trace"
@@ -128,6 +129,56 @@ func TestCorruptReplayFailsInOneLine(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
 	if code != 2 || len(lines) != 1 || !strings.HasPrefix(lines[0], "gcsim: ") || strings.Contains(stderr, "goroutine") {
 		t.Errorf("exit %d, stderr %q; want exit 2 and one line starting \"gcsim: \"", code, stderr)
+	}
+}
+
+// TestReplayRejectsNodeWrite: a hand-made stream whose read-modify-write
+// lands on a node's reference slot 0 is a corrupt trace. The replay
+// stops there, in one stderr line and the run-failure exit code, instead
+// of storing an integer the next collection would trace.
+func TestReplayRejectsNodeWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nodewrite.gctrace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriter(f)
+	w, err := workload.NewWriter(bw, workload.Meta{Name: "nodewrite", Source: "synth:crafted"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := workload.NewRecorder(w)
+	res := mutator.Result{Allocations: 1, AllocatedBytes: objmodel.HeaderBytes + 4*mem.WordSize, Checksum: 0x40000}
+	rec.Alloc(mutator.AllocNode, 4, true, 2, 0x40000)
+	rec.RootAdd(0)
+	rec.Work(0, 2, true, 0)
+	rec.StepEnd()
+	// Churn through a ring of 512 rooted arrays, so objects die old and
+	// every collector runs full collections.
+	for i := 0; i < 8192; i++ {
+		rec.Alloc(mutator.AllocDataArr, 256, false, 0, 0)
+		if i < 512 {
+			rec.RootAdd(1 + i)
+		} else {
+			rec.RootSet(1 + i%512)
+		}
+		rec.StepEnd()
+		res.Allocations++
+		res.AllocatedBytes += objmodel.HeaderBytes + 256*mem.WordSize
+	}
+	if err := rec.Close(res); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := gcsim("-program", path, "-scale", "1", "-heap", "8", "-phys", "64")
+	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+	if code != 2 || len(lines) != 1 || !strings.Contains(stderr, "corrupt trace") || strings.Contains(stderr, "panic") {
+		t.Errorf("exit %d, stderr %q; want exit 2 and one corrupt-trace line", code, stderr)
 	}
 }
 

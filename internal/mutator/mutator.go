@@ -127,7 +127,7 @@ type Types struct {
 // DeclareTypes registers the workload types on a fresh environment.
 func DeclareTypes(env *gc.Env) Types {
 	return Types{
-		Node:    env.Types.Scalar("node", 4, 0, 1),
+		Node:    env.Types.Scalar("node", NodeWords, 0, 1),
 		RefArr:  env.Types.Array("refs", true),
 		DataArr: env.Types.Array("data", false),
 	}
@@ -274,35 +274,23 @@ func (r *Run) allocRaw() (objmodel.Ref, int) {
 	if b.MaxWords > b.MinWords {
 		words += r.rng.Intn(b.MaxWords - b.MinWords + 1)
 	}
-	var o objmodel.Ref
-	kind := AllocNode
+	sh := NodeShape
 	if b.Array {
-		o = r.c.Alloc(r.types.DataArr, words)
-		kind = AllocDataArr
-	} else {
-		o = r.c.Alloc(r.types.Node, 0)
-		words = 4
+		sh = Shape{AllocDataArr, words}
 	}
-	// Initialize a couple of data words (application writes).
+	o := r.c.Alloc(r.types.TypeFor(sh))
+	// Initialize the first data word (an application write).
 	initIdx, initVal, hasInit := 0, uint64(0), false
-	if words > 0 {
-		initIdx, initVal, hasInit = dataIndexFor(b, 0), r.rng.Uint64(), true
+	if lo, n := sh.DataWords(); n > 0 {
+		initIdx, initVal, hasInit = lo, r.rng.Uint64(), true
 		r.c.WriteData(o, initIdx, initVal)
 	}
 	if r.sink != nil {
-		r.sink.Alloc(kind, words, hasInit, initIdx, initVal)
+		r.sink.Alloc(sh.Kind, sh.Words, hasInit, initIdx, initVal)
 	}
-	r.allocd += uint64(objmodel.HeaderBytes + words*mem.WordSize)
+	r.allocd += uint64(sh.Bytes())
 	r.nAllocs++
-	return o, objmodel.HeaderBytes + words*mem.WordSize
-}
-
-// dataIndexFor returns a payload word index that is not a reference slot.
-func dataIndexFor(b SizeBand, i int) int {
-	if b.Array {
-		return i
-	}
-	return 2 + i%2 // node refs live at 0,1
+	return o, sh.Bytes()
 }
 
 // randomLive returns a random live root slot (immortal or pool).
@@ -357,7 +345,7 @@ func (r *Run) allocate() {
 		if r.sink != nil {
 			r.sink.Alloc(AllocDataArr, r.spec.LargeWords, true, 0, v)
 		}
-		r.allocd += uint64(objmodel.HeaderBytes + r.spec.LargeWords*mem.WordSize)
+		r.allocd += uint64(Shape{AllocDataArr, r.spec.LargeWords}.Bytes())
 		r.nAllocs++
 		if r.rng.Float64() >= r.spec.TempFrac {
 			if len(r.largeRing) > 0 {

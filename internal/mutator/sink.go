@@ -2,18 +2,6 @@ package mutator
 
 import "bookmarkgc/internal/gc"
 
-// Allocation kinds reported to a Sink (and encoded in trace files).
-// They index the three workload types DeclareTypes registers.
-const (
-	// AllocNode is a scalar node: 4 payload words, refs in words 0,1.
-	AllocNode byte = iota
-	// AllocDataArr is a pointer-free data array.
-	AllocDataArr
-	// AllocRefArr is a reference array (synthesized workloads only; the
-	// spec-driven generator never allocates one).
-	AllocRefArr
-)
-
 // Sink observes the generator's event stream at the exact granularity a
 // replayer needs to reproduce the run bit-for-bit: every collector call
 // and every root-registry operation, in execution order, including the

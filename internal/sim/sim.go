@@ -128,7 +128,9 @@ type Pressure struct {
 	StartAt time.Duration
 }
 
-// SteadyPressure removes frac of the heap size immediately (Figure 3).
+// SteadyPressure pins frac of the heap size at once: steady pressure of
+// Figure 3's kind, not its recipe. Fig3 builds its own Pressure, which
+// leaves 0.4·heap + 6 MB of the machine available (internal/bench).
 func SteadyPressure(heapBytes uint64, frac float64) *Pressure {
 	return &Pressure{InitialBytes: uint64(frac * float64(heapBytes))}
 }

@@ -117,11 +117,10 @@ type Footer struct {
 // on op.
 type event struct {
 	op       byte
-	kind     byte // alloc: mutator.Alloc{Node,DataArr,RefArr}
-	words    int  // alloc: payload words (node: 4)
-	dest     byte // alloc: destNone/destAdd/destSet
+	dest     byte          // alloc: destNone/destAdd/destSet
+	hasInit  bool          // alloc
+	shape    mutator.Shape // alloc
 	destSlot int
-	hasInit  bool
 	initIdx  int
 	initVal  uint64
 	slot     int // work / release / rootnil

@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"bookmarkgc/internal/mem"
-	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/trace"
 )
 
@@ -235,16 +234,13 @@ func (rd *Reader) decode(ev *event) error {
 		if flags&^byte(allocFlags) != 0 {
 			return corrupt("alloc flags %#x have unknown bits", flags)
 		}
-		ev.kind = flags & kindMask
-		if ev.kind > mutator.AllocRefArr {
-			return corrupt("alloc kind %d unknown", ev.kind)
-		}
+		ev.shape.Kind = flags & kindMask
 		ev.dest = flags >> destShift & 0x03
 		if ev.dest > destSet {
 			return corrupt("alloc dest %d unknown", ev.dest)
 		}
 		ev.hasInit = flags&initBit != 0
-		ev.words = rd.ri()
+		ev.shape.Words = rd.ri()
 		if ev.dest != destNone {
 			ev.destSlot = rd.ri()
 		}

@@ -18,8 +18,7 @@ type Recorder struct {
 	w *Writer
 
 	pending  bool // an Alloc awaiting its fate
-	pKind    byte
-	pWords   int
+	pShape   mutator.Shape
 	pHasInit bool
 	pInitIdx int
 	pInitVal uint64
@@ -50,7 +49,7 @@ func (r *Recorder) flushPending() {
 		return
 	}
 	r.pending = false
-	r.w.Alloc(r.pKind, r.pWords, destNone, 0, r.pHasInit, r.pInitIdx, r.pInitVal)
+	r.w.Alloc(r.pShape, destNone, 0, r.pHasInit, r.pInitIdx, r.pInitVal)
 	r.w.Free(r.nextID - 1)
 }
 
@@ -58,7 +57,7 @@ func (r *Recorder) flushPending() {
 func (r *Recorder) Alloc(kind byte, words int, hasInit bool, initIdx int, initVal uint64) {
 	r.flushPending()
 	r.pending = true
-	r.pKind, r.pWords = kind, words
+	r.pShape = mutator.Shape{Kind: kind, Words: words}
 	r.pHasInit, r.pInitIdx, r.pInitVal = hasInit, initIdx, initVal
 	r.nextID++
 }
@@ -69,7 +68,7 @@ func (r *Recorder) RootAdd(slot int) {
 		return // protocol misuse; nothing to attribute the slot to
 	}
 	r.pending = false
-	r.w.Alloc(r.pKind, r.pWords, destAdd, slot, r.pHasInit, r.pInitIdx, r.pInitVal)
+	r.w.Alloc(r.pShape, destAdd, slot, r.pHasInit, r.pInitIdx, r.pInitVal)
 	r.setSlot(slot, r.nextID-1)
 }
 
@@ -79,7 +78,7 @@ func (r *Recorder) RootSet(slot int) {
 		return
 	}
 	r.pending = false
-	r.w.Alloc(r.pKind, r.pWords, destSet, slot, r.pHasInit, r.pInitIdx, r.pInitVal)
+	r.w.Alloc(r.pShape, destSet, slot, r.pHasInit, r.pInitIdx, r.pInitVal)
 	r.setSlot(slot, r.nextID-1)
 }
 

@@ -21,10 +21,11 @@ import (
 // use is constant: one trace block at a time.
 //
 // The replayer cross-checks the trace as it goes (root slots must land
-// where the recorder saw them; indices must fit the objects they touch;
-// the footer totals and data checksum must match), so a divergence —
-// corrupt trace or heap corruption — fails loudly instead of skewing
-// measurements. Quantum semantics match mutator.Run.Step: one quantum
+// where the recorder saw them; every allocation, access and store must
+// fit the shape rules Verify applies, mutator.Shape; the footer totals
+// and data checksum must match), so a divergence — corrupt trace or
+// heap corruption — fails loudly, before a bad store, instead of
+// skewing measurements. Quantum semantics match mutator.Run.Step: one quantum
 // unit is one allocation iteration (opStepEnd).
 type Replayer struct {
 	c     gc.Collector
@@ -125,52 +126,41 @@ func (rp *Replayer) checkFooter(f Footer) {
 	}
 }
 
-// rootObj fetches the object a trace event addresses, rejecting slots
-// the trace never populated (corruption, not a crash).
-func (rp *Replayer) rootObj(slot int) (objmodel.Ref, error) {
+// rootObj fetches the object in the root slot a trace event addresses,
+// rejecting a slot the trace never made and, unless nilOK, an empty one
+// (corruption, not a crash).
+func (rp *Replayer) rootObj(slot int, nilOK bool) (objmodel.Ref, error) {
 	roots := rp.c.Roots()
-	if slot < 0 || slot >= roots.Len() {
+	if slot >= roots.Len() {
 		return mem.Nil, corrupt("root slot %d out of range (%d live)", slot, roots.Len())
 	}
 	o := roots.Get(slot)
-	if o == mem.Nil {
+	if o == mem.Nil && !nilOK {
 		return mem.Nil, corrupt("root slot %d is empty", slot)
 	}
 	return o, nil
 }
 
-// payloadBound returns the index bound for data accesses to o, reading
-// its header exactly as the generator's dataIndexOf did (the read is
-// part of the recorded access stream — it touches the header page).
-func (rp *Replayer) payloadBound(o objmodel.Ref) int {
+// shapeOf reads o's header as the recorded run did — the read touches
+// the header page, so it is part of the access stream — and returns the
+// object's shape.
+func (rp *Replayer) shapeOf(o objmodel.Ref) mutator.Shape {
 	env := rp.c.Env()
-	t, n := env.Types.TypeOf(env.Space, o)
-	return t.PayloadWords(n)
+	return rp.types.ShapeOf(env.Types.TypeOf(env.Space, o))
 }
 
 func (rp *Replayer) apply(ev *event) error {
 	rp.ctrs.Inc(trace.CWorkloadEventsReplayed)
 	switch ev.op {
 	case opAlloc:
-		var o objmodel.Ref
-		switch ev.kind {
-		case mutator.AllocNode:
-			if ev.words != 4 {
-				return corrupt("node allocation of %d words", ev.words)
-			}
-			o = rp.c.Alloc(rp.types.Node, 0)
-		case mutator.AllocDataArr:
-			o = rp.c.Alloc(rp.types.DataArr, ev.words)
-		case mutator.AllocRefArr:
-			o = rp.c.Alloc(rp.types.RefArr, ev.words)
+		if err := allocErr(ev); err != nil {
+			return err
 		}
+		o := rp.c.Alloc(rp.types.TypeFor(ev.shape))
 		if ev.hasInit {
-			if ev.kind == mutator.AllocRefArr || ev.initIdx >= ev.words {
-				return corrupt("init write at %d outside %d-word object", ev.initIdx, ev.words)
-			}
 			rp.c.WriteData(o, ev.initIdx, ev.initVal)
 		}
-		rp.allocd += uint64(objmodel.HeaderBytes + ev.words*mem.WordSize)
+		rp.allocd += uint64(ev.shape.Bytes())
 		rp.nAllocs++
 		rp.ctrs.Inc(trace.CWorkloadAllocsReplayed)
 		switch ev.dest {
@@ -179,60 +169,51 @@ func (rp *Replayer) apply(ev *event) error {
 				return corrupt("root slot divergence: trace says %d, Roots returned %d", ev.destSlot, s)
 			}
 		case destSet:
-			if ev.destSlot < 0 || ev.destSlot >= rp.c.Roots().Len() {
-				return corrupt("root set into unknown slot %d", ev.destSlot)
+			if _, err := rp.rootObj(ev.destSlot, true); err != nil {
+				return err
 			}
 			rp.c.Roots().Set(ev.destSlot, o)
 		}
 	case opWorkR, opWorkRW:
-		obj, err := rp.rootObj(ev.slot)
+		obj, err := rp.rootObj(ev.slot, false)
 		if err != nil {
 			return err
 		}
-		if b := rp.payloadBound(obj); ev.readIdx >= b {
-			return corrupt("work read at %d outside %d-word object", ev.readIdx, b)
+		if sh := rp.shapeOf(obj); !sh.WorkOK(ev.readIdx) {
+			return badWork(sh, "read", ev.readIdx)
 		}
 		v := rp.c.ReadData(obj, ev.readIdx)
 		rp.checksum = rp.checksum*31 + v
 		if ev.op == opWorkRW {
-			if b := rp.payloadBound(obj); ev.writeIdx >= b {
-				return corrupt("work write at %d outside %d-word object", ev.writeIdx, b)
+			if sh := rp.shapeOf(obj); !sh.WorkOK(ev.writeIdx) {
+				return badWork(sh, "write", ev.writeIdx)
 			}
 			rp.c.WriteData(obj, ev.writeIdx, v+1)
 		}
-	case opLink:
-		src, err := rp.rootObj(ev.srcSlot)
+	case opLink, opLinkNop:
+		src, err := rp.rootObj(ev.srcSlot, false)
 		if err != nil {
 			return err
 		}
-		dst, err := rp.rootObj(ev.dstSlot)
+		// A link-nop stores nothing, so its destination may be empty.
+		dst, err := rp.rootObj(ev.dstSlot, ev.op == opLinkNop)
 		if err != nil {
 			return err
 		}
-		env := rp.c.Env()
-		t, n := env.Types.TypeOf(env.Space, src)
-		if ev.refIdx >= t.NumRefSlots(n) {
-			return corrupt("link into ref slot %d of %d", ev.refIdx, t.NumRefSlots(n))
-		}
-		rp.c.WriteRef(src, ev.refIdx, dst)
-	case opLinkNop:
-		src, err := rp.rootObj(ev.srcSlot)
-		if err != nil {
+		// The recorded run read the source's header (refSlots) either
+		// way; a link-nop found no reference slot and stored nothing.
+		if err := linkErr(ev, rp.shapeOf(src)); err != nil {
 			return err
 		}
-		if _, err := rp.rootObj(ev.dstSlot); err != nil {
-			return err
+		if ev.op == opLink {
+			rp.c.WriteRef(src, ev.refIdx, dst)
 		}
-		// The recorded run read the source's header (refSlots) and
-		// found no reference slots; reproduce the read, store nothing.
-		env := rp.c.Env()
-		env.Types.TypeOf(env.Space, src)
 	case opStepEnd:
 	case opFree:
 		rp.ctrs.Inc(trace.CWorkloadFreeHints)
 	case opRelease:
-		if ev.slot < 0 || ev.slot >= rp.c.Roots().Len() {
-			return corrupt("release of unknown slot %d", ev.slot)
+		if _, err := rp.rootObj(ev.slot, true); err != nil {
+			return err
 		}
 		rp.c.Roots().Release(ev.slot)
 	case opRootNil:

@@ -8,7 +8,6 @@ import (
 
 	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
-	"bookmarkgc/internal/objmodel"
 )
 
 // SynthParams parameterizes a synthesized trace. It is a pure value
@@ -140,28 +139,28 @@ func (s *synthState) due(at, slot int) {
 	s.dueLast[at] = int32(slot)
 }
 
-func (s *synthState) account(words int) {
+func (s *synthState) account(sh mutator.Shape) {
 	s.allocs++
-	s.bytes += uint64(objmodel.HeaderBytes + words*mem.WordSize)
+	s.bytes += uint64(sh.Bytes())
 	s.nextID++
 }
 
 // allocTemp emits an allocation no root keeps, dead on arrival.
-func (s *synthState) allocTemp(kind byte, words int) {
-	hasInit, initIdx := initFor(kind, words, s.rng)
-	s.w.Alloc(kind, words, destNone, 0, hasInit, initIdx, s.rng.Uint64())
+func (s *synthState) allocTemp(sh mutator.Shape) {
+	hasInit, initIdx := s.initFor(sh)
+	s.w.Alloc(sh, destNone, 0, hasInit, initIdx, s.rng.Uint64())
 	s.w.Free(s.nextID)
-	s.account(words)
+	s.account(sh)
 }
 
 // allocSurvive emits an allocation rooted in a fresh slot.
-func (s *synthState) allocSurvive(kind byte, words int) int {
+func (s *synthState) allocSurvive(sh mutator.Shape) int {
 	slot := s.slots.add()
 	sl, _ := s.slots.get(slot)
-	*sl = vslot{inUse: true, hasObj: true, kind: kind, words: words, id: s.nextID}
-	hasInit, initIdx := initFor(kind, words, s.rng)
-	s.w.Alloc(kind, words, destAdd, slot, hasInit, initIdx, s.rng.Uint64())
-	s.account(words)
+	*sl = vslot{inUse: true, hasObj: true, shape: sh, id: s.nextID}
+	hasInit, initIdx := s.initFor(sh)
+	s.w.Alloc(sh, destAdd, slot, hasInit, initIdx, s.rng.Uint64())
+	s.account(sh)
 	for len(s.pos) <= slot {
 		s.pos = append(s.pos, 0)
 	}
@@ -194,9 +193,9 @@ func (s *synthState) randomLive() (int, *vslot) {
 func (s *synthState) work(n int) {
 	for w := 0; w < n && len(s.live) > 0; w++ {
 		slot, sl := s.randomLive()
-		ri := dataIdxFor(sl, s.rng)
+		ri := s.draw(sl.shape.WorkWords())
 		if w&3 == 0 {
-			s.w.Work(slot, ri, true, dataIdxFor(sl, s.rng))
+			s.w.Work(slot, ri, true, s.draw(sl.shape.WorkWords()))
 		} else {
 			s.w.Work(slot, ri, false, 0)
 		}
@@ -211,7 +210,7 @@ func (s *synthState) link() {
 	}
 	ss, src := s.randomLive()
 	ds, _ := s.randomLive()
-	if n := refSlotsOf(src.kind, src.words); n > 0 {
+	if n := src.shape.RefSlots(); n > 0 {
 		s.w.Link(ss, ds, true, s.rng.Intn(n))
 	} else {
 		s.w.Link(ss, ds, false, 0)
@@ -221,41 +220,39 @@ func (s *synthState) link() {
 // linkTo stores dst into a specific source's random ref slot.
 func (s *synthState) linkTo(srcSlot, dstSlot int) {
 	src, _ := s.slots.get(srcSlot)
-	if n := refSlotsOf(src.kind, src.words); n > 0 {
+	if n := src.shape.RefSlots(); n > 0 {
 		s.w.Link(srcSlot, dstSlot, true, s.rng.Intn(n))
 	}
 }
 
-func initFor(kind byte, words int, rng *rand.Rand) (bool, int) {
-	switch kind {
-	case mutator.AllocNode:
-		return true, 2 + rng.Intn(2)
-	case mutator.AllocDataArr:
-		return true, rng.Intn(words)
+// initFor draws the word an allocation's init write touches, if the
+// shape has a data word.
+func (s *synthState) initFor(sh mutator.Shape) (bool, int) {
+	lo, n := sh.DataWords()
+	if n == 0 {
+		return false, 0
 	}
-	return false, 0 // reference arrays carry no data init
+	return true, s.draw(lo, n)
 }
 
-func dataIdxFor(sl *vslot, rng *rand.Rand) int {
-	switch sl.kind {
-	case mutator.AllocNode:
-		return 2 + rng.Intn(2)
-	case mutator.AllocRefArr:
-		return 0
+// draw returns a word of [lo, lo+n); a sole candidate takes no draw.
+func (s *synthState) draw(lo, n int) int {
+	if n == 1 {
+		return lo
 	}
-	return rng.Intn(sl.words)
+	return lo + s.rng.Intn(n)
 }
 
-// pickKind draws the object mix shared by markov and ramp: mostly
+// pickShape draws the object mix shared by markov and ramp: mostly
 // nodes, some mid-size data arrays, a sprinkle of reference arrays.
-func pickKind(rng *rand.Rand) (byte, int) {
+func pickShape(rng *rand.Rand) mutator.Shape {
 	switch x := rng.Intn(100); {
 	case x < 78:
-		return mutator.AllocNode, 4
+		return mutator.NodeShape
 	case x < 95:
-		return mutator.AllocDataArr, 8 + rng.Intn(56)
+		return mutator.Shape{Kind: mutator.AllocDataArr, Words: 8 + rng.Intn(56)}
 	default:
-		return mutator.AllocRefArr, 4 + rng.Intn(12)
+		return mutator.Shape{Kind: mutator.AllocRefArr, Words: 4 + rng.Intn(12)}
 	}
 }
 
@@ -294,11 +291,11 @@ func synthMarkov(s *synthState) {
 		default:
 			state = 2
 		}
-		kind, words := pickKind(s.rng)
+		sh := pickShape(s.rng)
 		if state == 0 {
-			s.allocTemp(kind, words)
+			s.allocTemp(sh)
 		} else {
-			slot := s.allocSurvive(kind, words)
+			slot := s.allocSurvive(sh)
 			life := 1 + s.rng.Intn(s.p.Live)
 			if state == 2 {
 				life = s.p.Live*4 + s.rng.Intn(s.p.Live*8)
@@ -339,11 +336,11 @@ func synthRamp(s *synthState) {
 			}
 		}
 		target := trough + (peak-trough)*pos/phaseLen
-		kind, words := pickKind(s.rng)
+		sh := pickShape(s.rng)
 		if len(s.live) < target {
-			s.allocSurvive(kind, words)
+			s.allocSurvive(sh)
 		} else {
-			s.allocTemp(kind, words)
+			s.allocTemp(sh)
 		}
 		s.work(2)
 		if i%8 == 0 {
@@ -371,9 +368,9 @@ func synthFrag(s *synthState) {
 		var arrs, nodes []int
 		for b := 0; b < fragBatch && i < s.p.Allocs; b++ {
 			if b%8 == 7 {
-				nodes = append(nodes, s.allocSurvive(mutator.AllocNode, 4))
+				nodes = append(nodes, s.allocSurvive(mutator.NodeShape))
 			} else {
-				arrs = append(arrs, s.allocSurvive(mutator.AllocDataArr, fragArrWords))
+				arrs = append(arrs, s.allocSurvive(mutator.Shape{Kind: mutator.AllocDataArr, Words: fragArrWords}))
 			}
 			s.work(1)
 			s.w.StepEnd()

@@ -3,9 +3,7 @@ package workload
 import (
 	"math/bits"
 
-	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/mutator"
-	"bookmarkgc/internal/objmodel"
 )
 
 // Stats summarizes one full scan of a trace — Verify's output, printed
@@ -47,8 +45,7 @@ type Stats struct {
 type vslot struct {
 	inUse  bool
 	hasObj bool
-	kind   byte
-	words  int
+	shape  mutator.Shape
 	id     uint64
 }
 
@@ -83,29 +80,38 @@ func (m *vmodel) get(i int) (*vslot, bool) {
 	return &m.slots[i], true
 }
 
-// refSlotsOf mirrors Type.NumRefSlots for the three workload types.
-func refSlotsOf(kind byte, words int) int {
-	switch kind {
-	case mutator.AllocNode:
-		return 2
-	case mutator.AllocRefArr:
-		return words
+// The shape checks Verify and the Replayer share. Each reports why an
+// event could not come from a run, reading the rules from
+// mutator.Shape.
+
+// allocErr checks an allocation's shape and its init write.
+func allocErr(ev *event) error {
+	if !ev.shape.Valid() {
+		return corrupt("allocation of a %v", ev.shape)
 	}
-	return 0
+	if ev.hasInit && !ev.shape.InitOK(ev.initIdx) {
+		return corrupt("init write at %d invalid for a %v", ev.initIdx, ev.shape)
+	}
+	return nil
 }
 
-// dataIdxOK reports whether idx is an index the generator could have
-// produced for a data access to an object of this shape (node data
-// words live at 2..3; pointer-free arrays anywhere; reference arrays
-// only at 0, mirroring dataIndexOf).
-func dataIdxOK(kind byte, words, idx int) bool {
-	switch kind {
-	case mutator.AllocNode:
-		return idx == 2 || idx == 3
-	case mutator.AllocRefArr:
-		return idx == 0
+// badWork reports a work read or write at word idx of an object of
+// shape sh that Shape.WorkOK refuses.
+func badWork(sh mutator.Shape, access string, idx int) error {
+	return corrupt("work %s at %d invalid for a %v", access, idx, sh)
+}
+
+// linkErr checks a link or link-nop from a source of shape sh: a link
+// stores into one of its reference slots, and a link-nop is the header
+// read of a source that has none.
+func linkErr(ev *event, sh mutator.Shape) error {
+	switch n := sh.RefSlots(); {
+	case ev.op == opLink && ev.refIdx >= n:
+		return corrupt("link into ref slot %d of %d", ev.refIdx, n)
+	case ev.op == opLinkNop && n != 0:
+		return corrupt("link-nop from a %v, which has reference slots", sh)
 	}
-	return idx >= 0 && idx < words
+	return nil
 }
 
 // Verify scans rd to the end, checking every structural invariant a
@@ -121,6 +127,7 @@ func Verify(rd *Reader) (*Stats, error) {
 	var nextID uint64 = 1
 	alive := make(map[uint64]uint64) // object ID -> allocation ordinal
 	var lifeHist [65]uint64
+	perKind := [...]*uint64{mutator.AllocNode: &st.Nodes, mutator.AllocDataArr: &st.DataArrs, mutator.AllocRefArr: &st.RefArrs}
 
 	var ev event
 	for {
@@ -144,35 +151,15 @@ func Verify(rd *Reader) (*Stats, error) {
 		}
 		switch ev.op {
 		case opAlloc:
-			switch ev.kind {
-			case mutator.AllocNode:
-				if ev.words != 4 {
-					return st, corrupt("node allocation of %d words", ev.words)
-				}
-				st.Nodes++
-			case mutator.AllocDataArr:
-				if ev.words < 1 {
-					return st, corrupt("empty data array allocation")
-				}
-				st.DataArrs++
-			case mutator.AllocRefArr:
-				if ev.words < 1 {
-					return st, corrupt("empty reference array allocation")
-				}
-				if ev.hasInit {
-					return st, corrupt("data init on a reference array")
-				}
-				st.RefArrs++
+			if err := allocErr(&ev); err != nil {
+				return st, err
 			}
-			if ev.hasInit && !dataIdxOK(ev.kind, ev.words, ev.initIdx) {
-				return st, corrupt("init write at %d invalid for kind %d, %d words",
-					ev.initIdx, ev.kind, ev.words)
-			}
+			(*perKind[ev.shape.Kind])++
 			id := nextID
 			nextID++
 			alive[id] = st.Allocs
 			st.Allocs++
-			st.Bytes += uint64(objmodel.HeaderBytes + ev.words*mem.WordSize)
+			st.Bytes += uint64(ev.shape.Bytes())
 			if n := uint64(len(alive)); n > st.PeakLive {
 				st.PeakLive = n
 			}
@@ -184,14 +171,14 @@ func Verify(rd *Reader) (*Stats, error) {
 					return st, corrupt("root add landed in slot %d, trace says %d", s, ev.destSlot)
 				}
 				sl, _ := model.get(ev.destSlot)
-				*sl = vslot{inUse: true, hasObj: true, kind: ev.kind, words: ev.words, id: id}
+				*sl = vslot{inUse: true, hasObj: true, shape: ev.shape, id: id}
 				st.Survivors++
 			case destSet:
 				sl, ok := model.get(ev.destSlot)
 				if !ok {
 					return st, corrupt("root set into unknown slot %d", ev.destSlot)
 				}
-				*sl = vslot{inUse: true, hasObj: true, kind: ev.kind, words: ev.words, id: id}
+				*sl = vslot{inUse: true, hasObj: true, shape: ev.shape, id: id}
 				st.Survivors++
 			}
 		case opWorkR, opWorkRW:
@@ -199,40 +186,33 @@ func Verify(rd *Reader) (*Stats, error) {
 			if !ok || !sl.hasObj {
 				return st, corrupt("work on empty root slot %d", ev.slot)
 			}
-			if !dataIdxOK(sl.kind, sl.words, ev.readIdx) {
-				return st, corrupt("work read at %d invalid for slot %d", ev.readIdx, ev.slot)
+			if !sl.shape.WorkOK(ev.readIdx) {
+				return st, badWork(sl.shape, "read", ev.readIdx)
 			}
 			st.WorkReads++
 			if ev.op == opWorkRW {
-				if !dataIdxOK(sl.kind, sl.words, ev.writeIdx) {
-					return st, corrupt("work write at %d invalid for slot %d", ev.writeIdx, ev.slot)
+				if !sl.shape.WorkOK(ev.writeIdx) {
+					return st, badWork(sl.shape, "write", ev.writeIdx)
 				}
 				st.WorkWrites++
 			}
-		case opLink:
+		case opLink, opLinkNop:
 			src, ok := model.get(ev.srcSlot)
 			if !ok || !src.hasObj {
 				return st, corrupt("link from empty root slot %d", ev.srcSlot)
 			}
-			if dst, ok := model.get(ev.dstSlot); !ok || !dst.hasObj {
+			// A link-nop stores nothing, so its destination may be empty.
+			if dst, ok := model.get(ev.dstSlot); !ok || ev.op == opLink && !dst.hasObj {
 				return st, corrupt("link to empty root slot %d", ev.dstSlot)
 			}
-			if n := refSlotsOf(src.kind, src.words); ev.refIdx >= n {
-				return st, corrupt("link into ref slot %d of %d", ev.refIdx, n)
+			if err := linkErr(&ev, src.shape); err != nil {
+				return st, err
 			}
-			st.Links++
-		case opLinkNop:
-			src, ok := model.get(ev.srcSlot)
-			if !ok || !src.hasObj {
-				return st, corrupt("link from empty root slot %d", ev.srcSlot)
+			if ev.op == opLink {
+				st.Links++
+			} else {
+				st.LinkNops++
 			}
-			if _, ok := model.get(ev.dstSlot); !ok {
-				return st, corrupt("link to unknown root slot %d", ev.dstSlot)
-			}
-			if refSlotsOf(src.kind, src.words) != 0 {
-				return st, corrupt("link-nop from a source with reference slots")
-			}
-			st.LinkNops++
 		case opStepEnd:
 			st.Steps++
 		case opFree:

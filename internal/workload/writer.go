@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"bookmarkgc/internal/mem"
+	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/trace"
 )
 
@@ -98,13 +99,13 @@ func (w *Writer) u64(v uint64) {
 }
 
 // Alloc emits one allocation event.
-func (w *Writer) Alloc(kind byte, words int, dest byte, destSlot int, hasInit bool, initIdx int, initVal uint64) {
-	flags := kind&kindMask | dest<<destShift
+func (w *Writer) Alloc(sh mutator.Shape, dest byte, destSlot int, hasInit bool, initIdx int, initVal uint64) {
+	flags := sh.Kind&kindMask | dest<<destShift
 	if hasInit {
 		flags |= initBit
 	}
 	w.buf = append(w.buf, opAlloc, flags)
-	w.uv(uint64(words))
+	w.uv(uint64(sh.Words))
 	if dest != destNone {
 		w.uv(uint64(destSlot))
 	}
