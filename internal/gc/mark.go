@@ -20,10 +20,11 @@ import (
 // processed in slot order, and what they push seeds the next round.
 //
 // Uncharged access is sound because eviction preserves a page's backing
-// words (swap is content-preserving; only Discard frees a body, and
-// discards target empty pages), and because the mutator is stopped:
-// while a round traces, the only heap writes are the marker's own mark
-// bits.
+// words (swap is content-preserving: PeekWord reads an evicted page's
+// stored record, and PokeWord gives the page its body back; only
+// Discard drops words, and discards target empty pages), and because
+// the mutator is stopped: while a round traces, the only heap writes are
+// the marker's own mark bits.
 
 // EdgeAction is a collector's verdict on one scanned edge.
 type EdgeAction uint8

@@ -10,11 +10,12 @@
 //
 // Backing storage is one process-wide pool of page bodies (DESIGN.md
 // §15): the per-page table points at each page's body (nil meaning
-// "never written: reads as zero"), and a discarded, emptied or released
-// body goes back to the pool for any Space to reuse. The VMM's hot
-// residency bits live in a side byte array (PageFlags) so the common
-// touch — a resident, unprotected page — is an inline flag check with no
-// interface dispatch and no Go allocation.
+// "never written: reads as zero", unless an evicted page's nonzero
+// words are stored as a record: swap.go), and a discarded, emptied,
+// evicted or released body goes back to the pool for any Space to
+// reuse. The VMM's hot residency bits live in a side byte array
+// (PageFlags) so the common touch — a resident, unprotected page — is an
+// inline flag check with no interface dispatch and no Go allocation.
 package mem
 
 import (
@@ -114,7 +115,8 @@ const pfFastMask = PFResident | PFEvicted | PFProtected
 // the (large) virtual region.
 type Space struct {
 	// bodies is the hot page table: a direct pointer to each page's word
-	// array (nil = unmaterialized), each drawn from the pool.
+	// array (nil = unmaterialized, or stored in swap), each drawn from
+	// the pool.
 	bodies []*[WordsPage]uint64
 	size   Addr // bytes
 
@@ -127,7 +129,9 @@ type Space struct {
 	ft       FaultToucher
 	flags    []uint8
 
-	own *owner // shares bodies; returns them if the Space is dropped
+	// own shares bodies and holds the records of swapped-out pages
+	// (SwapOut); it returns both if the Space is dropped.
+	own *owner
 
 	// The tables the Space has lent to structures built over it
 	// (NewBitmap, LendInt32s); Release takes them back.
@@ -174,8 +178,8 @@ func (s *Space) Release() {
 	// Disarm the owner first: its finalizer would otherwise empty the
 	// body table after another Space has taken it.
 	runtime.SetFinalizer(s.own, nil)
+	s.own.release()
 	s.own = nil
-	putBodies(s.bodies)
 	freeBodyTables.Put(s.bodies)
 	freeFlagTables.Put(s.flags)
 	freeWordTables.Put(s.lentWords...)
@@ -522,45 +526,53 @@ func (s *Space) copyBodies(dst, src Addr, words uint64) {
 // PeekWord reads a word without touching the page: no clock advance, no
 // page flag, no fault. Its callers account for the access themselves
 // (the mark engine tallies and replays it) or must charge nothing at all
-// (heap verifiers, tests). Everything else uses ReadWord.
+// (heap verifiers, tests). Everything else uses ReadWord. A swapped-out
+// page's word is read from its record.
 func (s *Space) PeekWord(a Addr) uint64 {
 	s.check(a)
 	if arr := s.bodies[a.Page()]; arr != nil {
 		return arr[(a&(PageSize-1))>>3]
 	}
-	return 0
+	return s.recordWord(a)
 }
 
 // PokeWord is PeekWord's write: it stores v at a without touching the
 // page. Writing zero to a page that was never written leaves it
-// unmaterialized, as it already reads zero.
+// unmaterialized, as it already reads zero. A swapped-out page gets its
+// body back from its record and keeps it while it stays evicted.
 func (s *Space) PokeWord(a Addr, v uint64) {
 	s.check(a)
-	arr := s.bodies[a.Page()]
+	p := a.Page()
+	arr := s.bodies[p]
 	if arr == nil {
-		if v == 0 {
-			return
+		if arr = s.unpack(p); arr == nil {
+			if v == 0 {
+				return
+			}
+			arr = s.materialize(p)
 		}
-		arr = s.materialize(a.Page())
 	}
 	arr[(a&(PageSize-1))>>3] = v
 }
 
-// ForgetPages drops the host bodies of pages [first, end), handing them
-// to the process-wide pool under one lock. It charges nothing, changes no
-// page flag and tells the VMM nothing: each page reads zero afterwards,
-// as if never written, whatever it held. The VMM calls it for one page to
-// model madvise(MADV_DONTNEED) (a discarded page reads zero-filled when
-// next faulted in); the heap calls it for the pages it has emptied, whose
-// next object is written before it is read, so the host keeps a body
-// only while an object may occupy its page. Another Space may reuse a
+// ForgetPages drops the host bodies and records of pages [first, end),
+// handing the bodies to the process-wide pool under one lock. It charges
+// nothing, changes no page flag and tells the VMM nothing: each page
+// reads zero afterwards, as if never written, whatever it held. The VMM
+// calls it for one page to model madvise(MADV_DONTNEED) (a discarded
+// page reads zero-filled when next faulted in); the heap calls it for
+// the pages it has emptied, whose next object is written before it is
+// read, so the host keeps a body only while an object may occupy its
+// page. Another Space may reuse a
 // forgotten body straight away, so no caller may keep a body pointer
 // across a clock event, whose handler can discard the page.
 func (s *Space) ForgetPages(first, end PageID) {
 	putBodies(s.bodies[first:end])
+	s.forgetRecords(first, end)
 }
 
 // HasBody reports whether page p holds a host body: whether a nonzero
 // word has been stored on it since the Space was made or the page last
-// forgotten. It charges nothing.
+// forgotten, and it was not swapped out to a record since (HasRecord).
+// It charges nothing.
 func (s *Space) HasBody(p PageID) bool { return s.bodies[p] != nil }

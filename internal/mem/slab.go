@@ -149,19 +149,41 @@ func TakeTable[T any](l *FreeList[[]T], n uint64) []T {
 	return t
 }
 
-// owner shares a Space's body table so that a Space dropped without
-// Release still returns its bodies. The finalizer sits here, not on the
-// Space: a Space and its FaultToucher usually point at each other (a
-// vmm.Proc holds its Space), and the Go collector never frees a cycle
-// that carries a finalizer. owner points at nothing but the table.
+// owner holds what a Space gives back to the pool: it shares the
+// Space's body table and holds the records of its swapped-out pages, so
+// that a Space dropped without Release still returns its bodies and
+// slabs. The finalizer sits here, not on the Space: a Space and its
+// FaultToucher usually point at each other (a vmm.Proc holds its
+// Space), and the Go collector never frees a cycle that carries a
+// finalizer. owner points at nothing but tables and pool bodies.
 type owner struct {
 	bodies []*[WordsPage]uint64
+	swapStore
 }
 
-// newOwner returns an owner of table whose bodies go back to the pool
-// when it becomes unreachable.
+// freeOwners are the owners released Spaces hand to the next ones. A
+// Space takes the one with the most slab capacity, so however the
+// Spaces take turns, every owner's slab lists grow to the most any
+// Space needed and then stop allocating.
+var freeOwners FreeList[*owner]
+
+// newOwner returns an owner of table whose bodies and records go back
+// to the pool when it becomes unreachable.
 func newOwner(table []*[WordsPage]uint64) *owner {
-	o := &owner{bodies: table}
-	runtime.SetFinalizer(o, func(o *owner) { putBodies(o.bodies) })
+	o, ok := freeOwners.GetLargest(func(o *owner) int { return cap(o.slabs) })
+	if !ok {
+		o = new(owner)
+	}
+	o.bodies = table
+	runtime.SetFinalizer(o, (*owner).release)
 	return o
+}
+
+// release gives the owner's bodies, slabs and record table blocks back
+// to the pool, and the emptied owner to the next Space.
+func (o *owner) release() {
+	putBodies(o.bodies)
+	o.bodies = nil
+	o.swapStore.release()
+	freeOwners.Put(o)
 }

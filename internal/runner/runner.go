@@ -67,6 +67,8 @@ type Runner struct {
 	memo     map[string]*Result
 	stats    Stats
 	failures []Failure
+	// execute runs one job: ExecuteOn, or in tests a job that blocks.
+	execute func(Job, Host) *Result
 }
 
 // New returns a Runner with opts.
@@ -74,7 +76,7 @@ func New(opts Options) *Runner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{opts: opts, memo: make(map[string]*Result)}
+	return &Runner{opts: opts, memo: make(map[string]*Result), execute: ExecuteOn}
 }
 
 // Stats returns a snapshot of the runner's counters.
@@ -211,7 +213,7 @@ func (r *Runner) runOne(j Job) *Result {
 	var res *Result
 	if r.opts.Timeout > 0 {
 		ch := make(chan *Result, 1)
-		go func() { ch <- ExecuteOn(j, r.opts.Host) }()
+		go func() { ch <- r.execute(j, r.opts.Host) }()
 		select {
 		case res = <-ch:
 		case <-time.After(r.opts.Timeout):
@@ -222,7 +224,7 @@ func (r *Runner) runOne(j Job) *Result {
 			}
 		}
 	} else {
-		res = ExecuteOn(j, r.opts.Host)
+		res = r.execute(j, r.opts.Host)
 	}
 	res.WallNS = int64(time.Since(start))
 	return res

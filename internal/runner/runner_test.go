@@ -206,7 +206,17 @@ func TestSchedulingDeterminism(t *testing.T) {
 
 func TestTimeout(t *testing.T) {
 	rn := New(Options{Workers: 1, Timeout: time.Nanosecond})
+	// The job outlasts the timeout by construction: it runs only once
+	// RunAll has given up on it, and the test waits for it to finish.
+	release, finished := make(chan struct{}), make(chan struct{})
+	rn.execute = func(j Job, h Host) *Result {
+		defer close(finished)
+		<-release
+		return ExecuteOn(j, h)
+	}
 	out := rn.RunAll([]Job{tinyJob(1)})
+	close(release)
+	<-finished
 	res := out[0]
 	if !res.TimedOut || res.Err == "" {
 		t.Fatalf("expected a timeout, got %+v", res)

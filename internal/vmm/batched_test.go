@@ -276,6 +276,13 @@ func (d *diffPair) compare(ctx string) {
 		d.t.Fatalf("%s: events differ\n batched:    %q\n per access: %q", ctx, a.log[d.logged:], b.log[d.logged:])
 	}
 	d.logged = len(a.log)
+	for pg := range a.s.PageFlags() {
+		p := mem.PageID(pg)
+		if a.s.HasBody(p) != b.s.HasBody(p) || a.s.HasRecord(p) != b.s.HasRecord(p) {
+			d.t.Fatalf("%s: page %d holds body %v, record %v batched; body %v, record %v per access",
+				ctx, pg, a.s.HasBody(p), a.s.HasRecord(p), b.s.HasBody(p), b.s.HasRecord(p))
+		}
+	}
 	// The flags agree, and a page with none set is fresh or discarded and
 	// reads as zero on both sides, so only the others can differ.
 	for pg, f := range a.s.PageFlags() {
@@ -292,8 +299,18 @@ func (d *diffPair) compare(ctx string) {
 }
 
 // pageStates are the states a window can find its page in. A zero page
-// is resident but was only ever read, so it has no backing body yet.
-var pageStates = []string{"fresh", "zero", "resident", "evicted", "protected", "surrendered"}
+// is resident but was only ever read, so it has no backing body yet. An
+// evicted page holds one nonzero word, which its stored record keeps
+// (mem.Space.SwapOut); a dense evicted page has every word nonzero, too
+// many for a record, so it keeps its body.
+var pageStates = []string{"fresh", "zero", "resident", "evicted", "dense", "protected", "surrendered"}
+
+// fillPage writes every word of page pg nonzero.
+func (m *diffMachine) fillPage(pg mem.PageID) {
+	for a := mem.PageAddr(pg); a < mem.PageAddr(pg+1); a += mem.WordSize {
+		m.s.WriteWord(a, 0xd0<<32|uint64(a))
+	}
+}
 
 // prepare brings page pg of both machines into state.
 func (d *diffPair) prepare(pg mem.PageID, state string) {
@@ -308,7 +325,10 @@ func (d *diffPair) prepare(pg mem.PageID, state string) {
 		}
 		m.s.WriteWord(mem.PageAddr(pg), 0x5eed)
 		switch state {
-		case "evicted":
+		case "evicted", "dense":
+			if state == "dense" {
+				m.fillPage(pg)
+			}
 			for i := 0; m.p.State(pg) != Evicted; i++ {
 				if i == 4*diffPages {
 					d.t.Fatalf("page %d survived four passes over the whole space", pg)
@@ -316,6 +336,9 @@ func (d *diffPair) prepare(pg mem.PageID, state string) {
 				if other := mem.PageID(1 + i%(diffPages-1)); other != pg {
 					m.s.WriteWord(mem.PageAddr(other), uint64(other))
 				}
+			}
+			if dense := state == "dense"; m.s.HasRecord(pg) == dense || m.s.HasBody(pg) != dense {
+				d.t.Fatalf("%s page %d evicted: record %v, body %v", state, pg, m.s.HasRecord(pg), m.s.HasBody(pg))
 			}
 		case "protected":
 			m.p.Protect(pg)
@@ -409,14 +432,26 @@ func TestWorkWindowChargesLikePerAccessStep(t *testing.T) {
 // TestBatchedAccessesMatchPerAccessSequence drives one seeded random
 // sequence over every batched primitive, with a recurring event and aimed
 // one-shot events landing inside the batches and the machine paging.
+// Every denseEvery-th page starts with every word nonzero, and one of
+// them is refilled every refillEvery steps, so every op kind meets
+// evicted pages of both kinds: sparse ones, stored as records, and
+// dense ones, which keep their bodies.
 func TestBatchedAccessesMatchPerAccessSequence(t *testing.T) {
+	const denseEvery, refillEvery = 4, 10
 	steps := 3000
 	if testing.Short() {
 		steps = 600
 	}
 	rng := rand.New(rand.NewSource(20))
 	d := newDiffPair(t, 21)
+	d.both(func(m *diffMachine) {
+		for pg := mem.PageID(denseEvery); pg < diffPages; pg += denseEvery {
+			m.fillPage(pg)
+		}
+	})
+	d.compare("dense pages written")
 	d.both(func(m *diffMachine) { m.armRecurring(100) })
+	var onRecord, onBody [numDiffKinds]int
 	word := DefaultCosts().WordAccess
 	var ran [numDiffKinds]int
 	for i := 0; i < steps; i++ {
@@ -459,6 +494,18 @@ func TestBatchedAccessesMatchPerAccessSequence(t *testing.T) {
 			delay := time.Duration(rng.Intn(40))*word + time.Duration(rng.Intn(2))
 			d.both(func(m *diffMachine) { m.armOneShot(m.clock.Now()+delay, aim) })
 		}
+		if i%refillEvery == 0 { // discards and zeroing thin the dense pages out
+			pg := mem.PageID(denseEvery * (1 + i/refillEvery%(diffPages/denseEvery-1)))
+			d.both(func(m *diffMachine) { m.fillPage(pg) })
+			d.compare(fmt.Sprintf("step %d: page %d refilled", i, pg))
+		}
+		if pg := op.a.Page(); d.by.p.State(pg) == Evicted {
+			if d.by.s.HasRecord(pg) {
+				onRecord[op.kind]++
+			} else if d.by.s.HasBody(pg) {
+				onBody[op.kind]++
+			}
+		}
 		d.step(fmt.Sprintf("step %d", i), op)
 		ran[op.kind]++
 	}
@@ -472,8 +519,9 @@ func TestBatchedAccessesMatchPerAccessSequence(t *testing.T) {
 		t.Fatalf("the sequence missed a page state: %+v", st)
 	}
 	for k, n := range ran {
-		if n == 0 {
-			t.Fatalf("op kind %d never ran", k)
+		if n == 0 || onRecord[k] == 0 || onBody[k] == 0 {
+			t.Fatalf("op kind %d ran %d times, %d on a stored page and %d on a dense evicted page; want each",
+				k, n, onRecord[k], onBody[k])
 		}
 	}
 	if g, w := d.fast.granted, d.fast.windows; g == 0 || g == w {

@@ -363,6 +363,7 @@ func (v *VMM) makeResident(p *Proc, pg mem.PageID) {
 		p.stats.PeakResident = uint64(p.resident)
 	}
 	p.flags[pg] = mem.PFResident | mem.PFReferenced
+	p.space.SwapIn(pg)
 	v.pushActive(p, pg)
 	if v.FreeFrames() < v.lowWater && !v.reclaimIn {
 		if v.reclaimStuck {
@@ -529,9 +530,12 @@ func (v *VMM) refillInactive() {
 	}
 }
 
-// evict writes (p, pg) to the swap device and frees its frame.
+// evict writes (p, pg) to the swap device and frees its frame. The
+// host keeps only the page's nonzero words while it is out (SwapOut;
+// makeResident restores them).
 func (v *VMM) evict(p *Proc, pg mem.PageID) {
 	p.flags[pg] = mem.PFEvicted
+	p.space.SwapOut(pg)
 	p.resident--
 	p.pages[pg].queued = false
 	v.used--
