@@ -122,7 +122,7 @@ func (c *GenCopy) promote(o objmodel.Ref, work *gc.WorkList) objmodel.Ref {
 // The new active space is empty, since every flip ends by resetting the
 // space it copied out of, which gives that space's host bodies back.
 func (c *GenCopy) fullGC() {
-	defer c.Pause(metrics.PauseFull)()
+	defer c.Pause(metrics.PauseFull).End()
 	c.matFrom, c.matTo = c.matTo, c.matFrom
 	epoch := c.NextEpoch()
 

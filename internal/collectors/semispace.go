@@ -82,7 +82,7 @@ func (c *SemiSpace) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) { c.WriteRef
 // new to-space is empty, since every flip ends by resetting the space it
 // copied out of, which gives that space's host bodies back at once.
 func (c *SemiSpace) flip() {
-	defer c.Pause(metrics.PauseFull)()
+	defer c.Pause(metrics.PauseFull).End()
 	c.from, c.to = c.to, c.from
 	c.to.SetBudget(uint64(c.heapBudget()/2-c.los.UsedPages()) * mem.PageSize)
 	epoch := c.NextEpoch()

@@ -81,20 +81,17 @@ type BC struct {
 	evicted   *mem.Bitmap
 	processed *mem.Bitmap // pages whose eviction-scan set bookmarks
 
-	// pageTargets records, per processed page, which regions had their
-	// incoming counts raised, so the reload path decrements exactly what
-	// eviction incremented. The real implementation re-derives this by
-	// rescanning the reloaded page; keeping the record exact avoids drift
-	// for objects straddling pages.
-	pageTargets map[mem.PageID][]region
+	// nurseryPtrKnown and nurseryPtrs memoize the "does this mature page
+	// hold a nursery pointer" veto scan: a page's verdict is in
+	// nurseryPtrs while its bit in nurseryPtrKnown is set. A verdict is
+	// forgotten when a nursery pointer is stored to the page, and every
+	// one whenever the nursery empties, so a cached false verdict is
+	// always sound.
+	nurseryPtrKnown, nurseryPtrs *mem.Bitmap
 
-	// deferredTargets holds records whose page has reloaded but whose
-	// release had to wait: an object the record covers still straddles
-	// an evicted page, so the edges recorded for it are not scannable
-	// yet. Releasing early would let a reload of the header's page drop
-	// the incoming counters protecting targets reachable only through
-	// slots that are still paged out.
-	deferredTargets map[mem.PageID][]region
+	// books are the maps and records below, kept on the Go heap and
+	// handed from run to run.
+	books
 
 	discardCredit int // aggressive-discard slack (§3.4.3)
 	discardCursor int // rotating scan position for discardable pages
@@ -123,10 +120,6 @@ type BC struct {
 	evictedHeapPg int // count of evicted heap pages
 	residentPg    int // count of resident bits: the footprint shrinkTarget reports
 
-	// seen is processAndEvict's set of region keys, kept between
-	// evictions so a page's processing allocates only its record.
-	seen map[mem.Addr]bool
-
 	// silentEvictions counts pages the residency audit found evicted
 	// without notification (audit.go). Past silentEvictionLimit the
 	// kernel is untrusted and every full collection is the fail-safe.
@@ -147,12 +140,75 @@ type BC struct {
 	// sound form of the paper's preventive bookmarking, §3.4.3).
 	curWork  *gc.WorkList
 	curEpoch uint32
+}
 
-	// nurseryPtrCache memoizes the "does this mature page hold a nursery
-	// pointer" veto scan. Entries are invalidated when a nursery pointer
-	// is stored to the page and the cache is dropped whenever the nursery
-	// empties, so a cached false verdict is always sound.
-	nurseryPtrCache map[mem.PageID]bool
+// books is BC's bookkeeping on the Go heap. A collector keeps its maps
+// from run to run (BC.Release), and its records come from freeRecords,
+// so a warm process's BC allocates only for growth no earlier run
+// needed.
+type books struct {
+	// pageTargets records, per processed page, which regions had their
+	// incoming counts raised, so the reload path decrements exactly what
+	// eviction incremented. The real implementation re-derives this by
+	// rescanning the reloaded page; keeping the record exact avoids drift
+	// for objects straddling pages.
+	pageTargets map[mem.PageID][]region
+
+	// deferredTargets holds records whose page has reloaded but whose
+	// release had to wait: an object the record covers still straddles
+	// an evicted page, so the edges recorded for it are not scannable
+	// yet. Releasing early would let a reload of the header's page drop
+	// the incoming counters protecting targets reachable only through
+	// slots that are still paged out.
+	deferredTargets map[mem.PageID][]region
+
+	// seen is processAndEvict's set of region keys, kept between
+	// evictions so a page's processing allocates nothing once warm.
+	seen map[mem.Addr]bool
+
+	// pages is retryDeferred's scratch.
+	pages []mem.PageID
+
+	// peak is the most pages pageTargets has held in any run of the
+	// collector: New takes the released collector of greatest peak.
+	peak int
+}
+
+// newBooks returns empty books.
+func newBooks() books {
+	return books{
+		pageTargets:     make(map[mem.PageID][]region),
+		deferredTargets: make(map[mem.PageID][]region),
+		seen:            make(map[mem.Addr]bool),
+	}
+}
+
+// dropRecords retires every record the maps hold and empties them.
+func (b *books) dropRecords() {
+	for _, m := range [2]map[mem.PageID][]region{b.pageTargets, b.deferredTargets} {
+		for _, rec := range m {
+			retireRecord(rec)
+		}
+		clear(m)
+	}
+}
+
+// freeRecords holds emptied page records by capacity, shared by every
+// BC: a record grows through it (mem.Classed), so a warm process finds
+// every record it needs there.
+var freeRecords mem.Classed[region]
+
+// retireRecord gives rec, whose page no longer needs it, back to
+// freeRecords.
+func retireRecord(rec []region) { freeRecords.Put(rec) }
+
+// Release empties the books for the collector's next run.
+func (b *books) Release() {
+	b.dropRecords()
+	if b.seen == nil { // released mid-eviction by a failed run
+		b.seen = make(map[mem.Addr]bool)
+	}
+	clear(b.seen)
 }
 
 var _ gc.Collector = (*BC)(nil)
@@ -160,20 +216,29 @@ var _ gc.Collector = (*BC)(nil)
 // New creates a bookmarking collector on env and registers it for paging
 // notifications.
 func New(env *gc.Env, cfg Config) *BC {
-	c := &BC{
+	c, ok := freeBCs.GetLargest(func(c *BC) int { return c.peak })
+	if !ok {
+		c = new(BC)
+	}
+	*c = BC{
+		books: c.books, // a released collector's, emptied
+
 		// The paper's page-sized write buffer, filtered into cards (§3.1).
 		nursery:         gc.NewNursery(env, gc.EntriesPerPage),
 		cfg:             cfg,
 		resident:        env.Space.NewBitmap(env.Space.Pages()),
 		evicted:         env.Space.NewBitmap(env.Space.Pages()),
 		processed:       env.Space.NewBitmap(env.Space.Pages()),
-		pageTargets:     make(map[mem.PageID][]region),
-		deferredTargets: make(map[mem.PageID][]region),
+		nurseryPtrKnown: env.Space.NewBitmap(env.Space.Pages()),
+		nurseryPtrs:     env.Space.NewBitmap(env.Space.Pages()),
 		allocsSinceGC:   1 << 20,
 		gcRequestAfter:  minGCRequestAfter,
-		nurseryPtrCache: make(map[mem.PageID]bool),
 		booksValid:      !cfg.ResizeOnly,
 	}
+	if c.books.pageTargets == nil {
+		c.books = newBooks()
+	}
+	env.Hold(c)
 	c.Init(env, c)
 	c.Mature = gc.NewMature(&c.Base)
 	c.SS.SetResidencyFilter(c.pageOK)
@@ -188,6 +253,17 @@ func New(env *gc.Env, cfg Config) *BC {
 	env.Proc.Register((*bcHandler)(c))
 	c.resizeNursery()
 	return c
+}
+
+// freeBCs holds released collectors.
+var freeBCs mem.FreeList[*BC]
+
+// Release empties the collector's books and hands it to the next New.
+// The environment calls it (gc.Env.ReleaseScratch) once the run has
+// ended: nothing may use c after.
+func (c *BC) Release() {
+	c.books.Release()
+	freeBCs.Put(c)
 }
 
 // Name implements gc.Collector.
@@ -221,7 +297,7 @@ func (c *BC) pageOK(p mem.PageID) bool {
 // nursery-pointer page cache.
 func (c *BC) resetNursery() {
 	c.nursery.Reset()
-	clear(c.nurseryPtrCache)
+	c.nurseryPtrKnown.ClearAll()
 }
 
 // reservePages is the empty-page reserve of §3.4.3: a store of empty,
@@ -368,7 +444,7 @@ func (c *BC) ladder() gc.Ladder {
 func (c *BC) WriteRef(o objmodel.Ref, i int, v objmodel.Ref) {
 	slot := c.WriteRefRaw(o, i, v)
 	if c.nursery.Barrier(o, slot, v) {
-		delete(c.nurseryPtrCache, slot.Page()) // a cached "no nursery pointer" verdict just became false
+		c.nurseryPtrKnown.Clear(int(slot.Page())) // a cached "no nursery pointer" verdict just became false
 	}
 }
 
@@ -432,7 +508,7 @@ func (c *BC) scanLive(o objmodel.Ref, fn func(slot mem.Addr, tgt objmodel.Ref)) 
 func (c *BC) copied(dst objmodel.Ref, size int) {
 	c.markRangeResident(dst, size)
 	for p := dst.Page(); p <= (dst + mem.Addr(size) - 1).Page(); p++ {
-		delete(c.nurseryPtrCache, p)
+		c.nurseryPtrKnown.Clear(int(p))
 	}
 }
 
@@ -441,7 +517,7 @@ func (c *BC) copied(dst objmodel.Ref, size int) {
 // filtered into (§3.1).
 func (c *BC) nurseryGC() {
 	defer c.enterGC()()
-	defer c.Pause(metrics.PauseNursery)()
+	defer c.Pause(metrics.PauseNursery).End()
 	c.E.Trace.Begin(trace.PhaseNurseryScan)
 	defer c.E.Trace.End(trace.PhaseNurseryScan)
 
@@ -573,7 +649,7 @@ func (c *BC) fullGC() {
 		return
 	}
 	defer c.enterGC()()
-	defer c.Pause(metrics.PauseFull)()
+	defer c.Pause(metrics.PauseFull).End()
 	c.markSweep(c.nursery, c.pageOK)
 	c.resetNursery()
 	c.maybeRevalidate()

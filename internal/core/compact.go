@@ -27,7 +27,7 @@ import (
 func (c *BC) compact() {
 	c.auditResidency()
 	defer c.enterGC()()
-	defer c.Pause(metrics.PauseCompact)()
+	defer c.Pause(metrics.PauseCompact).End()
 
 	// Pass 1: the census. Nursery pages are always readable; elsewhere
 	// the trace keeps to the pages pageOK admits.

@@ -183,10 +183,15 @@ func (c *BC) mustKeep(p mem.PageID) bool {
 		}
 		// The verdict is memoized: invalidated by nursery-pointer stores,
 		// dropped whenever the nursery empties.
-		v, ok := c.nurseryPtrCache[p]
-		if !ok {
-			v = c.pagePoints(p, c.nursery.Contains)
-			c.nurseryPtrCache[p] = v
+		if c.nurseryPtrKnown.Test(int(p)) {
+			return c.nurseryPtrs.Test(int(p))
+		}
+		v := c.pagePoints(p, c.nursery.Contains)
+		c.nurseryPtrKnown.Set(int(p))
+		if v {
+			c.nurseryPtrs.Set(int(p))
+		} else {
+			c.nurseryPtrs.Clear(int(p))
 		}
 		return v
 	}
@@ -440,7 +445,7 @@ func (c *BC) processAndEvict(p mem.PageID) {
 			seen[r.key()] = true
 			c.raiseIncoming(r)
 			c.E.Counters.Inc(trace.CIncomingBumps)
-			rec = append(rec, r)
+			rec = freeRecords.Append(rec, r)
 		}
 	}
 	a := mem.PageAddr(p)
@@ -463,6 +468,7 @@ func (c *BC) processAndEvict(p mem.PageID) {
 	c.seen = seen
 	if len(rec) > 0 {
 		c.pageTargets[p] = rec
+		c.peak = max(c.peak, len(c.pageTargets))
 	}
 	c.processed.Set(int(p))
 	c.noteEvicted(p)
@@ -493,9 +499,15 @@ func (c *BC) unbookmarkPage(p mem.PageID) {
 		if n := c.straddlingEvicted(p); n > 0 {
 			c.E.Trace.Point(trace.EvBookmarkDeferred, int64(p), int64(n))
 			c.E.Counters.Inc(trace.CDeferredUnbookmarks)
-			c.deferredTargets[p] = append(c.deferredTargets[p], rec...)
+			if held, ok := c.deferredTargets[p]; ok {
+				c.deferredTargets[p] = freeRecords.Append(held, rec...)
+				retireRecord(rec)
+			} else {
+				c.deferredTargets[p] = rec
+			}
 		} else {
 			c.E.Trace.Point(trace.EvBookmarkCleared, int64(p), c.releaseRecord(rec))
+			retireRecord(rec)
 		}
 	} else {
 		c.E.Trace.Point(trace.EvBookmarkCleared, int64(p), 0)
@@ -534,11 +546,12 @@ func (c *BC) retryDeferred() {
 	if len(c.deferredTargets) == 0 {
 		return
 	}
-	pages := make([]mem.PageID, 0, len(c.deferredTargets))
+	pages := c.pages[:0]
 	for p := range c.deferredTargets {
 		pages = append(pages, p)
 	}
 	slices.Sort(pages)
+	c.pages = nil // a release below may reload pages and come back here
 	for _, p := range pages {
 		if c.straddlingEvicted(p) > 0 {
 			continue
@@ -546,8 +559,10 @@ func (c *BC) retryDeferred() {
 		rec := c.deferredTargets[p]
 		delete(c.deferredTargets, p)
 		c.E.Trace.Point(trace.EvBookmarkCleared, int64(p), c.releaseRecord(rec))
+		retireRecord(rec)
 		c.clearConservative(p)
 	}
+	c.pages = pages[:0]
 }
 
 // clearConservative clears the conservative bookmarks on p's own

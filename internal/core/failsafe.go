@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/objmodel"
 	"bookmarkgc/internal/trace"
@@ -15,7 +14,7 @@ import (
 func (c *BC) failSafe() {
 	c.auditResidency()
 	defer c.enterGC()()
-	defer c.Pause(metrics.PauseFull)()
+	defer c.Pause(metrics.PauseFull).End()
 	c.Stats().FailSafe++
 	c.invalidateBooks()
 	c.E.Trace.Begin(trace.PhaseFailSafe)
@@ -25,8 +24,7 @@ func (c *BC) failSafe() {
 	// an evicted page touches it — that is the point of the fail-safe.
 	// The books are zeroed first so the reloads triggered below do not
 	// try to rebalance counters.
-	c.pageTargets = make(map[mem.PageID][]region)
-	c.deferredTargets = make(map[mem.PageID][]region)
+	c.dropRecords()
 	c.processed.ClearAll()
 	// Every region, not only those with incoming counts: a page leaving
 	// bookmarks its own objects conservatively without one.

@@ -159,9 +159,15 @@ var _ vmm.Handler = (*Injector)(nil)
 // but the returned Injector can still drive pressure spikes. counters may
 // be nil.
 func Interpose(p *vmm.Proc, cfg Config, counters *trace.Counters) *Injector {
+	rng, ok := freeRands.Get()
+	if ok {
+		rng.Seed(cfg.Seed)
+	} else {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
 	inj := &Injector{
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      rng,
 		inner:    p.Handler(),
 		proc:     p,
 		counters: counters,
@@ -170,6 +176,18 @@ func Interpose(p *vmm.Proc, cfg Config, counters *trace.Counters) *Injector {
 		p.Register(inj)
 	}
 	return inj
+}
+
+// freeRands holds the generators of released injectors. Seeding one
+// resets its whole state, so a recycled generator draws exactly what a
+// new one would, without allocating its 5 KB table.
+var freeRands mem.FreeList[*rand.Rand]
+
+// Release hands the injector's generator to the next Interpose. Call it
+// once the run has ended, when nothing draws through i again.
+func (i *Injector) Release() {
+	freeRands.Put(i.rng)
+	i.rng = nil
 }
 
 // Stats returns a copy of the injection counts so far.
@@ -280,12 +298,14 @@ func (i *Injector) StartSpikes(v *vmm.VMM) {
 	if hold <= 0 || hold >= i.cfg.SpikePeriod {
 		hold = i.cfg.SpikePeriod / 2
 	}
+	// Both events are bound once, so a spike schedules without allocating.
+	unpin := func() { v.Unpin(frames) }
 	var spike func()
 	spike = func() {
 		i.stats.Spikes++
 		i.counters.Inc(trace.CChaosPressureSpikes)
 		v.Pin(frames)
-		v.Clock.Schedule(v.Clock.Now()+hold, func() { v.Unpin(frames) })
+		v.Clock.Schedule(v.Clock.Now()+hold, unpin)
 		v.Clock.Schedule(v.Clock.Now()+i.cfg.SpikePeriod, spike)
 	}
 	v.Clock.Schedule(v.Clock.Now()+i.cfg.SpikePeriod, spike)

@@ -214,36 +214,48 @@ func (b *Base) NextEpoch() uint32 {
 func (b *Base) Epoch() uint32 { return b.epoch }
 
 // Pause opens a stop-the-world collection of the given kind and returns
-// the func that closes it (defer it: an out-of-memory unwind must still
-// close the pause). The interval becomes a timeline entry, with the major
-// faults taken inside it, and a trace span enclosing whatever phase spans
-// the collector opens; the fixed per-collection overhead is charged to
-// the simulated clock and the collection is counted. The entry is on the
+// it open (defer its End: an out-of-memory unwind must still close the
+// pause). The interval becomes a timeline entry, with the major faults
+// taken inside it, and a trace span enclosing whatever phase spans the
+// collector opens; the fixed per-collection overhead is charged to the
+// simulated clock and the collection is counted. The entry is on the
 // timeline before the span ends, so a tracer that sees the End (the
 // telemetry attribution) reads the pause from the timeline.
-func (b *Base) Pause(kind metrics.PauseKind) func() {
+func (b *Base) Pause(kind metrics.PauseKind) OpenPause {
 	env := b.E
-	phase, count := kind.Phase(), &b.stats.Full
+	count := &b.stats.Full
 	switch kind {
 	case metrics.PauseNursery:
 		count = &b.stats.Nursery
 	case metrics.PauseCompact:
 		count = &b.stats.Compactions
 	}
-	start := env.Clock.Now()
-	faults := env.Proc.Stats().MajorFaults
-	env.Trace.Begin(phase)
+	p := OpenPause{b: b, kind: kind, start: env.Clock.Now(), faults: env.Proc.Stats().MajorFaults}
+	env.Trace.Begin(kind.Phase())
 	env.Clock.Advance(PauseOverhead)
 	*count++
-	return func() {
-		b.stats.Timeline.Record(metrics.Pause{
-			Start:       start,
-			Dur:         env.Clock.Now() - start,
-			Kind:        kind,
-			MajorFaults: env.Proc.Stats().MajorFaults - faults,
-		})
-		env.Trace.End(phase)
-	}
+	return p
+}
+
+// OpenPause is a pause Base.Pause opened. A value, not a closure, so
+// opening one allocates nothing.
+type OpenPause struct {
+	b      *Base
+	kind   metrics.PauseKind
+	start  time.Duration
+	faults uint64
+}
+
+// End closes the pause.
+func (p OpenPause) End() {
+	env := p.b.E
+	p.b.stats.Timeline.Record(metrics.Pause{
+		Start:       p.start,
+		Dur:         env.Clock.Now() - p.start,
+		Kind:        p.kind,
+		MajorFaults: env.Proc.Stats().MajorFaults - p.faults,
+	})
+	env.Trace.End(p.kind.Phase())
 }
 
 // OnCollectionEnd registers fn to run at the end of every collection —

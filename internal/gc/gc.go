@@ -53,6 +53,25 @@ type Env struct {
 	MarkWorkers int
 
 	marker *Marker
+
+	// held are the structures built over the environment whose Go-heap
+	// lists and maps ReleaseScratch hands to the next run: the spaces,
+	// the remembered set and the collector itself. It starts on
+	// heldBuf, which holds what one collector builds.
+	held    []Releaser
+	heldBuf [4]Releaser
+}
+
+// Releaser is a structure that recycles its host scratch when its run
+// has ended.
+type Releaser interface{ Release() }
+
+// Hold has ReleaseScratch release r with the environment's scratch.
+func (e *Env) Hold(r Releaser) {
+	if e.held == nil {
+		e.held = e.heldBuf[:0]
+	}
+	e.held = append(e.held, r)
 }
 
 // SetDefaultMarkWorkers is ignored: marking runs on one worker. It stays
@@ -69,7 +88,7 @@ func (e *Env) Marker() *Marker {
 			m = &Marker{touch: make([]uint32, n)}
 		}
 		// A run that failed mid-mark may have retired it dirty.
-		*m = Marker{env: e, touch: m.touch[:n], touched: m.touched[:0], deferred: m.deferred[:0]}
+		*m = Marker{env: e, touch: m.touch[:n]}
 		clear(m.touch)
 		e.marker = m
 	}
@@ -180,13 +199,30 @@ type rootsScratch struct {
 	free  []int32
 }
 
-// acquire adopts recycled backing arrays if the registry is still empty.
-func (r *Roots) acquire() {
+// acquire adopts the retired backing arrays of least slot capacity at
+// least n, if the registry is still empty and one is that large.
+func (r *Roots) acquire(n int) bool {
 	if r.slots != nil {
-		return
+		return true
 	}
-	if sc, ok := freeRoots.Get(); ok {
+	sc, ok := freeRoots.GetFit(n, func(sc rootsScratch) int { return cap(sc.slots) })
+	if ok {
 		r.slots, r.free = sc.slots, sc.free
+	}
+	return ok
+}
+
+// Reserve readies an empty registry for n Appends that regrow nothing:
+// it adopts the retired arrays that fit n most tightly, or makes a slot
+// array of exactly n. An owner that knows its block's size reserves it
+// before appending; a registry first used with no reservation adopts
+// the smallest retired arrays, leaving the larger ones to owners that
+// reserve. Since every run of a spec reserves the same n, a warm
+// process matches each reservation with the array the same reservation
+// left, and the registries stop growing after one pass.
+func (r *Roots) Reserve(n int) {
+	if r.slots == nil && !r.acquire(n) {
+		r.slots = make([]mem.Addr, 0, n)
 	}
 }
 
@@ -215,7 +251,7 @@ func (r *Roots) Add(o mem.Addr) int {
 // a block its owner can address as base + offset.
 func (r *Roots) Append(o mem.Addr) int {
 	if r.slots == nil {
-		r.acquire()
+		r.acquire(0)
 	}
 	r.slots = append(r.slots, o)
 	return len(r.slots) - 1
@@ -325,10 +361,15 @@ func (e *Env) PutWorkList(w *WorkList) {
 var freeWorkLists mem.FreeList[*WorkList]
 
 // ReleaseScratch hands the environment's recycled scratch — the mark
-// engine's buffers and the root registry's backing arrays — to
-// process-wide free lists for the next run. Call only when the run is
-// completely finished.
+// engine's buffers, the root registry's backing arrays and what it
+// holds (Hold) — to process-wide free lists for the next run. Call only
+// when the run is completely finished.
 func (e *Env) ReleaseScratch(roots *Roots) {
+	for _, r := range e.held {
+		r.Release()
+	}
+	clear(e.held)
+	e.held = e.held[:0]
 	if e.marker != nil {
 		e.marker.env = nil
 		freeMarkers.Put(e.marker)

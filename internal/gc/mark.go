@@ -72,10 +72,11 @@ type Marker struct {
 	env *Env
 
 	// touch[pg] is the logical word-access count charged to pg this
-	// round, and touched lists the pages with nonzero counts.
-	touch   []uint32
-	touched []mem.PageID
-
+	// round, and touched lists the pages with nonzero counts. touched
+	// and deferred are the running mark's buffers, from freeTouched and
+	// freeDeferred.
+	touch    []uint32
+	touched  []mem.PageID
 	deferred []DeferredEdge
 
 	objects uint64
@@ -96,6 +97,9 @@ func (m *Marker) charge(pg mem.PageID, n uint32) {
 // push follow-on work, as may any VMM handler that fires during replay —
 // both seed the next round). Counters are flushed once at the end.
 func (m *Marker) Mark(cfg *MarkConfig, work *WorkList, evacuate func(e DeferredEdge, work *WorkList)) {
+	outerTouched, outer := m.touched, m.deferred
+	m.touched, _ = freeTouched.GetLargest(func(t []mem.PageID) int { return cap(t) })
+	m.deferred, _ = freeDeferred.GetLargest(func(d []DeferredEdge) int { return cap(d) })
 	var rounds uint64
 	for work.Len() > 0 {
 		rounds++
@@ -112,7 +116,21 @@ func (m *Marker) Mark(cfg *MarkConfig, work *WorkList, evacuate func(e DeferredE
 	c.Add(trace.CMarkObjects, m.objects)
 	c.Add(trace.CMarkBytes, m.bytes)
 	m.objects, m.bytes = 0, 0
+	freeTouched.Put(m.touched)
+	freeDeferred.Put(m.deferred)
+	m.touched, m.deferred = outerTouched, outer
 }
+
+// freeTouched and freeDeferred hold the touched-page and deferred-edge
+// buffers of finished marks, shared by every environment. A mark takes
+// the largest of each and returns them when it ends, so the buffers
+// number the most marks ever in progress at once (a fleet's tenants
+// collect one at a time), and the buffers the largest mark so far has
+// grown serve every later one.
+var (
+	freeTouched  mem.FreeList[[]mem.PageID]
+	freeDeferred mem.FreeList[[]DeferredEdge]
+)
 
 // scan visits o's reference slots, charging accesses exactly as the
 // sequential trace would: one read for the header type word, one per

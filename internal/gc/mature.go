@@ -19,10 +19,11 @@ func NewBump(env *Env, base, end mem.Addr) *heap.BumpSpace {
 }
 
 // NewLOS builds the large object space over env's layout with the
-// environment's counter registry wired.
+// environment's counter registry wired. env holds it (ReleaseScratch).
 func NewLOS(env *Env) *heap.LOS {
 	l := heap.NewLOS(env.Space, env.Layout.LOSBase, env.Layout.LOSEnd)
 	l.SetCounters(env.Counters)
+	env.Hold(l)
 	return l
 }
 
@@ -39,10 +40,15 @@ type Mature struct {
 	OnPromote func(dst objmodel.Ref, size int)
 
 	b *Base
+
+	// trace is the collection in progress, if any. Collections of one
+	// Mature never overlap, so each reuses it.
+	trace Trace
 }
 
 // NewMature builds the mature spaces over the layout of b's environment,
-// wiring the environment's counter registry into them.
+// wiring the environment's counter registry into them. The environment
+// holds them (ReleaseScratch).
 func NewMature(b *Base) Mature {
 	env := b.E
 	m := Mature{
@@ -51,6 +57,7 @@ func NewMature(b *Base) Mature {
 		b:   b,
 	}
 	m.SS.SetCounters(env.Counters)
+	env.Hold(m.SS)
 	return m
 }
 
@@ -166,16 +173,18 @@ type Trace struct {
 	promote Promoter
 }
 
-// BeginTrace opens a new mark epoch. Objects in young are evacuated
+// BeginTrace opens a new mark epoch, replacing the last trace the
+// mature spaces ran. Objects in young are evacuated
 // through promote, which must return them marked; everything else is
 // marked in place. pageOK, when non-nil, names the pages the trace may
 // touch: slots and objects elsewhere are passed over (BC's in-memory
 // collection, §3.4.1).
 func (m *Mature) BeginTrace(young *Nursery, pageOK func(mem.PageID) bool, promote Promoter) *Trace {
-	return &Trace{
+	m.trace = Trace{
 		Epoch: m.b.NextEpoch(), Work: m.b.E.GetWorkList(),
 		m: m, young: young, pageOK: pageOK, promote: promote,
 	}
+	return &m.trace
 }
 
 // ScanRoots promotes or marks the referent of every root.
@@ -245,7 +254,7 @@ func (t *Trace) Sweep() {
 // FullCollect is the whole collection for a collector with nothing to
 // add between the steps: one full pause around roots, mark and sweep.
 func (m *Mature) FullCollect(young *Nursery, promote Promoter) {
-	defer m.b.Pause(metrics.PauseFull)()
+	defer m.b.Pause(metrics.PauseFull).End()
 	t := m.BeginTrace(young, nil, promote)
 	t.ScanRoots()
 	m.b.E.Trace.Begin(trace.PhaseMark)

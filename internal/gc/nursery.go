@@ -40,6 +40,7 @@ func NewNursery(env *Env, bufCap int) *Nursery {
 	n.Rem = NewRemSet(env.Space, env.Layout.Bump0End, env.Layout.LOSEnd, bufCap)
 	n.Rem.SetCounters(env.Counters)
 	n.Rem.SetFilter(func(slot mem.Addr) bool { return n.Contains(env.Space.ReadAddr(slot)) })
+	env.Hold(n.Rem)
 	return n
 }
 
@@ -81,7 +82,7 @@ func (n *Nursery) Reset() {
 // moved out through promote, the copies are scanned Cheney-style for
 // further nursery references, and the nursery is reset.
 func (n *Nursery) Evacuate(b *Base, promote Promoter) {
-	defer b.Pause(metrics.PauseNursery)()
+	defer b.Pause(metrics.PauseNursery).End()
 	env := b.E
 	work := env.GetWorkList()
 	defer env.PutWorkList(work)

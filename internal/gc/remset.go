@@ -46,6 +46,17 @@ func NewRemSet(s *mem.Space, cardBase, cardEnd mem.Addr, bufCap int) *RemSet {
 	}
 }
 
+// freeBuffers holds the write buffers of released remembered sets, by
+// capacity: a buffer grows through it (mem.Classed).
+var freeBuffers mem.Classed[mem.Addr]
+
+// Release gives the write buffer back to freeBuffers. Call it once the
+// run has ended.
+func (r *RemSet) Release() {
+	freeBuffers.Put(r.entries)
+	r.entries = nil
+}
+
 // EntriesPerPage is how many slot addresses fit a page-sized buffer.
 const EntriesPerPage = mem.PageSize / mem.WordSize
 
@@ -60,7 +71,7 @@ func (r *RemSet) SetCounters(c *trace.Counters) { r.counters = c }
 // Record buffers a slot address. When the page-sized buffer fills, it is
 // processed and compacted (§3.1).
 func (r *RemSet) Record(slot mem.Addr) {
-	r.entries = append(r.entries, slot)
+	r.entries = freeBuffers.Append(r.entries, slot)
 	if len(r.entries) > r.maxBuffer {
 		r.maxBuffer = len(r.entries)
 	}

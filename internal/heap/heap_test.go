@@ -338,7 +338,7 @@ func TestLOSResidencyFilterSkipsEvicted(t *testing.T) {
 	if freed != 0 {
 		t.Fatal("swept an object on a non-resident page")
 	}
-	if _, ok := los.objects[o]; !ok {
+	if los.runLen[los.at(o)] == 0 {
 		t.Fatal("object vanished")
 	}
 }

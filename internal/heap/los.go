@@ -17,14 +17,15 @@ type LOS struct {
 	base mem.Addr
 	n    int // pages in the region
 
-	free    pageBits         // free pages
-	objects map[mem.Addr]int // object -> pages in its run
-	sorted  []mem.Addr       // the objects in address order
-	dead    []mem.Addr       // sweep scratch, reused across collections
-	runsBuf [][2]mem.PageID  // Sweep's result buffer, reused across collections
-	inUse   int              // pages allocated
-	// incoming holds the incoming-bookmark counts (§3.4): no page access.
-	incoming map[mem.Addr]int
+	free    pageBits        // free pages
+	runLen  []int32         // per region page: pages in the run of the object starting there, else 0
+	sorted  []mem.Addr      // the objects in address order
+	dead    []mem.Addr      // sweep scratch, reused across collections
+	runsBuf [][2]mem.PageID // Sweep's result buffer, reused across collections
+	inUse   int             // pages allocated
+	// incoming holds, per region page, the incoming-bookmark count of
+	// the object starting there (§3.4): no page access.
+	incoming []int32
 
 	emptyAdds uint64 // Frees: the only writes that set free bits
 
@@ -37,11 +38,37 @@ func NewLOS(s *mem.Space, base, end mem.Addr) *LOS {
 		panic("heap: unaligned LOS region")
 	}
 	n := int((end - base) / mem.PageSize)
-	l := &LOS{s: s, base: base, n: n, free: newPageBits(s, base, end),
-		objects: make(map[mem.Addr]int), incoming: make(map[mem.Addr]int)}
+	l, ok := freeLOSes.Get()
+	if !ok {
+		l = new(LOS)
+	}
+	*l = LOS{s: s, base: base, n: n, free: newPageBits(s, base, end),
+		runLen: s.LendInt32s(n), incoming: s.LendInt32s(n)}
 	l.free.setPages(base.Page(), n)
 	return l
 }
+
+// Released spaces, and their lists by capacity: the lists grow through
+// them (mem.Classed).
+var (
+	freeLOSes     mem.FreeList[*LOS]
+	freeAddrLists mem.Classed[mem.Addr]
+	freeRunLists  mem.Classed[[2]mem.PageID]
+)
+
+// Release gives l and its lists back to their free lists; its tables go
+// back with its Space. Call it once the run has ended, when nothing uses
+// l again.
+func (l *LOS) Release() {
+	freeAddrLists.Put(l.sorted)
+	freeAddrLists.Put(l.dead)
+	freeRunLists.Put(l.runsBuf)
+	*l = LOS{}
+	freeLOSes.Put(l)
+}
+
+// at returns the region page index of large object o.
+func (l *LOS) at(o objmodel.Ref) int { return int(o.Page() - l.base.Page()) }
 
 // SetCounters attaches a counter registry recording large-object
 // allocation volume. nil detaches.
@@ -56,7 +83,7 @@ func (l *LOS) Contains(a mem.Addr) bool {
 func (l *LOS) UsedPages() int { return l.inUse }
 
 // Objects returns the number of live large objects.
-func (l *LOS) Objects() int { return len(l.objects) }
+func (l *LOS) Objects() int { return len(l.sorted) }
 
 // Alloc places an object of type t on a fresh run of pages, first-fit.
 // Returns mem.Nil if no run is free (caller collects).
@@ -70,9 +97,9 @@ func (l *LOS) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 	l.free.clearPages(first, pages)
 	l.inUse += pages
 	o := mem.PageAddr(first)
-	l.objects[o] = pages
+	l.runLen[l.at(o)] = int32(pages)
 	i, _ := slices.BinarySearch(l.sorted, o)
-	l.sorted = slices.Insert(l.sorted, i, o)
+	l.sorted = slices.Insert(freeAddrLists.Grow(l.sorted, 1), i, o)
 	l.counters.Inc(trace.CLOSAllocs)
 	l.counters.Add(trace.CLOSPagesAllocated, uint64(pages))
 	objmodel.ClearStatus(l.s, o)
@@ -101,12 +128,11 @@ func (l *LOS) findRun(pages int) int {
 // (mem.ForgetPages; Alloc writes the next object before it is read), and
 // returns its page range so the caller can discard the pages.
 func (l *LOS) Free(o objmodel.Ref) (first, last mem.PageID) {
-	pages, ok := l.objects[o]
-	if !ok {
+	pages := int(l.runLen[l.at(o)])
+	if pages == 0 {
 		panic("heap: LOS free of unknown object")
 	}
-	delete(l.objects, o)
-	delete(l.incoming, o)
+	l.runLen[l.at(o)], l.incoming[l.at(o)] = 0, 0
 	i, _ := slices.BinarySearch(l.sorted, o)
 	l.sorted = slices.Delete(l.sorted, i, i+1)
 	l.free.setPages(o.Page(), pages)
@@ -118,7 +144,7 @@ func (l *LOS) Free(o objmodel.Ref) (first, last mem.PageID) {
 
 // PagesOf returns the page range of a live large object.
 func (l *LOS) PagesOf(o objmodel.Ref) (first, last mem.PageID) {
-	pages := l.objects[o]
+	pages := l.runLen[l.at(o)]
 	return o.Page(), o.Page() + mem.PageID(pages) - 1
 }
 
@@ -138,7 +164,7 @@ func (l *LOS) ObjectContaining(a mem.Addr) (objmodel.Ref, bool) {
 		return mem.Nil, false
 	}
 	if i, _ := slices.BinarySearch(l.sorted, a+1); i > 0 {
-		if o := l.sorted[i-1]; a < o+mem.Addr(l.objects[o])*mem.PageSize {
+		if o := l.sorted[i-1]; a < o+mem.Addr(l.runLen[l.at(o)])*mem.PageSize {
 			return o, true
 		}
 	}
@@ -146,19 +172,20 @@ func (l *LOS) ObjectContaining(a mem.Addr) (objmodel.Ref, bool) {
 }
 
 // Incoming returns large object o's incoming-bookmark count.
-func (l *LOS) Incoming(o objmodel.Ref) int { return l.incoming[o] }
+func (l *LOS) Incoming(o objmodel.Ref) int { return int(l.incoming[l.at(o)]) }
 
 // IncIncoming bumps live object o's incoming-bookmark count.
-func (l *LOS) IncIncoming(o objmodel.Ref) { l.incoming[o]++ }
+func (l *LOS) IncIncoming(o objmodel.Ref) { l.incoming[l.at(o)]++ }
 
 // DecIncoming decrements o's count, saturating at zero, and returns it.
 func (l *LOS) DecIncoming(o objmodel.Ref) int {
-	l.incoming[o] = max(l.incoming[o]-1, 0)
-	return l.incoming[o]
+	c := &l.incoming[l.at(o)]
+	*c = max(*c-1, 0)
+	return int(*c)
 }
 
 // SetIncoming overwrites live object o's count (the fail-safe, §3.5).
-func (l *LOS) SetIncoming(o objmodel.Ref, v int) { l.incoming[o] = v }
+func (l *LOS) SetIncoming(o objmodel.Ref, v int) { l.incoming[l.at(o)] = int32(v) }
 
 // IsFreePage reports in O(1) whether page p is a free page of the region.
 func (l *LOS) IsFreePage(p mem.PageID) bool {
@@ -188,12 +215,12 @@ func (l *LOS) Sweep(epoch uint32, resident func(mem.PageID) bool) (freed int, ru
 		if objmodel.Marked(l.s, o, epoch) || objmodel.Bookmarked(l.s, o) {
 			return
 		}
-		dead = append(dead, o)
+		dead = freeAddrLists.Append(dead, o)
 	})
 	l.dead = dead
 	for _, o := range dead {
 		f, la := l.Free(o)
-		runs = append(runs, [2]mem.PageID{f, la})
+		runs = freeRunLists.Append(runs, [2]mem.PageID{f, la})
 	}
 	l.runsBuf = runs
 	return len(dead), runs

@@ -68,18 +68,41 @@ func NewSuperSpace(s *mem.Space, classes *objmodel.Classes, base, end mem.Addr) 
 		panic("heap: unaligned superpage region")
 	}
 	n := int((end - base) / mem.SuperSize)
-	ss := &SuperSpace{
+	ss, ok := freeSuperSpaces.GetFit(n, func(ss *SuperSpace) int { return ss.n })
+	if !ok {
+		ss = &SuperSpace{avail: make([][]int32, 2*classes.Len())}
+	}
+	avail := ss.avail
+	for key := range avail {
+		avail[key] = avail[key][:0]
+	}
+	if len(avail) != 2*classes.Len() {
+		avail = make([][]int32, 2*classes.Len())
+	}
+	*ss = SuperSpace{
 		s:       s,
 		classes: classes,
 		base:    base,
 		n:       n,
-		avail:   make([][]int32, 2*classes.Len()),
+		free:    ss.free[:0],
+		avail:   avail,
 		inAvail: s.NewBitmap(n),
 		refused: s.LendInt32s(n),
 		empty:   newPageBits(s, base, end),
 	}
 	ss.empty.setPages(base.Page(), n*mem.SuperPages)
 	return ss
+}
+
+// freeSuperSpaces holds released spaces with the lists they grew.
+var freeSuperSpaces mem.FreeList[*SuperSpace]
+
+// Release hands ss, with its free and available lists, to the next
+// NewSuperSpace; its bitmaps and tables go back with its Space. Call it
+// once the run has ended, when nothing uses ss again.
+func (ss *SuperSpace) Release() {
+	ss.s, ss.resident, ss.counters = nil, nil, nil
+	freeSuperSpaces.Put(ss)
 }
 
 // SetResidencyFilter restricts allocation and sweeping to blocks whose

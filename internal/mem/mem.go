@@ -130,13 +130,10 @@ type Space struct {
 	flags    []uint8
 
 	// own shares bodies and holds the records of swapped-out pages
-	// (SwapOut); it returns both if the Space is dropped.
+	// (SwapOut); it returns both if the Space is dropped. It also lists
+	// the tables the Space has lent (NewBitmap, LendInt32s), which
+	// Release takes back.
 	own *owner
-
-	// The tables the Space has lent to structures built over it
-	// (NewBitmap, LendInt32s); Release takes them back.
-	lentWords  [][]uint64
-	lentInt32s [][]int32
 }
 
 // NewSpace creates a space of the given size in bytes (rounded up to a
@@ -178,27 +175,27 @@ func (s *Space) Release() {
 	// Disarm the owner first: its finalizer would otherwise empty the
 	// body table after another Space has taken it.
 	runtime.SetFinalizer(s.own, nil)
+	freeWordTables.Put(s.own.lentWords...)
+	freeInt32Tables.Put(s.own.lentInt32s...)
 	s.own.release()
 	s.own = nil
 	freeBodyTables.Put(s.bodies)
 	freeFlagTables.Put(s.flags)
-	freeWordTables.Put(s.lentWords...)
-	freeInt32Tables.Put(s.lentInt32s...)
-	s.bodies, s.flags, s.lentWords, s.lentInt32s = nil, nil, nil, nil
+	s.bodies, s.flags = nil, nil
 }
 
 // NewBitmap returns a bitmap of n bits, all clear, whose words s lends:
 // they go back with s.Release, so the bitmap dies with the space.
 func (s *Space) NewBitmap(n int) *Bitmap {
 	w := TakeTable(&freeWordTables, uint64(n+63)/64)
-	s.lentWords = append(s.lentWords, w)
+	s.own.lentWords = append(s.own.lentWords, w)
 	return &Bitmap{w: w, n: n}
 }
 
 // LendInt32s returns a table of n zeros that s takes back at Release.
 func (s *Space) LendInt32s(n int) []int32 {
 	t := TakeTable(&freeInt32Tables, uint64(n))
-	s.lentInt32s = append(s.lentInt32s, t)
+	s.own.lentInt32s = append(s.own.lentInt32s, t)
 	return t
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -77,6 +78,48 @@ func (l *FreeList[T]) Put(vs ...T) {
 	l.mu.Lock()
 	l.items = append(l.items, vs...)
 	l.mu.Unlock()
+}
+
+// Classed is a process-wide set of free lists of slices, one per
+// power-of-two capacity. A slice grown through it moves to a slice of
+// the next class it needs (Append, Grow) and gives the old one back, so
+// any slice of a list serves as well as another. A warm process, whose
+// runs grow their slices as the last pass's did, then takes every slice
+// from a list instead of allocating, however its runs share them out.
+type Classed[T any] [bits.UintSize]FreeList[[]T]
+
+// take returns an empty slice of capacity at least n: the least power
+// of two that holds n.
+func (c *Classed[T]) take(n int) []T {
+	k := bits.Len(uint(max(n, 1) - 1))
+	if s, ok := c[k].Get(); ok {
+		return s
+	}
+	return make([]T, 0, 1<<k)
+}
+
+// Put retires s for a later take of its capacity. A slice whose
+// capacity is not a power of two is left to the Go collector.
+func (c *Classed[T]) Put(s []T) {
+	if n := cap(s); n > 0 && n&(n-1) == 0 {
+		c[bits.TrailingZeros(uint(n))].Put(s[:0])
+	}
+}
+
+// Grow returns s with room for n more elements, moved to a slice taken
+// from c if it has not.
+func (c *Classed[T]) Grow(s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	grown := append(c.take(len(s)+n), s...)
+	c.Put(s)
+	return grown
+}
+
+// Append appends vs to s through Grow.
+func (c *Classed[T]) Append(s []T, vs ...T) []T {
+	return append(c.Grow(s, len(vs)), vs...)
 }
 
 // freeBodies is the process-wide pool of page bodies no Space holds.
@@ -159,18 +202,22 @@ func TakeTable[T any](l *FreeList[[]T], n uint64) []T {
 type owner struct {
 	bodies []*[WordsPage]uint64
 	swapStore
+
+	// The tables the Space has lent to structures built over it. The
+	// lists keep their capacity from Space to Space.
+	lentWords  [][]uint64
+	lentInt32s [][]int32
 }
 
-// freeOwners are the owners released Spaces hand to the next ones. A
-// Space takes the one with the most slab capacity, so however the
-// Spaces take turns, every owner's slab lists grow to the most any
-// Space needed and then stop allocating.
+// freeOwners are the owners released Spaces hand to the next ones. An
+// owner's slab lists go back to their own free lists (Classed) at
+// release, so any owner serves as well as another.
 var freeOwners FreeList[*owner]
 
 // newOwner returns an owner of table whose bodies and records go back
 // to the pool when it becomes unreachable.
 func newOwner(table []*[WordsPage]uint64) *owner {
-	o, ok := freeOwners.GetLargest(func(o *owner) int { return cap(o.slabs) })
+	o, ok := freeOwners.Get()
 	if !ok {
 		o = new(owner)
 	}
@@ -184,6 +231,11 @@ func newOwner(table []*[WordsPage]uint64) *owner {
 func (o *owner) release() {
 	putBodies(o.bodies)
 	o.bodies = nil
+	// A dropped Space's lent tables are left to the Go collector: what
+	// was built over the Space may still hold them.
+	clear(o.lentWords)
+	clear(o.lentInt32s)
+	o.lentWords, o.lentInt32s = o.lentWords[:0], o.lentInt32s[:0]
 	o.swapStore.release()
 	freeOwners.Put(o)
 }

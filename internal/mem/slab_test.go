@@ -269,3 +269,33 @@ func TestFreeListTakesByCapacity(t *testing.T) {
 		t.Fatalf("GetLargest took cap %d (ok %v), want 8", cap(s), ok)
 	}
 }
+
+// TestClassedRegrowthAllocatesNothing: lists grown through a Classed and
+// given back serve the same growth again without allocating, in
+// whatever order the growers take them.
+func TestClassedRegrowthAllocatesNothing(t *testing.T) {
+	var c Classed[int]
+	needs := []int{1, 7, 300, 5, 64, 65, 2}
+	round := func(reverse bool) {
+		lists := make([][]int, len(needs))
+		for k := range needs {
+			i := k
+			if reverse {
+				i = len(needs) - 1 - k
+			}
+			for v := 0; v < needs[i]; v++ {
+				lists[i] = c.Append(lists[i], v)
+			}
+		}
+		for i, l := range lists {
+			if len(l) != needs[i] || (len(l) > 0 && l[len(l)-1] != needs[i]-1) {
+				t.Fatalf("list %d holds %v", i, l)
+			}
+			c.Put(l)
+		}
+	}
+	round(false)
+	if n := testing.AllocsPerRun(10, func() { round(true) }); n > 1 { // the round's own table of lists
+		t.Errorf("a warm round allocated %v times", n)
+	}
+}

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"math/bits"
-	"slices"
 	"unsafe"
 )
 
@@ -117,12 +116,18 @@ func (st *swapStore) alloc(c uint8) int32 {
 // never allocates.
 func (st *swapStore) grow() {
 	n := max(2*cap(st.slabs), minSlabs)
-	st.slabs = slices.Grow(st.slabs, n-len(st.slabs))
-	st.spare = slices.Grow(st.spare, n-len(st.spare))
+	st.slabs = freeSlabLists.Grow(st.slabs, n-len(st.slabs))
+	st.spare = freeIndexLists.Grow(st.spare, n-len(st.spare))
 	for c := range st.open {
-		st.open[c] = slices.Grow(st.open[c], n-len(st.open[c]))
+		st.open[c] = freeIndexLists.Grow(st.open[c], n-len(st.open[c]))
 	}
 }
+
+// The slab lists of released stores, by capacity.
+var (
+	freeSlabLists  Classed[swapSlab]
+	freeIndexLists Classed[int32]
+)
 
 // free releases the slot of handle h, and gives its slab's body back to
 // the pool once the slab holds no record.
@@ -164,9 +169,14 @@ func (st *swapStore) release() {
 	}
 	freeBodies.mu.Unlock()
 	clear(st.rec)
-	st.rec, st.slabs, st.spare = st.rec[:0], st.slabs[:0], st.spare[:0]
+	st.rec = st.rec[:0]
+	clear(st.slabs)
+	freeSlabLists.Put(st.slabs)
+	freeIndexLists.Put(st.spare)
+	st.slabs, st.spare = nil, nil
 	for c := range st.open {
-		st.open[c] = st.open[c][:0]
+		freeIndexLists.Put(st.open[c])
+		st.open[c] = nil
 	}
 }
 

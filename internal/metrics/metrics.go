@@ -6,7 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"bookmarkgc/internal/trace"
@@ -275,7 +275,7 @@ func percentileOf(ds []time.Duration, p float64) time.Duration {
 	} else if p > 100 {
 		p = 100
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	slices.Sort(ds)
 	pos := p / 100 * float64(len(ds)-1)
 	lo := int(pos)
 	if lo >= len(ds)-1 {

@@ -212,6 +212,17 @@ func (r *Run) avgObjBytes() int {
 	return ts / r.bandTW
 }
 
+// minObjBytes is the size of the mix's smallest object.
+func (r *Run) minObjBytes() int {
+	least := NodeShape.Bytes()
+	for _, b := range r.spec.Sizes {
+		if b.Array {
+			least = min(least, Shape{AllocDataArr, b.MinWords}.Bytes())
+		}
+	}
+	return least
+}
+
 // start allocates the immortal data and sizes the pool.
 func (r *Run) start() {
 	r.started = true
@@ -223,6 +234,9 @@ func (r *Run) start() {
 		n = 8
 	}
 
+	// The block's length is random, but no immortal object is smaller
+	// than the mix's smallest shape, which bounds it.
+	r.roots.Reserve(r.roots.Len() + int(immortalBytes/uint64(r.minObjBytes())) + 1 + n + r.spec.LargeLive)
 	r.liveBase = r.roots.Len()
 	for b := uint64(0); b < immortalBytes; {
 		b += uint64(r.allocOne())

@@ -1,15 +1,23 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/bits"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bookmarkgc/internal/fault"
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
+	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/mutator"
 	"bookmarkgc/internal/vmm"
 )
@@ -62,46 +70,178 @@ func TestWarmRunAllocatesLittle(t *testing.T) {
 	}
 }
 
-// warmFleetBudget bounds what a warm process allocates on the host for
-// one small flight-recorded fleet: the tenants' Go objects, their flight
-// recorders' windows and rings, the bundles written, and the regrowth of
-// root arrays and page queues, which come back from their free lists in
-// the order they were retired, not by size (≈ 0.85 MB of the ≈ 1.45 MB
-// measured; a third fleet finds them grown and takes ≈ 0.6 MB). The
-// other tables, gray stacks, runs, trace buffers and synthesis state
-// come from the process's free lists once one fleet has released them.
-const warmFleetBudget = 2 << 20
+// benchmarkFleets returns the repository benchmark's two fleets at
+// scale 0.05, seed 1: eight tenants under the cooperative policy and the
+// MemBalancer, flight-recorded into dir, and sixteen under global LRU.
+func benchmarkFleets(dir string) [2]FleetConfig {
+	coop := DefaultFleetSpec(8, 0.05, 1, 7936)
+	coop.Policy = PolicyCooperative
+	coop.HeapPolicy = "membalancer"
+	coop.BalanceEveryNS = int64(5 * time.Millisecond)
+	lru := DefaultFleetSpec(16, 0.05, 1, 7936)
+	lru.Policy = PolicyGlobalLRU
+	return [2]FleetConfig{{Spec: coop, FlightDir: dir, MarkWorkers: 2}, {Spec: lru, MarkWorkers: 2}}
+}
 
-// TestWarmFleetAllocatesLittle runs an 8-tenant flight-recorded fleet —
-// DefaultFleetSpec's mix, synthesized tenants included, under the
-// cooperative policy and the MemBalancer — twice, and bounds the host
-// bytes the second run allocates.
+// resetDir empties dir, as the benchmark does before every pass: bundle
+// file names are numbered from what is already there.
+func resetDir(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// warmPassBudget bounds what a warm process allocates on the host for
+// one pass of the benchmark's two fleets: the tenants' Go objects and
+// the results handed back (timelines, the fleet report). Everything a
+// run grows — flight rings and series, page records, maps and lists of
+// the heap and the collectors, queues, root arrays, gray stacks, trace
+// buffers — comes back from the process's free lists once one pass has
+// released it, so a warm pass leaves the Go collector almost no garbage
+// and the Go heap stays where the first pass left it.
+const warmPassBudget = 128 << 10
+
+// TestWarmFleetAllocatesLittle runs the benchmark's two fleets once
+// cold, then three more passes, and bounds the host bytes each warm
+// pass allocates. Every warm tenant's results must equal the first
+// pass's.
 func TestWarmFleetAllocatesLittle(t *testing.T) {
-	spec := DefaultFleetSpec(8, 0.03, 1, 7936)
-	spec.Policy = PolicyCooperative
-	spec.HeapPolicy = "membalancer"
-	spec.BalanceEveryNS = int64(5 * time.Millisecond)
-	first := RunFleet(FleetConfig{Spec: spec, FlightDir: t.TempDir()})
+	dir := filepath.Join(t.TempDir(), "flight")
+	fleets := benchmarkFleets(dir)
+	var first [2]FleetResult
+	for pass := 0; pass < 4; pass++ {
+		var got uint64
+		var results [2]FleetResult
+		for i, cfg := range fleets {
+			resetDir(t, dir)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			results[i] = RunFleet(cfg)
+			runtime.ReadMemStats(&after)
+			got += after.TotalAlloc - before.TotalAlloc
+			if results[i].Err != nil {
+				t.Fatalf("pass %d, fleet %d: %v", pass, i, results[i].Err)
+			}
+		}
+		if pass == 0 {
+			first = results
+			continue
+		}
+		for i := range results {
+			for k := range first[i].Tenants {
+				f, s := first[i].Tenants[k], results[i].Tenants[k]
+				if s.ElapsedSecs != f.ElapsedSecs || s.Mutator.Checksum != f.Mutator.Checksum || s.ProcStats != f.ProcStats {
+					t.Fatalf("pass %d, fleet %d: tenant %d differs: %v s, checksum %x; first %v s, %x",
+						pass, i, k, s.ElapsedSecs, s.Mutator.Checksum, f.ElapsedSecs, f.Mutator.Checksum)
+				}
+			}
+		}
+		t.Logf("warm pass %d: %d bytes, %d cascades", pass, got, results[0].Cascades+results[1].Cascades)
+		if got > warmPassBudget {
+			t.Errorf("warm pass %d allocated %d bytes, budget %d", pass, got, warmPassBudget)
+		}
+	}
+}
+
+// TestRecycledScratchCarriesNoState runs fleet A (eight tenants,
+// flight-recorded), then fleet B (sixteen), then A again. What A's
+// second run takes from the free lists was last used by B and by A's
+// first run; if any of it carried state, A's results or bundles would
+// differ. Its FleetResult and every flight bundle must be byte-identical
+// across A's two runs. A is the benchmark's eight-tenant fleet with its
+// first tenant's heap at 3 MB, so that a tenant also dumps fail-safe
+// bundles, which render its recorder's series and event ring.
+func TestRecycledScratchCarriesNoState(t *testing.T) {
+	root := t.TempDir()
+	dirA1, dirA2 := filepath.Join(root, "a1"), filepath.Join(root, "a2")
+	a := benchmarkFleets(dirA1)[0]
+	a.Spec.Tenants = slices.Clone(a.Spec.Tenants)
+	a.Spec.Tenants[0].HeapBytes = 3 << 20
+	b := benchmarkFleets("")[1]
+	first := RunFleet(a)
 	if first.Err != nil {
 		t.Fatal(first.Err)
 	}
-	cfg := FleetConfig{Spec: spec, FlightDir: t.TempDir()}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	second := RunFleet(cfg)
-	runtime.ReadMemStats(&after)
-	for i := range first.Tenants {
-		f, s := first.Tenants[i], second.Tenants[i]
-		if s.ElapsedSecs != f.ElapsedSecs || s.Mutator.Checksum != f.Mutator.Checksum || s.ProcStats != f.ProcStats {
-			t.Fatalf("tenant %d differs in the warm fleet: %v s, checksum %x; first %v s, %x",
-				i, s.ElapsedSecs, s.Mutator.Checksum, f.ElapsedSecs, f.Mutator.Checksum)
+	if r := RunFleet(b); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	a.FlightDir = dirA2
+	second := RunFleet(a)
+	if second.Err != nil {
+		t.Fatal(second.Err)
+	}
+	want, got := fleetResultBytes(t, first), fleetResultBytes(t, second)
+	if !bytes.Equal(got, want) {
+		t.Errorf("fleet A differs after fleet B:\n--- first\n%s\n--- second\n%s", want, got)
+	}
+	bundles := 0
+	entries, err := os.ReadDir(dirA1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		w, err := os.ReadFile(filepath.Join(dirA1, e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
+		g, err := os.ReadFile(filepath.Join(dirA2, e.Name()))
+		if err != nil {
+			t.Errorf("bundle %s: %v", e.Name(), err)
+			continue
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("bundle %s differs after fleet B", e.Name())
+		}
+		bundles++
 	}
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("warm fleet: %d bytes in %d allocations, %d cascades", got, after.Mallocs-before.Mallocs, second.Cascades)
-	if got > warmFleetBudget {
-		t.Errorf("warm fleet allocated %d bytes, budget %d", got, warmFleetBudget)
+	if again, _ := os.ReadDir(dirA2); len(again) != len(entries) {
+		t.Errorf("fleet A wrote %d bundles, then %d", len(entries), len(again))
 	}
+	if bundles == 0 || !slices.ContainsFunc(entries, func(e os.DirEntry) bool { return strings.HasPrefix(e.Name(), "flight-") }) {
+		t.Error("fleet A wrote no tenant flight bundle: the test lost its ring and series")
+	}
+}
+
+// fleetResultBytes renders every value a FleetResult holds, with the
+// bundle paths reduced to their file names and the run configurations'
+// host-side pointers left out.
+func fleetResultBytes(t *testing.T, fr FleetResult) []byte {
+	t.Helper()
+	type tenant struct {
+		Timeline    metrics.Timeline
+		Mutator     mutator.Result
+		GCStats     gc.Stats
+		ProcStats   vmm.ProcStats
+		ElapsedSecs float64
+		Err         string
+		Faults      *fault.Stats
+	}
+	out := struct {
+		FleetStats
+		Dumps   []string
+		VMM     vmm.Stats
+		Names   []string
+		Tenants []tenant
+	}{FleetStats: fr.FleetStats, VMM: fr.VMM, Names: fr.Names}
+	for _, p := range fr.FleetDumps {
+		out.Dumps = append(out.Dumps, filepath.Base(p))
+	}
+	for _, r := range fr.Tenants {
+		tr := tenant{r.Timeline, r.Mutator, r.GCStats, r.ProcStats, r.ElapsedSecs, "", r.Faults}
+		if r.Err != nil {
+			tr.Err = r.Err.Error()
+		}
+		out.Tenants = append(out.Tenants, tr)
+	}
+	data, err := json.MarshalIndent(out, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestRunsTradeTablesAcrossGoroutines: runs on several goroutines at

@@ -128,15 +128,20 @@ func (m machine) admit(name string, cfg RunConfig, tr trace.Tracer) (*tenant, er
 	if pol != nil && pol.PressureSensitive() && env.Proc.Handler() == nil {
 		env.Proc.Register(&policyRelay{col: col})
 	}
-	src := mutator.Source(cfg.Program)
+	var run mutator.Workload
 	if cfg.Workload != nil {
-		src = cfg.Workload
+		run, err = cfg.Workload.NewWorkload(col, types, cfg.Seed)
+	} else {
+		run, err = cfg.Program.NewWorkload(col, types, cfg.Seed)
 	}
-	run, err := src.NewWorkload(col, types, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	t := &tenant{cfg: cfg, env: env, col: col, run: run}
+	t, ok := freeTenants.Get()
+	if !ok {
+		t = new(tenant)
+	}
+	*t = tenant{cfg: cfg, env: env, col: col, run: run}
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Attach(m.v, env, col, cfg.Counters)
 	}
@@ -208,13 +213,22 @@ func (t *tenant) result() Result {
 	return r
 }
 
-// release recycles the tenant's host scratch — root registry, mark
-// tallies, and a generated program's run — for the next run in the
-// process. Its process's tables, page bodies and the tables its space
-// lent go back with the machine.
+// release recycles the tenant and its host scratch — root registry,
+// mark tallies, what its environment holds, a generated program's run
+// and its injector's generator — for the next run in the process; t is
+// not used again. Its process's tables, page bodies and the tables its
+// space lent go back with the machine.
 func (t *tenant) release() {
 	t.env.ReleaseScratch(t.col.Roots())
 	if r, ok := t.run.(*mutator.Run); ok {
 		r.Release()
 	}
+	if t.inj != nil {
+		t.inj.Release()
+	}
+	*t = tenant{}
+	freeTenants.Put(t)
 }
+
+// freeTenants holds released tenants for the next admit.
+var freeTenants mem.FreeList[*tenant]

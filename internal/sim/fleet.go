@@ -414,13 +414,17 @@ func (f *fleetRun) tenantConfig(i int, ts TenantSpec) (RunConfig, error) {
 }
 
 // release tears down every admitted tenant, then the machine. The
-// traces assemble synthesized for the tenants go back to their pool too.
+// traces assemble synthesized for the tenants and their flight
+// recorders go back to their pools too.
 func (f *fleetRun) release() {
 	for _, t := range f.tenants {
-		t.release()
 		if s, ok := t.cfg.Workload.(*workload.SynthSource); ok {
 			s.Release()
 		}
+		if f.cfg.FlightDir != "" {
+			t.cfg.Telemetry.Release()
+		}
+		t.release()
 	}
 	f.machine.release()
 }
@@ -540,6 +544,8 @@ func (f *fleetRun) report() FleetResult {
 	res.ArbiterVetoes = res.VMM.ArbiterVetoes
 	for i, t := range f.tenants {
 		r := t.result()
+		// The fleet's own flight recorders are released with it.
+		r.Config.Telemetry = nil
 		res.Tenants[i] = r
 		res.Names[i] = t.env.Proc.Name()
 		res.AggMinorFaults += r.ProcStats.MinorFaults
@@ -580,7 +586,10 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 	}
 	f.tenants[noisiest].penaltySkips += backpressureSkips
 
-	if f.cfg.FlightDir == "" {
+	// A bundle no slot would take is not assembled. Slots are never
+	// given back, so no later bundle is written either, and skipping
+	// dumpSeq changes no file name.
+	if f.cfg.FlightDir == "" || !f.quota.FleetSlotsLeft() {
 		return
 	}
 	b := &telemetry.FleetBundle{
@@ -595,6 +604,7 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 		AggMajor:      f.v.Stats().MajorFaults,
 		AggEvictions:  f.v.Stats().Evictions,
 		ArbiterVetoes: f.v.Stats().ArbiterVetoes,
+		Tenants:       make([]telemetry.TenantFlightSnap, 0, len(f.tenants)),
 	}
 	if f.escalated {
 		b.EscalatedTo = string(f.arbiter.mode)

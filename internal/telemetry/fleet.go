@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,6 +63,14 @@ func (q *DumpQuota) TryFleet() bool {
 	}
 	q.fleetUsed++
 	return true
+}
+
+// FleetSlotsLeft reports whether TryFleet can still succeed, without
+// charging a slot: a fleet need not assemble a bundle no slot would take.
+func (q *DumpQuota) FleetSlotsLeft() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.fleetUsed < q.fleetReserve
 }
 
 // Used returns (tenant dumps, fleet dumps) written so far.
@@ -145,7 +152,8 @@ func WriteFleetBundle(dir string, seq int, b *FleetBundle, q *DumpQuota) string 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return ""
 	}
-	data, err := json.MarshalIndent(b, "", " ")
+	enc, data, err := encodeBundle(b)
+	defer enc.release()
 	if err != nil {
 		return ""
 	}

@@ -1,11 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/trace"
 )
@@ -33,10 +35,18 @@ type flightRing struct {
 	total  uint64
 }
 
+// freeRingChunks holds the chunks of released rings. A chunk comes back
+// holding another ring's events, but a ring reads only the slots it has
+// written since it was reset.
+var freeRingChunks mem.FreeList[*[ringChunk]trace.Record]
+
 func (r *flightRing) push(e trace.Record, ctrs *trace.Counters) {
 	ch := &r.chunks[r.next/ringChunk]
 	if *ch == nil {
-		*ch = new([ringChunk]trace.Record)
+		var ok bool
+		if *ch, ok = freeRingChunks.Get(); !ok {
+			*ch = new([ringChunk]trace.Record)
+		}
 	}
 	(*ch)[r.next%ringChunk] = e
 	if r.total >= ringEvents {
@@ -44,6 +54,17 @@ func (r *flightRing) push(e trace.Record, ctrs *trace.Counters) {
 	}
 	r.next = (r.next + 1) % ringEvents
 	r.total++
+}
+
+// release gives the ring's chunks to the next ring and empties it.
+func (r *flightRing) release() {
+	for i, ch := range r.chunks {
+		if ch != nil {
+			freeRingChunks.Put(ch)
+		}
+		r.chunks[i] = nil
+	}
+	r.next, r.total = 0, 0
 }
 
 // held returns the number of events the ring holds.
@@ -141,7 +162,8 @@ func (c *Collector) dumpLocked(reason string) {
 	if err := os.MkdirAll(c.cfg.FlightDir, 0o755); err != nil {
 		return
 	}
-	data, err := json.MarshalIndent(b, "", " ")
+	enc, data, err := encodeBundle(b)
+	defer enc.release()
 	if err != nil {
 		return
 	}
@@ -154,6 +176,38 @@ func (c *Collector) dumpLocked(reason string) {
 		c.flightDumps++
 		c.ctrs.Inc(trace.CTelemetryFlightDumps)
 	}
+}
+
+// bundleEncoder renders bundles into a buffer it keeps, so encoding one
+// allocates nothing once the buffer has grown to the largest bundle.
+type bundleEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// freeBundleEncoders holds the encoders of finished dumps.
+var freeBundleEncoders mem.FreeList[*bundleEncoder]
+
+// encodeBundle renders v as json.MarshalIndent(v, "", " ") does. data is
+// the encoder's buffer: write it before enc.release.
+func encodeBundle(v any) (enc *bundleEncoder, data []byte, err error) {
+	enc, ok := freeBundleEncoders.Get()
+	if !ok {
+		enc = &bundleEncoder{}
+		enc.enc = json.NewEncoder(&enc.buf)
+		enc.enc.SetIndent("", " ")
+	}
+	if err := enc.enc.Encode(v); err != nil {
+		return enc, nil, err
+	}
+	data = enc.buf.Bytes()
+	return enc, data[:len(data)-1], nil // Encode ends the value with a newline
+}
+
+// release empties enc for the next dump.
+func (enc *bundleEncoder) release() {
+	enc.buf.Reset()
+	freeBundleEncoders.Put(enc)
 }
 
 // bundleLocked assembles the bundle a dump for reason writes. Called

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"bookmarkgc/internal/gc"
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/metrics"
 	"bookmarkgc/internal/trace"
 	"bookmarkgc/internal/vmm"
@@ -163,17 +164,52 @@ func (s *Series) push(row *[numColumns]int64) {
 		s.marks = append(s.marks, s.head)
 	}
 	for i := range s.cols {
-		if s.cols[i] == nil && s.window > 0 {
-			// Two blocks of about a byte a sample: most columns
-			// never regrow.
-			s.cols[i] = make([]byte, 0, 2*s.window)
-		}
 		h := &s.head[i]
 		d := row[i] - h.val
-		s.cols[i] = binary.AppendVarint(s.cols[i], d-h.step)
+		var enc [binary.MaxVarintLen64]byte
+		v := binary.AppendVarint(enc[:0], d-h.step)
+		if s.window > 0 && cap(s.cols[i])-len(s.cols[i]) < len(v) {
+			s.cols[i] = s.growColumn(s.cols[i])
+		}
+		s.cols[i] = append(s.cols[i], v...)
 		*h = cursor{off: len(s.cols[i]), val: row[i], step: d}
 	}
 	s.n++
+}
+
+// freeColumns holds the column buffers of released windowed series and
+// those a windowed column outgrew.
+var freeColumns mem.FreeList[[]byte]
+
+// growColumn returns a windowed column's bytes in a buffer of at least
+// twice col's capacity (at first, two blocks of about a byte a sample,
+// which most columns never outgrow), taken from freeColumns when one
+// fits, and retires col there.
+func (s *Series) growColumn(col []byte) []byte {
+	n := max(2*cap(col), 2*s.window)
+	grown, ok := freeColumns.GetFit(n, func(b []byte) int { return cap(b) })
+	if !ok {
+		grown = make([]byte, 0, n)
+	}
+	grown = append(grown[:0], col...)
+	if col != nil {
+		freeColumns.Put(col[:0])
+	}
+	return grown
+}
+
+// release retires a windowed series' columns to freeColumns and empties
+// it, keeping its checkpoint table.
+func (s *Series) release() {
+	if s.window > 0 {
+		for i, col := range s.cols {
+			if col != nil {
+				freeColumns.Put(col[:0])
+			}
+			s.cols[i] = nil
+		}
+	}
+	*s = Series{window: s.window, cols: s.cols, marks: s.marks[:0]}
 }
 
 // dropOldest discards a windowed series' oldest block: the newer one
@@ -344,15 +380,21 @@ type Collector struct {
 // New returns a collector with cfg's zero fields defaulted. It keeps
 // the whole series, for exports and the live endpoints.
 func New(cfg Config) *Collector {
+	c := &Collector{}
+	c.tickFn = c.tick
+	c.init(cfg)
+	return c
+}
+
+// init sets c's configuration, cfg's zero fields defaulted.
+func (c *Collector) init(cfg Config) {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = time.Millisecond
 	}
 	if cfg.Quota == nil {
 		cfg.Quota = NewDumpQuota(maxDumps, maxDumps, 0)
 	}
-	c := &Collector{cfg: cfg}
-	c.tickFn = c.tick
-	return c
+	c.cfg = cfg
 }
 
 // NewFlightRecorder returns a collector that keeps only what a flight
@@ -361,12 +403,40 @@ func New(cfg Config) *Collector {
 // bundlePauses. Nothing it holds grows with the run. Its exports, tails
 // and Pauses cover what it holds alone; its bundles' pause percentiles
 // read the collector's timeline, so they are exact over the run. A
-// fleet arms one per tenant.
+// fleet arms one per tenant, and releases it when the fleet ends: the
+// next recorder is a released one, with its buffers.
 func NewFlightRecorder(cfg Config) *Collector {
-	c := New(cfg)
-	c.series.window = sampleTail
-	c.pauseTail = bundlePauses
+	c, ok := freeRecorders.Get()
+	if !ok {
+		c = New(cfg)
+		c.series.window = sampleTail
+		c.pauseTail = bundlePauses
+		c.pauses = make([]PauseAttr, 0, bundlePauses)
+		return c
+	}
+	c.init(cfg)
 	return c
+}
+
+// freeRecorders holds released flight recorders, emptied.
+var freeRecorders mem.FreeList[*Collector]
+
+// Release empties a flight recorder — its series columns and ring
+// chunks go to the process's free lists — and hands it to the next
+// NewFlightRecorder. Call it once the run has ended, when nothing reads
+// or records through c again.
+func (c *Collector) Release() {
+	c.mu.Lock()
+	c.series.release()
+	c.ring.release()
+	*c = Collector{
+		tickFn:    c.tickFn,
+		series:    c.series,
+		stack:     c.stack[:0],
+		pauses:    c.pauses[:0],
+		pauseTail: c.pauseTail,
+	}
+	freeRecorders.Put(c)
 }
 
 // Attach wires the collector to a run and schedules the first sample.

@@ -37,7 +37,12 @@ type Reader struct {
 
 // NewReader validates r's header and reads the meta block, into the
 // buffers a released reader left if there are any.
-func NewReader(r io.Reader) (_ *Reader, err error) {
+func NewReader(r io.Reader) (*Reader, error) { return openReader(r, nil) }
+
+// openReader is NewReader for a stream whose meta block is known to
+// decode to meta, when meta is non-nil: the block is read and checked
+// but not decoded again.
+func openReader(r io.Reader, meta *Meta) (_ *Reader, err error) {
 	rd := &Reader{}
 	if sc, ok := freeReaders.Get(); ok {
 		sc.br.Reset(r)
@@ -66,7 +71,9 @@ func NewReader(r io.Reader) (_ *Reader, err error) {
 		}
 		return nil, err
 	}
-	if err := json.Unmarshal(rd.block, &rd.meta); err != nil {
+	if meta != nil {
+		rd.meta = *meta
+	} else if err := json.Unmarshal(rd.block, &rd.meta); err != nil {
 		return nil, corrupt("meta: %v", err)
 	}
 	if rd.meta.FormatVersion != Version {

@@ -19,20 +19,30 @@ type SynthSource struct {
 	meta Meta
 }
 
-// NewSynthSource synthesizes the trace for p into memory, in a buffer a
-// released SynthSource left if there is one.
+// NewSynthSource synthesizes the trace for p into memory. It writes the
+// trace into the largest scratch buffer a finished synthesis left, then
+// keeps it in the retired trace buffer that fits it most tightly, so a
+// warm process, synthesizing the same traces again, allocates for
+// neither.
 func NewSynthSource(p SynthParams) (*SynthSource, error) {
-	b, _ := freeTraces.Get()
-	buf := bytes.NewBuffer(b)
-	if err := Synthesize(buf, p); err != nil {
+	scratch, _ := freeScratch.GetLargest(func(b []byte) int { return cap(b) })
+	buf := bytes.NewBuffer(scratch)
+	err := Synthesize(buf, p)
+	defer func() { freeScratch.Put(buf.Bytes()[:0]) }()
+	if err != nil {
 		return nil, err
 	}
-	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+	data, ok := freeTraces.GetFit(buf.Len(), func(b []byte) int { return cap(b) })
+	if !ok {
+		data = make([]byte, 0, buf.Len())
+	}
+	data = append(data, buf.Bytes()...)
+	rd, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	defer rd.release()
-	return &SynthSource{data: buf.Bytes(), meta: rd.Meta()}, nil
+	return &SynthSource{data: data, meta: rd.Meta()}, nil
 }
 
 // Release recycles the trace buffer for the next NewSynthSource. Call
@@ -42,16 +52,18 @@ func (s *SynthSource) Release() {
 	s.data = nil
 }
 
-// freeTraces holds the trace buffers of released SynthSources.
-var freeTraces mem.FreeList[[]byte]
+// freeTraces holds the trace buffers of released SynthSources, and
+// freeScratch the buffers syntheses are written into.
+var freeTraces, freeScratch mem.FreeList[[]byte]
 
 // Meta returns the synthesized trace's self-description.
 func (s *SynthSource) Meta() Meta { return s.meta }
 
 // NewWorkload implements mutator.Source. The seed is ignored: the trace
-// was fixed by SynthParams.Seed at construction.
+// was fixed by SynthParams.Seed at construction, whose meta block the
+// reader need not decode again.
 func (s *SynthSource) NewWorkload(c gc.Collector, types mutator.Types, seed int64) (mutator.Workload, error) {
-	rd, err := NewReader(bytes.NewReader(s.data))
+	rd, err := openReader(bytes.NewReader(s.data), &s.meta)
 	if err != nil {
 		return nil, err
 	}
