@@ -282,7 +282,9 @@ func (r *Runtime) HeapPages() int { return r.col.UsedPages() }
 // different slot indices than one started on a fresh runtime.
 func (r *Runtime) NewProgramRun(p Program, seed int64) *mutator.Run {
 	if r.wtypes == nil {
-		t := mutator.DeclareTypes(r.env)
+		// Registered in the runtime's own table, which may take the
+		// caller's types after them.
+		t := mutator.RegisterTypes(r.env.Types)
 		r.wtypes = &t
 	}
 	return mutator.NewRun(p, r.col, *r.wtypes, seed)

@@ -2,6 +2,7 @@ package collectors
 
 import (
 	"bookmarkgc/internal/gc"
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
 )
 
@@ -21,7 +22,12 @@ var _ gc.Collector = (*CopyMS)(nil)
 
 // NewCopyMS creates a CopyMS collector on env.
 func NewCopyMS(env *gc.Env) *CopyMS {
-	c := &CopyMS{eden: gc.NewEden(env)}
+	c, ok := freeCopyMSs.Get()
+	if !ok {
+		c = new(CopyMS)
+	}
+	*c = CopyMS{eden: gc.NewEden(env)}
+	env.Hold(c)
 	c.Init(env, c)
 	c.Mature = gc.NewMature(&c.Base)
 	// Every promotion happens in a full collection; the fresh copy is
@@ -38,6 +44,13 @@ func NewCopyMS(env *gc.Env) *CopyMS {
 	c.resizeEden()
 	return c
 }
+
+// freeCopyMSs holds collectors of finished runs.
+var freeCopyMSs mem.FreeList[*CopyMS]
+
+// Release hands c to a later run's collector. Call it once the run has
+// ended.
+func (c *CopyMS) Release() { freeCopyMSs.Put(c) }
 
 // Name implements gc.Collector.
 func (c *CopyMS) Name() string { return "CopyMS" }

@@ -36,12 +36,17 @@ var _ gc.Collector = (*GenCopy)(nil)
 // semispaces split the second bump region.
 func NewGenCopy(env *gc.Env) *GenCopy {
 	mid := (env.Layout.Bump1Base + (env.Layout.Bump1End-env.Layout.Bump1Base)/2) &^ (mem.SuperSize - 1)
-	c := &GenCopy{
+	c, ok := freeGenCopys.Get()
+	if !ok {
+		c = new(GenCopy)
+	}
+	*c = GenCopy{
 		Nursery: gc.NewNursery(env, 0),
 		matFrom: gc.NewBump(env, env.Layout.Bump1Base, mid),
 		matTo:   gc.NewBump(env, mid, env.Layout.Bump1End),
 		los:     gc.NewLOS(env),
 	}
+	env.Hold(c)
 	c.Init(env, c)
 	c.Ladder = gc.Ladder{
 		Place: c.place,
@@ -54,6 +59,13 @@ func NewGenCopy(env *gc.Env) *GenCopy {
 	c.resizeNursery()
 	return c
 }
+
+// freeGenCopys holds collectors of finished runs.
+var freeGenCopys mem.FreeList[*GenCopy]
+
+// Release hands c to a later run's collector. Call it once the run has
+// ended.
+func (c *GenCopy) Release() { freeGenCopys.Put(c) }
 
 // Name implements gc.Collector.
 func (c *GenCopy) Name() string {

@@ -2,6 +2,7 @@ package collectors
 
 import (
 	"bookmarkgc/internal/gc"
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
 )
 
@@ -22,7 +23,12 @@ var _ gc.Collector = (*GenMS)(nil)
 
 // NewGenMS creates a GenMS collector on env.
 func NewGenMS(env *gc.Env) *GenMS {
-	c := &GenMS{Nursery: gc.NewNursery(env, 0)} // MMTk-style unbounded write buffer
+	c, ok := freeGenMSs.Get()
+	if !ok {
+		c = new(GenMS)
+	}
+	*c = GenMS{Nursery: gc.NewNursery(env, 0)} // MMTk-style unbounded write buffer
+	env.Hold(c)
 	c.Init(env, c)
 	c.Mature = gc.NewMature(&c.Base)
 	c.Ladder = gc.Ladder{
@@ -36,6 +42,13 @@ func NewGenMS(env *gc.Env) *GenMS {
 	c.resizeNursery()
 	return c
 }
+
+// freeGenMSs holds collectors of finished runs.
+var freeGenMSs mem.FreeList[*GenMS]
+
+// Release hands c to a later run's collector. Call it once the run has
+// ended.
+func (c *GenMS) Release() { freeGenMSs.Put(c) }
 
 // Name implements gc.Collector.
 func (c *GenMS) Name() string {

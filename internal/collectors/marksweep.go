@@ -2,6 +2,7 @@ package collectors
 
 import (
 	"bookmarkgc/internal/gc"
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/objmodel"
 )
 
@@ -19,7 +20,12 @@ var _ gc.Collector = (*MarkSweep)(nil)
 
 // NewMarkSweep creates a MarkSweep collector on env.
 func NewMarkSweep(env *gc.Env) *MarkSweep {
-	c := &MarkSweep{}
+	c, ok := freeMarkSweeps.Get()
+	if !ok {
+		c = new(MarkSweep)
+	}
+	*c = MarkSweep{}
+	env.Hold(c)
 	c.Init(env, c)
 	c.Mature = gc.NewMature(&c.Base)
 	c.Ladder = gc.Ladder{
@@ -32,6 +38,13 @@ func NewMarkSweep(env *gc.Env) *MarkSweep {
 	}
 	return c
 }
+
+// freeMarkSweeps holds collectors of finished runs.
+var freeMarkSweeps mem.FreeList[*MarkSweep]
+
+// Release hands c to a later run's collector. Call it once the run has
+// ended.
+func (c *MarkSweep) Release() { freeMarkSweeps.Put(c) }
 
 // Name implements gc.Collector.
 func (c *MarkSweep) Name() string { return "MarkSweep" }

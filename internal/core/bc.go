@@ -75,11 +75,23 @@ type BC struct {
 	nursery *gc.Nursery
 	cfg     Config
 
+	// bound holds BC's method values and closures (bind). They capture
+	// only c, so a collector recycled through freeBCs keeps them.
+	bound bound
+
+	// relinquished is the one-page list processAndEvict hands the VMM.
+	relinquished [1]mem.PageID
+
+	// lastName and lastPages name the process c serves, for New to hand
+	// c back to the same process next time.
+	lastName  string
+	lastPages int
+
 	// Page state as BC tracks it (§3.3.1). resident approximates "backed
 	// by a frame"; evicted is exact for pages BC has surrendered.
-	resident  *mem.Bitmap
-	evicted   *mem.Bitmap
-	processed *mem.Bitmap // pages whose eviction-scan set bookmarks
+	resident  mem.Bitmap
+	evicted   mem.Bitmap
+	processed mem.Bitmap // pages whose eviction-scan set bookmarks
 
 	// nurseryPtrKnown and nurseryPtrs memoize the "does this mature page
 	// hold a nursery pointer" veto scan: a page's verdict is in
@@ -87,7 +99,7 @@ type BC struct {
 	// forgotten when a nursery pointer is stored to the page, and every
 	// one whenever the nursery empties, so a cached false verdict is
 	// always sound.
-	nurseryPtrKnown, nurseryPtrs *mem.Bitmap
+	nurseryPtrKnown, nurseryPtrs mem.Bitmap
 
 	// books are the maps and records below, kept on the Go heap and
 	// handed from run to run.
@@ -216,12 +228,22 @@ var _ gc.Collector = (*BC)(nil)
 // New creates a bookmarking collector on env and registers it for paging
 // notifications.
 func New(env *gc.Env, cfg Config) *BC {
-	c, ok := freeBCs.GetLargest(func(c *BC) int { return c.peak })
+	// The collector that last served a process of this name and size
+	// has maps already grown to what this run needs, when the process
+	// runs the run it ran before (a warm process repeating its fleets).
+	name, pages := env.Proc.Name(), env.Space.Pages()
+	c, ok := freeBCs.GetMatch(func(c *BC) bool { return c.lastName == name && c.lastPages == pages })
+	if !ok {
+		c, ok = freeBCs.GetLargest(func(c *BC) int { return c.peak })
+	}
 	if !ok {
 		c = new(BC)
 	}
 	*c = BC{
-		books: c.books, // a released collector's, emptied
+		books:     c.books, // a released collector's, emptied
+		bound:     c.bound,
+		lastName:  name,
+		lastPages: pages,
 
 		// The paper's page-sized write buffer, filtered into cards (§3.1).
 		nursery:         gc.NewNursery(env, gc.EntriesPerPage),
@@ -240,10 +262,13 @@ func New(env *gc.Env, cfg Config) *BC {
 	}
 	env.Hold(c)
 	c.Init(env, c)
+	if c.bound.pageOK == nil {
+		c.bind()
+	}
 	c.Mature = gc.NewMature(&c.Base)
-	c.SS.SetResidencyFilter(c.pageOK)
-	c.OnPromote = c.copied
-	c.Ladder = c.ladder()
+	c.SS.SetResidencyFilter(c.bound.pageOK)
+	c.OnPromote = c.bound.copied
+	c.Ladder = c.bound.ladder
 	// The paper's shrink-to-footprint rule is BC's native heap policy;
 	// install it unless the harness chose another (a regrowing bc-shrink
 	// is the §7 extension).
@@ -253,6 +278,19 @@ func New(env *gc.Env, cfg Config) *BC {
 	env.Proc.Register((*bcHandler)(c))
 	c.resizeNursery()
 	return c
+}
+
+// bound is what bind builds once per BC object.
+type bound struct {
+	pageOK  func(mem.PageID) bool
+	promote gc.Promoter
+	copied  func(dst objmodel.Ref, size int)
+	ladder  gc.Ladder
+}
+
+// bind builds c's method values and allocation ladder.
+func (c *BC) bind() {
+	c.bound = bound{pageOK: c.pageOK, promote: c.PromoteMarked, copied: c.copied, ladder: c.ladder()}
 }
 
 // freeBCs holds released collectors.
@@ -398,10 +436,15 @@ func (c *BC) Alloc(t *objmodel.Type, arrayLen int) objmodel.Ref {
 // collection, then full mark-sweep, then compaction (§3.2), then the
 // completeness fail-safe (§3.5).
 func (c *BC) ladder() gc.Ladder {
-	young := c.YoungFirst(c.nursery)
 	return gc.Ladder{
 		Place: func(t *objmodel.Type, arrayLen, total int, small bool) objmodel.Ref {
-			o := young(t, arrayLen, total, small)
+			// Mature.YoungFirst over c's nursery of the moment.
+			var o objmodel.Ref
+			if small {
+				o = c.nursery.Alloc(t, arrayLen)
+			} else {
+				o = c.AllocMature(t, arrayLen, c.Budget(), c.nursery.UsedPages())
+			}
 			if o != mem.Nil {
 				c.markRangeResident(o, total)
 				c.allocsSinceGC++
@@ -516,7 +559,8 @@ func (c *BC) copied(dst objmodel.Ref, size int) {
 // mutator roots, the write buffer, and the card table the buffer was
 // filtered into (§3.1).
 func (c *BC) nurseryGC() {
-	defer c.enterGC()()
+	c.enterGC()
+	defer c.leaveGC()
 	defer c.Pause(metrics.PauseNursery).End()
 	c.E.Trace.Begin(trace.PhaseNurseryScan)
 	defer c.E.Trace.End(trace.PhaseNurseryScan)
@@ -590,18 +634,18 @@ func (c *BC) anyEvicted(first, last mem.PageID) bool {
 	return false
 }
 
-// enterGC marks a collection in progress and returns the func that ends
-// it (defer it), which also detaches the eviction handler from the
-// collection's worklist and only then retires that stack: until the
-// collection ends, an eviction notice may still push to it.
-func (c *BC) enterGC() func() {
-	c.inGC = true
-	return func() {
-		if c.curWork != nil {
-			c.E.PutWorkList(c.curWork)
-		}
-		c.inGC, c.curWork = false, nil
+// enterGC marks a collection in progress; every collection defers
+// leaveGC right after it.
+func (c *BC) enterGC() { c.inGC = true }
+
+// leaveGC ends the collection: it detaches the eviction handler from the
+// collection's worklist and only then retires that stack, since until
+// the collection ends an eviction notice may still push to it.
+func (c *BC) leaveGC() {
+	if c.curWork != nil {
+		c.E.PutWorkList(c.curWork)
 	}
+	c.inGC, c.curWork = false, nil
 }
 
 // bookmarksAreRoots reports whether a trace must start from the resident
@@ -618,9 +662,9 @@ func (c *BC) bookmarksAreRoots() bool {
 // trace may touch; nil touches every page, and then the sweep passes the
 // superpage space's residency filter too. The eviction handler sees the
 // trace in progress through curWork/curEpoch, which stay set, and the
-// stack the trace's, until the collection ends (enterGC).
+// stack the trace's, until the collection ends (leaveGC).
 func (c *BC) markSweep(young *gc.Nursery, pageOK func(mem.PageID) bool) {
-	t := c.BeginTrace(young, pageOK, c.PromoteMarked)
+	t := c.BeginTrace(young, pageOK, c.bound.promote)
 	c.curWork, c.curEpoch = t.Work, t.Epoch
 	c.E.Trace.Begin(trace.PhaseMark)
 	if c.bookmarksAreRoots() {
@@ -631,7 +675,7 @@ func (c *BC) markSweep(young *gc.Nursery, pageOK func(mem.PageID) bool) {
 	c.E.Trace.End(trace.PhaseMark)
 	if pageOK == nil {
 		c.SS.SetResidencyFilter(nil)
-		defer c.SS.SetResidencyFilter(c.pageOK)
+		defer c.SS.SetResidencyFilter(c.bound.pageOK)
 	}
 	t.Sweep()
 }
@@ -648,9 +692,10 @@ func (c *BC) fullGC() {
 		c.failSafe()
 		return
 	}
-	defer c.enterGC()()
+	c.enterGC()
+	defer c.leaveGC()
 	defer c.Pause(metrics.PauseFull).End()
-	c.markSweep(c.nursery, c.pageOK)
+	c.markSweep(c.nursery, c.bound.pageOK)
 	c.resetNursery()
 	c.maybeRevalidate()
 	c.CollectionDone()

@@ -26,7 +26,8 @@ import (
 //  5. empty non-target superpages are released.
 func (c *BC) compact() {
 	c.auditResidency()
-	defer c.enterGC()()
+	c.enterGC()
+	defer c.leaveGC()
 	defer c.Pause(metrics.PauseCompact).End()
 
 	// Pass 1: the census. Nursery pages are always readable; elsewhere
@@ -43,7 +44,7 @@ func (c *BC) compact() {
 	epoch2 := c.NextEpoch()
 	// The census's worklist, still the collection's after its sweep: what
 	// the handler grafted onto it since is dropped, and mid-pass bookmarks
-	// join the copy pass. enterGC's end retires it.
+	// join the copy pass. leaveGC retires it.
 	work := c.curWork
 	work.Reset()
 	c.curEpoch = epoch2

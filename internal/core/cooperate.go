@@ -477,7 +477,8 @@ func (c *BC) processAndEvict(p mem.PageID) {
 	c.E.Counters.Inc(trace.CPagesProcessed)
 	c.E.Counters.Observe(trace.HPageBookmarks, uint64(booked))
 	c.E.Proc.Protect(p)
-	c.E.Proc.Relinquish([]mem.PageID{p})
+	c.relinquished[0] = p
+	c.E.Proc.Relinquish(c.relinquished[:])
 }
 
 // unbookmarkPage undoes what processAndEvict recorded for p: decrement

@@ -13,7 +13,8 @@ import (
 // The page faults this takes are charged to the pause like any other.
 func (c *BC) failSafe() {
 	c.auditResidency()
-	defer c.enterGC()()
+	c.enterGC()
+	defer c.leaveGC()
 	defer c.Pause(metrics.PauseFull).End()
 	c.Stats().FailSafe++
 	c.invalidateBooks()

@@ -165,12 +165,18 @@ func Interpose(p *vmm.Proc, cfg Config, counters *trace.Counters) *Injector {
 	} else {
 		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	inj := &Injector{
+	inj, ok := freeInjectors.Get()
+	if !ok {
+		inj = new(Injector)
+	}
+	*inj = Injector{
 		cfg:      cfg,
 		rng:      rng,
 		inner:    p.Handler(),
 		proc:     p,
 		counters: counters,
+		delayed:  inj.delayed[:0],
+		buffer:   inj.buffer[:0],
 	}
 	if inj.inner != nil {
 		p.Register(inj)
@@ -183,11 +189,15 @@ func Interpose(p *vmm.Proc, cfg Config, counters *trace.Counters) *Injector {
 // new one would, without allocating its 5 KB table.
 var freeRands mem.FreeList[*rand.Rand]
 
-// Release hands the injector's generator to the next Interpose. Call it
-// once the run has ended, when nothing draws through i again.
+// freeInjectors holds released injectors, with their buffers.
+var freeInjectors mem.FreeList[*Injector]
+
+// Release hands the injector, and its generator, to the next Interpose.
+// Call it once the run has ended, when nothing uses i again.
 func (i *Injector) Release() {
 	freeRands.Put(i.rng)
-	i.rng = nil
+	*i = Injector{delayed: i.delayed[:0], buffer: i.buffer[:0]}
+	freeInjectors.Put(i)
 }
 
 // Stats returns a copy of the injection counts so far.

@@ -249,7 +249,8 @@ type OpenPause struct {
 // End closes the pause.
 func (p OpenPause) End() {
 	env := p.b.E
-	p.b.stats.Timeline.Record(metrics.Pause{
+	tl := &p.b.stats.Timeline
+	tl.Pauses = freePauses.Append(tl.Pauses, metrics.Pause{
 		Start:       p.start,
 		Dur:         env.Clock.Now() - p.start,
 		Kind:        p.kind,

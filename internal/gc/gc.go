@@ -9,6 +9,7 @@ package gc
 
 import (
 	"fmt"
+	"slices"
 
 	"bookmarkgc/internal/heap"
 	"bookmarkgc/internal/heappolicy"
@@ -56,10 +57,10 @@ type Env struct {
 
 	// held are the structures built over the environment whose Go-heap
 	// lists and maps ReleaseScratch hands to the next run: the spaces,
-	// the remembered set and the collector itself. It starts on
-	// heldBuf, which holds what one collector builds.
+	// the young space, the remembered set and the collector itself. It
+	// starts on heldBuf, which holds what one collector builds.
 	held    []Releaser
-	heldBuf [4]Releaser
+	heldBuf [6]Releaser
 }
 
 // Releaser is a structure that recycles its host scratch when its run
@@ -79,31 +80,34 @@ func (e *Env) Hold(r Releaser) {
 func SetDefaultMarkWorkers(int) {}
 
 // Marker returns the environment's mark engine, building it on first
-// use from a retired engine's buffers when one is large enough.
+// use. Its per-page tally is a table the Space lends, so it comes back
+// zero however the last run that held it ended (a run that failed
+// mid-mark retires it dirty).
 func (e *Env) Marker() *Marker {
 	if e.marker == nil {
-		n := e.Space.Pages()
-		m, ok := freeMarkers.GetFit(n, func(m *Marker) int { return cap(m.touch) })
+		m, ok := freeMarkers.Get()
 		if !ok {
-			m = &Marker{touch: make([]uint32, n)}
+			m = new(Marker)
 		}
-		// A run that failed mid-mark may have retired it dirty.
-		*m = Marker{env: e, touch: m.touch[:n]}
-		clear(m.touch)
+		*m = Marker{env: e, touch: e.Space.LendInt32s(e.Space.Pages())}
 		e.marker = m
 	}
 	return e.marker
 }
 
-// freeMarkers recycles mark engines — their per-page tally and round
-// buffers — across environments (ReleaseScratch).
+// freeMarkers recycles mark engines across environments
+// (ReleaseScratch).
 var freeMarkers mem.FreeList[*Marker]
 
 // NewEnv wires a process-wide environment for a heap of heapBytes.
 func NewEnv(v *vmm.VMM, name string, heapBytes uint64) *Env {
 	layout := heap.NewLayout(heapBytes)
 	proc := v.NewProc(name, layout.Total)
-	return &Env{
+	e, ok := freeEnvs.Get()
+	if !ok {
+		e = new(Env)
+	}
+	*e = Env{
 		Proc:      proc,
 		Space:     proc.Space(),
 		Clock:     v.Clock,
@@ -113,6 +117,18 @@ func NewEnv(v *vmm.VMM, name string, heapBytes uint64) *Env {
 		HeapPages: int(mem.RoundUpPage(heapBytes) / mem.PageSize),
 		Trace:     trace.Nop{},
 	}
+	return e
+}
+
+// freeEnvs holds released environments (Release).
+var freeEnvs mem.FreeList[*Env]
+
+// Release hands the environment itself to the next NewEnv. Call it last,
+// after ReleaseScratch, once nothing uses e, its collector or anything
+// built over it.
+func (e *Env) Release() {
+	*e = Env{}
+	freeEnvs.Put(e)
 }
 
 // Collector is the interface the mutator programs against. All object
@@ -180,6 +196,28 @@ type Stats struct {
 	Bookmarked   uint64 // objects bookmarked (BC)
 	PagesEvicted uint64 // heap pages processed for eviction (BC)
 	FailSafe     uint64 // completeness fail-safe collections (BC)
+}
+
+// freePauses holds the pause lists of finished runs (ReleasePauses): a
+// collector's timeline grows through it, so a warm run's pauses take a
+// list an earlier run grew instead of regrowing one.
+var freePauses mem.Classed[metrics.Pause]
+
+// Result returns the stats a run hands its caller: a copy whose
+// timeline holds its pauses in a list of their own, exactly sized, so
+// that the collector's list can go back to the pool (ReleasePauses).
+func (s *Stats) Result() Stats {
+	r := *s
+	r.Timeline.Pauses = slices.Clone(s.Timeline.Pauses)
+	return r
+}
+
+// ReleasePauses retires the timeline's pause list for a later run's
+// collector. Call it only when the run has ended and its results are
+// taken (Result): the collector records no pause after.
+func (s *Stats) ReleasePauses() {
+	freePauses.Put(s.Timeline.Pauses)
+	s.Timeline.Pauses = nil
 }
 
 // Roots is the registry of mutator-visible reference slots (locals,
@@ -371,7 +409,8 @@ func (e *Env) ReleaseScratch(roots *Roots) {
 	clear(e.held)
 	e.held = e.held[:0]
 	if e.marker != nil {
-		e.marker.env = nil
+		// The tally goes back with the Space.
+		e.marker.env, e.marker.touch = nil, nil
 		freeMarkers.Put(e.marker)
 		e.marker = nil
 	}

@@ -297,3 +297,38 @@ func TestErrOutOfMemoryMessage(t *testing.T) {
 		t.Fatal("empty error")
 	}
 }
+
+// TestMarkerTallyComesBackZero: a run that fails mid-mark retires its
+// Marker with a dirty tally — counts charged, never replayed. The next
+// environment's Marker, built over a Space that took the released
+// Space's tables, must start from a zero tally in every entry.
+func TestMarkerTallyComesBackZero(t *testing.T) {
+	const heapBytes = 7 << 20 // a size no other test uses
+	v := vmm.New(vmm.NewClock(), 64<<20, vmm.DefaultCosts())
+	env := NewEnv(v, "failed", heapBytes)
+	m := env.Marker()
+	for pg := range m.touch {
+		m.charge(mem.PageID(pg), 3)
+	}
+	full := m.touch[:cap(m.touch)]
+	for i := range full {
+		full[i] = -1
+	}
+	tally := &full[0]
+	env.ReleaseScratch(nil)
+	v.Release()
+
+	v = vmm.New(vmm.NewClock(), 64<<20, vmm.DefaultCosts())
+	env = NewEnv(v, "next", heapBytes)
+	m = env.Marker()
+	if &m.touch[0] != tally {
+		t.Fatal("the next Marker did not take the released tally")
+	}
+	for pg, n := range m.touch[:cap(m.touch)] {
+		if n != 0 {
+			t.Fatalf("page %d starts with %d tallied accesses", pg, n)
+		}
+	}
+	env.ReleaseScratch(nil)
+	v.Release()
+}

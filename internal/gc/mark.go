@@ -72,10 +72,10 @@ type Marker struct {
 	env *Env
 
 	// touch[pg] is the logical word-access count charged to pg this
-	// round, and touched lists the pages with nonzero counts. touched
-	// and deferred are the running mark's buffers, from freeTouched and
-	// freeDeferred.
-	touch    []uint32
+	// round, and touched lists the pages with nonzero counts. touch is
+	// lent by the Space; touched and deferred are the running mark's
+	// buffers, from freeTouched and freeDeferred.
+	touch    []int32
 	touched  []mem.PageID
 	deferred []DeferredEdge
 
@@ -84,7 +84,7 @@ type Marker struct {
 }
 
 // charge records n logical word accesses to page pg.
-func (m *Marker) charge(pg mem.PageID, n uint32) {
+func (m *Marker) charge(pg mem.PageID, n int32) {
 	if m.touch[pg] == 0 {
 		m.touched = append(m.touched, pg)
 	}

@@ -208,7 +208,9 @@ func (t *Trace) ScanRoots() {
 // written back.
 func (t *Trace) Mark() {
 	env, young, ok := t.m.b.E, t.young, t.pageOK
-	cfg := &MarkConfig{Epoch: t.Epoch, Classify: func(tgt objmodel.Ref) EdgeAction {
+	// cfg is a value, not a pointer, so that the filters stored in it
+	// below do not escape to the Go heap on every mark.
+	cfg := MarkConfig{Epoch: t.Epoch, Classify: func(tgt objmodel.Ref) EdgeAction {
 		if young.Contains(tgt) {
 			return EdgeDefer
 		}
@@ -231,7 +233,7 @@ func (t *Trace) Mark() {
 			return EdgeMark
 		}
 	}
-	env.Marker().Mark(cfg, t.Work, func(e DeferredEdge, w *WorkList) {
+	env.Marker().Mark(&cfg, t.Work, func(e DeferredEdge, w *WorkList) {
 		if dst := t.promote(e.Target, w); dst != e.Target {
 			env.Space.WriteAddr(e.Slot, dst)
 		}

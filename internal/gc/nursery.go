@@ -25,10 +25,24 @@ type Nursery struct {
 }
 
 // NewEden builds a young space with no remembered set over the layout's
-// first bump region, the environment's counter registry wired.
+// first bump region, the environment's counter registry wired. env holds
+// it (ReleaseScratch).
 func NewEden(env *Env) *Nursery {
-	return &Nursery{BumpSpace: *NewBump(env, env.Layout.Bump0Base, env.Layout.Bump0End)}
+	n, ok := freeNurseries.Get()
+	if !ok {
+		n = new(Nursery)
+	}
+	*n = Nursery{BumpSpace: *NewBump(env, env.Layout.Bump0Base, env.Layout.Bump0End)}
+	env.Hold(n)
+	return n
 }
+
+// freeNurseries holds the young spaces of finished runs.
+var freeNurseries mem.FreeList[*Nursery]
+
+// Release hands n to a later NewEden. Call it once the run has ended;
+// its remembered set goes back on its own.
+func (n *Nursery) Release() { freeNurseries.Put(n) }
 
 // NewNursery builds a generational young space. Its remembered set
 // covers every address that can hold an old-to-young slot — the rest of

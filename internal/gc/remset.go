@@ -24,7 +24,7 @@ type RemSet struct {
 	bufCap  int
 	filter  func(slot mem.Addr) bool // still points into the nursery?
 
-	cards    *mem.Bitmap
+	cards    mem.Bitmap
 	cardBase mem.Addr
 	cardEnd  mem.Addr
 
@@ -38,23 +38,32 @@ type RemSet struct {
 // buffer (0 disables filtering; the buffer grows without bound).
 func NewRemSet(s *mem.Space, cardBase, cardEnd mem.Addr, bufCap int) *RemSet {
 	n := int(cardEnd-cardBase+CardBytes-1) / CardBytes
-	return &RemSet{
+	r, ok := freeRemSets.Get()
+	if !ok {
+		r = new(RemSet)
+	}
+	*r = RemSet{
 		bufCap:   bufCap,
 		cards:    s.NewBitmap(n),
 		cardBase: cardBase,
 		cardEnd:  cardEnd,
 	}
+	return r
 }
+
+// freeRemSets holds the remembered sets of finished runs.
+var freeRemSets mem.FreeList[*RemSet]
 
 // freeBuffers holds the write buffers of released remembered sets, by
 // capacity: a buffer grows through it (mem.Classed).
 var freeBuffers mem.Classed[mem.Addr]
 
-// Release gives the write buffer back to freeBuffers. Call it once the
-// run has ended.
+// Release gives the write buffer back to freeBuffers, and r to a later
+// NewRemSet. Call it once the run has ended.
 func (r *RemSet) Release() {
 	freeBuffers.Put(r.entries)
 	r.entries = nil
+	freeRemSets.Put(r)
 }
 
 // EntriesPerPage is how many slot addresses fit a page-sized buffer.

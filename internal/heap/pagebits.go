@@ -12,7 +12,7 @@ import "bookmarkgc/internal/mem"
 // (§3.4.3). The bits below the region's first page are never set, and
 // the bitmap is only as long as the region.
 type pageBits struct {
-	*mem.Bitmap
+	mem.Bitmap
 	origin int // absolute page number of bit 0, a multiple of 64
 }
 

@@ -42,7 +42,7 @@ type SuperSpace struct {
 	next    int     // first never-used superpage
 	free    []int32 // recycled empty superpages
 	avail   [][]int32
-	inAvail *mem.Bitmap // superpages on an available list
+	inAvail mem.Bitmap // superpages on an available list
 	// refused holds, for a superpage Alloc dropped from its available
 	// list because the residency filter refused every free block, that
 	// list's key plus one (0: not refused). Like inAvail it is host-side,
@@ -73,9 +73,6 @@ func NewSuperSpace(s *mem.Space, classes *objmodel.Classes, base, end mem.Addr) 
 		ss = &SuperSpace{avail: make([][]int32, 2*classes.Len())}
 	}
 	avail := ss.avail
-	for key := range avail {
-		avail[key] = avail[key][:0]
-	}
 	if len(avail) != 2*classes.Len() {
 		avail = make([][]int32, 2*classes.Len())
 	}
@@ -94,13 +91,24 @@ func NewSuperSpace(s *mem.Space, classes *objmodel.Classes, base, end mem.Addr) 
 	return ss
 }
 
-// freeSuperSpaces holds released spaces with the lists they grew.
-var freeSuperSpaces mem.FreeList[*SuperSpace]
+// freeSuperSpaces holds released spaces with their free lists, and
+// availLists the available lists of every space: a list grows through
+// it and goes back to it at Release, so whichever space serves a run,
+// its lists come from what earlier runs grew.
+var (
+	freeSuperSpaces mem.FreeList[*SuperSpace]
+	availLists      mem.Classed[int32]
+)
 
-// Release hands ss, with its free and available lists, to the next
-// NewSuperSpace; its bitmaps and tables go back with its Space. Call it
+// Release hands ss, with its free list, to the next NewSuperSpace, and
+// its available lists to availLists; its bitmaps and tables go back
+// with its Space. Call it
 // once the run has ended, when nothing uses ss again.
 func (ss *SuperSpace) Release() {
+	for key, list := range ss.avail {
+		availLists.Put(list)
+		ss.avail[key] = nil
+	}
 	ss.s, ss.resident, ss.counters = nil, nil, nil
 	freeSuperSpaces.Put(ss)
 }
@@ -398,7 +406,7 @@ func (ss *SuperSpace) listAvail(idx, key int) {
 	ss.refused[idx] = 0
 	if !ss.inAvail.Test(idx) {
 		ss.inAvail.Set(idx)
-		ss.avail[key] = append(ss.avail[key], int32(idx))
+		ss.avail[key] = availLists.Append(ss.avail[key], int32(idx))
 	}
 }
 

@@ -129,10 +129,10 @@ type Space struct {
 	ft       FaultToucher
 	flags    []uint8
 
-	// own shares bodies and holds the records of swapped-out pages
-	// (SwapOut); it returns both if the Space is dropped. It also lists
-	// the tables the Space has lent (NewBitmap, LendInt32s), which
-	// Release takes back.
+	// own shares bodies and flags, holds the records of swapped-out
+	// pages (SwapOut) and lists the tables the Space has lent
+	// (NewBitmap, LendInt32s); Release gives them all back, and so does
+	// the Go collector if the Space is dropped.
 	own *owner
 }
 
@@ -140,17 +140,34 @@ type Space struct {
 // whole number of pages) whose accesses cost wordCost each on clock and
 // fault to ft.
 func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher) *Space {
+	s := new(Space)
+	s.init(size, clock, wordCost, ft)
+	return s
+}
+
+// Reuse makes s, a space Release has released, a new space as NewSpace
+// makes one, for a holder that recycles its space with itself (a
+// vmm.Proc). It panics on a space not released.
+func (s *Space) Reuse(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher) {
+	if s.own != nil {
+		panic("mem: reusing a space that was not released")
+	}
+	s.init(size, clock, wordCost, ft)
+}
+
+// init makes s a fresh space of size bytes.
+func (s *Space) init(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher) {
 	size = RoundUpPage(size)
 	npg := size / PageSize
-	bodies := TakeTable(&freeBodyTables, npg)
-	s := &Space{
+	bodies, flags := TakeTable(&freeBodyTables, npg), TakeTable(&freeFlagTables, npg)
+	*s = Space{
 		bodies:   bodies,
-		flags:    TakeTable(&freeFlagTables, npg),
+		flags:    flags,
 		size:     Addr(size),
 		clock:    clock,
 		wordCost: wordCost,
 		ft:       ft,
-		own:      newOwner(bodies),
+		own:      newOwner(bodies, flags),
 	}
 	// The reserved null page can never satisfy the fast-path flag test
 	// (both state bits set is otherwise impossible), so a page-0 access
@@ -158,14 +175,13 @@ func NewSpace(size uint64, clock *Clock, wordCost time.Duration, ft FaultToucher
 	if npg > 0 {
 		s.flags[0] = PFEvicted | PFProtected
 	}
-	return s
 }
 
 // Release returns the space's bodies to the process-wide pool, and its
 // body and flag tables and the tables it lent to theirs. Only call it
 // when the space is dead: bodies and tables go to other Spaces, which
 // overwrite them, so no holder of PageFlags or of a lent table may use
-// it again either. A space dropped without Release returns its bodies
+// it again either. A space dropped without Release returns the same
 // when the Go collector finds it unreachable. A second Release does
 // nothing.
 func (s *Space) Release() {
@@ -175,21 +191,18 @@ func (s *Space) Release() {
 	// Disarm the owner first: its finalizer would otherwise empty the
 	// body table after another Space has taken it.
 	runtime.SetFinalizer(s.own, nil)
-	freeWordTables.Put(s.own.lentWords...)
-	freeInt32Tables.Put(s.own.lentInt32s...)
 	s.own.release()
 	s.own = nil
-	freeBodyTables.Put(s.bodies)
-	freeFlagTables.Put(s.flags)
 	s.bodies, s.flags = nil, nil
 }
 
 // NewBitmap returns a bitmap of n bits, all clear, whose words s lends:
-// they go back with s.Release, so the bitmap dies with the space.
-func (s *Space) NewBitmap(n int) *Bitmap {
+// they go back with s.Release, so the bitmap dies with the space. It is
+// a value, for its holder to keep in place.
+func (s *Space) NewBitmap(n int) Bitmap {
 	w := TakeTable(&freeWordTables, uint64(n+63)/64)
 	s.own.lentWords = append(s.own.lentWords, w)
-	return &Bitmap{w: w, n: n}
+	return Bitmap{w: w, n: n}
 }
 
 // LendInt32s returns a table of n zeros that s takes back at Release.

@@ -50,6 +50,17 @@ func (l *FreeList[T]) GetLargest(size func(T) int) (v T, ok bool) {
 	return l.getBest(size, func(c, best int) bool { return c > best })
 }
 
+// GetMatch pops the most recently retired value match accepts; ok is
+// false when it accepts none.
+func (l *FreeList[T]) GetMatch(match func(T) bool) (v T, ok bool) {
+	return l.getBest(func(v T) int {
+		if match(v) {
+			return 1
+		}
+		return 0
+	}, func(c, best int) bool { return c > 0 && best < 0 })
+}
+
 // getBest pops the value whose size is better than that of every value
 // retired after it; best is -1 until one qualifies.
 func (l *FreeList[T]) getBest(size func(T) int, better func(c, best int) bool) (v T, ok bool) {
@@ -181,26 +192,33 @@ var (
 )
 
 // TakeTable returns a table of n zero entries: the retired table of
-// least capacity that fits, cleared, or a new one.
+// least capacity that fits, or a new one (newTable). A retired table is
+// zeroed up to its capacity (zeroTable), whatever its last user left
+// in it. Tables of a page or more live off the Go heap where the build
+// maps page bodies, so only the table pages a run writes are ever
+// backed by host memory; such a table may hold pointers only to memory
+// outside the Go heap, such as page bodies.
 func TakeTable[T any](l *FreeList[[]T], n uint64) []T {
 	t, ok := l.GetFit(int(n), func(t []T) int { return cap(t) })
 	if !ok {
-		return make([]T, n)
+		return newTable[T](n)
 	}
-	t = t[:n]
-	clear(t)
-	return t
+	t = t[:cap(t)]
+	zeroTable(t)
+	return t[:n]
 }
 
-// owner holds what a Space gives back to the pool: it shares the
-// Space's body table and holds the records of its swapped-out pages, so
-// that a Space dropped without Release still returns its bodies and
-// slabs. The finalizer sits here, not on the Space: a Space and its
-// FaultToucher usually point at each other (a vmm.Proc holds its
-// Space), and the Go collector never frees a cycle that carries a
-// finalizer. owner points at nothing but tables and pool bodies.
+// owner holds what a Space gives back to the pool and the free lists:
+// it holds the Space's body and flag tables, the tables the Space has
+// lent and the records of its swapped-out pages, so that a Space
+// dropped without Release still returns them. The finalizer sits here,
+// not on the Space: a Space and its FaultToucher usually point at each
+// other (a vmm.Proc holds its Space), and the Go collector never frees
+// a cycle that carries a finalizer. owner points at nothing but tables
+// and pool bodies.
 type owner struct {
 	bodies []*[WordsPage]uint64
+	flags  []uint8
 	swapStore
 
 	// The tables the Space has lent to structures built over it. The
@@ -214,25 +232,31 @@ type owner struct {
 // release, so any owner serves as well as another.
 var freeOwners FreeList[*owner]
 
-// newOwner returns an owner of table whose bodies and records go back
-// to the pool when it becomes unreachable.
-func newOwner(table []*[WordsPage]uint64) *owner {
+// newOwner returns an owner of a Space's body and flag tables whose
+// bodies, records and tables go back when it becomes unreachable.
+func newOwner(bodies []*[WordsPage]uint64, flags []uint8) *owner {
 	o, ok := freeOwners.Get()
 	if !ok {
-		o = new(owner)
+		// Room for every table a collector's structures borrow, so
+		// that no owner grows its lists in a later run.
+		o = &owner{lentWords: make([][]uint64, 0, 16), lentInt32s: make([][]int32, 0, 16)}
 	}
-	o.bodies = table
+	o.bodies, o.flags = bodies, flags
 	runtime.SetFinalizer(o, (*owner).release)
 	return o
 }
 
 // release gives the owner's bodies, slabs and record table blocks back
-// to the pool, and the emptied owner to the next Space.
+// to the pool, its tables to their free lists, and the emptied owner to
+// the next Space. Everything built over a Space holds the Space, so
+// once its owner is unreachable nothing uses the tables it lent.
 func (o *owner) release() {
 	putBodies(o.bodies)
-	o.bodies = nil
-	// A dropped Space's lent tables are left to the Go collector: what
-	// was built over the Space may still hold them.
+	freeBodyTables.Put(o.bodies)
+	freeFlagTables.Put(o.flags)
+	freeWordTables.Put(o.lentWords...)
+	freeInt32Tables.Put(o.lentInt32s...)
+	o.bodies, o.flags = nil, nil
 	clear(o.lentWords)
 	clear(o.lentInt32s)
 	o.lentWords, o.lentInt32s = o.lentWords[:0], o.lentInt32s[:0]

@@ -12,3 +12,11 @@ const chunkBodies = 64
 // job that freed it would race unseen. Platforms without mmap keep
 // bodies there too.
 func mapChunk() [][WordsPage]uint64 { return make([][WordsPage]uint64, chunkBodies) }
+
+// newTable returns a table of n zero entries on the Go heap, where race
+// builds and platforms without mmap keep tables too, for the reasons
+// they keep bodies there.
+func newTable[T any](n uint64) []T { return make([]T, n) }
+
+// zeroTable zeroes every entry of t.
+func zeroTable[T any](t []T) { clear(t) }

@@ -2,6 +2,6 @@
 
 package mem
 
-// wantOffHeap: unix builds without the race detector map slabs off the
-// Go heap.
+// wantOffHeap: unix builds without the race detector map slabs and page
+// tables off the Go heap.
 const wantOffHeap = true

@@ -2,6 +2,6 @@
 
 package mem
 
-// wantOffHeap: race builds and non-unix platforms keep slabs on the Go
-// heap.
+// wantOffHeap: race builds and non-unix platforms keep slabs and page
+// tables on the Go heap.
 const wantOffHeap = false

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -169,10 +170,11 @@ func TestPoolAcrossGoroutines(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSlabBacking: outside race builds, on unix, page bodies live off the
-// Go heap, so materializing 32 MB of pages barely moves HeapAlloc. Race
-// builds keep bodies on the heap, where the detector sees concurrent
-// runner jobs hand them to each other through the shared pool.
+// TestSlabBacking: outside race builds, on unix, page bodies and page
+// tables live off the Go heap, so materializing 32 MB of pages, or
+// taking a 16 MB table, barely moves HeapAlloc. Race builds keep both on
+// the heap, where the detector sees concurrent runner jobs hand them to
+// each other through the shared free lists.
 func TestSlabBacking(t *testing.T) {
 	const pages = 32 << 20 / PageSize
 	holdFreeBodies(t)
@@ -199,6 +201,22 @@ func TestSlabBacking(t *testing.T) {
 	} else if want := int64(fresh)*PageSize - 1<<20; grown < want {
 		t.Fatalf("materializing %d fresh bodies grew HeapAlloc by %d bytes, want at least %d: bodies are not on the Go heap", fresh, grown, want)
 	}
+
+	const tableBytes = 16 << 20
+	var l FreeList[[]uint64]
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tab := TakeTable(&l, tableBytes/WordSize)
+	runtime.ReadMemStats(&after)
+	grown = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if wantOffHeap {
+		if grown >= 1<<20 {
+			t.Fatalf("taking a 16 MB table grew HeapAlloc by %d bytes, want < 1 MB", grown)
+		}
+	} else if grown < tableBytes {
+		t.Fatalf("taking a 16 MB table grew HeapAlloc by %d bytes: tables are not on the Go heap", grown)
+	}
+	runtime.KeepAlive(tab)
 }
 
 // TestReleaseDisarmsTheOwner: Release hands the body table to the next
@@ -298,4 +316,112 @@ func TestClassedRegrowthAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { round(true) }); n > 1 { // the round's own table of lists
 		t.Errorf("a warm round allocated %v times", n)
 	}
+}
+
+// drainTables empties l for the rest of the test, so that what the
+// test gives back is all a GetFit can take, and puts the held tables
+// back when it ends.
+func drainTables[T any](t *testing.T, l *FreeList[[]T]) {
+	var held [][]T
+	for {
+		tab, ok := l.Get()
+		if !ok {
+			break
+		}
+		held = append(held, tab)
+	}
+	t.Cleanup(func() { l.Put(held...) })
+}
+
+// checkTableZero fails unless every entry of tab up to its capacity is
+// the zero value.
+func checkTableZero[T comparable](t *testing.T, what string, tab []T) {
+	t.Helper()
+	var zero T
+	for i, v := range tab[:cap(tab)] {
+		if v != zero {
+			t.Fatalf("%s: entry %d of %d (capacity %d) reads %v", what, i, len(tab), cap(tab), v)
+		}
+	}
+}
+
+// tableComesBackZero takes a table of n entries from l, dirties every
+// entry up to its capacity with dirty, gives it back, and takes it again
+// at half of n and at its whole capacity — at least n, more where the
+// table was rounded up to whole pages. Each time GetFit must hand back
+// the same table, every entry up to its capacity zero.
+func tableComesBackZero[T comparable](t *testing.T, l *FreeList[[]T], n uint64, dirty T) {
+	t.Helper()
+	tab := TakeTable(l, n)
+	checkTableZero(t, "a new table", tab)
+	for _, again := range []uint64{n / 2, uint64(cap(tab))} {
+		full := tab[:cap(tab)]
+		for i := range full {
+			full[i] = dirty
+		}
+		l.Put(tab)
+		got := TakeTable(l, again)
+		if len(got) != int(again) || &got[:1][0] != &full[0] {
+			t.Fatalf("n %d: taking %d entries did not take the table given back", n, again)
+		}
+		checkTableZero(t, fmt.Sprintf("n %d, taken again at %d", n, again), got)
+		tab = got
+	}
+	l.Put(tab)
+}
+
+// TestTablesComeBackZero: a table given back dirty, whatever its size,
+// reads zero up to its capacity when it is taken again at a smaller or a
+// larger size. Mapped tables are zeroed by dropping their pages, which
+// this checks as much as the small tables' clear.
+func TestTablesComeBackZero(t *testing.T) {
+	// Under a page, one page and a few pages, and 70 000 pages' worth.
+	sizes := []uint64{100, PageSize, 3*PageSize + 5, 70000}
+	var words FreeList[[]uint64]
+	var flags FreeList[[]uint8]
+	var bodies FreeList[[]*[WordsPage]uint64]
+	body := newBody()
+	defer freeBodies.Put(body)
+	for _, n := range sizes {
+		tableComesBackZero(t, &words, n, ^uint64(0))
+		tableComesBackZero(t, &flags, n, PFEvicted|PFReferenced)
+		tableComesBackZero(t, &bodies, n, body)
+	}
+}
+
+// TestReleasedSpaceTablesComeBackZero: a Space built after one of the
+// same size was released — dirty tables, lent ones included — takes the
+// released Space's tables and sees none of their contents.
+func TestReleasedSpaceTablesComeBackZero(t *testing.T) {
+	drainTables(t, &freeBodyTables)
+	drainTables(t, &freeFlagTables)
+	drainTables(t, &freeWordTables)
+	drainTables(t, &freeInt32Tables)
+	const pages = 20000
+	a := testSpace(pages * PageSize)
+	for p := PageID(1); p < pages; p += 7 {
+		a.WriteWord(PageAddr(p), uint64(p))
+	}
+	flags, bm, ints := a.PageFlags(), a.NewBitmap(pages), a.LendInt32s(pages)
+	flags = flags[:cap(flags)]
+	for p := range flags {
+		flags[p] = PFResident | PFReferenced
+	}
+	for i := 0; i < pages; i++ {
+		bm.Set(i)
+		ints[i] = -1
+	}
+	bodyTable := &a.bodies[0]
+	a.Release()
+	b := testSpace(pages * PageSize)
+	if &b.bodies[0] != bodyTable {
+		t.Fatal("the next Space did not take the released body table")
+	}
+	checkTableZero(t, "body table", b.bodies)
+	got := b.PageFlags()
+	got[0] = 0 // the reserved null page's flags
+	checkTableZero(t, "flag table", got)
+	checkTableZero(t, "lent bitmap words", b.NewBitmap(pages).w)
+	checkTableZero(t, "lent int32s", b.LendInt32s(pages))
+	b.Release()
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"time"
 
+	"bookmarkgc/internal/mem"
 	"bookmarkgc/internal/trace"
 )
 
@@ -244,12 +245,17 @@ func (t *Timeline) BMUCurve(lo, hi time.Duration, points int) [][2]float64 {
 // rather than truncated to the lower neighbour. Returns 0 with no
 // pauses.
 func (t *Timeline) Percentile(p float64) time.Duration {
-	ds := make([]time.Duration, len(t.Pauses))
-	for i, pa := range t.Pauses {
-		ds[i] = pa.Dur
+	ds := freeDurations.Grow(nil, len(t.Pauses))
+	for _, pa := range t.Pauses {
+		ds = append(ds, pa.Dur)
 	}
-	return percentileOf(ds, p)
+	d := percentileOf(ds, p)
+	freeDurations.Put(ds)
+	return d
 }
+
+// freeDurations holds Percentile's sorting scratch.
+var freeDurations mem.Classed[time.Duration]
 
 // PercentileKind is Percentile restricted to pauses of one kind; it
 // feeds the per-kind rows of the attribution report. Returns 0 when no

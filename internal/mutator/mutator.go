@@ -12,6 +12,7 @@ package mutator
 
 import (
 	"fmt"
+	"sync"
 
 	"bookmarkgc/internal/gc"
 	"bookmarkgc/internal/mem"
@@ -124,12 +125,38 @@ type Types struct {
 	DataArr *objmodel.Type
 }
 
-// DeclareTypes registers the workload types on a fresh environment.
+// DeclareTypes gives a fresh environment the workload types. Every
+// environment whose table is still empty shares one sealed table of
+// them, built once: the descriptors never change, so each run need not
+// register its own copies. An environment that already has types of its
+// own gets the workload types registered after them.
 func DeclareTypes(env *gc.Env) Types {
+	if env.Types.Len() > 0 {
+		return RegisterTypes(env.Types)
+	}
+	standard.once.Do(func() {
+		standard.table = objmodel.NewTable()
+		standard.types = RegisterTypes(standard.table)
+		standard.table.Seal()
+	})
+	env.Types = standard.table
+	return standard.types
+}
+
+// standard is the shared table DeclareTypes hands to fresh environments.
+var standard struct {
+	once  sync.Once
+	table *objmodel.Table
+	types Types
+}
+
+// RegisterTypes registers the workload types in tb, for a table that
+// takes more types of its own.
+func RegisterTypes(tb *objmodel.Table) Types {
 	return Types{
-		Node:    env.Types.Scalar("node", NodeWords, 0, 1),
-		RefArr:  env.Types.Array("refs", true),
-		DataArr: env.Types.Array("data", false),
+		Node:    tb.Scalar("node", NodeWords, 0, 1),
+		RefArr:  tb.Array("refs", true),
+		DataArr: tb.Array("data", false),
 	}
 }
 

@@ -51,7 +51,7 @@ func TestShapeMatchesDeclaredTypes(t *testing.T) {
 			t.Errorf("%v is a valid allocation", sh)
 		}
 	}
-	if other := env.Types.Array("other", false); ts.ShapeOf(other, 4).Valid() {
+	if other := objmodel.NewTable().Array("other", false); ts.ShapeOf(other, 4).Valid() {
 		t.Error("a type DeclareTypes did not register has a valid shape")
 	}
 	// Work may touch a word that holds no integer in one place only:

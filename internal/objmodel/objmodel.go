@@ -212,7 +212,22 @@ func (t *Type) RefSlotAddr(o Ref, i int) mem.Addr {
 
 // Table is a registry of type descriptors, shared by a runtime instance.
 type Table struct {
-	types []*Type
+	types  []*Type
+	sealed bool // Seal: no more types, so several runtimes may share it
+}
+
+// Seal closes the table to new types, so that runtimes on several
+// goroutines may share it: registering a type in a sealed table panics.
+func (tb *Table) Seal() { tb.sealed = true }
+
+// register appends t, which takes the next ID.
+func (tb *Table) register(t *Type) *Type {
+	if tb.sealed {
+		panic(fmt.Sprintf("objmodel: registering %s in a sealed type table", t.Name))
+	}
+	t.ID = int32(len(tb.types))
+	tb.types = append(tb.types, t)
+	return t
 }
 
 // NewTable creates an empty type table.
@@ -231,27 +246,21 @@ func (tb *Table) Scalar(name string, sizeWords int, ptrFields ...int32) *Type {
 		}
 		prev = f
 	}
-	t := &Type{
-		ID:        int32(len(tb.types)),
+	return tb.register(&Type{
 		Name:      name,
 		Kind:      KindScalar,
 		SizeWords: sizeWords,
 		PtrFields: ptrFields,
-	}
-	tb.types = append(tb.types, t)
-	return t
+	})
 }
 
 // Array registers an array type whose elements are (or are not) refs.
 func (tb *Table) Array(name string, elemPtr bool) *Type {
-	t := &Type{
-		ID:      int32(len(tb.types)),
+	return tb.register(&Type{
 		Name:    name,
 		Kind:    KindArray,
 		ElemPtr: elemPtr,
-	}
-	tb.types = append(tb.types, t)
-	return t
+	})
 }
 
 // Get returns the type with the given ID.

@@ -195,12 +195,12 @@ func (t *tenant) retire() {
 // machine's present, not the tenant's retirement: co-tenants share one
 // CPU, so a fleet member's execution time is the fleet's.
 func (t *tenant) result() Result {
-	st := t.col.Stats()
+	st := t.col.Stats().Result()
 	r := Result{
 		Config:      t.cfg,
 		Timeline:    st.Timeline,
 		Mutator:     t.run.Finish(),
-		GCStats:     *st,
+		GCStats:     st,
 		ProcStats:   t.env.Proc.Stats(),
 		ElapsedSecs: (t.env.Clock.Now() - st.Timeline.Start).Seconds(),
 		Counters:    t.cfg.Counters,
@@ -213,19 +213,22 @@ func (t *tenant) result() Result {
 	return r
 }
 
-// release recycles the tenant and its host scratch — root registry,
-// mark tallies, what its environment holds, a generated program's run
-// and its injector's generator — for the next run in the process; t is
-// not used again. Its process's tables, page bodies and the tables its
-// space lent go back with the machine.
+// release recycles the tenant and its host scratch — pause list, root
+// registry, what its environment holds and the environment itself, a
+// generated program's run or a trace's replayer, and its injector — for
+// the next run in the process; t is not used again. Its process's
+// tables, page bodies and the tables its space lent (the mark tally
+// among them) go back with the machine.
 func (t *tenant) release() {
+	t.col.Stats().ReleasePauses()
 	t.env.ReleaseScratch(t.col.Roots())
-	if r, ok := t.run.(*mutator.Run); ok {
+	if r, ok := t.run.(gc.Releaser); ok {
 		r.Release()
 	}
 	if t.inj != nil {
 		t.inj.Release()
 	}
+	t.env.Release()
 	*t = tenant{}
 	freeTenants.Put(t)
 }

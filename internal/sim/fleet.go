@@ -251,6 +251,12 @@ type fleetRun struct {
 
 	balancerRounds int
 	participants   []participant // rebalance's scratch
+
+	// The cascade bundle with its tenant snapshots, and fairnessNow's
+	// eviction counts: scratch kept across cascades and fleet runs.
+	bundle    telemetry.FleetBundle
+	snaps     []telemetry.TenantFlightSnap
+	evictions []float64
 }
 
 // participant is one tenant a MemBalancer round distributes memory to.
@@ -304,12 +310,22 @@ func RunFleet(cfg FleetConfig) FleetResult {
 // exist before any tenant does: arbiter and dump quota.
 func newFleetRun(cfg FleetConfig) *fleetRun {
 	spec := cfg.Spec
-	f := &fleetRun{
+	f, ok := freeFleetRuns.Get()
+	if !ok {
+		f = &fleetRun{byProc: make(map[*vmm.Proc]*tenant, len(spec.Tenants)), arbiter: new(fleetArbiter)}
+	}
+	*f = fleetRun{
 		cfg:     cfg,
 		machine: newMachine(spec.PhysBytes, cfg.Trace),
-		byProc:  make(map[*vmm.Proc]*tenant, len(spec.Tenants)),
+		byProc:  f.byProc,
+		arbiter: f.arbiter,
 		policy:  spec.Policy,
 		quantum: spec.Quantum,
+
+		tenants:      f.tenants[:0],
+		participants: f.participants[:0],
+		snaps:        f.snaps[:0],
+		evictions:    f.evictions[:0],
 	}
 	if f.policy == "" {
 		f.policy = PolicyGlobalLRU
@@ -324,7 +340,7 @@ func newFleetRun(cfg FleetConfig) *fleetRun {
 	// (a policy, or a ladder that can escalate into one): a bare fleet —
 	// identical JVMs sharing a machine (§5.3.3) — runs on an
 	// unarbitrated VMM.
-	f.arbiter = &fleetArbiter{f: f, mode: f.policy}
+	*f.arbiter = fleetArbiter{f: f, mode: f.policy}
 	if spec.Policy != "" || spec.EscalateTo != "" {
 		f.v.SetArbiter(f.arbiter)
 	}
@@ -427,7 +443,17 @@ func (f *fleetRun) release() {
 		t.release()
 	}
 	f.machine.release()
+	clear(f.byProc)
+	clear(f.tenants)
+	clear(f.participants)
+	clear(f.snaps)
+	f.bundle = telemetry.FleetBundle{}
+	*f.arbiter = fleetArbiter{}
+	freeFleetRuns.Put(f)
 }
+
+// freeFleetRuns holds released fleet runs, with their maps and scratch.
+var freeFleetRuns mem.FreeList[*fleetRun]
 
 // ladder is the cascade detector's state: a hot window is one whose
 // fleet-wide major-fault count met the threshold, and cascadeSustain
@@ -544,8 +570,12 @@ func (f *fleetRun) report() FleetResult {
 	res.ArbiterVetoes = res.VMM.ArbiterVetoes
 	for i, t := range f.tenants {
 		r := t.result()
-		// The fleet's own flight recorders are released with it.
+		// The fleet's own flight recorders and synthesized traces are
+		// released with it, for later fleets to take.
 		r.Config.Telemetry = nil
+		if _, ok := r.Config.Workload.(*workload.SynthSource); ok {
+			r.Config.Workload = nil
+		}
 		res.Tenants[i] = r
 		res.Names[i] = t.env.Proc.Name()
 		res.AggMinorFaults += r.ProcStats.MinorFaults
@@ -592,7 +622,8 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 	if f.cfg.FlightDir == "" || !f.quota.FleetSlotsLeft() {
 		return
 	}
-	b := &telemetry.FleetBundle{
+	b := &f.bundle
+	*b = telemetry.FleetBundle{
 		Reason:        "cascade-thrash",
 		SimTimeNS:     int64(f.clock.Now()),
 		WindowNS:      int64(cascadeWindow),
@@ -604,7 +635,7 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 		AggMajor:      f.v.Stats().MajorFaults,
 		AggEvictions:  f.v.Stats().Evictions,
 		ArbiterVetoes: f.v.Stats().ArbiterVetoes,
-		Tenants:       make([]telemetry.TenantFlightSnap, 0, len(f.tenants)),
+		Tenants:       f.snaps[:0],
 	}
 	if f.escalated {
 		b.EscalatedTo = string(f.arbiter.mode)
@@ -625,6 +656,7 @@ func (f *fleetRun) cascade(windowFaults uint64) {
 		}
 		b.Tenants = append(b.Tenants, snap)
 	}
+	f.snaps = b.Tenants
 	f.dumpSeq++
 	if path := telemetry.WriteFleetBundle(f.cfg.FlightDir, f.dumpSeq, b, f.quota); path != "" {
 		f.fleetDumps = append(f.fleetDumps, path)
@@ -686,9 +718,10 @@ func (f *fleetRun) rebalance() {
 
 // fairnessNow is the live eviction-pressure fairness index.
 func (f *fleetRun) fairnessNow() float64 {
-	xs := make([]float64, len(f.tenants))
-	for i, t := range f.tenants {
-		xs[i] = float64(t.env.Proc.Stats().Evictions)
+	xs := f.evictions[:0]
+	for _, t := range f.tenants {
+		xs = append(xs, float64(t.env.Proc.Stats().Evictions))
 	}
+	f.evictions = xs
 	return telemetry.FairnessIndex(xs)
 }

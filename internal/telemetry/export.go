@@ -56,7 +56,7 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 // holds up the run.
 func (c *Collector) WritePauses(w io.Writer, tail int) error {
 	c.mu.Lock()
-	out := c.renderPausesLocked(tail)
+	out := c.renderPausesLocked(nil, tail)
 	c.mu.Unlock()
 	if out == nil {
 		out = []pauseJSON{} // an empty array, not null
@@ -82,7 +82,7 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 		bw.WriteString("}\n")
 	})
 	for i := range c.pauses {
-		pj := renderPause(&c.pauses[i])
+		pj := renderPause(&c.pauses[i], nil)
 		line, err := json.Marshal(struct {
 			Type string `json:"type"`
 			pauseJSON

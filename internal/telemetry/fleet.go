@@ -152,11 +152,9 @@ func WriteFleetBundle(dir string, seq int, b *FleetBundle, q *DumpQuota) string 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return ""
 	}
-	enc, data, err := encodeBundle(b)
+	enc := takeBundleEncoder()
 	defer enc.release()
-	if err != nil {
-		return ""
-	}
+	data := enc.fleetBundle(b)
 	path := filepath.Join(dir, fmt.Sprintf("fleet-%03d-%s.json", seq, b.Reason))
 	if os.WriteFile(path, data, 0o644) != nil {
 		return ""

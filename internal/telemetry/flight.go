@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -70,14 +69,17 @@ func (r *flightRing) release() {
 // held returns the number of events the ring holds.
 func (r *flightRing) held() int { return int(min(r.total, ringEvents)) }
 
-// tail returns the ring's contents oldest-first, rendered.
-func (r *flightRing) tail() []eventJSON {
+// appendTail appends the ring's contents to out oldest-first, rendered.
+// The result is never nil: a bundle renders an empty ring as [].
+func (r *flightRing) appendTail(out []eventJSON) []eventJSON {
+	if out == nil {
+		out = []eventJSON{}
+	}
 	n := r.held()
-	out := make([]eventJSON, n)
-	for k := range out {
+	for k := 0; k < n; k++ {
 		i := (r.next - n + k + ringEvents) % ringEvents
 		e := &r.chunks[i/ringChunk][i%ringChunk]
-		out[k] = eventJSON{TimeNS: int64(e.TS), Kind: e.Kind.String(), Name: e.Name(), Arg1: e.Arg1, Arg2: e.Arg2}
+		out = append(out, eventJSON{TimeNS: int64(e.TS), Kind: e.Kind.String(), Name: e.Name(), Arg1: e.Arg1, Arg2: e.Arg2})
 	}
 	return out
 }
@@ -94,7 +96,10 @@ type pauseJSON struct {
 	Phases       map[string]int64 `json:"phases,omitempty"`
 }
 
-func renderPause(a *PauseAttr) pauseJSON {
+// renderPause renders a. phases, when non-nil, is a map an earlier
+// rendering held, emptied and reused for the phases.
+func renderPause(a *PauseAttr, phases map[string]int64) pauseJSON {
+	clear(phases)
 	pj := pauseJSON{
 		StartNS:      int64(a.Start),
 		DurNS:        int64(a.Dur),
@@ -102,6 +107,7 @@ func renderPause(a *PauseAttr) pauseJSON {
 		MajorFaults:  a.MajorFaults,
 		FaultStallNS: int64(a.FaultStall),
 		OtherNS:      int64(a.Other()),
+		Phases:       phases, // omitted while empty
 	}
 	for p, ns := range a.PhaseNS {
 		if ns == 0 || trace.Phase(p) == a.Kind.Phase() {
@@ -116,8 +122,9 @@ func renderPause(a *PauseAttr) pauseJSON {
 }
 
 // renderPausesLocked renders the newest tail pauses held (every one
-// when tail <= 0), nil when there are none.
-func (c *Collector) renderPausesLocked(tail int) []pauseJSON {
+// when tail <= 0) into out's storage, reusing the phase maps of the
+// entries it overwrites; nil when there are none.
+func (c *Collector) renderPausesLocked(out []pauseJSON, tail int) []pauseJSON {
 	ps := c.pauses
 	if tail > 0 && tail < len(ps) {
 		ps = ps[len(ps)-tail:]
@@ -125,9 +132,13 @@ func (c *Collector) renderPausesLocked(tail int) []pauseJSON {
 	if len(ps) == 0 {
 		return nil
 	}
-	out := make([]pauseJSON, len(ps))
+	out = out[:0]
 	for i := range ps {
-		out[i] = renderPause(&ps[i])
+		var phases map[string]int64
+		if len(out) < cap(out) {
+			phases = out[:len(out)+1][len(out)].Phases
+		}
+		out = append(out, renderPause(&ps[i], phases))
 	}
 	return out
 }
@@ -147,6 +158,11 @@ type bundle struct {
 	PauseP50  int64              `json:"pause_p50_ns"`
 	PauseP99  int64              `json:"pause_p99_ns"`
 	PauseMax  int64              `json:"pause_max_ns"`
+
+	// The storage of Pauses and Counters, kept for the next bundle
+	// while this one shows neither.
+	pauses   []pauseJSON
+	counters map[string]uint64
 }
 
 // dumpLocked writes a flight bundle named for reason. Called with c.mu
@@ -159,14 +175,13 @@ func (c *Collector) dumpLocked(reason string) {
 		return
 	}
 	b := c.bundleLocked(reason)
+	defer freeBundles.Put(b)
 	if err := os.MkdirAll(c.cfg.FlightDir, 0o755); err != nil {
 		return
 	}
-	enc, data, err := encodeBundle(b)
+	enc := takeBundleEncoder()
 	defer enc.release()
-	if err != nil {
-		return
-	}
+	data := enc.bundle(b)
 	c.dumpSeq++
 	name := fmt.Sprintf("flight-%03d-%s.json", c.dumpSeq, reason)
 	if c.cfg.Tenant != "" {
@@ -182,26 +197,20 @@ func (c *Collector) dumpLocked(reason string) {
 // allocates nothing once the buffer has grown to the largest bundle.
 type bundleEncoder struct {
 	buf bytes.Buffer
-	enc *json.Encoder
+	jsonWriter
 }
 
 // freeBundleEncoders holds the encoders of finished dumps.
 var freeBundleEncoders mem.FreeList[*bundleEncoder]
 
-// encodeBundle renders v as json.MarshalIndent(v, "", " ") does. data is
-// the encoder's buffer: write it before enc.release.
-func encodeBundle(v any) (enc *bundleEncoder, data []byte, err error) {
+// takeBundleEncoder returns the encoder of a finished dump, or a new one.
+func takeBundleEncoder() *bundleEncoder {
 	enc, ok := freeBundleEncoders.Get()
 	if !ok {
 		enc = &bundleEncoder{}
-		enc.enc = json.NewEncoder(&enc.buf)
-		enc.enc.SetIndent("", " ")
+		enc.jsonWriter.init(&enc.buf)
 	}
-	if err := enc.enc.Encode(v); err != nil {
-		return enc, nil, err
-	}
-	data = enc.buf.Bytes()
-	return enc, data[:len(data)-1], nil // Encode ends the value with a newline
+	return enc
 }
 
 // release empties enc for the next dump.
@@ -210,8 +219,10 @@ func (enc *bundleEncoder) release() {
 	freeBundleEncoders.Put(enc)
 }
 
-// bundleLocked assembles the bundle a dump for reason writes. Called
-// with c.mu held.
+// bundleLocked assembles the bundle a dump for reason writes, in the
+// storage of a released bundle when there is one: its series columns,
+// events, pauses and maps are refilled, not made again. Called with
+// c.mu held; release the bundle once it is written.
 func (c *Collector) bundleLocked(reason string) *bundle {
 	var now int64
 	if c.clock != nil {
@@ -221,27 +232,42 @@ func (c *Collector) bundleLocked(reason string) *bundle {
 	if c.col != nil {
 		tl = c.col.Stats().Timeline
 	}
-	b := &bundle{
+	b, ok := freeBundles.Get()
+	if !ok {
+		b = new(bundle)
+	}
+	*b = bundle{
 		Schema:    "gcsim-flight/v1",
 		Reason:    reason,
 		Tenant:    c.cfg.Tenant,
 		SimTimeNS: now,
 		Collector: c.collectorName,
-		Samples:   c.seriesTailLocked(sampleTail),
-		Events:    c.ring.tail(),
+		Samples:   c.seriesTailLocked(b.Samples, sampleTail),
+		Events:    c.ring.appendTail(b.Events[:0]),
 		PauseP50:  int64(tl.Percentile(50)),
 		PauseP99:  int64(tl.Percentile(99)),
 		PauseMax:  int64(tl.MaxPause()),
+		pauses:    b.pauses,
+		counters:  b.counters,
 	}
 	if c.runErr != nil {
 		b.RunError = c.runErr.Error()
 	}
-	b.Pauses = c.renderPausesLocked(bundlePauses)
+	b.Pauses = c.renderPausesLocked(b.pauses, bundlePauses)
+	if b.Pauses != nil {
+		b.pauses = b.Pauses
+	}
 	if c.ctrs != nil {
-		b.Counters = make(map[string]uint64, trace.NumCounters)
-		for id := 0; id < trace.NumCounters; id++ {
-			b.Counters[trace.Counter(id).String()] = c.ctrs.Get(trace.Counter(id))
+		if b.counters == nil {
+			b.counters = make(map[string]uint64, trace.NumCounters)
 		}
+		for id := 0; id < trace.NumCounters; id++ {
+			b.counters[trace.Counter(id).String()] = c.ctrs.Get(trace.Counter(id))
+		}
+		b.Counters = b.counters
 	}
 	return b
 }
+
+// freeBundles holds written bundles, with their storage.
+var freeBundles mem.FreeList[*bundle]

@@ -242,8 +242,16 @@ func (s *Series) tailFrom(tail int) int {
 // column decodes col's samples from index from (at least base) to the
 // newest, starting at the checkpoint at or before from.
 func (s *Series) column(col Column, from int) []int64 {
-	out := make([]int64, s.n-from)
-	if len(out) == 0 {
+	return s.appendColumn(make([]int64, 0, s.n-from), col, from)
+}
+
+// appendColumn is column appending to out. The result is never nil: a
+// bundle renders an empty column as [].
+func (s *Series) appendColumn(out []int64, col Column, from int) []int64 {
+	if out == nil {
+		out = []int64{}
+	}
+	if from == s.n {
 		return out
 	}
 	blk := s.block()
@@ -252,8 +260,8 @@ func (s *Series) column(col Column, from int) []int64 {
 	for k := s.base + b*blk; k < from; k++ {
 		c.next(src)
 	}
-	for k := range out {
-		out[k] = c.next(src)
+	for k := from; k < s.n; k++ {
+		out = append(out, c.next(src))
 	}
 	return out
 }
@@ -675,14 +683,19 @@ func (c *Collector) ColumnTail(col Column, tail int) []int64 {
 func (c *Collector) SeriesTail(tail int) map[string][]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.seriesTailLocked(tail)
+	return c.seriesTailLocked(nil, tail)
 }
 
-func (c *Collector) seriesTailLocked(tail int) map[string][]int64 {
+// seriesTailLocked is SeriesTail into cols, a map an earlier call
+// returned whose columns' storage it refills, or nil.
+func (c *Collector) seriesTailLocked(cols map[string][]int64, tail int) map[string][]int64 {
 	from := c.series.tailFrom(tail)
-	cols := make(map[string][]int64, numColumns)
+	if cols == nil {
+		cols = make(map[string][]int64, numColumns)
+	}
 	for col := Column(0); col < numColumns; col++ {
-		cols[col.String()] = c.series.column(col, from)
+		name := col.String()
+		cols[name] = c.series.appendColumn(cols[name][:0], col, from)
 	}
 	return cols
 }

@@ -19,6 +19,7 @@ package vmm
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"bookmarkgc/internal/mem"
@@ -232,17 +233,33 @@ var (
 	freePageTables mem.FreeList[[]pageInfo]
 )
 
+// freeProcs holds the processes of released machines, each with its
+// released Space.
+var freeProcs mem.FreeList[*Proc]
+
+// putPageTable retires the page table of a Proc the Go collector found
+// unreachable; held is the Proc's, nil once Release took the table.
+func putPageTable(held *[]pageInfo) {
+	if *held != nil {
+		freePageTables.Put(*held)
+	}
+}
+
 // Release recycles the machine's host tables — both queues, and every
-// process's page table, flag table and page bodies — for the next
-// machine in the process. Only call it when the machine is dead: no
-// process of it may run again.
+// process's page table, flag table and page bodies — and its processes
+// with their Spaces, for the next machine in the process. Only call it
+// when the machine is dead: no process of it, nor its Space, may be used
+// again.
 func (v *VMM) Release() {
-	for _, p := range v.procs {
+	for i, p := range v.procs {
 		p.space.Release()
 		freePageTables.Put(p.pages)
-		p.pages, p.flags = nil, nil
+		*p = Proc{space: p.space, held: p.held}
+		*p.held = nil
+		freeProcs.Put(p)
+		v.procs[i] = nil
 	}
-	v.procs = nil
+	v.procs = v.procs[:0]
 	freeQueues.Put(v.active.refs[:0], v.inactive.refs[:0])
 	v.active, v.inactive = refQueue{}, refQueue{}
 }
@@ -334,13 +351,30 @@ func (v *VMM) NewProc(name string, spaceBytes uint64) *Proc {
 	if npg >= maxSpacePages {
 		panic(fmt.Sprintf("vmm: address space of %d bytes is %d pages or more", spaceBytes, uint64(maxSpacePages)))
 	}
-	p := &Proc{
+	p, ok := freeProcs.Get()
+	if !ok {
+		// A machine dropped without Release still hands its page
+		// tables on, as its Spaces do their bodies.
+		// held is reachable only through p and is no part of the
+		// cycle p forms with its Space, so its finalizer runs once p
+		// is unreachable.
+		p = &Proc{held: new([]pageInfo)}
+		runtime.SetFinalizer(p.held, putPageTable)
+	}
+	*p = Proc{
 		vmm:   v,
 		id:    int32(len(v.procs)),
 		name:  name,
 		pages: mem.TakeTable(&freePageTables, npg),
+		space: p.space,
+		held:  p.held,
 	}
-	p.space = mem.NewSpace(spaceBytes, v.Clock, v.costs.WordAccess, p)
+	*p.held = p.pages
+	if p.space == nil {
+		p.space = mem.NewSpace(spaceBytes, v.Clock, v.costs.WordAccess, p)
+	} else {
+		p.space.Reuse(spaceBytes, v.Clock, v.costs.WordAccess, p)
+	}
 	p.flags = p.space.PageFlags()
 	v.procs = append(v.procs, p)
 	return p
@@ -566,7 +600,8 @@ type Proc struct {
 	name     string
 	space    *mem.Space
 	pages    []pageInfo
-	flags    []uint8 // the space's page-flag side array (hot state bits)
+	flags    []uint8     // the space's page-flag side array (hot state bits)
+	held     *[]pageInfo // pages, for the cleanup that retires it if the Proc is dropped
 	handler  Handler
 	stats    ProcStats
 	resident int // maintained count of Resident pages, so sampling is O(1)

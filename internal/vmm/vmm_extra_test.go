@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -224,4 +225,77 @@ func TestReleasedMachineTablesComeBackZeroed(t *testing.T) {
 		t.Fatalf("a fresh page reads %d", w)
 	}
 	u.Release()
+}
+
+// TestPageTablesComeBackZero: a page table given back dirty in every
+// entry up to its capacity — by a released machine, or by one dropped
+// unreleased — comes back zero to a Proc of fewer pages and to one of
+// more pages that the table still holds.
+func TestPageTablesComeBackZero(t *testing.T) {
+	var held [][]pageInfo
+	for {
+		tab, ok := freePageTables.Get()
+		if !ok {
+			break
+		}
+		held = append(held, tab)
+	}
+	t.Cleanup(func() { freePageTables.Put(held...) })
+
+	const pages = 9000 // more pages than other tests' machines have
+	dirty := pageInfo{locked: true, servicing: true, queued: true, stamp: ^uint32(0)}
+	v := New(NewClock(), 64*mem.PageSize, DefaultCosts())
+	p := v.NewProc("dirty", pages*mem.PageSize)
+	table := &p.pages[0]
+	capacity := cap(p.pages)
+	for _, n := range []int{pages / 2, capacity} {
+		full := p.pages[:cap(p.pages)]
+		for i := range full {
+			full[i] = dirty
+		}
+		v.Release()
+		v = New(NewClock(), 64*mem.PageSize, DefaultCosts())
+		p = v.NewProc("fresh", uint64(n)*mem.PageSize)
+		if &p.pages[0] != table || len(p.pages) != n {
+			t.Fatalf("a Proc of %d pages did not take the released table", n)
+		}
+		for i, e := range p.pages[:cap(p.pages)] {
+			if e != (pageInfo{}) {
+				t.Fatalf("a Proc of %d pages: entry %d of capacity %d starts as %+v", n, i, cap(p.pages), e)
+			}
+		}
+	}
+
+	// Dropped unreleased, the machine still hands its table on.
+	full := p.pages[:cap(p.pages)]
+	for i := range full {
+		full[i] = dirty
+	}
+	v, p = nil, nil
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		tab, ok := freePageTables.GetFit(pages, func(t []pageInfo) int { return cap(t) })
+		if ok && &tab[:1][0] == table {
+			freePageTables.Put(tab)
+			break
+		}
+		if ok {
+			freePageTables.Put(tab)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a dropped machine's page table never came back")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	q := New(NewClock(), 64*mem.PageSize, DefaultCosts()).NewProc("after-drop", pages*mem.PageSize)
+	if &q.pages[0] != table {
+		t.Fatal("the next Proc did not take the dropped machine's table")
+	}
+	for i, e := range q.pages[:cap(q.pages)] {
+		if e != (pageInfo{}) {
+			t.Fatalf("after a drop: entry %d starts as %+v", i, e)
+		}
+	}
+	q.vmm.Release()
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -31,24 +32,42 @@ type Reader struct {
 	events uint64
 	blocks uint64
 
+	// src is the stream of a reader over bytes in memory (openBytes).
+	src bytes.Reader
+
 	// Counters, when set, accumulates workload_blocks_read.
 	Counters *trace.Counters
 }
 
-// NewReader validates r's header and reads the meta block, into the
-// buffers a released reader left if there are any.
-func NewReader(r io.Reader) (*Reader, error) { return openReader(r, nil) }
+// NewReader validates r's header and reads the meta block, into a
+// reader a released one left if there is one.
+func NewReader(r io.Reader) (*Reader, error) { return takeReader().open(r, nil) }
 
-// openReader is NewReader for a stream whose meta block is known to
-// decode to meta, when meta is non-nil: the block is read and checked
-// but not decoded again.
-func openReader(r io.Reader, meta *Meta) (_ *Reader, err error) {
-	rd := &Reader{}
-	if sc, ok := freeReaders.Get(); ok {
-		sc.br.Reset(r)
-		rd.br, rd.buf = sc.br, sc.buf
-	} else {
+// openBytes opens a reader over data in memory, as open does.
+func openBytes(data []byte, meta *Meta) (*Reader, error) {
+	rd := takeReader()
+	rd.src.Reset(data)
+	return rd.open(&rd.src, meta)
+}
+
+// takeReader returns a released reader, emptied but for its buffers, or
+// a new one.
+func takeReader() *Reader {
+	rd, ok := freeReaders.Get()
+	if !ok {
+		rd = &Reader{}
+	}
+	return rd
+}
+
+// open reads r's header and meta block into rd, which takeReader
+// returned. When meta is non-nil the stream's meta block is known to
+// decode to it: the block is read and checked but not decoded again.
+func (rd *Reader) open(r io.Reader, meta *Meta) (_ *Reader, err error) {
+	if rd.br == nil {
 		rd.br = bufio.NewReader(r)
+	} else {
+		rd.br.Reset(r)
 	}
 	defer func() {
 		if err != nil {
@@ -92,24 +111,18 @@ func (rd *Reader) Events() uint64 { return rd.events }
 // Blocks returns how many blocks have been decoded so far.
 func (rd *Reader) Blocks() uint64 { return rd.blocks }
 
-// readScratch is what a released Reader hands to the next: its input
-// buffer and its block buffer.
-type readScratch struct {
-	br  *bufio.Reader
-	buf []byte
-}
+// freeReaders holds released readers, with their input and block
+// buffers: finished replays, and readers opened only for their meta
+// block.
+var freeReaders mem.FreeList[*Reader]
 
-// freeReaders holds the buffers of released readers: finished replays,
-// and readers opened only for their meta block.
-var freeReaders mem.FreeList[readScratch]
-
-// release hands the reader's buffers to the next NewReader. The reader
-// yields nothing after it.
+// release hands the reader, with its buffers, to the next NewReader.
+// Nothing may use rd after it.
 func (rd *Reader) release() {
 	rd.br.Reset(nil)
-	freeReaders.Put(readScratch{br: rd.br, buf: rd.buf[:0]})
-	rd.br, rd.buf, rd.block, rd.pos = nil, nil, nil, 0
-	rd.sawEnd = true
+	rd.src.Reset(nil)
+	*rd = Reader{br: rd.br, buf: rd.buf[:0]}
+	freeReaders.Put(rd)
 }
 
 // loadBlock reads and CRC-checks the next block. io.EOF (untranslated)

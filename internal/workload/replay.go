@@ -30,7 +30,8 @@ import (
 type Replayer struct {
 	c     gc.Collector
 	types mutator.Types
-	rd    *Reader
+	rd    *Reader // nil once the replay has finished
+	meta  Meta
 	spec  mutator.Spec
 	ctrs  *trace.Counters
 
@@ -53,7 +54,11 @@ func NewReplayer(rd *Reader, c gc.Collector, types mutator.Types) *Replayer {
 	if p := rd.Meta().Program; p != nil {
 		spec = *p
 	}
-	rp := &Replayer{c: c, types: types, rd: rd, spec: spec}
+	rp, ok := freeReplayers.Get()
+	if !ok {
+		rp = new(Replayer)
+	}
+	*rp = Replayer{c: c, types: types, rd: rd, meta: rd.Meta(), spec: spec}
 	if env := c.Env(); env != nil {
 		rp.ctrs = env.Counters
 		rd.Counters = env.Counters
@@ -62,7 +67,18 @@ func NewReplayer(rd *Reader, c gc.Collector, types mutator.Types) *Replayer {
 }
 
 // Meta returns the trace's self-description.
-func (rp *Replayer) Meta() Meta { return rp.rd.Meta() }
+func (rp *Replayer) Meta() Meta { return rp.meta }
+
+// freeReplayers holds released replayers (Release).
+var freeReplayers mem.FreeList[*Replayer]
+
+// Release hands the replayer to the next NewReplayer, finishing it
+// first if it has not finished. Nothing may use rp after it.
+func (rp *Replayer) Release() {
+	rp.finish()
+	*rp = Replayer{}
+	freeReplayers.Put(rp)
+}
 
 func (rp *Replayer) fail(err error) {
 	rp.err = err
@@ -72,6 +88,7 @@ func (rp *Replayer) fail(err error) {
 func (rp *Replayer) finish() {
 	if !rp.done {
 		rp.rd.release()
+		rp.rd = nil
 	}
 	rp.done = true
 	if rp.closer != nil {

@@ -35,6 +35,12 @@ type SynthParams struct {
 // live-set ramps, and adversarial fragmentation/pinning patterns that
 // stress bookmarking and the compactor's choice of target superpages.
 func Synthesize(w io.Writer, p SynthParams) error {
+	_, err := synthesize(w, p)
+	return err
+}
+
+// synthesize is Synthesize, and returns the meta block it wrote.
+func synthesize(w io.Writer, p SynthParams) (Meta, error) {
 	if p.Allocs <= 0 {
 		p.Allocs = 100_000
 	}
@@ -57,16 +63,18 @@ func Synthesize(w io.Writer, p SynthParams) error {
 		gen = synthFrag
 		model = map[string]float64{"allocs": float64(p.Allocs), "live": float64(p.Live), "pin_stride": fragPinStride}
 	default:
-		return fmt.Errorf("workload: unknown synth model %q (models: %s)", p.Model, strings.Join(Models, ", "))
+		return Meta{}, fmt.Errorf("workload: unknown synth model %q (models: %s)", p.Model, strings.Join(Models, ", "))
 	}
-	wr, err := NewWriter(w, Meta{
-		Name:   p.Name,
-		Source: "synth:" + p.Model,
-		Seed:   p.Seed,
-		Model:  model,
-	})
+	meta := Meta{
+		FormatVersion: Version,
+		Name:          p.Name,
+		Source:        "synth:" + p.Model,
+		Seed:          p.Seed,
+		Model:         model,
+	}
+	wr, err := NewWriter(w, meta)
 	if err != nil {
-		return err
+		return Meta{}, err
 	}
 	st := newSynthState(wr, p)
 	defer st.release()
@@ -74,7 +82,7 @@ func Synthesize(w io.Writer, p SynthParams) error {
 	// Synthesizers cannot know the data checksum a replay will compute
 	// without simulating the heap, so the footer omits it; readers still
 	// verify the totals.
-	return wr.End(Footer{Allocs: st.allocs, Bytes: st.bytes})
+	return meta, wr.End(Footer{Allocs: st.allocs, Bytes: st.bytes})
 }
 
 // synthState tracks the synthetic program's live set, mirroring the

@@ -15,46 +15,47 @@ import (
 // like FileSource — many tenants can replay one SynthSource
 // concurrently, each with an independent cursor.
 type SynthSource struct {
-	data []byte
-	meta Meta
+	params SynthParams
+	data   []byte
+	meta   Meta
 }
 
-// NewSynthSource synthesizes the trace for p into memory. It writes the
-// trace into the largest scratch buffer a finished synthesis left, then
-// keeps it in the retired trace buffer that fits it most tightly, so a
-// warm process, synthesizing the same traces again, allocates for
-// neither.
+// NewSynthSource synthesizes the trace for p into memory. A trace is a
+// pure function of its parameters, so a released source of the same
+// parameters is handed back whole, and a warm process that synthesizes
+// the same traces again allocates nothing for them. Otherwise it writes
+// the trace into the largest scratch buffer a finished synthesis left,
+// then keeps it in the released source whose buffer fits it most
+// tightly.
 func NewSynthSource(p SynthParams) (*SynthSource, error) {
+	if s, ok := freeSources.GetMatch(func(s *SynthSource) bool { return s.params == p }); ok {
+		return s, nil
+	}
 	scratch, _ := freeScratch.GetLargest(func(b []byte) int { return cap(b) })
 	buf := bytes.NewBuffer(scratch)
-	err := Synthesize(buf, p)
+	meta, err := synthesize(buf, p)
 	defer func() { freeScratch.Put(buf.Bytes()[:0]) }()
 	if err != nil {
 		return nil, err
 	}
-	data, ok := freeTraces.GetFit(buf.Len(), func(b []byte) int { return cap(b) })
+	s, ok := freeSources.GetFit(buf.Len(), func(s *SynthSource) int { return cap(s.data) })
 	if !ok {
-		data = make([]byte, 0, buf.Len())
+		s = &SynthSource{data: make([]byte, 0, buf.Len())}
 	}
-	data = append(data, buf.Bytes()...)
-	rd, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	defer rd.release()
-	return &SynthSource{data: data, meta: rd.Meta()}, nil
+	*s = SynthSource{params: p, data: append(s.data[:0], buf.Bytes()...), meta: meta}
+	return s, nil
 }
 
-// Release recycles the trace buffer for the next NewSynthSource. Call
-// it only when no workload of s runs again and s is not used again.
-func (s *SynthSource) Release() {
-	freeTraces.Put(s.data[:0])
-	s.data = nil
-}
+// Release hands s, trace and all, to a later NewSynthSource. Call it
+// only when no workload of s runs again and s is not used again.
+func (s *SynthSource) Release() { freeSources.Put(s) }
 
-// freeTraces holds the trace buffers of released SynthSources, and
-// freeScratch the buffers syntheses are written into.
-var freeTraces, freeScratch mem.FreeList[[]byte]
+// freeSources holds released SynthSources, and freeScratch the buffers
+// syntheses are written into.
+var (
+	freeSources mem.FreeList[*SynthSource]
+	freeScratch mem.FreeList[[]byte]
+)
 
 // Meta returns the synthesized trace's self-description.
 func (s *SynthSource) Meta() Meta { return s.meta }
@@ -63,7 +64,7 @@ func (s *SynthSource) Meta() Meta { return s.meta }
 // was fixed by SynthParams.Seed at construction, whose meta block the
 // reader need not decode again.
 func (s *SynthSource) NewWorkload(c gc.Collector, types mutator.Types, seed int64) (mutator.Workload, error) {
-	rd, err := openReader(bytes.NewReader(s.data), &s.meta)
+	rd, err := openBytes(s.data, &s.meta)
 	if err != nil {
 		return nil, err
 	}
